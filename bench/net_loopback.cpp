@@ -10,7 +10,7 @@
 // Usage: net_loopback [patients] [beats_per_patient] [cr_percent]
 //                     [--shards N] [--threads N] [--no-fixed] [--hints]
 //                     [--pipeline N] [--batch-frames K] [--repeat R]
-//                     [--min-speedup X] [--json PATH]
+//                     [--json PATH]
 //
 // --hints runs the closed-loop CR-hint drill instead; see the block
 // comment above run_hint_loop().
@@ -19,24 +19,20 @@
 // fixed-point measurement coding (fixed_scale = 0) to measure how much
 // the compact coding buys on the submit path.
 //
-// --pipeline N switches to the wire-v2 comparison mode: the same traffic
-// runs twice against fresh fleets — once per-window over a v1-negotiated
-// connection (one blocking SUBMIT round trip per window), once pipelined
-// over v2 (SUBMIT_BATCH frames of --batch-frames windows, up to N
-// unacknowledged frames per shard).  The headline metric is submit-path
-// throughput — first submit to last durable ACK — because that is the
-// path pipelining changes; the speedup gate (>= 3x) is on that metric.
-// Solve and result retrieval are identical in both phases and stay
-// outside the timed submit window: comparison-mode shards run the serial
-// engine (solves happen during the drain, after the submit clock stops),
-// and the drain feeds the bit-exactness gate against a serial in-process
-// reference with the identical config, so the determinism contract is
-// still enforced end to end.  End-to-end wall time is reported alongside
-// for transparency.  --min-speedup X sets the exit-code gate on the
-// speedup (default 3.0; 0 makes the run a correctness smoke — sanitizer
-// and matrix lanes use that, the trajectory gate keeps the full floor).
-// --json writes the pipeline-mode metrics as a flat JSON object (the
-// bench_trajectory.py input).
+// Without --pipeline every window is a blocking one-window SUBMIT_BATCH
+// round trip.  --pipeline N switches to the pipelined submit-path mode:
+// SUBMIT_BATCH frames of --batch-frames windows, up to N unacknowledged
+// frames per shard, best of --repeat runs against fresh fleets.  The
+// headline metric is submit-path throughput — first submit to last
+// durable ACK — because that is the path pipelining changes.  Solve and
+// result retrieval stay outside the timed submit window: pipeline-mode
+// shards run the serial engine (solves happen during the drain, after the
+// submit clock stops), and the drain feeds the bit-exactness gate against
+// a serial in-process reference with the identical config, so the
+// determinism contract is still enforced end to end.  End-to-end wall
+// time is reported alongside for transparency.  --json writes the
+// pipeline-mode metrics as a flat JSON object (the bench_trajectory.py
+// input; its keys keep the v2_ prefix of the committed baseline).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -170,7 +166,7 @@ struct PhaseResult {
 };
 
 /// Runs the whole batch through a fresh client: per-window blocking
-/// SUBMITs when `pipeline` is 0, the pipelined v2 path otherwise.
+/// submits when `pipeline` is 0, the pipelined path otherwise.
 PhaseResult run_phase(const std::vector<host::CompressedWindow>& batch,
                       const std::map<WindowKey, std::vector<double>>& reference,
                       const net::RoutingClientConfig& client_cfg,
@@ -217,22 +213,14 @@ PhaseResult run_phase(const std::vector<host::CompressedWindow>& batch,
   return out;
 }
 
-/// Submit-path wire bytes for the whole batch: per-window v1 frames, or
-/// v2 SUBMIT_BATCH frames of `batch_frames` windows.
+/// Submit-path wire bytes for the whole batch in SUBMIT_BATCH frames of
+/// `batch_frames` windows.
 std::size_t submit_wire_bytes(const std::vector<host::CompressedWindow>& batch,
                               double fixed_scale, std::size_t batch_frames) {
   std::vector<std::uint8_t> buf;
   net::WireEncodeOptions wire;
   wire.fixed_scale = fixed_scale;
   std::size_t total = 0;
-  if (batch_frames == 0) {
-    for (const auto& window : batch) {
-      buf.clear();
-      net::encode_submit_window(buf, window, net::kSubmitFlagBlocking, wire);
-      total += buf.size();
-    }
-    return total;
-  }
   for (std::size_t i = 0; i < batch.size(); i += batch_frames) {
     const std::size_t count = std::min(batch_frames, batch.size() - i);
     buf.clear();
@@ -254,8 +242,7 @@ std::size_t submit_wire_bytes(const std::vector<host::CompressedWindow>& batch,
 // Gates: every patient receives the hint, hinted windows carry exactly
 // rows_for_cr(hint_cr, n) measurements, everything completed is
 // bit-exact against a serial reference of the identical submitted
-// windows, and a v1-pinned control client receives no hints (the verb is
-// v2-only; absence of a hint means full fidelity, never an error).
+// windows.
 
 int run_hint_loop(int patients, int beats, double cr, int shards, int threads,
                   double scale, const char* json_path) {
@@ -387,25 +374,6 @@ int run_hint_loop(int patients, int beats, double cr, int shards, int threads,
 
   client.shutdown(/*send_bye=*/false);
 
-  // Control: a v1-pinned client must see no hints — the verb is v2-only
-  // and its absence degrades to full fidelity, never to an error.
-  bool v1_no_hint = true;
-  {
-    net::RoutingClientConfig v1_cfg = client_cfg;
-    v1_cfg.max_wire_version = 1;
-    net::RoutingClient v1(v1_cfg);
-    if (v1.connect(fleet.endpoints)) {
-      v1_no_hint = v1.refresh_cr_hints();
-      for (std::size_t p = 0; p < nodes.size(); ++p) {
-        v1_no_hint =
-            v1_no_hint && !v1.cr_hint(static_cast<std::uint32_t>(p)).has_value();
-      }
-      v1.shutdown(false);
-    } else {
-      v1_no_hint = false;
-    }
-  }
-
   std::printf("\n%-28s %12s\n", "metric", "value");
   std::printf("%-28s %12zu\n", "windows submitted", submitted.size());
   std::printf("%-28s %12zu\n", "windows completed", results.size());
@@ -416,12 +384,11 @@ int run_hint_loop(int patients, int beats, double cr, int shards, int threads,
   std::printf("%-28s %12.2f\n", "base-CR mean SNR (dB)", base_snr);
   std::printf("%-28s %12.2f\n", "hinted-CR mean SNR (dB)", hinted_snr);
   std::printf("%-28s %12s\n", "hinted m on the wire", hinted_m_ok ? "PASS" : "FAIL");
-  std::printf("%-28s %12s\n", "v1 control sees no hints", v1_no_hint ? "PASS" : "FAIL");
   std::printf("\nbit-exactness vs serial (%zu windows): %s\n", results.size(),
               bit_exact ? "PASS" : "FAIL");
 
   const bool ok = refresh_ok && hinted_patients == static_cast<std::size_t>(patients) &&
-                  hinted_m_ok && bit_exact && v1_no_hint &&
+                  hinted_m_ok && bit_exact &&
                   accepted == submitted.size() && results.size() == submitted.size();
   if (json_path != nullptr) {
     FILE* f = std::fopen(json_path, "w");
@@ -438,12 +405,10 @@ int run_hint_loop(int patients, int beats, double cr, int shards, int threads,
                  "  \"base_mean_snr_db\": %.6f,\n"
                  "  \"hinted_mean_snr_db\": %.6f,\n"
                  "  \"hinted_m_ok\": %d,\n"
-                 "  \"v1_no_hint\": %d,\n"
                  "  \"windows\": %zu\n"
                  "}\n",
                  bit_exact ? 1 : 0, hinted_patients, patients, hint_cr, base_snr,
-                 hinted_snr, hinted_m_ok ? 1 : 0, v1_no_hint ? 1 : 0,
-                 submitted.size());
+                 hinted_snr, hinted_m_ok ? 1 : 0, submitted.size());
     std::fclose(f);
   }
   std::printf("\nhint loop: %s\n", ok ? "PASS" : "FAIL");
@@ -463,13 +428,11 @@ int main(int argc, char** argv) {
   std::size_t batch_frames = 16;
   const char* json_path = nullptr;
   std::size_t repeat = 3;
-  double min_speedup = 3.0;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if ((arg == "--shards" || arg == "--threads" || arg == "--pipeline" ||
-         arg == "--batch-frames" || arg == "--repeat" || arg == "--min-speedup" ||
-         arg == "--json") &&
+         arg == "--batch-frames" || arg == "--repeat" || arg == "--json") &&
         i + 1 >= argc) {
       std::fprintf(stderr, "%s requires a value\n", arg.c_str());
       return 2;
@@ -488,8 +451,6 @@ int main(int argc, char** argv) {
       batch_frames = static_cast<std::size_t>(std::max(1, std::atoi(argv[++i])));
     } else if (arg == "--repeat") {
       repeat = static_cast<std::size_t>(std::max(1, std::atoi(argv[++i])));
-    } else if (arg == "--min-speedup") {
-      min_speedup = std::atof(argv[++i]);
     } else if (arg == "--json") {
       json_path = argv[++i];
     } else if (n_positional < 3) {
@@ -510,7 +471,7 @@ int main(int argc, char** argv) {
         json_path);
   }
 
-  // Comparison mode uses the node-native 128-sample window (what a sensor
+  // Pipeline mode uses the node-native 128-sample window (what a sensor
   // radio actually emits) so per-window wire cost — not solve cost —
   // dominates; single-phase mode keeps the host-side default.
   auto batch = make_fleet_batch(patients, beats, cr, pipeline > 0 ? 128u : 0u);
@@ -527,10 +488,10 @@ int main(int argc, char** argv) {
   host::EngineConfig engine_cfg;
   engine_cfg.threads = threads;
   if (pipeline > 0) {
-    // Comparison mode measures the submit wire path, not the solver: the
+    // Pipeline mode measures the submit wire path, not the solver: the
     // shards run the serial engine (solves happen during the drain, after
     // the submit clock stops) with a light FISTA config so solver work
-    // cannot leak into either phase's timed submit window.  The serial
+    // cannot leak into the timed submit window.  The serial
     // reference uses the identical config, so the bit-exactness gate is
     // unaffected.
     engine_cfg.threads = 0;
@@ -540,8 +501,7 @@ int main(int argc, char** argv) {
   const auto reference = serial_reference(batch, engine_cfg);
 
   if (pipeline == 0) {
-    // Single-phase mode: today's fleet-wide default (the client negotiates
-    // the highest mutual version; submits are per-window round trips).
+    // Single-phase mode: submits are per-window blocking round trips.
     Fleet fleet;
     if (!fleet.start(shards, engine_cfg, scale)) {
       std::fprintf(stderr, "shard failed to start\n");
@@ -552,7 +512,7 @@ int main(int argc, char** argv) {
     client_cfg.payload_pool = std::make_shared<host::PayloadPool>();
     const auto phase = run_phase(batch, reference, client_cfg, fleet.endpoints, 0);
 
-    const std::size_t submit_bytes = submit_wire_bytes(batch, scale, 0);
+    const std::size_t submit_bytes = submit_wire_bytes(batch, scale, 1);
     // A result frame carries the full float64 signal (determinism
     // contract) plus ~40 bytes of metadata and framing.
     std::size_t result_bytes_estimate = 0;
@@ -577,77 +537,45 @@ int main(int argc, char** argv) {
     return phase.bit_exact ? 0 : 1;
   }
 
-  // Pipeline comparison mode: identical traffic, fresh fleet per phase.
-  net::RoutingClientConfig v1_cfg;
-  v1_cfg.wire.fixed_scale = scale;
-  v1_cfg.payload_pool = std::make_shared<host::PayloadPool>();
-  v1_cfg.max_wire_version = 1;  // Per-window blocking SUBMIT, v1 POLL.
-  net::RoutingClientConfig v2_cfg = v1_cfg;
-  v2_cfg.max_wire_version = net::kWireVersionMax;
-  v2_cfg.pipeline_depth = pipeline;
-  v2_cfg.submit_batch_windows = batch_frames;
+  net::RoutingClientConfig client_cfg;
+  client_cfg.wire.fixed_scale = scale;
+  client_cfg.payload_pool = std::make_shared<host::PayloadPool>();
+  client_cfg.pipeline_depth = pipeline;
+  client_cfg.submit_batch_windows = batch_frames;
 
   // Best-of-N on the submit clock: a shared-core container's scheduler
-  // can land anywhere in a single run, so each repeat re-runs both phases
-  // against fresh fleets and the fastest submit window per phase is what
-  // gets compared.  Correctness is not best-of-N: every repeat must be
-  // bit-exact with all submits accepted.
-  PhaseResult v1, v2;
+  // can land anywhere in a single run, so each repeat runs against a fresh
+  // fleet and the fastest submit window is what gets reported.
+  // Correctness is not best-of-N: every repeat must be bit-exact with all
+  // submits accepted.
+  PhaseResult best;
   bool every_run_ok = true;
   for (std::size_t r = 0; r < repeat; ++r) {
-    PhaseResult a, b;
-    {
-      Fleet fleet;
-      if (!fleet.start(shards, engine_cfg, scale)) {
-        std::fprintf(stderr, "shard failed to start\n");
-        return 1;
-      }
-      a = run_phase(batch, reference, v1_cfg, fleet.endpoints, 0);
+    Fleet fleet;
+    if (!fleet.start(shards, engine_cfg, scale)) {
+      std::fprintf(stderr, "shard failed to start\n");
+      return 1;
     }
-    {
-      Fleet fleet;
-      if (!fleet.start(shards, engine_cfg, scale)) {
-        std::fprintf(stderr, "shard failed to start\n");
-        return 1;
-      }
-      b = run_phase(batch, reference, v2_cfg, fleet.endpoints, pipeline);
-    }
-    every_run_ok = every_run_ok && a.bit_exact && b.bit_exact && a.submits_ok &&
-                   b.submits_ok;
-    if (r == 0 || a.submit_s < v1.submit_s) v1 = a;
-    if (r == 0 || b.submit_s < v2.submit_s) v2 = b;
+    const auto run = run_phase(batch, reference, client_cfg, fleet.endpoints, pipeline);
+    every_run_ok = every_run_ok && run.bit_exact && run.submits_ok;
+    if (r == 0 || run.submit_s < best.submit_s) best = run;
   }
-  v1.bit_exact = v1.bit_exact && every_run_ok;
-  v2.bit_exact = v2.bit_exact && every_run_ok;
 
   // The headline rate is the submit path — first submit to last durable
   // ACK — over the full batch; that is the path pipelining changes.
-  const double v1_rate = static_cast<double>(batch.size()) / v1.submit_s;
-  const double v2_rate = static_cast<double>(batch.size()) / v2.submit_s;
-  const double speedup = v1_rate > 0.0 ? v2_rate / v1_rate : 0.0;
-  const double v1_bytes = static_cast<double>(submit_wire_bytes(batch, scale, 0)) /
-                          static_cast<double>(batch.size());
-  const double v2_bytes =
-      static_cast<double>(submit_wire_bytes(batch, scale, batch_frames)) /
-      static_cast<double>(batch.size());
+  const double rate = static_cast<double>(batch.size()) / best.submit_s;
+  const double bytes = static_cast<double>(submit_wire_bytes(batch, scale, batch_frames)) /
+                       static_cast<double>(batch.size());
 
-  std::printf("\n%-28s %12s %12s\n", "metric", "v1 per-window", "v2 pipelined");
-  std::printf("%-28s %12zu %12zu\n", "windows completed", v1.completed, v2.completed);
-  std::printf("%-28s %12.1f %12.1f\n", "submit throughput (win/s)", v1_rate, v2_rate);
-  std::printf("%-28s %12.2f %12.2f\n", "submit time (ms)", v1.submit_s * 1e3,
-              v2.submit_s * 1e3);
-  std::printf("%-28s %12.2f %12.2f\n", "end-to-end wall (s)", v1.wall_s, v2.wall_s);
-  std::printf("%-28s %12.1f %12.1f\n", "submit wire bytes/window", v1_bytes, v2_bytes);
-  std::printf("%-28s %12s %12s\n", "bit-exact vs serial",
-              v1.bit_exact ? "PASS" : "FAIL", v2.bit_exact ? "PASS" : "FAIL");
-  const bool speedup_ok = speedup >= min_speedup;
-  std::printf("\npipelined speedup (depth %zu, %zu windows/frame): %.2fx "
-              "(gate >= %.1fx): %s\n",
-              pipeline, batch_frames, speedup, min_speedup,
-              speedup_ok ? "PASS" : "FAIL");
+  std::printf("\n%-28s %12s\n", "metric", "pipelined");
+  std::printf("%-28s %12zu\n", "windows completed", best.completed);
+  std::printf("%-28s %12.1f\n", "submit throughput (win/s)", rate);
+  std::printf("%-28s %12.2f\n", "submit time (ms)", best.submit_s * 1e3);
+  std::printf("%-28s %12.2f\n", "end-to-end wall (s)", best.wall_s);
+  std::printf("%-28s %12.1f\n", "submit wire bytes/window", bytes);
+  std::printf("\nbit-exactness vs serial (%zu windows, depth %zu, %zu windows/frame): %s\n",
+              best.completed, pipeline, batch_frames, every_run_ok ? "PASS" : "FAIL");
 
-  const bool ok =
-      v1.bit_exact && v2.bit_exact && v1.submits_ok && v2.submits_ok && speedup_ok;
   if (json_path != nullptr) {
     FILE* f = std::fopen(json_path, "w");
     if (f == nullptr) {
@@ -659,19 +587,14 @@ int main(int argc, char** argv) {
                  "  \"bit_exact\": %d,\n"
                  "  \"pipeline_depth\": %zu,\n"
                  "  \"batch_frames\": %zu,\n"
-                 "  \"speedup\": %.6f,\n"
-                 "  \"submit_bytes_per_window_v1\": %.1f,\n"
                  "  \"submit_bytes_per_window_v2\": %.1f,\n"
-                 "  \"v1_win_per_s\": %.6f,\n"
                  "  \"v2_win_per_s\": %.6f,\n"
-                 "  \"v1_wall_s\": %.6f,\n"
                  "  \"v2_wall_s\": %.6f,\n"
                  "  \"windows\": %zu\n"
                  "}\n",
-                 (v1.bit_exact && v2.bit_exact) ? 1 : 0, pipeline, batch_frames,
-                 speedup, v1_bytes, v2_bytes, v1_rate, v2_rate, v1.wall_s,
-                 v2.wall_s, batch.size());
+                 every_run_ok ? 1 : 0, pipeline, batch_frames, bytes, rate, best.wall_s,
+                 batch.size());
     std::fclose(f);
   }
-  return ok ? 0 : 1;
+  return every_run_ok ? 0 : 1;
 }

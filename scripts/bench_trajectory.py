@@ -7,8 +7,8 @@ Runs the four steady benchmarks —
   * host_throughput --poisson (streaming fabric; its --json metrics file)
   * host_throughput --adaptive (closed-loop degrade drill: shedding-only
     baseline vs degrade-don't-drop under calibrated 2x overload)
-  * net_loopback --pipeline (wire v2 batched submits vs the v1 per-window
-    path over real loopback TCP; its --json metrics file)
+  * net_loopback --pipeline (pipelined SUBMIT_BATCH submit path over real
+    loopback TCP; its --json metrics file)
 
 — merges them into one BENCH_results.json (the CI artifact, one point of
 the performance trajectory), and compares throughput metrics against the
@@ -20,10 +20,9 @@ runners even as medians of repetitions.  Latency and allocation metrics
 ride along informationally (CI runners are too noisy to gate on absolute
 times, so only relative throughput is enforced).
 
-The net_loopback comparison carries a hard floor: pipelined v2 submit
-throughput must beat the v1 per-window path by NET_LOOPBACK_SPEEDUP_FLOOR.
-Because the two phases race the host scheduler on a shared-core runner,
-the invocation is retried (up to NET_LOOPBACK_ATTEMPTS) and the best
+The net_loopback submit rate gates against the baseline at
+--micro-tolerance.  Because it races the host scheduler on a shared-core
+runner, the invocation runs NET_LOOPBACK_ATTEMPTS times and the best
 attempt is what gates — but bit-exactness is never retried: one corrupt
 attempt fails the whole run.
 
@@ -63,7 +62,6 @@ NET_LOOPBACK_ARGS = [
     "--pipeline", "8", "--batch-frames", "16", "--repeat", "5",
 ]
 NET_LOOPBACK_ATTEMPTS = 3
-NET_LOOPBACK_SPEEDUP_FLOOR = 3.0
 HOST_ADAPTIVE_ARGS = ["16", "24", "50", "--adaptive", "--threads", "2"]
 HOST_ADAPTIVE_ATTEMPTS = 3
 ADAPTIVE_SPEEDUP_FLOOR = 1.3
@@ -209,11 +207,10 @@ def run_net_loopback(build_dir):
             raise SystemExit(
                 "net_loopback: pipelined phase was not bit-exact against the "
                 "serial reference (not retryable)")
-        if best is None or metrics.get("speedup", 0) > best.get("speedup", 0):
+        rate = metrics.get("v2_win_per_s", 0)
+        if best is None or rate > best.get("v2_win_per_s", 0):
             best = metrics
-        print(f"#   attempt {attempt}: speedup {metrics.get('speedup', 0):.2f}x")
-        if best.get("speedup", 0) >= NET_LOOPBACK_SPEEDUP_FLOOR:
-            break
+        print(f"#   attempt {attempt}: {rate:.1f} win/s")
     best["attempts"] = attempt
     return best
 
@@ -284,11 +281,6 @@ def compare(results, baseline, tolerance, micro_tolerance):
     new_net = results.get("net_loopback_pipeline", {})
     check("net_loopback/v2_win_per_s", new_net.get("v2_win_per_s"),
           base_net.get("v2_win_per_s"), micro_tolerance)
-    speedup = new_net.get("speedup")
-    if speedup is not None and speedup < NET_LOOPBACK_SPEEDUP_FLOOR:
-        failures.append(
-            f"net_loopback: pipelined speedup {speedup:.2f}x "
-            f"< {NET_LOOPBACK_SPEEDUP_FLOOR:.1f}x floor")
     if new_net.get("bit_exact") == 0:
         failures.append("net_loopback: bit-exactness check failed")
     return failures

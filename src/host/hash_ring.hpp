@@ -31,6 +31,13 @@ namespace wbsn::host {
 /// in lockstep with id-assignment order, so mix first.
 std::uint64_t splitmix64(std::uint64_t x);
 
+/// Virtual nodes per shard on every fleet ring (the in-process fabric, the
+/// RoutingClient, and any audit tool).  More nodes smooth the load split
+/// and the per-resize move fraction toward the ideal 1/N at the cost of a
+/// slightly larger routing table.  It is a constant, not a knob: rings
+/// built with different values disagree on placement.
+inline constexpr std::size_t kVnodesPerShard = 64;
+
 class HashRing {
  public:
   /// An empty ring owns nothing; owner() must not be called on it.

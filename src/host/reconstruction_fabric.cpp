@@ -15,9 +15,7 @@ using Clock = std::chrono::steady_clock;
 
 ReconstructionFabric::ReconstructionFabric(FabricConfig cfg) : cfg_(cfg) {
   const int shards = std::max(1, cfg_.shards);
-  cfg_.vnodes_per_shard = std::max(1, cfg_.vnodes_per_shard);
-  ring_ = HashRing(static_cast<std::size_t>(shards),
-                   static_cast<std::size_t>(cfg_.vnodes_per_shard));
+  ring_ = HashRing(static_cast<std::size_t>(shards), kVnodesPerShard);
   active_.reserve(static_cast<std::size_t>(shards));
   for (int i = 0; i < shards; ++i) {
     active_.push_back(std::make_shared<ReconstructionEngine>(cfg_.engine));
@@ -182,7 +180,7 @@ ResizeReport ReconstructionFabric::resize(int new_shards) {
   report.shards_before = before;
   report.shards_after = target;
 
-  HashRing new_ring(target, static_cast<std::size_t>(cfg_.vnodes_per_shard));
+  HashRing new_ring(target, kVnodesPerShard);
 
   // New shard list: surviving engines keep their index (and their warm
   // caches), new indices get fresh engines, removed indices retire.  A
@@ -278,7 +276,7 @@ FailoverReport ReconstructionFabric::fail_shard(std::size_t index) {
   // (shard, replica), so this is the old ring minus the dead shard's
   // points — exactly its patients re-home, everyone else stays put, and
   // every survivor keeps the index its tickets were composed with.
-  HashRing new_ring(survivors, static_cast<std::size_t>(cfg_.vnodes_per_shard));
+  HashRing new_ring(survivors, kVnodesPerShard);
 
   // Flip, leaving a hole at the dead slot (indices are ticket identity).
   // From here on nothing can reach the dead engine: no route resolves to

@@ -81,14 +81,8 @@ namespace wbsn::host {
 
 struct FabricConfig {
   /// Engine shards; clamped to >= 1.  Patient -> shard routing is a pure
-  /// function of patient_id, this count, and vnodes_per_shard.
+  /// function of patient_id, this count, and kVnodesPerShard.
   int shards = 1;
-  /// Virtual nodes per shard on the consistent-hash ring.  More nodes
-  /// smooth the load split and the per-resize move fraction toward the
-  /// ideal 1/N at the cost of a slightly larger routing table; clamped to
-  /// >= 1.  Changing this across fabrics changes routing, so treat it as
-  /// a fleet-wide constant.
-  int vnodes_per_shard = 64;
   /// Per-shard engine configuration.  `threads` is the worker count of
   /// EACH shard, so the fabric runs shards * threads workers in total.
   /// `engine.payload_pool` (when set) is shared by every shard — including
@@ -141,7 +135,7 @@ class ReconstructionFabric {
   std::uint32_t epoch() const;
 
   /// The shard that owns `patient_id` under the current epoch's ring —
-  /// a pure function of (patient_id, shard count, vnodes_per_shard), so
+  /// a pure function of (patient_id, shard count, kVnodesPerShard), so
   /// tests and benches can assert routing stability against an
   /// independently built HashRing.  Thread-safe.
   std::size_t shard_of(std::uint32_t patient_id) const;

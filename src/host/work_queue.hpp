@@ -1,9 +1,5 @@
 // Work queues for the host-side reconstruction engine.
 //
-//  * BoundedWorkQueue — Dmitry Vyukov's bounded MPMC ring.  Push/pop are
-//    lock-free (a single CAS each on the uncontended path).  The original
-//    single-lane engine queue; kept for callers that want the atomic-only
-//    hot path and FIFO semantics.
 //  * RingDeque — grow-only circular buffer with deque semantics.  Unlike
 //    std::deque (which allocates a fresh block every ~64 pointer pushes
 //    even at steady occupancy), its storage is a single power-of-two array
@@ -21,7 +17,6 @@
 //    profiles; blocking behavior stays layered on top by the engine.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <mutex>
 #include <optional>
@@ -107,96 +102,6 @@ class RingDeque {
   std::vector<T> buf_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;
-};
-
-template <typename T>
-class BoundedWorkQueue {
- public:
-  /// Capacity is rounded up to the next power of two (minimum 2).
-  explicit BoundedWorkQueue(std::size_t capacity) {
-    std::size_t cap = 2;
-    while (cap < capacity) cap <<= 1;
-    cells_ = std::vector<Cell>(cap);
-    mask_ = cap - 1;
-    for (std::size_t i = 0; i < cap; ++i) {
-      cells_[i].sequence.store(i, std::memory_order_relaxed);
-    }
-  }
-
-  BoundedWorkQueue(const BoundedWorkQueue&) = delete;
-  BoundedWorkQueue& operator=(const BoundedWorkQueue&) = delete;
-
-  std::size_t capacity() const { return mask_ + 1; }
-
-  /// Non-blocking: false when the ring is full.
-  bool try_push(T value) {
-    Cell* cell;
-    std::size_t pos = tail_.load(std::memory_order_relaxed);
-    for (;;) {
-      cell = &cells_[pos & mask_];
-      const std::size_t seq = cell->sequence.load(std::memory_order_acquire);
-      const auto diff =
-          static_cast<std::ptrdiff_t>(seq) - static_cast<std::ptrdiff_t>(pos);
-      if (diff == 0) {
-        if (tail_.compare_exchange_weak(pos, pos + 1, std::memory_order_relaxed)) break;
-      } else if (diff < 0) {
-        return false;  // Full.
-      } else {
-        pos = tail_.load(std::memory_order_relaxed);
-      }
-    }
-    cell->value = std::move(value);
-    cell->sequence.store(pos + 1, std::memory_order_release);
-    return true;
-  }
-
-  /// Non-blocking: false when the ring is empty.
-  bool try_pop(T& out) {
-    Cell* cell;
-    std::size_t pos = head_.load(std::memory_order_relaxed);
-    for (;;) {
-      cell = &cells_[pos & mask_];
-      const std::size_t seq = cell->sequence.load(std::memory_order_acquire);
-      const auto diff = static_cast<std::ptrdiff_t>(seq) -
-                        static_cast<std::ptrdiff_t>(pos + 1);
-      if (diff == 0) {
-        if (head_.compare_exchange_weak(pos, pos + 1, std::memory_order_relaxed)) break;
-      } else if (diff < 0) {
-        return false;  // Empty.
-      } else {
-        pos = head_.load(std::memory_order_relaxed);
-      }
-    }
-    out = std::move(cell->value);
-    cell->sequence.store(pos + mask_ + 1, std::memory_order_release);
-    return true;
-  }
-
-  /// Racy snapshot — only usable as a wakeup predicate, never for sizing.
-  bool empty_approx() const {
-    return head_.load(std::memory_order_acquire) >=
-           tail_.load(std::memory_order_acquire);
-  }
-
-  /// Racy occupancy snapshot — for metrics/telemetry only (the counters
-  /// are read at different instants, so the value can be transiently off
-  /// by the number of concurrently active producers/consumers).
-  std::size_t size_approx() const {
-    const std::size_t head = head_.load(std::memory_order_acquire);
-    const std::size_t tail = tail_.load(std::memory_order_acquire);
-    return tail > head ? tail - head : 0;
-  }
-
- private:
-  struct Cell {
-    std::atomic<std::size_t> sequence{0};
-    T value{};
-  };
-
-  std::vector<Cell> cells_;
-  std::size_t mask_ = 0;
-  alignas(64) std::atomic<std::size_t> tail_{0};
-  alignas(64) std::atomic<std::size_t> head_{0};
 };
 
 /// Two-lane priority work queue: urgent items always pop before routine

@@ -1,4 +1,4 @@
-// CRC32C (Castagnoli) — the wbsn-wire v1 frame trailer checksum.
+// CRC32C (Castagnoli) — the wbsn-wire frame trailer checksum.
 //
 // Chosen over CRC32 (IEEE) for its better error-detection properties on
 // short frames and because hardware assistance exists on both x86 (SSE4.2)

@@ -10,6 +10,8 @@ namespace wbsn::net {
 
 namespace {
 constexpr std::size_t kRecvChunk = 64 * 1024;
+/// Results requested per POLL_MANY sweep of one shard.
+constexpr std::uint32_t kPollBatch = 64;
 
 void accumulate(SnapshotPayload& into, const SnapshotPayload& s) {
   into.submitted += s.submitted;
@@ -48,7 +50,7 @@ bool RoutingClient::connect(std::vector<ShardEndpoint> shards) {
     if (!ensure_connected(*conn)) return false;
     conns_.push_back(std::move(conn));
   }
-  ring_history_.emplace_back(conns_.size(), cfg_.vnodes_per_shard);
+  ring_history_.emplace_back(conns_.size(), host::kVnodesPerShard);
   return true;
 }
 
@@ -97,7 +99,7 @@ bool RoutingClient::fail_shard(std::size_t shard) {
   // (shard, replica), so deleting the dead shard's points moves exactly
   // its patients; every survivor keeps its index, which keeps composite
   // tickets from every prior epoch composable.
-  ring_history_.emplace_back(survivors, cfg_.vnodes_per_shard);
+  ring_history_.emplace_back(survivors, host::kVnodesPerShard);
   ++epoch_;
   return true;
 }
@@ -108,13 +110,7 @@ bool RoutingClient::probe_health(std::size_t shard) {
   if (!sync_pipeline(conn)) return false;
   std::vector<std::uint8_t> buf;
   const std::uint64_t nonce = ++conn.health_nonce;
-  if (conn.version >= 2) {
-    encode_health(buf, nonce);
-  } else {
-    // v1 shard: no HEALTH verb; a snapshot round trip carries the same
-    // liveness signal at slightly higher cost.
-    encode_snapshot_request(buf);
-  }
+  encode_health(buf, nonce);
   if (!send_request(conn, buf, /*may_retry=*/true)) return false;
   // Tighten the receive deadline for the probe itself: io_timeout_ms is
   // sized for verbs that legitimately wait (drains); "dead or deadlined"
@@ -126,18 +122,10 @@ bool RoutingClient::probe_health(std::size_t shard) {
   const bool got_frame = read_frame(conn, frame, view);
   if (tighten && conn.fd.valid()) (void)set_recv_timeout(conn.fd.get(), cfg_.io_timeout_ms);
   if (!got_frame) return false;
-  if (conn.version >= 2) {
-    HealthAckPayload ack;
-    if (view.type != FrameType::kHealthAck || !decode_health_ack(view.payload, ack) ||
-        ack.nonce != nonce) {
-      conn.fd.reset();  // Wrong answer or a stale echo: desynchronized.
-      return false;
-    }
-    return true;
-  }
-  SnapshotPayload snap;
-  if (view.type != FrameType::kSnapshot || !decode_snapshot(view.payload, snap)) {
-    conn.fd.reset();
+  HealthAckPayload ack;
+  if (view.type != FrameType::kHealthAck || !decode_health_ack(view.payload, ack) ||
+      ack.nonce != nonce) {
+    conn.fd.reset();  // Wrong answer or a stale echo: desynchronized.
     return false;
   }
   return true;
@@ -202,10 +190,9 @@ bool RoutingClient::reconnect(Conn& conn) {
                         cfg_.io_timeout_ms);
     if (!fd.valid()) continue;
     conn.fd = std::move(fd);
-    // Version negotiation before anything else on the connection: offer
-    // the full window, accept whatever mutual ceiling the shard picks.
+    // Version negotiation before anything else on the connection.
     std::vector<std::uint8_t> buf;
-    encode_hello(buf, HelloPayload{kWireVersionMin, cfg_.max_wire_version});
+    encode_hello(buf, HelloPayload{kWireVersion, kWireVersion});
     if (!send_all(conn.fd.get(), buf.data(), buf.size())) {
       conn.fd.reset();
       continue;
@@ -214,12 +201,10 @@ bool RoutingClient::reconnect(Conn& conn) {
     FrameView view;
     std::uint8_t version = 0;
     if (!read_frame(conn, frame, view) || view.type != FrameType::kHelloAck ||
-        !decode_hello_ack(view.payload, version) || version < kWireVersionMin ||
-        version > cfg_.max_wire_version) {
+        !decode_hello_ack(view.payload, version) || version != kWireVersion) {
       conn.fd.reset();
       continue;
     }
-    conn.version = version;
     return true;
   }
   return false;
@@ -364,17 +349,19 @@ bool RoutingClient::sync_pipeline(Conn& conn) {
   return true;
 }
 
+void RoutingClient::stage(Conn& conn, host::CompressedWindow& window) {
+  window.route_tag = epoch_;
+  patients_.insert(window.patient_id);
+  encode_submit_batch_entry(conn.staged_bodies, window, cfg_.wire);
+  ++conn.staged_count;
+  conn.pending_submits.push_back(pipeline_submits_.size());
+  pipeline_submits_.push_back({epoch_, conn.index, false, std::nullopt});
+}
+
 bool RoutingClient::submit_pipelined(host::CompressedWindow&& window) {
   for (std::size_t hop = 0; hop <= conns_.size(); ++hop) {
     const std::size_t shard = owner(window.patient_id);
     Conn& conn = *conns_[shard];
-    if (conn.version < 2 || cfg_.pipeline_depth == 0) {
-      // v1 shard (or pipelining off): same blocking-admission semantics,
-      // one round trip per window — the transparent fallback path.
-      auto ticket = submit(std::move(window));
-      pipeline_submits_.push_back({epoch_, shard, true, ticket});
-      return ticket.has_value();
-    }
     if (!ensure_connected(conn)) {
       // Unreachable after retries.  This window is still in hand (never
       // staged), so after a failover it re-routes loss-free; staged or
@@ -383,13 +370,8 @@ bool RoutingClient::submit_pipelined(host::CompressedWindow&& window) {
       pipeline_submits_.push_back({epoch_, shard, true, std::nullopt});
       return false;
     }
-    window.route_tag = epoch_;
-    patients_.insert(window.patient_id);
-    encode_submit_batch_entry(conn.staged_bodies, window, cfg_.wire);
+    stage(conn, window);
     if (cfg_.payload_pool) cfg_.payload_pool->recycle(std::move(window));
-    ++conn.staged_count;
-    conn.pending_submits.push_back(pipeline_submits_.size());
-    pipeline_submits_.push_back({epoch_, shard, false, std::nullopt});
     if (conn.staged_count >= cfg_.submit_batch_windows) return seal_batch(conn);
     return true;
   }
@@ -409,65 +391,31 @@ std::vector<std::optional<std::uint64_t>> RoutingClient::flush_submits() {
   return out;
 }
 
-std::uint8_t RoutingClient::shard_wire_version(std::size_t shard) const {
-  return conns_[shard]->version;
-}
-
-std::optional<std::uint64_t> RoutingClient::try_submit(host::CompressedWindow&& window) {
+std::optional<std::uint64_t> RoutingClient::submit(host::CompressedWindow window) {
   // The loop re-routes after a failover (at most once per shard that can
-  // die); without auto_failover it runs exactly one iteration, as before.
+  // die); without auto_failover it runs exactly one iteration.
   for (std::size_t hop = 0; hop <= conns_.size(); ++hop) {
     const std::size_t shard = owner(window.patient_id);
     Conn& conn = *conns_[shard];
-    (void)sync_pipeline(conn);  // Responses are per-connection ordered.
-    window.route_tag = epoch_;
-    std::vector<std::uint8_t> buf;
-    encode_submit_window(buf, window, 0, cfg_.wire);
-    std::vector<std::uint8_t> frame;
-    FrameView view;
-    if (send_request(conn, buf, /*may_retry=*/false) && read_frame(conn, frame, view)) {
-      if (view.type == FrameType::kSubmitReject) {
-        ++conn.rejected_seen;  // Alive and pushing back — not a failure.
-        return std::nullopt;
-      }
-      std::uint64_t local = 0;
-      if (view.type == FrameType::kSubmitAck && decode_submit_ack(view.payload, local)) {
-        ++conn.acked_submits;
-        patients_.insert(window.patient_id);
-        if (cfg_.payload_pool) cfg_.payload_pool->recycle(std::move(window));
-        return host::ReconstructionFabric::compose_ticket(epoch_, shard, local);
-      }
+    // Settle the shard's earlier pipelined windows first, so the frame
+    // sealed below carries this window alone and its record is the newest
+    // in pipeline_submits_ — popped again once resolved, so flush_submits()
+    // only ever reports submit_pipelined() calls.
+    (void)sync_pipeline(conn);
+    std::optional<std::uint64_t> ticket;
+    if (ensure_connected(conn)) {
+      stage(conn, window);
+      (void)sync_pipeline(conn);
+      ticket = pipeline_submits_.back().ticket;
+      pipeline_submits_.pop_back();
     }
-    conn.fd.reset();
+    if (ticket) {
+      if (cfg_.payload_pool) cfg_.payload_pool->recycle(std::move(window));
+      return ticket;
+    }
     // No ACK arrived, so this window never entered the shard's mirror:
     // re-routing it to the survivor that now owns the patient cannot
     // double-count, and the dead shard can never answer for it again.
-    if (!cfg_.auto_failover || !fail_shard(shard)) return std::nullopt;
-  }
-  return std::nullopt;
-}
-
-std::optional<std::uint64_t> RoutingClient::submit(host::CompressedWindow window) {
-  for (std::size_t hop = 0; hop <= conns_.size(); ++hop) {
-    const std::size_t shard = owner(window.patient_id);
-    Conn& conn = *conns_[shard];
-    (void)sync_pipeline(conn);  // Responses are per-connection ordered.
-    window.route_tag = epoch_;
-    std::vector<std::uint8_t> buf;
-    encode_submit_window(buf, window, kSubmitFlagBlocking, cfg_.wire);
-    std::vector<std::uint8_t> frame;
-    FrameView view;
-    std::uint64_t local = 0;
-    if (send_request(conn, buf, /*may_retry=*/false) && read_frame(conn, frame, view) &&
-        view.type == FrameType::kSubmitAck && decode_submit_ack(view.payload, local)) {
-      ++conn.acked_submits;
-      patients_.insert(window.patient_id);
-      if (cfg_.payload_pool) cfg_.payload_pool->recycle(std::move(window));
-      return host::ReconstructionFabric::compose_ticket(epoch_, shard, local);
-    }
-    conn.fd.reset();
-    // See try_submit: an unacked window is unmirrored, so the re-route
-    // after failover is double-count-free by construction.
     if (!cfg_.auto_failover || !fail_shard(shard)) return std::nullopt;
   }
   return std::nullopt;
@@ -483,57 +431,26 @@ std::uint64_t RoutingClient::compose_result_ticket(const host::WindowResult& res
   return host::ReconstructionFabric::compose_ticket(e, shard, result.ticket);
 }
 
-bool RoutingClient::read_poll_results(Conn& conn, std::size_t* retrieved) {
-  for (;;) {
-    std::vector<std::uint8_t> frame;
-    FrameView view;
-    if (!read_frame(conn, frame, view)) return false;
-    if (view.type == FrameType::kPollEnd) {
-      std::uint32_t count = 0;
-      return decode_poll_end(view.payload, count);
-    }
-    if (view.type != FrameType::kResult) {
-      conn.fd.reset();
-      return false;
-    }
-    host::WindowResult result;
-    if (!decode_result(view.payload, result, cfg_.payload_pool.get())) {
-      conn.fd.reset();
-      return false;
-    }
+bool RoutingClient::sweep_shard(Conn& conn) {
+  (void)sync_pipeline(conn);
+  // One POLL_MANY, one RESULT_BATCH — up to kPollBatch results per trip.
+  std::vector<std::uint8_t> buf;
+  encode_poll_many(buf, kPollBatch);
+  if (!send_request(conn, buf, /*may_retry=*/true)) return false;
+  std::vector<std::uint8_t> frame;
+  FrameView view;
+  std::vector<host::WindowResult> results;
+  if (!read_frame(conn, frame, view) || view.type != FrameType::kResultBatch ||
+      !decode_result_batch(view.payload, results, cfg_.payload_pool.get())) {
+    conn.fd.reset();
+    return false;
+  }
+  for (auto& result : results) {
     result.ticket = compose_result_ticket(result);
     pending_.push_back(std::move(result));
     ++conn.retrieved;
-    if (retrieved) ++*retrieved;
   }
-}
-
-bool RoutingClient::sweep_shard(Conn& conn, std::size_t* retrieved) {
-  (void)sync_pipeline(conn);
-  std::vector<std::uint8_t> buf;
-  if (conn.version >= 2) {
-    // One POLL_MANY, one RESULT_BATCH — K results per round trip.
-    encode_poll_many(buf, cfg_.poll_batch);
-    if (!send_request(conn, buf, /*may_retry=*/true)) return false;
-    std::vector<std::uint8_t> frame;
-    FrameView view;
-    std::vector<host::WindowResult> results;
-    if (!read_frame(conn, frame, view) || view.type != FrameType::kResultBatch ||
-        !decode_result_batch(view.payload, results, cfg_.payload_pool.get())) {
-      conn.fd.reset();
-      return false;
-    }
-    for (auto& result : results) {
-      result.ticket = compose_result_ticket(result);
-      pending_.push_back(std::move(result));
-      ++conn.retrieved;
-      if (retrieved) ++*retrieved;
-    }
-    return true;
-  }
-  encode_poll(buf, cfg_.poll_batch);
-  if (!send_request(conn, buf, /*may_retry=*/true)) return false;
-  return read_poll_results(conn, retrieved);
+  return true;
 }
 
 std::optional<host::WindowResult> RoutingClient::poll() {
@@ -541,7 +458,7 @@ std::optional<host::WindowResult> RoutingClient::poll() {
     for (std::size_t shard = 0; shard < conns_.size(); ++shard) {
       Conn& conn = *conns_[shard];
       if (conn.failed) continue;
-      if (!sweep_shard(conn, nullptr) && cfg_.auto_failover) (void)fail_shard(shard);
+      if (!sweep_shard(conn) && cfg_.auto_failover) (void)fail_shard(shard);
     }
   }
   if (pending_.empty()) return std::nullopt;
@@ -557,7 +474,7 @@ std::vector<host::WindowResult> RoutingClient::drain() {
     for (std::size_t shard = 0; shard < conns_.size(); ++shard) {
       Conn& conn = *conns_[shard];
       if (conn.failed) continue;
-      if (!sweep_shard(conn, nullptr) && cfg_.auto_failover) (void)fail_shard(shard);
+      if (!sweep_shard(conn) && cfg_.auto_failover) (void)fail_shard(shard);
     }
     while (!pending_.empty()) {
       all.push_back(std::move(pending_.front()));
@@ -614,8 +531,6 @@ bool RoutingClient::refresh_cr_hints(std::uint32_t max_entries_per_shard) {
   for (std::size_t shard = 0; shard < conns_.size(); ++shard) {
     Conn& conn = *conns_[shard];
     if (conn.failed) continue;
-    // v1 shards don't speak the verb; no hint just means full fidelity.
-    if (conn.version < 2) continue;
     (void)sync_pipeline(conn);  // Responses are per-connection ordered.
     std::vector<std::uint8_t> buf;
     encode_cr_hint(buf, epoch_, max_entries_per_shard);
@@ -721,7 +636,6 @@ bool RoutingClient::retire(Conn& conn) {
   // Pull out every result still parked on the shard (all its patients were
   // just drained, so only the completion list can be non-empty), fold its
   // final counters into the retired accumulator, and dismiss it.
-  std::vector<std::uint8_t> buf;
   for (;;) {
     SnapshotPayload snap;
     if (!fetch_snapshot(conn, snap)) return false;
@@ -729,12 +643,9 @@ bool RoutingClient::retire(Conn& conn) {
       accumulate(retired_, snap);
       break;
     }
-    buf.clear();
-    encode_poll(buf, cfg_.poll_batch);
-    if (!send_request(conn, buf, /*may_retry=*/false)) return false;
-    if (!read_poll_results(conn, nullptr)) return false;
+    if (!sweep_shard(conn)) return false;
   }
-  buf.clear();
+  std::vector<std::uint8_t> buf;
   encode_bye(buf);
   if (send_request(conn, buf, /*may_retry=*/false)) {
     std::vector<std::uint8_t> frame;
@@ -793,7 +704,7 @@ bool RoutingClient::set_topology(std::vector<ShardEndpoint> shards) {
   // route is decided by exactly one epoch.
   conns_ = std::move(next);
   for (std::size_t i = 0; i < conns_.size(); ++i) conns_[i]->index = i;
-  ring_history_.emplace_back(conns_.size(), cfg_.vnodes_per_shard);
+  ring_history_.emplace_back(conns_.size(), host::kVnodesPerShard);
   ++epoch_;
 
   // Migrate every patient whose owning *endpoint* changed: quiesce it on

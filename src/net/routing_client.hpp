@@ -1,13 +1,12 @@
 // RoutingClient — the coordinator half of the cross-machine fabric.
 //
-// Speaks wbsn-wire (v1, and v2 where the shard negotiates it) to a fleet
-// of ShardServer processes and presents the same submit/poll/drain
-// surface as host::ReconstructionFabric, with the same placement
-// guarantees proven for the in-process fabric (PR 5):
+// Speaks wbsn-wire v3 to a fleet of ShardServer processes and presents
+// the same submit/poll/drain surface as host::ReconstructionFabric, with
+// the same placement guarantees proven for the in-process fabric:
 //
 //   * Patients are routed by the same consistent-hash ring
 //     (host::HashRing) the in-process fabric uses — the ring is rebuilt
-//     locally from (shard_count, vnodes_per_shard), so client and any
+//     locally from (shard_count, host::kVnodesPerShard), so client and any
 //     audit tool agree on placement without a metadata service.
 //   * set_topology() opens a new routing epoch, exactly like
 //     ReconstructionFabric::resize(): the ring/endpoint list flips first
@@ -39,18 +38,17 @@
 //     explicit `lost` counter, so the audit identity becomes
 //     submitted == completed + shed + rejected + lost and stays conserved
 //     across crashes.
-//   * Pipelined submits (v2 shards, pipeline_depth > 0): submit_pipelined
-//     stages windows into per-shard SUBMIT_BATCH frames (one frame per
-//     submit_batch_windows windows, sealed scatter-gather — prefix, the
-//     staged bodies, CRC trailer — in one sendmsg), keeps up to
-//     pipeline_depth unacknowledged frames on the wire per shard, and
-//     defers ticket composition until the SUBMIT_BATCH_ACK arrives.
-//     flush_submits() is the sync point: it seals the tail, harvests
-//     every outstanding ACK, and returns the composite tickets in
-//     submission order.  Any other verb on a shard syncs its pipeline
-//     first (responses are per-connection ordered).  On a v1 shard
-//     submit_pipelined transparently falls back to a per-window blocking
-//     SUBMIT — same tickets, one round trip per window.
+//   * Every window travels in a SUBMIT_BATCH.  submit_pipelined stages
+//     windows into per-shard frames (one frame per submit_batch_windows
+//     windows, sealed scatter-gather — prefix, the staged bodies, CRC
+//     trailer — in one sendmsg), keeps up to pipeline_depth
+//     unacknowledged frames on the wire per shard, and defers ticket
+//     composition until the SUBMIT_BATCH_ACK arrives.  flush_submits()
+//     is the sync point: it seals the tail, harvests every outstanding
+//     ACK, and returns the composite tickets in submission order.  Any
+//     other verb on a shard syncs its pipeline first (responses are
+//     per-connection ordered).  submit() is the same path with a
+//     one-window frame, sealed and acknowledged before it returns.
 //
 // Threading: single-coordinator by design, like the reshard protocol
 // itself — one thread owns the client; it is not thread-safe.  Sockets
@@ -85,9 +83,6 @@ struct ShardEndpoint {
 };
 
 struct RoutingClientConfig {
-  /// Must match the in-process fabric's FabricConfig::vnodes_per_shard for
-  /// placement parity with audit tooling.
-  std::size_t vnodes_per_shard = 64;
   int connect_timeout_ms = 5000;
   /// Per-operation socket send/recv timeout.  Generous by default: a
   /// DRAIN_PATIENT response legitimately waits out a backlog.
@@ -115,17 +110,9 @@ struct RoutingClientConfig {
   /// mid-stream crash can be scripted and replayed bit-for-bit.  Unset in
   /// production.
   std::function<bool(std::size_t, std::uint64_t)> fault_inject;
-  /// Results requested per POLL sweep of one shard.
-  std::uint32_t poll_batch = 64;
-  /// Highest wire version offered in HELLO.  Default: everything this
-  /// build speaks.  Set 1 to force v1 framing fleet-wide (staged
-  /// rollouts, mixed-version tests); negotiation still lands on the
-  /// shard's ceiling when it is lower.
-  std::uint8_t max_wire_version = kWireVersionMax;
   /// Pipelined submit window: maximum unacknowledged SUBMIT_BATCH frames
   /// per shard before submit_pipelined harvests an ACK.  0 (default)
-  /// disables pipelining — submit_pipelined degrades to a per-window
-  /// blocking submit even on v2 shards.
+  /// acknowledges every frame as soon as it is sealed.
   std::size_t pipeline_depth = 0;
   /// Windows packed into one SUBMIT_BATCH frame in pipelined mode.
   std::size_t submit_batch_windows = 16;
@@ -166,13 +153,10 @@ class RoutingClient {
   /// resolve connectivity and call again.
   bool set_topology(std::vector<ShardEndpoint> shards);
 
-  /// Routes one window to its owner shard.  Returns the composite ticket,
-  /// or nullopt on shard backpressure (SUBMIT_REJECT) or a dead shard.
-  /// `window` is untouched on rejection.
-  std::optional<std::uint64_t> try_submit(host::CompressedWindow&& window);
-
-  /// Blocking submit: the shard waits out its backpressure server-side
-  /// (never sheds, never counts a rejection).  nullopt only on a dead
+  /// Blocking submit of one window as a one-window SUBMIT_BATCH: the shard
+  /// waits out its backpressure server-side (never sheds, never counts a
+  /// rejection).  With auto_failover, a window whose shard died before
+  /// acknowledging it re-routes to the new owner.  nullopt only on a dead
   /// connection.
   std::optional<std::uint64_t> submit(host::CompressedWindow window);
 
@@ -191,9 +175,6 @@ class RoutingClient {
   /// windows are NOT retried — a retry could double-submit).
   std::vector<std::optional<std::uint64_t>> flush_submits();
 
-  /// Wire version negotiated with shard `shard` (1 or 2).
-  std::uint8_t shard_wire_version(std::size_t shard) const;
-
   /// One completed result in arrival order across shards, or nullopt when
   /// none is ready anywhere right now.
   std::optional<host::WindowResult> poll();
@@ -206,13 +187,12 @@ class RoutingClient {
   /// accumulator — the conservation audit surface.  Exact when quiesced.
   SnapshotPayload aggregate_snapshot();
 
-  /// Polls every v2 shard with CR_HINT and caches the answers: the
+  /// Polls every live shard with CR_HINT and caches the answers: the
   /// shard-wide advisory CR and any per-patient entries, all tagged with
   /// the current routing epoch (a reshard invalidates them — stale hints
-  /// must never steer a node via the wrong owner).  v1 shards are skipped
-  /// silently (the verb does not exist there; absence of a hint just means
-  /// full-fidelity encoding).  False when any v2 shard was unreachable or
-  /// answered for a different epoch; the hints that did land are kept.
+  /// must never steer a node via the wrong owner).  False when any shard
+  /// was unreachable or answered for a different epoch; the hints that did
+  /// land are kept.
   bool refresh_cr_hints(std::uint32_t max_entries_per_shard = 64);
 
   /// The advisory CR (percent) the fleet wants `patient_id`'s node to
@@ -240,9 +220,8 @@ class RoutingClient {
   /// the last one standing (nowhere to re-home).
   bool fail_shard(std::size_t shard);
 
-  /// One liveness round trip to shard `shard`: HEALTH (nonce echoed) on
-  /// v2 connections, SNAPSHOT_REQUEST on v1, answered within
-  /// health_probe_timeout_ms.  False means dead-or-deadlined — the
+  /// One liveness round trip to shard `shard`: HEALTH, its nonce echoed
+  /// within health_probe_timeout_ms.  False means dead-or-deadlined — the
   /// caller's (or check_health's) cue to fail over.
   bool probe_health(std::size_t shard);
 
@@ -279,7 +258,6 @@ class RoutingClient {
     ShardEndpoint endpoint;
     Fd fd;
     std::vector<std::uint8_t> rx;
-    std::uint8_t version = kWireVersion;  ///< Negotiated on (re)connect.
     std::size_t index = 0;  ///< Shard index (== this conn's slot in conns_).
     /// Declared dead by fail_shard(): never reconnected, skipped by every
     /// sweep; the slot stays so survivor indices don't shift.
@@ -290,10 +268,10 @@ class RoutingClient {
     // lets fail_shard() conserve counts without a final snapshot.
     std::uint64_t acked_submits = 0;  ///< Windows the shard acknowledged.
     std::uint64_t retrieved = 0;      ///< Results polled back from it.
-    std::uint64_t rejected_seen = 0;  ///< SUBMIT_REJECTs it answered.
+    std::uint64_t rejected_seen = 0;  ///< Windows it rejected.
     std::uint64_t frames_sent = 0;    ///< Sends attempted (fault-hook clock).
     std::uint64_t health_nonce = 0;   ///< Last probe nonce issued.
-    // Pipelined-submit state (v2 connections).  staged_bodies holds
+    // Submit pipeline state.  staged_bodies holds
     // encoded window bodies not yet sealed into a frame; pending_submits
     // indexes pipeline_submits_ in per-shard FIFO order (ACK entries
     // resolve from the front); outstanding_counts tracks the window count
@@ -311,10 +289,11 @@ class RoutingClient {
   /// Blocks until one complete frame is buffered; fills `frame` (a copy,
   /// stable against further reads) and parses it into `view`.
   bool read_frame(Conn& conn, std::vector<std::uint8_t>& frame, FrameView& view);
-  /// Reads result frames into pending_ until POLL_END; count retrieved.
-  bool read_poll_results(Conn& conn, std::size_t* retrieved);
-  /// One POLL/POLL_MANY round trip pulling results into pending_.
-  bool sweep_shard(Conn& conn, std::size_t* retrieved);
+  /// One POLL_MANY round trip pulling results into pending_.
+  bool sweep_shard(Conn& conn);
+  /// Encodes `window` (tagged with the current epoch) into conn's staged
+  /// frame and queues its ticket record in pipeline_submits_.
+  void stage(Conn& conn, host::CompressedWindow& window);
   /// Seals staged_bodies into one SUBMIT_BATCH on the wire (scatter-
   /// gather) and enforces the pipeline depth by harvesting ACKs.
   bool seal_batch(Conn& conn);

@@ -173,53 +173,18 @@ void ShardServer::handle_frame(Connection& conn, const FrameView& frame) {
       send_error(conn, ErrorCode::kBadPayload, "malformed HELLO", true);
       return;
     }
-    // Highest mutually supported version, capped by config (how a fleet
-    // pins v1 during a staged rollout).
-    const std::uint8_t chosen = std::min(hello.max_version, cfg_.max_wire_version);
-    if (hello.min_version > chosen || chosen < kWireVersionMin) {
+    // This server speaks exactly one version; the range lets a later
+    // client offer several.
+    if (hello.min_version > kWireVersion || hello.max_version < kWireVersion) {
       send_error(conn, ErrorCode::kUnsupportedVersion, "no mutual wire version", true);
       return;
     }
-    encode_hello_ack(tx, chosen);
-    conn.version = chosen;
+    encode_hello_ack(tx, kWireVersion);
     conn.negotiated = true;
     return;
   }
 
-  // A frame whose layout version exceeds what this connection negotiated
-  // is a protocol violation, not a guessable stream: refuse and close.
-  if (frame.version > conn.version) {
-    send_error(conn, ErrorCode::kUnsupportedVersion,
-               "frame version exceeds the negotiated version", true);
-    return;
-  }
-
   switch (frame.type) {
-    case FrameType::kSubmitWindow: {
-      host::CompressedWindow window;
-      std::uint8_t flags = 0;
-      if (!decode_submit_window(frame.payload, window, flags,
-                                cfg_.engine.payload_pool.get())) {
-        send_error(conn, ErrorCode::kBadPayload, "malformed SUBMIT_WINDOW", true);
-        return;
-      }
-      if (flags & kSubmitFlagBlocking) {
-        if (engine_->thread_count() == 0) {
-          // Serial engine: the calling thread is the solver, so a blocking
-          // submit makes its own room — deferring would stall forever.
-          encode_submit_ack(tx, engine_->submit(std::move(window)));
-        } else {
-          std::vector<host::CompressedWindow> one;
-          one.push_back(std::move(window));
-          submit_blocking(conn, std::move(one), {}, /*batch=*/false);
-        }
-      } else if (auto ticket = engine_->try_submit(std::move(window))) {
-        encode_submit_ack(tx, *ticket);
-      } else {
-        encode_submit_reject(tx);
-      }
-      return;
-    }
     case FrameType::kSubmitBatch: {
       std::uint8_t flags = 0;
       std::vector<host::CompressedWindow> windows;
@@ -232,12 +197,14 @@ void ShardServer::handle_frame(Connection& conn, const FrameView& frame) {
       acks.reserve(windows.size());
       if (flags & kSubmitFlagBlocking) {
         if (engine_->thread_count() == 0) {
+          // Serial engine: the calling thread is the solver, so a blocking
+          // submit makes its own room — deferring would stall forever.
           for (auto& window : windows) {
             acks.push_back({true, engine_->submit(std::move(window))});
           }
           encode_submit_batch_ack(tx, acks);
         } else {
-          submit_blocking(conn, std::move(windows), std::move(acks), /*batch=*/true);
+          submit_blocking(conn, std::move(windows));
         }
       } else {
         for (auto& window : windows) {
@@ -257,32 +224,8 @@ void ShardServer::handle_frame(Connection& conn, const FrameView& frame) {
         send_error(conn, ErrorCode::kBadPayload, "malformed POLL_MANY", true);
         return;
       }
-      if (max_results == 0 || max_results > cfg_.max_poll_results) {
-        max_results = cfg_.max_poll_results;
-      }
+      if (max_results == 0 || max_results > kMaxPollResults) max_results = kMaxPollResults;
       poll_many(conn, max_results);
-      return;
-    }
-    case FrameType::kPoll: {
-      std::uint32_t max_results = 0;
-      if (!decode_poll(frame.payload, max_results)) {
-        send_error(conn, ErrorCode::kBadPayload, "malformed POLL", true);
-        return;
-      }
-      if (max_results == 0 || max_results > cfg_.max_poll_results) {
-        max_results = cfg_.max_poll_results;
-      }
-      std::uint32_t sent = 0;
-      while (sent < max_results) {
-        auto result = engine_->poll();
-        if (!result) break;
-        encode_result(tx, *result, cfg_.wire);
-        if (cfg_.engine.payload_pool) {
-          cfg_.engine.payload_pool->recycle(std::move(*result));
-        }
-        ++sent;
-      }
-      encode_poll_end(tx, sent);
       return;
     }
     case FrameType::kDrainPatient: {
@@ -374,8 +317,7 @@ void ShardServer::handle_frame(Connection& conn, const FrameView& frame) {
         // Per-patient entries cover the patients actually backed up on this
         // shard, so a client can steer just those nodes; each carries the
         // same shard-wide advisory today.
-        const std::size_t cap =
-            std::min<std::size_t>(max_entries, cfg_.max_poll_results);
+        const std::size_t cap = std::min(max_entries, kMaxPollResults);
         for (const std::uint32_t patient : engine_->pending_patients(cap)) {
           ack.entries.push_back({patient, ack.advisory_cr_centi});
         }
@@ -410,18 +352,18 @@ void ShardServer::handle_frame(Connection& conn, const FrameView& frame) {
       return;
     }
     default:
+      // Includes the retired per-window types 4-9.
       send_error(conn, ErrorCode::kUnknownFrameType, "unknown frame type", true);
       return;
   }
 }
 
 void ShardServer::submit_blocking(Connection& conn,
-                                  std::vector<host::CompressedWindow>&& windows,
-                                  std::vector<SubmitBatchAckEntry>&& acks, bool batch) {
+                                  std::vector<host::CompressedWindow>&& windows) {
+  conn.deferred_acks.clear();
+  conn.deferred_acks.reserve(windows.size());
   conn.deferred_windows = std::move(windows);
-  conn.deferred_acks = std::move(acks);
   conn.deferred_next = 0;
-  conn.deferred_batch = batch;
   conn.deferred = Connection::Deferred::kSubmit;
   // Usually the engine has room and this completes synchronously; only a
   // genuinely full engine leaves the verb parked.
@@ -440,7 +382,9 @@ void ShardServer::advance_deferred(Connection& conn) {
         conn.deferred_acks.push_back({true, *ticket});
         ++conn.deferred_next;
       }
-      finish_submit(conn);
+      encode_submit_batch_ack(conn.tx, conn.deferred_acks);
+      conn.deferred = Connection::Deferred::kNone;
+      conn.deferred_windows.clear();
       return;
     case Connection::Deferred::kDrain:
       // Same quiescence condition as ReconstructionEngine::drain_patient:
@@ -451,18 +395,6 @@ void ShardServer::advance_deferred(Connection& conn) {
       conn.deferred = Connection::Deferred::kNone;
       return;
   }
-}
-
-void ShardServer::finish_submit(Connection& conn) {
-  if (conn.deferred_batch) {
-    encode_submit_batch_ack(conn.tx, conn.deferred_acks);
-  } else {
-    encode_submit_ack(conn.tx, conn.deferred_acks.front().local_ticket);
-  }
-  conn.deferred = Connection::Deferred::kNone;
-  conn.deferred_windows.clear();
-  conn.deferred_acks.clear();
-  conn.deferred_next = 0;
 }
 
 void ShardServer::poll_many(Connection& conn, std::uint32_t max_results) {

@@ -5,7 +5,7 @@
 // deployment now runs N ShardServer processes (see shard_serverd_main.cpp)
 // and one RoutingClient that routes patients across them with the same
 // consistent-hash ring.  The server itself is deliberately dumb: it speaks
-// wbsn-wire v1 and v2 (wire_format.hpp), maps each request frame onto the
+// wbsn-wire v3 (wire_format.hpp), maps each request frame onto the
 // corresponding ReconstructionEngine verb, and knows nothing about rings,
 // epochs, or topology — all placement intelligence lives client-side, so
 // growing the fleet never requires touching a running shard.
@@ -14,8 +14,8 @@
 // listener and every connection (nonblocking sockets, per-connection
 // receive/transmit buffers); the engine's own worker pool provides the
 // compute parallelism.  Request frames are serviced inline in arrival
-// order per connection.  Verbs that must wait — SUBMIT_WINDOW /
-// SUBMIT_BATCH with the blocking flag (admission backpressure) and
+// order per connection.  Verbs that must wait — SUBMIT_BATCH with the
+// blocking flag (admission backpressure) and
 // DRAIN_PATIENT (patient quiescence) — never block the loop when the
 // engine has workers: they park as a per-connection *deferred completion*,
 // the engine's progress_hook pokes the self-pipe each time slots free or a
@@ -41,6 +41,11 @@
 
 namespace wbsn::net {
 
+/// Upper bound on results returned per POLL_MANY, whatever the client
+/// asked (0 asks for this many): it caps what one hostile request can make
+/// the server encode.
+inline constexpr std::uint32_t kMaxPollResults = 4096;
+
 struct ShardServerConfig {
   std::string host = "127.0.0.1";
   /// 0 = ephemeral; read the kernel's pick back via port() after start().
@@ -49,13 +54,6 @@ struct ShardServerConfig {
   WireEncodeOptions wire{};
   /// Exit the run() loop after answering a BYE frame (daemon mode).
   bool stop_on_bye = false;
-  /// Upper bound on results returned per POLL, whatever the client asked.
-  std::uint32_t max_poll_results = 4096;
-  /// Ceiling on the wire version negotiated per connection (the HELLO_ACK
-  /// carries min(peer max, this)).  Default: everything this build speaks.
-  /// Set 1 to force v1 framing — how mixed-version tests prove a v2 client
-  /// falls back transparently.
-  std::uint8_t max_wire_version = kWireVersionMax;
   /// CR advisory this shard answers CR_HINT with while under backlog
   /// pressure, percent (e.g. 70 steers nodes to encode at CR 70 until the
   /// pressure clears).  0 (default) disables the advisory: CR_HINT_ACK
@@ -108,16 +106,12 @@ class ShardServer {
     std::size_t tx_sent = 0;  ///< Prefix of tx already on the socket.
     bool negotiated = false;
     bool close_after_flush = false;
-    /// Wire version negotiated on this connection; frames above it are
-    /// refused with ERROR(UNSUPPORTED_VERSION).
-    std::uint8_t version = kWireVersion;
 
     /// A blocking verb parked mid-flight so the event loop stays live.
     /// While one is pending, no further frames are consumed from this
     /// connection (responses are strictly in request order per conn).
     enum class Deferred { kNone, kSubmit, kDrain };
     Deferred deferred = Deferred::kNone;
-    bool deferred_batch = false;  ///< Answer with SUBMIT_BATCH_ACK, not SUBMIT_ACK.
     std::vector<host::CompressedWindow> deferred_windows;
     std::size_t deferred_next = 0;  ///< First window not yet admitted.
     std::vector<SubmitBatchAckEntry> deferred_acks;
@@ -131,12 +125,9 @@ class ShardServer {
   /// Runs one step of the connection's parked verb; appends the response
   /// and clears the deferred state once it completes.
   void advance_deferred(Connection& conn);
-  /// Parks a blocking submit (single window or batch tail) for deferred
-  /// admission, or answers immediately when everything fits right now.
-  void submit_blocking(Connection& conn, std::vector<host::CompressedWindow>&& windows,
-                       std::vector<SubmitBatchAckEntry>&& acks, bool batch);
-  /// Appends the deferred-submit response (SUBMIT_ACK or SUBMIT_BATCH_ACK).
-  void finish_submit(Connection& conn);
+  /// Parks a blocking SUBMIT_BATCH for deferred admission, or answers
+  /// immediately when every window fits right now.
+  void submit_blocking(Connection& conn, std::vector<host::CompressedWindow>&& windows);
   /// Polls up to `max_results` completed windows into one RESULT_BATCH.
   void poll_many(Connection& conn, std::uint32_t max_results);
   void send_error(Connection& conn, ErrorCode code, const std::string& detail,

@@ -10,8 +10,7 @@
 // Usage: shard_serverd [--host A.B.C.D] [--port N] [--threads N]
 //                      [--queue-capacity N] [--batch-windows N]
 //                      [--deadline-ms X] [--shedding] [--fixed-scale X]
-//                      [--max-wire-version N] [--hint-cr X]
-//                      [--hint-backlog-deadlines X]
+//                      [--hint-cr X] [--hint-backlog-deadlines X]
 // See docs/OPERATIONS.md for how these map onto EngineConfig.
 
 #include <fcntl.h>
@@ -50,8 +49,7 @@ void on_signal(int) {
   std::fprintf(stderr,
                "usage: %s [--host H] [--port N] [--threads N] [--queue-capacity N]\n"
                "          [--batch-windows N] [--deadline-ms X] [--shedding]\n"
-               "          [--fixed-scale X] [--max-wire-version N] [--hint-cr X]\n"
-               "          [--hint-backlog-deadlines X]\n",
+               "          [--fixed-scale X] [--hint-cr X] [--hint-backlog-deadlines X]\n",
                argv0);
   std::exit(2);
 }
@@ -86,9 +84,6 @@ int main(int argc, char** argv) {
       cfg.engine.deadline_shedding = true;
     } else if (arg == "--fixed-scale") {
       cfg.wire.fixed_scale = std::atof(next());
-    } else if (arg == "--max-wire-version") {
-      // Pin the negotiation ceiling (e.g. 1 during a staged v2 rollout).
-      cfg.max_wire_version = static_cast<std::uint8_t>(std::atoi(next()));
     } else if (arg == "--hint-cr") {
       // CR advisory (percent) answered to CR_HINT sweeps under pressure.
       cfg.hint_cr_percent = std::atof(next());

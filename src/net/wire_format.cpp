@@ -118,11 +118,10 @@ std::span<const std::uint8_t> WireReader::bytes(std::size_t n) {
 
 // --- Framing -----------------------------------------------------------------
 
-std::size_t frame_begin(std::vector<std::uint8_t>& out, FrameType type,
-                        std::uint8_t version) {
+std::size_t frame_begin(std::vector<std::uint8_t>& out, FrameType type) {
   put_u8(out, kMagic0);
   put_u8(out, kMagic1);
-  put_u8(out, version);
+  put_u8(out, kWireVersion);
   put_u8(out, static_cast<std::uint8_t>(type));
   put_u32le(out, 0);  // Payload length, patched by frame_end.
   return out.size();
@@ -164,10 +163,7 @@ FrameStatus peek_frame(std::span<const std::uint8_t> buf, FrameView& out,
   // Structurally sound but a version this decoder doesn't speak: report it
   // with the view filled so the caller can skip the frame and answer
   // ERROR(UNSUPPORTED_VERSION) in-band.
-  if (out.version < kWireVersionMin || out.version > kWireVersionMax) {
-    return FrameStatus::kBadVersion;
-  }
-  return FrameStatus::kOk;
+  return out.version == kWireVersion ? FrameStatus::kOk : FrameStatus::kBadVersion;
 }
 
 // --- Value-vector coding -----------------------------------------------------
@@ -262,10 +258,7 @@ bool decode_values(WireReader& r, std::vector<double>& out) {
 // --- Typed payloads ----------------------------------------------------------
 
 void encode_hello(std::vector<std::uint8_t>& out, const HelloPayload& hello) {
-  // HELLO bootstraps negotiation, so its header always says version 1: a
-  // server that only speaks a later range must still be able to parse the
-  // offer to refuse it intelligibly.
-  const std::size_t p = frame_begin(out, FrameType::kHello, 1);
+  const std::size_t p = frame_begin(out, FrameType::kHello);
   put_u8(out, hello.min_version);
   put_u8(out, hello.max_version);
   frame_end(out, p);
@@ -279,7 +272,7 @@ bool decode_hello(std::span<const std::uint8_t> payload, HelloPayload& out) {
 }
 
 void encode_hello_ack(std::vector<std::uint8_t>& out, std::uint8_t version) {
-  const std::size_t p = frame_begin(out, FrameType::kHelloAck, 1);
+  const std::size_t p = frame_begin(out, FrameType::kHelloAck);
   put_u8(out, version);
   frame_end(out, p);
 }
@@ -310,8 +303,12 @@ bool decode_error(std::span<const std::uint8_t> payload, ErrorPayload& out) {
 
 namespace {
 
-/// The SUBMIT_WINDOW payload minus its leading flags byte — shared
-/// verbatim by the v2 SUBMIT_BATCH entries, so v1 bytes never shift.
+/// Smallest well-shaped window body: seven one-byte header fields, a
+/// one-sample FLOAT64 measurement vector (coding, count, 8 bytes — the
+/// fixed codings are larger), and an ABSENT reference.
+constexpr std::size_t kMinWindowBodyBytes = 7 + 10 + 1;
+
+/// One SUBMIT_BATCH entry.
 void encode_window_body(std::vector<std::uint8_t>& out, const host::CompressedWindow& window,
                         const WireEncodeOptions& opts) {
   put_varint(out, window.patient_id);
@@ -333,8 +330,12 @@ bool decode_window_body(WireReader& r, host::CompressedWindow& out, host::Payloa
   out.patient_id = static_cast<std::uint32_t>(r.varint());
   out.window_index = static_cast<std::uint32_t>(r.varint());
   out.matrix_seed = r.varint();
-  out.window_samples = static_cast<std::uint32_t>(r.varint());
-  out.ones_per_column = static_cast<std::uint32_t>(r.varint());
+  // The shape is checked at full width, before narrowing to the window's
+  // u32 fields, so an oversized varint cannot wrap into a valid shape.
+  const std::uint64_t n = r.varint();
+  const std::uint64_t d = r.varint();
+  out.window_samples = static_cast<std::uint32_t>(n);
+  out.ones_per_column = static_cast<std::uint32_t>(d);
   out.priority = static_cast<cs::WindowPriority>(r.u8());
   out.route_tag = static_cast<std::uint32_t>(r.varint());
   if (pool) {
@@ -342,55 +343,17 @@ bool decode_window_body(WireReader& r, host::CompressedWindow& out, host::Payloa
     if (out.reference.capacity() == 0) out.reference = pool->acquire_reference();
   }
   if (!decode_values(r, out.measurements)) return false;
+  // ABSENT is the only coding that is a single byte; a coded vector
+  // carries at least a count after its coding byte.
+  const std::size_t before_reference = r.remaining();
   if (!decode_values(r, out.reference)) return false;
-  return r.ok();
+  const bool reference_absent = before_reference - r.remaining() == 1;
+  const std::uint64_t m = out.measurements.size();
+  return r.ok() && m >= 1 && m <= n && n <= kMaxWindowSamples && d >= 1 && d <= m &&
+         d <= kMaxOnesPerColumn && (reference_absent || out.reference.size() == n);
 }
 
 }  // namespace
-
-void encode_submit_window(std::vector<std::uint8_t>& out, const host::CompressedWindow& window,
-                          std::uint8_t flags, const WireEncodeOptions& opts) {
-  const std::size_t p = frame_begin(out, FrameType::kSubmitWindow);
-  put_u8(out, flags);
-  encode_window_body(out, window, opts);
-  frame_end(out, p);
-}
-
-bool decode_submit_window(std::span<const std::uint8_t> payload, host::CompressedWindow& out,
-                          std::uint8_t& flags, host::PayloadPool* pool) {
-  WireReader r(payload);
-  flags = r.u8();
-  if (!decode_window_body(r, out, pool)) return false;
-  return r.ok() && r.remaining() == 0;
-}
-
-void encode_submit_ack(std::vector<std::uint8_t>& out, std::uint64_t local_ticket) {
-  const std::size_t p = frame_begin(out, FrameType::kSubmitAck);
-  put_varint(out, local_ticket);
-  frame_end(out, p);
-}
-
-bool decode_submit_ack(std::span<const std::uint8_t> payload, std::uint64_t& local_ticket) {
-  WireReader r(payload);
-  local_ticket = r.varint();
-  return r.ok() && r.remaining() == 0;
-}
-
-void encode_submit_reject(std::vector<std::uint8_t>& out) {
-  frame_end(out, frame_begin(out, FrameType::kSubmitReject));
-}
-
-void encode_poll(std::vector<std::uint8_t>& out, std::uint32_t max_results) {
-  const std::size_t p = frame_begin(out, FrameType::kPoll);
-  put_varint(out, max_results);
-  frame_end(out, p);
-}
-
-bool decode_poll(std::span<const std::uint8_t> payload, std::uint32_t& max_results) {
-  WireReader r(payload);
-  max_results = static_cast<std::uint32_t>(r.varint());
-  return r.ok() && r.remaining() == 0;
-}
 
 void encode_result_entry(std::vector<std::uint8_t>& staging, const host::WindowResult& result,
                          const WireEncodeOptions& opts) {
@@ -424,32 +387,6 @@ bool decode_result_entry(WireReader& r, host::WindowResult& out, host::PayloadPo
   if (pool && out.signal.capacity() == 0) out.signal = pool->acquire_signal();
   if (!decode_values(r, out.signal)) return false;
   return r.ok();
-}
-
-void encode_result(std::vector<std::uint8_t>& out, const host::WindowResult& result,
-                   const WireEncodeOptions& opts) {
-  const std::size_t p = frame_begin(out, FrameType::kResult);
-  encode_result_entry(out, result, opts);
-  frame_end(out, p);
-}
-
-bool decode_result(std::span<const std::uint8_t> payload, host::WindowResult& out,
-                   host::PayloadPool* pool) {
-  WireReader r(payload);
-  if (!decode_result_entry(r, out, pool)) return false;
-  return r.ok() && r.remaining() == 0;
-}
-
-void encode_poll_end(std::vector<std::uint8_t>& out, std::uint32_t results_sent) {
-  const std::size_t p = frame_begin(out, FrameType::kPollEnd);
-  put_varint(out, results_sent);
-  frame_end(out, p);
-}
-
-bool decode_poll_end(std::span<const std::uint8_t> payload, std::uint32_t& results_sent) {
-  WireReader r(payload);
-  results_sent = static_cast<std::uint32_t>(r.varint());
-  return r.ok() && r.remaining() == 0;
 }
 
 void encode_patient_frame(std::vector<std::uint8_t>& out, FrameType type,
@@ -577,7 +514,7 @@ void encode_bye_ack(std::vector<std::uint8_t>& out) {
   frame_end(out, frame_begin(out, FrameType::kByeAck));
 }
 
-// --- v2 batched frames -------------------------------------------------------
+// --- Batched data frames -----------------------------------------------------
 
 void encode_submit_batch_entry(std::vector<std::uint8_t>& staging,
                                const host::CompressedWindow& window,
@@ -589,7 +526,7 @@ void encode_submit_batch_prefix(std::vector<std::uint8_t>& out, std::uint8_t fla
                                 std::uint64_t count, std::size_t bodies_len) {
   put_u8(out, kMagic0);
   put_u8(out, kMagic1);
-  put_u8(out, 2);
+  put_u8(out, kWireVersion);
   put_u8(out, static_cast<std::uint8_t>(FrameType::kSubmitBatch));
   const std::size_t len_at = out.size();
   put_u32le(out, 0);
@@ -614,7 +551,7 @@ void encode_submit_batch_trailer(std::vector<std::uint8_t>& out,
 void encode_submit_batch(std::vector<std::uint8_t>& out,
                          std::span<const host::CompressedWindow> windows,
                          std::uint8_t flags, const WireEncodeOptions& opts) {
-  const std::size_t p = frame_begin(out, FrameType::kSubmitBatch, 2);
+  const std::size_t p = frame_begin(out, FrameType::kSubmitBatch);
   put_u8(out, flags);
   put_varint(out, windows.size());
   for (const auto& window : windows) encode_window_body(out, window, opts);
@@ -624,9 +561,9 @@ void encode_submit_batch(std::vector<std::uint8_t>& out,
 bool decode_submit_batch_header(WireReader& r, std::uint8_t& flags, std::uint64_t& count) {
   flags = r.u8();
   count = r.varint();
-  // Each window body is at least 8 bytes (7 varints/bytes + 2 codings);
-  // bounding count up front keeps a hostile count from driving a loop.
-  return r.ok() && count <= r.remaining();
+  // Bounding count by the smallest body up front keeps a hostile count
+  // from driving a loop or a reserve().
+  return r.ok() && count <= r.remaining() / kMinWindowBodyBytes;
 }
 
 bool decode_submit_batch_entry(WireReader& r, host::CompressedWindow& out,
@@ -651,7 +588,7 @@ bool decode_submit_batch(std::span<const std::uint8_t> payload, std::uint8_t& fl
 
 void encode_submit_batch_ack(std::vector<std::uint8_t>& out,
                              std::span<const SubmitBatchAckEntry> entries) {
-  const std::size_t p = frame_begin(out, FrameType::kSubmitBatchAck, 2);
+  const std::size_t p = frame_begin(out, FrameType::kSubmitBatchAck);
   put_varint(out, entries.size());
   for (const auto& entry : entries) {
     put_u8(out, entry.accepted ? 1 : 0);
@@ -679,7 +616,7 @@ bool decode_submit_batch_ack(std::span<const std::uint8_t> payload,
 }
 
 void encode_poll_many(std::vector<std::uint8_t>& out, std::uint32_t max_results) {
-  const std::size_t p = frame_begin(out, FrameType::kPollMany, 2);
+  const std::size_t p = frame_begin(out, FrameType::kPollMany);
   put_varint(out, max_results);
   frame_end(out, p);
 }
@@ -692,7 +629,7 @@ bool decode_poll_many(std::span<const std::uint8_t> payload, std::uint32_t& max_
 
 void encode_result_batch(std::vector<std::uint8_t>& out,
                          std::span<const std::uint8_t> bodies, std::uint64_t count) {
-  const std::size_t p = frame_begin(out, FrameType::kResultBatch, 2);
+  const std::size_t p = frame_begin(out, FrameType::kResultBatch);
   put_varint(out, count);
   out.insert(out.end(), bodies.begin(), bodies.end());
   frame_end(out, p);
@@ -721,11 +658,11 @@ bool decode_result_batch(std::span<const std::uint8_t> payload,
   return r.ok() && r.remaining() == 0;
 }
 
-// --- v2 CR-hint frames -------------------------------------------------------
+// --- CR-hint frames ----------------------------------------------------------
 
 void encode_cr_hint(std::vector<std::uint8_t>& out, std::uint64_t epoch,
                     std::uint32_t max_entries) {
-  const std::size_t p = frame_begin(out, FrameType::kCrHint, 2);
+  const std::size_t p = frame_begin(out, FrameType::kCrHint);
   put_varint(out, epoch);
   put_varint(out, max_entries);
   frame_end(out, p);
@@ -740,7 +677,7 @@ bool decode_cr_hint(std::span<const std::uint8_t> payload, std::uint64_t& epoch,
 }
 
 void encode_cr_hint_ack(std::vector<std::uint8_t>& out, const CrHintAckPayload& ack) {
-  const std::size_t p = frame_begin(out, FrameType::kCrHintAck, 2);
+  const std::size_t p = frame_begin(out, FrameType::kCrHintAck);
   put_varint(out, ack.epoch);
   put_varint(out, ack.advisory_cr_centi);
   put_varint(out, ack.entries.size());
@@ -768,10 +705,10 @@ bool decode_cr_hint_ack(std::span<const std::uint8_t> payload, CrHintAckPayload&
   return r.ok() && r.remaining() == 0;
 }
 
-// --- v2 health probe ---------------------------------------------------------
+// --- Health probe ------------------------------------------------------------
 
 void encode_health(std::vector<std::uint8_t>& out, std::uint64_t nonce) {
-  const std::size_t p = frame_begin(out, FrameType::kHealth, 2);
+  const std::size_t p = frame_begin(out, FrameType::kHealth);
   put_varint(out, nonce);
   frame_end(out, p);
 }
@@ -783,7 +720,7 @@ bool decode_health(std::span<const std::uint8_t> payload, std::uint64_t& nonce) 
 }
 
 void encode_health_ack(std::vector<std::uint8_t>& out, const HealthAckPayload& ack) {
-  const std::size_t p = frame_begin(out, FrameType::kHealthAck, 2);
+  const std::size_t p = frame_begin(out, FrameType::kHealthAck);
   put_varint(out, ack.nonce);
   put_varint(out, ack.unsolved);
   put_varint(out, ack.ready);

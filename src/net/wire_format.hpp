@@ -1,7 +1,8 @@
 // wbsn-wire — the compact binary serialization that puts a socket (or a
-// radio) under the reconstruction fabric.  This implementation speaks v1
-// (per-window frames) and v2 (adds batched submit/poll frames; see the
-// "v2 batched frames" section below).
+// radio) under the reconstruction fabric.  This implementation speaks one
+// version, 3, whose only data path is batched: SUBMIT_BATCH carries K
+// windows in, POLL_MANY/RESULT_BATCH carry up to N results out, and HEALTH
+// is the liveness probe.
 //
 // The normative specification lives in docs/WIRE_FORMAT.md and is written
 // to be implementable without reading this file; this header is the
@@ -17,10 +18,10 @@
 // value codings — FLOAT64 (lossless for anything), FIXED16/FIXED32
 // (little-endian fixed-point integers plus one f64 scale, the node's
 // native radio format).  The encoder only ever picks a fixed coding when
-// every value reconstructs *bit-exactly* as integer * scale — v1 transport
-// is lossless by construction, never a quantizer — and falls back to
-// FLOAT64 otherwise, so decode(encode(w)) == w bitwise for arbitrary
-// windows while paper-style fixed-point traffic ships at 2 bytes/sample.
+// every value reconstructs *bit-exactly* as integer * scale — transport is
+// lossless by construction, never a quantizer — and falls back to FLOAT64
+// otherwise, so decode(encode(w)) == w bitwise for arbitrary windows while
+// paper-style fixed-point traffic ships at 2 bytes/sample.
 //
 // Zero-copy discipline: encoders append into a caller-owned byte buffer
 // (reused across frames — no allocation at steady state once the buffer
@@ -30,12 +31,10 @@
 // is pool-recycled exactly like a locally produced one.
 //
 // Version negotiation: a connection starts with HELLO(min,max supported) →
-// HELLO_ACK(chosen) before anything else.  Each frame's header byte
-// declares the version that defined its layout: v1 frames keep carrying 1
-// even on a v2 connection (their bytes are frozen), v2 frames carry 2.  A
-// receiver MUST reject a frame versioned above what was negotiated with
-// ERROR(UNSUPPORTED_VERSION) rather than guessing at the payload — that
-// byte is what lets the protocol evolve without bricking v1 peers.
+// HELLO_ACK(chosen) before anything else.  Every frame's header byte
+// carries kWireVersion; a receiver refuses any other value with
+// ERROR(UNSUPPORTED_VERSION) rather than guessing at the payload.  HELLO
+// keeps its [min,max] range so a later version can still negotiate.
 #pragma once
 
 #include <cstddef>
@@ -54,32 +53,22 @@ namespace wbsn::net {
 
 inline constexpr std::uint8_t kMagic0 = 0x57;  ///< 'W'
 inline constexpr std::uint8_t kMagic1 = 0x42;  ///< 'B'
-/// The baseline protocol version.  Frames whose layout v1 defined keep
-/// carrying this in their header byte even on a v2 connection — their
-/// bytes are frozen; the negotiated ceiling only governs which frame
-/// *types* may appear (see docs/WIRE_FORMAT.md §9).
-inline constexpr std::uint8_t kWireVersion = 1;
-inline constexpr std::uint8_t kWireVersionMin = 1;
-/// Highest version this implementation speaks.  v2 adds the batched
-/// submit/poll frames (SUBMIT_BATCH, SUBMIT_BATCH_ACK, POLL_MANY,
-/// RESULT_BATCH); those frames carry 2 in their header byte.
-inline constexpr std::uint8_t kWireVersionMax = 2;
+/// The only protocol version this implementation speaks; every frame's
+/// header byte carries it.
+inline constexpr std::uint8_t kWireVersion = 3;
 inline constexpr std::size_t kFrameHeaderBytes = 8;
 inline constexpr std::size_t kFrameTrailerBytes = 4;
 /// Frames longer than this are rejected before buffering the payload — a
 /// corrupt or hostile length field must not become an allocation.
 inline constexpr std::uint32_t kMaxPayloadBytes = 8u << 20;
 
+/// Type numbers 4-9 belonged to the retired per-window verbs (SUBMIT_WINDOW,
+/// SUBMIT_ACK, SUBMIT_REJECT, POLL, RESULT, POLL_END).  They are never
+/// reused: a frame carrying one is answered ERROR(UNKNOWN_FRAME_TYPE).
 enum class FrameType : std::uint8_t {
   kHello = 1,            ///< client → server: version range offer
   kHelloAck = 2,         ///< server → client: chosen version
   kError = 3,            ///< either direction: code + UTF-8 detail
-  kSubmitWindow = 4,     ///< client → server: one CompressedWindow
-  kSubmitAck = 5,        ///< server → client: shard-local ticket
-  kSubmitReject = 6,     ///< server → client: admission backpressure
-  kPoll = 7,             ///< client → server: request up to N results
-  kResult = 8,           ///< server → client: one WindowResult
-  kPollEnd = 9,          ///< server → client: poll response terminator
   kDrainPatient = 10,    ///< client → server: block until patient quiesced
   kDrainDone = 11,       ///< server → client: drain_patient finished
   kExtractSlo = 12,      ///< client → server: take the patient's tracker
@@ -90,7 +79,6 @@ enum class FrameType : std::uint8_t {
   kSnapshot = 17,        ///< server → client: the counters
   kBye = 18,             ///< client → server: orderly goodbye
   kByeAck = 19,          ///< server → client: goodbye acknowledged
-  // v2 frames — only valid after negotiating version >= 2.
   kSubmitBatch = 20,     ///< client → server: K windows in one frame
   kSubmitBatchAck = 21,  ///< server → client: K per-window outcomes
   kPollMany = 22,        ///< client → server: request up to N results
@@ -170,8 +158,7 @@ class WireReader {
 /// Starts a frame: appends the 8-byte header (length patched later) and
 /// returns the payload start offset to pass to frame_end.  The payload is
 /// then serialized directly into `out` — no staging buffer.
-std::size_t frame_begin(std::vector<std::uint8_t>& out, FrameType type,
-                        std::uint8_t version = kWireVersion);
+std::size_t frame_begin(std::vector<std::uint8_t>& out, FrameType type);
 
 /// Finishes the frame begun at `payload_start`: patches the length field
 /// and appends the CRC32C trailer (computed over header + payload).
@@ -181,7 +168,7 @@ enum class FrameStatus : std::uint8_t {
   kOk = 0,
   kNeedMore,    ///< Buffer holds a prefix of a valid frame; read more.
   kBadMagic,    ///< First bytes are not 'W''B' — desynchronized stream.
-  kBadVersion,  ///< Header version is not one this decoder supports.
+  kBadVersion,  ///< Header version is not kWireVersion.
   kOversized,   ///< Length field exceeds the payload cap.
   kBadCrc,      ///< Trailer mismatch — corrupt frame.
 };
@@ -248,8 +235,7 @@ struct SnapshotPayload {
   /// Windows destroyed by a shard crash: acknowledged by the shard but
   /// never polled back before it died.  Coordinator-side bookkeeping only —
   /// a dead shard cannot report its own losses — so this field is NOT part
-  /// of the SNAPSHOT wire layout (encode/decode ignore it; the v1 frame
-  /// bytes are frozen by golden tests).  With it, conservation survives
+  /// of the SNAPSHOT wire layout (encode/decode ignore it).  With it, conservation survives
   /// crashes: submitted == completed + shed + lost across the fleet.
   std::uint64_t lost = 0;
 };
@@ -268,30 +254,6 @@ bool decode_hello_ack(std::span<const std::uint8_t> payload, std::uint8_t& versi
 
 void encode_error(std::vector<std::uint8_t>& out, const ErrorPayload& error);
 bool decode_error(std::span<const std::uint8_t> payload, ErrorPayload& out);
-
-/// flags bit 0: blocking submit (server waits out backpressure like
-/// ReconstructionEngine::submit instead of answering SUBMIT_REJECT).
-inline constexpr std::uint8_t kSubmitFlagBlocking = 0x01;
-void encode_submit_window(std::vector<std::uint8_t>& out, const host::CompressedWindow& window,
-                          std::uint8_t flags, const WireEncodeOptions& opts);
-bool decode_submit_window(std::span<const std::uint8_t> payload, host::CompressedWindow& out,
-                          std::uint8_t& flags, host::PayloadPool* pool);
-
-void encode_submit_ack(std::vector<std::uint8_t>& out, std::uint64_t local_ticket);
-bool decode_submit_ack(std::span<const std::uint8_t> payload, std::uint64_t& local_ticket);
-
-void encode_submit_reject(std::vector<std::uint8_t>& out);
-
-void encode_poll(std::vector<std::uint8_t>& out, std::uint32_t max_results);
-bool decode_poll(std::span<const std::uint8_t> payload, std::uint32_t& max_results);
-
-void encode_result(std::vector<std::uint8_t>& out, const host::WindowResult& result,
-                   const WireEncodeOptions& opts);
-bool decode_result(std::span<const std::uint8_t> payload, host::WindowResult& out,
-                   host::PayloadPool* pool);
-
-void encode_poll_end(std::vector<std::uint8_t>& out, std::uint32_t results_sent);
-bool decode_poll_end(std::span<const std::uint8_t> payload, std::uint32_t& results_sent);
 
 /// kDrainPatient / kDrainDone / kExtractSlo all carry one patient id.
 void encode_patient_frame(std::vector<std::uint8_t>& out, FrameType type,
@@ -314,14 +276,12 @@ bool decode_snapshot(std::span<const std::uint8_t> payload, SnapshotPayload& out
 void encode_bye(std::vector<std::uint8_t>& out);
 void encode_bye_ack(std::vector<std::uint8_t>& out);
 
-// --- v2 batched frames -------------------------------------------------------
-// SUBMIT_BATCH payload := flags(u8) count(varint) count × window-body,
-// where window-body is the SUBMIT_WINDOW payload minus its leading flags
-// byte (the batch flags apply to every window).  SUBMIT_BATCH_ACK carries
-// count × (accepted(u8) [local_ticket(varint) when accepted]) in submit
-// order.  POLL_MANY(max) is answered by exactly one RESULT_BATCH of
-// count(varint) count × result-body (the RESULT payload), count possibly
-// zero — no POLL_END terminator.  All four carry header version 2.
+// --- Batched data frames -----------------------------------------------------
+// SUBMIT_BATCH payload := flags(u8) count(varint) count × window-body.
+// SUBMIT_BATCH_ACK carries count × (accepted(u8) [local_ticket(varint)
+// when accepted]) in submit order.  POLL_MANY(max) is answered by exactly
+// one RESULT_BATCH of count(varint) count × result-body, count possibly
+// zero.
 //
 // The client pipeline stages window bodies incrementally
 // (encode_submit_batch_entry into a reused buffer) and seals the frame
@@ -329,6 +289,18 @@ void encode_bye_ack(std::vector<std::uint8_t>& out);
 // builds header+flags+count, encode_submit_batch_trailer streams the CRC
 // over prefix ∥ bodies, and the three pieces go out in one
 // scatter-gather write (net::send_all_vec).
+
+/// flags bit 0: blocking submit (server waits out backpressure like
+/// ReconstructionEngine::submit instead of rejecting the window).
+inline constexpr std::uint8_t kSubmitFlagBlocking = 0x01;
+
+/// Window-shape limits a decoder enforces before a window reaches the
+/// engine (docs/WIRE_FORMAT.md §5.1): 1 <= m <= n <= kMaxWindowSamples,
+/// 1 <= d <= min(m, kMaxOnesPerColumn), and a reference that is either
+/// ABSENT or exactly n samples.  A window outside them would make the
+/// sensing-matrix build loop forever (d > m) or read past a buffer.
+inline constexpr std::uint32_t kMaxWindowSamples = 4096;
+inline constexpr std::uint32_t kMaxOnesPerColumn = 64;
 
 /// One per-window outcome inside a SUBMIT_BATCH_ACK.
 struct SubmitBatchAckEntry {
@@ -361,7 +333,8 @@ void encode_submit_batch(std::vector<std::uint8_t>& out,
                          std::uint8_t flags, const WireEncodeOptions& opts);
 
 /// Incremental decode: header first, then `count` entries off the same
-/// reader.  The convenience form decodes the whole payload.
+/// reader.  The convenience form decodes the whole payload.  A window
+/// outside the shape limits above decodes as malformed.
 bool decode_submit_batch_header(WireReader& r, std::uint8_t& flags, std::uint64_t& count);
 bool decode_submit_batch_entry(WireReader& r, host::CompressedWindow& out,
                                host::PayloadPool* pool);
@@ -390,7 +363,7 @@ bool decode_result_entry(WireReader& r, host::WindowResult& out, host::PayloadPo
 bool decode_result_batch(std::span<const std::uint8_t> payload,
                          std::vector<host::WindowResult>& out, host::PayloadPool* pool);
 
-// --- v2 CR-hint frames -------------------------------------------------------
+// --- CR-hint frames ----------------------------------------------------------
 // The back-channel of the closed compression loop (docs/WIRE_FORMAT.md
 // §10).  CR_HINT := epoch(varint) max_entries(varint) asks the shard how
 // much solve pressure it is under; CR_HINT_ACK := epoch(varint, echoed)
@@ -401,7 +374,7 @@ bool decode_result_batch(std::span<const std::uint8_t> payload,
 // that raced a reshard can be recognized as stale and discarded instead
 // of steering a patient now owned by a different shard.  Advisory only —
 // a node that ignores it keeps full fidelity and simply keeps paying the
-// host-side degrade/shed rate.  Both frames carry header version 2.
+// host-side degrade/shed rate.
 
 struct CrHintEntry {
   std::uint32_t patient_id = 0;
@@ -422,16 +395,14 @@ bool decode_cr_hint(std::span<const std::uint8_t> payload, std::uint64_t& epoch,
 void encode_cr_hint_ack(std::vector<std::uint8_t>& out, const CrHintAckPayload& ack);
 bool decode_cr_hint_ack(std::span<const std::uint8_t> payload, CrHintAckPayload& out);
 
-// --- v2 health probe (WIRE_FORMAT.md §11) ------------------------------------
+// --- Health probe (WIRE_FORMAT.md §11) ---------------------------------------
 // HEALTH := nonce(varint); HEALTH_ACK := nonce(varint, echoed)
 // unsolved(varint) ready(varint).  A deliberately tiny request/response
 // pair so the coordinator can distinguish "shard is dead" from "shard is
 // slow" without paying for a full snapshot: the server answers from two
 // atomic engine counters, never touching the solve path.  The nonce is
 // echoed verbatim so a probe answer cannot be confused with a stale one
-// left in the receive buffer by an earlier timed-out probe.  Both frames
-// carry header version 2; a v1 shard answers ERROR(UNSUPPORTED_VERSION),
-// which the client treats as "probe via SNAPSHOT_REQUEST instead".
+// left in the receive buffer by an earlier timed-out probe.
 
 struct HealthAckPayload {
   std::uint64_t nonce = 0;     ///< Echo of the probe's nonce.

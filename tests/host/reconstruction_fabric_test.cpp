@@ -237,9 +237,9 @@ TEST(FabricResize, MovesFewPatientsAndHandsOffSloHistory) {
 
   // Routing now matches an independently built 5-shard ring, and movers
   // all landed on the shard the new ring says owns them.
-  const HashRing ring5(5, static_cast<std::size_t>(cfg.vnodes_per_shard));
+  const HashRing ring5(5, kVnodesPerShard);
   std::size_t moved = 0;
-  const HashRing ring4(4, static_cast<std::size_t>(cfg.vnodes_per_shard));
+  const HashRing ring4(4, kVnodesPerShard);
   for (std::uint32_t p = 0; p < 12; ++p) {
     EXPECT_EQ(fabric.shard_of(p), ring5.owner(p));
     moved += ring4.owner(p) != ring5.owner(p);
@@ -466,7 +466,7 @@ TEST(FabricFailover, FailShardRehomesOnlyDeadPatientsAndAccountsLoss) {
   ASSERT_GT(lost_expected, 0u) << "9 patients must put traffic on shard 1";
   ASSERT_LT(lost_expected, batch.size());
 
-  const HashRing ring_before(3, static_cast<std::size_t>(cfg.vnodes_per_shard));
+  const HashRing ring_before(3, kVnodesPerShard);
   const auto report = fabric.fail_shard(kDead);
   EXPECT_EQ(report.epoch, 1u);
   EXPECT_EQ(report.failed_shard, kDead);
@@ -482,7 +482,7 @@ TEST(FabricFailover, FailShardRehomesOnlyDeadPatientsAndAccountsLoss) {
   // Subset routing: exactly the dead shard's patients re-home — matching
   // an independently built survivors ring — and every other patient stays
   // where it was.
-  const HashRing survivors({0, 2}, static_cast<std::size_t>(cfg.vnodes_per_shard));
+  const HashRing survivors({0, 2}, kVnodesPerShard);
   for (const auto& window : batch) {
     const std::size_t now = fabric.shard_of(window.patient_id);
     EXPECT_NE(now, kDead);
@@ -575,7 +575,7 @@ TEST(FabricFailover, ResizeReprovisionsTheCrashHole) {
   EXPECT_EQ(report.shards_after, 3u);
   EXPECT_EQ(fabric.live_shard_count(), 3u);
   EXPECT_NO_THROW(fabric.shard(1));
-  const HashRing ring3(3, static_cast<std::size_t>(cfg.vnodes_per_shard));
+  const HashRing ring3(3, kVnodesPerShard);
   for (const auto& window : batch) {
     EXPECT_EQ(fabric.shard_of(window.patient_id), ring3.owner(window.patient_id));
   }

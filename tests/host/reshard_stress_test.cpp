@@ -104,21 +104,27 @@ TEST(ReshardStress, ConcurrentProducersResizerAndPoller) {
 
   // The control thread walks the fabric up and down through every shard
   // count the chaos harness covers, resizing as fast as the drain/handoff
-  // protocol allows, until the producers finish.
+  // protocol allows, until the producers finish.  The producers hold off
+  // until its first resize() has returned: on a loaded machine they can
+  // otherwise finish all their traffic before the control thread is ever
+  // scheduled, and the run would exercise no resize at all.
   std::vector<ResizeReport> reports;
+  std::atomic<bool> resized_once{false};
   std::thread resizer([&] {
     const int plan[] = {3, 1, 4, 2, 8, 2};
     std::size_t step = 0;
-    while (!producers_done.load(std::memory_order_acquire)) {
+    do {
       reports.push_back(fabric.resize(plan[step % std::size(plan)]));
       ++step;
+      resized_once.store(true, std::memory_order_release);
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    } while (!producers_done.load(std::memory_order_acquire));
   });
 
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
+      while (!resized_once.load(std::memory_order_acquire)) std::this_thread::yield();
       for (const auto& window : traffic[static_cast<std::size_t>(p)]) {
         CompressedWindow copy = window;
         fabric.submit(std::move(copy));  // Blocks on backpressure.

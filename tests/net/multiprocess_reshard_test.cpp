@@ -236,8 +236,8 @@ TEST(MultiProcessReshard, LiveGrowAndShrinkAcrossProcessBoundaries) {
 }
 
 TEST(MultiProcessReshard, PipelinedSubmitsConserveAcrossALiveReshard) {
-  // The ISSUE 8 acceptance variant: same process-boundary conservation
-  // contract, but every window goes through the v2 pipelined submit path
+  // The pipelined variant: same process-boundary conservation
+  // contract, but every window goes through the pipelined submit path
   // (batched frames, deferred tickets).  A live grow lands mid-stream
   // with batches still unflushed — set_topology must sync the pipelines
   // before the epoch flips, and the deferred tickets must still compose
@@ -252,7 +252,6 @@ TEST(MultiProcessReshard, PipelinedSubmitsConserveAcrossALiveReshard) {
   client_cfg.submit_batch_windows = 4;
   RoutingClient client(client_cfg);
   ASSERT_TRUE(client.connect({d0.endpoint(), d1.endpoint()}));
-  ASSERT_EQ(client.shard_wire_version(0), 2u) << "daemons must negotiate v2 by default";
 
   const std::size_t half = traffic.size() / 2;
   std::vector<std::size_t> expected_owner(traffic.size());

@@ -5,7 +5,7 @@
 // serial in-process reference, composite-ticket round trips, SLO history
 // migration across a live reshard, counter conservation across retired
 // shards, and the protocol-level rejection paths (unknown version,
-// talking before HELLO).
+// talking before HELLO, retired frame types, hostile window shapes).
 
 #include "net/routing_client.hpp"
 
@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -86,15 +87,13 @@ struct LocalShard {
     loop = std::thread([s = server.get()] { s->run(); });
   }
 
-  explicit LocalShard(int threads, std::uint8_t max_version = kWireVersionMax,
-                      double hint_cr = 0.0)
+  explicit LocalShard(int threads, double hint_cr = 0.0)
       : LocalShard([&] {
           ShardServerConfig cfg;
           cfg.engine = fast_engine(threads);
           // The node path emits exact fixed-point multiples; advertising the
           // scale exercises the compact coding end to end.
           cfg.wire.fixed_scale = cs::measurement_scale_mv(sig::AdcConfig{});
-          cfg.max_wire_version = max_version;
           // Tests that opt into CR hints want determinism, not a race with
           // the backlog: advertise unconditionally.
           cfg.hint_cr_percent = hint_cr;
@@ -316,115 +315,48 @@ TEST(RoutingClient, PipelinedSubmitsMatchSerialReferenceBitForBit) {
   const auto traffic = fleet_traffic(/*patients=*/6, /*beats_per_patient=*/3);
   const auto reference = serial_reference(traffic);
 
-  LocalShard a(2), b(2);
-  auto cfg = client_config();
-  cfg.pipeline_depth = 2;
-  cfg.submit_batch_windows = 4;
-  RoutingClient client(cfg);
-  ASSERT_TRUE(client.connect({a.endpoint(), b.endpoint()}));
-  EXPECT_EQ(client.shard_wire_version(0), 2);
-  EXPECT_EQ(client.shard_wire_version(1), 2);
+  // Depth 0 acknowledges every sealed frame before staging the next one;
+  // it must be the same submit path, not a special case.
+  for (const std::size_t depth : {std::size_t{2}, std::size_t{0}}) {
+    SCOPED_TRACE("pipeline_depth " + std::to_string(depth));
+    LocalShard a(2), b(2);
+    auto cfg = client_config();
+    cfg.pipeline_depth = depth;
+    cfg.submit_batch_windows = 4;
+    RoutingClient client(cfg);
+    ASSERT_TRUE(client.connect({a.endpoint(), b.endpoint()}));
 
-  std::map<WindowKey, WindowResult> results;
-  const auto tickets = run_pipelined(client, traffic, results);
-  expect_matches_reference(results, reference);
+    std::map<WindowKey, WindowResult> results;
+    const auto tickets = run_pipelined(client, traffic, results);
+    expect_matches_reference(results, reference);
 
-  // The deferred tickets carry the same composite form a blocking submit
-  // returns, stay unique, and every result echoes one of them.
-  ASSERT_EQ(tickets.size(), traffic.size());
-  std::set<std::uint64_t> unique(tickets.begin(), tickets.end());
-  EXPECT_EQ(unique.size(), traffic.size()) << "tickets must be unique";
-  for (std::size_t i = 0; i < traffic.size(); ++i) {
-    EXPECT_EQ(host::ReconstructionFabric::ticket_epoch(tickets[i]), 0u);
-    EXPECT_EQ(host::ReconstructionFabric::ticket_shard(tickets[i]),
-              client.owner(traffic[i].patient_id))
-        << "window " << i;
+    // The deferred tickets carry the same composite form a blocking submit
+    // returns, stay unique, and every result echoes one of them.
+    ASSERT_EQ(tickets.size(), traffic.size());
+    std::set<std::uint64_t> unique(tickets.begin(), tickets.end());
+    EXPECT_EQ(unique.size(), traffic.size()) << "tickets must be unique";
+    for (std::size_t i = 0; i < traffic.size(); ++i) {
+      EXPECT_EQ(host::ReconstructionFabric::ticket_epoch(tickets[i]), 0u);
+      EXPECT_EQ(host::ReconstructionFabric::ticket_shard(tickets[i]),
+                client.owner(traffic[i].patient_id))
+          << "window " << i;
+    }
+    std::set<std::uint64_t> result_tickets;
+    for (const auto& [key, result] : results) result_tickets.insert(result.ticket);
+    EXPECT_EQ(result_tickets, unique);
+
+    const auto agg = client.aggregate_snapshot();
+    EXPECT_EQ(agg.submitted, traffic.size());
+    EXPECT_EQ(agg.completed, traffic.size());
+    EXPECT_EQ(agg.retrieved, traffic.size());
+    EXPECT_EQ(agg.rejected, 0u);
+    EXPECT_EQ(agg.shed_routine + agg.shed_urgent, 0u);
+    client.shutdown(/*send_bye=*/false);
   }
-  std::set<std::uint64_t> result_tickets;
-  for (const auto& [key, result] : results) result_tickets.insert(result.ticket);
-  EXPECT_EQ(result_tickets, unique);
-
-  const auto agg = client.aggregate_snapshot();
-  EXPECT_EQ(agg.submitted, traffic.size());
-  EXPECT_EQ(agg.completed, traffic.size());
-  EXPECT_EQ(agg.retrieved, traffic.size());
-  EXPECT_EQ(agg.rejected, 0u);
-  EXPECT_EQ(agg.shed_routine + agg.shed_urgent, 0u);
-  client.shutdown(/*send_bye=*/false);
-}
-
-TEST(RoutingClient, PipelinedSubmitsFallBackPerWindowOnAV1Fleet) {
-  // Shards capped at v1: submit_pipelined degrades to the blocking
-  // per-window SUBMIT with identical tickets and results — the caller
-  // never has to know which version the fleet negotiated.
-  const auto traffic = fleet_traffic(/*patients=*/4, /*beats_per_patient=*/2);
-  const auto reference = serial_reference(traffic);
-
-  LocalShard a(1, /*max_version=*/1), b(1, /*max_version=*/1);
-  auto cfg = client_config();
-  cfg.pipeline_depth = 2;
-  cfg.submit_batch_windows = 4;
-  RoutingClient client(cfg);
-  ASSERT_TRUE(client.connect({a.endpoint(), b.endpoint()}));
-  EXPECT_EQ(client.shard_wire_version(0), 1);
-  EXPECT_EQ(client.shard_wire_version(1), 1);
-
-  std::map<WindowKey, WindowResult> results;
-  const auto tickets = run_pipelined(client, traffic, results);
-  expect_matches_reference(results, reference);
-  EXPECT_EQ(std::set<std::uint64_t>(tickets.begin(), tickets.end()).size(), traffic.size());
-  client.shutdown(/*send_bye=*/false);
-}
-
-TEST(RoutingClient, MixedVersionFleetNegotiatesPerShard) {
-  // One v1-capped shard and one v2 shard in the same topology: the client
-  // pipelines to the v2 shard, falls back per-window on the v1 shard, and
-  // the merged result set stays bit-exact and conserved.
-  const auto traffic = fleet_traffic(/*patients=*/6, /*beats_per_patient=*/2);
-  const auto reference = serial_reference(traffic);
-
-  LocalShard old_shard(1, /*max_version=*/1), new_shard(1);
-  auto cfg = client_config();
-  cfg.pipeline_depth = 2;
-  cfg.submit_batch_windows = 4;
-  RoutingClient client(cfg);
-  ASSERT_TRUE(client.connect({old_shard.endpoint(), new_shard.endpoint()}));
-  EXPECT_EQ(client.shard_wire_version(0), 1);
-  EXPECT_EQ(client.shard_wire_version(1), 2);
-
-  std::map<WindowKey, WindowResult> results;
-  (void)run_pipelined(client, traffic, results);
-  expect_matches_reference(results, reference);
-
-  const auto agg = client.aggregate_snapshot();
-  EXPECT_EQ(agg.submitted, traffic.size());
-  EXPECT_EQ(agg.completed, traffic.size());
-  EXPECT_EQ(agg.retrieved, traffic.size());
-  client.shutdown(/*send_bye=*/false);
-}
-
-TEST(RoutingClient, ClientVersionCapForcesV1OnACapableServer) {
-  // The staged-rollout knob: a v2-capable server negotiated down to v1 by
-  // the client's own ceiling.  Everything still works, just per-window.
-  const auto traffic = fleet_traffic(/*patients=*/2, /*beats_per_patient=*/2);
-  const auto reference = serial_reference(traffic);
-
-  LocalShard shard(1);
-  auto cfg = client_config();
-  cfg.max_wire_version = 1;
-  cfg.pipeline_depth = 4;
-  RoutingClient client(cfg);
-  ASSERT_TRUE(client.connect({shard.endpoint()}));
-  EXPECT_EQ(client.shard_wire_version(0), 1);
-
-  std::map<WindowKey, WindowResult> results;
-  (void)run_pipelined(client, traffic, results);
-  expect_matches_reference(results, reference);
-  client.shutdown(/*send_bye=*/false);
 }
 
 TEST(CrHints, AdvisoryFollowsOwnerShardAndReshardInvalidates) {
-  LocalShard hinted(1, kWireVersionMax, /*hint_cr=*/70.0);
+  LocalShard hinted(1, /*hint_cr=*/70.0);
   LocalShard plain(1);
   RoutingClient client(client_config());
   ASSERT_TRUE(client.connect({hinted.endpoint()}));
@@ -454,27 +386,6 @@ TEST(CrHints, AdvisoryFollowsOwnerShardAndReshardInvalidates) {
       EXPECT_FALSE(per_patient.has_value()) << "patient " << patient;
     }
   }
-  client.shutdown(/*send_bye=*/false);
-}
-
-TEST(CrHints, V1ShardsAreSkippedSilently) {
-  // A v1 fleet predates the verb: the sweep must succeed as a no-op, not
-  // poison the connection with a frame the server will refuse.
-  const auto traffic = fleet_traffic(/*patients=*/2, /*beats_per_patient=*/1);
-  LocalShard old_shard(1, /*max_version=*/1, /*hint_cr=*/70.0);
-  RoutingClient client(client_config());
-  ASSERT_TRUE(client.connect({old_shard.endpoint()}));
-  EXPECT_EQ(client.shard_wire_version(0), 1);
-
-  EXPECT_TRUE(client.refresh_cr_hints());
-  EXPECT_FALSE(client.cr_hint(0).has_value());
-
-  // The connection still works after the sweep.
-  for (const auto& window : traffic) {
-    CompressedWindow copy = window;
-    ASSERT_TRUE(client.submit(std::move(copy)).has_value());
-  }
-  EXPECT_EQ(client.drain().size(), traffic.size());
   client.shutdown(/*send_bye=*/false);
 }
 
@@ -798,26 +709,22 @@ TEST(Failover, AutoFailoverReroutesAndKeepsServing) {
   client.shutdown(/*send_bye=*/false);
 }
 
-TEST(Failover, CheckHealthAutoFailsDeadShardsAndV1ProbesFallBack) {
-  // Mixed fleet: the v1 shard is probed via SNAPSHOT_REQUEST (HEALTH does
-  // not exist there), the v2 shard via HEALTH.  Killing the v2 shard and
-  // sweeping with auto_failover fails exactly it.
-  LocalShard old_shard(1, /*max_version=*/1), new_shard(1);
+TEST(Failover, CheckHealthAutoFailsDeadShards) {
+  // Killing one shard and sweeping with auto_failover fails exactly it.
+  LocalShard survivor(1), doomed(1);
   auto cfg = client_config();
   cfg.auto_failover = true;
   cfg.reconnect_attempts = 0;
   cfg.health_probe_timeout_ms = 500;
   RoutingClient client(cfg);
-  ASSERT_TRUE(client.connect({old_shard.endpoint(), new_shard.endpoint()}));
-  ASSERT_EQ(client.shard_wire_version(0), 1);
-  ASSERT_EQ(client.shard_wire_version(1), 2);
+  ASSERT_TRUE(client.connect({survivor.endpoint(), doomed.endpoint()}));
 
-  // Both alive: both probe healthy, whatever verb carries the probe.
+  // Both alive: both probe healthy.
   EXPECT_TRUE(client.probe_health(0));
   EXPECT_TRUE(client.probe_health(1));
   EXPECT_TRUE(client.check_health().empty());
 
-  new_shard.kill();
+  doomed.kill();
   const auto dead = client.check_health();
   ASSERT_EQ(dead, std::vector<std::size_t>{1});
   EXPECT_TRUE(client.shard_failed(1));
@@ -829,62 +736,62 @@ TEST(Failover, CheckHealthAutoFailsDeadShardsAndV1ProbesFallBack) {
   client.shutdown(/*send_bye=*/false);
 }
 
-TEST(Protocol, HealthEchoesNonceAndV1ConnectionsRefuseIt) {
+/// Reads one complete frame from a raw socket into `acc`/`view`; fails the
+/// test when the peer closes first.
+void read_one(Fd& fd, std::vector<std::uint8_t>& acc, FrameView& view) {
+  std::vector<std::uint8_t> rx(4096);
+  acc.clear();
+  for (;;) {
+    const long n = recv_some(fd.get(), rx.data(), rx.size());
+    ASSERT_GT(n, 0) << "server closed the connection";
+    acc.insert(acc.end(), rx.begin(), rx.begin() + n);
+    if (peek_frame(acc, view) == FrameStatus::kOk) return;
+  }
+}
+
+/// A raw connection that has completed the HELLO handshake.
+Fd negotiated_connection(const LocalShard& shard) {
+  Fd fd = tcp_connect("127.0.0.1", shard.server->port(), 2000, 2000);
+  EXPECT_TRUE(fd.valid());
+  std::vector<std::uint8_t> buf, acc;
+  FrameView view;
+  encode_hello(buf, HelloPayload{});
+  EXPECT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
+  read_one(fd, acc, view);
+  EXPECT_EQ(view.type, FrameType::kHelloAck);
+  return fd;
+}
+
+/// Asserts the next frame on `fd` is ERROR(`code`) and that the server
+/// then closes the connection.
+void expect_error_then_close(Fd& fd, ErrorCode code) {
+  std::vector<std::uint8_t> acc;
+  FrameView view;
+  read_one(fd, acc, view);
+  ASSERT_EQ(view.type, FrameType::kError);
+  ErrorPayload error;
+  ASSERT_TRUE(decode_error(view.payload, error));
+  EXPECT_EQ(error.code, code);
+  std::uint8_t byte = 0;
+  EXPECT_EQ(recv_some(fd.get(), &byte, 1), 0) << "the server must close after the error";
+}
+
+TEST(Protocol, HealthEchoesNonce) {
+  // HEALTH answers HEALTH_ACK with the nonce echoed and the engine's live
+  // queue depths (an idle shard reports 0/0).
   LocalShard shard(0);
-  const auto read_one = [](Fd& fd, std::vector<std::uint8_t>& rx,
-                           std::vector<std::uint8_t>& acc, FrameView& view) {
-    acc.clear();
-    for (;;) {
-      const long n = recv_some(fd.get(), rx.data(), rx.size());
-      ASSERT_GT(n, 0) << "server closed the connection";
-      acc.insert(acc.end(), rx.begin(), rx.begin() + n);
-      if (peek_frame(acc, view) == FrameStatus::kOk) break;
-    }
-  };
-
-  {
-    // v2 connection: HEALTH answers HEALTH_ACK with the nonce echoed and
-    // the engine's live queue depths (an idle shard reports 0/0).
-    Fd fd = tcp_connect("127.0.0.1", shard.server->port(), 2000, 2000);
-    ASSERT_TRUE(fd.valid());
-    std::vector<std::uint8_t> buf, rx(4096), acc;
-    FrameView view;
-    encode_hello(buf, HelloPayload{1, 2});
-    ASSERT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
-    read_one(fd, rx, acc, view);
-    ASSERT_EQ(view.type, FrameType::kHelloAck);
-
-    buf.clear();
-    encode_health(buf, /*nonce=*/0xFACE5EED);
-    ASSERT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
-    read_one(fd, rx, acc, view);
-    ASSERT_EQ(view.type, FrameType::kHealthAck);
-    HealthAckPayload ack;
-    ASSERT_TRUE(decode_health_ack(view.payload, ack));
-    EXPECT_EQ(ack.nonce, 0xFACE5EEDu);
-    EXPECT_EQ(ack.unsolved, 0u);
-    EXPECT_EQ(ack.ready, 0u);
-  }
-  {
-    // v1-negotiated connection: HEALTH is a v2 frame above the ceiling.
-    Fd fd = tcp_connect("127.0.0.1", shard.server->port(), 2000, 2000);
-    ASSERT_TRUE(fd.valid());
-    std::vector<std::uint8_t> buf, rx(4096), acc;
-    FrameView view;
-    encode_hello(buf, HelloPayload{1, 1});
-    ASSERT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
-    read_one(fd, rx, acc, view);
-    ASSERT_EQ(view.type, FrameType::kHelloAck);
-
-    buf.clear();
-    encode_health(buf, 1);
-    ASSERT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
-    read_one(fd, rx, acc, view);
-    ASSERT_EQ(view.type, FrameType::kError);
-    ErrorPayload error;
-    ASSERT_TRUE(decode_error(view.payload, error));
-    EXPECT_EQ(error.code, ErrorCode::kUnsupportedVersion);
-  }
+  Fd fd = negotiated_connection(shard);
+  std::vector<std::uint8_t> buf, acc;
+  FrameView view;
+  encode_health(buf, /*nonce=*/0xFACE5EED);
+  ASSERT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
+  read_one(fd, acc, view);
+  ASSERT_EQ(view.type, FrameType::kHealthAck);
+  HealthAckPayload ack;
+  ASSERT_TRUE(decode_health_ack(view.payload, ack));
+  EXPECT_EQ(ack.nonce, 0xFACE5EEDu);
+  EXPECT_EQ(ack.unsolved, 0u);
+  EXPECT_EQ(ack.ready, 0u);
 }
 
 TEST(Protocol, TalkingBeforeHelloIsRefused) {
@@ -892,57 +799,30 @@ TEST(Protocol, TalkingBeforeHelloIsRefused) {
   Fd fd = tcp_connect("127.0.0.1", shard.server->port(), 2000, 2000);
   ASSERT_TRUE(fd.valid());
   std::vector<std::uint8_t> buf;
-  encode_poll(buf, 1);  // POLL before HELLO.
+  encode_poll_many(buf, 1);  // POLL_MANY before HELLO.
   ASSERT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
-
-  std::vector<std::uint8_t> rx(4096);
-  std::vector<std::uint8_t> acc;
-  FrameView view;
-  for (;;) {
-    const long n = recv_some(fd.get(), rx.data(), rx.size());
-    ASSERT_GT(n, 0) << "server closed without an ERROR frame";
-    acc.insert(acc.end(), rx.begin(), rx.begin() + n);
-    const auto status = peek_frame(acc, view);
-    if (status == FrameStatus::kOk) break;
-    ASSERT_EQ(status, FrameStatus::kNeedMore);
-  }
-  ASSERT_EQ(view.type, FrameType::kError);
-  ErrorPayload error;
-  ASSERT_TRUE(decode_error(view.payload, error));
-  EXPECT_EQ(error.code, ErrorCode::kNotNegotiated);
+  expect_error_then_close(fd, ErrorCode::kNotNegotiated);
 }
 
 TEST(Protocol, UnknownVersionGetsErrorNotGuesswork) {
+  // A well-formed frame (CRC valid) stamped with an earlier version or a
+  // future one.
   LocalShard shard(0);
-  Fd fd = tcp_connect("127.0.0.1", shard.server->port(), 2000, 2000);
-  ASSERT_TRUE(fd.valid());
-
-  // A well-formed frame stamped with a future version (CRC valid).
-  std::vector<std::uint8_t> buf;
-  encode_poll(buf, 1);
-  buf[2] = 7;
-  const std::uint32_t crc = crc32c(buf.data(), buf.size() - kFrameTrailerBytes);
-  buf[buf.size() - 4] = static_cast<std::uint8_t>(crc);
-  buf[buf.size() - 3] = static_cast<std::uint8_t>(crc >> 8);
-  buf[buf.size() - 2] = static_cast<std::uint8_t>(crc >> 16);
-  buf[buf.size() - 1] = static_cast<std::uint8_t>(crc >> 24);
-  ASSERT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
-
-  std::vector<std::uint8_t> rx(4096);
-  std::vector<std::uint8_t> acc;
-  FrameView view;
-  for (;;) {
-    const long n = recv_some(fd.get(), rx.data(), rx.size());
-    ASSERT_GT(n, 0) << "server closed without an ERROR frame";
-    acc.insert(acc.end(), rx.begin(), rx.begin() + n);
-    const auto status = peek_frame(acc, view);
-    if (status == FrameStatus::kOk) break;
-    ASSERT_EQ(status, FrameStatus::kNeedMore);
+  for (const std::uint8_t version : {std::uint8_t{2}, std::uint8_t{7}}) {
+    SCOPED_TRACE("header version " + std::to_string(version));
+    Fd fd = tcp_connect("127.0.0.1", shard.server->port(), 2000, 2000);
+    ASSERT_TRUE(fd.valid());
+    std::vector<std::uint8_t> buf;
+    encode_poll_many(buf, 1);
+    buf[2] = version;
+    const std::uint32_t crc = crc32c(buf.data(), buf.size() - kFrameTrailerBytes);
+    buf[buf.size() - 4] = static_cast<std::uint8_t>(crc);
+    buf[buf.size() - 3] = static_cast<std::uint8_t>(crc >> 8);
+    buf[buf.size() - 2] = static_cast<std::uint8_t>(crc >> 16);
+    buf[buf.size() - 1] = static_cast<std::uint8_t>(crc >> 24);
+    ASSERT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
+    expect_error_then_close(fd, ErrorCode::kUnsupportedVersion);
   }
-  ASSERT_EQ(view.type, FrameType::kError);
-  ErrorPayload error;
-  ASSERT_TRUE(decode_error(view.payload, error));
-  EXPECT_EQ(error.code, ErrorCode::kUnsupportedVersion);
 }
 
 TEST(Protocol, VersionNegotiationPicksMutualVersion) {
@@ -950,84 +830,69 @@ TEST(Protocol, VersionNegotiationPicksMutualVersion) {
   Fd fd = tcp_connect("127.0.0.1", shard.server->port(), 2000, 2000);
   ASSERT_TRUE(fd.valid());
   // Offer a range spanning far beyond what this build speaks: the server
-  // picks the highest version both sides share, which today is v2.
+  // picks the one version it speaks.
   std::vector<std::uint8_t> buf;
   encode_hello(buf, HelloPayload{1, 200});
   ASSERT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
 
-  std::vector<std::uint8_t> rx(4096);
   std::vector<std::uint8_t> acc;
   FrameView view;
-  for (;;) {
-    const long n = recv_some(fd.get(), rx.data(), rx.size());
-    ASSERT_GT(n, 0);
-    acc.insert(acc.end(), rx.begin(), rx.begin() + n);
-    if (peek_frame(acc, view) == FrameStatus::kOk) break;
-  }
+  read_one(fd, acc, view);
   ASSERT_EQ(view.type, FrameType::kHelloAck);
   std::uint8_t version = 0;
   ASSERT_TRUE(decode_hello_ack(view.payload, version));
-  EXPECT_EQ(version, kWireVersionMax);
+  EXPECT_EQ(version, kWireVersion);
 
-  // An offer entirely above our ceiling is refused.
-  Fd fd2 = tcp_connect("127.0.0.1", shard.server->port(), 2000, 2000);
-  ASSERT_TRUE(fd2.valid());
-  buf.clear();
-  encode_hello(buf, HelloPayload{5, 9});
-  ASSERT_TRUE(send_all(fd2.get(), buf.data(), buf.size()));
-  acc.clear();
-  for (;;) {
-    const long n = recv_some(fd2.get(), rx.data(), rx.size());
-    ASSERT_GT(n, 0);
-    acc.insert(acc.end(), rx.begin(), rx.begin() + n);
-    if (peek_frame(acc, view) == FrameStatus::kOk) break;
+  // Offers entirely above or entirely below the version this build speaks
+  // (a v1/v2-only peer) are refused.
+  for (const HelloPayload offer : {HelloPayload{5, 9}, HelloPayload{1, 2}}) {
+    Fd fd2 = tcp_connect("127.0.0.1", shard.server->port(), 2000, 2000);
+    ASSERT_TRUE(fd2.valid());
+    buf.clear();
+    encode_hello(buf, offer);
+    ASSERT_TRUE(send_all(fd2.get(), buf.data(), buf.size()));
+    expect_error_then_close(fd2, ErrorCode::kUnsupportedVersion);
   }
-  ASSERT_EQ(view.type, FrameType::kError);
-  ErrorPayload error;
-  ASSERT_TRUE(decode_error(view.payload, error));
-  EXPECT_EQ(error.code, ErrorCode::kUnsupportedVersion);
 }
 
-TEST(Protocol, V2FrameAboveTheNegotiatedVersionIsRefused) {
-  // Negotiate v1 explicitly, then send a SUBMIT_BATCH (a v2-layout frame,
-  // header version 2).  The server must answer ERROR(UNSUPPORTED_VERSION)
-  // — the negotiated ceiling governs frame types, not just the handshake.
+TEST(Protocol, RetiredFrameTypesAreRefused) {
+  // Types 4-9 were the per-window verbs.  Their numbers are never reused:
+  // a well-formed frame carrying one (here SUBMIT_WINDOW = 4 and POLL = 7)
+  // is an unknown type, refused and closed.
   LocalShard shard(0);
-  Fd fd = tcp_connect("127.0.0.1", shard.server->port(), 2000, 2000);
-  ASSERT_TRUE(fd.valid());
+  for (const std::uint8_t type : {std::uint8_t{4}, std::uint8_t{7}}) {
+    SCOPED_TRACE("frame type " + std::to_string(type));
+    Fd fd = negotiated_connection(shard);
+    std::vector<std::uint8_t> buf;
+    const std::size_t p = frame_begin(buf, static_cast<FrameType>(type));
+    put_varint(buf, 64);
+    frame_end(buf, p);
+    ASSERT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
+    expect_error_then_close(fd, ErrorCode::kUnknownFrameType);
+  }
+}
 
+TEST(Protocol, HostileWindowShapeIsRefusedAndTheShardStaysLive) {
+  // A window whose column density exceeds its measurement count would make
+  // the sensing-matrix build spin forever on the server's event loop.  The
+  // decoder must refuse it, and the shard must keep answering others.
+  LocalShard shard(1);
+  Fd fd = negotiated_connection(shard);
+  CompressedWindow hostile = fleet_traffic(/*patients=*/1, /*beats_per_patient=*/1).front();
+  hostile.ones_per_column = static_cast<std::uint32_t>(hostile.measurements.size()) + 1;
   std::vector<std::uint8_t> buf;
-  encode_hello(buf, HelloPayload{1, 1});
+  encode_submit_batch(buf, {&hostile, 1}, /*flags=*/0, WireEncodeOptions{});
   ASSERT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
+  expect_error_then_close(fd, ErrorCode::kBadPayload);
 
-  std::vector<std::uint8_t> rx(4096);
-  std::vector<std::uint8_t> acc;
-  FrameView view;
-  const auto read_one = [&]() {
-    acc.clear();
-    for (;;) {
-      const long n = recv_some(fd.get(), rx.data(), rx.size());
-      ASSERT_GT(n, 0) << "server closed the connection";
-      acc.insert(acc.end(), rx.begin(), rx.begin() + n);
-      if (peek_frame(acc, view) == FrameStatus::kOk) break;
-    }
-  };
-  read_one();
-  ASSERT_EQ(view.type, FrameType::kHelloAck);
-  std::uint8_t version = 0;
-  ASSERT_TRUE(decode_hello_ack(view.payload, version));
-  ASSERT_EQ(version, 1);
-
-  buf.clear();
-  std::vector<CompressedWindow> one;
-  one.push_back(fleet_traffic(/*patients=*/1, /*beats_per_patient=*/1).front());
-  encode_submit_batch(buf, one, kSubmitFlagBlocking, WireEncodeOptions{});
-  ASSERT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
-  read_one();
-  ASSERT_EQ(view.type, FrameType::kError);
-  ErrorPayload error;
-  ASSERT_TRUE(decode_error(view.payload, error));
-  EXPECT_EQ(error.code, ErrorCode::kUnsupportedVersion);
+  auto cfg = client_config();
+  cfg.reconnect_attempts = 0;
+  cfg.health_probe_timeout_ms = 500;
+  cfg.io_timeout_ms = cfg.health_probe_timeout_ms;
+  RoutingClient client(cfg);
+  ASSERT_TRUE(client.connect({shard.endpoint()}));
+  EXPECT_TRUE(client.probe_health(0)) << "one hostile frame must not wedge the shard";
+  client.shutdown(/*send_bye=*/false);
 }
 
 }  // namespace

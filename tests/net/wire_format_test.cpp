@@ -1,7 +1,7 @@
-// wbsn-wire v1 codec tests: CRC vectors, varint properties, value-coding
+// wbsn-wire v3 codec tests: CRC vectors, varint properties, value-coding
 // round trips (including the bit-exactness edge cases the fixed-point
 // fallback exists for), whole-frame round trips for every payload,
-// malformed-input rejection, and byte-for-byte replay of the committed
+// malformed-input and hostile-shape rejection, and byte-for-byte replay of the committed
 // golden frames under tests/net/golden/ (the normative fixtures of
 // docs/WIRE_FORMAT.md — if an encoder change shifts a single byte, the
 // golden test fails and the spec must be revised deliberately).
@@ -169,17 +169,37 @@ host::WindowResult sample_result() {
   return r;
 }
 
+/// One window through a SUBMIT_BATCH frame: encode, peek, decode.
+host::CompressedWindow batch_round_trip(const host::CompressedWindow& w, std::uint8_t flags,
+                                        const WireEncodeOptions& opts) {
+  std::vector<std::uint8_t> buf;
+  encode_submit_batch(buf, {&w, 1}, flags, opts);
+  const auto view = must_peek(buf);
+  EXPECT_EQ(view.type, FrameType::kSubmitBatch);
+  std::uint8_t decoded_flags = 0;
+  std::vector<host::CompressedWindow> decoded;
+  EXPECT_TRUE(decode_submit_batch(view.payload, decoded_flags, decoded, nullptr));
+  EXPECT_EQ(decoded_flags, flags);
+  EXPECT_EQ(decoded.size(), 1u);
+  return decoded.empty() ? host::CompressedWindow{} : std::move(decoded.front());
+}
+
+/// One result through a RESULT_BATCH frame.
+host::WindowResult result_round_trip(const host::WindowResult& res) {
+  std::vector<std::uint8_t> bodies;
+  encode_result_entry(bodies, res, WireEncodeOptions{});
+  const auto buf = encode_one([&](auto& b) { encode_result_batch(b, bodies, 1); });
+  const auto view = must_peek(buf);
+  EXPECT_EQ(view.type, FrameType::kResultBatch);
+  std::vector<host::WindowResult> decoded;
+  EXPECT_TRUE(decode_result_batch(view.payload, decoded, nullptr));
+  EXPECT_EQ(decoded.size(), 1u);
+  return decoded.empty() ? host::WindowResult{} : std::move(decoded.front());
+}
+
 TEST(Frames, SubmitWindowRoundTripsBitExactly) {
   const auto w = sample_window();
-  WireEncodeOptions opts{0.0048828125};
-  const auto buf =
-      encode_one([&](auto& b) { encode_submit_window(b, w, kSubmitFlagBlocking, opts); });
-  const auto view = must_peek(buf);
-  EXPECT_EQ(view.type, FrameType::kSubmitWindow);
-  host::CompressedWindow d;
-  std::uint8_t flags = 0;
-  ASSERT_TRUE(decode_submit_window(view.payload, d, flags, nullptr));
-  EXPECT_EQ(flags, kSubmitFlagBlocking);
+  const auto d = batch_round_trip(w, kSubmitFlagBlocking, WireEncodeOptions{0.0048828125});
   EXPECT_EQ(d.patient_id, w.patient_id);
   EXPECT_EQ(d.window_index, w.window_index);
   EXPECT_EQ(d.matrix_seed, w.matrix_seed);
@@ -196,11 +216,7 @@ TEST(Frames, SubmitWindowRoundTripsBitExactly) {
 
 TEST(Frames, ResultRoundTripsBitExactly) {
   const auto res = sample_result();
-  const auto buf = encode_one([&](auto& b) { encode_result(b, res, WireEncodeOptions{}); });
-  const auto view = must_peek(buf);
-  EXPECT_EQ(view.type, FrameType::kResult);
-  host::WindowResult d;
-  ASSERT_TRUE(decode_result(view.payload, d, nullptr));
+  const auto d = result_round_trip(res);
   EXPECT_EQ(d.patient_id, res.patient_id);
   EXPECT_EQ(d.ticket, res.ticket);
   EXPECT_EQ(d.iterations, res.iterations);
@@ -216,39 +232,45 @@ TEST(Frames, RandomizedWindowsRoundTripBitExactly) {
   std::mt19937_64 rng(0xD5EADu);
   std::uniform_real_distribution<double> uniform(-5.0, 5.0);
   for (int iter = 0; iter < 200; ++iter) {
-    host::CompressedWindow w;
-    w.patient_id = static_cast<std::uint32_t>(rng());
-    w.window_index = static_cast<std::uint32_t>(rng());
-    w.matrix_seed = rng();
-    w.window_samples = static_cast<std::uint32_t>(rng() % 2048);
-    w.ones_per_column = 1 + static_cast<std::uint32_t>(rng() % 8);
-    w.priority = (rng() & 1) ? cs::WindowPriority::kUrgent : cs::WindowPriority::kRoutine;
-    w.route_tag = static_cast<std::uint32_t>(rng() % 4096);
-    const std::size_t m = rng() % 300;
-    for (std::size_t i = 0; i < m; ++i) w.measurements.push_back(uniform(rng));
-    if (rng() & 1) {
-      for (std::size_t i = 0; i < 64; ++i) w.reference.push_back(uniform(rng));
+    // Random batches of well-shaped windows: 1 <= m <= n, 1 <= d <= m.
+    std::vector<host::CompressedWindow> windows(1 + rng() % 4);
+    for (auto& w : windows) {
+      w.patient_id = static_cast<std::uint32_t>(rng());
+      w.window_index = static_cast<std::uint32_t>(rng());
+      w.matrix_seed = rng();
+      w.window_samples = 1 + static_cast<std::uint32_t>(rng() % 2048);
+      const std::size_t m = 1 + rng() % std::min<std::size_t>(300, w.window_samples);
+      w.ones_per_column = 1 + static_cast<std::uint32_t>(rng() % std::min<std::size_t>(8, m));
+      w.priority = (rng() & 1) ? cs::WindowPriority::kUrgent : cs::WindowPriority::kRoutine;
+      w.route_tag = static_cast<std::uint32_t>(rng() % 4096);
+      for (std::size_t i = 0; i < m; ++i) w.measurements.push_back(uniform(rng));
+      if (rng() & 1) {
+        for (std::size_t i = 0; i < w.window_samples; ++i) w.reference.push_back(uniform(rng));
+      }
     }
     // Half the iterations offer a fixed scale the data won't fit: the
     // encoder must fall back and stay bit-exact regardless.
     WireEncodeOptions opts{(rng() & 1) ? 0.001 : 0.0};
     std::vector<std::uint8_t> buf;
-    encode_submit_window(buf, w, 0, opts);
+    encode_submit_batch(buf, windows, 0, opts);
     const auto view = must_peek(buf);
-    host::CompressedWindow d;
     std::uint8_t flags = 0;
-    ASSERT_TRUE(decode_submit_window(view.payload, d, flags, nullptr));
-    ASSERT_EQ(d.measurements.size(), w.measurements.size());
-    if (!w.measurements.empty()) {
+    std::vector<host::CompressedWindow> decoded;
+    ASSERT_TRUE(decode_submit_batch(view.payload, flags, decoded, nullptr));
+    ASSERT_EQ(decoded.size(), windows.size());
+    for (std::size_t k = 0; k < windows.size(); ++k) {
+      const auto& w = windows[k];
+      const auto& d = decoded[k];
+      ASSERT_EQ(d.measurements.size(), w.measurements.size());
       EXPECT_EQ(std::memcmp(d.measurements.data(), w.measurements.data(),
                             w.measurements.size() * sizeof(double)),
                 0);
-    }
-    ASSERT_EQ(d.reference.size(), w.reference.size());
-    if (!w.reference.empty()) {
-      EXPECT_EQ(std::memcmp(d.reference.data(), w.reference.data(),
-                            w.reference.size() * sizeof(double)),
-                0);
+      ASSERT_EQ(d.reference.size(), w.reference.size());
+      if (!w.reference.empty()) {
+        EXPECT_EQ(std::memcmp(d.reference.data(), w.reference.data(),
+                              w.reference.size() * sizeof(double)),
+                  0);
+      }
     }
   }
 }
@@ -259,21 +281,96 @@ TEST(Frames, MaxSizeVarintFieldsRoundTrip) {
   w.window_index = std::numeric_limits<std::uint32_t>::max();
   w.matrix_seed = std::numeric_limits<std::uint64_t>::max();
   w.route_tag = std::numeric_limits<std::uint32_t>::max();
-  std::vector<std::uint8_t> buf;
-  encode_submit_window(buf, w, 0xFF, WireEncodeOptions{});
-  const auto view = must_peek(buf);
-  host::CompressedWindow d;
-  std::uint8_t flags = 0;
-  ASSERT_TRUE(decode_submit_window(view.payload, d, flags, nullptr));
+  const auto d = batch_round_trip(w, 0xFF, WireEncodeOptions{});
   EXPECT_EQ(d.patient_id, w.patient_id);
+  EXPECT_EQ(d.window_index, w.window_index);
   EXPECT_EQ(d.matrix_seed, w.matrix_seed);
-  EXPECT_EQ(flags, 0xFF);
+  EXPECT_EQ(d.route_tag, w.route_tag);
 
   std::vector<std::uint8_t> ack;
-  encode_submit_ack(ack, std::numeric_limits<std::uint64_t>::max());
-  std::uint64_t ticket = 0;
-  ASSERT_TRUE(decode_submit_ack(must_peek(ack).payload, ticket));
-  EXPECT_EQ(ticket, std::numeric_limits<std::uint64_t>::max());
+  encode_submit_batch_ack(
+      ack, std::vector<SubmitBatchAckEntry>{{true, std::numeric_limits<std::uint64_t>::max()}});
+  std::vector<SubmitBatchAckEntry> entries;
+  ASSERT_TRUE(decode_submit_batch_ack(must_peek(ack).payload, entries));
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].local_ticket, std::numeric_limits<std::uint64_t>::max());
+}
+
+/// A SUBMIT_BATCH payload holding one window body written field by field,
+/// so a test can put shapes on the wire that the engine must never see.
+std::vector<std::uint8_t> raw_batch_payload(std::uint64_t n, std::uint64_t d,
+                                            std::span<const double> measurements,
+                                            const std::vector<double>* reference) {
+  std::vector<std::uint8_t> payload;
+  // flags, count, then patient_id, window_index, matrix_seed, n, d,
+  // priority and route_tag.
+  put_u8(payload, kSubmitFlagBlocking);
+  put_varint(payload, 1);
+  put_varint(payload, 42);
+  put_varint(payload, 7);
+  put_varint(payload, 0xC0FFEE);
+  put_varint(payload, n);
+  put_varint(payload, d);
+  put_u8(payload, static_cast<std::uint8_t>(cs::WindowPriority::kRoutine));
+  put_varint(payload, 0);
+  encode_values(payload, measurements, WireEncodeOptions{});
+  if (reference == nullptr) {
+    encode_values_absent(payload);
+  } else {
+    encode_values(payload, *reference, WireEncodeOptions{});
+  }
+  return payload;
+}
+
+TEST(Frames, HostileWindowShapesAreMalformed) {
+  const auto decodes = [](const std::vector<std::uint8_t>& payload) {
+    std::uint8_t flags = 0;
+    std::vector<host::CompressedWindow> out;
+    return decode_submit_batch(payload, flags, out, nullptr);
+  };
+  const std::vector<double> m8(8, 0.5);
+  const std::vector<double> m1(1, 0.5);
+  const std::vector<double> none;
+  const std::vector<double> ref16(16, 0.25);
+  const std::vector<double> ref15(15, 0.25);
+
+  // Well-shaped edges decode: m == n, d == m, a full-length reference,
+  // and the largest window and density the format admits.
+  EXPECT_TRUE(decodes(raw_batch_payload(16, 4, m8, nullptr)));
+  EXPECT_TRUE(decodes(raw_batch_payload(16, 8, m8, &ref16)));
+  EXPECT_TRUE(decodes(raw_batch_payload(8, 8, m8, nullptr)));
+  const std::vector<double> m64(kMaxOnesPerColumn, 0.5);
+  EXPECT_TRUE(decodes(raw_batch_payload(kMaxWindowSamples, kMaxOnesPerColumn, m64, nullptr)));
+
+  // No measurements, or more measurements than samples.
+  EXPECT_FALSE(decodes(raw_batch_payload(16, 1, none, nullptr)));
+  EXPECT_FALSE(decodes(raw_batch_payload(4, 1, m8, nullptr)));
+  // A window longer than any node emits.
+  EXPECT_FALSE(decodes(raw_batch_payload(kMaxWindowSamples + 1, 1, m1, nullptr)));
+  EXPECT_FALSE(decodes(raw_batch_payload(std::numeric_limits<std::uint32_t>::max(), 1, m1,
+                                         nullptr)));
+  // A shape varint past 32 bits must not wrap into a valid u32 shape.
+  EXPECT_FALSE(decodes(raw_batch_payload((std::uint64_t{1} << 32) + 16, 4, m8, nullptr)));
+  EXPECT_FALSE(decodes(raw_batch_payload(16, (std::uint64_t{1} << 32) + 4, m8, nullptr)));
+  // Column density: zero, above m (the sensing-matrix build would never
+  // finish placing distinct rows), and above the cap.
+  EXPECT_FALSE(decodes(raw_batch_payload(16, 0, m8, nullptr)));
+  EXPECT_FALSE(decodes(raw_batch_payload(16, 9, m8, nullptr)));
+  const std::vector<double> m100(100, 0.5);
+  EXPECT_FALSE(decodes(raw_batch_payload(100, kMaxOnesPerColumn + 1, m100, nullptr)));
+  // A reference must be ABSENT or exactly n samples — a coded empty
+  // vector is neither.
+  EXPECT_FALSE(decodes(raw_batch_payload(16, 4, m8, &ref15)));
+  EXPECT_FALSE(decodes(raw_batch_payload(16, 4, m8, &none)));
+
+  // The batch count is bounded by the smallest possible body, not by one
+  // byte per entry: 20 payload bytes cannot hold two windows.
+  std::vector<std::uint8_t> header{kSubmitFlagBlocking, 2};
+  header.resize(22, 0);
+  WireReader r(header);
+  std::uint8_t flags = 0;
+  std::uint64_t count = 0;
+  EXPECT_FALSE(decode_submit_batch_header(r, flags, count));
 }
 
 TEST(Frames, ControlFramesRoundTrip) {
@@ -340,7 +437,9 @@ TEST(Frames, ControlFramesRoundTrip) {
   }
 }
 
-// --- v2 batched frames -------------------------------------------------------
+// --- Batched data frames -----------------------------------------------------
+// (The FramesV2 suite name dates from the protocol version that introduced
+// these frames.)
 
 std::vector<host::CompressedWindow> sample_batch() {
   std::vector<host::CompressedWindow> windows;
@@ -360,7 +459,7 @@ TEST(FramesV2, SubmitBatchRoundTripsBitExactly) {
       [&](auto& b) { encode_submit_batch(b, windows, kSubmitFlagBlocking, opts); });
   const auto view = must_peek(buf);
   EXPECT_EQ(view.type, FrameType::kSubmitBatch);
-  EXPECT_EQ(view.version, 2) << "v2 frames declare the version that defined their layout";
+  EXPECT_EQ(view.version, kWireVersion);
 
   std::uint8_t flags = 0;
   std::vector<host::CompressedWindow> decoded;
@@ -416,7 +515,7 @@ TEST(FramesV2, SubmitBatchAckRoundTrips) {
   const auto buf = encode_one([&](auto& b) { encode_submit_batch_ack(b, entries); });
   const auto view = must_peek(buf);
   EXPECT_EQ(view.type, FrameType::kSubmitBatchAck);
-  EXPECT_EQ(view.version, 2);
+  EXPECT_EQ(view.version, kWireVersion);
   std::vector<SubmitBatchAckEntry> decoded;
   ASSERT_TRUE(decode_submit_batch_ack(view.payload, decoded));
   ASSERT_EQ(decoded.size(), entries.size());
@@ -433,7 +532,7 @@ TEST(FramesV2, PollManyAndResultBatchRoundTrip) {
     const auto buf = encode_one([](auto& b) { encode_poll_many(b, 48); });
     const auto view = must_peek(buf);
     EXPECT_EQ(view.type, FrameType::kPollMany);
-    EXPECT_EQ(view.version, 2);
+    EXPECT_EQ(view.version, kWireVersion);
     std::uint32_t max_results = 0;
     ASSERT_TRUE(decode_poll_many(view.payload, max_results));
     EXPECT_EQ(max_results, 48u);
@@ -474,7 +573,7 @@ TEST(FramesV2, CrHintRoundTripsBitExactly) {
       encode_one([](auto& b) { encode_cr_hint(b, /*epoch=*/7, /*max_entries=*/64); });
   const auto view = must_peek(buf);
   EXPECT_EQ(view.type, FrameType::kCrHint);
-  EXPECT_EQ(view.version, 2);  // v2-only verb: a v1 server refuses it.
+  EXPECT_EQ(view.version, kWireVersion);
   std::uint64_t epoch = 0;
   std::uint32_t max_entries = 0;
   ASSERT_TRUE(decode_cr_hint(view.payload, epoch, max_entries));
@@ -492,7 +591,7 @@ TEST(FramesV2, CrHintAckRoundTripsBitExactly) {
     const auto buf = encode_one([&](auto& b) { encode_cr_hint_ack(b, ack); });
     const auto view = must_peek(buf);
     EXPECT_EQ(view.type, FrameType::kCrHintAck);
-    EXPECT_EQ(view.version, 2);
+    EXPECT_EQ(view.version, kWireVersion);
     CrHintAckPayload decoded;
     ASSERT_TRUE(decode_cr_hint_ack(view.payload, decoded));
     EXPECT_EQ(decoded.epoch, ack.epoch);
@@ -520,7 +619,7 @@ TEST(FramesV2, HealthRoundTripsBitExactly) {
       encode_one([](auto& b) { encode_health(b, /*nonce=*/0xFEEDFACE12ull); });
   const auto view = must_peek(buf);
   EXPECT_EQ(view.type, FrameType::kHealth);
-  EXPECT_EQ(view.version, 2);  // v2-only verb: a v1 server refuses it.
+  EXPECT_EQ(view.version, kWireVersion);
   std::uint64_t nonce = 0;
   ASSERT_TRUE(decode_health(view.payload, nonce));
   EXPECT_EQ(nonce, 0xFEEDFACE12ull);
@@ -534,7 +633,7 @@ TEST(FramesV2, HealthAckRoundTripsBitExactly) {
   const auto buf = encode_one([&](auto& b) { encode_health_ack(b, ack); });
   const auto view = must_peek(buf);
   EXPECT_EQ(view.type, FrameType::kHealthAck);
-  EXPECT_EQ(view.version, 2);
+  EXPECT_EQ(view.version, kWireVersion);
   HealthAckPayload decoded;
   ASSERT_TRUE(decode_health_ack(view.payload, decoded));
   EXPECT_EQ(decoded.nonce, ack.nonce);
@@ -603,7 +702,7 @@ TEST(FramesV2, OverstatedCountsAreMalformedNotOverreads) {
 
 TEST(Framing, TruncatedFramesWantMoreBytes) {
   const std::vector<std::vector<std::uint8_t>> frames{
-      encode_one([](auto& b) { encode_poll(b, 32); }),
+      encode_one([](auto& b) { encode_hello(b, HelloPayload{}); }),
       encode_one([](auto& b) { encode_poll_many(b, 32); }),
       encode_one([](auto& b) {
         encode_submit_batch(b, sample_batch(), kSubmitFlagBlocking,
@@ -632,7 +731,7 @@ TEST(Framing, TruncatedFramesWantMoreBytes) {
 
 TEST(Framing, EveryFlippedBitIsRejected) {
   const std::vector<std::vector<std::uint8_t>> frames{
-      encode_one([](auto& b) { encode_submit_ack(b, 0xDEADBEEF); }),
+      encode_one([](auto& b) { encode_poll_many(b, 0xDEADBEEF); }),
       encode_one([](auto& b) {
         encode_submit_batch_ack(b, std::vector<SubmitBatchAckEntry>{{true, 7}, {false, 0}});
       }),
@@ -662,23 +761,27 @@ TEST(Framing, EveryFlippedBitIsRejected) {
 }
 
 TEST(Framing, UnknownVersionIsSurfacedNotGuessed) {
-  auto buf = encode_one([](auto& b) { encode_poll(b, 1); });
-  buf[2] = kWireVersionMax + 1;  // Future version past everything we speak...
-  // ...with a correct CRC (a real future sender would checksum correctly).
-  const std::uint32_t crc = crc32c(buf.data(), buf.size() - kFrameTrailerBytes);
-  buf[buf.size() - 4] = static_cast<std::uint8_t>(crc);
-  buf[buf.size() - 3] = static_cast<std::uint8_t>(crc >> 8);
-  buf[buf.size() - 2] = static_cast<std::uint8_t>(crc >> 16);
-  buf[buf.size() - 1] = static_cast<std::uint8_t>(crc >> 24);
-  FrameView view;
-  EXPECT_EQ(peek_frame(buf, view), FrameStatus::kBadVersion);
-  EXPECT_EQ(view.version, kWireVersionMax + 1);
-  EXPECT_EQ(view.frame_bytes, buf.size());  // Skippable without a guess.
+  // Any header version but kWireVersion — an earlier one or a future one —
+  // with a correct CRC (a real sender would checksum correctly).
+  for (const std::uint8_t version : {std::uint8_t{1}, std::uint8_t{2},
+                                     std::uint8_t{kWireVersion + 1}}) {
+    auto buf = encode_one([](auto& b) { encode_poll_many(b, 1); });
+    buf[2] = version;
+    const std::uint32_t crc = crc32c(buf.data(), buf.size() - kFrameTrailerBytes);
+    buf[buf.size() - 4] = static_cast<std::uint8_t>(crc);
+    buf[buf.size() - 3] = static_cast<std::uint8_t>(crc >> 8);
+    buf[buf.size() - 2] = static_cast<std::uint8_t>(crc >> 16);
+    buf[buf.size() - 1] = static_cast<std::uint8_t>(crc >> 24);
+    FrameView view;
+    EXPECT_EQ(peek_frame(buf, view), FrameStatus::kBadVersion);
+    EXPECT_EQ(view.version, version);
+    EXPECT_EQ(view.frame_bytes, buf.size());  // Skippable without a guess.
+  }
 }
 
 TEST(Framing, OversizedLengthRejectedBeforeBuffering) {
   std::vector<std::uint8_t> buf{kMagic0, kMagic1, kWireVersion,
-                                static_cast<std::uint8_t>(FrameType::kPoll),
+                                static_cast<std::uint8_t>(FrameType::kPollMany),
                                 0xFF, 0xFF, 0xFF, 0x7F};
   FrameView view;
   EXPECT_EQ(peek_frame(buf, view), FrameStatus::kOversized);
@@ -699,20 +802,12 @@ struct Golden {
 
 std::vector<Golden> golden_set() {
   std::vector<Golden> set;
-  set.push_back({"hello.bin", encode_one([](auto& b) { encode_hello(b, HelloPayload{1, 1}); })});
-  set.push_back({"hello_ack.bin", encode_one([](auto& b) { encode_hello_ack(b, 1); })});
+  set.push_back({"hello.bin", encode_one([](auto& b) { encode_hello(b, HelloPayload{}); })});
+  set.push_back({"hello_ack.bin", encode_one([](auto& b) { encode_hello_ack(b, kWireVersion); })});
   set.push_back({"error_unsupported_version.bin", encode_one([](auto& b) {
                    encode_error(b, ErrorPayload{ErrorCode::kUnsupportedVersion,
                                                 "no mutual wire version"});
                  })});
-  set.push_back({"submit_window_fixed16.bin", encode_one([](auto& b) {
-                   encode_submit_window(b, sample_window(), kSubmitFlagBlocking,
-                                        WireEncodeOptions{0.0048828125});
-                 })});
-  set.push_back({"result_float64.bin", encode_one([](auto& b) {
-                   encode_result(b, sample_result(), WireEncodeOptions{});
-                 })});
-  set.push_back({"poll.bin", encode_one([](auto& b) { encode_poll(b, 64); })});
   set.push_back({"slo_state.bin", encode_one([](auto& b) {
                    SloStatePayload slo;
                    slo.patient_id = 42;
@@ -741,7 +836,6 @@ std::vector<Golden> golden_set() {
                    encode_snapshot(b, s);
                  })});
   set.push_back({"bye.bin", encode_one([](auto& b) { encode_bye(b); })});
-  // v2 batched frames (header version byte = 2).
   set.push_back({"submit_batch.bin", encode_one([](auto& b) {
                    encode_submit_batch(b, sample_batch(), kSubmitFlagBlocking,
                                        WireEncodeOptions{0.0048828125});
@@ -806,16 +900,18 @@ TEST(Golden, CommittedFramesMatchEncoderByteForByte) {
 TEST(Golden, CommittedSubmitWindowDecodesIndependently) {
   // Decode the *file*, not the encoder's output: proves a fresh decoder
   // implementation agrees with the committed spec fixtures.
-  std::ifstream in(golden_dir() + "/submit_window_fixed16.bin", std::ios::binary);
+  std::ifstream in(golden_dir() + "/submit_batch.bin", std::ios::binary);
   ASSERT_TRUE(in.good());
   std::vector<std::uint8_t> disk((std::istreambuf_iterator<char>(in)),
                                  std::istreambuf_iterator<char>());
   FrameView view;
   ASSERT_EQ(peek_frame(disk, view), FrameStatus::kOk);
-  ASSERT_EQ(view.type, FrameType::kSubmitWindow);
-  host::CompressedWindow w;
+  ASSERT_EQ(view.type, FrameType::kSubmitBatch);
   std::uint8_t flags = 0;
-  ASSERT_TRUE(decode_submit_window(view.payload, w, flags, nullptr));
+  std::vector<host::CompressedWindow> windows;
+  ASSERT_TRUE(decode_submit_batch(view.payload, flags, windows, nullptr));
+  ASSERT_EQ(windows.size(), 3u);
+  const auto& w = windows.front();
   const auto expect = sample_window();
   EXPECT_EQ(flags, kSubmitFlagBlocking);
   EXPECT_EQ(w.patient_id, expect.patient_id);
