@@ -1,6 +1,7 @@
 #include "net/routing_client.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <thread>
 #include <utility>
 
@@ -10,8 +11,18 @@ namespace wbsn::net {
 
 namespace {
 constexpr std::size_t kRecvChunk = 64 * 1024;
-/// Results requested per POLL_MANY sweep of one shard.
+/// Results requested per POLL_MANY.
 constexpr std::uint32_t kPollBatch = 64;
+
+/// The POLL_MANY frame, encoded once: it never changes.
+const std::vector<std::uint8_t>& poll_frame() {
+  static const std::vector<std::uint8_t> frame = [] {
+    std::vector<std::uint8_t> buf;
+    encode_poll_many(buf, kPollBatch);
+    return buf;
+  }();
+  return frame;
+}
 
 void accumulate(SnapshotPayload& into, const SnapshotPayload& s) {
   into.submitted += s.submitted;
@@ -173,6 +184,7 @@ bool RoutingClient::reconnect(Conn& conn) {
   if (conn.failed) return false;  // Declared dead: never resurrected.
   conn.fd.reset();
   conn.rx.clear();
+  conn.polls_owed = 0;  // Their answers died with the old connection.
   // Pipelined submits whose ACK was outstanding on the dead connection
   // are lost, never retried (a retry could double-submit): their tickets
   // resolve to nullopt at the next flush_submits().
@@ -235,6 +247,16 @@ bool RoutingClient::read_frame(Conn& conn, std::vector<std::uint8_t>& frame,
     FrameView peek;
     const auto status = peek_frame(conn.rx, peek);
     if (status == FrameStatus::kOk) {
+      if (peek.type == FrameType::kResultBatch && conn.polls_owed > 0) {
+        // An armed poll's answer precedes whatever this read waits for.
+        const bool ok = absorb_results(conn, peek);
+        conn.rx.erase(conn.rx.begin(), conn.rx.begin() + peek.frame_bytes);
+        if (!ok) {
+          conn.fd.reset();
+          return false;
+        }
+        continue;
+      }
       frame.assign(conn.rx.begin(), conn.rx.begin() + peek.frame_bytes);
       conn.rx.erase(conn.rx.begin(), conn.rx.begin() + peek.frame_bytes);
       // Re-peek against the stable copy so the view outlives conn.rx.
@@ -315,15 +337,20 @@ bool RoutingClient::seal_batch(Conn& conn) {
   encode_submit_batch_prefix(prefix, kSubmitFlagBlocking, conn.staged_count,
                              conn.staged_bodies.size());
   encode_submit_batch_trailer(trailer, prefix, conn.staged_bodies);
-  const ConstBuf bufs[3] = {{prefix.data(), prefix.size()},
+  // This batch releases an armed poll (the shard answers it first), so a
+  // fresh POLL_MANY rides behind the batch in the same write: a result
+  // that completes after the ACK still finds a poll waiting for it.
+  const bool rearm = conn.polls_owed > 0;
+  const ConstBuf bufs[4] = {{prefix.data(), prefix.size()},
                             {conn.staged_bodies.data(), conn.staged_bodies.size()},
-                            {trailer.data(), trailer.size()}};
-  // The sealed batch is one frame on the wire: one fault-hook boundary.
+                            {trailer.data(), trailer.size()},
+                            {poll_frame().data(), rearm ? poll_frame().size() : 0}};
+  // The sealed batch is one send: one fault-hook boundary.
   if (cfg_.fault_inject && cfg_.fault_inject(conn.index, conn.frames_sent)) {
     conn.fd.reset();
   }
   ++conn.frames_sent;
-  const bool sent = conn.fd.valid() && send_all_vec(conn.fd.get(), bufs, 3);
+  const bool sent = conn.fd.valid() && send_all_vec(conn.fd.get(), bufs, 4);
   conn.staged_bodies.clear();
   const auto batch_windows = static_cast<std::size_t>(conn.staged_count);
   conn.staged_count = 0;
@@ -333,6 +360,7 @@ bool RoutingClient::seal_batch(Conn& conn) {
     return false;
   }
   conn.outstanding_counts.push_back(batch_windows);
+  if (rearm) ++conn.polls_owed;
   // Bounded outgoing window: at most pipeline_depth unacknowledged frames
   // ride the wire; beyond that the submitter absorbs the shard's pace.
   while (conn.outstanding_counts.size() > cfg_.pipeline_depth) {
@@ -431,20 +459,10 @@ std::uint64_t RoutingClient::compose_result_ticket(const host::WindowResult& res
   return host::ReconstructionFabric::compose_ticket(e, shard, result.ticket);
 }
 
-bool RoutingClient::sweep_shard(Conn& conn) {
-  (void)sync_pipeline(conn);
-  // One POLL_MANY, one RESULT_BATCH — up to kPollBatch results per trip.
-  std::vector<std::uint8_t> buf;
-  encode_poll_many(buf, kPollBatch);
-  if (!send_request(conn, buf, /*may_retry=*/true)) return false;
-  std::vector<std::uint8_t> frame;
-  FrameView view;
+bool RoutingClient::absorb_results(Conn& conn, const FrameView& view) {
+  --conn.polls_owed;
   std::vector<host::WindowResult> results;
-  if (!read_frame(conn, frame, view) || view.type != FrameType::kResultBatch ||
-      !decode_result_batch(view.payload, results, cfg_.payload_pool.get())) {
-    conn.fd.reset();
-    return false;
-  }
+  if (!decode_result_batch(view.payload, results, cfg_.payload_pool.get())) return false;
   for (auto& result : results) {
     result.ticket = compose_result_ticket(result);
     pending_.push_back(std::move(result));
@@ -453,12 +471,45 @@ bool RoutingClient::sweep_shard(Conn& conn) {
   return true;
 }
 
+bool RoutingClient::collect(Conn& conn) {
+  (void)sync_pipeline(conn);
+  std::uint8_t chunk[kRecvChunk];
+  while (conn.fd.valid() && conn.polls_owed > 0) {
+    FrameView view;
+    const auto status = peek_frame(conn.rx, view);
+    if (status == FrameStatus::kNeedMore) {
+      const long n = recv_some(conn.fd.get(), chunk, sizeof(chunk), /*wait=*/false);
+      if (n > 0) {
+        conn.rx.insert(conn.rx.end(), chunk, chunk + n);
+        continue;
+      }
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;  // Not answered yet.
+      conn.fd.reset();  // Orderly close or hard error: the shard is gone.
+      return false;
+    }
+    // The pipeline is synced, so only armed polls' answers are owed here.
+    if (status != FrameStatus::kOk || view.type != FrameType::kResultBatch ||
+        !absorb_results(conn, view)) {
+      conn.fd.reset();
+      return false;
+    }
+    conn.rx.erase(conn.rx.begin(), conn.rx.begin() + view.frame_bytes);
+  }
+  // Arm only while the shard holds windows not yet retrieved, and only one.
+  if (conn.acked_submits <= conn.retrieved || (conn.fd.valid() && conn.polls_owed > 0)) {
+    return true;
+  }
+  if (!send_request(conn, poll_frame(), /*may_retry=*/true)) return false;
+  ++conn.polls_owed;
+  return true;
+}
+
 std::optional<host::WindowResult> RoutingClient::poll() {
   if (pending_.empty()) {
     for (std::size_t shard = 0; shard < conns_.size(); ++shard) {
       Conn& conn = *conns_[shard];
       if (conn.failed) continue;
-      if (!sweep_shard(conn) && cfg_.auto_failover) (void)fail_shard(shard);
+      if (!collect(conn) && cfg_.auto_failover) (void)fail_shard(shard);
     }
   }
   if (pending_.empty()) return std::nullopt;
@@ -470,40 +521,37 @@ std::optional<host::WindowResult> RoutingClient::poll() {
 std::vector<host::WindowResult> RoutingClient::drain() {
   std::vector<host::WindowResult> all;
   for (;;) {
-    // Sweep every live shard, then check fleet-wide quiescence.
-    for (std::size_t shard = 0; shard < conns_.size(); ++shard) {
-      Conn& conn = *conns_[shard];
-      if (conn.failed) continue;
-      if (!sweep_shard(conn) && cfg_.auto_failover) (void)fail_shard(shard);
-    }
-    while (!pending_.empty()) {
-      all.push_back(std::move(pending_.front()));
-      pending_.pop_front();
-    }
+    // One write per live shard sweeps its ready results and snapshots
+    // what is left; the fleet is quiesced when no shard has anything left.
     bool quiesced = true;
     for (std::size_t shard = 0; shard < conns_.size(); ++shard) {
       Conn& conn = *conns_[shard];
       if (conn.failed) continue;
       SnapshotPayload snap;
-      if (!fetch_snapshot(conn, snap)) {
+      if (!fetch_snapshot(conn, snap, /*sweep=*/true)) {
         if (cfg_.auto_failover) (void)fail_shard(shard);
         continue;  // Unreachable: nothing left to wait on there.
       }
-      if (snap.unsolved > 0 || snap.ready > 0) {
-        quiesced = false;
-        break;
-      }
+      if (snap.unsolved > 0 || snap.ready > 0) quiesced = false;
+    }
+    while (!pending_.empty()) {
+      all.push_back(std::move(pending_.front()));
+      pending_.pop_front();
     }
     if (quiesced) return all;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 }
 
-bool RoutingClient::fetch_snapshot(Conn& conn, SnapshotPayload& out) {
+bool RoutingClient::fetch_snapshot(Conn& conn, SnapshotPayload& out, bool sweep) {
   (void)sync_pipeline(conn);
   std::vector<std::uint8_t> buf;
+  // The snapshot releases an armed poll, so a sweep needs no second one.
+  const bool arm = sweep && (!conn.fd.valid() || conn.polls_owed == 0);
+  if (arm) buf = poll_frame();
   encode_snapshot_request(buf);
   if (!send_request(conn, buf, /*may_retry=*/true)) return false;
+  if (arm) ++conn.polls_owed;
   std::vector<std::uint8_t> frame;
   FrameView view;
   return read_frame(conn, frame, view) && view.type == FrameType::kSnapshot &&
@@ -638,12 +686,11 @@ bool RoutingClient::retire(Conn& conn) {
   // final counters into the retired accumulator, and dismiss it.
   for (;;) {
     SnapshotPayload snap;
-    if (!fetch_snapshot(conn, snap)) return false;
+    if (!fetch_snapshot(conn, snap, /*sweep=*/true)) return false;
     if (snap.unsolved == 0 && snap.ready == 0) {
       accumulate(retired_, snap);
       break;
     }
-    if (!sweep_shard(conn)) return false;
   }
   std::vector<std::uint8_t> buf;
   encode_bye(buf);

@@ -1,6 +1,6 @@
 // RoutingClient — the coordinator half of the cross-machine fabric.
 //
-// Speaks wbsn-wire v3 to a fleet of ShardServer processes and presents
+// Speaks wbsn-wire v4 to a fleet of ShardServer processes and presents
 // the same submit/poll/drain surface as host::ReconstructionFabric, with
 // the same placement guarantees proven for the in-process fabric:
 //
@@ -49,6 +49,16 @@
 //     other verb on a shard syncs its pipeline first (responses are
 //     per-connection ordered).  submit() is the same path with a
 //     one-window frame, sealed and acknowledged before it returns.
+//   * Results come back by long-poll.  While a shard holds windows this
+//     client has not retrieved, the client keeps one POLL_MANY armed
+//     there; the shard answers it as soon as a result is ready, and
+//     poll() picks the answer up with a non-blocking read — it never
+//     waits on a shard.  Any later request on the connection makes the
+//     shard release the armed poll first (possibly empty), so every read
+//     absorbs RESULT_BATCH frames owed to armed polls before the frame it
+//     is waiting for.  A SUBMIT_BATCH sealed while a poll is armed
+//     carries a fresh POLL_MANY in the same write, so the poll stays armed
+//     across submits.
 //
 // Threading: single-coordinator by design, like the reshard protocol
 // itself — one thread owns the client; it is not thread-safe.  Sockets
@@ -107,8 +117,9 @@ struct RoutingClientConfig {
   /// Deterministic fault hook for tests: called before every frame send
   /// with (shard index, frames already sent on that connection); returning
   /// true tears the connection down at that exact frame boundary, so a
-  /// mid-stream crash can be scripted and replayed bit-for-bit.  Unset in
-  /// production.
+  /// mid-stream crash can be scripted and replayed bit-for-bit.  A
+  /// POLL_MANY riding behind a SUBMIT_BATCH shares its send and its count.
+  /// Unset in production.
   std::function<bool(std::size_t, std::uint64_t)> fault_inject;
   /// Pipelined submit window: maximum unacknowledged SUBMIT_BATCH frames
   /// per shard before submit_pipelined harvests an ACK.  0 (default)
@@ -176,7 +187,8 @@ class RoutingClient {
   std::vector<std::optional<std::uint64_t>> flush_submits();
 
   /// One completed result in arrival order across shards, or nullopt when
-  /// none is ready anywhere right now.
+  /// none has arrived yet.  Never blocks on a shard: it reads answers the
+  /// shards already sent and arms a POLL_MANY where windows are pending.
   std::optional<host::WindowResult> poll();
 
   /// Polls until every shard reports quiescence (nothing unsolved, nothing
@@ -269,7 +281,12 @@ class RoutingClient {
     std::uint64_t acked_submits = 0;  ///< Windows the shard acknowledged.
     std::uint64_t retrieved = 0;      ///< Results polled back from it.
     std::uint64_t rejected_seen = 0;  ///< Windows it rejected.
-    std::uint64_t frames_sent = 0;    ///< Sends attempted (fault-hook clock).
+    /// Sends attempted (fault-hook clock).  A POLL_MANY riding behind a
+    /// SUBMIT_BATCH shares its send.
+    std::uint64_t frames_sent = 0;
+    /// POLL_MANY answers not yet read.  Meaningful only while fd is
+    /// valid: reconnect() clears it with rx.
+    std::uint32_t polls_owed = 0;
     std::uint64_t health_nonce = 0;   ///< Last probe nonce issued.
     // Submit pipeline state.  staged_bodies holds
     // encoded window bodies not yet sealed into a frame; pending_submits
@@ -287,10 +304,16 @@ class RoutingClient {
   /// Sends `buf`; one reconnect-and-resend on failure when `may_retry`.
   bool send_request(Conn& conn, const std::vector<std::uint8_t>& buf, bool may_retry);
   /// Blocks until one complete frame is buffered; fills `frame` (a copy,
-  /// stable against further reads) and parses it into `view`.
+  /// stable against further reads) and parses it into `view`.  RESULT_BATCH
+  /// answers owed to armed polls are absorbed on the way.
   bool read_frame(Conn& conn, std::vector<std::uint8_t>& frame, FrameView& view);
-  /// One POLL_MANY round trip pulling results into pending_.
-  bool sweep_shard(Conn& conn);
+  /// Decodes one RESULT_BATCH (the answer to the oldest owed poll) into
+  /// pending_.
+  bool absorb_results(Conn& conn, const FrameView& view);
+  /// poll()'s per-shard step: absorbs the answers that have already
+  /// arrived without blocking, then arms a POLL_MANY if windows are still
+  /// pending there and none is armed.
+  bool collect(Conn& conn);
   /// Encodes `window` (tagged with the current epoch) into conn's staged
   /// frame and queues its ticket record in pipeline_submits_.
   void stage(Conn& conn, host::CompressedWindow& window);
@@ -308,7 +331,10 @@ class RoutingClient {
   std::uint64_t compose_result_ticket(const host::WindowResult& result);
   bool drain_and_move_patient(std::uint32_t patient_id, Conn& from, Conn& to);
   bool retire(Conn& conn);
-  bool fetch_snapshot(Conn& conn, SnapshotPayload& out);
+  /// One SNAPSHOT round trip.  With `sweep`, a POLL_MANY rides in the same
+  /// write (unless one is armed already); the snapshot releases it, so its
+  /// results are absorbed first and the snapshot counts what is left.
+  bool fetch_snapshot(Conn& conn, SnapshotPayload& out, bool sweep = false);
 
   RoutingClientConfig cfg_;
   std::vector<std::unique_ptr<Conn>> conns_;  ///< Index == shard index.

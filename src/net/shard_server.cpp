@@ -69,8 +69,10 @@ void ShardServer::run() {
       break;
     }
     if (pfds[0].revents & POLLIN) {
+      // A short read emptied the pipe; only a full one may have left bytes.
       char scratch[64];
-      while (::read(wake_rd_.get(), scratch, sizeof(scratch)) > 0) {
+      while (::read(wake_rd_.get(), scratch, sizeof(scratch)) ==
+             static_cast<ssize_t>(sizeof(scratch))) {
       }
     }
     // The external stop descriptor became readable: a signal handler asked
@@ -116,14 +118,18 @@ void ShardServer::run() {
     // Deferred completions: re-run every parked verb (the engine's
     // progress hook — or any socket event — woke us).  When one finishes,
     // frames queued behind it on the same connection may now proceed.
+    // Then answer parked polls that now have a result to carry.
     for (auto& c : conns_) {
-      if (!c->fd.valid() || c->deferred == Connection::Deferred::kNone) continue;
-      advance_deferred(*c);
-      if (c->deferred != Connection::Deferred::kNone) continue;
-      if (!process_rx(*c)) {
-        c->fd.reset();
-        continue;
+      if (!c->fd.valid()) continue;
+      if (c->deferred != Connection::Deferred::kNone) {
+        advance_deferred(*c);
+        if (c->deferred != Connection::Deferred::kNone) continue;
+        if (!process_rx(*c)) {
+          c->fd.reset();
+          continue;
+        }
       }
+      if (c->parked_poll != 0 && engine_->ready_results() > 0) answer_poll(*c);
       flush(*c);
     }
     std::erase_if(conns_, [](const std::unique_ptr<Connection>& c) { return !c->fd.valid(); });
@@ -143,6 +149,8 @@ bool ShardServer::process_rx(Connection& conn) {
     const auto status =
         peek_frame({conn.rx.data() + consumed, conn.rx.size() - consumed}, frame);
     if (status == FrameStatus::kNeedMore) break;
+    // The next frame releases a parked poll: its answer goes first.
+    if (conn.parked_poll != 0) answer_poll(conn);
     if (status == FrameStatus::kBadVersion) {
       // Structurally sound frame in a version we don't speak: refuse it
       // in-band and drop the connection — frame semantics may have
@@ -225,7 +233,10 @@ void ShardServer::handle_frame(Connection& conn, const FrameView& frame) {
         return;
       }
       if (max_results == 0 || max_results > kMaxPollResults) max_results = kMaxPollResults;
-      poll_many(conn, max_results);
+      conn.parked_poll = max_results;
+      // Park until a result is ready.  A serial engine solves inside
+      // engine.poll(), so no completion would ever release it: answer now.
+      if (engine_->thread_count() == 0 || engine_->ready_results() > 0) answer_poll(conn);
       return;
     }
     case FrameType::kDrainPatient: {
@@ -397,11 +408,13 @@ void ShardServer::advance_deferred(Connection& conn) {
   }
 }
 
-void ShardServer::poll_many(Connection& conn, std::uint32_t max_results) {
+void ShardServer::answer_poll(Connection& conn) {
   // One POLL_MANY answers with exactly one RESULT_BATCH, capped by count
   // AND by bytes: a deep completion list of large windows must not
   // assemble a frame past kMaxPayloadBytes.  The client just polls again.
   constexpr std::size_t kBatchByteBudget = 4 * 1024 * 1024;
+  const std::uint32_t max_results = conn.parked_poll;
+  conn.parked_poll = 0;
   batch_staging_.clear();
   std::uint64_t count = 0;
   while (count < max_results && batch_staging_.size() < kBatchByteBudget) {

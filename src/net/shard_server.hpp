@@ -5,7 +5,7 @@
 // deployment now runs N ShardServer processes (see shard_serverd_main.cpp)
 // and one RoutingClient that routes patients across them with the same
 // consistent-hash ring.  The server itself is deliberately dumb: it speaks
-// wbsn-wire v3 (wire_format.hpp), maps each request frame onto the
+// wbsn-wire v4 (wire_format.hpp), maps each request frame onto the
 // corresponding ReconstructionEngine verb, and knows nothing about rings,
 // epochs, or topology — all placement intelligence lives client-side, so
 // growing the fleet never requires touching a running shard.
@@ -24,6 +24,13 @@
 // request order per connection); other connections keep flowing.  With a
 // serial engine (threads == 0) the calling thread IS the solver, so those
 // verbs run inline exactly as before.
+//
+// POLL_MANY is a long-poll on a threaded engine: with nothing ready it
+// parks, and the loop answers it with one RESULT_BATCH as soon as a
+// completion's progress-hook wake finds a result ready — or, if the next
+// frame on that connection arrives first, just before handling that frame
+// (possibly with zero results), so responses stay in request order.  A
+// serial engine answers at once: its solve runs inside engine.poll().
 //
 // Shutdown: stop() from any thread (self-pipe wakes the loop), or a BYE
 // frame when cfg.stop_on_bye is set — the daemon's orderly-exit path.
@@ -116,6 +123,10 @@ class ShardServer {
     std::size_t deferred_next = 0;  ///< First window not yet admitted.
     std::vector<SubmitBatchAckEntry> deferred_acks;
     std::uint32_t deferred_patient = 0;  ///< kDrain target.
+
+    /// max_results of a parked POLL_MANY; 0 = none parked.  At most one:
+    /// the next frame releases it before anything else happens.
+    std::uint32_t parked_poll = 0;
   };
 
   /// Drains complete frames from conn.rx; false when the connection must
@@ -128,8 +139,9 @@ class ShardServer {
   /// Parks a blocking SUBMIT_BATCH for deferred admission, or answers
   /// immediately when every window fits right now.
   void submit_blocking(Connection& conn, std::vector<host::CompressedWindow>&& windows);
-  /// Polls up to `max_results` completed windows into one RESULT_BATCH.
-  void poll_many(Connection& conn, std::uint32_t max_results);
+  /// Answers the connection's parked POLL_MANY with one RESULT_BATCH of
+  /// whatever is ready now (possibly nothing) and clears it.
+  void answer_poll(Connection& conn);
   void send_error(Connection& conn, ErrorCode code, const std::string& detail,
                   bool close_after);
   /// Pushes conn.tx to the socket as far as the kernel allows.

@@ -170,9 +170,9 @@ bool send_all_vec(int fd, const ConstBuf* bufs, std::size_t count) {
   return true;
 }
 
-long recv_some(int fd, void* out, std::size_t cap) {
+long recv_some(int fd, void* out, std::size_t cap, bool wait) {
   for (;;) {
-    const ssize_t n = ::recv(fd, out, cap, 0);
+    const ssize_t n = ::recv(fd, out, cap, wait ? 0 : MSG_DONTWAIT);
     if (n < 0 && errno == EINTR) continue;
     return static_cast<long>(n);
   }

@@ -106,6 +106,8 @@ bool send_all_vec(int fd, const ConstBuf* bufs, std::size_t count);
 
 /// recv() once into `out` (up to `cap` bytes).  Returns bytes read, 0 on
 /// orderly peer close, -1 on error (including timeout; EINTR retried).
-long recv_some(int fd, void* out, std::size_t cap);
+/// With `wait` false it never blocks: -1 with errno EAGAIN/EWOULDBLOCK
+/// means nothing is buffered yet.
+long recv_some(int fd, void* out, std::size_t cap, bool wait = true);
 
 }  // namespace wbsn::net

@@ -1,8 +1,9 @@
 // wbsn-wire — the compact binary serialization that puts a socket (or a
 // radio) under the reconstruction fabric.  This implementation speaks one
-// version, 3, whose only data path is batched: SUBMIT_BATCH carries K
-// windows in, POLL_MANY/RESULT_BATCH carry up to N results out, and HEALTH
-// is the liveness probe.
+// version, 4, whose only data path is batched: SUBMIT_BATCH carries K
+// windows in, POLL_MANY/RESULT_BATCH carry up to N results out (a long-poll:
+// a threaded shard answers when a result is ready), and HEALTH is the
+// liveness probe.
 //
 // The normative specification lives in docs/WIRE_FORMAT.md and is written
 // to be implementable without reading this file; this header is the
@@ -55,7 +56,7 @@ inline constexpr std::uint8_t kMagic0 = 0x57;  ///< 'W'
 inline constexpr std::uint8_t kMagic1 = 0x42;  ///< 'B'
 /// The only protocol version this implementation speaks; every frame's
 /// header byte carries it.
-inline constexpr std::uint8_t kWireVersion = 3;
+inline constexpr std::uint8_t kWireVersion = 4;
 inline constexpr std::size_t kFrameHeaderBytes = 8;
 inline constexpr std::size_t kFrameTrailerBytes = 4;
 /// Frames longer than this are rejected before buffering the payload — a
@@ -280,8 +281,9 @@ void encode_bye_ack(std::vector<std::uint8_t>& out);
 // SUBMIT_BATCH payload := flags(u8) count(varint) count × window-body.
 // SUBMIT_BATCH_ACK carries count × (accepted(u8) [local_ticket(varint)
 // when accepted]) in submit order.  POLL_MANY(max) is answered by exactly
-// one RESULT_BATCH of count(varint) count × result-body, count possibly
-// zero.
+// one RESULT_BATCH of count(varint) count × result-body.  A threaded shard
+// holds the answer until a result is ready or the next frame on the
+// connection arrives; in the latter case count may be zero.
 //
 // The client pipeline stages window bodies incrementally
 // (encode_submit_batch_entry into a reused buffer) and seals the frame

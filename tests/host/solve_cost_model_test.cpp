@@ -76,11 +76,25 @@ TEST(SolveCostModel, EwmaFoldsTowardNewSamples) {
 }
 
 TEST(SolveCostModel, EstimatesTrackShapeMonotonically) {
+  // 128- and 512-sample CR50 windows (m = n / 2), recorded interleaved the
+  // way a mixed queue records them, at per-solve costs in roughly the
+  // ratio of their FISTA work.  Pinned samples, so no host load can flip
+  // the order.
   SolveCostModel model;
-  model.record(/*m=*/64, /*n=*/128, 0, 100);
-  model.record(/*m=*/256, /*n=*/512, 0, 1600);
-  EXPECT_GT(model.estimate_ms(256, 512, 0), model.estimate_ms(64, 128, 0))
-      << "per-shape table collapsed into a shape-blind average";
+  const std::uint64_t small_us[] = {90, 110, 100, 95};
+  const std::uint64_t large_us[] = {1500, 1700, 1600, 1650};
+  for (int i = 0; i < 4; ++i) {
+    model.record(/*m=*/64, /*n=*/128, 0, small_us[i]);
+    model.record(/*m=*/256, /*n=*/512, 0, large_us[i]);
+  }
+  const double small = model.estimate_ms(64, 128, 0);
+  const double large = model.estimate_ms(256, 512, 0);
+  EXPECT_GT(large, small) << "per-shape table collapsed into a shape-blind average";
+  // Each estimate is its own shape's EWMA, never blended with the other's.
+  EXPECT_DOUBLE_EQ(small, static_cast<double>(model.measured_us(64, 128, 0)) / 1000.0);
+  EXPECT_DOUBLE_EQ(large, static_cast<double>(model.measured_us(256, 512, 0)) / 1000.0);
+  EXPECT_LE(small, 0.110);
+  EXPECT_GE(large, 1.500);
 }
 
 TEST(SolveCostModel, UnpackableShapesRideTheGlobalFallback) {

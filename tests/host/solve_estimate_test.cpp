@@ -2,10 +2,12 @@
 // EWMA by window shape, because a 512-sample solve costs a different
 // amount than a 128-sample one and a shape-blind average lies about both.
 // Pins the estimate surface: 0 before any solve, per-shape after solving
-// that shape, global fallback for shapes never seen, and the configured
-// override beating the measurements.
+// that shape and untouched by solving another, global fallback for shapes
+// never seen, and the configured override beating the measurements.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -43,43 +45,56 @@ Shape shape_of(const CompressedWindow& window) {
 }
 
 TEST(SolveEstimate, PerShapeEwmaTracksEachWindowSizeSeparately) {
+  // Measured solve times of two shapes can trade places on a loaded host,
+  // so this checks separation, which load cannot break: solving one shape
+  // leaves the other shape's estimate bit-identical.  The "512 samples
+  // cost more than 128" ordering is pinned with fixed samples in
+  // SolveCostModel.EstimatesTrackShapeMonotonically.
   EngineConfig cfg;
   cfg.threads = 0;
   cfg.fista.max_iterations = 40;
   cfg.fista.debias_iterations = 10;
-  ReconstructionEngine engine(cfg);
 
-  auto small = shaped_windows(/*window_samples=*/128, /*count=*/4);
-  auto large = shaped_windows(/*window_samples=*/512, /*count=*/4);
+  const auto small = shaped_windows(/*window_samples=*/128, /*count=*/4);
+  const auto large = shaped_windows(/*window_samples=*/512, /*count=*/4);
   const Shape s = shape_of(small.front());
   const Shape l = shape_of(large.front());
   ASSERT_NE(s.n, l.n);
 
-  // Nothing measured yet: the predictor refuses to guess.
-  EXPECT_EQ(engine.solve_estimate_ms(s.m, s.n), 0.0);
-  EXPECT_EQ(engine.solve_estimate_ms(l.m, l.n), 0.0);
+  for (const bool small_first : {true, false}) {
+    SCOPED_TRACE(small_first ? "small windows first" : "large windows first");
+    ReconstructionEngine engine(cfg);
+    // Nothing measured yet: the predictor refuses to guess.
+    EXPECT_EQ(engine.solve_estimate_ms(s.m, s.n), 0.0);
+    EXPECT_EQ(engine.solve_estimate_ms(l.m, l.n), 0.0);
 
-  for (auto& window : small) engine.submit(std::move(window));
-  for (auto& window : large) engine.submit(std::move(window));
-  const auto results = engine.drain();
-  ASSERT_EQ(results.size(), 8u);
+    const Shape first = small_first ? s : l;
+    const Shape second = small_first ? l : s;
+    auto first_windows = small_first ? small : large;
+    auto second_windows = small_first ? large : small;
 
-  const double small_est = engine.solve_estimate_ms(s.m, s.n);
-  const double large_est = engine.solve_estimate_ms(l.m, l.n);
-  EXPECT_GT(small_est, 0.0);
-  EXPECT_GT(large_est, 0.0);
-  // A 512-sample FISTA solve does ~16x the work of a 128-sample one at the
-  // same iteration budget; the per-shape estimates must reflect that order
-  // even if timing noise blurs the ratio.
-  EXPECT_GT(large_est, small_est)
-      << "per-shape EWMA collapsed into a shape-blind average";
+    for (auto& window : first_windows) engine.submit(std::move(window));
+    ASSERT_EQ(engine.drain().size(), 4u);
+    const double first_est = engine.solve_estimate_ms(first.m, first.n);
+    EXPECT_GT(first_est, 0.0);
 
-  // A shape never solved falls back to the global (shape-blind) EWMA:
-  // nonzero, and bounded by the measured extremes.
-  const double unseen = engine.solve_estimate_ms(s.m + 1, s.n + 64);
-  EXPECT_GT(unseen, 0.0);
-  EXPECT_GE(unseen, small_est * 0.01);
-  EXPECT_LE(unseen, large_est * 100.0);
+    for (auto& window : second_windows) engine.submit(std::move(window));
+    ASSERT_EQ(engine.drain().size(), 4u);
+    const double second_est = engine.solve_estimate_ms(second.m, second.n);
+    EXPECT_GT(second_est, 0.0);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(engine.solve_estimate_ms(first.m, first.n)),
+              std::bit_cast<std::uint64_t>(first_est))
+        << "solving one shape moved another shape's estimate";
+
+    // A shape never solved falls back to the global (shape-blind) EWMA:
+    // nonzero, and bounded by the measured extremes.
+    const double small_est = engine.solve_estimate_ms(s.m, s.n);
+    const double large_est = engine.solve_estimate_ms(l.m, l.n);
+    const double unseen = engine.solve_estimate_ms(s.m + 1, s.n + 64);
+    EXPECT_GT(unseen, 0.0);
+    EXPECT_GE(unseen, small_est * 0.01);
+    EXPECT_LE(unseen, large_est * 100.0);
+  }
 }
 
 TEST(SolveEstimate, ConfiguredOverrideBeatsMeasurement) {

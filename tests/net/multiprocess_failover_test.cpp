@@ -9,9 +9,12 @@
 //   submitted == completed + shed + rejected + lost
 //
 // and every signal the fleet *does* return stays bit-identical to the
-// serial in-process reference.  A second test covers the satellite fix:
-// SIGTERM must shut a daemon down cleanly through the async-signal-safe
-// self-pipe path (exit 0, never a crash or a hang).
+// serial in-process reference.  A second test kills a daemon while the
+// client's long-poll POLL_MANY is parked on it: whatever the daemon pushed
+// before dying counts as completed, the rest as lost, and the identity
+// stays exact.  A third covers the satellite fix: SIGTERM must shut a
+// daemon down cleanly through the async-signal-safe self-pipe path
+// (exit 0, never a crash or a hang).
 
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -282,6 +285,60 @@ TEST(MultiProcessFailover, Kill9MidStreamRecoversWithConservationAndBitIdentical
   client.shutdown(/*send_bye=*/true);
   d0.reap();
   d2.reap();
+}
+
+TEST(MultiProcessFailover, Kill9WithAParkedPollKeepsConservationExact) {
+  const auto traffic = fleet_traffic(/*patients=*/6, /*beats_per_patient=*/3);
+  const auto reference = serial_reference(traffic);
+
+  ShardDaemon d0, d1;
+  RoutingClientConfig client_cfg;
+  client_cfg.wire.fixed_scale = cs::measurement_scale_mv(sig::AdcConfig{});
+  client_cfg.auto_failover = true;
+  client_cfg.reconnect_attempts = 0;
+  client_cfg.health_probe_timeout_ms = 1000;
+  client_cfg.pipeline_depth = 4;
+  RoutingClient client(client_cfg);
+  ASSERT_TRUE(client.connect({d0.endpoint(), d1.endpoint()}));
+
+  // One flush lands every window on its daemon at once.
+  std::uint64_t owned_by_d1 = 0;
+  for (const auto& window : traffic) {
+    owned_by_d1 += client.owner(window.patient_id) == 1;
+    CompressedWindow copy = window;
+    ASSERT_TRUE(client.submit_pipelined(std::move(copy)));
+  }
+  ASSERT_GT(owned_by_d1, 0u) << "the test needs patients on the daemon that dies";
+  for (const auto& ticket : client.flush_submits()) ASSERT_TRUE(ticket.has_value());
+
+  // This poll() only arms one POLL_MANY per daemon — nothing can have been
+  // answered yet — and d1 dies with its poll parked or just answered.
+  EXPECT_FALSE(client.poll().has_value());
+  d1.kill9();
+  ASSERT_EQ(client.check_health(), std::vector<std::size_t>{1});
+
+  // Results d1 pushed before dying still arrive; the rest are lost.
+  std::uint64_t returned_by_d1 = 0;
+  const auto results = client.drain();
+  for (const auto& result : results) {
+    returned_by_d1 += host::ReconstructionFabric::ticket_shard(result.ticket) == 1;
+    const auto ref = reference.find({result.patient_id, result.window_index});
+    ASSERT_NE(ref, reference.end());
+    EXPECT_TRUE(bit_identical(result.signal, ref->second.signal))
+        << "patient " << result.patient_id << " window " << result.window_index;
+  }
+  const auto agg = client.aggregate_snapshot();
+  EXPECT_EQ(agg.submitted, traffic.size());
+  EXPECT_EQ(agg.lost, owned_by_d1 - returned_by_d1);
+  EXPECT_EQ(agg.completed, results.size());
+  EXPECT_EQ(agg.submitted, agg.completed + agg.shed_routine + agg.shed_urgent +
+                               agg.rejected + agg.lost)
+      << "submitted == completed + shed + rejected + lost must survive a parked poll";
+  EXPECT_EQ(agg.unsolved, 0u);
+  EXPECT_EQ(agg.ready, 0u);
+
+  client.shutdown(/*send_bye=*/true);
+  d0.reap();
 }
 
 TEST(MultiProcessFailover, SigtermShutsDownCleanlyEvenUnderLoad) {

@@ -4,14 +4,17 @@
 // guarantees survive the wire: bit-identical reconstructions vs the
 // serial in-process reference, composite-ticket round trips, SLO history
 // migration across a live reshard, counter conservation across retired
-// shards, and the protocol-level rejection paths (unknown version,
+// shards, the POLL_MANY long-poll (park, release by completion or by the
+// next frame), and the protocol-level rejection paths (unknown version,
 // talking before HELLO, retired frame types, hostile window shapes).
 
 #include "net/routing_client.hpp"
 
 #include <gtest/gtest.h>
+#include <poll.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -776,6 +779,166 @@ void expect_error_then_close(Fd& fd, ErrorCode code) {
   EXPECT_EQ(recv_some(fd.get(), &byte, 1), 0) << "the server must close after the error";
 }
 
+/// Reads the next frame off a raw socket into `frame`/`view`, keeping in
+/// `rx` any bytes that arrived past it; fails the test when the peer
+/// closes first.
+void next_frame(Fd& fd, std::vector<std::uint8_t>& rx, std::vector<std::uint8_t>& frame,
+                FrameView& view) {
+  std::uint8_t chunk[4096];
+  for (;;) {
+    FrameView peek;
+    if (peek_frame(rx, peek) == FrameStatus::kOk) {
+      frame.assign(rx.begin(), rx.begin() + peek.frame_bytes);
+      rx.erase(rx.begin(), rx.begin() + peek.frame_bytes);
+      ASSERT_EQ(peek_frame(frame, view), FrameStatus::kOk);
+      return;
+    }
+    const long n = recv_some(fd.get(), chunk, sizeof(chunk));
+    ASSERT_GT(n, 0) << "server closed the connection";
+    rx.insert(rx.end(), chunk, chunk + n);
+  }
+}
+
+/// Reads the next frame off `fd`, which must be a RESULT_BATCH, into
+/// `results`.
+void next_result_batch(Fd& fd, std::vector<std::uint8_t>& rx,
+                       std::vector<WindowResult>& results) {
+  std::vector<std::uint8_t> frame;
+  FrameView view;
+  next_frame(fd, rx, frame, view);
+  ASSERT_EQ(view.type, FrameType::kResultBatch);
+  ASSERT_TRUE(decode_result_batch(view.payload, results, nullptr));
+}
+
+/// True when any byte arrives on `fd` within `ms` milliseconds.
+bool readable_within(const Fd& fd, int ms) {
+  pollfd pfd{fd.get(), POLLIN, 0};
+  return ::poll(&pfd, 1, ms) > 0;
+}
+
+TEST(LongPoll, IdleThreadedShardAnswersOnlyWhenAWindowCompletes) {
+  LocalShard shard(1);
+  Fd poller = negotiated_connection(shard);
+  std::vector<std::uint8_t> buf, rx, frame;
+  FrameView view;
+  encode_poll_many(buf, 8);
+  ASSERT_TRUE(send_all(poller.get(), buf.data(), buf.size()));
+  EXPECT_FALSE(readable_within(poller, 200)) << "an idle shard must hold the poll";
+
+  // A window submitted on another connection completes and releases it.
+  Fd submitter = negotiated_connection(shard);
+  CompressedWindow window = fleet_traffic(/*patients=*/1, /*beats_per_patient=*/1).front();
+  const WindowKey key{window.patient_id, window.window_index};
+  buf.clear();
+  encode_submit_batch(buf, {&window, 1}, kSubmitFlagBlocking, WireEncodeOptions{});
+  ASSERT_TRUE(send_all(submitter.get(), buf.data(), buf.size()));
+  std::vector<std::uint8_t> submitter_rx;
+  next_frame(submitter, submitter_rx, frame, view);
+  ASSERT_EQ(view.type, FrameType::kSubmitBatchAck);
+
+  std::vector<WindowResult> results;
+  next_result_batch(poller, rx, results);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ((WindowKey{results[0].patient_id, results[0].window_index}), key);
+  EXPECT_TRUE(rx.empty());
+  EXPECT_FALSE(readable_within(poller, 100)) << "one POLL_MANY, one RESULT_BATCH";
+}
+
+TEST(LongPoll, NextFrameReleasesTheParkedPollBeforeItsOwnReply) {
+  // POLL_MANY + a second verb in one write to an idle threaded shard: the
+  // poll's (empty) RESULT_BATCH comes strictly before the verb's reply.
+  // SUBMIT_BATCH goes last, or its window's result would answer the
+  // later polls.
+  LocalShard shard(1);
+  CompressedWindow window = fleet_traffic(/*patients=*/1, /*beats_per_patient=*/1).front();
+  const std::vector<std::pair<std::string, FrameType>> verbs{
+      {"SNAPSHOT_REQUEST", FrameType::kSnapshot},
+      {"HEALTH", FrameType::kHealthAck},
+      {"SUBMIT_BATCH", FrameType::kSubmitBatchAck}};
+  for (const auto& [name, reply] : verbs) {
+    SCOPED_TRACE(name);
+    Fd fd = negotiated_connection(shard);
+    std::vector<std::uint8_t> buf, rx, frame;
+    encode_poll_many(buf, 8);
+    if (reply == FrameType::kSnapshot) encode_snapshot_request(buf);
+    if (reply == FrameType::kHealthAck) encode_health(buf, /*nonce=*/7);
+    if (reply == FrameType::kSubmitBatchAck) {
+      encode_submit_batch(buf, {&window, 1}, kSubmitFlagBlocking, WireEncodeOptions{});
+    }
+    ASSERT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
+    std::vector<WindowResult> results;
+    next_result_batch(fd, rx, results);
+    EXPECT_TRUE(results.empty()) << "nothing was ready when the verb arrived";
+    FrameView view;
+    next_frame(fd, rx, frame, view);
+    EXPECT_EQ(view.type, reply);
+  }
+}
+
+TEST(LongPoll, SerialShardAnswersAtOnce) {
+  // threads == 0 solves inside engine.poll(): no completion could ever
+  // release a parked poll, so the shard answers immediately, even empty.
+  LocalShard shard(0);
+  Fd fd = negotiated_connection(shard);
+  std::vector<std::uint8_t> buf, rx;
+  encode_poll_many(buf, 8);
+  ASSERT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
+  std::vector<WindowResult> results;
+  next_result_batch(fd, rx, results);
+  EXPECT_TRUE(results.empty());
+}
+
+TEST(LongPoll, IdlePollsSendAtMostOnePollManyPerShard) {
+  // Frames are counted on the fault hook's clock, so nothing here depends
+  // on timing.
+  LocalShard a(1), b(1);
+  const std::array<const LocalShard*, 2> shards{&a, &b};
+  std::array<std::uint64_t, 2> sent{};
+  auto cfg = client_config();
+  cfg.fault_inject = [&sent](std::size_t shard, std::uint64_t frame) {
+    sent[shard] = frame + 1;
+    return false;
+  };
+  RoutingClient client(cfg);
+  ASSERT_TRUE(client.connect({a.endpoint(), b.endpoint()}));
+
+  // Everything retrieved: idle polls send nothing at all.
+  const auto traffic = fleet_traffic(/*patients=*/4, /*beats_per_patient=*/2);
+  for (const auto& window : traffic) {
+    CompressedWindow copy = window;
+    ASSERT_TRUE(client.submit(std::move(copy)).has_value());
+  }
+  ASSERT_EQ(client.drain().size(), traffic.size());
+  auto before = sent;
+  for (int i = 0; i < 100; ++i) EXPECT_FALSE(client.poll().has_value());
+  EXPECT_EQ(sent, before);
+
+  // One window per shard that the client never gets back: a raw
+  // connection takes its result.  The client still waits on both shards,
+  // and both are idle.
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    const auto owned = std::find_if(traffic.begin(), traffic.end(), [&](const auto& w) {
+      return client.owner(w.patient_id) == s;
+    });
+    ASSERT_NE(owned, traffic.end());
+    CompressedWindow copy = *owned;
+    ASSERT_TRUE(client.submit(std::move(copy)).has_value());
+    Fd thief = negotiated_connection(*shards[s]);
+    std::vector<std::uint8_t> buf, rx;
+    encode_poll_many(buf, 8);
+    ASSERT_TRUE(send_all(thief.get(), buf.data(), buf.size()));
+    std::vector<WindowResult> results;
+    next_result_batch(thief, rx, results);
+    ASSERT_EQ(results.size(), 1u);
+  }
+  before = sent;
+  for (int i = 0; i < 100; ++i) EXPECT_FALSE(client.poll().has_value());
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    EXPECT_EQ(sent[s] - before[s], 1u) << "shard " << s << ": one armed POLL_MANY in total";
+  }
+  client.shutdown(/*send_bye=*/false);
+}
+
 TEST(Protocol, HealthEchoesNonce) {
   // HEALTH answers HEALTH_ACK with the nonce echoed and the engine's live
   // queue depths (an idle shard reports 0/0).
@@ -808,7 +971,7 @@ TEST(Protocol, UnknownVersionGetsErrorNotGuesswork) {
   // A well-formed frame (CRC valid) stamped with an earlier version or a
   // future one.
   LocalShard shard(0);
-  for (const std::uint8_t version : {std::uint8_t{2}, std::uint8_t{7}}) {
+  for (const std::uint8_t version : {std::uint8_t{2}, std::uint8_t{3}, std::uint8_t{7}}) {
     SCOPED_TRACE("header version " + std::to_string(version));
     Fd fd = tcp_connect("127.0.0.1", shard.server->port(), 2000, 2000);
     ASSERT_TRUE(fd.valid());
@@ -844,8 +1007,8 @@ TEST(Protocol, VersionNegotiationPicksMutualVersion) {
   EXPECT_EQ(version, kWireVersion);
 
   // Offers entirely above or entirely below the version this build speaks
-  // (a v1/v2-only peer) are refused.
-  for (const HelloPayload offer : {HelloPayload{5, 9}, HelloPayload{1, 2}}) {
+  // (a v1-v3 peer) are refused.
+  for (const HelloPayload offer : {HelloPayload{5, 9}, HelloPayload{1, 2}, HelloPayload{1, 3}}) {
     Fd fd2 = tcp_connect("127.0.0.1", shard.server->port(), 2000, 2000);
     ASSERT_TRUE(fd2.valid());
     buf.clear();

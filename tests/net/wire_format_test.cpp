@@ -1,4 +1,4 @@
-// wbsn-wire v3 codec tests: CRC vectors, varint properties, value-coding
+// wbsn-wire v4 codec tests: CRC vectors, varint properties, value-coding
 // round trips (including the bit-exactness edge cases the fixed-point
 // fallback exists for), whole-frame round trips for every payload,
 // malformed-input and hostile-shape rejection, and byte-for-byte replay of the committed
@@ -438,8 +438,6 @@ TEST(Frames, ControlFramesRoundTrip) {
 }
 
 // --- Batched data frames -----------------------------------------------------
-// (The FramesV2 suite name dates from the protocol version that introduced
-// these frames.)
 
 std::vector<host::CompressedWindow> sample_batch() {
   std::vector<host::CompressedWindow> windows;
@@ -452,7 +450,7 @@ std::vector<host::CompressedWindow> sample_batch() {
   return windows;
 }
 
-TEST(FramesV2, SubmitBatchRoundTripsBitExactly) {
+TEST(BatchFrames, SubmitBatchRoundTripsBitExactly) {
   const auto windows = sample_batch();
   const WireEncodeOptions opts{0.0048828125};
   const auto buf = encode_one(
@@ -480,7 +478,7 @@ TEST(FramesV2, SubmitBatchRoundTripsBitExactly) {
   }
 }
 
-TEST(FramesV2, ScatterGatherSealMatchesTheContiguousEncoder) {
+TEST(BatchFrames, ScatterGatherSealMatchesTheContiguousEncoder) {
   // The pipelined client never assembles a SUBMIT_BATCH contiguously: it
   // stages bodies, then seals prefix + bodies + CRC trailer as three
   // spans.  Concatenated, those spans must be byte-identical to the
@@ -506,7 +504,7 @@ TEST(FramesV2, ScatterGatherSealMatchesTheContiguousEncoder) {
   EXPECT_EQ(peek_frame(sealed, view), FrameStatus::kOk) << "CRC must cover prefix and bodies";
 }
 
-TEST(FramesV2, SubmitBatchAckRoundTrips) {
+TEST(BatchFrames, SubmitBatchAckRoundTrips) {
   const std::vector<SubmitBatchAckEntry> entries{
       {true, 0},
       {false, 0},
@@ -527,7 +525,7 @@ TEST(FramesV2, SubmitBatchAckRoundTrips) {
   }
 }
 
-TEST(FramesV2, PollManyAndResultBatchRoundTrip) {
+TEST(BatchFrames, PollManyAndResultBatchRoundTrip) {
   {
     const auto buf = encode_one([](auto& b) { encode_poll_many(b, 48); });
     const auto view = must_peek(buf);
@@ -560,7 +558,8 @@ TEST(FramesV2, PollManyAndResultBatchRoundTrip) {
               0);
   }
   {
-    // An idle shard answers POLL_MANY with an empty batch, not POLL_END.
+    // A parked POLL_MANY released by the next frame before any result is
+    // ready is answered with an empty batch.
     const auto buf = encode_one([](auto& b) { encode_result_batch(b, {}, 0); });
     std::vector<host::WindowResult> decoded;
     ASSERT_TRUE(decode_result_batch(must_peek(buf).payload, decoded, nullptr));
@@ -568,7 +567,7 @@ TEST(FramesV2, PollManyAndResultBatchRoundTrip) {
   }
 }
 
-TEST(FramesV2, CrHintRoundTripsBitExactly) {
+TEST(BatchFrames, CrHintRoundTripsBitExactly) {
   const auto buf =
       encode_one([](auto& b) { encode_cr_hint(b, /*epoch=*/7, /*max_entries=*/64); });
   const auto view = must_peek(buf);
@@ -581,7 +580,7 @@ TEST(FramesV2, CrHintRoundTripsBitExactly) {
   EXPECT_EQ(max_entries, 64u);
 }
 
-TEST(FramesV2, CrHintAckRoundTripsBitExactly) {
+TEST(BatchFrames, CrHintAckRoundTripsBitExactly) {
   {
     // Pressure case: shard-wide advisory plus per-patient entries.
     CrHintAckPayload ack;
@@ -614,7 +613,7 @@ TEST(FramesV2, CrHintAckRoundTripsBitExactly) {
   }
 }
 
-TEST(FramesV2, HealthRoundTripsBitExactly) {
+TEST(BatchFrames, HealthRoundTripsBitExactly) {
   const auto buf =
       encode_one([](auto& b) { encode_health(b, /*nonce=*/0xFEEDFACE12ull); });
   const auto view = must_peek(buf);
@@ -625,7 +624,7 @@ TEST(FramesV2, HealthRoundTripsBitExactly) {
   EXPECT_EQ(nonce, 0xFEEDFACE12ull);
 }
 
-TEST(FramesV2, HealthAckRoundTripsBitExactly) {
+TEST(BatchFrames, HealthAckRoundTripsBitExactly) {
   HealthAckPayload ack;
   ack.nonce = 0xFEEDFACE12ull;
   ack.unsolved = 17;
@@ -652,7 +651,7 @@ TEST(FramesV2, HealthAckRoundTripsBitExactly) {
   EXPECT_FALSE(decode_health_ack(short_payload, decoded));
 }
 
-TEST(FramesV2, CrHintAckHostileCountIsMalformedNotOverread) {
+TEST(BatchFrames, CrHintAckHostileCountIsMalformedNotOverread) {
   // An entry count claiming more pairs than the payload could possibly
   // hold must fail the decode cleanly before any allocation or overread.
   CrHintAckPayload ack;
@@ -674,7 +673,7 @@ TEST(FramesV2, CrHintAckHostileCountIsMalformedNotOverread) {
   EXPECT_FALSE(decode_cr_hint_ack(payload, decoded));
 }
 
-TEST(FramesV2, OverstatedCountsAreMalformedNotOverreads) {
+TEST(BatchFrames, OverstatedCountsAreMalformedNotOverreads) {
   // A count claiming more entries than the payload holds must fail the
   // decode cleanly (latched reader), never read past the frame.
   const auto windows = sample_batch();
