@@ -54,6 +54,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <map>
 #include <string>
 #include <thread>
@@ -235,6 +236,7 @@ int run_streaming(std::vector<host::CompressedWindow> batch, double rate_hz,
   };
 
   const std::uint64_t allocs_at_start = host::alloc_count();
+  const std::clock_t cpu0 = std::clock();
   const auto t0 = Clock::now();
   double next_arrival_s = 0.0;
   std::size_t submitted = 0;
@@ -272,10 +274,24 @@ int run_streaming(std::vector<host::CompressedWindow> batch, double rate_hz,
     record_result(std::move(result));
   }
   const double wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
+  const double cpu_s = static_cast<double>(std::clock() - cpu0) / CLOCKS_PER_SEC;
   const std::uint64_t allocs_streaming = host::alloc_count() - allocs_at_start;
 
   const auto snap = fabric.slo_snapshot();
   const auto shed_total = static_cast<std::size_t>(snap.shed_routine + snap.shed_urgent);
+  // Process CPU (producer, poll loop and every worker) per completed
+  // window: unlike throughput, it moves when a solve gets dearer even
+  // while the fabric keeps up with the offered rate.
+  const double cpu_ms_per_window =
+      snap.completed > 0 ? 1e3 * cpu_s / static_cast<double>(snap.completed) : 0.0;
+  // FISTA iterations per window over the whole fixed-seed batch, from the
+  // serial reference (every streamed window is checked bit-identical to
+  // it below): a deterministic count, so a stopping-rule regression shows
+  // exactly, whatever the host load and however many windows were shed.
+  double iterations_sum = 0.0;
+  for (const auto& window : reference.windows) iterations_sum += window.iterations;
+  const double mean_fista_iterations =
+      iterations_sum / static_cast<double>(reference.windows.size());
   std::printf("\n%-24s %12s\n", "metric", "value");
   std::printf("%-24s %12zu\n", "windows submitted", static_cast<std::size_t>(snap.submitted));
   std::printf("%-24s %12zu\n", "windows completed", static_cast<std::size_t>(snap.completed));
@@ -294,6 +310,8 @@ int run_streaming(std::vector<host::CompressedWindow> batch, double rate_hz,
               static_cast<std::size_t>(snap.deadline_violations));
   std::printf("%-24s %12zu\n", "max in-flight", static_cast<std::size_t>(snap.max_in_flight));
   std::printf("%-24s %12.2f\n", "wall time (s)", wall_s);
+  std::printf("%-24s %12.3f\n", "cpu ms/window", cpu_ms_per_window);
+  std::printf("%-24s %12.2f\n", "mean FISTA iterations", mean_fista_iterations);
   if (host::alloc_counter_enabled() && snap.completed > 0) {
     // Includes warmup (first-touch pool misses, arena growth), so the
     // pooled steady-state rate is strictly below this; alloc_smoke holds
@@ -390,6 +408,8 @@ int run_streaming(std::vector<host::CompressedWindow> batch, double rate_hz,
                  "  \"latency_p99_ms\": %.6f,\n"
                  "  \"latency_mean_ms\": %.6f,\n"
                  "  \"deadline_violations\": %zu,\n"
+                 "  \"cpu_ms_per_window\": %.6f,\n"
+                 "  \"mean_fista_iterations\": %.6f,\n"
                  "  \"allocs_per_window_incl_warmup\": %.6f,\n"
                  "  \"alloc_counter_enabled\": %d,\n"
                  "  \"pooled\": %d,\n"
@@ -400,6 +420,7 @@ int run_streaming(std::vector<host::CompressedWindow> batch, double rate_hz,
                  static_cast<std::size_t>(snap.rejected), shed_total,
                  snap.throughput_per_s, snap.p50_ms, snap.p95_ms, snap.p99_ms,
                  snap.mean_ms, static_cast<std::size_t>(snap.deadline_violations),
+                 cpu_ms_per_window, mean_fista_iterations,
                  snap.completed > 0 ? static_cast<double>(allocs_streaming) /
                                           static_cast<double>(snap.completed)
                                     : 0.0,
@@ -570,11 +591,17 @@ int run_adaptive(std::vector<host::CompressedWindow> batch, int threads,
 
   // The degrade ladder: one rung, 20 CR points cheaper with a capped
   // iteration budget — a point still on the paper's usable Fig-5 range.
+  // The cap is half the iterations a full solve actually runs (FISTA
+  // stops at convergence, well short of max_iterations), so the rung
+  // halves the solver work whatever the stopping rule does.
   const std::uint32_t n = batch.front().window_samples;
   const double base_cr =
       cs::compression_ratio_percent(batch.front().measurements.size(), n);
   const double tier_cr = std::min(90.0, base_cr + 20.0);
-  const std::uint32_t tier_cap = 80;
+  std::uint64_t full_iterations = 0;
+  for (const auto& w : reference.windows) full_iterations += w.iterations;
+  const auto tier_cap = static_cast<std::uint32_t>(
+      std::max<std::uint64_t>(1, full_iterations / (2 * reference.windows.size())));
   cs::SolveTier degraded_tier;
   degraded_tier.tier = 1;
   degraded_tier.effective_m =

@@ -208,12 +208,15 @@ BENCHMARK(BM_KernDwtInverse)->ArgName("avx2")->Arg(0)->Arg(1);
 
 /// Whole-solve view: one 512-sample window at CR 50 %, truncated solver
 /// (enough iterations to exercise every kernel family in proportion).
+/// The stopping test is off, so every repetition runs exactly 50
+/// iterations and the rate stays a kernel measure, not a convergence one.
 void BM_KernFistaWindow(benchmark::State& state) {
   BackendPin pin(state, backend_of(state));
   const auto phi = bench_matrix();
   const auto y = phi.apply(bench_window(16));
   cs::FistaConfig cfg;
   cfg.max_iterations = 50;
+  cfg.tolerance = 0.0;
   cfg.debias_iterations = 10;
   for (auto _ : state) {
     benchmark::DoNotOptimize(cs::fista_reconstruct(phi, y, cfg));

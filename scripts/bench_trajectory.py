@@ -11,14 +11,25 @@ Runs the four steady benchmarks —
     loopback TCP; its --json metrics file)
 
 — merges them into one BENCH_results.json (the CI artifact, one point of
-the performance trajectory), and compares throughput metrics against the
-committed baseline (bench/BENCH_baseline.json).  The streaming
-throughput (windows/second over a multi-second Poisson run) gates at
---tolerance; the micro-kernel rates gate at the looser --micro-tolerance
-because nanosecond-scale benches jitter 10-20% run-to-run on shared
-runners even as medians of repetitions.  Latency and allocation metrics
-ride along informationally (CI runners are too noisy to gate on absolute
-times, so only relative throughput is enforced).
+the performance trajectory), and compares it against the committed
+baseline (bench/BENCH_baseline.json).
+
+The streaming run gates on two numbers that move when the solver
+regresses, even while the fabric keeps up with the offered rate:
+
+  * mean_fista_iterations — FISTA iterations per window over the
+    fixed-seed batch.  Deterministic, so it gates exact-or-lower: a
+    stopping rule that stops firing fails it at once.
+  * cpu_ms_per_window — process CPU per completed window, gated at
+    --tolerance.  The invocation runs HOST_THROUGHPUT_ATTEMPTS times and
+    the lowest CPU gates (host load only ever adds CPU); every attempt
+    must be bit-exact and report the same iteration count.
+
+Throughput is recorded but not gated: at an offered rate the fabric keeps
+up with, it equals the offered rate.  The micro-kernel rates gate at the
+looser --micro-tolerance because nanosecond-scale benches jitter 10-20%
+run-to-run on shared runners even as medians of repetitions.  Latency
+and allocation metrics ride along informationally.
 
 The net_loopback submit rate gates against the baseline at
 --micro-tolerance.  Because it races the host scheduler on a shared-core
@@ -54,9 +65,10 @@ import sys
 import tempfile
 
 HOST_THROUGHPUT_ARGS = [
-    "8", "12", "50", "--poisson", "400", "--threads", "2", "--shards", "2",
+    "8", "48", "50", "--poisson", "400", "--threads", "2", "--shards", "2",
     "--batch", "0", "--pool",
 ]
+HOST_THROUGHPUT_ATTEMPTS = 3
 NET_LOOPBACK_ARGS = [
     "16", "24", "75", "--shards", "1", "--threads", "1",
     "--pipeline", "8", "--batch-frames", "16", "--repeat", "5",
@@ -66,14 +78,12 @@ HOST_ADAPTIVE_ARGS = ["16", "24", "50", "--adaptive", "--threads", "2"]
 HOST_ADAPTIVE_ATTEMPTS = 3
 ADAPTIVE_SPEEDUP_FLOOR = 1.3
 # The capped degraded tier gives up some convergence relative to the
-# full-iteration Figure-5 point at the same CR (measured ~2.1-2.3 dB on
-# this shape); the margin absorbs that plus window-subset variance
-# (which windows demote depends on arrival timing).
+# full-iteration Figure-5 point at the same CR (measured ~2.7-2.8 dB on
+# this shape, with the cap at half the measured full-solve iterations);
+# the margin absorbs that plus window-subset variance (which windows
+# demote depends on arrival timing).
 ADAPTIVE_SNR_MARGIN_DB = 3.5
 MICRO_REPETITIONS = 3
-
-# Gated metrics: higher is better, relative to baseline.
-GATED_HOST_METRICS = ["throughput_win_per_s"]
 
 
 def run_micro(build_dir, repetitions):
@@ -115,23 +125,42 @@ def run_micro(build_dir, repetitions):
 
 
 def run_host_throughput(build_dir):
-    """host_throughput --poisson --json -> its flat metrics object."""
+    """host_throughput --poisson --json -> the lowest-CPU attempt's metrics.
+
+    Every attempt must be bit-exact and report the same deterministic
+    iteration count; neither is retried.
+    """
     binary = os.path.join(build_dir, "bench", "host_throughput")
-    with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
-        out_path = tmp.name
-    try:
-        proc = subprocess.run(
-            [binary, *HOST_THROUGHPUT_ARGS, "--json", out_path],
-            stdout=subprocess.DEVNULL,
-        )
-        if proc.returncode != 0:
+    best = None
+    for attempt in range(1, HOST_THROUGHPUT_ATTEMPTS + 1):
+        with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
+            out_path = tmp.name
+        try:
+            proc = subprocess.run(
+                [binary, *HOST_THROUGHPUT_ARGS, "--json", out_path],
+                stdout=subprocess.DEVNULL,
+            )
+            if proc.returncode != 0:
+                raise SystemExit(
+                    f"host_throughput exited {proc.returncode} "
+                    "(bit-exactness or argument failure)")
+            with open(out_path) as f:
+                metrics = json.load(f)
+        finally:
+            os.unlink(out_path)
+        if (best is not None and metrics.get("mean_fista_iterations")
+                != best.get("mean_fista_iterations")):
             raise SystemExit(
-                f"host_throughput exited {proc.returncode} "
-                "(bit-exactness or argument failure)")
-        with open(out_path) as f:
-            return json.load(f)
-    finally:
-        os.unlink(out_path)
+                "host_throughput: mean_fista_iterations differs between "
+                "attempts of a fixed-seed run (not retryable)")
+        print(f"#   attempt {attempt}: "
+              f"{metrics.get('cpu_ms_per_window', 0):.3f} cpu ms/window, "
+              f"{metrics.get('mean_fista_iterations', 0):.2f} iterations")
+        if best is None or (metrics.get("cpu_ms_per_window", 0)
+                            < best.get("cpu_ms_per_window", 0)):
+            best = metrics
+    best["attempts"] = HOST_THROUGHPUT_ATTEMPTS
+    return best
 
 
 def run_host_adaptive(build_dir):
@@ -241,9 +270,28 @@ def compare(results, baseline, tolerance, micro_tolerance):
 
     base_host = baseline.get("host_throughput_poisson", {})
     new_host = results.get("host_throughput_poisson", {})
-    for metric in GATED_HOST_METRICS:
-        check(f"host_throughput/{metric}", new_host.get(metric),
-              base_host.get(metric), tolerance)
+    new_iters = new_host.get("mean_fista_iterations")
+    base_iters = base_host.get("mean_fista_iterations")
+    if new_iters is None:
+        failures.append("host_throughput: no mean_fista_iterations in run")
+    elif base_iters is not None:
+        line = (f"host_throughput/mean_fista_iterations: {new_iters:.2f} vs "
+                f"baseline {base_iters:.2f}")
+        if new_iters > base_iters:
+            failures.append(line + "  (exact-or-lower)")
+        else:
+            print(f"  ok    {line}")
+    new_cpu = new_host.get("cpu_ms_per_window")
+    base_cpu = base_host.get("cpu_ms_per_window")
+    if new_cpu is None:
+        failures.append("host_throughput: no cpu_ms_per_window in run")
+    elif base_cpu:
+        line = (f"host_throughput/cpu_ms_per_window: {new_cpu:.3f} vs "
+                f"baseline {base_cpu:.3f} ({new_cpu / base_cpu:.2%})")
+        if new_cpu > base_cpu * (1.0 + tolerance):
+            failures.append(line + f"  > {1.0 + tolerance:.2%} ceiling")
+        else:
+            print(f"  ok    {line}")
 
     if new_host.get("bit_exact") == 0:
         failures.append("host_throughput: bit-exactness check failed")
@@ -298,8 +346,9 @@ def main():
     parser.add_argument("--tolerance", type=float,
                         default=float(os.environ.get("WBSN_BENCH_TOLERANCE",
                                                      "0.10")),
-                        help="allowed fractional streaming-throughput drop "
-                             "(default 0.10, env WBSN_BENCH_TOLERANCE)")
+                        help="allowed fractional rise of the streaming "
+                             "cpu_ms_per_window (default 0.10, env "
+                             "WBSN_BENCH_TOLERANCE)")
     parser.add_argument("--micro-tolerance", type=float,
                         default=float(os.environ.get(
                             "WBSN_BENCH_MICRO_TOLERANCE", "0.30")),
@@ -345,7 +394,7 @@ def main():
     with open(args.baseline) as f:
         baseline = json.load(f)
 
-    print(f"# gate: streaming floor {1.0 - args.tolerance:.2%}, "
+    print(f"# gate: streaming CPU ceiling {1.0 + args.tolerance:.2%}, "
           f"micro floor {1.0 - args.micro_tolerance:.2%} of baseline")
     failures = compare(results, baseline, args.tolerance,
                        args.micro_tolerance)

@@ -187,7 +187,6 @@ void fista_solve_batch_into(const SensingMatrix& phi,
   for (std::size_t b = 0; b < batch; ++b) ws.owner[b] = b;  // Lane -> window.
   std::fill(ws.a.begin(), ws.a.begin() + static_cast<long>(n * batch), 0.0);
   std::fill(ws.z.begin(), ws.z.begin() + static_cast<long>(n * batch), 0.0);
-  ws.kept.clear();  // Capacity >= batch: per-iteration push_back never allocates.
   std::size_t cur = batch;
   double t = 1.0;
 
@@ -219,19 +218,20 @@ void fista_solve_batch_into(const SensingMatrix& phi,
                      ws.delta.data(), ws.scale.data());
     t = t_next;
 
-    ws.kept.clear();
+    // Surviving lanes are written into kept[0, next) by index: the buffer
+    // keeps its ensure()d size, so the arena never sees it shrink.
+    std::size_t next = 0;
     for (std::size_t lane = 0; lane < cur; ++lane) {
       outs[ws.owner[lane]].iterations_run = it + 1;
       if (std::sqrt(ws.delta[lane] / (1e-12 + ws.scale[lane])) < cfg.tolerance) {
         extract_lane(lane);  // Converged: this window's solve ends here.
       } else {
-        ws.kept.push_back(lane);
+        ws.kept[next++] = lane;
       }
     }
-    if (ws.kept.size() < cur) {
+    if (next < cur) {
       // Compact the surviving lanes (exact copies, no arithmetic); the
       // shadow buffers swap in, so no allocation either.
-      const std::size_t next = ws.kept.size();
       for (std::size_t j = 0; j < next; ++j) {
         const std::size_t lane = ws.kept[j];
         for (std::size_t i = 0; i < n; ++i) {

@@ -23,7 +23,17 @@ namespace wbsn::cs {
 struct FistaConfig {
   int max_iterations = 200;
   double lambda_rel = 0.001;   ///< lambda = lambda_rel * max|A' y|.
-  double tolerance = 1e-6;     ///< Relative iterate-change stop criterion.
+  /// Per-window stop: ||a_k - a_{k-1}|| / ||a_k|| < tolerance, the
+  /// relative change of the wavelet-coefficient iterate in one iteration.
+  /// Calibrated against Figure 5 (bench/fig5_snr_vs_cr; table in
+  /// docs/ARCHITECTURE.md): at 3e-3, single- and multi-lead SNR stays
+  /// within 0.18 dB of the full 250-iteration solve at every CR from 30 to
+  /// 90 % and gains at most CRs, while a CR-50 512-sample window stops
+  /// after about 111-118 of its 200 iterations.  The test cannot fire at
+  /// iteration 1 (so 1-iteration solves never stop early): the first
+  /// iterate moves from zero, so its relative change is 1 unless it is
+  /// still all zero.  0 disables the stop (always run max_iterations).
+  double tolerance = 3e-3;
   int dwt_levels = 5;
   /// Re-fit the non-zero coefficients by least squares after FISTA
   /// (conjugate gradient on the support).  Removes the soft-threshold
@@ -101,11 +111,13 @@ FistaResult fista_reconstruct(const SensingMatrix& phi, std::span<const double> 
 /// single batched FISTA pass: the windows are interleaved element-major
 /// so the packed matrix plan and the DWT filters stream once per
 /// iteration across the whole batch.  Each window keeps its own lambda
-/// and its own stopping iteration (converged windows are extracted and
+/// and its own stopping iteration.  Under the default tolerance windows
+/// converge at different iterations, so in production a batch routinely
+/// mixes early and late finishers: converged windows are extracted and
 /// compacted out while the rest continue, so stragglers don't pay for
-/// finished lanes), and every per-window result is bit-identical to a
-/// solo fista_reconstruct of that window — batching is purely an
-/// execution-layout optimization (the kern layer's batch-width
+/// finished lanes.  Every per-window result is bit-identical to a solo
+/// fista_reconstruct of that window — batching and compaction are purely
+/// execution-layout optimizations (the kern layer's batch-width
 /// contract), which is what lets host::ReconstructionEngine batch
 /// opportunistically without breaking its determinism guarantee.
 std::vector<FistaResult> fista_solve_batch(const SensingMatrix& phi,

@@ -337,6 +337,13 @@ void ReconstructionEngine::process_batch(std::vector<WorkItem*>& items) {
       solve_ms * 1000.0 / static_cast<double>(group.size()));
   cost_model_.record(static_cast<std::uint32_t>(solve_phi->rows()),
                      group.front()->window.window_samples, tier.tier, sample_us);
+  // Full solves stop at convergence, so a capped rung's price is set
+  // against the iterations they actually run, not the configured budget.
+  if (tier.tier == 0) {
+    for (const cs::FistaWindowOut& out : outs) {
+      cost_model_.record_iterations(static_cast<std::uint32_t>(out.iterations_run));
+    }
+  }
 
   std::uint64_t released_cost_us = 0;
   for (std::size_t s = 0; s < group.size(); ++s) {
@@ -498,7 +505,8 @@ std::uint64_t ReconstructionEngine::charge_estimate_us(const CompressedWindow& w
   const std::uint32_t m_used =
       tier.effective_m > 0 ? std::min(m_full, tier.effective_m) : m_full;
   const double scale = SolveCostModel::tier_scale(
-      tier.iteration_cap, static_cast<std::uint32_t>(std::max(0, cfg_.fista.max_iterations)));
+      tier.iteration_cap, cost_model_.full_iterations(
+                              static_cast<std::uint32_t>(std::max(0, cfg_.fista.max_iterations))));
   const double est_ms = cost_model_.estimate_ms(m_used, window.window_samples, tier.tier, scale);
   return est_ms > 0.0 ? static_cast<std::uint64_t>(est_ms * 1000.0) : 0;
 }

@@ -23,6 +23,15 @@ double SolveCostModel::tier_scale(std::uint32_t iteration_cap, std::uint32_t ful
   return std::clamp(ratio, 0.05, 1.0);
 }
 
+void SolveCostModel::record_iterations(std::uint32_t iterations) {
+  fold(full_iterations_, iterations);
+}
+
+std::uint32_t SolveCostModel::full_iterations(std::uint32_t fallback) const {
+  const std::uint64_t mean = full_iterations_.load(std::memory_order_relaxed);
+  return mean > 0 ? static_cast<std::uint32_t>(mean) : fallback;
+}
+
 void SolveCostModel::record(std::uint32_t m, std::uint32_t n, std::uint8_t tier,
                             std::uint64_t sample_us) {
   fold(global_us_, sample_us);

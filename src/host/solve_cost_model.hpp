@@ -13,9 +13,10 @@
 //   1. the configured override (override_ms > 0) — operator-pinned cost;
 //   2. the measured EWMA for (m, n, tier) — the exact operating point;
 //   3. the measured EWMA for (m, n, tier 0) scaled by `tier_scale` (the
-//      tier's iteration budget as a fraction of the full budget) — a
-//      tier never yet run is priced off the full-fidelity measurement,
-//      because FISTA cost is linear in iterations at fixed shape;
+//      tier's iteration budget as a fraction of the iterations a full
+//      solve actually runs) — a tier never yet run is priced off the
+//      full-fidelity measurement, because FISTA cost is linear in
+//      iterations at fixed shape;
 //   4. the shape-blind global EWMA, scaled the same way.
 //
 // Concurrency matches the table it replaces: a fixed-capacity, insert-only
@@ -49,11 +50,22 @@ class SolveCostModel {
                      double tier_scale = 1.0) const;
 
   /// The iteration-budget cost ratio of a tier versus the full solve:
-  /// cap / full_iterations, clamped to [0.05, 1].  1.0 when the tier caps
+  /// min(cap, full) / full, clamped to [0.05, 1].  1.0 when the tier caps
   /// nothing (cap == 0 or cap >= full).  The floor keeps a pathological
   /// cap from predicting near-free solves (warm-up, debias, and memory
-  /// traffic don't shrink with the iteration budget).
+  /// traffic don't shrink with the iteration budget).  Pass
+  /// full_iterations() as `full`: FISTA's stopping test ends most full
+  /// solves well before max_iterations.
   static double tier_scale(std::uint32_t iteration_cap, std::uint32_t full_iterations);
+
+  /// Folds one full-fidelity (tier-0) solve's FISTA iteration count into
+  /// the EWMA that full_iterations() reports.  alpha = 1/8.
+  void record_iterations(std::uint32_t iterations);
+
+  /// Mean FISTA iterations of a full-fidelity solve (EWMA over
+  /// record_iterations); `fallback` — the configured max_iterations —
+  /// until the first tier-0 solve lands.
+  std::uint32_t full_iterations(std::uint32_t fallback) const;
 
   /// The measured (m, n, tier) EWMA in microseconds; 0 when unseen (or
   /// the table overflowed) — test/diagnostic surface.
@@ -83,6 +95,7 @@ class SolveCostModel {
 
   std::array<Slot, kSlots> slots_{};
   std::atomic<std::uint64_t> global_us_{0};
+  std::atomic<std::uint64_t> full_iterations_{0};
 };
 
 }  // namespace wbsn::host

@@ -80,6 +80,55 @@ TEST(Fista, StopsEarlyOnConvergence) {
   EXPECT_LT(result.iterations_run, 2000);
 }
 
+TEST(Fista, DefaultToleranceStopsSteadyWindowsWithinFig5Margin) {
+  // Steady-shaped windows: synthesized ECG, ADC-quantized 512-sample
+  // windows, scored against the dequantized reference.  Under the default
+  // config the stopping test must fire (mean iterations below the budget),
+  // and what it saves must cost under 0.25 dB against the same solve run
+  // to the budget (tolerance 0), at every CR across the Figure-5 range.
+  // The margin bounds the mean, as Figure 5 does: single windows scatter
+  // by up to about +-0.5 dB at CR 70, so the mean takes 24 windows.
+  sig::SynthConfig scfg;
+  scfg.episodes = {{sig::RhythmEpisode::Kind::kSinus, 64}};
+  scfg.noise = sig::NoiseParams::preset(sig::NoiseLevel::kLow);
+  sig::Rng rng(8);
+  const auto rec = synthesize_ecg(scfg, rng);
+  constexpr std::size_t kWindow = 512;
+  constexpr std::size_t kWindows = 24;
+  ASSERT_GE(rec.leads[0].size(), kWindow * kWindows);
+
+  const FistaConfig production;
+  FistaConfig exhaustive = production;
+  exhaustive.tolerance = 0.0;
+  for (const double cr : {30.0, 50.0, 70.0, 85.0}) {
+    sig::Rng matrix_rng(0xC0FFEE);
+    const auto phi =
+        SensingMatrix::make_sparse_binary(rows_for_cr(cr, kWindow), kWindow, 4, matrix_rng);
+    std::vector<std::vector<double>> ys;
+    std::vector<std::vector<double>> refs;
+    for (std::size_t w = 0; w < kWindows; ++w) {
+      const std::span<const double> window(rec.leads[0].data() + w * kWindow, kWindow);
+      auto encoded = encode_window(phi, window, sig::AdcConfig{});
+      ys.push_back(std::move(encoded.measurements));
+      refs.push_back(std::move(encoded.reference));
+    }
+    const auto stopped = fista_solve_batch(phi, ys, production);
+    const auto full = fista_solve_batch(phi, ys, exhaustive);
+    double iterations = 0.0;
+    double snr_stopped = 0.0;
+    double snr_full = 0.0;
+    for (std::size_t w = 0; w < kWindows; ++w) {
+      EXPECT_EQ(full[w].iterations_run, production.max_iterations);
+      iterations += stopped[w].iterations_run;
+      snr_stopped += reconstruction_snr_db(refs[w], stopped[w].signal);
+      snr_full += reconstruction_snr_db(refs[w], full[w].signal);
+    }
+    const auto count = static_cast<double>(kWindows);
+    EXPECT_LT(iterations / count, production.max_iterations) << "CR " << cr;
+    EXPECT_GT(snr_stopped / count, snr_full / count - 0.25) << "CR " << cr;
+  }
+}
+
 TEST(GroupFista, JointBeatsIndependentAtHighCr) {
   // The Figure-5 mechanism: leads share wavelet support, so joint recovery
   // tolerates higher CR.  Compare on a 3-lead record at CR = 75 %.

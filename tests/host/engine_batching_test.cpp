@@ -3,6 +3,7 @@
 // and the per-patient SLO breakdown.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -135,6 +136,53 @@ TEST(EngineBatching, AutoSizedBatchesStayBitIdentical) {
           << "patient " << expected.patient_id << " window " << expected.window_index
           << " threads=" << threads;
     }
+  }
+}
+
+TEST(EngineBatching, ProductionConfigCompactsConvergedLanesBitIdentically) {
+  // The shipped config: 512-sample CR50 windows, the default FistaConfig
+  // (its stopping tolerance fires), auto-sized batches on two workers.
+  // Windows converge at different iterations, so auto-sized batches mix
+  // early and late finishers and lane compaction runs mid-solve; every
+  // window must still match the serial solo solve bit for bit.
+  auto batch = compress_record(make_record(41, 16), /*patient_id=*/1);
+  auto more = compress_record(make_record(42, 16), /*patient_id=*/2);
+  batch.insert(batch.end(), std::make_move_iterator(more.begin()),
+               std::make_move_iterator(more.end()));
+  ReconstructionEngine serial(EngineConfig{});
+  const auto reference = serial.reconstruct(batch);
+  ASSERT_EQ(reference.windows.size(), batch.size());
+
+  int min_iterations = reference.windows.front().iterations;
+  int max_iterations = min_iterations;
+  for (const auto& w : reference.windows) {
+    min_iterations = std::min(min_iterations, w.iterations);
+    max_iterations = std::max(max_iterations, w.iterations);
+  }
+  EXPECT_LT(max_iterations, EngineConfig{}.fista.max_iterations)
+      << "the stopping test never fired: compaction is not exercised";
+  EXPECT_LT(min_iterations, max_iterations) << "no mixed-convergence batch possible";
+
+  EngineConfig cfg;
+  cfg.threads = 2;
+  cfg.batch_windows = 0;
+  ReconstructionEngine engine(cfg);
+  for (const auto& window : batch) {
+    CompressedWindow copy = window;
+    engine.submit(std::move(copy));
+  }
+  const auto results = engine.drain();
+  ASSERT_EQ(results.size(), batch.size());
+
+  std::map<std::pair<std::uint32_t, std::uint32_t>, const WindowResult*> by_id;
+  for (const auto& r : results) by_id[{r.patient_id, r.window_index}] = &r;
+  for (const auto& expected : reference.windows) {
+    const auto found = by_id.find({expected.patient_id, expected.window_index});
+    ASSERT_NE(found, by_id.end());
+    EXPECT_TRUE(bit_identical(found->second->signal, expected.signal))
+        << "patient " << expected.patient_id << " window " << expected.window_index;
+    EXPECT_EQ(found->second->iterations, expected.iterations)
+        << "patient " << expected.patient_id << " window " << expected.window_index;
   }
 }
 

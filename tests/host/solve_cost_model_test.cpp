@@ -1,8 +1,8 @@
 // SolveCostModel unit surface: the (m, n, tier) EWMA table the shed
 // predictor and degrade policy price solves with.  Pins the fallback
 // chain (override > exact tier > tier-0 scaled > global scaled), the
-// tier_scale clamp, and the EWMA fold — the degrade decision is only as
-// sound as the price it is handed.
+// tier_scale clamp and its measured full-solve iterations, and the EWMA
+// fold — the degrade decision is only as sound as the price it is handed.
 #include <gtest/gtest.h>
 
 #include "host/solve_cost_model.hpp"
@@ -21,6 +21,35 @@ TEST(SolveCostModel, TierScaleIsIterationRatioWithFloor) {
   EXPECT_DOUBLE_EQ(SolveCostModel::tier_scale(100, 200), 0.5);
   // ...down to the floor: warm-up and debias never shrink to zero.
   EXPECT_DOUBLE_EQ(SolveCostModel::tier_scale(1, 200), 0.05);
+}
+
+TEST(SolveCostModel, CappedTiersArePricedAgainstMeasuredFullIterations) {
+  SolveCostModel model;
+  // No tier-0 solve yet: the configured budget stands in.
+  EXPECT_EQ(model.full_iterations(200), 200u);
+
+  // Full solves stop at convergence well short of the 200 budget.
+  for (const std::uint32_t iterations : {112u, 118u, 111u, 115u}) {
+    model.record_iterations(iterations);
+  }
+  const std::uint32_t mean = model.full_iterations(200);
+  EXPECT_GE(mean, 111u);
+  EXPECT_LE(mean, 118u);
+
+  // An 80-iteration rung saves 80/mean of a full solve, not 80/200...
+  const double scale = SolveCostModel::tier_scale(80, mean);
+  EXPECT_DOUBLE_EQ(scale, 80.0 / static_cast<double>(mean));
+  EXPECT_GT(scale, 0.65);
+  EXPECT_LT(scale, 0.75);
+  // ...and a cap above what full solves run caps nothing: min(cap, mean).
+  EXPECT_EQ(SolveCostModel::tier_scale(150, mean), 1.0);
+
+  // The EWMA folds toward new samples (alpha = 1/8) like the time EWMAs.
+  SolveCostModel fresh;
+  fresh.record_iterations(200);
+  EXPECT_EQ(fresh.full_iterations(0), 200u);
+  fresh.record_iterations(120);  // (200 * 7 + 120) / 8 = 190.
+  EXPECT_EQ(fresh.full_iterations(0), 190u);
 }
 
 TEST(SolveCostModel, EmptyModelRefusesToGuess) {
