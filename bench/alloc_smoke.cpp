@@ -9,8 +9,9 @@
 //   serial    threads = 0, the poller solves inline;
 //   threaded  threads = 1, a worker thread solves (its thread_local arena
 //             and the cross-thread completion handoff are on the hook);
-//   fabric    2 shards x 1 worker behind the consistent-hash router (the
-//             shared-lock routing sweep and composite ticketing included).
+//   fabric    2 shards x 1 worker behind the coordinator (ring routing,
+//             ack bookkeeping, the pending-results queue and composite
+//             ticketing included).
 //
 // The gate is strict (`> 0` fails, not a budget), which is why the
 // harness pre-sizes all of its own bookkeeping before the measured pass.

@@ -248,10 +248,10 @@ int run_streaming(std::vector<host::CompressedWindow> batch, double rate_hz,
       const double resize_ms =
           std::chrono::duration<double, std::milli>(Clock::now() - resize_t0).count();
       std::printf("reshard @%zu: epoch %u, %zu -> %zu shards, moved %zu/%zu patients "
-                  "(%zu SLO handoffs), retired %zu, reaped %zu, %.2f ms\n",
+                  "(%zu SLO handoffs), retired %zu, %.2f ms\n",
                   submitted, report.epoch, report.shards_before, report.shards_after,
                   report.moved_patients, report.known_patients, report.slo_handoffs,
-                  report.retired_shards, report.reaped_shards, resize_ms);
+                  report.retired_shards, resize_ms);
       ++next_reshard;
     }
     ++submitted;

@@ -81,6 +81,7 @@ void ReconstructionEngine::recycle_item(WorkItem* item) {
 
 void ReconstructionEngine::worker_loop() {
   std::vector<WorkItem*> items;
+  items.reserve(max_pop());
   for (;;) {
     WorkItem* item = nullptr;
     if (queue_.try_pop(item)) {
@@ -98,11 +99,13 @@ void ReconstructionEngine::worker_loop() {
   }
 }
 
+std::size_t ReconstructionEngine::max_pop() const {
+  return static_cast<std::size_t>(cfg_.batch_windows > 0 ? cfg_.batch_windows : kMaxAutoBatch);
+}
+
 void ReconstructionEngine::pop_batch(std::vector<WorkItem*>& items) {
-  std::size_t limit;
-  if (cfg_.batch_windows > 0) {
-    limit = static_cast<std::size_t>(cfg_.batch_windows);
-  } else {
+  std::size_t limit = max_pop();
+  if (cfg_.batch_windows <= 0) {
     // Backlog-driven auto-sizing: split the backlog this worker can see
     // (queued plus what it already popped) evenly across the pool — solo
     // solves while traffic is light, wide same-matrix batches once a
@@ -110,9 +113,7 @@ void ReconstructionEngine::pop_batch(std::vector<WorkItem*>& items) {
     // moves the latency/throughput trade-off.
     const std::size_t backlog = queue_.size() + items.size();
     const auto workers = static_cast<std::size_t>(std::max(1, cfg_.threads));
-    const std::size_t share = (backlog + workers - 1) / workers;
-    limit = std::clamp<std::size_t>(share, 1,
-                                    static_cast<std::size_t>(std::max(1, cfg_.max_auto_batch)));
+    limit = std::clamp<std::size_t>((backlog + workers - 1) / workers, 1, limit);
   }
   if (items.size() < limit) queue_.pop_some(items, limit - items.size());
 }
@@ -209,30 +210,30 @@ std::shared_ptr<SloTracker> ReconstructionEngine::patient_tracker(std::uint32_t 
   return patient_slo_.emplace(patient_id, std::make_shared<SloTracker>(cfg_.slo)).first->second;
 }
 
-std::shared_ptr<SloTracker> ReconstructionEngine::extract_patient_slo(std::uint32_t patient_id) {
+std::optional<SloTrackerState> ReconstructionEngine::extract_patient_slo(
+    std::uint32_t patient_id) {
   std::lock_guard<std::mutex> lk(patient_slo_mutex_);
   const auto found = patient_slo_.find(patient_id);
-  if (found == patient_slo_.end()) return nullptr;
-  auto out = std::move(found->second);
+  if (found == patient_slo_.end()) return std::nullopt;
+  SloTrackerState state = found->second->extract_state();
   patient_slo_.erase(found);
-  return out;
+  return state;
 }
 
 bool ReconstructionEngine::adopt_patient_slo(std::uint32_t patient_id,
-                                             std::shared_ptr<SloTracker> tracker) {
-  if (!cfg_.per_patient_slo || tracker == nullptr) return false;
+                                             const SloTrackerState& state) {
+  if (!cfg_.per_patient_slo) return false;
   std::lock_guard<std::mutex> lk(patient_slo_mutex_);
-  const auto found = patient_slo_.find(patient_id);
-  if (found != patient_slo_.end()) {
-    // A submission (or a bounce back) beat the handoff: fold the moved
-    // history into the entry already recording here.
-    tracker->drain_into(*found->second);
-    return true;
+  auto found = patient_slo_.find(patient_id);
+  if (found == patient_slo_.end()) {
+    if (cfg_.max_tracked_patients > 0 && patient_slo_.size() >= cfg_.max_tracked_patients) {
+      return false;  // Same cap semantics as a brand-new patient.
+    }
+    found = patient_slo_.emplace(patient_id, std::make_shared<SloTracker>(cfg_.slo)).first;
   }
-  if (cfg_.max_tracked_patients > 0 && patient_slo_.size() >= cfg_.max_tracked_patients) {
-    return false;  // Same cap semantics as a brand-new patient.
-  }
-  patient_slo_.emplace(patient_id, std::move(tracker));
+  // A submission (or a bounce back) may have beaten the handoff: the moved
+  // history folds into the entry already recording here.
+  found->second->absorb_state(state);
   return true;
 }
 
@@ -256,7 +257,18 @@ void ReconstructionEngine::process_batch(std::vector<WorkItem*>& items) {
   static thread_local std::vector<WorkItem*> foreign;
   static thread_local std::vector<std::span<const double>> views;
   static thread_local std::vector<cs::FistaWindowOut> outs;
+  static thread_local std::vector<std::uint32_t> retired_ids;
   static thread_local cs::FistaWorkspace workspace;
+  // Sized for this engine's widest possible pop up front: a wider pop
+  // than any seen before (the auto-batch follows the backlog) must not
+  // grow the arena or the scratch vectors mid-stream.  ensure() and
+  // reserve() are grow-only, so this is a no-op once a shape is known.
+  const std::size_t widest = max_pop();
+  group.reserve(widest);
+  foreign.reserve(widest);
+  views.reserve(widest);
+  outs.reserve(widest);
+  retired_ids.reserve(widest);
 
   // Keep the same-(matrix, tier) group containing the oldest popped item;
   // requeue the rest for other workers.  Different shared_ptr instances of
@@ -307,8 +319,8 @@ void ReconstructionEngine::process_batch(std::vector<WorkItem*>& items) {
   // Measurements are *borrowed* from the queued windows (no copies — the
   // buffers travel by move from the producer through the queue to here),
   // and each window's signal lands directly in its result buffer, drawn
-  // from the payload pool when one is configured.  A row-truncated
-  // operator reads only the first rows() measurements of each window.
+  // from the payload pool at admission.  A row-truncated operator reads
+  // only the first rows() measurements of each window.
   const std::size_t n = group.front()->window.window_samples;
   views.clear();
   outs.clear();
@@ -316,12 +328,12 @@ void ReconstructionEngine::process_batch(std::vector<WorkItem*>& items) {
     const std::size_t rows = std::min(item->window.measurements.size(), solve_phi->rows());
     views.emplace_back(item->window.measurements.data(), rows);
     WindowResult& result = item->result;
-    if (cfg_.payload_pool != nullptr) result.signal = cfg_.payload_pool->acquire_signal();
     result.signal.resize(n);
     outs.push_back(cs::FistaWindowOut{
         std::span<double>(result.signal.data(), result.signal.size()), 0});
   }
 
+  workspace.ensure(solve_phi->rows(), n, widest);
   const auto t0 = Clock::now();
   cs::fista_solve_batch_into(
       *solve_phi, std::span<const std::span<const double>>(views.data(), views.size()),
@@ -381,7 +393,6 @@ void ReconstructionEngine::process_batch(std::vector<WorkItem*>& items) {
   // Snapshot the patient ids now: the moment an item is published to done_,
   // a concurrent poll() may pop and recycle it (wiping window and result),
   // so nothing on the item may be read after the publish below.
-  static thread_local std::vector<std::uint32_t> retired_ids;
   retired_ids.clear();
   for (const WorkItem* item : group) retired_ids.push_back(item->window.patient_id);
   {
@@ -567,14 +578,6 @@ void ReconstructionEngine::maybe_degrade_backlog() {
   });
 }
 
-double shed_aging_protection(double age_ms, double deadline_ms, double aging_deadlines) {
-  if (aging_deadlines <= 1.0 || deadline_ms <= 0.0) return 0.0;
-  // 0 protection up to one deadline of age, full protection at
-  // aging_deadlines deadlines, linear in between.
-  const double protection = (age_ms - deadline_ms) / ((aging_deadlines - 1.0) * deadline_ms);
-  return std::clamp(protection, 0.0, 1.0);
-}
-
 bool ReconstructionEngine::shed_predicted_miss(cs::WindowPriority arrival_priority) {
   const double deadline_ms = cfg_.slo.deadline_ms;
   if (deadline_ms <= 0.0) return false;
@@ -605,16 +608,6 @@ bool ReconstructionEngine::shed_predicted_miss(cs::WindowPriority arrival_priori
       const double age_ms = ms_between(item->enqueue_time, now);
       const double overshoot_ms = age_ms + cum_wait_ms - deadline_ms;
       if (overshoot_ms <= 0.0) return std::nullopt;  // Still expected to make it.
-      if (!urgent) {
-        // Starvation guard: a routine window that has already outlived its
-        // deadline under a sustained urgent flood earns shed protection
-        // with age, so the predictor victimizes younger doomed windows
-        // instead of re-dooming the same survivor forever.
-        const double protection =
-            shed_aging_protection(age_ms, deadline_ms, cfg_.shed_starvation_aging);
-        if (protection >= 1.0) return std::nullopt;  // Fully aged: shed-exempt.
-        return overshoot_ms * (1.0 - protection);
-      }
       return overshoot_ms;  // Shed the most-doomed window.
     };
   };
@@ -640,6 +633,7 @@ bool ReconstructionEngine::shed_predicted_miss(cs::WindowPriority arrival_priori
   // A shed window's payload goes back to the pool like a solved one's —
   // shedding under overload must not bleed the pool dry.
   release_window_payload(item->window);
+  if (cfg_.payload_pool != nullptr) cfg_.payload_pool->recycle(std::move(item->result));
   recycle_item(item);
   // A shed is progress too: the victim's patient may have quiesced, which
   // a deferred drain_patient waiter behind the hook must observe.
@@ -686,6 +680,10 @@ std::optional<std::uint64_t> ReconstructionEngine::try_submit_impl(CompressedWin
   WorkItem* item = item_pool_.acquire();
   item->phi = prepare_matrix(window);
   item->window = std::move(window);
+  // The result buffer is drawn here, not at solve time: the pool's signal
+  // high-water then follows the in-flight window count, not how widely
+  // the workers happened to batch their pops.
+  if (cfg_.payload_pool != nullptr) item->result.signal = cfg_.payload_pool->acquire_signal();
   item->patient_slo = patient_tracker(item->window.patient_id);
   item->ticket = next_ticket_.fetch_add(1, std::memory_order_relaxed);
   item->enqueue_time = Clock::now();
@@ -709,16 +707,7 @@ std::optional<std::uint64_t> ReconstructionEngine::try_submit_impl(CompressedWin
     std::lock_guard<std::mutex> lk(pending_mutex_);
     ++patient_pending_[item->window.patient_id];
   }
-  if (cfg_.group_submits_by_seed) {
-    // Insert next to the newest queued window sharing this sensing matrix
-    // (object identity — grouping is by the same test process_batch uses),
-    // so worker pops see contiguous same-matrix runs.
-    const cs::SensingMatrix* phi = item->phi.get();
-    queue_.push_grouped(item, urgent,
-                        [phi](WorkItem* other) { return other->phi.get() == phi; });
-  } else {
-    queue_.push(item, urgent);
-  }
+  queue_.push(item, urgent);
 
   if (!workers_.empty()) {
     {
@@ -763,6 +752,7 @@ bool ReconstructionEngine::help_some() {
   if (!queue_.try_pop(item)) return false;
   // thread_local so serial-mode polling stays allocation-free after warmup.
   static thread_local std::vector<WorkItem*> items;
+  items.reserve(max_pop());
   items.clear();
   items.push_back(item);
   pop_batch(items);
@@ -827,48 +817,28 @@ std::vector<WindowResult> ReconstructionEngine::drain() {
 
 BatchResult ReconstructionEngine::reconstruct(std::span<const CompressedWindow> batch) {
   std::lock_guard<std::mutex> batch_guard(batch_mutex_);
+  // Blocking submits: overload is waited out, never shed — a shed here
+  // could evict another window of this same batch.
+  return reconstruct_batch(
+      batch, [this](const CompressedWindow& window) { return submit(window); },
+      [this] { return drain(); });
+}
 
+BatchResult reconstruct_batch(
+    std::span<const CompressedWindow> batch,
+    const std::function<std::uint64_t(const CompressedWindow&)>& submit,
+    const std::function<std::vector<WindowResult>()>& drain) {
   BatchResult out;
   out.windows.assign(batch.size(), WindowResult{});
   if (batch.empty()) return out;
-
-  // Ticket -> batch position, so completion-order results can be put back
-  // in input order.  Tickets are engine-global, not batch-local, so the
-  // wrapper records its own mapping as it submits.  A ticket not in the
-  // map is a leftover from streaming submissions the caller never polled;
-  // the wrapper discards it rather than corrupting the batch output.
   std::unordered_map<std::uint64_t, std::size_t> slot_of;
   slot_of.reserve(batch.size());
-  const auto place = [&](WindowResult&& result) {
-    const auto found = slot_of.find(result.ticket);
-    if (found == slot_of.end()) return;
-    out.windows[found->second] = std::move(result);
-  };
-
   const auto t0 = Clock::now();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    CompressedWindow copy = batch[i];
-    for (;;) {
-      // Never shed inside the batch wrapper: its contract is every window
-      // reconstructed, so overload is waited out, not dropped — a shed
-      // here could even evict another window of this same batch, leaving
-      // a default-constructed hole in the output.
-      if (auto ticket = try_submit_impl(std::move(copy), /*allow_shedding=*/false)) {
-        slot_of.emplace(*ticket, i);
-        break;
-      }
-      // Backpressure: retrieve (and in serial mode, solve) to make room.
-      if (auto result = poll()) {
-        place(std::move(*result));
-      } else {
-        std::unique_lock<std::mutex> lk(done_mutex_);
-        done_cv_.wait_for(lk, std::chrono::milliseconds(1), [this] {
-          return in_flight_.load(std::memory_order_acquire) < in_flight_capacity();
-        });
-      }
-    }
+  for (std::size_t i = 0; i < batch.size(); ++i) slot_of.emplace(submit(batch[i]), i);
+  for (auto&& result : drain()) {
+    const auto found = slot_of.find(result.ticket);
+    if (found != slot_of.end()) out.windows[found->second] = std::move(result);
   }
-  for (auto&& result : drain()) place(std::move(result));
   out.wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
   out.records_per_second =
       out.wall_seconds > 0.0 ? static_cast<double>(batch.size()) / out.wall_seconds : 0.0;

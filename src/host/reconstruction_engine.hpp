@@ -94,10 +94,10 @@ struct CompressedWindow {
   /// reconstruction backlog and are shed last.  Never affects values.
   cs::WindowPriority priority = cs::WindowPriority::kRoutine;
   /// Opaque routing tag, echoed verbatim into WindowResult::route_tag and
-  /// never read by the engine.  The fabric stores the submission epoch
-  /// here so a result polled from a shard can be composed into the same
-  /// epoch-tagged composite ticket its submit() returned, even when the
-  /// fabric was resized while the window was in flight.
+  /// never read by the engine.  The coordinator stores the submission
+  /// epoch here so a result polled from a shard can be composed into the
+  /// same epoch-tagged composite ticket its submit() returned, even when
+  /// the fleet was resized while the window was in flight.
   std::uint32_t route_tag = 0;
   /// Solve fidelity tier.  Tier 0 (the default) is the full-fidelity solve
   /// and the only tier the engine ever uses unless a DegradePolicy demotes
@@ -151,9 +151,17 @@ struct BatchResult {
 };
 
 /// Per-patient aggregation over completed windows, sorted by patient_id.
-/// Deterministic (serial, input order); shared by the engine's and the
-/// fabric's batch wrappers.
+/// Deterministic (serial, input order).
 std::vector<PatientStats> aggregate_patient_stats(std::span<const WindowResult> windows);
+
+/// The batch wrapper shared by the engine and the fabric: submits every
+/// window (`submit` returns its ticket), drains, and restores input order
+/// by ticket.  Results whose ticket no submission returned — leftovers of
+/// streaming traffic the caller never polled — are discarded.
+BatchResult reconstruct_batch(
+    std::span<const CompressedWindow> batch,
+    const std::function<std::uint64_t(const CompressedWindow&)>& submit,
+    const std::function<std::vector<WindowResult>()>& drain);
 
 /// How the engine may trade reconstruction fidelity for backlog relief —
 /// degrading routine windows along the paper's Figure-5 SNR/CR curve
@@ -185,6 +193,9 @@ struct DegradeTierSpec {
   std::uint32_t iteration_cap = 0;
 };
 
+/// Upper bound on an auto-sized batch (EngineConfig::batch_windows == 0).
+inline constexpr int kMaxAutoBatch = 32;
+
 struct EngineConfig {
   /// Worker threads.  0 = solve in the calling thread during poll()/
   /// drain() (serial reference mode); N >= 1 spawns N persistent workers.
@@ -200,12 +211,13 @@ struct EngineConfig {
   /// bit-identical to solo solves, so any value preserves the
   /// determinism contract; 1 (the default) disables packing.
   /// 0 enables backlog-driven auto-sizing: each worker pops
-  /// ceil(backlog / threads) windows, clamped to [1, max_auto_batch] —
+  /// ceil(backlog / threads) windows, clamped to [1, kMaxAutoBatch] —
   /// solo solves for latency when the queue is shallow, wide batches for
-  /// throughput when it is deep.
+  /// throughput when it is deep.  A worker sizes its solve arena for its
+  /// widest possible pop (this value, or kMaxAutoBatch when 0) the first
+  /// time it meets a window shape, so a wider pop later never allocates:
+  /// about 1.6 MB per worker at n = 512 (m = 256) under auto-sizing.
   int batch_windows = 1;
-  /// Upper bound on an auto-sized batch (batch_windows == 0).
-  int max_auto_batch = 32;
   /// Deadline-aware load shedding.  When admission is at capacity and the
   /// backlog predicts a deadline miss, drop the queued window with the
   /// worst predicted overshoot (routine lane first; the urgent lane is
@@ -218,16 +230,6 @@ struct EngineConfig {
   /// Per-window solve-time estimate feeding the shed predictor, in ms.
   /// 0 (default) uses the engine's measured EWMA of completed solves.
   double shed_solve_estimate_ms = 0.0;
-  /// Starvation guard for the shed predictor's routine lane.  Under a
-  /// sustained urgent flood, deadline shedding keeps picking routine
-  /// victims; without a guard an unlucky routine window can be re-doomed
-  /// forever.  A value > 1 grants each routine window growing shed
-  /// protection with age (shed_aging_protection): its shed score fades
-  /// linearly once it outlives its deadline and it becomes fully
-  /// shed-exempt at `shed_starvation_aging` deadlines of age, forcing the
-  /// predictor to pick younger victims (or reject the arrival).  <= 1
-  /// (default) disables aging — pure worst-overshoot victim selection.
-  double shed_starvation_aging = 0.0;
   /// Fidelity-degrade policy: when the priced backlog overshoots the
   /// deadline budget (see degrade_backlog_deadlines) — and again as the
   /// demote-first step wherever the deadline-shed victim scan would fire —
@@ -244,14 +246,6 @@ struct EngineConfig {
   /// <= 0 disables the proactive trigger; the demote-before-shed step
   /// still runs.
   double degrade_backlog_deadlines = 1.0;
-  /// Place each submitted window next to the newest queued window sharing
-  /// its sensing matrix (same lane; FIFO otherwise) instead of strictly at
-  /// the back.  Workers pop contiguous runs, so backlog auto-batching
-  /// (batch_windows == 0) then packs same-matrix groups far more often
-  /// under interleaved multi-patient traffic.  Values are unaffected
-  /// (determinism contract); only completion order moves.  Observability:
-  /// SloSnapshot::grouped_windows counts batched-group members.
-  bool group_submits_by_seed = false;
   /// Invoked (from a worker thread) every time the engine makes progress a
   /// blocked producer could be waiting on: a batch of results was
   /// published and its in-flight slots released, or a queued window was
@@ -356,7 +350,8 @@ class ReconstructionEngine {
   /// shed.  With threads == 0 the calling thread solves pending windows
   /// inline.  A concurrent submitter can re-open the patient's backlog
   /// after this returns; callers that need quiescence must stop routing
-  /// that patient here first (the fabric flips its epoch before draining).
+  /// that patient here first (the coordinator flips its epoch before
+  /// draining).
   void drain_patient(std::uint32_t patient_id);
 
   /// Admission bound actually in force.
@@ -385,30 +380,21 @@ class ReconstructionEngine {
   std::vector<PatientSlo> patient_slo_snapshots() const;
 
   /// Removes the patient's tracker from this engine's breakdown map and
-  /// returns it (nullptr when untracked).  The tracker object itself
-  /// stays alive through shared ownership, so in-flight windows of that
-  /// patient still record into it — which is exactly right during a
-  /// handoff: drain_patient() first, then extract, and every count lands
-  /// in the object that moves.  Frees the patient's slot under
-  /// max_tracked_patients.
-  std::shared_ptr<SloTracker> extract_patient_slo(std::uint32_t patient_id);
+  /// returns its state (SloTracker::extract_state), or nullopt when
+  /// untracked.  The reshard handoff: the coordinator drains the patient
+  /// and sweeps its parked results first, so no later event of the
+  /// patient's windows can record into the removed tracker.  Frees the
+  /// patient's slot under max_tracked_patients.
+  std::optional<SloTrackerState> extract_patient_slo(std::uint32_t patient_id);
 
-  /// Adopts a tracker extracted from another engine as this engine's
-  /// per-patient tracker for `patient_id`.  If the patient is already
-  /// tracked here (it raced back, or a submission beat the handoff), the
-  /// incoming tracker is drained into the existing one instead
-  /// (SloTracker::drain_into — counts conserved; the existing entry stays
-  /// live because windows already in flight here hold pointers to it.
-  /// Retrieves of results still parked on the source engine keep
-  /// recording into the discarded incoming object, so on this fold path
-  /// the patient's breakdown can permanently show those as in_flight —
-  /// the documented cost of a submit racing a handoff).  Returns false
-  /// when the
-  /// breakdown is off, the tracker is null, or the patient map is at
-  /// max_tracked_patients capacity (the history is dropped from the
-  /// breakdown; engine-wide counters are unaffected, matching how a new
-  /// patient beyond the cap goes untracked).
-  bool adopt_patient_slo(std::uint32_t patient_id, std::shared_ptr<SloTracker> tracker);
+  /// Adds an extracted state to this engine's tracker for `patient_id`
+  /// (created if absent; folded in if a submission beat the handoff —
+  /// counts conserved either way).  Returns false when the breakdown is
+  /// off or the patient map is at max_tracked_patients capacity (the
+  /// history is dropped from the breakdown; engine-wide counters are
+  /// unaffected, matching how a new patient beyond the cap goes
+  /// untracked).
+  bool adopt_patient_slo(std::uint32_t patient_id, const SloTrackerState& state);
 
   /// Sensing matrices currently cached (bounded by matrix_cache_capacity).
   std::size_t cached_matrices() const;
@@ -459,9 +445,8 @@ class ReconstructionEngine {
     /// invalidate a matrix that queued windows still reference.
     std::shared_ptr<const cs::SensingMatrix> phi;
     /// Resolved once at submit, with shared ownership: the completion path
-    /// records without touching the tracker map, and a tracker extracted
-    /// for a reshard handoff stays alive (and keeps receiving this
-    /// window's events) no matter when the map entry moved.
+    /// records without touching the tracker map, and an extracted tracker
+    /// stays valid for any window still holding it.
     std::shared_ptr<SloTracker> patient_slo;
     std::uint64_t ticket = 0;
     /// The admission-time solve-cost estimate this window charged into
@@ -485,6 +470,8 @@ class ReconstructionEngine {
   /// or backlog/threads when auto-sizing) from the lane queue, urgent
   /// first.  At least one already-popped item is passed in by the caller.
   void pop_batch(std::vector<WorkItem*>& items);
+  /// The widest batch pop_batch can ever return.
+  std::size_t max_pop() const;
   /// Reserves one in-flight slot; false when at capacity.
   bool reserve_slot();
   /// Admission core shared by try_submit (shedding per config, rejects
@@ -582,9 +569,8 @@ class ReconstructionEngine {
   std::list<MatrixKey> lru_;
 
   // Per-patient SLO trackers.  shared_ptr (SloTracker is non-movable):
-  // recording threads and extracted-for-handoff trackers keep the object
-  // alive across map rebalancing, extraction, and adoption by another
-  // engine.
+  // recording threads keep the object alive across map rebalancing and
+  // extraction.
   mutable std::mutex patient_slo_mutex_;
   std::map<std::uint32_t, std::shared_ptr<SloTracker>> patient_slo_;
 
@@ -648,14 +634,5 @@ struct RecordCompressionConfig {
 std::vector<CompressedWindow> compress_record(const sig::Record& record,
                                               std::uint32_t patient_id,
                                               const RecordCompressionConfig& cfg = {});
-
-/// Shed-exemption fraction a routine window of age `age_ms` has earned
-/// under EngineConfig::shed_starvation_aging == `aging_deadlines` (pure —
-/// unit-testable without an engine).  0 while the window is within its
-/// deadline, then climbing linearly to 1 (fully shed-exempt) at
-/// `aging_deadlines` deadlines of age.  Shed scores are scaled by
-/// (1 - protection), so an aged window loses shed-victim auctions to
-/// younger doomed windows.  Always 0 when aging <= 1 or deadline <= 0.
-double shed_aging_protection(double age_ms, double deadline_ms, double aging_deadlines);
 
 }  // namespace wbsn::host

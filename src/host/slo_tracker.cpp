@@ -113,37 +113,6 @@ void SloTracker::merge_from(const SloTracker& other) {
   if (other.start_ < start_) start_ = other.start_;
 }
 
-void SloTracker::drain_into(SloTracker& dest) {
-  const auto move_counter = [](std::atomic<std::uint64_t>& from, std::atomic<std::uint64_t>& to) {
-    const std::uint64_t taken = from.exchange(0, std::memory_order_relaxed);
-    if (taken > 0) to.fetch_add(taken, std::memory_order_relaxed);
-  };
-  for (std::size_t i = 0; i < kBuckets; ++i) move_counter(buckets_[i], dest.buckets_[i]);
-  move_counter(submitted_, dest.submitted_);
-  move_counter(completed_, dest.completed_);
-  move_counter(retrieved_, dest.retrieved_);
-  move_counter(shed_routine_, dest.shed_routine_);
-  move_counter(shed_urgent_, dest.shed_urgent_);
-  move_counter(rejected_, dest.rejected_);
-  move_counter(violations_, dest.violations_);
-  move_counter(sum_us_, dest.sum_us_);
-  move_counter(grouped_windows_, dest.grouped_windows_);
-  move_counter(degraded_windows_, dest.degraded_windows_);
-  // Maxima are not additive: take the max into dest and zero the source.
-  const std::uint64_t taken_max = max_us_.exchange(0, std::memory_order_relaxed);
-  std::uint64_t seen = dest.max_us_.load(std::memory_order_relaxed);
-  while (taken_max > seen &&
-         !dest.max_us_.compare_exchange_weak(seen, taken_max, std::memory_order_relaxed)) {
-  }
-  const std::uint64_t taken_depth = max_in_flight_.exchange(0, std::memory_order_relaxed);
-  seen = dest.max_in_flight_.load(std::memory_order_relaxed);
-  while (taken_depth > seen &&
-         !dest.max_in_flight_.compare_exchange_weak(seen, taken_depth,
-                                                    std::memory_order_relaxed)) {
-  }
-  if (start_ < dest.start_) dest.start_ = start_;
-}
-
 SloTrackerState SloTracker::extract_state() {
   SloTrackerState state;
   for (std::size_t i = 0; i < kBuckets; ++i) {

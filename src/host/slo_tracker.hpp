@@ -48,9 +48,9 @@ struct SloSnapshot {
   std::uint64_t in_flight = 0;      ///< Submitted, not yet retrieved or shed.
   std::uint64_t max_in_flight = 0;  ///< High-water mark of in_flight.
   /// Windows destroyed by a shard crash: admitted, never retrieved, and
-  /// unrecoverable (ReconstructionFabric::fail_shard).  No tracker records
-  /// this — a dead shard can't — so it is filled by the fabric's failed
-  /// accumulators in aggregate snapshots and stays 0 in every per-engine
+  /// unrecoverable (Coordinator::fail_shard).  No tracker records this — a
+  /// dead shard can't — so it is filled from the coordinator's books in
+  /// the fabric's aggregate snapshot and stays 0 in every per-engine
   /// view.  Crash-proof conservation: submitted == completed + shed + lost
   /// + in_flight.
   std::uint64_t lost = 0;
@@ -75,7 +75,7 @@ struct SloSnapshot {
 };
 
 /// A tracker's counters and histogram as plain (non-atomic) values — the
-/// process-crossing form of the drain_into handoff.  `buckets` holds only
+/// form a patient's SLO history moves in across a reshard.  `buckets` holds only
 /// the non-zero histogram bins as (index, count) pairs (the histogram is
 /// sparse for any real workload), and the wall-clock anchor travels as
 /// `elapsed_us` since steady_clock time points are meaningless in another
@@ -153,21 +153,11 @@ class SloTracker {
   /// high-water mark, since the marks need not be simultaneous.
   void merge_from(const SloTracker& other);
 
-  /// Moves this tracker's counters and histogram into `dest` and zeroes
-  /// them here (counter-by-counter exchange(0) + add, so each count lands
-  /// in exactly one tracker — never both, never neither).  The handoff
-  /// primitive behind live resharding: when a patient's shard ownership
-  /// moves, the old shard's per-patient tracker is drained into the new
-  /// shard's so the patient's history follows the patient.  Counts
-  /// recorded into `this` concurrently with the drain may land on either
-  /// side of the move, but are conserved; `dest` must not race a reset.
-  void drain_into(SloTracker& dest);
-
-  /// drain_into, but into a plain-value state that can cross a process
-  /// boundary: every counter is exchange(0)'d out of this tracker and into
-  /// the returned state, so (as with drain_into) each count lands in
-  /// exactly one place — the conservation property the cross-machine SLO
-  /// handoff inherits.  Counts recorded concurrently with the extraction
+  /// Moves this tracker's counters and histogram into a plain-value state
+  /// that can cross a process boundary — the reshard handoff of a
+  /// patient's history.  Every counter is exchange(0)'d out of this
+  /// tracker and into the returned state, so each count lands in exactly
+  /// one place.  Counts recorded concurrently with the extraction
   /// may land on either side, but are never lost or doubled.
   SloTrackerState extract_state();
 

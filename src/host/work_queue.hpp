@@ -60,15 +60,6 @@ class RingDeque {
   /// i-th element in pop order (0 = front).
   T& operator[](std::size_t i) { return buf_[(head_ + i) & mask()]; }
 
-  /// Inserts before the i-th element in pop order (i == size() appends),
-  /// shifting the back side right.
-  void insert(std::size_t i, T value) {
-    reserve_one();
-    ++size_;
-    for (std::size_t j = size_ - 1; j > i; --j) (*this)[j] = std::move((*this)[j - 1]);
-    (*this)[i] = std::move(value);
-  }
-
   /// Removes the i-th element in pop order, shifting the shorter side.
   void erase(std::size_t i) {
     if (i < size_ - i - 1) {
@@ -128,26 +119,6 @@ class TwoLaneWorkQueue {
     lane(urgent).push_front(std::move(value));
   }
 
-  /// Enqueues next to the last queued item of the same group when one
-  /// exists (inserted right after it, preserving FIFO order within the
-  /// group's run), else at the back of the lane.  `same_group(item)` tests
-  /// membership.  Used by submit-time matrix-seed grouping: consumers that
-  /// pop a contiguous run get a same-matrix batch without scanning.  The
-  /// back-to-front scan is O(lane depth) worst case, but a grouped
-  /// workload hits the match within a few slots from the back.
-  template <typename SameGroupFn>
-  void push_grouped(T value, bool urgent, SameGroupFn&& same_group) {
-    std::lock_guard<std::mutex> lk(mutex_);
-    RingDeque<T>& q = lane(urgent);
-    for (std::size_t i = q.size(); i > 0; --i) {
-      if (same_group(q[i - 1])) {
-        q.insert(i, std::move(value));
-        return;
-      }
-    }
-    q.push_back(std::move(value));
-  }
-
   bool try_pop(T& out) {
     std::lock_guard<std::mutex> lk(mutex_);
     for (auto* q : {&urgent_, &routine_}) {
@@ -158,17 +129,6 @@ class TwoLaneWorkQueue {
       }
     }
     return false;
-  }
-
-  /// Pops every remaining item into `out` (appended) — shutdown cleanup.
-  void drain_all(std::vector<T>& out) {
-    std::lock_guard<std::mutex> lk(mutex_);
-    for (auto* q : {&urgent_, &routine_}) {
-      while (!q->empty()) {
-        out.push_back(std::move(q->front()));
-        q->pop_front();
-      }
-    }
   }
 
   /// Pops up to `max` items in priority order into `out` (appended).

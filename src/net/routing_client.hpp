@@ -1,71 +1,41 @@
-// RoutingClient — the coordinator half of the cross-machine fabric.
+// RoutingClient — the cross-machine face of the coordinator.
 //
 // Speaks wbsn-wire v4 to a fleet of ShardServer processes and presents
-// the same submit/poll/drain surface as host::ReconstructionFabric, with
-// the same placement guarantees proven for the in-process fabric:
+// the same submit/poll/drain surface as host::ReconstructionFabric.  Both
+// are façades over one host::Coordinator (coordinator.hpp), which owns the
+// ring per epoch, composite tickets, the resize migration order
+// (DRAIN_PATIENT, sweep of the old owner's parked results, EXTRACT_SLO,
+// ADOPT_SLO, then synchronous retirement with BYE), crash failover with
+// the `lost` fold, and the conservation books.  What the client adds is
+// what only the wire has: SocketLink (below), endpoint-keyed topology
+// (set_topology matches endpoints by host:port, so surviving shards keep
+// their connections and backlogs even when their index shifts), HEALTH
+// probes, CR hints, and the reconnect schedule.
 //
-//   * Patients are routed by the same consistent-hash ring
-//     (host::HashRing) the in-process fabric uses — the ring is rebuilt
-//     locally from (shard_count, host::kVnodesPerShard), so client and any
-//     audit tool agree on placement without a metadata service.
-//   * set_topology() opens a new routing epoch, exactly like
-//     ReconstructionFabric::resize(): the ring/endpoint list flips first
-//     (no new submission routes to a leaving shard), then every moved
-//     patient is drained on its old shard (DRAIN_PATIENT), its SLO
-//     history extracted (EXTRACT_SLO) and adopted by the new owner
-//     (ADOPT_SLO) — counts conserved end to end because extract_state()
-//     is an exchange(0) on every counter.
-//   * Tickets are the fabric's composite epoch | shard | local form
-//     (ReconstructionFabric::compose_ticket).  The submission epoch rides
-//     in CompressedWindow::route_tag and comes back in the result, and the
-//     client keeps the ring of every epoch it has opened, so a result
-//     polled after any number of reshards still composes the exact ticket
-//     its submit() returned.
-//   * Shards leaving the topology are retired synchronously: their
-//     remaining results are polled out, their final counter snapshot is
-//     folded into the client's retired accumulator (so
-//     aggregate_snapshot() conserves submitted == completed + shed and
-//     attempts == submitted + rejected across the whole topology
-//     history), and they are dismissed with BYE — which stops a
-//     stop_on_bye daemon.
-//   * Shards that *crash* can't be retired — they will never answer the
-//     drain/extract handshake.  fail_shard() (manual, or automatic under
-//     cfg.auto_failover when I/O or a health probe fails) opens a
-//     failover epoch instead: the ring flips to a subset ring over the
-//     survivors, the dead shard's patients re-home, and the client's own
-//     per-shard submit/poll mirrors replace the unavailable final
-//     snapshot — windows acknowledged but never polled back land in the
-//     explicit `lost` counter, so the audit identity becomes
-//     submitted == completed + shed + rejected + lost and stays conserved
-//     across crashes.
-//   * Every window travels in a SUBMIT_BATCH.  submit_pipelined stages
-//     windows into per-shard frames (one frame per submit_batch_windows
-//     windows, sealed scatter-gather — prefix, the staged bodies, CRC
-//     trailer — in one sendmsg), keeps up to pipeline_depth
-//     unacknowledged frames on the wire per shard, and defers ticket
-//     composition until the SUBMIT_BATCH_ACK arrives.  flush_submits()
-//     is the sync point: it seals the tail, harvests every outstanding
-//     ACK, and returns the composite tickets in submission order.  Any
-//     other verb on a shard syncs its pipeline first (responses are
-//     per-connection ordered).  submit() is the same path with a
-//     one-window frame, sealed and acknowledged before it returns.
-//   * Results come back by long-poll.  While a shard holds windows this
-//     client has not retrieved, the client keeps one POLL_MANY armed
+// SocketLink, the transport to one shard:
+//   * Every window travels in a SUBMIT_BATCH.  Windows stage into one
+//     frame per submit_batch_windows, sealed scatter-gather — prefix, the
+//     staged bodies, CRC trailer — in one sendmsg; up to pipeline_depth
+//     unacknowledged frames ride the wire, and acks surface in submission
+//     order when the SUBMIT_BATCH_ACK arrives.  Any other verb syncs the
+//     pipeline first (responses are per-connection ordered).
+//   * Results come back by long-poll.  While the shard holds windows the
+//     coordinator has not retrieved, the link keeps one POLL_MANY armed
 //     there; the shard answers it as soon as a result is ready, and
-//     poll() picks the answer up with a non-blocking read — it never
-//     waits on a shard.  Any later request on the connection makes the
-//     shard release the armed poll first (possibly empty), so every read
-//     absorbs RESULT_BATCH frames owed to armed polls before the frame it
-//     is waiting for.  A SUBMIT_BATCH sealed while a poll is armed
-//     carries a fresh POLL_MANY in the same write, so the poll stays armed
-//     across submits.
+//     poll_many() picks the answer up with a non-blocking read.  Any later
+//     request makes the shard release the armed poll first (possibly
+//     empty), so every read absorbs RESULT_BATCH frames owed to armed
+//     polls before the frame it is waiting for.  A SUBMIT_BATCH sealed
+//     while a poll is armed carries a fresh POLL_MANY in the same write.
+//   * Sockets are blocking with I/O timeouts; a failed connection is
+//     retried with capped, jittered exponential backoff.  Verbs that carry
+//     no server-side state transition are retried across a reconnect;
+//     SUBMIT_BATCH and the migration verbs are not (a retry could
+//     double-submit): windows unacknowledged on a dead connection resolve
+//     as lost.
 //
-// Threading: single-coordinator by design, like the reshard protocol
-// itself — one thread owns the client; it is not thread-safe.  Sockets
-// are blocking with I/O timeouts; a failed connection is retried with
-// exponential backoff (reconnect_* knobs).  Verbs that carry no
-// server-side state transition are retried across a reconnect; SUBMIT is
-// not (a retry could double-submit), it reports failure instead.
+// Threading: single owner, like the coordinator — one thread owns the
+// client; it is not thread-safe.
 #pragma once
 
 #include <cstdint>
@@ -75,10 +45,9 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "host/hash_ring.hpp"
+#include "host/coordinator.hpp"
 #include "host/reconstruction_engine.hpp"
 #include "net/socket.hpp"
 #include "net/wire_format.hpp"
@@ -134,10 +103,93 @@ struct RoutingClientConfig {
   std::shared_ptr<host::PayloadPool> payload_pool;
 };
 
+/// One ShardServer behind the ShardLink verbs, over one TCP connection.
+class SocketLink final : public host::ShardLink {
+ public:
+  /// `cfg` must outlive the link (the client owns both).
+  SocketLink(ShardEndpoint endpoint, std::size_t index, const RoutingClientConfig& cfg)
+      : endpoint_(std::move(endpoint)), index_(index), cfg_(cfg) {}
+
+  const ShardEndpoint& endpoint() const { return endpoint_; }
+  /// The shard slot this link serves (fault-hook and jitter identity).
+  void set_index(std::size_t index) { index_ = index; }
+
+  /// Connects (with the reconnect schedule) unless already connected.
+  bool ensure_connected();
+
+  /// One CR_HINT round trip for routing epoch `epoch`.
+  bool cr_hint(std::uint64_t epoch, std::uint32_t max_entries, CrHintAckPayload& ack);
+
+  bool submit(host::CompressedWindow& window, bool blocking) override;
+  bool flush() override;
+  bool poll_many(host::RingDeque<host::WindowResult>& out, std::uint64_t owed) override;
+  /// SNAPSHOT; a sweep rides a POLL_MANY in the same write (unless one is
+  /// armed already), which the snapshot releases, so its results are
+  /// absorbed first and the counters count what is left.
+  bool snapshot(host::ShardCounters& counters,
+                host::RingDeque<host::WindowResult>* sweep) override;
+  bool drain_patient(std::uint32_t patient_id) override;
+  bool extract_slo(std::uint32_t patient_id,
+                   std::optional<host::SloTrackerState>& state) override;
+  bool adopt_slo(std::uint32_t patient_id, const host::SloTrackerState& state,
+                 bool& adopted) override;
+  /// HEALTH, its nonce echoed within health_probe_timeout_ms.
+  bool health() override;
+  void close(bool bye) override;
+
+ private:
+  bool reconnect();
+  /// Sends `buf`; one reconnect-and-resend on failure when `may_retry`.
+  bool send_request(const std::vector<std::uint8_t>& buf, bool may_retry);
+  /// One request/response round trip (the pipeline synced first); the
+  /// response must be of type `expect`.
+  bool round_trip(const std::vector<std::uint8_t>& buf, bool may_retry, FrameType expect);
+  /// Blocks until one complete frame is buffered; copies it into frame_
+  /// (stable against further reads) and parses it into view_.  RESULT_BATCH
+  /// answers owed to armed polls are absorbed on the way.
+  bool read_frame();
+  /// Decodes one RESULT_BATCH (the answer to the oldest owed poll) into
+  /// inbox_.
+  bool absorb_results(const FrameView& view);
+  /// Seals the staged bodies into one SUBMIT_BATCH on the wire and
+  /// enforces the pipeline depth by harvesting acks.
+  bool seal_batch();
+  /// Blocks for one SUBMIT_BATCH_ACK and records its windows' acks.
+  bool harvest_ack();
+  /// Resolves every staged or unacknowledged window as lost (the
+  /// connection died with them outstanding).
+  void fail_pipeline();
+  /// Moves inbox_ into `out`.
+  void hand_over(host::RingDeque<host::WindowResult>& out);
+
+  ShardEndpoint endpoint_;
+  std::size_t index_ = 0;
+  const RoutingClientConfig& cfg_;
+  Fd fd_;
+  std::vector<std::uint8_t> rx_;
+  std::vector<std::uint8_t> frame_;  ///< The last frame read_frame() returned.
+  FrameView view_;                   ///< Parsed view of frame_.
+  std::vector<std::uint8_t> tx_;     ///< Request scratch.
+  /// Sends attempted (fault-hook clock).  A POLL_MANY riding behind a
+  /// SUBMIT_BATCH shares its send.
+  std::uint64_t frames_sent_ = 0;
+  /// POLL_MANY answers not yet read.  Meaningful only while fd_ is valid:
+  /// reconnect() clears it with rx_.
+  std::uint32_t polls_owed_ = 0;
+  std::uint64_t health_nonce_ = 0;
+  /// Encoded window bodies not yet sealed into a frame.
+  std::vector<std::uint8_t> staged_bodies_;
+  std::uint64_t staged_count_ = 0;
+  std::uint8_t staged_flags_ = kSubmitFlagBlocking;  ///< Admission mode of the staged frame.
+  /// Window count of each unacknowledged SUBMIT_BATCH on the wire.
+  std::deque<std::size_t> outstanding_counts_;
+  host::RingDeque<host::WindowResult> inbox_;  ///< Absorbed, not yet handed over.
+};
+
 class RoutingClient {
  public:
   explicit RoutingClient(RoutingClientConfig cfg = {});
-  ~RoutingClient();
+  ~RoutingClient() { shutdown(false); }
 
   RoutingClient(const RoutingClient&) = delete;
   RoutingClient& operator=(const RoutingClient&) = delete;
@@ -148,56 +200,41 @@ class RoutingClient {
 
   /// Topology slots, failed ones included — index identity is what keeps
   /// composite tickets stable across failovers.
-  std::size_t shard_count() const { return conns_.size(); }
-  std::size_t live_shard_count() const;
-  bool shard_failed(std::size_t shard) const;
-  std::uint32_t epoch() const { return epoch_; }
+  std::size_t shard_count() const { return coord_.shard_count(); }
+  std::size_t live_shard_count() const { return coord_.live_shard_count(); }
+  bool shard_failed(std::size_t shard) const {
+    return shard < shard_count() && coord_.link(shard) == nullptr;
+  }
+  std::uint32_t epoch() const { return coord_.epoch(); }
 
   /// The shard index that owns `patient_id` under the current epoch.
-  std::size_t owner(std::uint32_t patient_id) const;
+  std::size_t owner(std::uint32_t patient_id) const { return coord_.owner(patient_id); }
 
-  /// Reshards to a new endpoint set under a fresh epoch (see file
-  /// comment).  Endpoints are matched by host:port, so surviving shards
-  /// keep their connections (and their engines keep their backlogs) even
-  /// when their index shifts.  False when a new endpoint is unreachable
-  /// or a migration verb fails; the epoch flip is not rolled back —
-  /// resolve connectivity and call again.
+  /// Reshards to a new endpoint set under a fresh epoch, in the
+  /// coordinator's migration order.  Endpoints are matched by host:port,
+  /// so surviving shards keep their connections (and their engines keep
+  /// their backlogs) even when their index shifts.  False when a new
+  /// endpoint is unreachable (nothing changes) or a migration verb fails
+  /// (the flip stands — resolve connectivity and call again).
   bool set_topology(std::vector<ShardEndpoint> shards);
 
-  /// Blocking submit of one window as a one-window SUBMIT_BATCH: the shard
-  /// waits out its backpressure server-side (never sheds, never counts a
-  /// rejection).  With auto_failover, a window whose shard died before
-  /// acknowledging it re-routes to the new owner.  nullopt only on a dead
-  /// connection.
-  std::optional<std::uint64_t> submit(host::CompressedWindow window);
-
-  /// Pipelined submit (see file comment): stages the window toward its
-  /// owner shard and returns immediately — the ticket arrives with the
-  /// batch ACK and is surfaced by the next flush_submits().  Blocking
-  /// admission semantics on the shard (never sheds, never counts a
-  /// rejection), like submit().  False only on a dead connection (the
-  /// window is then dropped, consistent with the no-retry SUBMIT rule).
-  bool submit_pipelined(host::CompressedWindow&& window);
-
-  /// Seals every staged batch, harvests every outstanding ACK, and
-  /// returns one entry per submit_pipelined() since the last flush, in
-  /// submission order: the composite ticket, or nullopt when the window
-  /// was rejected or its connection died with the ACK outstanding (such
-  /// windows are NOT retried — a retry could double-submit).
-  std::vector<std::optional<std::uint64_t>> flush_submits();
-
-  /// One completed result in arrival order across shards, or nullopt when
-  /// none has arrived yet.  Never blocks on a shard: it reads answers the
-  /// shards already sent and arms a POLL_MANY where windows are pending.
-  std::optional<host::WindowResult> poll();
-
-  /// Polls until every shard reports quiescence (nothing unsolved, nothing
-  /// ready) and returns everything retrieved.
-  std::vector<host::WindowResult> drain();
-
-  /// Sum of every live shard's counter snapshot plus the retired
-  /// accumulator — the conservation audit surface.  Exact when quiesced.
-  SnapshotPayload aggregate_snapshot();
+  // Submission, retrieval, failover and the audit surface are the
+  // coordinator's (see host::Coordinator).  Every submit uses blocking
+  // admission on the shard: it never sheds and never counts a rejection.
+  std::optional<std::uint64_t> submit(host::CompressedWindow window) {
+    return coord_.submit(window, /*blocking=*/true);
+  }
+  bool submit_pipelined(host::CompressedWindow&& window) {
+    return coord_.submit_pipelined(std::move(window));
+  }
+  std::vector<std::optional<std::uint64_t>> flush_submits() { return coord_.flush_submits(); }
+  std::optional<host::WindowResult> poll() { return coord_.poll(); }
+  std::vector<host::WindowResult> drain() { return coord_.drain(); }
+  SnapshotPayload aggregate_snapshot() { return coord_.aggregate(); }
+  bool fail_shard(std::size_t shard) { return coord_.fail_shard(shard); }
+  std::optional<host::SloTrackerState> patient_slo_state(std::uint32_t patient_id) {
+    return coord_.patient_slo_state(patient_id);
+  }
 
   /// Polls every live shard with CR_HINT and caches the answers: the
   /// shard-wide advisory CR and any per-patient entries, all tagged with
@@ -215,27 +252,10 @@ class RoutingClient {
   /// ignoring it is always correct, just slower under overload.
   std::optional<double> cr_hint(std::uint32_t patient_id) const;
 
-  /// Declares shard `shard` dead and recovers without its cooperation:
-  /// the connection drops, unacked pipelined windows resolve to nullopt,
-  /// and a failover epoch flips the ring to a subset ring over the
-  /// survivors — no DRAIN_PATIENT/EXTRACT_SLO handshake, the peer is
-  /// gone.  Because virtual-node positions depend only on (shard,
-  /// replica), only the dead shard's patients move and every survivor
-  /// keeps its index, so tickets from any epoch still compose.  The
-  /// client's own submit/poll mirrors stand in for the unavailable final
-  /// snapshot: every acknowledged window is folded into the retired
-  /// accumulator as completed (polled back in time) or `lost` (destroyed
-  /// with the shard — including any it shed before dying, which are
-  /// indistinguishable from here).  The dead shard's per-patient SLO
-  /// history dies with it; survivors adopt its patients with fresh
-  /// trackers.  False when the shard is already failed, out of range, or
-  /// the last one standing (nowhere to re-home).
-  bool fail_shard(std::size_t shard);
-
   /// One liveness round trip to shard `shard`: HEALTH, its nonce echoed
   /// within health_probe_timeout_ms.  False means dead-or-deadlined — the
   /// caller's (or check_health's) cue to fail over.
-  bool probe_health(std::size_t shard);
+  bool probe_health(std::size_t shard) { return link(shard) != nullptr && link(shard)->health(); }
 
   /// Probes every live shard; with cfg.auto_failover, dead ones are
   /// failed over on the spot.  Returns the indices that failed the probe.
@@ -247,109 +267,20 @@ class RoutingClient {
   /// so tests can pin the schedule byte-for-byte.
   static int backoff_delay_ms(int attempt, int base_ms, int max_ms, std::uint64_t seed);
 
-  /// Per-patient SLO state fetched from the patient's current owner
-  /// (EXTRACT_SLO + immediate ADOPT_SLO back, so the history stays on the
-  /// shard).  nullopt when the shard is unreachable.
-  std::optional<host::SloTrackerState> patient_slo_state(std::uint32_t patient_id);
-
   /// Closes every connection; with `send_bye`, dismisses the shards first
   /// (stops stop_on_bye daemons).  Idempotent; the destructor calls
   /// shutdown(false).
-  void shutdown(bool send_bye);
+  void shutdown(bool send_bye) { coord_.close(send_bye); }
 
  private:
-  /// One submit_pipelined() call awaiting its ticket.
-  struct PipelinedSubmit {
-    std::uint32_t epoch = 0;
-    std::size_t shard = 0;
-    bool resolved = false;
-    std::optional<std::uint64_t> ticket;  ///< Composite; set when resolved.
-  };
-
-  struct Conn {
-    ShardEndpoint endpoint;
-    Fd fd;
-    std::vector<std::uint8_t> rx;
-    std::size_t index = 0;  ///< Shard index (== this conn's slot in conns_).
-    /// Declared dead by fail_shard(): never reconnected, skipped by every
-    /// sweep; the slot stays so survivor indices don't shift.
-    bool failed = false;
-    // Client-side mirrors of the shard's counters, maintained from the
-    // frames this client exchanged with it.  They are exact for exactly
-    // the quantities a crash makes unknowable server-side, which is what
-    // lets fail_shard() conserve counts without a final snapshot.
-    std::uint64_t acked_submits = 0;  ///< Windows the shard acknowledged.
-    std::uint64_t retrieved = 0;      ///< Results polled back from it.
-    std::uint64_t rejected_seen = 0;  ///< Windows it rejected.
-    /// Sends attempted (fault-hook clock).  A POLL_MANY riding behind a
-    /// SUBMIT_BATCH shares its send.
-    std::uint64_t frames_sent = 0;
-    /// POLL_MANY answers not yet read.  Meaningful only while fd is
-    /// valid: reconnect() clears it with rx.
-    std::uint32_t polls_owed = 0;
-    std::uint64_t health_nonce = 0;   ///< Last probe nonce issued.
-    // Submit pipeline state.  staged_bodies holds
-    // encoded window bodies not yet sealed into a frame; pending_submits
-    // indexes pipeline_submits_ in per-shard FIFO order (ACK entries
-    // resolve from the front); outstanding_counts tracks the window count
-    // of each unacknowledged SUBMIT_BATCH on the wire.
-    std::vector<std::uint8_t> staged_bodies;
-    std::uint64_t staged_count = 0;
-    std::deque<std::size_t> pending_submits;
-    std::deque<std::size_t> outstanding_counts;
-  };
-
-  bool ensure_connected(Conn& conn);
-  bool reconnect(Conn& conn);
-  /// Sends `buf`; one reconnect-and-resend on failure when `may_retry`.
-  bool send_request(Conn& conn, const std::vector<std::uint8_t>& buf, bool may_retry);
-  /// Blocks until one complete frame is buffered; fills `frame` (a copy,
-  /// stable against further reads) and parses it into `view`.  RESULT_BATCH
-  /// answers owed to armed polls are absorbed on the way.
-  bool read_frame(Conn& conn, std::vector<std::uint8_t>& frame, FrameView& view);
-  /// Decodes one RESULT_BATCH (the answer to the oldest owed poll) into
-  /// pending_.
-  bool absorb_results(Conn& conn, const FrameView& view);
-  /// poll()'s per-shard step: absorbs the answers that have already
-  /// arrived without blocking, then arms a POLL_MANY if windows are still
-  /// pending there and none is armed.
-  bool collect(Conn& conn);
-  /// Encodes `window` (tagged with the current epoch) into conn's staged
-  /// frame and queues its ticket record in pipeline_submits_.
-  void stage(Conn& conn, host::CompressedWindow& window);
-  /// Seals staged_bodies into one SUBMIT_BATCH on the wire (scatter-
-  /// gather) and enforces the pipeline depth by harvesting ACKs.
-  bool seal_batch(Conn& conn);
-  /// Blocks for one SUBMIT_BATCH_ACK and resolves its windows' tickets.
-  bool harvest_ack(Conn& conn);
-  /// seal + harvest everything outstanding; called before any other verb
-  /// uses the connection (responses are per-connection ordered).
-  bool sync_pipeline(Conn& conn);
-  /// Marks every unresolved pipelined window of this conn as lost
-  /// (nullopt ticket) — the connection died with ACKs outstanding.
-  void fail_pipeline(Conn& conn);
-  std::uint64_t compose_result_ticket(const host::WindowResult& result);
-  bool drain_and_move_patient(std::uint32_t patient_id, Conn& from, Conn& to);
-  bool retire(Conn& conn);
-  /// One SNAPSHOT round trip.  With `sweep`, a POLL_MANY rides in the same
-  /// write (unless one is armed already); the snapshot releases it, so its
-  /// results are absorbed first and the snapshot counts what is left.
-  bool fetch_snapshot(Conn& conn, SnapshotPayload& out, bool sweep = false);
+  SocketLink* link(std::size_t shard) const {
+    return static_cast<SocketLink*>(coord_.link(shard));
+  }
 
   RoutingClientConfig cfg_;
-  std::vector<std::unique_ptr<Conn>> conns_;  ///< Index == shard index.
-  std::uint32_t epoch_ = 0;
-  /// ring_history_[e] is epoch e's ring: result tickets compose with the
-  /// shard index of their *submission* epoch, whatever the topology now.
-  std::vector<host::HashRing> ring_history_;
-  std::unordered_set<std::uint32_t> patients_;  ///< Ever-submitted ids.
-  std::deque<host::WindowResult> pending_;      ///< Polled, not yet returned.
-  SnapshotPayload retired_;  ///< Folded snapshots of dismissed shards.
-  /// submit_pipelined() calls since the last flush_submits(), in global
-  /// submission order; conns' pending_submits index into this.
-  std::vector<PipelinedSubmit> pipeline_submits_;
+  host::Coordinator coord_;
   /// CR-hint cache from the last refresh_cr_hints().  Valid only while
-  /// hints_epoch_ == epoch_ (set_topology opens a new epoch and thereby
+  /// hints_epoch_ == epoch() (a reshard opens a new epoch and thereby
   /// invalidates every cached hint).  0.0 entries mean "no advisory".
   std::unordered_map<std::uint32_t, double> cr_hints_;  ///< patient -> CR %.
   std::vector<double> shard_advisory_;                  ///< shard -> CR %.

@@ -265,9 +265,9 @@ void ShardServer::handle_frame(Connection& conn, const FrameView& frame) {
       }
       SloStatePayload slo;
       slo.patient_id = patient_id;
-      if (auto tracker = engine_->extract_patient_slo(patient_id)) {
+      if (auto state = engine_->extract_patient_slo(patient_id)) {
         slo.present = true;
-        slo.state = tracker->extract_state();
+        slo.state = std::move(*state);
       }
       encode_slo_state(tx, FrameType::kSloState, slo);
       return;
@@ -279,31 +279,13 @@ void ShardServer::handle_frame(Connection& conn, const FrameView& frame) {
         return;
       }
       bool adopted = true;
-      if (slo.present) {
-        auto tracker = std::make_shared<host::SloTracker>(cfg_.engine.slo);
-        tracker->absorb_state(slo.state);
-        adopted = engine_->adopt_patient_slo(slo.patient_id, std::move(tracker));
-      }
+      if (slo.present) adopted = engine_->adopt_patient_slo(slo.patient_id, slo.state);
       encode_adopt_ack(tx, adopted);
       return;
     }
-    case FrameType::kSnapshotRequest: {
-      const auto snap = engine_->slo().snapshot();
-      SnapshotPayload payload;
-      payload.submitted = snap.submitted;
-      payload.completed = snap.completed;
-      payload.shed_routine = snap.shed_routine;
-      payload.shed_urgent = snap.shed_urgent;
-      payload.rejected = snap.rejected;
-      payload.deadline_violations = snap.deadline_violations;
-      payload.unsolved = engine_->in_flight();
-      payload.ready = engine_->ready_results();
-      // Exact once the shard is quiesced (the only time the coordinator
-      // audits it); racing traffic makes it approximate like snapshot().
-      payload.retrieved = snap.completed - payload.ready;
-      encode_snapshot(tx, payload);
+    case FrameType::kSnapshotRequest:
+      encode_snapshot(tx, host::engine_counters(*engine_));
       return;
-    }
     case FrameType::kCrHint: {
       std::uint64_t epoch = 0;
       std::uint32_t max_entries = 0;

@@ -45,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "host/coordinator.hpp"
 #include "host/reconstruction_engine.hpp"
 #include "host/slo_tracker.hpp"
 
@@ -220,26 +221,11 @@ struct ErrorPayload {
   std::string detail;  ///< Human-readable; never parsed.
 };
 
-/// Engine counter snapshot — the conservation-audit payload.  Mirrors the
-/// counters of host::SloSnapshot plus the two queue depths a remote
-/// coordinator needs to decide a shard is quiesced.
-struct SnapshotPayload {
-  std::uint64_t submitted = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t retrieved = 0;
-  std::uint64_t shed_routine = 0;
-  std::uint64_t shed_urgent = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t deadline_violations = 0;
-  std::uint64_t unsolved = 0;  ///< Engine in_flight(): submitted, not solved.
-  std::uint64_t ready = 0;     ///< Completed results awaiting poll.
-  /// Windows destroyed by a shard crash: acknowledged by the shard but
-  /// never polled back before it died.  Coordinator-side bookkeeping only —
-  /// a dead shard cannot report its own losses — so this field is NOT part
-  /// of the SNAPSHOT wire layout (encode/decode ignore it).  With it, conservation survives
-  /// crashes: submitted == completed + shed + lost across the fleet.
-  std::uint64_t lost = 0;
-};
+/// Engine counter snapshot — the conservation-audit payload: the shard's
+/// host::ShardCounters.  `lost` is coordinator-side bookkeeping only (a
+/// dead shard cannot report its own losses), so it is NOT part of the
+/// SNAPSHOT wire layout: encode/decode ignore it.
+using SnapshotPayload = host::ShardCounters;
 
 struct SloStatePayload {
   std::uint32_t patient_id = 0;

@@ -116,7 +116,6 @@ TEST(EngineBatching, AutoSizedBatchesStayBitIdentical) {
 
   for (const int threads : {0, 2}) {
     auto cfg = fast_engine(threads, 0);
-    cfg.max_auto_batch = 8;
     ReconstructionEngine engine(cfg);
     // Pre-load the whole backlog before any solving in serial mode so the
     // auto-sizer actually sees a deep queue and picks wide batches.
@@ -183,58 +182,6 @@ TEST(EngineBatching, ProductionConfigCompactsConvergedLanesBitIdentically) {
         << "patient " << expected.patient_id << " window " << expected.window_index;
     EXPECT_EQ(found->second->iterations, expected.iterations)
         << "patient " << expected.patient_id << " window " << expected.window_index;
-  }
-}
-
-TEST(EngineBatching, SeedGroupingTurnsInterleavedSubmitsIntoSameMatrixPops) {
-  // Two patients compressed under distinct matrix seeds, submitted
-  // interleaved A,B,A,B.  In FIFO order a width-2 pop always straddles
-  // the seeds, so process_batch solves singletons and the grouped-windows
-  // counter stays at zero.  With group_submits_by_seed each arrival is
-  // inserted next to the newest queued window sharing its matrix, pops
-  // become {A,A},{B,B}, and every window solves inside a >=2 group.
-  sig::Record record = make_record(81, 6);
-  record.leads.resize(1);
-  RecordCompressionConfig seed_a = fast_compression();
-  seed_a.matrix_seed = 100;
-  RecordCompressionConfig seed_b = fast_compression();
-  seed_b.matrix_seed = 110;
-  const auto batch_a = compress_record(record, 1, seed_a);
-  const auto batch_b = compress_record(record, 2, seed_b);
-  ASSERT_GE(batch_a.size(), 2u);
-  ASSERT_GE(batch_b.size(), 2u);
-  std::vector<CompressedWindow> interleaved;
-  for (std::size_t i = 0; i < 2; ++i) {
-    interleaved.push_back(batch_a[i]);
-    interleaved.push_back(batch_b[i]);
-  }
-
-  ReconstructionEngine reference(fast_engine(0, 1));
-  const auto expected = reference.reconstruct(interleaved);
-
-  for (const bool grouped : {false, true}) {
-    auto cfg = fast_engine(0, 2);  // Width-2 pops; serial so nothing drains early.
-    cfg.group_submits_by_seed = grouped;
-    ReconstructionEngine engine(cfg);
-    for (const auto& window : interleaved) {
-      CompressedWindow copy = window;
-      ASSERT_TRUE(engine.try_submit(std::move(copy)).has_value());
-    }
-    const auto results = engine.drain();
-    ASSERT_EQ(results.size(), interleaved.size());
-
-    std::map<std::pair<std::uint32_t, std::uint32_t>, const WindowResult*> by_id;
-    for (const auto& r : results) by_id[{r.patient_id, r.window_index}] = &r;
-    for (const auto& want : expected.windows) {
-      const auto found = by_id.find({want.patient_id, want.window_index});
-      ASSERT_NE(found, by_id.end());
-      EXPECT_TRUE(bit_identical(found->second->signal, want.signal))
-          << "grouped=" << grouped << " patient " << want.patient_id << " window "
-          << want.window_index;
-    }
-    const auto snap = engine.slo().snapshot();
-    EXPECT_EQ(snap.grouped_windows, grouped ? 4u : 0u)
-        << "the counter is the observable proof grouping changed the pops";
   }
 }
 

@@ -1,19 +1,18 @@
-// Pooled-path race soak (a ThreadSanitizer target): concurrent producers
-// draw window shells from one shared PayloadPool and submit them while a
-// poller recycles results back into it and a control thread live-resizes
-// the fabric.  The pool's freelists are the new cross-thread surface —
-// producer threads, worker threads (recycling measurements post-solve),
-// the poller, and resize-built engines all touch the same object — so
-// this soak pins: no data races, no lost or duplicated windows, results
-// bit-identical to the serial reference, and conserved pool counters
-// (every recycled buffer was acquired or dropped exactly once).
+// Pooled-path race soak (a ThreadSanitizer target): the coordinator
+// thread draws window shells from one shared PayloadPool, submits them,
+// polls and recycles results back into it, and live-resizes the fabric,
+// while every shard's worker pool recycles measurements into the same
+// pool after each solve.  The pool's freelists are the cross-thread
+// surface — the coordinator, the workers of every shard, and resize-built
+// engines all touch the same object — so this soak pins: no data races,
+// no lost or duplicated windows, results bit-identical to the serial
+// reference, and conserved pool counters (every recycled buffer was
+// acquired or dropped exactly once).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstring>
 #include <map>
 #include <memory>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -73,62 +72,45 @@ TEST(PoolStress, PooledSubmitPollRaceLiveResize) {
   auto pool = std::make_shared<PayloadPool>();
   FabricConfig cfg;
   cfg.shards = 2;
-  cfg.engine.threads = 1;
+  cfg.engine.threads = 2;
   cfg.engine.batch_windows = 0;
   cfg.engine.payload_pool = pool;
   ReconstructionFabric fabric(cfg);
 
-  std::atomic<std::size_t> retrieved{0};
-  std::atomic<bool> producers_done{false};
-
-  std::vector<std::thread> producers;
-  producers.reserve(traffic.size());
-  for (const auto& windows : traffic) {
-    producers.emplace_back([&fabric, &pool, &windows] {
-      for (const auto& tmpl : windows) {
-        CompressedWindow window = pool->acquire_window();
-        window.patient_id = tmpl.patient_id;
-        window.window_index = tmpl.window_index;
-        window.matrix_seed = tmpl.matrix_seed;
-        window.window_samples = tmpl.window_samples;
-        window.ones_per_column = tmpl.ones_per_column;
-        window.priority = tmpl.priority;
-        window.measurements.assign(tmpl.measurements.begin(), tmpl.measurements.end());
-        window.reference.assign(tmpl.reference.begin(), tmpl.reference.end());
-        fabric.submit(std::move(window));  // Blocking: nothing is shed.
-        std::this_thread::yield();
-      }
-    });
-  }
-
   std::map<WindowKey, std::vector<double>> streamed;
-  std::thread poller([&] {
-    while (retrieved.load(std::memory_order_acquire) < total_windows) {
-      if (auto result = fabric.poll()) {
-        streamed.emplace(WindowKey{result->patient_id, result->window_index},
-                         std::vector<double>(result->signal));
-        pool->recycle(std::move(*result));
-        retrieved.fetch_add(1, std::memory_order_acq_rel);
-      } else if (producers_done.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
-    }
-  });
+  const auto keep = [&](WindowResult&& result) {
+    streamed.emplace(WindowKey{result.patient_id, result.window_index},
+                     std::vector<double>(result.signal));
+    pool->recycle(std::move(result));
+  };
 
-  // Elasticity churn while traffic and recycling are live.
-  std::thread resizer([&] {
-    const int plan[] = {3, 1, 4, 2};
-    for (const int shards : plan) {
-      (void)fabric.resize(shards);
-      std::this_thread::yield();
-      if (retrieved.load(std::memory_order_acquire) >= total_windows) break;
+  // Patients take turns window by window; the coordinator polls after
+  // every submit and walks the fabric through an elasticity plan while
+  // the workers solve and recycle.
+  const int plan[] = {3, 1, 4, 2};
+  std::size_t submitted = 0;
+  std::size_t resizes = 0;
+  for (std::size_t i = 0; submitted < total_windows; ++i) {
+    for (const auto& windows : traffic) {
+      if (i >= windows.size()) continue;
+      const CompressedWindow& tmpl = windows[i];
+      CompressedWindow window = pool->acquire_window();
+      window.patient_id = tmpl.patient_id;
+      window.window_index = tmpl.window_index;
+      window.matrix_seed = tmpl.matrix_seed;
+      window.window_samples = tmpl.window_samples;
+      window.ones_per_column = tmpl.ones_per_column;
+      window.priority = tmpl.priority;
+      window.measurements.assign(tmpl.measurements.begin(), tmpl.measurements.end());
+      window.reference.assign(tmpl.reference.begin(), tmpl.reference.end());
+      fabric.submit(std::move(window));  // Blocking: nothing is shed.
+      ++submitted;
+      if (auto result = fabric.poll()) keep(std::move(*result));
+      if (submitted % 4 == 0 && resizes < std::size(plan)) (void)fabric.resize(plan[resizes++]);
     }
-  });
-
-  for (auto& producer : producers) producer.join();
-  producers_done.store(true, std::memory_order_release);
-  resizer.join();
-  poller.join();
+  }
+  for (auto&& result : fabric.drain()) keep(std::move(result));
+  EXPECT_EQ(resizes, std::size(plan)) << "every planned resize must run with traffic live";
 
   // Nothing lost, nothing duplicated, everything bit-identical.
   ASSERT_EQ(streamed.size(), total_windows);

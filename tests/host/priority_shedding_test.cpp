@@ -237,65 +237,6 @@ TEST(DeadlineShedding, BatchWrapperAndBlockingSubmitNeverShed) {
   EXPECT_EQ(snap.rejected, 0u) << "backpressure retries are not rejections";
 }
 
-TEST(StarvationAging, ProtectionCurveIsPinned) {
-  // The aging curve is a contract the behavioral tests lean on: zero
-  // protection up to one deadline of age, a linear ramp, and full
-  // (shed-exempt) protection at aging_deadlines deadlines.
-  const double kDeadline = 100.0;
-  const double kAging = 3.0;
-  // Disabled configurations always report zero protection.
-  EXPECT_EQ(shed_aging_protection(1e9, kDeadline, 0.0), 0.0);
-  EXPECT_EQ(shed_aging_protection(1e9, kDeadline, 1.0), 0.0);
-  EXPECT_EQ(shed_aging_protection(1e9, 0.0, kAging), 0.0);
-  // Below and at one deadline of age: no protection yet.
-  EXPECT_EQ(shed_aging_protection(0.0, kDeadline, kAging), 0.0);
-  EXPECT_EQ(shed_aging_protection(kDeadline, kDeadline, kAging), 0.0);
-  // Linear ramp between one deadline and aging_deadlines deadlines.
-  EXPECT_DOUBLE_EQ(shed_aging_protection(150.0, kDeadline, kAging), 0.25);
-  EXPECT_DOUBLE_EQ(shed_aging_protection(200.0, kDeadline, kAging), 0.5);
-  EXPECT_DOUBLE_EQ(shed_aging_protection(250.0, kDeadline, kAging), 0.75);
-  // Full protection at the knee, clamped beyond it.
-  EXPECT_EQ(shed_aging_protection(300.0, kDeadline, kAging), 1.0);
-  EXPECT_EQ(shed_aging_protection(1e9, kDeadline, kAging), 1.0);
-}
-
-TEST(StarvationAging, AgedRoutineWindowSurvivesAnUrgentFlood) {
-  // Without aging, DropsThePredictedMissNotTheNewestArrival shows the
-  // oldest doomed routine window is always the victim — under a sustained
-  // AF alarm flood the same survivor would be re-doomed forever.  With
-  // shed_starvation_aging, a window that outlives aging_deadlines
-  // deadlines becomes shed-exempt and the predictor victimizes the
-  // younger doomed window instead.
-  auto cfg = fast_engine(0);
-  cfg.queue_capacity = 2;
-  cfg.deadline_shedding = true;
-  cfg.slo.deadline_ms = 50.0;
-  cfg.shed_solve_estimate_ms = 10.0;  // Pin the predictor: no EWMA warmup.
-  cfg.shed_starvation_aging = 3.0;    // Shed-exempt at 150 ms of age.
-  ReconstructionEngine engine(cfg);
-
-  auto windows = numbered_windows(3);
-  windows[2].priority = cs::WindowPriority::kUrgent;
-  ASSERT_TRUE(engine.try_submit(std::move(windows[0])).has_value());
-  std::this_thread::sleep_for(std::chrono::milliseconds(170));  // Past the knee: exempt.
-  ASSERT_TRUE(engine.try_submit(std::move(windows[1])).has_value());
-  std::this_thread::sleep_for(std::chrono::milliseconds(70));  // Doomed, but young.
-
-  // The urgent arrival needs a slot.  Window 0 is the most-doomed by raw
-  // overshoot but fully aged; window 1 is the one shed.
-  ASSERT_TRUE(engine.try_submit(std::move(windows[2])).has_value());
-  const auto results = engine.drain();
-  ASSERT_EQ(results.size(), 2u);
-  for (const auto& result : results) {
-    EXPECT_NE(result.window_index, 1u) << "the younger doomed window must be the victim";
-  }
-
-  const auto snap = engine.slo().snapshot();
-  EXPECT_EQ(snap.shed_routine, 1u);
-  EXPECT_EQ(snap.shed_urgent, 0u);
-  EXPECT_EQ(snap.completed, 2u);
-}
-
 TEST(DeadlineShedding, LearnsSolveTimeFromCompletionsWhenNoEstimateIsPinned) {
   auto cfg = fast_engine(0);
   cfg.queue_capacity = 2;

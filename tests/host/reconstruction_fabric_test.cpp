@@ -1,12 +1,13 @@
 // Sharded fabric coverage: stable patient -> shard routing, composite
-// tickets, aggregate/per-shard/per-lane SLO folding, and the acceptance
-// bar of this layer — per-window results bit-identical across shard
-// counts x priority mixes x thread counts (the determinism contract must
-// not notice the fabric at all).
+// tickets, aggregate/per-shard/per-lane SLO folding, resize handoffs (over
+// both shard links), and the acceptance bar of this layer — per-window
+// results bit-identical across shard counts x priority mixes x thread
+// counts (the determinism contract must not notice the fabric at all).
 #include "host/reconstruction_fabric.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <set>
@@ -14,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "shard_links.hpp"
 #include "sig/ecg_synth.hpp"
 #include "sig/rng.hpp"
 
@@ -94,19 +96,19 @@ TEST(FabricRouting, ShardOfIsStableAndCoversAllShards) {
 TEST(FabricRouting, CompositeTicketsRoundTripAndStayUnique) {
   // Epoch | shard | local bit fields round-trip independently, including
   // at each field's maximum value.
-  const auto ticket = ReconstructionFabric::compose_ticket(5, 3, 41);
-  EXPECT_EQ(ReconstructionFabric::ticket_epoch(ticket), 5u);
-  EXPECT_EQ(ReconstructionFabric::ticket_shard(ticket), 3u);
-  EXPECT_EQ(ReconstructionFabric::ticket_local(ticket), 41u);
+  const auto ticket = Coordinator::compose_ticket(5, 3, 41);
+  EXPECT_EQ(Coordinator::ticket_epoch(ticket), 5u);
+  EXPECT_EQ(Coordinator::ticket_shard(ticket), 3u);
+  EXPECT_EQ(Coordinator::ticket_local(ticket), 41u);
 
-  constexpr std::uint32_t kMaxEpoch = (1u << ReconstructionFabric::kEpochBits) - 1;
-  constexpr std::size_t kMaxShard = (std::size_t{1} << ReconstructionFabric::kShardBits) - 1;
+  constexpr std::uint32_t kMaxEpoch = (1u << Coordinator::kEpochBits) - 1;
+  constexpr std::size_t kMaxShard = (std::size_t{1} << Coordinator::kShardBits) - 1;
   constexpr std::uint64_t kMaxLocal =
-      (std::uint64_t{1} << ReconstructionFabric::kLocalTicketBits) - 1;
-  const auto max_ticket = ReconstructionFabric::compose_ticket(kMaxEpoch, kMaxShard, kMaxLocal);
-  EXPECT_EQ(ReconstructionFabric::ticket_epoch(max_ticket), kMaxEpoch);
-  EXPECT_EQ(ReconstructionFabric::ticket_shard(max_ticket), kMaxShard);
-  EXPECT_EQ(ReconstructionFabric::ticket_local(max_ticket), kMaxLocal);
+      (std::uint64_t{1} << Coordinator::kLocalTicketBits) - 1;
+  const auto max_ticket = Coordinator::compose_ticket(kMaxEpoch, kMaxShard, kMaxLocal);
+  EXPECT_EQ(Coordinator::ticket_epoch(max_ticket), kMaxEpoch);
+  EXPECT_EQ(Coordinator::ticket_shard(max_ticket), kMaxShard);
+  EXPECT_EQ(Coordinator::ticket_local(max_ticket), kMaxLocal);
   EXPECT_EQ(max_ticket, ~std::uint64_t{0}) << "the three fields must tile all 64 bits";
 
   FabricConfig cfg;
@@ -120,8 +122,8 @@ TEST(FabricRouting, CompositeTicketsRoundTripAndStayUnique) {
     CompressedWindow copy = window;
     const auto ticket = fabric.try_submit(std::move(copy));
     ASSERT_TRUE(ticket.has_value());
-    EXPECT_EQ(ReconstructionFabric::ticket_epoch(*ticket), fabric.epoch());
-    EXPECT_EQ(ReconstructionFabric::ticket_shard(*ticket), fabric.shard_of(window.patient_id));
+    EXPECT_EQ(Coordinator::ticket_epoch(*ticket), fabric.epoch());
+    EXPECT_EQ(Coordinator::ticket_shard(*ticket), fabric.shard_of(window.patient_id));
     EXPECT_TRUE(tickets.insert(*ticket).second) << "fabric tickets must be unique";
   }
   const auto results = fabric.drain();
@@ -149,7 +151,7 @@ TEST(FabricRouting, TicketsStayUniqueAcrossAnEpochBump) {
       CompressedWindow copy = window;
       const auto ticket = fabric.try_submit(std::move(copy));
       ASSERT_TRUE(ticket.has_value());
-      EXPECT_EQ(ReconstructionFabric::ticket_epoch(*ticket), fabric.epoch());
+      EXPECT_EQ(Coordinator::ticket_epoch(*ticket), fabric.epoch());
       EXPECT_TRUE(tickets.insert(*ticket).second)
           << "composite tickets must stay unique across epochs";
     }
@@ -187,7 +189,7 @@ TEST(FabricRouting, OldEpochTicketsStillPollCorrectlyAfterResize) {
     CompressedWindow copy = window;
     const auto ticket = fabric.try_submit(std::move(copy));
     ASSERT_TRUE(ticket.has_value());
-    EXPECT_EQ(ReconstructionFabric::ticket_epoch(*ticket), 0u);
+    EXPECT_EQ(Coordinator::ticket_epoch(*ticket), 0u);
     submitted.emplace(*ticket, WindowKey{window.patient_id, window.window_index});
   }
 
@@ -204,7 +206,7 @@ TEST(FabricRouting, OldEpochTicketsStillPollCorrectlyAfterResize) {
     const auto found = submitted.find(result->ticket);
     ASSERT_NE(found, submitted.end())
         << "old-epoch ticket must survive the resize unchanged";
-    EXPECT_EQ(ReconstructionFabric::ticket_epoch(result->ticket), 0u);
+    EXPECT_EQ(Coordinator::ticket_epoch(result->ticket), 0u);
     EXPECT_EQ(found->second, (WindowKey{result->patient_id, result->window_index}));
     submitted.erase(found);
     ++polled;
@@ -213,51 +215,53 @@ TEST(FabricRouting, OldEpochTicketsStillPollCorrectlyAfterResize) {
   EXPECT_TRUE(submitted.empty()) << "every pre-resize submission must come back";
 }
 
+// Resize over either shard link: few patients move, every mover's SLO
+// history is handed off, and routing matches an independently built ring.
 TEST(FabricResize, MovesFewPatientsAndHandsOffSloHistory) {
-  FabricConfig cfg;
-  cfg.shards = 4;
-  cfg.engine = fast_engine(2);
-  ReconstructionFabric fabric(cfg);
-
   const auto batch = fleet_batch(12, 0.25);
-  for (const auto& window : batch) {
-    CompressedWindow copy = window;
-    fabric.submit(std::move(copy));
-  }
-  const auto results = fabric.drain();
-  ASSERT_EQ(results.size(), batch.size());
-  const auto before = fabric.patient_slo_snapshots();
-  ASSERT_EQ(before.size(), 12u);
-
-  const auto report = fabric.resize(5);
-  EXPECT_EQ(report.known_patients, 12u);
-  EXPECT_LT(report.moved_patients, 12u) << "a grow must not re-route the whole fleet";
-  EXPECT_EQ(report.slo_handoffs, report.moved_patients)
-      << "every mover's SLO history must be handed off";
-
-  // Routing now matches an independently built 5-shard ring, and movers
-  // all landed on the shard the new ring says owns them.
-  const HashRing ring5(5, kVnodesPerShard);
-  std::size_t moved = 0;
+  std::map<std::uint32_t, std::uint64_t> per_patient;
+  for (const auto& window : batch) ++per_patient[window.patient_id];
   const HashRing ring4(4, kVnodesPerShard);
-  for (std::uint32_t p = 0; p < 12; ++p) {
-    EXPECT_EQ(fabric.shard_of(p), ring5.owner(p));
-    moved += ring4.owner(p) != ring5.owner(p);
-  }
-  EXPECT_EQ(moved, report.moved_patients);
+  const HashRing ring5(5, kVnodesPerShard);
 
-  // The per-patient breakdown is unchanged by the move: same patients,
-  // same completed counts, each patient still on exactly one shard.
-  const auto after = fabric.patient_slo_snapshots();
-  ASSERT_EQ(after.size(), before.size());
-  for (std::size_t i = 0; i < after.size(); ++i) {
-    EXPECT_EQ(after[i].patient_id, before[i].patient_id);
-    EXPECT_EQ(after[i].slo.completed, before[i].slo.completed)
-        << "handoff must conserve patient " << before[i].patient_id << "'s history";
+  for (const LinkKind kind : {LinkKind::kEngine, LinkKind::kSocket}) {
+    SCOPED_TRACE(link_name(kind));
+    LinkFactory shards(kind, fast_engine(2));
+    Coordinator coord;
+    shards.open(coord, 4);
+    for (const auto& window : batch) {
+      CompressedWindow copy = window;
+      ASSERT_TRUE(coord.submit(copy, /*blocking=*/true).has_value());
+    }
+    ASSERT_EQ(coord.drain().size(), batch.size());
+
+    const auto report = shards.resize(coord, 5);
+    EXPECT_EQ(report.known_patients, 12u);
+    EXPECT_LT(report.moved_patients, 12u) << "a grow must not re-route the whole fleet";
+    EXPECT_EQ(report.slo_handoffs, report.moved_patients)
+        << "every mover's SLO history must be handed off";
+
+    // Routing now matches an independently built 5-shard ring, and the
+    // movers are exactly the patients whose owner changed.
+    std::size_t moved = 0;
+    for (std::uint32_t p = 0; p < 12; ++p) {
+      EXPECT_EQ(coord.owner(p), ring5.owner(p));
+      moved += ring4.owner(p) != ring5.owner(p);
+    }
+    EXPECT_EQ(moved, report.moved_patients);
+
+    // Each patient's history is whole on its (possibly new) owner.
+    for (const auto& [patient, windows] : per_patient) {
+      const auto state = coord.patient_slo_state(patient);
+      ASSERT_TRUE(state.has_value()) << "patient " << patient;
+      EXPECT_EQ(state->submitted, windows) << "handoff must conserve patient " << patient;
+      EXPECT_EQ(state->completed, windows) << "patient " << patient;
+      EXPECT_EQ(state->retrieved, windows) << "patient " << patient;
+    }
+    const ShardCounters books = coord.aggregate();
+    EXPECT_EQ(books.submitted, batch.size());
+    EXPECT_EQ(books.completed, batch.size());
   }
-  const auto aggregate = fabric.slo_snapshot();
-  EXPECT_EQ(aggregate.submitted, batch.size());
-  EXPECT_EQ(aggregate.completed, batch.size());
 }
 
 // The acceptance bar: randomized fleet traffic, submitted in shuffled
@@ -424,130 +428,117 @@ TEST(FabricBackpressure, TrySubmitBouncesOnlyTheOwningShard) {
   EXPECT_EQ(fabric.slo_snapshot().rejected, 1u);
 }
 
+// Crash failover over either shard link: only the dead shard's patients
+// re-home, the survivors' results stay bit-identical, and every window
+// ever acknowledged is accounted exactly once — the dead shard's
+// unretrieved backlog as `lost`.
 TEST(FabricFailover, FailShardRehomesOnlyDeadPatientsAndAccountsLoss) {
-  FabricConfig cfg;
-  cfg.shards = 3;
-  cfg.engine = fast_engine(0);
-  ReconstructionFabric fabric(cfg);
   const auto batch = fleet_batch(9, 0.25);
-
   // Serial single-engine reference for the whole fleet: the survivors'
   // results must match it bit-for-bit after the crash.
   ReconstructionEngine serial(fast_engine(0));
   const auto reference = by_identity(std::move(serial.reconstruct(batch).windows));
   ASSERT_EQ(reference.size(), batch.size());
-
-  // Phase 1: a full round trip so every shard — including the one about
-  // to die — holds retrieved history when it crashes.
-  for (const auto& window : batch) {
-    CompressedWindow copy = window;
-    fabric.submit(std::move(copy));
-  }
-  ASSERT_EQ(fabric.drain().size(), batch.size());
-
-  // Phase 2: the same traffic again, nothing polled.  Everything routed
-  // to shard 1 is about to be destroyed with it.
   constexpr std::size_t kDead = 1;
+  const HashRing ring_before(3, kVnodesPerShard);
+  const HashRing survivors({0, 2}, kVnodesPerShard);
   std::uint64_t lost_expected = 0;
-  std::uint64_t dead_retrieved_phase1 = 0;
   std::set<std::uint32_t> dead_patients;
   std::set<WindowKey> lost_keys;
   for (const auto& window : batch) {
-    const std::size_t owner = fabric.shard_of(window.patient_id);
-    CompressedWindow copy = window;
-    fabric.submit(std::move(copy));
-    if (owner == kDead) {
-      ++lost_expected;
-      ++dead_retrieved_phase1;  // Same routing in phase 1, all retrieved.
-      dead_patients.insert(window.patient_id);
-      lost_keys.insert({window.patient_id, window.window_index});
-    }
+    if (ring_before.owner(window.patient_id) != kDead) continue;
+    ++lost_expected;
+    dead_patients.insert(window.patient_id);
+    lost_keys.insert({window.patient_id, window.window_index});
   }
   ASSERT_GT(lost_expected, 0u) << "9 patients must put traffic on shard 1";
   ASSERT_LT(lost_expected, batch.size());
 
-  const HashRing ring_before(3, kVnodesPerShard);
-  const auto report = fabric.fail_shard(kDead);
-  EXPECT_EQ(report.epoch, 1u);
-  EXPECT_EQ(report.failed_shard, kDead);
-  EXPECT_EQ(report.live_shards, 2u);
-  EXPECT_EQ(report.moved_patients, dead_patients.size());
-  EXPECT_EQ(report.lost_windows, lost_expected);
-  EXPECT_EQ(fabric.epoch(), 1u);
-  EXPECT_EQ(fabric.live_shard_count(), 2u);
-  EXPECT_EQ(fabric.shard_count(), 3u) << "the dead slot stays a hole (ticket identity)";
-  EXPECT_THROW(fabric.shard(kDead), std::out_of_range);
-  EXPECT_THROW(fabric.fail_shard(kDead), std::out_of_range) << "a hole cannot fail twice";
+  for (const LinkKind kind : {LinkKind::kEngine, LinkKind::kSocket}) {
+    SCOPED_TRACE(link_name(kind));
+    LinkFactory shards(kind, fast_engine(0));
+    Coordinator coord;
+    shards.open(coord, 3);
+    const auto submit_all = [&] {
+      for (const auto& window : batch) {
+        CompressedWindow copy = window;
+        ASSERT_TRUE(coord.submit(copy, /*blocking=*/true).has_value());
+      }
+    };
+    // Phase 1: a full round trip, so the shard about to die holds
+    // retrieved history.  Phase 2: the same traffic, nothing polled —
+    // everything routed to shard 1 dies with it.
+    submit_all();
+    ASSERT_EQ(coord.drain().size(), batch.size());
+    submit_all();
 
-  // Subset routing: exactly the dead shard's patients re-home — matching
-  // an independently built survivors ring — and every other patient stays
-  // where it was.
-  const HashRing survivors({0, 2}, kVnodesPerShard);
-  for (const auto& window : batch) {
-    const std::size_t now = fabric.shard_of(window.patient_id);
-    EXPECT_NE(now, kDead);
-    EXPECT_EQ(now, survivors.owner(window.patient_id));
-    if (dead_patients.count(window.patient_id) == 0) {
-      EXPECT_EQ(now, ring_before.owner(window.patient_id))
-          << "patient " << window.patient_id << " must not move in a failover";
+    FailoverReport report;
+    ASSERT_TRUE(coord.fail_shard(kDead, &report));
+    EXPECT_EQ(report.epoch, 1u);
+    EXPECT_EQ(report.failed_shard, kDead);
+    EXPECT_EQ(report.live_shards, 2u);
+    EXPECT_EQ(report.moved_patients, dead_patients.size());
+    EXPECT_EQ(report.lost_windows, lost_expected);
+    EXPECT_EQ(coord.epoch(), 1u);
+    EXPECT_EQ(coord.live_shard_count(), 2u);
+    EXPECT_EQ(coord.shard_count(), 3u) << "the dead slot stays a hole (ticket identity)";
+    EXPECT_EQ(coord.link(kDead), nullptr);
+    EXPECT_FALSE(coord.fail_shard(kDead)) << "a hole cannot fail twice";
+
+    // Subset routing: exactly the dead shard's patients re-home — matching
+    // an independently built survivors ring — and every other patient
+    // stays where it was.
+    for (const auto& window : batch) {
+      const std::size_t now = coord.owner(window.patient_id);
+      EXPECT_NE(now, kDead);
+      EXPECT_EQ(now, survivors.owner(window.patient_id));
+      if (dead_patients.count(window.patient_id) == 0) {
+        EXPECT_EQ(now, ring_before.owner(window.patient_id))
+            << "patient " << window.patient_id << " must not move in a failover";
+      }
     }
-  }
 
-  // The survivors' backlog is intact and bit-identical to the serial
-  // reference; the dead shard's windows are gone — exactly the lost set.
-  const auto keyed = by_identity(fabric.drain());
-  ASSERT_EQ(keyed.size(), batch.size() - lost_expected);
-  for (const auto& [key, expected] : reference) {
-    const auto found = keyed.find(key);
-    if (lost_keys.count(key) != 0) {
-      EXPECT_EQ(found, keyed.end()) << "lost window must not reappear";
-      continue;
+    // The survivors' backlog is intact and bit-identical to the serial
+    // reference; the dead shard's windows are gone — exactly the lost set.
+    const auto keyed = by_identity(coord.drain());
+    ASSERT_EQ(keyed.size(), batch.size() - lost_expected);
+    for (const auto& [key, expected] : reference) {
+      const auto found = keyed.find(key);
+      if (lost_keys.count(key) != 0) {
+        EXPECT_EQ(found, keyed.end()) << "lost window must not reappear";
+        continue;
+      }
+      ASSERT_NE(found, keyed.end());
+      EXPECT_TRUE(bit_identical(found->second.signal, expected.signal))
+          << "patient " << key.first << " window " << key.second << " differs after failover";
+      EXPECT_EQ(found->second.iterations, expected.iterations);
+      EXPECT_EQ(found->second.snr_db, expected.snr_db);
     }
-    ASSERT_NE(found, keyed.end());
-    EXPECT_TRUE(bit_identical(found->second.signal, expected.signal))
-        << "patient " << key.first << " window " << key.second << " differs after failover";
-    EXPECT_EQ(found->second.iterations, expected.iterations);
-    EXPECT_EQ(found->second.snr_db, expected.snr_db);
+
+    // Crash-proof conservation: every window ever admitted is accounted
+    // exactly once, with the dead shard's unretrieved backlog in `lost`.
+    const ShardCounters books = coord.aggregate();
+    EXPECT_EQ(books.submitted, 2 * batch.size());
+    EXPECT_EQ(books.lost, lost_expected);
+    EXPECT_EQ(books.completed, 2 * batch.size() - lost_expected);
+    EXPECT_EQ(books.submitted,
+              books.completed + books.shed_routine + books.shed_urgent + books.lost);
+
+    // The fleet keeps serving: a re-homed patient's window submits under
+    // the failover epoch onto a survivor and solves bit-identically.
+    CompressedWindow rehomed = *std::find_if(batch.begin(), batch.end(), [&](const auto& w) {
+      return w.patient_id == *dead_patients.begin();
+    });
+    const auto ticket = coord.submit(rehomed, /*blocking=*/true);
+    ASSERT_TRUE(ticket.has_value());
+    EXPECT_EQ(Coordinator::ticket_epoch(*ticket), 1u);
+    EXPECT_NE(Coordinator::ticket_shard(*ticket), kDead);
+    const auto after = coord.drain();
+    ASSERT_EQ(after.size(), 1u);
+    const auto expected = reference.find({after[0].patient_id, after[0].window_index});
+    ASSERT_NE(expected, reference.end());
+    EXPECT_TRUE(bit_identical(after[0].signal, expected->second.signal));
   }
-
-  // Crash-proof conservation: every window ever admitted is accounted
-  // exactly once, with the dead shard's unretrieved backlog in `lost`.
-  const auto agg = fabric.slo_snapshot();
-  EXPECT_EQ(agg.submitted, 2 * batch.size());
-  EXPECT_EQ(agg.lost, lost_expected);
-  EXPECT_EQ(agg.completed, 2 * batch.size() - lost_expected);
-  EXPECT_EQ(agg.in_flight, 0u);
-  EXPECT_EQ(agg.submitted, agg.completed + agg.shed_routine + agg.shed_urgent + agg.lost +
-                               agg.in_flight);
-
-  // Per-shard snapshots skip the hole; lane snapshots do not fold the
-  // failed accumulators (a dead shard's lane split below the shed/lost
-  // line is unknowable), so the lanes sum to the live+reaped completions.
-  const auto per_shard = fabric.shard_slo_snapshots();
-  ASSERT_EQ(per_shard.size(), 2u);
-  EXPECT_EQ(per_shard[0].shard, 0u);
-  EXPECT_EQ(per_shard[1].shard, 2u);
-  const auto urgent_lane = fabric.lane_slo_snapshot(cs::WindowPriority::kUrgent);
-  const auto routine_lane = fabric.lane_slo_snapshot(cs::WindowPriority::kRoutine);
-  EXPECT_EQ(urgent_lane.completed + routine_lane.completed,
-            agg.completed - dead_retrieved_phase1);
-
-  // The fleet keeps serving: a re-homed patient's window submits under
-  // the failover epoch onto a survivor and solves bit-identically.
-  const std::uint32_t rehomed = *dead_patients.begin();
-  for (const auto& window : batch) {
-    if (window.patient_id != rehomed) continue;
-    CompressedWindow copy = window;
-    const std::uint64_t ticket = fabric.submit(std::move(copy));
-    EXPECT_EQ(ReconstructionFabric::ticket_epoch(ticket), 1u);
-    EXPECT_NE(ReconstructionFabric::ticket_shard(ticket), kDead);
-    break;
-  }
-  const auto after = fabric.drain();
-  ASSERT_EQ(after.size(), 1u);
-  const auto expected = reference.find({after[0].patient_id, after[0].window_index});
-  ASSERT_NE(expected, reference.end());
-  EXPECT_TRUE(bit_identical(after[0].signal, expected->second.signal));
 }
 
 TEST(FabricFailover, ResizeReprovisionsTheCrashHole) {
@@ -555,17 +546,40 @@ TEST(FabricFailover, ResizeReprovisionsTheCrashHole) {
   cfg.shards = 3;
   cfg.engine = fast_engine(0);
   ReconstructionFabric fabric(cfg);
-  const auto batch = fleet_batch(9, 0.0);
+  const auto batch = fleet_batch(9, 0.25);
+  const auto submit_all = [&] {
+    for (const auto& window : batch) {
+      CompressedWindow copy = window;
+      fabric.submit(std::move(copy));
+    }
+  };
 
-  for (const auto& window : batch) {
-    CompressedWindow copy = window;
-    fabric.submit(std::move(copy));
-  }
+  // A round trip first, so the shard about to die holds retrieved history;
+  // then traffic nobody polls, whose shard-1 share dies with it.
+  submit_all();
+  ASSERT_EQ(fabric.drain().size(), batch.size());
+  submit_all();
   std::uint64_t lost_expected = 0;
   for (const auto& window : batch) lost_expected += fabric.shard_of(window.patient_id) == 1;
   ASSERT_GT(lost_expected, 0u);
   fabric.fail_shard(1);
   ASSERT_EQ(fabric.live_shard_count(), 2u);
+  EXPECT_THROW(fabric.shard(1), std::out_of_range);
+  EXPECT_THROW(fabric.fail_shard(1), std::out_of_range) << "a hole cannot fail twice";
+
+  // Per-shard views skip the hole.  Lane views cover survivors only (a
+  // dead shard's lane split is unknowable), so the lanes miss exactly the
+  // dead shard's retrieved first-round history.
+  const auto per_shard = fabric.shard_slo_snapshots();
+  ASSERT_EQ(per_shard.size(), 2u);
+  EXPECT_EQ(per_shard[0].shard, 0u);
+  EXPECT_EQ(per_shard[1].shard, 2u);
+  ASSERT_EQ(fabric.drain().size(), batch.size() - lost_expected);
+  const auto crashed = fabric.slo_snapshot();
+  EXPECT_EQ(crashed.lost, lost_expected);
+  EXPECT_EQ(fabric.lane_slo_snapshot(cs::WindowPriority::kUrgent).completed +
+                fabric.lane_slo_snapshot(cs::WindowPriority::kRoutine).completed,
+            crashed.completed - lost_expected);
 
   // resize() is the recovery path: the hole gets a fresh engine and the
   // full ring comes back, so routing matches a plain 3-shard fabric again.
@@ -582,13 +596,10 @@ TEST(FabricFailover, ResizeReprovisionsTheCrashHole) {
 
   // The re-provisioned shard serves, and the crash's losses stay on the
   // books: conservation holds across fail + resize + another round trip.
-  for (const auto& window : batch) {
-    CompressedWindow copy = window;
-    fabric.submit(std::move(copy));
-  }
-  EXPECT_EQ(fabric.drain().size(), 2 * batch.size() - lost_expected);
+  submit_all();
+  EXPECT_EQ(fabric.drain().size(), batch.size());
   const auto agg = fabric.slo_snapshot();
-  EXPECT_EQ(agg.submitted, 2 * batch.size());
+  EXPECT_EQ(agg.submitted, 3 * batch.size());
   EXPECT_EQ(agg.lost, lost_expected);
   EXPECT_EQ(agg.submitted, agg.completed + agg.shed_routine + agg.shed_urgent + agg.lost +
                                agg.in_flight);
@@ -611,7 +622,7 @@ TEST(FabricFailover, LastSurvivorCannotFailAndKeepsServing) {
   for (const auto& window : batch) {
     CompressedWindow copy = window;
     const std::uint64_t ticket = fabric.submit(std::move(copy));
-    EXPECT_EQ(ReconstructionFabric::ticket_shard(ticket), 1u);
+    EXPECT_EQ(Coordinator::ticket_shard(ticket), 1u);
   }
   EXPECT_EQ(fabric.drain().size(), batch.size());
   EXPECT_EQ(fabric.slo_snapshot().lost, 0u) << "an empty shard dies with nothing to lose";

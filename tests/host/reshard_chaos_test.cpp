@@ -1,30 +1,36 @@
 // Deterministic chaos harness for live resharding — the proof behind the
-// fabric's elasticity guarantee.
+// coordinator's elasticity guarantee, run over both shard links: the
+// in-process EngineLink and the production SocketLink (wbsn-wire to
+// in-process ShardServers).
 //
 // A seeded RNG interleaves submit / poll / drain / resize operations into
-// a schedule that walks the fabric through shard counts drawn from
+// a schedule that walks the coordinator through shard counts drawn from
 // {1, 2, 3, 4, 8} while fleet traffic is in flight.  Each schedule is
-// executed twice against fresh fabrics and the two outcomes must be
+// executed twice against fresh shards and the two outcomes must be
 // *identical*: every window's reconstruction bitwise-equal (and equal to
 // the serial single-engine reference), every composite ticket equal, and
-// the aggregate SLO counters (submitted / completed / shed / rejected)
-// equal and conserved — topology changes may move work between shards,
-// but they may not invent, lose, or alter a single window or count.
+// the aggregate counters (submitted / completed / shed / rejected) equal
+// and conserved — topology changes may move work between shards, but
+// they may not invent, lose, or alter a single window or count.
 //
 // Three resize shapes are required by the acceptance bar — grow, shrink,
 // and grow-then-shrink — each run with 1 and N worker threads per shard
-// (plus the serial inline mode), and a serial overload schedule checks
-// that rejection accounting also survives topology changes.
+// (plus the serial inline mode); a serial overload schedule checks that
+// rejection accounting also survives topology changes; and a parked-
+// results schedule checks every moved patient's own books.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
-#include "host/reconstruction_fabric.hpp"
+#include "host/coordinator.hpp"
+#include "shard_links.hpp"
 #include "sig/ecg_synth.hpp"
 #include "sig/rng.hpp"
 
@@ -38,7 +44,7 @@ bool bit_identical(const std::vector<double>& a, const std::vector<double>& b) {
          (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
-// Small windows and a truncated solver keep 18 full chaos runs affordable
+// Small windows and a truncated solver keep 36 full chaos runs affordable
 // (also under TSan) while still exercising every reshard transition.
 EngineConfig fast_engine(int threads) {
   EngineConfig cfg;
@@ -127,12 +133,15 @@ struct Outcome {
   std::size_t final_shards = 0;
 };
 
+/// Runs `ops` on a fresh coordinator over `kind` links.  `blocking`
+/// submits wait out backpressure; otherwise a full shard rejects (the
+/// ticket is recorded as 0).
 Outcome run_schedule(const std::vector<CompressedWindow>& traffic, const std::vector<Op>& ops,
-                     int initial_shards, int threads) {
-  FabricConfig cfg;
-  cfg.shards = initial_shards;
-  cfg.engine = fast_engine(threads);
-  ReconstructionFabric fabric(cfg);
+                     LinkKind kind, const EngineConfig& engine, int initial_shards,
+                     bool blocking) {
+  LinkFactory shards(kind, engine);
+  Coordinator coord;
+  shards.open(coord, static_cast<std::size_t>(initial_shards));
 
   Outcome out;
   const auto keep = [&out](WindowResult&& result) {
@@ -145,36 +154,37 @@ Outcome run_schedule(const std::vector<CompressedWindow>& traffic, const std::ve
     switch (op.kind) {
       case Op::Kind::kSubmit: {
         CompressedWindow copy = traffic[op.window];
-        out.tickets.push_back(fabric.submit(std::move(copy)));
+        out.tickets.push_back(coord.submit(copy, blocking).value_or(0));
         break;
       }
       case Op::Kind::kPoll:
-        if (auto result = fabric.poll()) keep(std::move(*result));
+        if (auto result = coord.poll()) keep(std::move(*result));
         break;
       case Op::Kind::kDrain:
-        for (auto&& result : fabric.drain()) keep(std::move(result));
+        for (auto&& result : coord.drain()) keep(std::move(result));
         break;
       case Op::Kind::kResize:
-        out.moved_per_resize.push_back(fabric.resize(op.shards).moved_patients);
+        out.moved_per_resize.push_back(
+            shards.resize(coord, static_cast<std::size_t>(op.shards)).moved_patients);
         break;
     }
   }
-  for (auto&& result : fabric.drain()) keep(std::move(result));
+  for (auto&& result : coord.drain()) keep(std::move(result));
 
-  const auto snap = fabric.slo_snapshot();
-  out.submitted = snap.submitted;
-  out.completed = snap.completed;
-  out.shed = snap.shed_routine + snap.shed_urgent;
-  out.rejected = snap.rejected;
-  out.final_epoch = fabric.epoch();
-  out.final_shards = fabric.shard_count();
+  const ShardCounters books = coord.aggregate();
+  out.submitted = books.submitted;
+  out.completed = books.completed;
+  out.shed = books.shed_routine + books.shed_urgent;
+  out.rejected = books.rejected;
+  out.final_epoch = coord.epoch();
+  out.final_shards = coord.shard_count();
 
-  // Conservation at quiesce: nothing in flight, every submitted window
-  // completed (blocking submits: nothing shed or rejected), every
+  // Quiesced conservation: nothing unsolved, nothing parked, and every
   // completed window retrieved exactly once.
-  EXPECT_EQ(fabric.in_flight(), 0u);
-  EXPECT_EQ(snap.in_flight, 0u) << "retrieves must account for every completion";
-  EXPECT_EQ(out.completed, out.submitted);
+  EXPECT_EQ(books.unsolved, 0u);
+  EXPECT_EQ(books.ready, 0u);
+  EXPECT_EQ(books.retrieved, books.completed) << "retrieves must account for every completion";
+  EXPECT_EQ(out.completed, out.results.size());
   return out;
 }
 
@@ -206,7 +216,7 @@ class ReshardChaos : public ::testing::Test {
     ASSERT_GE(traffic.size(), 16u);
 
     // Serial single-engine reference: the one ground truth every cell of
-    // the (threads x replay) grid must reproduce bit for bit.
+    // the (link x threads x replay) grid must reproduce bit for bit.
     std::map<WindowKey, WindowResult> reference;
     {
       ReconstructionEngine serial(fast_engine(0));
@@ -221,24 +231,32 @@ class ReshardChaos : public ::testing::Test {
     ASSERT_EQ(reference.size(), traffic.size());
 
     const auto ops = make_schedule(traffic.size(), seed, resizes);
-    for (const int threads : {0, 1, 3}) {
-      const auto first = run_schedule(traffic, ops, initial_shards, threads);
-      const auto second = run_schedule(traffic, ops, initial_shards, threads);
+    for (const LinkKind kind : {LinkKind::kEngine, LinkKind::kSocket}) {
+      for (const int threads : {0, 1, 3}) {
+        SCOPED_TRACE(link_name(kind) + ", threads=" + std::to_string(threads));
+        const auto first =
+            run_schedule(traffic, ops, kind, fast_engine(threads), initial_shards, true);
+        const auto second =
+            run_schedule(traffic, ops, kind, fast_engine(threads), initial_shards, true);
 
-      ASSERT_EQ(first.results.size(), traffic.size()) << "threads=" << threads;
-      EXPECT_EQ(first.final_epoch, resizes.size());
-      {
-        SCOPED_TRACE("replay determinism, threads=" + std::to_string(threads));
-        expect_equal_outcomes(first, second);
-      }
-      for (const auto& [key, expected] : reference) {
-        const auto found = first.results.find(key);
-        ASSERT_NE(found, first.results.end()) << "threads=" << threads;
-        EXPECT_TRUE(bit_identical(found->second.signal, expected.signal))
-            << "patient " << key.first << " window " << key.second
-            << " differs from the serial reference at threads=" << threads;
-        EXPECT_EQ(found->second.iterations, expected.iterations);
-        EXPECT_EQ(found->second.snr_db, expected.snr_db);
+        ASSERT_EQ(first.results.size(), traffic.size());
+        EXPECT_EQ(first.final_epoch, resizes.size());
+        // Blocking submits: nothing shed or rejected, everything completed.
+        EXPECT_EQ(first.completed, first.submitted);
+        EXPECT_EQ(first.submitted, traffic.size());
+        {
+          SCOPED_TRACE("replay determinism");
+          expect_equal_outcomes(first, second);
+        }
+        for (const auto& [key, expected] : reference) {
+          const auto found = first.results.find(key);
+          ASSERT_NE(found, first.results.end());
+          EXPECT_TRUE(bit_identical(found->second.signal, expected.signal))
+              << "patient " << key.first << " window " << key.second
+              << " differs from the serial reference";
+          EXPECT_EQ(found->second.iterations, expected.iterations);
+          EXPECT_EQ(found->second.snr_db, expected.snr_db);
+        }
       }
     }
   }
@@ -259,76 +277,78 @@ TEST_F(ReshardChaos, GrowThenShrinkSchedule) {
                {{0.20, 3}, {0.45, 8}, {0.70, 3}, {0.90, 2}});
 }
 
-// Overload under topology change: a serial fabric with tiny per-shard
-// admission and non-blocking submits.  With no workers, progress happens
-// only at poll/drain ops, so the reject pattern is fully deterministic —
-// and must replay exactly, with attempts conserved across rejects and
-// completions even as shards come and go.
+// Overload under topology change: serial shards with tiny admission and
+// non-blocking submits.  In process, progress happens only at poll/drain
+// ops, so the reject pattern is fully deterministic — and must replay
+// exactly.  Over the wire a serial shard solves whenever a POLL_MANY
+// arrives, which depends on when earlier answers landed, so there the
+// pattern varies; on both links attempts must be conserved across rejects
+// and completions even as shards come and go.
 TEST_F(ReshardChaos, RejectAccountingSurvivesResizes) {
   const auto traffic = fleet_traffic(/*patients=*/6, /*beats_per_patient=*/4);
   const auto ops =
       make_schedule(traffic.size(), 0xC4A05004ULL, {{0.30, 3}, {0.60, 8}, {0.85, 2}});
+  EngineConfig engine = fast_engine(0);
+  engine.queue_capacity = 2;
 
-  const auto run_once = [&] {
-    FabricConfig cfg;
-    cfg.shards = 2;
-    cfg.engine = fast_engine(0);
-    cfg.engine.queue_capacity = 2;
-    ReconstructionFabric fabric(cfg);
-
-    Outcome out;
-    for (const Op& op : ops) {
-      switch (op.kind) {
-        case Op::Kind::kSubmit: {
-          CompressedWindow copy = traffic[op.window];
-          const auto ticket = fabric.try_submit(std::move(copy));
-          out.tickets.push_back(ticket.value_or(0));  // 0 marks a reject.
-          break;
-        }
-        case Op::Kind::kPoll:
-          if (auto result = fabric.poll()) {
-            out.results.emplace(WindowKey{result->patient_id, result->window_index},
-                                std::move(*result));
-          }
-          break;
-        case Op::Kind::kDrain:
-          for (auto&& result : fabric.drain()) {
-            out.results.emplace(WindowKey{result.patient_id, result.window_index},
-                                std::move(result));
-          }
-          break;
-        case Op::Kind::kResize:
-          out.moved_per_resize.push_back(fabric.resize(op.shards).moved_patients);
-          break;
-      }
-    }
-    for (auto&& result : fabric.drain()) {
-      out.results.emplace(WindowKey{result.patient_id, result.window_index}, std::move(result));
-    }
-    const auto snap = fabric.slo_snapshot();
-    out.submitted = snap.submitted;
-    out.completed = snap.completed;
-    out.shed = snap.shed_routine + snap.shed_urgent;
-    out.rejected = snap.rejected;
-    out.final_epoch = fabric.epoch();
-    out.final_shards = fabric.shard_count();
-    return out;
-  };
-
-  const auto first = run_once();
-  const auto second = run_once();
-
-  EXPECT_GT(first.rejected, 0u) << "the schedule must actually hit backpressure";
-  EXPECT_LT(first.results.size(), traffic.size());
-  // Attempt conservation: every submission either completed or was
-  // rejected at admission, across three topology changes.
-  EXPECT_EQ(first.completed + first.rejected, traffic.size());
-  EXPECT_EQ(first.completed, first.results.size());
-  EXPECT_EQ(first.submitted, first.completed);
-  EXPECT_EQ(first.shed, 0u);
-  {
+  for (const LinkKind kind : {LinkKind::kEngine, LinkKind::kSocket}) {
+    SCOPED_TRACE(link_name(kind));
+    const auto first = run_schedule(traffic, ops, kind, engine, 2, /*blocking=*/false);
+    // Attempt conservation: every submission either completed or was
+    // rejected at admission, across three topology changes.
+    EXPECT_EQ(first.completed + first.rejected, traffic.size());
+    EXPECT_EQ(first.submitted, first.completed);
+    EXPECT_EQ(first.shed, 0u);
+    if (kind != LinkKind::kEngine) continue;
+    EXPECT_GT(first.rejected, 0u) << "the schedule must actually hit backpressure";
+    const auto second = run_schedule(traffic, ops, kind, engine, 2, /*blocking=*/false);
     SCOPED_TRACE("overload replay determinism");
     expect_equal_outcomes(first, second);
+  }
+}
+
+// A patient moved while its results are still parked on the old owner
+// must settle its own books: the coordinator sweeps the old owner's
+// parked results between the drain and the SLO extraction, so every
+// retrieve lands in the history that moves.  Grow then shrink, threaded
+// and serial shards, on both links: once drained, every patient's
+// per-patient state shows submitted == retrieved + shed (nothing left in
+// flight).
+TEST_F(ReshardChaos, MovedPatientsSettleParkedResults) {
+  const auto traffic = fleet_traffic(/*patients=*/12, /*beats_per_patient=*/3);
+  for (const LinkKind kind : {LinkKind::kEngine, LinkKind::kSocket}) {
+    for (const int threads : {0, 2}) {
+      SCOPED_TRACE(link_name(kind) + ", threads=" + std::to_string(threads));
+      LinkFactory shards(kind, fast_engine(threads));
+      Coordinator coord;
+      shards.open(coord, 2);
+      const auto park_everything = [&] {
+        for (const auto& window : traffic) {
+          CompressedWindow copy = window;
+          ASSERT_TRUE(coord.submit(copy, /*blocking=*/true).has_value());
+        }
+        // Threaded shards finish on their own; nothing is polled, so every
+        // result stays parked on the shard that solved it.
+        while (threads > 0 && coord.aggregate().unsolved > 0) std::this_thread::yield();
+      };
+
+      park_everything();
+      const auto grow = shards.resize(coord, 3);
+      park_everything();
+      const auto shrink = shards.resize(coord, 1);
+      EXPECT_GT(grow.moved_patients + shrink.moved_patients, 0u);
+      EXPECT_EQ(coord.drain().size(), 2 * traffic.size());
+
+      std::set<std::uint32_t> patients;
+      for (const auto& window : traffic) patients.insert(window.patient_id);
+      for (const std::uint32_t patient : patients) {
+        const auto state = coord.patient_slo_state(patient);
+        ASSERT_TRUE(state.has_value()) << "patient " << patient;
+        EXPECT_EQ(state->submitted, state->retrieved + state->shed_routine + state->shed_urgent)
+            << "patient " << patient << " keeps windows in flight after the drain";
+        EXPECT_EQ(state->completed, state->submitted) << "patient " << patient;
+      }
+    }
   }
 }
 

@@ -234,57 +234,10 @@ TEST(SloTracker, MergeFromEmptySourceIsANoOp) {
   EXPECT_EQ(empty.snapshot().submitted, 0u) << "merge_from must not touch the source";
 }
 
-TEST(SloTracker, DrainIntoConservesEveryCounterAndZeroesTheSource) {
-  SloTracker source(SloConfig{.deadline_ms = 10.0});
-  SloTracker dest(SloConfig{.deadline_ms = 10.0});
-  for (int i = 0; i < 50; ++i) {
-    source.on_submit();
-    source.on_complete(i % 2 == 0 ? 2.0 : 200.0);  // Half violate.
-    source.on_retrieve();
-  }
-  source.on_shed(/*urgent=*/false);
-  source.on_shed(/*urgent=*/true);
-  source.on_reject();
-  for (int i = 0; i < 20; ++i) {
-    dest.on_submit();
-    dest.on_complete(5.0);
-    dest.on_retrieve();
-  }
-
-  const auto s0 = source.snapshot();
-  const auto d0 = dest.snapshot();
-  source.drain_into(dest);
-  const auto s1 = source.snapshot();
-  const auto d1 = dest.snapshot();
-
-  // Conservation: dest gained exactly what source lost, for every counter.
-  EXPECT_EQ(s1.submitted, 0u);
-  EXPECT_EQ(s1.completed, 0u);
-  EXPECT_EQ(s1.shed_routine + s1.shed_urgent + s1.rejected, 0u);
-  EXPECT_EQ(s1.deadline_violations, 0u);
-  EXPECT_EQ(s1.max_ms, 0.0);
-  EXPECT_EQ(d1.submitted, s0.submitted + d0.submitted);
-  EXPECT_EQ(d1.completed, s0.completed + d0.completed);
-  EXPECT_EQ(d1.deadline_violations, s0.deadline_violations + d0.deadline_violations);
-  EXPECT_EQ(d1.shed_routine, s0.shed_routine);
-  EXPECT_EQ(d1.shed_urgent, s0.shed_urgent);
-  EXPECT_EQ(d1.rejected, s0.rejected);
-  EXPECT_DOUBLE_EQ(d1.max_ms, 200.0);
-  // The merged histogram carries the bimodal mix, not an average.
-  EXPECT_NEAR(d1.p95_ms, 200.0, 200.0 * kRelTol);
-
-  // Draining an already-drained (empty) source changes nothing.
-  source.drain_into(dest);
-  const auto d2 = dest.snapshot();
-  EXPECT_EQ(d2.submitted, d1.submitted);
-  EXPECT_EQ(d2.completed, d1.completed);
-}
-
 // The cross-process handoff pair behind the wire MIGRATE_SLO/ADOPT_SLO
 // verbs: extract_state() zeroes the source and packages everything into a
 // plain struct, absorb_state() folds it into another tracker.  Counts and
-// quantiles must be conserved end to end, exactly like drain_into — the
-// struct is just the process-boundary-safe spelling of the same move.
+// quantiles must be conserved end to end.
 TEST(SloTracker, ExtractAbsorbConservesStateAcrossTheStructBoundary) {
   SloTracker source(SloConfig{.deadline_ms = 10.0});
   for (int i = 0; i < 50; ++i) {
@@ -302,7 +255,7 @@ TEST(SloTracker, ExtractAbsorbConservesStateAcrossTheStructBoundary) {
   EXPECT_EQ(state.submitted, 50u);
   EXPECT_EQ(state.completed, 50u);
   EXPECT_GT(state.elapsed_us, 0u);
-  // Extraction empties the source, just like drain_into.
+  // Extraction empties the source.
   const auto drained = source.snapshot();
   EXPECT_EQ(drained.submitted, 0u);
   EXPECT_EQ(drained.completed, 0u);
@@ -344,10 +297,9 @@ TEST(SloTracker, ExtractAbsorbConservesStateAcrossTheStructBoundary) {
 
 // Handoff raced against a recording thread: counts may land on either
 // side of the move but must be conserved — the sum across both trackers
-// equals everything ever recorded.  This is the TSan probe for the
-// reshard handoff path (ReconstructionEngine::adopt_patient_slo drains a
-// moved tracker into an existing one while completions still record).
-TEST(SloTracker, DrainIntoConcurrentWithRecordConservesTotals) {
+// equals everything ever recorded.  This is the TSan probe for extraction
+// racing recording threads on the same tracker.
+TEST(SloTracker, ExtractStateConcurrentWithRecordConservesTotals) {
   SloTracker source;
   SloTracker dest;
   constexpr int kRecords = 30000;
@@ -360,11 +312,11 @@ TEST(SloTracker, DrainIntoConcurrentWithRecordConservesTotals) {
     }
   });
   for (int i = 0; i < 200; ++i) {
-    source.drain_into(dest);
+    dest.absorb_state(source.extract_state());
     std::this_thread::yield();
   }
   recorder.join();
-  source.drain_into(dest);  // Sweep the stragglers.
+  dest.absorb_state(source.extract_state());  // Sweep the stragglers.
 
   const auto total = dest.snapshot();
   EXPECT_EQ(total.submitted, static_cast<std::uint64_t>(kRecords));
@@ -422,24 +374,23 @@ TEST(SloTracker, AdoptAtPatientMapCapacityDropsButNeverSplits) {
   cfg.max_tracked_patients = 2;
   ReconstructionEngine engine(cfg);
 
-  const auto tracker_with = [](std::uint64_t completions) {
-    auto tracker = std::make_shared<SloTracker>();
+  const auto state_with = [](std::uint64_t completions) {
+    SloTracker tracker;
     for (std::uint64_t i = 0; i < completions; ++i) {
-      tracker->on_submit();
-      tracker->on_complete(1.0);
-      tracker->on_retrieve();
+      tracker.on_submit();
+      tracker.on_complete(1.0);
+      tracker.on_retrieve();
     }
-    return tracker;
+    return tracker.extract_state();
   };
 
-  EXPECT_TRUE(engine.adopt_patient_slo(1, tracker_with(3)));
-  EXPECT_TRUE(engine.adopt_patient_slo(2, tracker_with(5)));
-  EXPECT_FALSE(engine.adopt_patient_slo(3, tracker_with(7)))
+  EXPECT_TRUE(engine.adopt_patient_slo(1, state_with(3)));
+  EXPECT_TRUE(engine.adopt_patient_slo(2, state_with(5)));
+  EXPECT_FALSE(engine.adopt_patient_slo(3, state_with(7)))
       << "a handoff beyond the cap must be refused, not grow the map";
-  EXPECT_FALSE(engine.adopt_patient_slo(4, nullptr));
 
   // Adopting onto an already-tracked patient folds the moved history in.
-  EXPECT_TRUE(engine.adopt_patient_slo(1, tracker_with(4)));
+  EXPECT_TRUE(engine.adopt_patient_slo(1, state_with(4)));
 
   const auto breakdown = engine.patient_slo_snapshots();
   ASSERT_EQ(breakdown.size(), 2u);
@@ -450,10 +401,10 @@ TEST(SloTracker, AdoptAtPatientMapCapacityDropsButNeverSplits) {
 
   // Extraction frees a slot: the previously refused patient now fits.
   const auto extracted = engine.extract_patient_slo(2);
-  ASSERT_NE(extracted, nullptr);
-  EXPECT_EQ(extracted->snapshot().completed, 5u);
-  EXPECT_EQ(engine.extract_patient_slo(2), nullptr) << "already extracted";
-  EXPECT_TRUE(engine.adopt_patient_slo(3, tracker_with(7)));
+  ASSERT_TRUE(extracted.has_value());
+  EXPECT_EQ(extracted->completed, 5u);
+  EXPECT_FALSE(engine.extract_patient_slo(2).has_value()) << "already extracted";
+  EXPECT_TRUE(engine.adopt_patient_slo(3, state_with(7)));
   EXPECT_EQ(engine.patient_slo_snapshots().size(), 2u);
 }
 

@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "cs/pipeline.hpp"
-#include "host/reconstruction_fabric.hpp"
+#include "host/coordinator.hpp"
 #include "net/routing_client.hpp"
 #include "sig/ecg_synth.hpp"
 #include "sig/rng.hpp"
@@ -247,8 +247,8 @@ TEST(MultiProcessFailover, Kill9MidStreamRecoversWithConservationAndBitIdentical
     CompressedWindow copy = traffic[i];
     const auto ticket = client.submit(std::move(copy));
     ASSERT_TRUE(ticket.has_value()) << "post-failover submits must succeed";
-    EXPECT_EQ(host::ReconstructionFabric::ticket_epoch(*ticket), 1u);
-    EXPECT_NE(host::ReconstructionFabric::ticket_shard(*ticket), 1u);
+    EXPECT_EQ(host::Coordinator::ticket_epoch(*ticket), 1u);
+    EXPECT_NE(host::Coordinator::ticket_shard(*ticket), 1u);
   }
   for (auto&& r : client.drain()) keep(std::move(r));
 
@@ -321,7 +321,7 @@ TEST(MultiProcessFailover, Kill9WithAParkedPollKeepsConservationExact) {
   std::uint64_t returned_by_d1 = 0;
   const auto results = client.drain();
   for (const auto& result : results) {
-    returned_by_d1 += host::ReconstructionFabric::ticket_shard(result.ticket) == 1;
+    returned_by_d1 += host::Coordinator::ticket_shard(result.ticket) == 1;
     const auto ref = reference.find({result.patient_id, result.window_index});
     ASSERT_NE(ref, reference.end());
     EXPECT_TRUE(bit_identical(result.signal, ref->second.signal))

@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "cs/pipeline.hpp"
-#include "host/reconstruction_fabric.hpp"
+#include "host/coordinator.hpp"
 #include "net/routing_client.hpp"
 #include "sig/ecg_synth.hpp"
 #include "sig/rng.hpp"
@@ -181,7 +181,7 @@ TEST(MultiProcessReshard, LiveGrowAndShrinkAcrossProcessBoundaries) {
       CompressedWindow copy = traffic[i];
       const auto ticket = client.submit(std::move(copy));
       ASSERT_TRUE(ticket.has_value());
-      EXPECT_EQ(host::ReconstructionFabric::ticket_epoch(*ticket), client.epoch());
+      EXPECT_EQ(host::Coordinator::ticket_epoch(*ticket), client.epoch());
       if (auto r = client.poll()) keep(std::move(*r));
     }
   };
@@ -276,9 +276,9 @@ TEST(MultiProcessReshard, PipelinedSubmitsConserveAcrossALiveReshard) {
   for (std::size_t i = 0; i < tickets.size(); ++i) {
     ASSERT_TRUE(tickets[i].has_value()) << "window " << i << " lost its ticket";
     EXPECT_TRUE(unique.insert(*tickets[i]).second) << "duplicate ticket";
-    EXPECT_EQ(host::ReconstructionFabric::ticket_epoch(*tickets[i]), i < half ? 0u : 1u)
+    EXPECT_EQ(host::Coordinator::ticket_epoch(*tickets[i]), i < half ? 0u : 1u)
         << "window " << i << " must compose with its submission epoch";
-    EXPECT_EQ(host::ReconstructionFabric::ticket_shard(*tickets[i]), expected_owner[i])
+    EXPECT_EQ(host::Coordinator::ticket_shard(*tickets[i]), expected_owner[i])
         << "window " << i;
   }
 

@@ -27,8 +27,8 @@
 #include <vector>
 
 #include "cs/pipeline.hpp"
+#include "host/coordinator.hpp"
 #include "host/payload_pool.hpp"
-#include "host/reconstruction_fabric.hpp"
 #include "net/crc32c.hpp"
 #include "net/shard_server.hpp"
 #include "net/socket.hpp"
@@ -152,8 +152,8 @@ TEST(RoutingClient, RoundTripMatchesSerialReferenceBitForBit) {
     ASSERT_TRUE(ticket.has_value());
     EXPECT_TRUE(submit_tickets.insert(*ticket).second) << "tickets must be unique";
     // Composite form: epoch 0, the owner shard of the patient.
-    EXPECT_EQ(host::ReconstructionFabric::ticket_epoch(*ticket), 0u);
-    EXPECT_EQ(host::ReconstructionFabric::ticket_shard(*ticket),
+    EXPECT_EQ(host::Coordinator::ticket_epoch(*ticket), 0u);
+    EXPECT_EQ(host::Coordinator::ticket_shard(*ticket),
               client.owner(window.patient_id));
   }
 
@@ -339,8 +339,8 @@ TEST(RoutingClient, PipelinedSubmitsMatchSerialReferenceBitForBit) {
     std::set<std::uint64_t> unique(tickets.begin(), tickets.end());
     EXPECT_EQ(unique.size(), traffic.size()) << "tickets must be unique";
     for (std::size_t i = 0; i < traffic.size(); ++i) {
-      EXPECT_EQ(host::ReconstructionFabric::ticket_epoch(tickets[i]), 0u);
-      EXPECT_EQ(host::ReconstructionFabric::ticket_shard(tickets[i]),
+      EXPECT_EQ(host::Coordinator::ticket_epoch(tickets[i]), 0u);
+      EXPECT_EQ(host::Coordinator::ticket_shard(tickets[i]),
                 client.owner(traffic[i].patient_id))
           << "window " << i;
     }
@@ -556,7 +556,6 @@ TEST(Failover, MidStreamDisconnectResolvesTicketsOnceAndNeverDoubleSubmits) {
 
 TEST(Failover, FailShardOpensFailoverEpochAndConservesWithLost) {
   const auto traffic = fleet_traffic(/*patients=*/6, /*beats_per_patient=*/3);
-  const auto reference = serial_reference(traffic);
 
   LocalShard a(1), b(1);
   auto cfg = client_config();
@@ -579,14 +578,10 @@ TEST(Failover, FailShardOpensFailoverEpochAndConservesWithLost) {
   // Phase 2: resubmit the same signals but crash shard 0 before polling:
   // its acknowledged windows are unrecoverable.
   std::uint64_t acked_to_dead = 0;
-  std::optional<std::uint32_t> dead_owned_patient;
   for (const auto& window : traffic) {
     CompressedWindow copy = window;
     ASSERT_TRUE(client.submit(std::move(copy)).has_value());
-    if (client.owner(window.patient_id) == 0) {
-      ++acked_to_dead;
-      dead_owned_patient = window.patient_id;
-    }
+    acked_to_dead += client.owner(window.patient_id) == 0;
   }
   ASSERT_GT(acked_to_dead, 0u) << "test needs patients on the shard that dies";
   a.kill();
@@ -610,47 +605,18 @@ TEST(Failover, FailShardOpensFailoverEpochAndConservesWithLost) {
     EXPECT_EQ(client.owner(window.patient_id), 1u);
   }
 
-  // The survivor's phase-2 results still arrive, bit-identical.
-  std::size_t survivor_results = 0;
-  for (auto&& r : client.drain()) {
-    const auto ref = reference.find({r.patient_id, r.window_index});
-    ASSERT_NE(ref, reference.end());
-    EXPECT_TRUE(bit_identical(r.signal, ref->second.signal))
-        << "patient " << r.patient_id << " window " << r.window_index
-        << " diverged across the failover";
-    ++survivor_results;
-  }
-  EXPECT_EQ(survivor_results, traffic.size() - acked_to_dead);
-
-  // Crash-proof conservation: the client's own mirrors stand in for the
-  // snapshot the dead shard can never surrender.
+  // The survivor's phase-2 results still arrive; the client's books
+  // stand in for the snapshot the dead shard can never surrender.
+  // (Bit-identical survivors and post-failover service are asserted per
+  // link, the socket one included, by
+  // FabricFailover.FailShardRehomesOnlyDeadPatientsAndAccountsLoss.)
+  EXPECT_EQ(client.drain().size(), traffic.size() - acked_to_dead);
   const auto agg = client.aggregate_snapshot();
   EXPECT_EQ(agg.lost, acked_to_dead);
   EXPECT_EQ(agg.submitted, 2 * traffic.size());
   EXPECT_EQ(agg.submitted, agg.completed + agg.shed_routine + agg.shed_urgent +
                                agg.rejected + agg.lost)
       << "submitted == completed + shed + rejected + lost must survive a crash";
-
-  // Post-failover service: a window the dead shard would have owned now
-  // submits to the survivor under the failover epoch, and the result
-  // still matches the serial reference bit for bit.
-  ASSERT_TRUE(dead_owned_patient.has_value());
-  std::optional<CompressedWindow> rehomed;
-  for (const auto& window : traffic) {
-    if (window.patient_id == *dead_owned_patient) {
-      rehomed = window;
-      break;
-    }
-  }
-  ASSERT_TRUE(rehomed.has_value());
-  const WindowKey rehomed_key{rehomed->patient_id, rehomed->window_index};
-  const auto ticket = client.submit(std::move(*rehomed));
-  ASSERT_TRUE(ticket.has_value());
-  EXPECT_EQ(host::ReconstructionFabric::ticket_epoch(*ticket), 1u);
-  EXPECT_EQ(host::ReconstructionFabric::ticket_shard(*ticket), 1u);
-  auto post = client.drain();
-  ASSERT_EQ(post.size(), 1u);
-  EXPECT_TRUE(bit_identical(post.front().signal, reference.at(rehomed_key).signal));
   client.shutdown(/*send_bye=*/false);
 }
 
@@ -686,7 +652,7 @@ TEST(Failover, AutoFailoverReroutesAndKeepsServing) {
     CompressedWindow copy = window;
     const auto ticket = client.submit(std::move(copy));
     ASSERT_TRUE(ticket.has_value()) << "auto-failover must keep the fleet serving";
-    EXPECT_EQ(host::ReconstructionFabric::ticket_shard(*ticket), 1u)
+    EXPECT_EQ(host::Coordinator::ticket_shard(*ticket), 1u)
         << "post-failover submits land on the survivor";
   }
   EXPECT_TRUE(client.shard_failed(0));
