@@ -13,10 +13,12 @@
 
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cls/random_projection.hpp"
 #include "cs/fista.hpp"
+#include "cs/pipeline.hpp"
 #include "cs/sensing_matrix.hpp"
 #include "dsp/morphology.hpp"
 #include "dsp/sliding_minmax.hpp"
@@ -224,6 +226,59 @@ void BM_KernFistaWindow(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kWindow));
 }
 BENCHMARK(BM_KernFistaWindow)->ArgName("avx2")->Arg(0)->Arg(1);
+
+/// Windows each BM_FistaSolvePerWindow iteration solves; divisible by
+/// every width it measures, so each width does identical work.
+constexpr std::size_t kSolvePool = 96;
+
+/// Steady-shaped measurements: one synthesized low-noise ECG record cut
+/// into 512-sample windows, ADC-quantized and encoded at CR 50.
+std::vector<std::vector<double>> steady_measurements(const cs::SensingMatrix& phi) {
+  sig::SynthConfig cfg;
+  cfg.num_leads = 1;
+  cfg.episodes = {{sig::RhythmEpisode::Kind::kSinus, 320}};  // > kSolvePool windows.
+  cfg.noise = sig::NoiseParams::preset(sig::NoiseLevel::kLow);
+  sig::Rng rng(17);
+  const auto rec = synthesize_ecg(cfg, rng);
+  std::vector<std::vector<double>> ys;
+  for (std::size_t w = 0; w < kSolvePool; ++w) {
+    const std::span<const double> x(rec.leads[0].data() + w * kWindow, kWindow);
+    ys.push_back(cs::encode_window(phi, x, sig::AdcConfig{}, false).measurements);
+  }
+  return ys;
+}
+
+/// Per-window cost of a production solve (default FistaConfig: each
+/// window stops at its own convergence iteration, then debias) when the
+/// engine packs `width` windows into one batched solve.  Items are
+/// windows; time_per_window is the CPU time per window.  Wider is not
+/// cheaper per window: see EngineConfig::batch_windows.
+void BM_FistaSolvePerWindow(benchmark::State& state) {
+  const auto width = static_cast<std::size_t>(state.range(0));
+  const auto phi = bench_matrix();
+  const auto ys = steady_measurements(phi);
+  const cs::FistaConfig cfg;
+  cs::FistaWorkspace ws;
+  std::vector<std::vector<double>> signals(width, std::vector<double>(kWindow));
+  std::vector<std::span<const double>> views(width);
+  std::vector<cs::FistaWindowOut> outs(width);
+  for (auto _ : state) {
+    for (std::size_t start = 0; start < kSolvePool; start += width) {
+      for (std::size_t b = 0; b < width; ++b) {
+        views[b] = ys[start + b];
+        outs[b].signal = signals[b];
+      }
+      cs::fista_solve_batch_into(phi, views, cfg, ws, outs);
+      benchmark::DoNotOptimize(signals.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kSolvePool));
+  state.counters["time_per_window"] = benchmark::Counter(
+      static_cast<double>(kSolvePool),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FistaSolvePerWindow)->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(8)->Arg(32);
 
 // --- SLO tracker hot path ---------------------------------------------------
 

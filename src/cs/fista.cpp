@@ -97,7 +97,6 @@ void FistaWorkspace::ensure(std::size_t m, std::size_t n, std::size_t batch) {
   grew |= grow(dwt_scr, nb);
   grew |= grow(a, nb);
   grew |= grow(z, nb);
-  grew |= grow(a_prev, nb);
   grew |= grow(a2, nb);
   grew |= grow(z2, nb);
   grew |= grow(final_a, nb);
@@ -196,7 +195,7 @@ void fista_solve_batch_into(const SensingMatrix& phi,
   };
 
   for (int it = 0; it < cfg.max_iterations && cur > 0; ++it) {
-    // Gradient step at z: grad = A'(A z - y), a = soft(z - grad / L).
+    // Gradient at z: grad = A'(A z - y).
     dsp::dwt_inverse_batch_into(std::span<const double>(ws.z.data(), n * cur), cur, levels,
                                 std::span<double>(ws.xz.data(), n * cur),
                                 std::span<double>(ws.dwt_scr.data(), n * cur));
@@ -208,14 +207,12 @@ void fista_solve_batch_into(const SensingMatrix& phi,
     dsp::dwt_forward_batch_into(std::span<const double>(ws.buf_n.data(), n * cur), cur,
                                 levels, std::span<double>(ws.grad.data(), n * cur),
                                 std::span<double>(ws.dwt_scr.data(), n * cur));
-    std::copy(ws.a.begin(), ws.a.begin() + static_cast<long>(n * cur), ws.a_prev.begin());
-    k.grad_step(ws.z.data(), ws.grad.data(), lip, ws.a.data(), n * cur);
-    k.soft_threshold_batch(ws.a.data(), n, cur, ws.tau.data());
-
+    // One fused pass: a = soft(z - grad / L), z = a + beta (a - a_prev) and
+    // the per-window stopping sums; `a` carries a_prev in.
     const double t_next = 0.5 * (1.0 + std::sqrt(1.0 + 4.0 * t * t));
     const double beta = (t - 1.0) / t_next;
-    k.momentum_batch(ws.a.data(), ws.a_prev.data(), ws.z.data(), beta, n, cur,
-                     ws.delta.data(), ws.scale.data());
+    k.fista_step_batch(ws.grad.data(), lip, ws.tau.data(), beta, n, cur, ws.z.data(),
+                       ws.a.data(), ws.delta.data(), ws.scale.data());
     t = t_next;
 
     // Surviving lanes are written into kept[0, next) by index: the buffer

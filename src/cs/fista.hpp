@@ -72,7 +72,7 @@ class FistaWorkspace {
   // Interleaved, capacity >= m * batch:
   std::vector<double> y, y2, buf_m;
   // Interleaved, capacity >= n * batch:
-  std::vector<double> buf_n, aty, grad, xz, dwt_scr, a, z, a_prev, a2, z2;
+  std::vector<double> buf_n, aty, grad, xz, dwt_scr, a, z, a2, z2;
   /// Extracted coefficients, window-major: window b's row occupies
   /// [b * n, b * n + n) after a fista_solve_batch_into call (post-debias).
   std::vector<double> final_a;

@@ -110,7 +110,7 @@ void ReconstructionEngine::pop_batch(std::vector<WorkItem*>& items) {
     // (queued plus what it already popped) evenly across the pool — solo
     // solves while traffic is light, wide same-matrix batches once a
     // backlog builds.  Any width is bit-identical, so the choice only
-    // moves the latency/throughput trade-off.
+    // moves cost, never values.
     const std::size_t backlog = queue_.size() + items.size();
     const auto workers = static_cast<std::size_t>(std::max(1, cfg_.threads));
     limit = std::clamp<std::size_t>((backlog + workers - 1) / workers, 1, limit);
@@ -419,6 +419,12 @@ void ReconstructionEngine::process_batch(std::vector<WorkItem*>& items) {
   // observes in_flight_ == 0 (acquire) is guaranteed to find every result
   // already in done_.
   in_flight_.fetch_sub(group.size(), std::memory_order_acq_rel);
+  {
+    // drain() tests in_flight_ under done_mutex_ before it sleeps.  Passing
+    // through the mutex here means a waiter that saw the old count is
+    // already asleep, so the notify below reaches it (no lost wakeup).
+    std::lock_guard<std::mutex> lk(done_mutex_);
+  }
   done_cv_.notify_all();
   // Strictly after the slot release: a hook-driven try_submit_step retry
   // that still fails saw the engine genuinely full again, so the next

@@ -23,7 +23,8 @@
 //     same-matrix groups in one batched FISTA pass (cs::fista_solve_batch)
 //     whose per-window results are bit-identical to solo solves; with
 //     batch_windows == 0 each worker auto-sizes its pop from the current
-//     backlog depth (latency when idle, throughput under load).
+//     backlog depth.  Batched solves cost more CPU per window than solo
+//     ones (see EngineConfig::batch_windows), so the default stays 1.
 //   * Under overload, admission is deadline-aware when deadline_shedding
 //     is on: instead of bouncing the newest arrival, try_submit sheds the
 //     queued window whose predicted completion (backlog position x the
@@ -211,12 +212,16 @@ struct EngineConfig {
   /// bit-identical to solo solves, so any value preserves the
   /// determinism contract; 1 (the default) disables packing.
   /// 0 enables backlog-driven auto-sizing: each worker pops
-  /// ceil(backlog / threads) windows, clamped to [1, kMaxAutoBatch] —
-  /// solo solves for latency when the queue is shallow, wide batches for
-  /// throughput when it is deep.  A worker sizes its solve arena for its
-  /// widest possible pop (this value, or kMaxAutoBatch when 0) the first
-  /// time it meets a window shape, so a wider pop later never allocates:
-  /// about 1.6 MB per worker at n = 512 (m = 256) under auto-sizing.
+  /// ceil(backlog / threads) windows, clamped to [1, kMaxAutoBatch].
+  /// Packing does not buy throughput: on steady-shaped windows (512
+  /// samples, CR 50, default FistaConfig) a batched solve costs more CPU
+  /// per window than a solo one at every width (bench/micro_kernels
+  /// BM_FistaSolvePerWindow: about 690 µs at width 1, 2570 at 2, 2380 at
+  /// 3, 1080 at 4, 850 at 8, 740 at 32), so keep 1.  A worker sizes its
+  /// solve arena for its widest possible pop (this value, or
+  /// kMaxAutoBatch when 0) the first time it meets a window shape, so a
+  /// wider pop later never allocates: about 1.5 MB per worker at n = 512
+  /// (m = 256) under auto-sizing.
   int batch_windows = 1;
   /// Deadline-aware load shedding.  When admission is at capacity and the
   /// backlog predicts a deadline miss, drop the queued window with the

@@ -99,34 +99,6 @@ __m256d soft_threshold_vec(__m256d v, __m256d tau) {
   return _mm256_or_pd(thr, _mm256_and_pd(sign_mask, v));
 }
 
-void soft_threshold_avx2(double* a, std::size_t n, double tau) {
-  const __m256d t = _mm256_set1_pd(tau);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(a + i, soft_threshold_vec(_mm256_loadu_pd(a + i), t));
-  }
-  ref::soft_threshold(a + i, n - i, tau);
-}
-
-void soft_threshold_batch_avx2(double* a, std::size_t n, std::size_t batch,
-                               const double* tau) {
-  if (batch == 1) {
-    soft_threshold_avx2(a, n, tau[0]);
-    return;
-  }
-  // Elementwise and exact, so any partition is bit-safe: vectorize along
-  // the batch dimension with a per-window tau register.
-  for (std::size_t i = 0; i < n; ++i) {
-    double* row = a + i * batch;
-    std::size_t b = 0;
-    for (; b + 4 <= batch; b += 4) {
-      _mm256_storeu_pd(row + b,
-                       soft_threshold_vec(_mm256_loadu_pd(row + b), _mm256_loadu_pd(tau + b)));
-    }
-    for (; b < batch; ++b) row[b] = ref::soft_threshold_one(row[b], tau[b]);
-  }
-}
-
 void momentum_avx2(const double* a, const double* a_prev, double* z, double beta,
                    std::size_t n, double* delta_sq, double* scale_sq) {
   const __m256d bvec = _mm256_set1_pd(beta);
@@ -154,30 +126,70 @@ void momentum_avx2(const double* a, const double* a_prev, double* z, double beta
   *scale_sq = ref::reduce_lanes(lanes_s);
 }
 
-void momentum_batch_avx2(const double* a, const double* a_prev, double* z, double beta,
-                         std::size_t n, std::size_t batch, double* delta_sq,
-                         double* scale_sq) {
+/// The fused FISTA step on one vector of elements: returns d = a_k - a_{k-1}
+/// and leaves a_k in *a_io, z_k in *z_io (see ref::fista_step_one).
+__m256d fista_step_vec(__m256d* z_io, __m256d grad, __m256d* a_io, __m256d lip,
+                       __m256d tau, __m256d beta) {
+  const __m256d a_new = soft_threshold_vec(_mm256_sub_pd(*z_io, _mm256_div_pd(grad, lip)), tau);
+  const __m256d d = _mm256_sub_pd(a_new, *a_io);
+  *a_io = a_new;
+  *z_io = _mm256_add_pd(a_new, _mm256_mul_pd(beta, d));
+  return d;
+}
+
+void fista_step_batch_avx2(const double* grad, double lip, const double* tau, double beta,
+                           std::size_t n, std::size_t batch, double* z, double* a,
+                           double* delta_sq, double* scale_sq) {
+  const __m256d lvec = _mm256_set1_pd(lip);
+  const __m256d bvec = _mm256_set1_pd(beta);
   if (batch == 1) {
-    momentum_avx2(a, a_prev, z, beta, n, delta_sq, scale_sq);
+    // Contiguous: 4 consecutive elements per register, lane l holding
+    // elements i ≡ l (mod 4); the scalar tail continues the same lanes.
+    const __m256d tvec = _mm256_set1_pd(tau[0]);
+    __m256d acc_d = _mm256_setzero_pd();
+    __m256d acc_s = _mm256_setzero_pd();
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      __m256d zv = _mm256_loadu_pd(z + i);
+      __m256d av = _mm256_loadu_pd(a + i);
+      const __m256d d = fista_step_vec(&zv, _mm256_loadu_pd(grad + i), &av, lvec, tvec, bvec);
+      acc_d = _mm256_add_pd(acc_d, _mm256_mul_pd(d, d));
+      acc_s = _mm256_add_pd(acc_s, _mm256_mul_pd(av, av));
+      _mm256_storeu_pd(z + i, zv);
+      _mm256_storeu_pd(a + i, av);
+    }
+    alignas(32) double lanes_d[4];
+    alignas(32) double lanes_s[4];
+    _mm256_store_pd(lanes_d, acc_d);
+    _mm256_store_pd(lanes_s, acc_s);
+    for (; i < n; ++i) {
+      const double d = ref::fista_step_one(z[i], grad[i], a[i], lip, tau[0], beta);
+      lanes_d[i & 3] += d * d;
+      lanes_s[i & 3] += a[i] * a[i];
+    }
+    delta_sq[0] = ref::reduce_lanes(lanes_d);
+    scale_sq[0] = ref::reduce_lanes(lanes_s);
     return;
   }
-  const __m256d bvec = _mm256_set1_pd(beta);
   std::size_t b = 0;
   // 4 windows at a time; the i (mod 4) lane partition lives in 4 rotating
   // register accumulators per sum, exactly mirroring the single-window
   // kernel's per-window order.
   for (; b + 4 <= batch; b += 4) {
+    const __m256d tvec = _mm256_loadu_pd(tau + b);
     __m256d acc_d[4] = {_mm256_setzero_pd(), _mm256_setzero_pd(), _mm256_setzero_pd(),
                         _mm256_setzero_pd()};
     __m256d acc_s[4] = {_mm256_setzero_pd(), _mm256_setzero_pd(), _mm256_setzero_pd(),
                         _mm256_setzero_pd()};
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t j = i * batch + b;
-      const __m256d av = _mm256_loadu_pd(a + j);
-      const __m256d d = _mm256_sub_pd(av, _mm256_loadu_pd(a_prev + j));
+      __m256d zv = _mm256_loadu_pd(z + j);
+      __m256d av = _mm256_loadu_pd(a + j);
+      const __m256d d = fista_step_vec(&zv, _mm256_loadu_pd(grad + j), &av, lvec, tvec, bvec);
       acc_d[i & 3] = _mm256_add_pd(acc_d[i & 3], _mm256_mul_pd(d, d));
       acc_s[i & 3] = _mm256_add_pd(acc_s[i & 3], _mm256_mul_pd(av, av));
-      _mm256_storeu_pd(z + j, _mm256_add_pd(av, _mm256_mul_pd(bvec, d)));
+      _mm256_storeu_pd(z + j, zv);
+      _mm256_storeu_pd(a + j, av);
     }
     // Per-window fold (s0 + s2) + (s1 + s3), elementwise across the 4 windows.
     const __m256d dsum = _mm256_add_pd(_mm256_add_pd(acc_d[0], acc_d[2]),
@@ -188,7 +200,8 @@ void momentum_batch_avx2(const double* a, const double* a_prev, double* z, doubl
     _mm256_storeu_pd(scale_sq + b, ssum);
   }
   for (; b < batch; ++b) {
-    ref::momentum_batch_window(a, a_prev, z, beta, n, batch, b, delta_sq, scale_sq);
+    ref::fista_step_batch_window(grad, lip, tau[b], beta, n, batch, b, z, a, delta_sq,
+                                 scale_sq);
   }
 }
 
@@ -498,10 +511,8 @@ constexpr Ops kAvx2Ops = {
     axpy_avx2,
     xpby_avx2,
     grad_step_avx2,
-    soft_threshold_avx2,
-    soft_threshold_batch_avx2,
     momentum_avx2,
-    momentum_batch_avx2,
+    fista_step_batch_avx2,
     spmv_avx2,
     spmv_batch_avx2,
     dwt_step_avx2,

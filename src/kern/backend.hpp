@@ -2,9 +2,10 @@
 //
 // The reconstruction inner loop is dominated by four kernel families —
 // sensing-matrix apply/adjoint (spmv over the packed ±1 plans), the Db4
-// DWT lifting steps, the soft-threshold/momentum vector ops, and the
-// BLAS-1 reductions.  This layer owns them behind an Ops table with two
-// backends:
+// DWT lifting steps, the fused FISTA step (gradient step, soft threshold,
+// momentum and the stopping-test sums in one pass over the coefficients),
+// and the BLAS-1 reductions.  This layer owns them behind an Ops table
+// with two backends:
 //
 //   * scalar — portable reference, runs anywhere;
 //   * avx2   — x86 AVX2 intrinsics, selected at startup via CPUID.
@@ -14,10 +15,11 @@
 // is a *canonical accumulation order* baked into the kernel definitions
 // rather than left to the implementation:
 //
-//   * Reductions (dot, nrm2_sq, the momentum delta/scale sums) accumulate
-//     into kLanes = 4 partial sums, lane l taking elements i ≡ l (mod 4),
-//     and reduce as (s0 + s2) + (s1 + s3) — exactly the AVX2 register
-//     layout and its extract-fold, which the scalar backend emulates.
+//   * Reductions (dot, nrm2_sq, the momentum and FISTA-step delta/scale
+//     sums) accumulate into kLanes = 4 partial sums, lane l taking
+//     elements i ≡ l (mod 4), and reduce as (s0 + s2) + (s1 + s3) —
+//     exactly the AVX2 register layout and its extract-fold, which the
+//     scalar backend emulates.
 //   * Spmv outputs sum their plan taps sequentially (see spmv_plan.hpp).
 //   * DWT outputs use the fixed pairwise tree (c0·x0 + c1·x1) + (c2·x2 +
 //     c3·x3).
@@ -56,22 +58,22 @@ struct Ops {
   /// a[i] = z[i] - grad[i] / lip (the FISTA gradient step).
   void (*grad_step)(const double* z, const double* grad, double lip, double* a,
                     std::size_t n);
-  /// a[i] = copysign(max(|a[i]| - tau, 0), a[i]).
-  void (*soft_threshold)(double* a, std::size_t n, double tau);
-  /// Interleaved batch: element j belongs to window j % batch and uses
-  /// tau[j % batch].
-  void (*soft_threshold_batch)(double* a, std::size_t n, std::size_t batch,
-                               const double* tau);
 
-  // --- Fused FISTA momentum ------------------------------------------------
+  // --- Fused FISTA updates -------------------------------------------------
   /// z[i] = a[i] + beta * (a[i] - a_prev[i]); *delta_sq = Σ (a - a_prev)²,
   /// *scale_sq = Σ a², both in canonical lane order (no epsilon added).
   void (*momentum)(const double* a, const double* a_prev, double* z, double beta,
                    std::size_t n, double* delta_sq, double* scale_sq);
-  /// Batched: per-window sums land in delta_sq[b] / scale_sq[b].
-  void (*momentum_batch)(const double* a, const double* a_prev, double* z, double beta,
-                         std::size_t n, std::size_t batch, double* delta_sq,
-                         double* scale_sq);
+  /// One whole FISTA step in a single pass over an interleaved batch; `a`
+  /// holds a_{k-1} on entry and a_k on exit.  Per element of window b:
+  ///   v = z - grad / lip,  a_k = copysign(max(|v| - tau[b], 0), v),
+  ///   d = a_k - a_{k-1},   z = a_k + beta * d,
+  /// with delta_sq[b] = Σ d² and scale_sq[b] = Σ a_k² in canonical lane
+  /// order.  Bit-identical to grad_step, the soft threshold and momentum
+  /// run one after another.
+  void (*fista_step_batch)(const double* grad, double lip, const double* tau, double beta,
+                           std::size_t n, std::size_t batch, double* z, double* a,
+                           double* delta_sq, double* scale_sq);
 
   // --- Sparse sensing operator ---------------------------------------------
   /// y[o] = Σ_taps sgn · x[idx] over the plan (y fully overwritten).

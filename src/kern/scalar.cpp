@@ -14,10 +14,8 @@ constexpr Ops kScalarOps = {
     ref::axpy,
     ref::xpby,
     ref::grad_step,
-    ref::soft_threshold,
-    ref::soft_threshold_batch,
     ref::momentum,
-    ref::momentum_batch,
+    ref::fista_step_batch,
     ref::spmv,
     ref::spmv_batch,
     ref::dwt_step,

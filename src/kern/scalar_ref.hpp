@@ -52,19 +52,6 @@ inline double soft_threshold_one(double v, double tau) {
   return std::copysign(mag > 0.0 ? mag : 0.0, v);
 }
 
-inline void soft_threshold(double* a, std::size_t n, double tau) {
-  for (std::size_t i = 0; i < n; ++i) a[i] = soft_threshold_one(a[i], tau);
-}
-
-inline void soft_threshold_batch(double* a, std::size_t n, std::size_t batch,
-                                 const double* tau) {
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t b = 0; b < batch; ++b) {
-      a[i * batch + b] = soft_threshold_one(a[i * batch + b], tau[b]);
-    }
-  }
-}
-
 inline void momentum(const double* a, const double* a_prev, double* z, double beta,
                      std::size_t n, double* delta_sq, double* scale_sq) {
   double acc_d[4] = {0.0, 0.0, 0.0, 0.0};
@@ -79,30 +66,41 @@ inline void momentum(const double* a, const double* a_prev, double* z, double be
   *scale_sq = reduce_lanes(acc_s);
 }
 
-/// Per-window momentum over the interleaved layout.  Window b's lane-l
-/// accumulator takes its elements i ≡ l (mod 4) — the same partition the
-/// single-window kernel uses, which is what makes batch widths agree.
-inline void momentum_batch_window(const double* a, const double* a_prev, double* z,
-                                  double beta, std::size_t n, std::size_t batch,
-                                  std::size_t b, double* delta_sq, double* scale_sq) {
+/// One element of the fused FISTA step; a holds a_{k-1} on entry and
+/// a_k on exit.  Returns d = a_k - a_{k-1}.
+inline double fista_step_one(double& z, double grad, double& a, double lip, double tau,
+                             double beta) {
+  const double a_new = soft_threshold_one(z - grad / lip, tau);
+  const double d = a_new - a;
+  a = a_new;
+  z = a_new + beta * d;
+  return d;
+}
+
+/// Fused FISTA step for window b of the interleaved layout.  Window b's
+/// lane-l accumulators take its elements i ≡ l (mod 4) — the same
+/// partition for every batch width, which is what makes widths agree.
+inline void fista_step_batch_window(const double* grad, double lip, double tau, double beta,
+                                    std::size_t n, std::size_t batch, std::size_t b,
+                                    double* z, double* a, double* delta_sq,
+                                    double* scale_sq) {
   double acc_d[4] = {0.0, 0.0, 0.0, 0.0};
   double acc_s[4] = {0.0, 0.0, 0.0, 0.0};
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t j = i * batch + b;
-    const double d = a[j] - a_prev[j];
+    const double d = fista_step_one(z[j], grad[j], a[j], lip, tau, beta);
     acc_d[i & 3] += d * d;
     acc_s[i & 3] += a[j] * a[j];
-    z[j] = a[j] + beta * d;
   }
   delta_sq[b] = reduce_lanes(acc_d);
   scale_sq[b] = reduce_lanes(acc_s);
 }
 
-inline void momentum_batch(const double* a, const double* a_prev, double* z, double beta,
-                           std::size_t n, std::size_t batch, double* delta_sq,
-                           double* scale_sq) {
+inline void fista_step_batch(const double* grad, double lip, const double* tau, double beta,
+                             std::size_t n, std::size_t batch, double* z, double* a,
+                             double* delta_sq, double* scale_sq) {
   for (std::size_t b = 0; b < batch; ++b) {
-    momentum_batch_window(a, a_prev, z, beta, n, batch, b, delta_sq, scale_sq);
+    fista_step_batch_window(grad, lip, tau[b], beta, n, batch, b, z, a, delta_sq, scale_sq);
   }
 }
 

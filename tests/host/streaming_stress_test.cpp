@@ -309,5 +309,34 @@ TEST(StreamingStress, RepeatedDrainCyclesStayConsistent) {
   EXPECT_EQ(engine.slo().snapshot().completed, 3 * windows.size());
 }
 
+TEST(StreamingStress, DrainWakesWhenTheLastCompletionLandsMidSweep) {
+  // Many short drain() cycles with one tiny window per worker, so the
+  // workers finish together: drain() often sweeps a result out of done_
+  // before its worker has released the in-flight slot, then sleeps on the
+  // slot count.  The release's wakeup must reach that sleeper.  A lost
+  // wakeup hangs the test; this many rounds hit that window in roughly a
+  // quarter of runs when the release notified without the mutex.
+  constexpr int kWorkers = 3;
+  constexpr int kRounds = 50000;
+  EngineConfig cfg;
+  cfg.threads = kWorkers;
+  cfg.fista.max_iterations = 1;
+  cfg.fista.debias = false;
+  ReconstructionEngine engine(cfg);
+  CompressedWindow window;
+  window.window_samples = 16;
+  window.matrix_seed = 1;
+  window.measurements.assign(cs::rows_for_cr(50.0, 16), 0.5);
+  for (int round = 0; round < kRounds; ++round) {
+    for (int w = 0; w < kWorkers; ++w) {
+      CompressedWindow copy = window;
+      copy.patient_id = static_cast<std::uint32_t>(w);
+      copy.window_index = static_cast<std::uint32_t>(round);
+      engine.submit(std::move(copy));
+    }
+    ASSERT_EQ(engine.drain().size(), static_cast<std::size_t>(kWorkers)) << "round " << round;
+  }
+}
+
 }  // namespace
 }  // namespace wbsn::host

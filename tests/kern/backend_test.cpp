@@ -53,10 +53,8 @@ TEST(Backend, OpsTableFullyPopulated) {
     EXPECT_NE(table->axpy, nullptr);
     EXPECT_NE(table->xpby, nullptr);
     EXPECT_NE(table->grad_step, nullptr);
-    EXPECT_NE(table->soft_threshold, nullptr);
-    EXPECT_NE(table->soft_threshold_batch, nullptr);
     EXPECT_NE(table->momentum, nullptr);
-    EXPECT_NE(table->momentum_batch, nullptr);
+    EXPECT_NE(table->fista_step_batch, nullptr);
     EXPECT_NE(table->spmv, nullptr);
     EXPECT_NE(table->spmv_batch, nullptr);
     EXPECT_NE(table->dwt_step, nullptr);

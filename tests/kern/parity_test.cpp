@@ -95,33 +95,83 @@ TEST(DispatchParity, Elementwise) {
   }
 }
 
-TEST(DispatchParity, SoftThresholdIncludingSignedZeros) {
-  REQUIRE_AVX2();
-  const Ops& scalar = *scalar_ops();
-  const Ops& avx2 = *avx2_ops();
-  sig::Rng rng(3);
-  for (const std::size_t n : kSizes) {
-    auto a = random_vector(n, rng);
-    // Sprinkle sub-threshold values of both signs: the branchless form
-    // yields ±0.0 carrying the input's sign bit, and both backends must
-    // agree on those bits too.
-    for (std::size_t i = 0; i < n; i += 3) a[i] *= 1e-3;
-    auto a_b = a;
-    scalar.soft_threshold(a.data(), n, 0.5);
-    avx2.soft_threshold(a_b.data(), n, 0.5);
-    EXPECT_TRUE(bit_identical(a, a_b)) << "soft_threshold n=" << n;
-  }
+/// Inputs of one fused-FISTA-step call over an interleaved batch.
+struct FistaStepCase {
+  std::size_t n = 0;
+  std::size_t batch = 0;
+  std::vector<double> grad, z, a, tau;
+};
 
-  for (const std::size_t batch : {1u, 2u, 3u, 4u, 5u, 8u}) {
-    const std::size_t n = 37;
-    auto a = random_vector(n * batch, rng);
-    for (std::size_t i = 0; i < a.size(); i += 2) a[i] *= 1e-3;
-    auto a_b = a;
-    std::vector<double> tau(batch);
-    for (auto& t : tau) t = std::abs(rng.normal()) + 0.1;
-    scalar.soft_threshold_batch(a.data(), n, batch, tau.data());
-    avx2.soft_threshold_batch(a_b.data(), n, batch, tau.data());
-    EXPECT_TRUE(bit_identical(a, a_b)) << "soft_threshold_batch B=" << batch;
+constexpr double kStepLip = 3.7;
+constexpr double kStepBeta = 0.81;
+
+/// Random inputs salted with the edge cases of the soft threshold: exact
+/// ±0 everywhere, v = z - grad / lip landing exactly on ±tau (grad = 0,
+/// z = ±tau), values just inside the threshold (whose result is a signed
+/// zero carrying v's sign bit), and a_{k-1} = ±0.
+FistaStepCase fista_step_case(std::size_t n, std::size_t batch, sig::Rng& rng) {
+  FistaStepCase c;
+  c.n = n;
+  c.batch = batch;
+  c.grad = random_vector(n * batch, rng);
+  c.z = random_vector(n * batch, rng);
+  c.a = random_vector(n * batch, rng);
+  c.tau.resize(batch);
+  for (auto& t : c.tau) t = std::abs(rng.normal()) + 0.1;
+  for (std::size_t j = 0; j < n * batch; ++j) {
+    const double tau = c.tau[j % batch];
+    switch (j % 7) {
+      case 0:
+        c.grad[j] = 0.0;
+        c.z[j] = (j & 8) ? -tau : tau;
+        break;
+      case 1:
+        c.grad[j] = (j & 8) ? -0.0 : 0.0;
+        c.z[j] = (j & 16) ? -0.0 : 0.0;
+        break;
+      case 2:
+        c.grad[j] *= 1e-3;
+        c.z[j] *= 1e-3;
+        break;
+      case 3:
+        c.a[j] = (j & 8) ? -0.0 : 0.0;
+        break;
+      default:
+        break;
+    }
+  }
+  return c;
+}
+
+/// Output of one fista_step_batch call: the updated z and a plus the
+/// per-window sums.
+struct FistaStepOut {
+  std::vector<double> z, a, delta, scale;
+};
+
+FistaStepOut run_fista_step(const Ops& table, const FistaStepCase& c) {
+  FistaStepOut out{c.z, c.a, std::vector<double>(c.batch, -1.0),
+                   std::vector<double>(c.batch, -1.0)};
+  table.fista_step_batch(c.grad.data(), kStepLip, c.tau.data(), kStepBeta, c.n, c.batch,
+                         out.z.data(), out.a.data(), out.delta.data(), out.scale.data());
+  return out;
+}
+
+TEST(DispatchParity, FistaStepIncludingSignedZerosAndTauBoundary) {
+  REQUIRE_AVX2();
+  sig::Rng rng(3);
+  std::vector<std::size_t> sizes = {127, 128, 512};
+  for (std::size_t n = 1; n <= 9; ++n) sizes.push_back(n);
+  for (const std::size_t n : sizes) {
+    for (std::size_t batch = 1; batch <= 9; ++batch) {
+      const auto c = fista_step_case(n, batch, rng);
+      const auto s = run_fista_step(*scalar_ops(), c);
+      const auto v = run_fista_step(*avx2_ops(), c);
+      EXPECT_TRUE(bit_identical(s.z, v.z)) << "z n=" << n << " B=" << batch;
+      EXPECT_TRUE(bit_identical(s.a, v.a)) << "a n=" << n << " B=" << batch;
+      EXPECT_TRUE(bit_identical(s.delta, v.delta)) << "delta n=" << n << " B=" << batch;
+      EXPECT_TRUE(bit_identical(s.scale, v.scale)) << "scale n=" << n << " B=" << batch;
+    }
   }
 }
 
@@ -147,40 +197,51 @@ TEST(DispatchParity, Momentum) {
   }
 }
 
-TEST(DispatchParity, MomentumBatchMatchesSingle) {
-  // Runs on every available backend: per-window batched sums must equal
-  // the single-window kernel bit for bit (the batch-width contract).
+TEST(DispatchParity, FistaStepBatchMatchesSingleAndUnfusedSteps) {
+  // Runs on every available backend.  Each window of a batched call must
+  // equal a batch-1 call on that window alone (the batch-width contract),
+  // and both must equal the unfused sequence the kernel replaces:
+  // grad_step, the soft threshold, then momentum against a_{k-1}.
   for (const Ops* table : {scalar_ops(), avx2_ops()}) {
     if (table == nullptr || (table == avx2_ops() && !avx2_supported())) continue;
     sig::Rng rng(5);
     for (const std::size_t batch : {1u, 2u, 4u, 5u, 8u}) {
       const std::size_t n = 67;
-      std::vector<std::vector<double>> a(batch);
-      std::vector<std::vector<double>> a_prev(batch);
-      std::vector<double> ai(n * batch);
-      std::vector<double> pi(n * batch);
+      const auto c = fista_step_case(n, batch, rng);
+      const auto batched = run_fista_step(*table, c);
       for (std::size_t b = 0; b < batch; ++b) {
-        a[b] = random_vector(n, rng);
-        a_prev[b] = random_vector(n, rng);
+        FistaStepCase solo;
+        solo.n = n;
+        solo.batch = 1;
+        solo.tau = {c.tau[b]};
         for (std::size_t i = 0; i < n; ++i) {
-          ai[i * batch + b] = a[b][i];
-          pi[i * batch + b] = a_prev[b][i];
+          solo.grad.push_back(c.grad[i * batch + b]);
+          solo.z.push_back(c.z[i * batch + b]);
+          solo.a.push_back(c.a[i * batch + b]);
         }
-      }
-      std::vector<double> zi(n * batch);
-      std::vector<double> delta(batch);
-      std::vector<double> scale(batch);
-      table->momentum_batch(ai.data(), pi.data(), zi.data(), 0.6, n, batch, delta.data(),
-                            scale.data());
-      for (std::size_t b = 0; b < batch; ++b) {
-        std::vector<double> z(n);
+        const auto single = run_fista_step(*table, solo);
+
+        std::vector<double> a_new(n);
+        table->grad_step(solo.z.data(), solo.grad.data(), kStepLip, a_new.data(), n);
+        for (auto& v : a_new) {
+          const double mag = std::fabs(v) - c.tau[b];
+          v = std::copysign(mag > 0.0 ? mag : 0.0, v);
+        }
+        std::vector<double> z_new(n);
         double d = 0.0;
         double s = 0.0;
-        table->momentum(a[b].data(), a_prev[b].data(), z.data(), 0.6, n, &d, &s);
-        EXPECT_TRUE(bit_identical(d, delta[b])) << table->name << " B=" << batch;
-        EXPECT_TRUE(bit_identical(s, scale[b])) << table->name << " B=" << batch;
+        table->momentum(a_new.data(), solo.a.data(), z_new.data(), kStepBeta, n, &d, &s);
+
+        EXPECT_TRUE(bit_identical(single.a, a_new)) << table->name << " B=" << batch;
+        EXPECT_TRUE(bit_identical(single.z, z_new)) << table->name << " B=" << batch;
+        EXPECT_TRUE(bit_identical(single.delta[0], d)) << table->name << " B=" << batch;
+        EXPECT_TRUE(bit_identical(single.scale[0], s)) << table->name << " B=" << batch;
+        EXPECT_TRUE(bit_identical(batched.delta[b], d)) << table->name << " B=" << batch;
+        EXPECT_TRUE(bit_identical(batched.scale[b], s)) << table->name << " B=" << batch;
         for (std::size_t i = 0; i < n; ++i) {
-          EXPECT_TRUE(bit_identical(z[i], zi[i * batch + b]))
+          EXPECT_TRUE(bit_identical(batched.a[i * batch + b], a_new[i]))
+              << table->name << " B=" << batch << " i=" << i;
+          EXPECT_TRUE(bit_identical(batched.z[i * batch + b], z_new[i]))
               << table->name << " B=" << batch << " i=" << i;
         }
       }
