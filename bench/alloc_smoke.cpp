@@ -230,7 +230,6 @@ int main(int argc, char** argv) {
     auto pool = std::make_shared<host::PayloadPool>();
     host::EngineConfig cfg;
     cfg.threads = 0;
-    cfg.batch_windows = 0;  // Auto-sizing exercises the batched arena path.
     cfg.payload_pool = pool;
     host::ReconstructionEngine engine(cfg);
     reports.push_back(run_phase(
@@ -242,7 +241,6 @@ int main(int argc, char** argv) {
     auto pool = std::make_shared<host::PayloadPool>();
     host::EngineConfig cfg;
     cfg.threads = 1;
-    cfg.batch_windows = 0;
     cfg.payload_pool = pool;
     host::ReconstructionEngine engine(cfg);
     reports.push_back(run_phase(
@@ -255,7 +253,6 @@ int main(int argc, char** argv) {
     host::FabricConfig cfg;
     cfg.shards = 2;
     cfg.engine.threads = 1;
-    cfg.engine.batch_windows = 0;
     cfg.engine.payload_pool = pool;
     host::ReconstructionFabric fabric(cfg);
     reports.push_back(run_phase(

@@ -17,14 +17,10 @@
 //
 // Usage: host_throughput [patients] [beats_per_patient] [cr_percent]
 //                        [--poisson RATE_HZ] [--threads N] [--deadline-ms D]
-//                        [--batch W] [--shards S] [--priority-frac F]
+//                        [--shards S] [--priority-frac F]
 //                        [--shed] [--adaptive] [--reshard-at K:S ...]
 //                        [--pool] [--json FILE]
 //
-// --batch W sets EngineConfig::batch_windows: workers pack up to W queued
-// windows that share a sensing matrix into one batched FISTA solve
-// (bit-identical to solo solves, so the exactness check still applies);
-// W = 0 lets each worker auto-size its batch from the backlog depth.
 // --shards S partitions the fleet across S engine shards by patient_id
 // (threads is the per-shard worker count).  --priority-frac F tags that
 // fraction of windows urgent: they jump the backlog through the priority
@@ -159,9 +155,8 @@ int run_batch_sweep(const std::vector<host::CompressedWindow>& batch) {
 }
 
 int run_streaming(std::vector<host::CompressedWindow> batch, double rate_hz,
-                  int threads, double deadline_ms, int batch_windows,
-                  int shards, double priority_frac, bool shed_enabled,
-                  std::vector<std::pair<std::size_t, int>> reshards,
+                  int threads, double deadline_ms, int shards, double priority_frac,
+                  bool shed_enabled, std::vector<std::pair<std::size_t, int>> reshards,
                   bool pooled, const std::string& json_path) {
   // Serial batch reference for the bit-exactness check.
   host::EngineConfig serial_cfg;
@@ -191,7 +186,6 @@ int run_streaming(std::vector<host::CompressedWindow> batch, double rate_hz,
   cfg.shards = shards;
   cfg.engine.threads = threads;
   cfg.engine.slo.deadline_ms = deadline_ms;
-  cfg.engine.batch_windows = batch_windows;
   cfg.engine.deadline_shedding = shed_enabled;
   std::shared_ptr<host::PayloadPool> pool;
   if (pooled) {
@@ -201,9 +195,9 @@ int run_streaming(std::vector<host::CompressedWindow> batch, double rate_hz,
   host::ReconstructionFabric fabric(cfg);
 
   std::printf("streaming: %zu windows (%zu urgent), Poisson %.1f/s, %d shard%s x "
-              "%d worker thread%s, deadline %.1f ms, batch_windows %d%s%s\n",
+              "%d worker thread%s, deadline %.1f ms%s%s\n",
               batch.size(), urgent_count, rate_hz, shards, shards == 1 ? "" : "s",
-              threads, threads == 1 ? "" : "s", deadline_ms, batch_windows,
+              threads, threads == 1 ? "" : "s", deadline_ms,
               shed_enabled ? ", deadline shedding" : "",
               pooled ? ", pooled payloads" : "");
 
@@ -642,7 +636,6 @@ int run_adaptive(std::vector<host::CompressedWindow> batch, int threads,
   host::EngineConfig adaptive_cfg = cfg;
   adaptive_cfg.degrade_policy = host::DegradePolicy::kCrIter;
   adaptive_cfg.degrade_tiers = {{tier_cr, tier_cap}};
-  adaptive_cfg.degrade_backlog_deadlines = 1.0;
   const auto adaptive = run_overload_phase(batch, adaptive_cfg, rate_hz);
 
   // Per-tier SNR split of the adaptive run.
@@ -832,7 +825,6 @@ int main(int argc, char** argv) {
   double poisson_hz = 0.0;
   int threads = 4;
   double deadline_ms = -1.0;
-  int batch_windows = 1;
   int shards = 1;
   double priority_frac = 0.0;
   bool shed_enabled = false;
@@ -844,9 +836,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool is_flag = arg == "--poisson" || arg == "--threads" ||
-                         arg == "--deadline-ms" || arg == "--batch" ||
-                         arg == "--shards" || arg == "--priority-frac" ||
-                         arg == "--reshard-at" || arg == "--json";
+                         arg == "--deadline-ms" || arg == "--shards" ||
+                         arg == "--priority-frac" || arg == "--reshard-at" ||
+                         arg == "--json";
     if (is_flag && i + 1 >= argc) {
       std::fprintf(stderr, "%s requires a value\n", arg.c_str());
       return 2;
@@ -857,8 +849,6 @@ int main(int argc, char** argv) {
       threads = std::atoi(argv[++i]);
     } else if (arg == "--deadline-ms") {
       deadline_ms = std::atof(argv[++i]);
-    } else if (arg == "--batch") {
-      batch_windows = std::max(0, std::atoi(argv[++i]));  // 0 = auto-size.
     } else if (arg == "--shards") {
       shards = std::max(1, std::atoi(argv[++i]));
     } else if (arg == "--priority-frac") {
@@ -909,8 +899,8 @@ int main(int argc, char** argv) {
       deadline_ms = cs::window_period_ms(batch.front().window_samples);
     }
     return run_streaming(std::move(batch), poisson_hz, std::max(0, threads),
-                         deadline_ms, batch_windows, shards, priority_frac,
-                         shed_enabled, std::move(reshards), pooled, json_path);
+                         deadline_ms, shards, priority_frac, shed_enabled,
+                         std::move(reshards), pooled, json_path);
   }
   return run_batch_sweep(batch);
 }

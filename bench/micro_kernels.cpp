@@ -171,23 +171,6 @@ void BM_KernApplyAdjoint(benchmark::State& state) {
 }
 BENCHMARK(BM_KernApplyAdjoint)->ArgName("avx2")->Arg(0)->Arg(1);
 
-void BM_KernApplyBatch8(benchmark::State& state) {
-  BackendPin pin(state, backend_of(state));
-  const auto phi = bench_matrix();
-  constexpr std::size_t kBatch = 8;
-  std::vector<double> x(kWindow * kBatch);
-  sig::Rng rng(13);
-  for (auto& v : x) v = rng.normal();
-  std::vector<double> y(kRowsCr50 * kBatch);
-  for (auto _ : state) {
-    phi.apply_batch(x, kBatch, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(phi.nonzeros() * kBatch));
-}
-BENCHMARK(BM_KernApplyBatch8)->ArgName("avx2")->Arg(0)->Arg(1);
-
 void BM_KernDwtForward(benchmark::State& state) {
   BackendPin pin(state, backend_of(state));
   const auto x = bench_window(14);
@@ -249,27 +232,20 @@ std::vector<std::vector<double>> steady_measurements(const cs::SensingMatrix& ph
 }
 
 /// Per-window cost of a production solve (default FistaConfig: each
-/// window stops at its own convergence iteration, then debias) when the
-/// engine packs `width` windows into one batched solve.  Items are
-/// windows; time_per_window is the CPU time per window.  Wider is not
-/// cheaper per window: see EngineConfig::batch_windows.
+/// window stops at its own convergence iteration, then debias), one
+/// window per solve through one reused workspace, as an engine worker
+/// runs it.  Items are windows; time_per_window is the CPU time per
+/// window.
 void BM_FistaSolvePerWindow(benchmark::State& state) {
-  const auto width = static_cast<std::size_t>(state.range(0));
   const auto phi = bench_matrix();
   const auto ys = steady_measurements(phi);
   const cs::FistaConfig cfg;
   cs::FistaWorkspace ws;
-  std::vector<std::vector<double>> signals(width, std::vector<double>(kWindow));
-  std::vector<std::span<const double>> views(width);
-  std::vector<cs::FistaWindowOut> outs(width);
+  std::vector<double> signal(kWindow);
   for (auto _ : state) {
-    for (std::size_t start = 0; start < kSolvePool; start += width) {
-      for (std::size_t b = 0; b < width; ++b) {
-        views[b] = ys[start + b];
-        outs[b].signal = signals[b];
-      }
-      cs::fista_solve_batch_into(phi, views, cfg, ws, outs);
-      benchmark::DoNotOptimize(signals.data());
+    for (const auto& y : ys) {
+      cs::fista_solve_into(phi, y, cfg, ws, signal);
+      benchmark::DoNotOptimize(signal.data());
       benchmark::ClobberMemory();
     }
   }
@@ -278,7 +254,7 @@ void BM_FistaSolvePerWindow(benchmark::State& state) {
       static_cast<double>(kSolvePool),
       benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_FistaSolvePerWindow)->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(8)->Arg(32);
+BENCHMARK(BM_FistaSolvePerWindow);
 
 // --- SLO tracker hot path ---------------------------------------------------
 

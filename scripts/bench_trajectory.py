@@ -66,7 +66,7 @@ import tempfile
 
 HOST_THROUGHPUT_ARGS = [
     "8", "48", "50", "--poisson", "400", "--threads", "2", "--shards", "2",
-    "--batch", "0", "--pool",
+    "--pool",
 ]
 HOST_THROUGHPUT_ATTEMPTS = 3
 NET_LOOPBACK_ARGS = [

@@ -83,30 +83,15 @@ void debias_on_support(const SensingMatrix& phi, int levels, std::span<const dou
 
 }  // namespace
 
-void FistaWorkspace::ensure(std::size_t m, std::size_t n, std::size_t batch) {
+void FistaWorkspace::ensure(std::size_t m, std::size_t n) {
   bool grew = false;
-  const std::size_t mb = m * batch;
-  const std::size_t nb = n * batch;
-  grew |= grow(y, mb);
-  grew |= grow(y2, mb);
-  grew |= grow(buf_m, mb);
-  grew |= grow(buf_n, nb);
-  grew |= grow(aty, nb);
-  grew |= grow(grad, nb);
-  grew |= grow(xz, nb);
-  grew |= grow(dwt_scr, nb);
-  grew |= grow(a, nb);
-  grew |= grow(z, nb);
-  grew |= grow(a2, nb);
-  grew |= grow(z2, nb);
-  grew |= grow(final_a, nb);
-  grew |= grow(tau, batch);
-  grew |= grow(tau2, batch);
-  grew |= grow(delta, batch);
-  grew |= grow(scale, batch);
-  grew |= grow(owner, batch);
-  grew |= grow(owner2, batch);
-  grew |= grow(kept, batch);
+  grew |= grow(buf_m, m);
+  grew |= grow(buf_n, n);
+  grew |= grow(grad, n);
+  grew |= grow(xz, n);
+  grew |= grow(dwt_scr, n);
+  grew |= grow(a, n);
+  grew |= grow(z, n);
   grew |= grow(db_mask, n);
   grew |= grow(db_full, n);
   grew |= grow(db_time, n);
@@ -133,163 +118,68 @@ void FistaWorkspace::ensure_debias(std::size_t m, std::size_t n) {
   if (grew) ++grow_count_;
 }
 
-void fista_solve_batch_into(const SensingMatrix& phi,
-                            std::span<const std::span<const double>> ys,
-                            const FistaConfig& cfg, FistaWorkspace& ws,
-                            std::span<FistaWindowOut> outs) {
-  const std::size_t batch = ys.size();
-  assert(outs.size() == batch);
-  if (batch == 0) return;
-
+int fista_solve_into(const SensingMatrix& phi, std::span<const double> y,
+                     const FistaConfig& cfg, FistaWorkspace& ws, std::span<double> signal) {
   const auto& k = kern::ops();
   const std::size_t n = phi.cols();
   const std::size_t m = phi.rows();
   const int levels = std::min(cfg.dwt_levels, dsp::dwt_max_levels(n));
   const double lip = phi.lipschitz();
+  assert(y.size() == m && signal.size() == n);
 
-  ws.ensure(m, n, batch);
-  for (std::size_t b = 0; b < batch; ++b) {
-    assert(ys[b].size() == m);
-    assert(outs[b].signal.size() == n);
-    outs[b].iterations_run = 0;
-  }
+  ws.ensure(m, n);
+  const std::span<double> buf_m(ws.buf_m.data(), m);
+  const std::span<double> buf_n(ws.buf_n.data(), n);
+  const std::span<double> grad(ws.grad.data(), n);
+  const std::span<double> xz(ws.xz.data(), n);
+  const std::span<double> scratch(ws.dwt_scr.data(), n);
+  const std::span<double> a(ws.a.data(), n);
+  const std::span<double> z(ws.z.data(), n);
 
-  // Windows interleave element-major: Y[r * batch + b] is measurement r of
-  // window b.  Every kernel's per-window math is bit-identical across
-  // batch widths (kern contract), so packing windows is purely an
-  // execution-layout optimization — the matrix plan and the DWT filters
-  // stream once per iteration for the whole batch.
-  for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t r = 0; r < m; ++r) ws.y[r * batch + b] = ys[b][r];
-  }
+  // lambda from the worst-case correlation |A' y|.
+  phi.apply_adjoint_into(y, buf_n);
+  dsp::dwt_forward_into(buf_n, levels, grad, scratch);
+  double max_abs = 0.0;
+  for (const double v : grad) max_abs = std::max(max_abs, std::abs(v));
+  const double tau = cfg.lambda_rel * max_abs / lip;
 
-  // Per-window lambda from the worst-case correlation |A' y| (max is
-  // order-free, so a plain strided scan matches the single-window path).
-  phi.apply_adjoint_batch(std::span<const double>(ws.y.data(), m * batch), batch,
-                          std::span<double>(ws.buf_n.data(), n * batch));
-  dsp::dwt_forward_batch_into(std::span<const double>(ws.buf_n.data(), n * batch), batch,
-                              levels, std::span<double>(ws.aty.data(), n * batch),
-                              std::span<double>(ws.dwt_scr.data(), n * batch));
-  std::fill(ws.tau.begin(), ws.tau.begin() + static_cast<long>(batch), 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t b = 0; b < batch; ++b) {
-      ws.tau[b] = std::max(ws.tau[b], std::abs(ws.aty[i * batch + b]));
-    }
-  }
-  for (std::size_t b = 0; b < batch; ++b) ws.tau[b] = cfg.lambda_rel * ws.tau[b] / lip;
-
-  // Active-lane state.  When a window converges, its iterate is extracted
-  // and the lane is compacted away, so later iterations only pay for the
-  // windows still running.  Every kernel's per-window math is independent
-  // of the batch composition (the kern batch-width contract), so shrinking
-  // the batch mid-solve cannot change any surviving window's bits.
-  for (std::size_t b = 0; b < batch; ++b) ws.owner[b] = b;  // Lane -> window.
-  std::fill(ws.a.begin(), ws.a.begin() + static_cast<long>(n * batch), 0.0);
-  std::fill(ws.z.begin(), ws.z.begin() + static_cast<long>(n * batch), 0.0);
-  std::size_t cur = batch;
+  std::fill(a.begin(), a.end(), 0.0);
+  std::fill(z.begin(), z.end(), 0.0);
   double t = 1.0;
-
-  const auto extract_lane = [&](std::size_t lane) {
-    double* ab = ws.final_a.data() + ws.owner[lane] * n;
-    for (std::size_t i = 0; i < n; ++i) ab[i] = ws.a[i * cur + lane];
-  };
-
-  for (int it = 0; it < cfg.max_iterations && cur > 0; ++it) {
+  int iterations = 0;
+  for (int it = 0; it < cfg.max_iterations; ++it) {
     // Gradient at z: grad = A'(A z - y).
-    dsp::dwt_inverse_batch_into(std::span<const double>(ws.z.data(), n * cur), cur, levels,
-                                std::span<double>(ws.xz.data(), n * cur),
-                                std::span<double>(ws.dwt_scr.data(), n * cur));
-    phi.apply_batch(std::span<const double>(ws.xz.data(), n * cur), cur,
-                    std::span<double>(ws.buf_m.data(), m * cur));
-    k.axpy(-1.0, ws.y.data(), ws.buf_m.data(), m * cur);
-    phi.apply_adjoint_batch(std::span<const double>(ws.buf_m.data(), m * cur), cur,
-                            std::span<double>(ws.buf_n.data(), n * cur));
-    dsp::dwt_forward_batch_into(std::span<const double>(ws.buf_n.data(), n * cur), cur,
-                                levels, std::span<double>(ws.grad.data(), n * cur),
-                                std::span<double>(ws.dwt_scr.data(), n * cur));
+    dsp::dwt_inverse_into(z, levels, xz, scratch);
+    phi.apply_into(xz, buf_m);
+    k.axpy(-1.0, y.data(), buf_m.data(), m);
+    phi.apply_adjoint_into(buf_m, buf_n);
+    dsp::dwt_forward_into(buf_n, levels, grad, scratch);
     // One fused pass: a = soft(z - grad / L), z = a + beta (a - a_prev) and
-    // the per-window stopping sums; `a` carries a_prev in.
+    // the stopping sums; `a` carries a_prev in.
     const double t_next = 0.5 * (1.0 + std::sqrt(1.0 + 4.0 * t * t));
     const double beta = (t - 1.0) / t_next;
-    k.fista_step_batch(ws.grad.data(), lip, ws.tau.data(), beta, n, cur, ws.z.data(),
-                       ws.a.data(), ws.delta.data(), ws.scale.data());
+    double delta_sq = 0.0;
+    double scale_sq = 0.0;
+    k.fista_step(grad.data(), lip, tau, beta, n, z.data(), a.data(), &delta_sq, &scale_sq);
     t = t_next;
-
-    // Surviving lanes are written into kept[0, next) by index: the buffer
-    // keeps its ensure()d size, so the arena never sees it shrink.
-    std::size_t next = 0;
-    for (std::size_t lane = 0; lane < cur; ++lane) {
-      outs[ws.owner[lane]].iterations_run = it + 1;
-      if (std::sqrt(ws.delta[lane] / (1e-12 + ws.scale[lane])) < cfg.tolerance) {
-        extract_lane(lane);  // Converged: this window's solve ends here.
-      } else {
-        ws.kept[next++] = lane;
-      }
-    }
-    if (next < cur) {
-      // Compact the surviving lanes (exact copies, no arithmetic); the
-      // shadow buffers swap in, so no allocation either.
-      for (std::size_t j = 0; j < next; ++j) {
-        const std::size_t lane = ws.kept[j];
-        for (std::size_t i = 0; i < n; ++i) {
-          ws.a2[i * next + j] = ws.a[i * cur + lane];
-          ws.z2[i * next + j] = ws.z[i * cur + lane];
-        }
-        for (std::size_t r = 0; r < m; ++r) ws.y2[r * next + j] = ws.y[r * cur + lane];
-        ws.tau2[j] = ws.tau[lane];
-        ws.owner2[j] = ws.owner[lane];
-      }
-      std::swap(ws.a, ws.a2);
-      std::swap(ws.z, ws.z2);
-      std::swap(ws.y, ws.y2);
-      std::swap(ws.tau, ws.tau2);
-      std::swap(ws.owner, ws.owner2);
-      cur = next;
-    }
+    iterations = it + 1;
+    if (std::sqrt(delta_sq / (1e-12 + scale_sq)) < cfg.tolerance) break;
   }
-  // Windows that hit max_iterations without converging.
-  for (std::size_t lane = 0; lane < cur; ++lane) extract_lane(lane);
 
-  for (std::size_t b = 0; b < batch; ++b) {
-    // Every lane was extracted above — at convergence, or by the post-loop
-    // sweep (which covers max_iterations == 0 with the zero iterate too).
-    const std::span<double> ab(ws.final_a.data() + b * n, n);
-    if (cfg.debias) debias_on_support_ws(phi, levels, ys[b], ab, cfg.debias_iterations, ws);
-    dsp::dwt_inverse_into(ab, levels, outs[b].signal,
-                          std::span<double>(ws.dwt_scr.data(), n));
-  }
-}
-
-std::vector<FistaResult> fista_solve_batch(const SensingMatrix& phi,
-                                           std::span<const std::vector<double>> ys,
-                                           const FistaConfig& cfg) {
-  const std::size_t batch = ys.size();
-  std::vector<FistaResult> results(batch);
-  if (batch == 0) return results;
-  const std::size_t n = phi.cols();
-
-  FistaWorkspace ws;
-  std::vector<std::span<const double>> views(batch);
-  std::vector<FistaWindowOut> outs(batch);
-  for (std::size_t b = 0; b < batch; ++b) {
-    views[b] = std::span<const double>(ys[b].data(), ys[b].size());
-    results[b].signal.resize(n);
-    outs[b].signal = std::span<double>(results[b].signal.data(), n);
-  }
-  fista_solve_batch_into(phi, views, cfg, ws, outs);
-  for (std::size_t b = 0; b < batch; ++b) {
-    results[b].iterations_run = outs[b].iterations_run;
-    results[b].coefficients.assign(ws.final_a.begin() + static_cast<long>(b * n),
-                                   ws.final_a.begin() + static_cast<long>((b + 1) * n));
-  }
-  return results;
+  if (cfg.debias) debias_on_support_ws(phi, levels, y, a, cfg.debias_iterations, ws);
+  dsp::dwt_inverse_into(a, levels, signal, scratch);
+  return iterations;
 }
 
 FistaResult fista_reconstruct(const SensingMatrix& phi, std::span<const double> y,
                               const FistaConfig& cfg) {
-  const std::vector<std::vector<double>> ys(1, std::vector<double>(y.begin(), y.end()));
-  auto results = fista_solve_batch(phi, ys, cfg);
-  return std::move(results[0]);
+  const std::size_t n = phi.cols();
+  FistaWorkspace ws;
+  FistaResult result;
+  result.signal.resize(n);
+  result.iterations_run = fista_solve_into(phi, y, cfg, ws, result.signal);
+  result.coefficients.assign(ws.a.begin(), ws.a.begin() + static_cast<long>(n));
+  return result;
 }
 
 GroupFistaResult group_fista_reconstruct(const SensingMatrix& phi,

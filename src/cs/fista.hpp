@@ -48,18 +48,17 @@ struct FistaResult {
   int iterations_run = 0;
 };
 
-/// Grow-only solve arena for fista_solve_batch_into: owns every iterate,
-/// momentum point, gradient, interleaved measurement copy, DWT scratch,
-/// and debias buffer a batched solve needs, keyed by (m, n, batch).
-/// ensure() reallocates a buffer only when a required size first exceeds
-/// its high-water capacity, so steady-state solves of a stable shape —
-/// or any smaller one — perform zero heap allocations.  Not thread-safe:
-/// one workspace per worker thread.
+/// Grow-only solve arena for fista_solve_into: owns every iterate,
+/// momentum point, gradient, DWT scratch and debias buffer a solve needs,
+/// keyed by (m, n).  ensure() reallocates a buffer only when a required
+/// size first exceeds its high-water capacity, so steady-state solves of a
+/// stable shape — or any smaller one — perform zero heap allocations.
+/// Not thread-safe: one workspace per worker thread.
 class FistaWorkspace {
  public:
-  /// Sizes every buffer for an m x n problem solved `batch` windows at a
-  /// time.  Grow-only: shrinking shapes reuse the existing storage.
-  void ensure(std::size_t m, std::size_t n, std::size_t batch);
+  /// Sizes every buffer for an m x n problem.  Grow-only: shrinking
+  /// shapes reuse the existing storage.
+  void ensure(std::size_t m, std::size_t n);
 
   /// Sizes only the debias buffers (the standalone debias path).
   void ensure_debias(std::size_t m, std::size_t n);
@@ -69,17 +68,11 @@ class FistaWorkspace {
   std::size_t grow_count() const { return grow_count_; }
 
   // Buffers, public for the solver core and the pointer-stability tests.
-  // Interleaved, capacity >= m * batch:
-  std::vector<double> y, y2, buf_m;
-  // Interleaved, capacity >= n * batch:
-  std::vector<double> buf_n, aty, grad, xz, dwt_scr, a, z, a2, z2;
-  /// Extracted coefficients, window-major: window b's row occupies
-  /// [b * n, b * n + n) after a fista_solve_batch_into call (post-debias).
-  std::vector<double> final_a;
-  // Per-lane, capacity >= batch:
-  std::vector<double> tau, tau2, delta, scale;
-  std::vector<std::size_t> owner, owner2, kept;
-  // Debias scratch (operates one window at a time):
+  std::vector<double> buf_m;  // m
+  /// `a` holds the final (post-debias) wavelet coefficients after a
+  /// fista_solve_into call.
+  std::vector<double> buf_n, grad, xz, dwt_scr, a, z;  // n
+  // Debias scratch:
   std::vector<std::uint8_t> db_mask;
   std::vector<double> db_full, db_time, db_scr, db_g, db_dir, db_gnext;  // n
   std::vector<double> db_resid, db_ad;                                   // m
@@ -94,46 +87,18 @@ class FistaWorkspace {
   std::size_t grow_count_ = 0;
 };
 
-/// One window's output slot for fista_solve_batch_into: `signal` is a
-/// caller-owned buffer of n samples filled in place (e.g. a pooled
-/// WindowResult buffer); coefficients stay in the workspace's final_a.
-struct FistaWindowOut {
-  std::span<double> signal;
-  int iterations_run = 0;
-};
-
-/// Single-lead reconstruction of a window of `n` samples from `y`.
-/// Equivalent to fista_solve_batch with one window.
+/// Single-lead reconstruction of a window of `n` samples from `y`.  A
+/// thin wrapper over fista_solve_into with a fresh workspace.
 FistaResult fista_reconstruct(const SensingMatrix& phi, std::span<const double> y,
                               const FistaConfig& cfg = {});
 
-/// Solves several independent windows that share one sensing matrix in a
-/// single batched FISTA pass: the windows are interleaved element-major
-/// so the packed matrix plan and the DWT filters stream once per
-/// iteration across the whole batch.  Each window keeps its own lambda
-/// and its own stopping iteration.  Under the default tolerance windows
-/// converge at different iterations, so in production a batch routinely
-/// mixes early and late finishers: converged windows are extracted and
-/// compacted out while the rest continue, so stragglers don't pay for
-/// finished lanes.  Every per-window result is bit-identical to a solo
-/// fista_reconstruct of that window — batching and compaction are purely
-/// execution-layout optimizations (the kern layer's batch-width
-/// contract), which is what lets host::ReconstructionEngine batch
-/// opportunistically without breaking its determinism guarantee.
-std::vector<FistaResult> fista_solve_batch(const SensingMatrix& phi,
-                                           std::span<const std::vector<double>> ys,
-                                           const FistaConfig& cfg = {});
-
-/// Allocation-free core of fista_solve_batch: measurements arrive as
-/// borrowed views, signals land in the caller's buffers (outs[b].signal,
-/// n samples each), and every intermediate lives in `ws` — after the
-/// first solve of a given shape the steady state performs zero heap
-/// allocations.  Bit-identical to fista_solve_batch window for window
-/// (the allocating API is a thin wrapper over this one).
-void fista_solve_batch_into(const SensingMatrix& phi,
-                            std::span<const std::span<const double>> ys,
-                            const FistaConfig& cfg, FistaWorkspace& ws,
-                            std::span<FistaWindowOut> outs);
+/// Allocation-free core of fista_reconstruct: `y` is borrowed, the
+/// reconstruction lands in the caller's `signal` buffer (n samples, e.g. a
+/// pooled WindowResult buffer), and every intermediate lives in `ws` —
+/// after the first solve of a given shape the steady state performs zero
+/// heap allocations.  Returns the number of FISTA iterations run.
+int fista_solve_into(const SensingMatrix& phi, std::span<const double> y,
+                     const FistaConfig& cfg, FistaWorkspace& ws, std::span<double> signal);
 
 struct GroupFistaResult {
   std::vector<std::vector<double>> signals;  ///< [lead][sample].

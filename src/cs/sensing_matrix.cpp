@@ -170,18 +170,6 @@ void SensingMatrix::apply_adjoint_into(std::span<const double> y, std::span<doub
   kern::ops().spmv(adjoint_plan_, y.data(), x.data());
 }
 
-void SensingMatrix::apply_batch(std::span<const double> x, std::size_t batch,
-                                std::span<double> y) const {
-  assert(x.size() == n_ * batch && y.size() == m_ * batch);
-  kern::ops().spmv_batch(apply_plan_, x.data(), batch, y.data());
-}
-
-void SensingMatrix::apply_adjoint_batch(std::span<const double> y, std::size_t batch,
-                                        std::span<double> x) const {
-  assert(y.size() == m_ * batch && x.size() == n_ * batch);
-  kern::ops().spmv_batch(adjoint_plan_, y.data(), batch, x.data());
-}
-
 std::size_t SensingMatrix::storage_bytes() const {
   // 16-bit row index per non-zero; +1 bit per entry for signs if any.
   std::size_t bytes = entries_.size() * 2;

@@ -51,7 +51,7 @@ class SensingMatrix {
 
   /// Host-side apply / adjoint in double precision (for the solver).
   /// Routed through the kern layer's packed spmv plans — bit-identical
-  /// across the scalar and AVX2 backends and across batch widths.
+  /// across the scalar and AVX2 backends.
   std::vector<double> apply(std::span<const double> x) const;
   std::vector<double> apply_adjoint(std::span<const double> y) const;
 
@@ -65,14 +65,6 @@ class SensingMatrix {
   /// construction so solves never pay for it.  Bit-identical to the
   /// historical per-solve power iteration: same kernels, same order.
   double lipschitz() const { return lipschitz_; }
-
-  /// Batched apply over `batch` windows interleaved element-major
-  /// (x[i * batch + b] is element i of window b; y laid out the same
-  /// way).  Matrix data streams once across the whole batch.
-  void apply_batch(std::span<const double> x, std::size_t batch,
-                   std::span<double> y) const;
-  void apply_adjoint_batch(std::span<const double> y, std::size_t batch,
-                           std::span<double> x) const;
 
   /// Bytes of node ROM needed to store the matrix (row indices, 16-bit,
   /// plus a sign bit-plane when any entry is negative).

@@ -74,84 +74,58 @@ int dwt_max_levels(std::size_t n) {
 // The Db4 lifting steps live in the kern layer (kern/backend.hpp): the
 // loops below only orchestrate the level cascade, so the per-output
 // arithmetic — and thus the bits — comes from the runtime-dispatched
-// backend, identical across scalar/AVX2 and batch widths.
+// backend, identical across scalar and AVX2.
 //
 // The cascade copies nothing between levels.  Each level's detail
 // coefficients land directly in their final place in `out`; the
 // intermediate approximations alternate between the two halves of
-// `scratch` (each n / 2 elements per window, the largest intermediate);
-// the forward cascade's first level reads `x`, its last writes the final
+// `scratch` (each n / 2 elements, the largest intermediate), picked by
+// level parity so a level never writes the half its input came from.
+// The forward cascade's first level reads `x`, its last writes the final
 // approximation to the front of `out`, and the inverse cascade's last
-// level writes `out`.  `batch` scales every offset for the interleaved
-// layout (batch = 1 is the single-window case).
+// level writes `out`.
 
-namespace {
-
-/// Output of a non-final level: level parity picks the half, so a level
-/// never writes the half its input came from.
-double* scratch_half(double* scratch, int level, std::size_t n, std::size_t batch) {
-  return scratch + static_cast<std::size_t>(level % 2) * (n / 2) * batch;
-}
-
-void forward_levels(const double* x, std::size_t n, std::size_t batch, int levels,
-                    double* out, double* scratch) {
-  const auto& k = kern::ops();
+void dwt_forward_into(std::span<const double> x, int levels, std::span<double> out,
+                      std::span<double> scratch) {
+  const std::size_t n = x.size();
+  assert(levels >= 0 && levels <= dwt_max_levels(n));
+  assert(out.size() >= n && scratch.size() >= n);
   if (levels == 0) {
-    std::copy(x, x + n * batch, out);
+    std::copy(x.begin(), x.end(), out.begin());
     return;
   }
-  const double* src = x;
+  const auto& k = kern::ops();
+  const double* src = x.data();
   std::size_t len = n;
   for (int level = 0; level < levels; ++level) {
     const std::size_t half = len / 2;
-    double* approx = level + 1 == levels ? out : scratch_half(scratch, level, n, batch);
-    double* detail = out + half * batch;
-    if (batch == 1) {
-      k.dwt_step(src, len, approx, detail);
-    } else {
-      k.dwt_step_batch(src, len, batch, approx, detail);
-    }
+    const std::size_t parity = static_cast<std::size_t>(level % 2);
+    double* approx = level + 1 == levels ? out.data() : scratch.data() + parity * (n / 2);
+    k.dwt_step(src, len, approx, out.data() + half);
     src = approx;
     len = half;
   }
 }
 
-void inverse_levels(const double* coeffs, std::size_t n, std::size_t batch, int levels,
-                    double* out, double* scratch) {
-  const auto& k = kern::ops();
+void dwt_inverse_into(std::span<const double> coeffs, int levels, std::span<double> out,
+                      std::span<double> scratch) {
+  const std::size_t n = coeffs.size();
+  assert(levels >= 0 && levels <= dwt_max_levels(n));
+  assert(out.size() >= n && scratch.size() >= n);
   if (levels == 0) {
-    std::copy(coeffs, coeffs + n * batch, out);
+    std::copy(coeffs.begin(), coeffs.end(), out.begin());
     return;
   }
-  const double* approx = coeffs;
+  const auto& k = kern::ops();
+  const double* approx = coeffs.data();
   std::size_t len = n >> levels;
   for (int level = 0; level < levels; ++level) {
-    double* dst = level + 1 == levels ? out : scratch_half(scratch, level, n, batch);
-    const double* detail = coeffs + len * batch;
-    if (batch == 1) {
-      k.idwt_step(approx, detail, len, dst);
-    } else {
-      k.idwt_step_batch(approx, detail, len, batch, dst);
-    }
+    const std::size_t parity = static_cast<std::size_t>(level % 2);
+    double* dst = level + 1 == levels ? out.data() : scratch.data() + parity * (n / 2);
+    k.idwt_step(approx, coeffs.data() + len, len, dst);
     approx = dst;
     len *= 2;
   }
-}
-
-}  // namespace
-
-void dwt_forward_into(std::span<const double> x, int levels, std::span<double> out,
-                      std::span<double> scratch) {
-  assert(levels >= 0 && levels <= dwt_max_levels(x.size()));
-  assert(out.size() >= x.size() && scratch.size() >= x.size());
-  forward_levels(x.data(), x.size(), 1, levels, out.data(), scratch.data());
-}
-
-void dwt_inverse_into(std::span<const double> coeffs, int levels, std::span<double> out,
-                      std::span<double> scratch) {
-  assert(levels >= 0 && levels <= dwt_max_levels(coeffs.size()));
-  assert(out.size() >= coeffs.size() && scratch.size() >= coeffs.size());
-  inverse_levels(coeffs.data(), coeffs.size(), 1, levels, out.data(), scratch.data());
 }
 
 std::vector<double> dwt_forward(std::span<const double> x, int levels) {
@@ -165,40 +139,6 @@ std::vector<double> dwt_inverse(std::span<const double> coeffs, int levels) {
   std::vector<double> x(coeffs.size());
   std::vector<double> buf(coeffs.size());
   dwt_inverse_into(coeffs, levels, x, buf);
-  return x;
-}
-
-void dwt_forward_batch_into(std::span<const double> x, std::size_t batch, int levels,
-                            std::span<double> out, std::span<double> scratch) {
-  assert(batch > 0 && x.size() % batch == 0);
-  const std::size_t n = x.size() / batch;
-  assert(levels >= 0 && levels <= dwt_max_levels(n));
-  assert(out.size() >= x.size() && scratch.size() >= x.size());
-  forward_levels(x.data(), n, batch, levels, out.data(), scratch.data());
-}
-
-void dwt_inverse_batch_into(std::span<const double> coeffs, std::size_t batch, int levels,
-                            std::span<double> out, std::span<double> scratch) {
-  assert(batch > 0 && coeffs.size() % batch == 0);
-  const std::size_t n = coeffs.size() / batch;
-  assert(levels >= 0 && levels <= dwt_max_levels(n));
-  assert(out.size() >= coeffs.size() && scratch.size() >= coeffs.size());
-  inverse_levels(coeffs.data(), n, batch, levels, out.data(), scratch.data());
-}
-
-std::vector<double> dwt_forward_batch(std::span<const double> x, std::size_t batch,
-                                      int levels) {
-  std::vector<double> coeffs(x.size());
-  std::vector<double> buf(x.size());
-  dwt_forward_batch_into(x, batch, levels, coeffs, buf);
-  return coeffs;
-}
-
-std::vector<double> dwt_inverse_batch(std::span<const double> coeffs, std::size_t batch,
-                                      int levels) {
-  std::vector<double> x(coeffs.size());
-  std::vector<double> buf(coeffs.size());
-  dwt_inverse_batch_into(coeffs, batch, levels, x, buf);
   return x;
 }
 

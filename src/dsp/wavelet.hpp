@@ -51,24 +51,6 @@ void dwt_forward_into(std::span<const double> x, int levels, std::span<double> o
 void dwt_inverse_into(std::span<const double> coeffs, int levels, std::span<double> out,
                       std::span<double> scratch);
 
-/// Batched analysis over `batch` windows interleaved element-major:
-/// x[i * batch + b] is sample i of window b, x.size() == n * batch.
-/// Per-window results are bit-identical to dwt_forward on that window
-/// alone (the kern layer's batch-width contract).
-std::vector<double> dwt_forward_batch(std::span<const double> x, std::size_t batch,
-                                      int levels);
-
-/// Inverse of dwt_forward_batch (same interleaved layout).
-std::vector<double> dwt_inverse_batch(std::span<const double> coeffs, std::size_t batch,
-                                      int levels);
-
-/// Arena variants of the batched transforms; `out` and `scratch` are each
-/// x.size() long, owned by the caller, and must not alias `x` or each other.
-void dwt_forward_batch_into(std::span<const double> x, std::size_t batch, int levels,
-                            std::span<double> out, std::span<double> scratch);
-void dwt_inverse_batch_into(std::span<const double> coeffs, std::size_t batch, int levels,
-                            std::span<double> out, std::span<double> scratch);
-
 /// Maximum level count usable for length n (keeps every stage even-length).
 int dwt_max_levels(std::size_t n);
 

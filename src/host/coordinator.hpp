@@ -95,7 +95,7 @@ class ShardLink {
   /// Appends finished results without waiting on the shard.  `owed`
   /// counts acknowledged windows not yet retrieved (a wire link keeps a
   /// long-poll armed only while some are).  A serial in-process shard
-  /// solves one batch inline, only while `out` is empty.
+  /// solves one window inline, only while `out` is empty.
   virtual bool poll_many(RingDeque<WindowResult>& out, std::uint64_t owed) = 0;
   /// The shard's counters.  With `sweep`, first moves into it at least
   /// every result parked now (an in-process shard hands over everything,

@@ -80,15 +80,10 @@ void ReconstructionEngine::recycle_item(WorkItem* item) {
 }
 
 void ReconstructionEngine::worker_loop() {
-  std::vector<WorkItem*> items;
-  items.reserve(max_pop());
   for (;;) {
     WorkItem* item = nullptr;
     if (queue_.try_pop(item)) {
-      items.clear();
-      items.push_back(item);
-      pop_batch(items);
-      process_batch(items);
+      process_one(item);
       continue;
     }
     std::unique_lock<std::mutex> lk(work_mutex_);
@@ -97,25 +92,6 @@ void ReconstructionEngine::worker_loop() {
     });
     if (stop_.load(std::memory_order_acquire) && queue_.empty()) return;
   }
-}
-
-std::size_t ReconstructionEngine::max_pop() const {
-  return static_cast<std::size_t>(cfg_.batch_windows > 0 ? cfg_.batch_windows : kMaxAutoBatch);
-}
-
-void ReconstructionEngine::pop_batch(std::vector<WorkItem*>& items) {
-  std::size_t limit = max_pop();
-  if (cfg_.batch_windows <= 0) {
-    // Backlog-driven auto-sizing: split the backlog this worker can see
-    // (queued plus what it already popped) evenly across the pool — solo
-    // solves while traffic is light, wide same-matrix batches once a
-    // backlog builds.  Any width is bit-identical, so the choice only
-    // moves cost, never values.
-    const std::size_t backlog = queue_.size() + items.size();
-    const auto workers = static_cast<std::size_t>(std::max(1, cfg_.threads));
-    limit = std::clamp<std::size_t>((backlog + workers - 1) / workers, 1, limit);
-  }
-  if (items.size() < limit) queue_.pop_some(items, limit - items.size());
 }
 
 std::shared_ptr<const cs::SensingMatrix> ReconstructionEngine::prepare_matrix(
@@ -247,68 +223,23 @@ std::vector<PatientSlo> ReconstructionEngine::patient_slo_snapshots() const {
   return out;  // std::map iteration: already sorted by patient_id.
 }
 
-void ReconstructionEngine::process_batch(std::vector<WorkItem*>& items) {
-  // Per-worker solve scratch, reused across batches: the FISTA arena plus
-  // the grouping/view vectors below.  thread_local (not per-call) is what
-  // makes the steady-state solve allocation-free — and sharing one arena
-  // across engines on the same thread (serial mode, fabric shards) only
-  // widens its high-water mark.
-  static thread_local std::vector<WorkItem*> group;
-  static thread_local std::vector<WorkItem*> foreign;
-  static thread_local std::vector<std::span<const double>> views;
-  static thread_local std::vector<cs::FistaWindowOut> outs;
-  static thread_local std::vector<std::uint32_t> retired_ids;
+void ReconstructionEngine::process_one(WorkItem* item) {
+  // Per-worker FISTA arena, reused across windows.  thread_local (not
+  // per-call) is what makes the steady-state solve allocation-free — and
+  // sharing one arena across engines on the same thread (serial mode,
+  // fabric shards) only widens its high-water mark.
   static thread_local cs::FistaWorkspace workspace;
-  // Sized for this engine's widest possible pop up front: a wider pop
-  // than any seen before (the auto-batch follows the backlog) must not
-  // grow the arena or the scratch vectors mid-stream.  ensure() and
-  // reserve() are grow-only, so this is a no-op once a shape is known.
-  const std::size_t widest = max_pop();
-  group.reserve(widest);
-  foreign.reserve(widest);
-  views.reserve(widest);
-  outs.reserve(widest);
-  retired_ids.reserve(widest);
 
-  // Keep the same-(matrix, tier) group containing the oldest popped item;
-  // requeue the rest for other workers.  Different shared_ptr instances of
-  // the same key are possible across evictions; grouping by object is
-  // sufficient — and necessary, since a batched solve streams one plan.
-  // The tier joins the key because a degraded window solves under a
-  // different operator/iteration budget than a full-fidelity one.
-  group.clear();
-  foreign.clear();
-  for (WorkItem* item : items) {
-    if (item->phi == items.front()->phi &&
-        item->window.solve_tier == items.front()->window.solve_tier) {
-      group.push_back(item);
-    } else {
-      foreign.push_back(item);
-    }
-  }
-  // Requeue foreign-matrix items at the front of their lanes, in reverse
-  // pop order so their relative age is preserved for other workers (and
-  // for the shed predictor's positional scan).
-  for (auto it = foreign.rbegin(); it != foreign.rend(); ++it) {
-    queue_.push_front(*it, (*it)->window.priority == cs::WindowPriority::kUrgent);
-  }
-  if (!foreign.empty() && !workers_.empty()) {
-    {
-      std::lock_guard<std::mutex> lk(work_mutex_);
-    }
-    work_cv_.notify_all();
-  }
-  if (group.size() >= 2) slo_.on_grouped(group.size());
-
-  // Resolve the group's solve operator and iteration budget from its tier.
+  // Resolve the solve operator and iteration budget from the window's tier.
   // Tier 0 takes the untouched path: the full operator and the configured
   // FistaConfig, bit-identical to an engine without the tier machinery.
-  const cs::SolveTier tier = group.front()->window.solve_tier;
-  std::shared_ptr<const cs::SensingMatrix> solve_phi = group.front()->phi;
+  CompressedWindow& window = item->window;
+  const cs::SolveTier tier = window.solve_tier;
+  std::shared_ptr<const cs::SensingMatrix> solve_phi = item->phi;
   cs::FistaConfig fista = cfg_.fista;
   if (tier.tier != 0) {
     if (tier.effective_m > 0 && tier.effective_m < solve_phi->rows()) {
-      solve_phi = solve_matrix_for(group.front()->window, group.front()->phi);
+      solve_phi = solve_matrix_for(window, item->phi);
     }
     if (tier.iteration_cap > 0) {
       fista.max_iterations =
@@ -316,28 +247,18 @@ void ReconstructionEngine::process_batch(std::vector<WorkItem*>& items) {
     }
   }
 
-  // Measurements are *borrowed* from the queued windows (no copies — the
-  // buffers travel by move from the producer through the queue to here),
-  // and each window's signal lands directly in its result buffer, drawn
-  // from the payload pool at admission.  A row-truncated operator reads
-  // only the first rows() measurements of each window.
-  const std::size_t n = group.front()->window.window_samples;
-  views.clear();
-  outs.clear();
-  for (WorkItem* item : group) {
-    const std::size_t rows = std::min(item->window.measurements.size(), solve_phi->rows());
-    views.emplace_back(item->window.measurements.data(), rows);
-    WindowResult& result = item->result;
-    result.signal.resize(n);
-    outs.push_back(cs::FistaWindowOut{
-        std::span<double>(result.signal.data(), result.signal.size()), 0});
-  }
-
-  workspace.ensure(solve_phi->rows(), n, widest);
+  // Measurements are *borrowed* from the queued window (no copy — the
+  // buffer travels by move from the producer through the queue to here),
+  // and the signal lands directly in the result buffer, drawn from the
+  // payload pool at admission.  A row-truncated operator reads only the
+  // first rows() measurements.
+  const std::size_t rows = std::min(window.measurements.size(), solve_phi->rows());
+  WindowResult& result = item->result;
+  result.signal.resize(window.window_samples);
   const auto t0 = Clock::now();
-  cs::fista_solve_batch_into(
-      *solve_phi, std::span<const std::span<const double>>(views.data(), views.size()),
-      fista, workspace, std::span<cs::FistaWindowOut>(outs.data(), outs.size()));
+  result.iterations = cs::fista_solve_into(
+      *solve_phi, std::span<const double>(window.measurements.data(), rows), fista, workspace,
+      std::span<double>(result.signal.data(), result.signal.size()));
   const auto t1 = Clock::now();
   const double solve_ms = ms_between(t0, t1);
 
@@ -345,80 +266,66 @@ void ReconstructionEngine::process_batch(std::vector<WorkItem*>& items) {
   // keyed by the shape actually solved (rows of the possibly-truncated
   // operator) and tier, plus the shape-blind global fallback.  Racy
   // read-modify-write across workers only blurs the estimate.
-  const auto sample_us = static_cast<std::uint64_t>(
-      solve_ms * 1000.0 / static_cast<double>(group.size()));
-  cost_model_.record(static_cast<std::uint32_t>(solve_phi->rows()),
-                     group.front()->window.window_samples, tier.tier, sample_us);
+  cost_model_.record(static_cast<std::uint32_t>(solve_phi->rows()), window.window_samples,
+                     tier.tier, static_cast<std::uint64_t>(solve_ms * 1000.0));
   // Full solves stop at convergence, so a capped rung's price is set
   // against the iterations they actually run, not the configured budget.
   if (tier.tier == 0) {
-    for (const cs::FistaWindowOut& out : outs) {
-      cost_model_.record_iterations(static_cast<std::uint32_t>(out.iterations_run));
-    }
+    cost_model_.record_iterations(static_cast<std::uint32_t>(result.iterations));
   }
 
-  std::uint64_t released_cost_us = 0;
-  for (std::size_t s = 0; s < group.size(); ++s) {
-    WorkItem* item = group[s];
-    const CompressedWindow& window = item->window;
-    WindowResult& result = item->result;
-    result.patient_id = window.patient_id;
-    result.window_index = window.window_index;
-    result.priority = window.priority;
-    result.route_tag = window.route_tag;
-    result.ticket = item->ticket;
-    result.solve_tier = window.solve_tier;
-    result.degraded = window.solve_tier.tier != 0;
-    result.latency_ms = solve_ms;  // Whole-group solve wall time.
-    result.e2e_ms = ms_between(item->enqueue_time, t1);
-    result.iterations = outs[s].iterations_run;
-    result.snr_db = window.reference.empty()
-                        ? std::numeric_limits<double>::quiet_NaN()
-                        : cs::reconstruction_snr_db(window.reference, result.signal);
-    released_cost_us += item->charged_cost_us;
-    slo_.on_complete(result.e2e_ms);
-    lane_slo_[lane_index(window.priority)].on_complete(result.e2e_ms);
-    if (item->patient_slo != nullptr) item->patient_slo->on_complete(result.e2e_ms);
-    if (result.degraded) {
-      slo_.on_degraded();
-      lane_slo_[lane_index(window.priority)].on_degraded();
-      if (item->patient_slo != nullptr) item->patient_slo->on_degraded();
-    }
-    // The solve is done with the payload: the buffers go back to the pool
-    // now (not at poll) so the producer's next acquire hits.  The matrix
-    // reference drops with them — the node parks in done_ holding neither.
-    release_window_payload(item->window);
-    item->phi.reset();
+  result.patient_id = window.patient_id;
+  result.window_index = window.window_index;
+  result.priority = window.priority;
+  result.route_tag = window.route_tag;
+  result.ticket = item->ticket;
+  result.solve_tier = window.solve_tier;
+  result.degraded = window.solve_tier.tier != 0;
+  result.latency_ms = solve_ms;
+  result.e2e_ms = ms_between(item->enqueue_time, t1);
+  result.snr_db = window.reference.empty()
+                      ? std::numeric_limits<double>::quiet_NaN()
+                      : cs::reconstruction_snr_db(window.reference, result.signal);
+  slo_.on_complete(result.e2e_ms);
+  lane_slo_[lane_index(window.priority)].on_complete(result.e2e_ms);
+  if (item->patient_slo != nullptr) item->patient_slo->on_complete(result.e2e_ms);
+  if (result.degraded) {
+    slo_.on_degraded();
+    lane_slo_[lane_index(window.priority)].on_degraded();
+    if (item->patient_slo != nullptr) item->patient_slo->on_degraded();
   }
-  // Snapshot the patient ids now: the moment an item is published to done_,
-  // a concurrent poll() may pop and recycle it (wiping window and result),
-  // so nothing on the item may be read after the publish below.
-  retired_ids.clear();
-  for (const WorkItem* item : group) retired_ids.push_back(item->window.patient_id);
+  // Snapshot what the bookkeeping below needs now: the moment the item is
+  // published to done_, a concurrent poll() may pop and recycle it (wiping
+  // window and result), so nothing on the item may be read after that.
+  const std::uint32_t patient_id = window.patient_id;
+  const std::uint64_t released_cost_us = item->charged_cost_us;
+  // The solve is done with the payload: the buffers go back to the pool
+  // now (not at poll) so the producer's next acquire hits.  The matrix
+  // reference drops with them — the node parks in done_ holding neither.
+  release_window_payload(window);
+  item->phi.reset();
   {
     std::lock_guard<std::mutex> lk(done_mutex_);
-    for (WorkItem* item : group) {
-      item->next = nullptr;
-      if (done_tail_ != nullptr) {
-        done_tail_->next = item;
-      } else {
-        done_head_ = item;
-      }
-      done_tail_ = item;
-      ++done_count_;
+    item->next = nullptr;
+    if (done_tail_ != nullptr) {
+      done_tail_->next = item;
+    } else {
+      done_head_ = item;
     }
+    done_tail_ = item;
+    ++done_count_;
   }
-  // Release the group's priced backlog exactly as charged at admission.
+  // Release the window's priced backlog exactly as charged at admission.
   if (released_cost_us > 0) {
     pending_cost_us_.fetch_sub(released_cost_us, std::memory_order_relaxed);
   }
-  // Completions are recorded and published; only now may a drain_patient()
-  // waiter observe the patient as quiesced.
-  retire_pending(retired_ids);
-  // Publish the results strictly before the slot release: any thread that
+  // The completion is recorded and published; only now may a
+  // drain_patient() waiter observe the patient as quiesced.
+  retire_pending(patient_id);
+  // Publish the result strictly before the slot release: any thread that
   // observes in_flight_ == 0 (acquire) is guaranteed to find every result
   // already in done_.
-  in_flight_.fetch_sub(group.size(), std::memory_order_acq_rel);
+  in_flight_.fetch_sub(1, std::memory_order_acq_rel);
   {
     // drain() tests in_flight_ under done_mutex_ before it sleeps.  Passing
     // through the mutex here means a waiter that saw the old count is
@@ -432,16 +339,13 @@ void ReconstructionEngine::process_batch(std::vector<WorkItem*>& items) {
   if (cfg_.progress_hook) cfg_.progress_hook();
 }
 
-void ReconstructionEngine::retire_pending(std::span<const std::uint32_t> patient_ids) {
+void ReconstructionEngine::retire_pending(std::uint32_t patient_id) {
   {
     std::lock_guard<std::mutex> lk(pending_mutex_);
-    for (const std::uint32_t patient_id : patient_ids) {
-      const auto found = patient_pending_.find(patient_id);
-      if (found == patient_pending_.end()) continue;
-      // Zero entries stay in the map: erasing here would make the next
-      // submit of the same patient pay a map-node allocation, forever.
-      --found->second;
-    }
+    const auto found = patient_pending_.find(patient_id);
+    // Zero entries stay in the map: erasing here would make the next submit
+    // of the same patient pay a map-node allocation, forever.
+    if (found != patient_pending_.end()) --found->second;
     // Id churn bound: only when the retained zeros have grown the map well
     // past the in-flight capacity, sweep them (erase-only — no allocation).
     if (patient_pending_.size() > pending_sweep_threshold_) {
@@ -553,7 +457,6 @@ void ReconstructionEngine::maybe_degrade_backlog() {
   if (cfg_.degrade_policy == DegradePolicy::kOff || cfg_.degrade_tiers.empty()) return;
   const double deadline_ms = cfg_.slo.deadline_ms;
   if (deadline_ms <= 0.0) return;
-  const double budget_ms = deadline_ms * std::max(cfg_.degrade_backlog_deadlines, 0.0);
   const auto workers = static_cast<double>(std::max(1, cfg_.threads));
   const std::size_t bottom = cfg_.degrade_tiers.size();
   // One rung per pass: each routine window in pop order steps one tier
@@ -565,7 +468,7 @@ void ReconstructionEngine::maybe_degrade_backlog() {
     const double wait_ms =
         static_cast<double>(pending_cost_us_.load(std::memory_order_relaxed)) / 1000.0 /
         workers;
-    if (wait_ms <= budget_ms) return;  // Pressure already relieved.
+    if (wait_ms <= deadline_ms) return;  // Pressure already relieved.
     CompressedWindow& window = item->window;
     if (window.solve_tier.tier >= bottom) return;  // Already at the bottom rung.
     window.solve_tier =
@@ -634,8 +537,7 @@ bool ReconstructionEngine::shed_predicted_miss(cs::WindowPriority arrival_priori
   slo_.on_shed(urgent);
   lane_slo_[lane_index(item->window.priority)].on_shed(urgent);
   if (item->patient_slo != nullptr) item->patient_slo->on_shed(urgent);
-  const std::uint32_t shed_patient = item->window.patient_id;
-  retire_pending({&shed_patient, 1});
+  retire_pending(item->window.patient_id);
   // A shed window's payload goes back to the pool like a solved one's —
   // shedding under overload must not bleed the pool dry.
   release_window_payload(item->window);
@@ -687,8 +589,7 @@ std::optional<std::uint64_t> ReconstructionEngine::try_submit_impl(CompressedWin
   item->phi = prepare_matrix(window);
   item->window = std::move(window);
   // The result buffer is drawn here, not at solve time: the pool's signal
-  // high-water then follows the in-flight window count, not how widely
-  // the workers happened to batch their pops.
+  // high-water then follows the in-flight window count.
   if (cfg_.payload_pool != nullptr) item->result.signal = cfg_.payload_pool->acquire_signal();
   item->patient_slo = patient_tracker(item->window.patient_id);
   item->ticket = next_ticket_.fetch_add(1, std::memory_order_relaxed);
@@ -722,12 +623,10 @@ std::optional<std::uint64_t> ReconstructionEngine::try_submit_impl(CompressedWin
     work_cv_.notify_one();
   }
   // Proactive degrade trigger: if this admission pushed the priced backlog
-  // past the deadline budget, demote queued routine windows now instead of
-  // waiting for capacity to fill (degrade_backlog_deadlines <= 0 leaves
-  // only the demote-before-shed step).
+  // past one deadline, demote queued routine windows now instead of
+  // waiting for capacity to fill.
   if (cfg_.degrade_policy != DegradePolicy::kOff && !cfg_.degrade_tiers.empty() &&
-      cfg_.degrade_backlog_deadlines > 0.0 && cfg_.slo.deadline_ms > 0.0 &&
-      backlog_wait_ms() > cfg_.slo.deadline_ms * cfg_.degrade_backlog_deadlines) {
+      cfg_.slo.deadline_ms > 0.0 && backlog_wait_ms() > cfg_.slo.deadline_ms) {
     maybe_degrade_backlog();
   }
   return ticket;
@@ -756,13 +655,7 @@ std::uint64_t ReconstructionEngine::submit(CompressedWindow window) {
 bool ReconstructionEngine::help_some() {
   WorkItem* item = nullptr;
   if (!queue_.try_pop(item)) return false;
-  // thread_local so serial-mode polling stays allocation-free after warmup.
-  static thread_local std::vector<WorkItem*> items;
-  items.reserve(max_pop());
-  items.clear();
-  items.push_back(item);
-  pop_batch(items);
-  process_batch(items);
+  process_one(item);
   return true;
 }
 

@@ -17,14 +17,8 @@
 //     windows tagged cs::WindowPriority::kUrgent (the AF-alarm pathway)
 //     jump ahead of routine telemetry, FIFO within each lane.  A fixed
 //     pool of worker threads drains it persistently — there is no
-//     per-batch barrier, a worker starts the next window the moment it
-//     finishes the previous one.  With batch_windows > 1 a worker
-//     opportunistically pops several queued windows at once and solves
-//     same-matrix groups in one batched FISTA pass (cs::fista_solve_batch)
-//     whose per-window results are bit-identical to solo solves; with
-//     batch_windows == 0 each worker auto-sizes its pop from the current
-//     backlog depth.  Batched solves cost more CPU per window than solo
-//     ones (see EngineConfig::batch_windows), so the default stays 1.
+//     per-batch barrier, a worker pops one window, solves it
+//     (cs::fista_solve_into) and starts the next the moment it finishes.
 //   * Under overload, admission is deadline-aware when deadline_shedding
 //     is on: instead of bouncing the newest arrival, try_submit sheds the
 //     queued window whose predicted completion (backlog position x the
@@ -126,10 +120,7 @@ struct WindowResult {
   std::vector<double> signal;     ///< Reconstructed time-domain window.
   double snr_db = 0.0;            ///< NaN when no reference was attached.
   int iterations = 0;
-  /// Solve wall time, excluding queue wait.  With batch_windows > 1 this
-  /// is the wall time of the whole batched solve the window rode in (the
-  /// compute was shared, so a per-window split would be fiction): expect
-  /// it to exceed a solo solve even when throughput improved.  e2e_ms is
+  /// The window's own solve wall time, excluding queue wait.  e2e_ms is
   /// the SLO-relevant number.
   double latency_ms = 0.0;
   double e2e_ms = 0.0;            ///< Enqueue -> complete (the SLO latency).
@@ -194,9 +185,6 @@ struct DegradeTierSpec {
   std::uint32_t iteration_cap = 0;
 };
 
-/// Upper bound on an auto-sized batch (EngineConfig::batch_windows == 0).
-inline constexpr int kMaxAutoBatch = 32;
-
 struct EngineConfig {
   /// Worker threads.  0 = solve in the calling thread during poll()/
   /// drain() (serial reference mode); N >= 1 spawns N persistent workers.
@@ -204,25 +192,6 @@ struct EngineConfig {
   /// Admission bound: maximum windows in flight (submitted but not yet
   /// solved); see in_flight_capacity().
   std::size_t queue_capacity = 1024;
-  /// Windows a worker may pack into one batched FISTA solve
-  /// (cs::fista_solve_batch).  Workers drain opportunistically: up to
-  /// this many queued windows are popped at once, grouped by sensing
-  /// matrix, and windows sharing a matrix solve together so the packed
-  /// plan streams once across the group.  Batched results are
-  /// bit-identical to solo solves, so any value preserves the
-  /// determinism contract; 1 (the default) disables packing.
-  /// 0 enables backlog-driven auto-sizing: each worker pops
-  /// ceil(backlog / threads) windows, clamped to [1, kMaxAutoBatch].
-  /// Packing does not buy throughput: on steady-shaped windows (512
-  /// samples, CR 50, default FistaConfig) a batched solve costs more CPU
-  /// per window than a solo one at every width (bench/micro_kernels
-  /// BM_FistaSolvePerWindow: about 690 µs at width 1, 2570 at 2, 2380 at
-  /// 3, 1080 at 4, 850 at 8, 740 at 32), so keep 1.  A worker sizes its
-  /// solve arena for its widest possible pop (this value, or
-  /// kMaxAutoBatch when 0) the first time it meets a window shape, so a
-  /// wider pop later never allocates: about 1.5 MB per worker at n = 512
-  /// (m = 256) under auto-sizing.
-  int batch_windows = 1;
   /// Deadline-aware load shedding.  When admission is at capacity and the
   /// backlog predicts a deadline miss, drop the queued window with the
   /// worst predicted overshoot (routine lane first; the urgent lane is
@@ -235,8 +204,8 @@ struct EngineConfig {
   /// Per-window solve-time estimate feeding the shed predictor, in ms.
   /// 0 (default) uses the engine's measured EWMA of completed solves.
   double shed_solve_estimate_ms = 0.0;
-  /// Fidelity-degrade policy: when the priced backlog overshoots the
-  /// deadline budget (see degrade_backlog_deadlines) — and again as the
+  /// Fidelity-degrade policy: when the priced backlog (backlog_wait_ms())
+  /// exceeds one deadline after an admission — and again as the
   /// demote-first step wherever the deadline-shed victim scan would fire —
   /// queued routine windows are demoted one rung down degrade_tiers
   /// ("solve cheaper") before any window is shed whole.  kOff (default)
@@ -245,18 +214,12 @@ struct EngineConfig {
   DegradePolicy degrade_policy = DegradePolicy::kOff;
   /// The degrade ladder, cheapest rung last; see DegradeTierSpec.
   std::vector<DegradeTierSpec> degrade_tiers;
-  /// Proactive-demotion threshold: after an admission, if
-  /// backlog_wait_ms() exceeds this many deadlines, demote queued routine
-  /// windows until the priced backlog fits again (or the ladder runs out).
-  /// <= 0 disables the proactive trigger; the demote-before-shed step
-  /// still runs.
-  double degrade_backlog_deadlines = 1.0;
   /// Invoked (from a worker thread) every time the engine makes progress a
-  /// blocked producer could be waiting on: a batch of results was
-  /// published and its in-flight slots released, or a queued window was
-  /// shed.  Fires AFTER the slots are released, so a hook-driven retry of
-  /// try_submit_step() that still fails proves the engine was full again,
-  /// not that the wakeup raced the release.  Used by the shard server to
+  /// blocked producer could be waiting on: a result was published and its
+  /// in-flight slot released, or a queued window was shed.  Fires AFTER
+  /// the slot is released, so a hook-driven retry of try_submit_step()
+  /// that still fails proves the engine was full again, not that the
+  /// wakeup raced the release.  Used by the shard server to
   /// re-arm its event loop for deferred completions.  Must be cheap and
   /// must not call back into the engine.  Null (default) disables.
   std::function<void()> progress_hook;
@@ -468,15 +431,8 @@ class ReconstructionEngine {
   }
 
   void worker_loop();
-  /// Pops up to one batch of pending windows and solves them; false when
-  /// none was pending.
+  /// Pops one pending window and solves it; false when none was pending.
   bool help_some();
-  /// Tops `items` up to this worker's batch width (static batch_windows,
-  /// or backlog/threads when auto-sizing) from the lane queue, urgent
-  /// first.  At least one already-popped item is passed in by the caller.
-  void pop_batch(std::vector<WorkItem*>& items);
-  /// The widest batch pop_batch can ever return.
-  std::size_t max_pop() const;
   /// Reserves one in-flight slot; false when at capacity.
   bool reserve_slot();
   /// Admission core shared by try_submit (shedding per config, rejects
@@ -490,13 +446,9 @@ class ReconstructionEngine {
   /// window is predicted to miss (or no solve-time signal exists yet).
   /// Only an urgent arrival may displace an urgent window.
   bool shed_predicted_miss(cs::WindowPriority arrival_priority);
-  /// Solves the same-matrix group containing items[0] in one
-  /// cs::fista_solve_batch call (bit-identical to solo solves) and
-  /// requeues the rest for other workers, so a mixed-matrix pop neither
-  /// serializes foreign groups behind one worker nor delays their
-  /// publication.  Requeueing cannot fail: every popped item still holds
-  /// its in-flight ring reservation.
-  void process_batch(std::vector<WorkItem*>& items);
+  /// Solves one popped window, records its completion and publishes the
+  /// result.
+  void process_one(WorkItem* item);
   /// Builds/reuses the sensing matrix a window needs; bounded LRU keyed
   /// by (seed, m, n, d, m_eff).  Construction is a pure function of the
   /// key, so a rebuilt matrix is bit-identical to the evicted one.
@@ -514,18 +466,17 @@ class ReconstructionEngine {
   /// tier, microseconds (0 when no signal exists yet).
   std::uint64_t charge_estimate_us(const CompressedWindow& window) const;
   /// Demote-first: walks the routine lane demoting queued windows one rung
-  /// down the degrade ladder until the priced backlog fits inside
-  /// degrade_backlog_deadlines (or every routine window is at the bottom
-  /// rung).  Urgent windows are never touched.  No-op unless
-  /// degrade_policy is active, the ladder is non-empty, and a deadline is
-  /// configured.
+  /// down the degrade ladder until the priced backlog fits inside one
+  /// deadline (or every routine window is at the bottom rung).  Urgent
+  /// windows are never touched.  No-op unless degrade_policy is active,
+  /// the ladder is non-empty, and a deadline is configured.
   void maybe_degrade_backlog();
   /// The per-patient tracker for `patient_id` (created on first use), or
   /// nullptr when per_patient_slo is off.
   std::shared_ptr<SloTracker> patient_tracker(std::uint32_t patient_id);
-  /// Decrements the per-patient pending count for each item's patient and
-  /// wakes drain_patient() waiters.
-  void retire_pending(std::span<const std::uint32_t> patient_ids);
+  /// Decrements the patient's pending count and wakes drain_patient()
+  /// waiters.
+  void retire_pending(std::uint32_t patient_id);
   /// Returns a window's payload buffers to the payload pool (or frees
   /// them when no pool is configured).  Metadata fields are left alone.
   void release_window_payload(CompressedWindow& window);

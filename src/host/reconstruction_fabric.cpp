@@ -19,7 +19,7 @@ bool EngineLink::submit(CompressedWindow& window, bool blocking) {
 
 bool EngineLink::poll_many(RingDeque<WindowResult>& out, std::uint64_t) {
   // A serial engine solves inside poll(): only while the coordinator has
-  // nothing to hand back, so one coordinator poll solves at most one batch.
+  // nothing to hand back, so one coordinator poll solves at most one window.
   if (engine_.thread_count() == 0 && out.empty()) {
     if (auto result = engine_.poll()) out.push_back(std::move(*result));
   }

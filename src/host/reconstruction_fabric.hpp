@@ -26,8 +26,8 @@
 //
 // Determinism contract, inherited and preserved: a window's reconstruction
 // depends only on its payload and the FistaConfig, so per-window results
-// are bit-identical across shard counts, priority mixes, thread counts,
-// batch widths — and any sequence of live resizes.  Resharding moves
+// are bit-identical across shard counts, priority mixes, thread counts
+// — and any sequence of live resizes.  Resharding moves
 // *where* and *when* a window solves, never *what* it solves to.
 #pragma once
 

@@ -54,9 +54,9 @@ struct SloSnapshot {
   /// view.  Crash-proof conservation: submitted == completed + shed + lost
   /// + in_flight.
   std::uint64_t lost = 0;
-  /// Windows solved inside a same-matrix batched FISTA pass of size >= 2
-  /// (each member counts).  The observability hook for submit-time seed
-  /// grouping: grouped_windows / completed is the batching hit rate.
+  /// Always 0: the engine solves one window at a time.  Kept only because
+  /// the fleet benchmark still reads it (as host.batch_hit_frac); remove
+  /// it together with that metric.
   std::uint64_t grouped_windows = 0;
   /// Windows completed at a degraded solve tier (cs::SolveTier::tier != 0)
   /// — demoted by the engine's DegradePolicy, or submitted pre-degraded.
@@ -129,16 +129,9 @@ class SloTracker {
   /// victim).  The window was never on_submit()ed.  Thread-safe.
   void on_reject();
 
-  /// `n` windows (>= 2) solved together in one same-matrix batched FISTA
-  /// pass.  Engine-wide observability only: not part of SloTrackerState
-  /// (that layout is frozen on the wire as SLO_STATE), so it does not
-  /// migrate with a patient.  Thread-safe.
-  void on_grouped(std::uint64_t n);
-
-  /// A window completed at a degraded solve tier (tier != 0).  Like
-  /// on_grouped, engine-wide observability only: not part of
-  /// SloTrackerState (the SLO_STATE wire layout is frozen), so it does not
-  /// migrate with a patient.  Thread-safe.
+  /// A window completed at a degraded solve tier (tier != 0).  Engine-wide
+  /// observability only: not part of SloTrackerState (the SLO_STATE wire
+  /// layout is frozen), so it does not migrate with a patient.  Thread-safe.
   void on_degraded();
 
   SloSnapshot snapshot() const;
@@ -197,7 +190,6 @@ class SloTracker {
   std::atomic<std::uint64_t> sum_us_{0};
   std::atomic<std::uint64_t> max_us_{0};
   std::atomic<std::uint64_t> max_in_flight_{0};
-  std::atomic<std::uint64_t> grouped_windows_{0};
   std::atomic<std::uint64_t> degraded_windows_{0};
 };
 

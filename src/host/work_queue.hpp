@@ -10,8 +10,8 @@
 //  * TwoLaneWorkQueue — two FIFO lanes (urgent ahead of routine) under one
 //    mutex.  Pop order is strict priority: every urgent window drains
 //    before any routine one.  The mutex buys what a ring cannot offer:
-//    exact backlog depth (batch auto-sizing), positional scans, and
-//    mid-queue extraction (deadline-aware shed victims).  Critical
+//    exact backlog depth, positional scans, and mid-queue extraction
+//    (deadline-aware shed victims).  Critical
 //    sections are a few pointer moves while the consumer's unit of work is
 //    a millisecond-scale FISTA solve, so the lock is invisible in
 //    profiles; blocking behavior stays layered on top by the engine.
@@ -25,9 +25,9 @@
 
 namespace wbsn::host {
 
-/// Grow-only circular buffer with deque semantics (push/pop at both the
-/// front and the back, random access in pop order).  Capacity is a power
-/// of two that doubles when full and never shrinks, so steady-state
+/// Grow-only circular buffer with queue semantics (push at the back, pop
+/// at the front, random access and removal in pop order).  Capacity is a
+/// power of two that doubles when full and never shrinks, so steady-state
 /// cycling at any depth below the high-water mark allocates nothing.
 /// Not thread-safe — callers lock (TwoLaneWorkQueue wraps it in a mutex).
 template <typename T>
@@ -39,13 +39,6 @@ class RingDeque {
   void push_back(T value) {
     reserve_one();
     buf_[(head_ + size_) & mask()] = std::move(value);
-    ++size_;
-  }
-
-  void push_front(T value) {
-    reserve_one();
-    head_ = (head_ + cap() - 1) & mask();
-    buf_[head_] = std::move(value);
     ++size_;
   }
 
@@ -111,14 +104,6 @@ class TwoLaneWorkQueue {
     lane(urgent).push_back(std::move(value));
   }
 
-  /// Re-inserts at the front of its lane — used when a consumer popped an
-  /// item it cannot process yet (e.g. a foreign-matrix window in a batched
-  /// pop), so the item keeps its queue age rather than going to the back.
-  void push_front(T value, bool urgent) {
-    std::lock_guard<std::mutex> lk(mutex_);
-    lane(urgent).push_front(std::move(value));
-  }
-
   bool try_pop(T& out) {
     std::lock_guard<std::mutex> lk(mutex_);
     for (auto* q : {&urgent_, &routine_}) {
@@ -129,21 +114,6 @@ class TwoLaneWorkQueue {
       }
     }
     return false;
-  }
-
-  /// Pops up to `max` items in priority order into `out` (appended).
-  /// Returns the number popped.
-  std::size_t pop_some(std::vector<T>& out, std::size_t max) {
-    std::lock_guard<std::mutex> lk(mutex_);
-    std::size_t popped = 0;
-    for (auto* q : {&urgent_, &routine_}) {
-      while (popped < max && !q->empty()) {
-        out.push_back(std::move(q->front()));
-        q->pop_front();
-        ++popped;
-      }
-    }
-    return popped;
   }
 
   /// Removes and returns the queued item maximizing `score`, considering

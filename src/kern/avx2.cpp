@@ -137,72 +137,36 @@ __m256d fista_step_vec(__m256d* z_io, __m256d grad, __m256d* a_io, __m256d lip,
   return d;
 }
 
-void fista_step_batch_avx2(const double* grad, double lip, const double* tau, double beta,
-                           std::size_t n, std::size_t batch, double* z, double* a,
-                           double* delta_sq, double* scale_sq) {
+void fista_step_avx2(const double* grad, double lip, double tau, double beta, std::size_t n,
+                     double* z, double* a, double* delta_sq, double* scale_sq) {
+  // 4 consecutive elements per register, lane l holding elements
+  // i ≡ l (mod 4); the scalar tail continues the same lanes.
   const __m256d lvec = _mm256_set1_pd(lip);
+  const __m256d tvec = _mm256_set1_pd(tau);
   const __m256d bvec = _mm256_set1_pd(beta);
-  if (batch == 1) {
-    // Contiguous: 4 consecutive elements per register, lane l holding
-    // elements i ≡ l (mod 4); the scalar tail continues the same lanes.
-    const __m256d tvec = _mm256_set1_pd(tau[0]);
-    __m256d acc_d = _mm256_setzero_pd();
-    __m256d acc_s = _mm256_setzero_pd();
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      __m256d zv = _mm256_loadu_pd(z + i);
-      __m256d av = _mm256_loadu_pd(a + i);
-      const __m256d d = fista_step_vec(&zv, _mm256_loadu_pd(grad + i), &av, lvec, tvec, bvec);
-      acc_d = _mm256_add_pd(acc_d, _mm256_mul_pd(d, d));
-      acc_s = _mm256_add_pd(acc_s, _mm256_mul_pd(av, av));
-      _mm256_storeu_pd(z + i, zv);
-      _mm256_storeu_pd(a + i, av);
-    }
-    alignas(32) double lanes_d[4];
-    alignas(32) double lanes_s[4];
-    _mm256_store_pd(lanes_d, acc_d);
-    _mm256_store_pd(lanes_s, acc_s);
-    for (; i < n; ++i) {
-      const double d = ref::fista_step_one(z[i], grad[i], a[i], lip, tau[0], beta);
-      lanes_d[i & 3] += d * d;
-      lanes_s[i & 3] += a[i] * a[i];
-    }
-    delta_sq[0] = ref::reduce_lanes(lanes_d);
-    scale_sq[0] = ref::reduce_lanes(lanes_s);
-    return;
+  __m256d acc_d = _mm256_setzero_pd();
+  __m256d acc_s = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m256d zv = _mm256_loadu_pd(z + i);
+    __m256d av = _mm256_loadu_pd(a + i);
+    const __m256d d = fista_step_vec(&zv, _mm256_loadu_pd(grad + i), &av, lvec, tvec, bvec);
+    acc_d = _mm256_add_pd(acc_d, _mm256_mul_pd(d, d));
+    acc_s = _mm256_add_pd(acc_s, _mm256_mul_pd(av, av));
+    _mm256_storeu_pd(z + i, zv);
+    _mm256_storeu_pd(a + i, av);
   }
-  std::size_t b = 0;
-  // 4 windows at a time; the i (mod 4) lane partition lives in 4 rotating
-  // register accumulators per sum, exactly mirroring the single-window
-  // kernel's per-window order.
-  for (; b + 4 <= batch; b += 4) {
-    const __m256d tvec = _mm256_loadu_pd(tau + b);
-    __m256d acc_d[4] = {_mm256_setzero_pd(), _mm256_setzero_pd(), _mm256_setzero_pd(),
-                        _mm256_setzero_pd()};
-    __m256d acc_s[4] = {_mm256_setzero_pd(), _mm256_setzero_pd(), _mm256_setzero_pd(),
-                        _mm256_setzero_pd()};
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t j = i * batch + b;
-      __m256d zv = _mm256_loadu_pd(z + j);
-      __m256d av = _mm256_loadu_pd(a + j);
-      const __m256d d = fista_step_vec(&zv, _mm256_loadu_pd(grad + j), &av, lvec, tvec, bvec);
-      acc_d[i & 3] = _mm256_add_pd(acc_d[i & 3], _mm256_mul_pd(d, d));
-      acc_s[i & 3] = _mm256_add_pd(acc_s[i & 3], _mm256_mul_pd(av, av));
-      _mm256_storeu_pd(z + j, zv);
-      _mm256_storeu_pd(a + j, av);
-    }
-    // Per-window fold (s0 + s2) + (s1 + s3), elementwise across the 4 windows.
-    const __m256d dsum = _mm256_add_pd(_mm256_add_pd(acc_d[0], acc_d[2]),
-                                       _mm256_add_pd(acc_d[1], acc_d[3]));
-    const __m256d ssum = _mm256_add_pd(_mm256_add_pd(acc_s[0], acc_s[2]),
-                                       _mm256_add_pd(acc_s[1], acc_s[3]));
-    _mm256_storeu_pd(delta_sq + b, dsum);
-    _mm256_storeu_pd(scale_sq + b, ssum);
+  alignas(32) double lanes_d[4];
+  alignas(32) double lanes_s[4];
+  _mm256_store_pd(lanes_d, acc_d);
+  _mm256_store_pd(lanes_s, acc_s);
+  for (; i < n; ++i) {
+    const double d = ref::fista_step_one(z[i], grad[i], a[i], lip, tau, beta);
+    lanes_d[i & 3] += d * d;
+    lanes_s[i & 3] += a[i] * a[i];
   }
-  for (; b < batch; ++b) {
-    ref::fista_step_batch_window(grad, lip, tau[b], beta, n, batch, b, z, a, delta_sq,
-                                 scale_sq);
-  }
+  *delta_sq = ref::reduce_lanes(lanes_d);
+  *scale_sq = ref::reduce_lanes(lanes_s);
 }
 
 /// One tap group: gather the 4 lane inputs and weight by the signs.
@@ -289,41 +253,6 @@ void spmv_avx2(const SpmvPlan& plan, const double* x, double* y) {
     spmv_avx2_impl<false>(plan, x, y);
   } else {
     spmv_avx2_impl<true>(plan, x, y);
-  }
-}
-
-void spmv_batch_avx2(const SpmvPlan& plan, const double* x, std::size_t batch, double* y) {
-  if (batch == 1) {
-    spmv_avx2(plan, x, y);
-    return;
-  }
-  // Vectorize along the batch dimension: the taps of one output become
-  // broadcast-multiplied contiguous loads, no gathers needed.
-  for (std::size_t o = 0; o < plan.num_outputs; ++o) {
-    const std::size_t block = o / SpmvPlan::kLanes;
-    const std::size_t lane = o % SpmvPlan::kLanes;
-    double* dst = y + o * batch;
-    std::size_t b = 0;
-    for (; b + 4 <= batch; b += 4) {
-      __m256d acc = _mm256_setzero_pd();
-      for (std::uint32_t g = plan.block_tap_start[block]; g < plan.block_tap_start[block + 1];
-           ++g) {
-        const std::size_t t = static_cast<std::size_t>(g) * SpmvPlan::kLanes + lane;
-        const __m256d s = _mm256_set1_pd(plan.sgn[t]);
-        const double* src = x + static_cast<std::size_t>(plan.idx[t]) * batch + b;
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(s, _mm256_loadu_pd(src)));
-      }
-      _mm256_storeu_pd(dst + b, acc);
-    }
-    for (; b < batch; ++b) {
-      double acc = 0.0;
-      for (std::uint32_t g = plan.block_tap_start[block]; g < plan.block_tap_start[block + 1];
-           ++g) {
-        const std::size_t t = static_cast<std::size_t>(g) * SpmvPlan::kLanes + lane;
-        acc += plan.sgn[t] * x[static_cast<std::size_t>(plan.idx[t]) * batch + b];
-      }
-      dst[b] = acc;
-    }
   }
 }
 
@@ -422,88 +351,6 @@ void idwt_step_avx2(const double* approx, const double* detail, std::size_t half
   }
 }
 
-void dwt_step_batch_avx2(const double* x, std::size_t n, std::size_t batch,
-                         double* approx, double* detail) {
-  if (batch == 1) {
-    dwt_step_avx2(x, n, approx, detail);
-    return;
-  }
-  const std::size_t half = n / 2;
-  const __m256d lo0 = _mm256_set1_pd(ref::kDb4Lo[0]);
-  const __m256d lo1 = _mm256_set1_pd(ref::kDb4Lo[1]);
-  const __m256d lo2 = _mm256_set1_pd(ref::kDb4Lo[2]);
-  const __m256d lo3 = _mm256_set1_pd(ref::kDb4Lo[3]);
-  const __m256d hi0 = _mm256_set1_pd(ref::kDb4Hi[0]);
-  const __m256d hi1 = _mm256_set1_pd(ref::kDb4Hi[1]);
-  const __m256d hi2 = _mm256_set1_pd(ref::kDb4Hi[2]);
-  const __m256d hi3 = _mm256_set1_pd(ref::kDb4Hi[3]);
-  for (std::size_t k = 0; k < half; ++k) {
-    const double* x0 = x + ((2 * k) % n) * batch;
-    const double* x1 = x + ((2 * k + 1) % n) * batch;
-    const double* x2 = x + ((2 * k + 2) % n) * batch;
-    const double* x3 = x + ((2 * k + 3) % n) * batch;
-    double* a = approx + k * batch;
-    double* d = detail + k * batch;
-    std::size_t b = 0;
-    for (; b + 4 <= batch; b += 4) {
-      const __m256d v0 = _mm256_loadu_pd(x0 + b);
-      const __m256d v1 = _mm256_loadu_pd(x1 + b);
-      const __m256d v2 = _mm256_loadu_pd(x2 + b);
-      const __m256d v3 = _mm256_loadu_pd(x3 + b);
-      _mm256_storeu_pd(
-          a + b, _mm256_add_pd(_mm256_add_pd(_mm256_mul_pd(lo0, v0), _mm256_mul_pd(lo1, v1)),
-                               _mm256_add_pd(_mm256_mul_pd(lo2, v2), _mm256_mul_pd(lo3, v3))));
-      _mm256_storeu_pd(
-          d + b, _mm256_add_pd(_mm256_add_pd(_mm256_mul_pd(hi0, v0), _mm256_mul_pd(hi1, v1)),
-                               _mm256_add_pd(_mm256_mul_pd(hi2, v2), _mm256_mul_pd(hi3, v3))));
-    }
-    for (; b < batch; ++b) ref::dwt_output(x0[b], x1[b], x2[b], x3[b], &a[b], &d[b]);
-  }
-}
-
-void idwt_step_batch_avx2(const double* approx, const double* detail, std::size_t half,
-                          std::size_t batch, double* x) {
-  if (batch == 1) {
-    idwt_step_avx2(approx, detail, half, x);
-    return;
-  }
-  const __m256d lo0 = _mm256_set1_pd(ref::kDb4Lo[0]);
-  const __m256d lo1 = _mm256_set1_pd(ref::kDb4Lo[1]);
-  const __m256d lo2 = _mm256_set1_pd(ref::kDb4Lo[2]);
-  const __m256d lo3 = _mm256_set1_pd(ref::kDb4Lo[3]);
-  const __m256d hi0 = _mm256_set1_pd(ref::kDb4Hi[0]);
-  const __m256d hi1 = _mm256_set1_pd(ref::kDb4Hi[1]);
-  const __m256d hi2 = _mm256_set1_pd(ref::kDb4Hi[2]);
-  const __m256d hi3 = _mm256_set1_pd(ref::kDb4Hi[3]);
-  for (std::size_t k = 0; k < half; ++k) {
-    const std::size_t km = (k + half - 1) % half;
-    const double* ak = approx + k * batch;
-    const double* dk = detail + k * batch;
-    const double* am = approx + km * batch;
-    const double* dm = detail + km * batch;
-    double* even = x + (2 * k) * batch;
-    double* odd = x + (2 * k + 1) * batch;
-    std::size_t b = 0;
-    for (; b + 4 <= batch; b += 4) {
-      const __m256d vak = _mm256_loadu_pd(ak + b);
-      const __m256d vdk = _mm256_loadu_pd(dk + b);
-      const __m256d vam = _mm256_loadu_pd(am + b);
-      const __m256d vdm = _mm256_loadu_pd(dm + b);
-      _mm256_storeu_pd(even + b, _mm256_add_pd(_mm256_add_pd(_mm256_mul_pd(lo0, vak),
-                                                             _mm256_mul_pd(hi0, vdk)),
-                                               _mm256_add_pd(_mm256_mul_pd(lo2, vam),
-                                                             _mm256_mul_pd(hi2, vdm))));
-      _mm256_storeu_pd(odd + b, _mm256_add_pd(_mm256_add_pd(_mm256_mul_pd(lo1, vak),
-                                                            _mm256_mul_pd(hi1, vdk)),
-                                              _mm256_add_pd(_mm256_mul_pd(lo3, vam),
-                                                            _mm256_mul_pd(hi3, vdm))));
-    }
-    for (; b < batch; ++b) {
-      ref::idwt_outputs(ak[b], dk[b], am[b], dm[b], &even[b], &odd[b]);
-    }
-  }
-}
-
 constexpr Ops kAvx2Ops = {
     "avx2",
     dot_avx2,
@@ -512,13 +359,10 @@ constexpr Ops kAvx2Ops = {
     xpby_avx2,
     grad_step_avx2,
     momentum_avx2,
-    fista_step_batch_avx2,
+    fista_step_avx2,
     spmv_avx2,
-    spmv_batch_avx2,
     dwt_step_avx2,
     idwt_step_avx2,
-    dwt_step_batch_avx2,
-    idwt_step_batch_avx2,
 };
 
 }  // namespace

@@ -25,12 +25,6 @@
 //     c3·x3).
 //   * Elementwise kernels are single-rounded expressions (no FMA; the
 //     kern TUs are compiled with -ffp-contract=off).
-//
-// Batched layout: the *_batch kernels operate on windows interleaved
-// element-major (X[i * batch + b] is element i of window b).  Per-window
-// math follows the same canonical orders, so results are bit-identical
-// across batch widths — batch = 1 reproduces the single-window kernels
-// exactly.
 #pragma once
 
 #include <cstddef>
@@ -64,23 +58,19 @@ struct Ops {
   /// *scale_sq = Σ a², both in canonical lane order (no epsilon added).
   void (*momentum)(const double* a, const double* a_prev, double* z, double beta,
                    std::size_t n, double* delta_sq, double* scale_sq);
-  /// One whole FISTA step in a single pass over an interleaved batch; `a`
-  /// holds a_{k-1} on entry and a_k on exit.  Per element of window b:
-  ///   v = z - grad / lip,  a_k = copysign(max(|v| - tau[b], 0), v),
+  /// One whole FISTA step in a single pass over one window; `a` holds
+  /// a_{k-1} on entry and a_k on exit.  Per element:
+  ///   v = z - grad / lip,  a_k = copysign(max(|v| - tau, 0), v),
   ///   d = a_k - a_{k-1},   z = a_k + beta * d,
-  /// with delta_sq[b] = Σ d² and scale_sq[b] = Σ a_k² in canonical lane
+  /// with *delta_sq = Σ d² and *scale_sq = Σ a_k² in canonical lane
   /// order.  Bit-identical to grad_step, the soft threshold and momentum
   /// run one after another.
-  void (*fista_step_batch)(const double* grad, double lip, const double* tau, double beta,
-                           std::size_t n, std::size_t batch, double* z, double* a,
-                           double* delta_sq, double* scale_sq);
+  void (*fista_step)(const double* grad, double lip, double tau, double beta, std::size_t n,
+                     double* z, double* a, double* delta_sq, double* scale_sq);
 
   // --- Sparse sensing operator ---------------------------------------------
   /// y[o] = Σ_taps sgn · x[idx] over the plan (y fully overwritten).
   void (*spmv)(const SpmvPlan& plan, const double* x, double* y);
-  /// Interleaved batch of the same plan.
-  void (*spmv_batch)(const SpmvPlan& plan, const double* x, std::size_t batch,
-                     double* y);
 
   // --- Daubechies-4 DWT steps (periodized) ---------------------------------
   /// approx[k] / detail[k] from x[2k..2k+3 mod n]; n even, half = n / 2.
@@ -88,10 +78,6 @@ struct Ops {
   /// Inverse step: x (length 2 * half) from approx/detail (length half).
   void (*idwt_step)(const double* approx, const double* detail, std::size_t half,
                     double* x);
-  void (*dwt_step_batch)(const double* x, std::size_t n, std::size_t batch,
-                         double* approx, double* detail);
-  void (*idwt_step_batch)(const double* approx, const double* detail, std::size_t half,
-                          std::size_t batch, double* x);
 };
 
 enum class Backend {

@@ -15,13 +15,10 @@ constexpr Ops kScalarOps = {
     ref::xpby,
     ref::grad_step,
     ref::momentum,
-    ref::fista_step_batch,
+    ref::fista_step,
     ref::spmv,
-    ref::spmv_batch,
     ref::dwt_step,
     ref::idwt_step,
-    ref::dwt_step_batch,
-    ref::idwt_step_batch,
 };
 
 }  // namespace

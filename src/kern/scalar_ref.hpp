@@ -77,31 +77,18 @@ inline double fista_step_one(double& z, double grad, double& a, double lip, doub
   return d;
 }
 
-/// Fused FISTA step for window b of the interleaved layout.  Window b's
-/// lane-l accumulators take its elements i ≡ l (mod 4) — the same
-/// partition for every batch width, which is what makes widths agree.
-inline void fista_step_batch_window(const double* grad, double lip, double tau, double beta,
-                                    std::size_t n, std::size_t batch, std::size_t b,
-                                    double* z, double* a, double* delta_sq,
-                                    double* scale_sq) {
+inline void fista_step(const double* grad, double lip, double tau, double beta,
+                       std::size_t n, double* z, double* a, double* delta_sq,
+                       double* scale_sq) {
   double acc_d[4] = {0.0, 0.0, 0.0, 0.0};
   double acc_s[4] = {0.0, 0.0, 0.0, 0.0};
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t j = i * batch + b;
-    const double d = fista_step_one(z[j], grad[j], a[j], lip, tau, beta);
+    const double d = fista_step_one(z[i], grad[i], a[i], lip, tau, beta);
     acc_d[i & 3] += d * d;
-    acc_s[i & 3] += a[j] * a[j];
+    acc_s[i & 3] += a[i] * a[i];
   }
-  delta_sq[b] = reduce_lanes(acc_d);
-  scale_sq[b] = reduce_lanes(acc_s);
-}
-
-inline void fista_step_batch(const double* grad, double lip, const double* tau, double beta,
-                             std::size_t n, std::size_t batch, double* z, double* a,
-                             double* delta_sq, double* scale_sq) {
-  for (std::size_t b = 0; b < batch; ++b) {
-    fista_step_batch_window(grad, lip, tau[b], beta, n, batch, b, z, a, delta_sq, scale_sq);
-  }
+  *delta_sq = reduce_lanes(acc_d);
+  *scale_sq = reduce_lanes(acc_s);
 }
 
 /// One plan output, summed sequentially over its taps (including pads).
@@ -119,29 +106,6 @@ inline double spmv_output(const SpmvPlan& plan, const double* x, std::size_t blo
 inline void spmv(const SpmvPlan& plan, const double* x, double* y) {
   for (std::size_t o = 0; o < plan.num_outputs; ++o) {
     y[o] = spmv_output(plan, x, o / SpmvPlan::kLanes, o % SpmvPlan::kLanes);
-  }
-}
-
-/// One plan output across an interleaved batch slab, same tap order.
-inline void spmv_output_batch(const SpmvPlan& plan, const double* x, std::size_t batch,
-                              std::size_t o, double* y) {
-  const std::size_t block = o / SpmvPlan::kLanes;
-  const std::size_t lane = o % SpmvPlan::kLanes;
-  for (std::size_t b = 0; b < batch; ++b) y[o * batch + b] = 0.0;
-  for (std::uint32_t g = plan.block_tap_start[block]; g < plan.block_tap_start[block + 1];
-       ++g) {
-    const std::size_t t = static_cast<std::size_t>(g) * SpmvPlan::kLanes + lane;
-    const double s = plan.sgn[t];
-    const double* src = x + static_cast<std::size_t>(plan.idx[t]) * batch;
-    double* dst = y + o * batch;
-    for (std::size_t b = 0; b < batch; ++b) dst[b] = dst[b] + s * src[b];
-  }
-}
-
-inline void spmv_batch(const SpmvPlan& plan, const double* x, std::size_t batch,
-                       double* y) {
-  for (std::size_t o = 0; o < plan.num_outputs; ++o) {
-    spmv_output_batch(plan, x, batch, o, y);
   }
 }
 
@@ -187,33 +151,6 @@ inline void idwt_step(const double* approx, const double* detail, std::size_t ha
   for (std::size_t k = 1; k < half; ++k) {
     idwt_outputs(approx[k], detail[k], approx[k - 1], detail[k - 1], &x[2 * k],
                  &x[2 * k + 1]);
-  }
-}
-
-inline void dwt_step_batch(const double* x, std::size_t n, std::size_t batch,
-                           double* approx, double* detail) {
-  const std::size_t half = n / 2;
-  for (std::size_t k = 0; k < half; ++k) {
-    const double* x0 = x + ((2 * k) % n) * batch;
-    const double* x1 = x + ((2 * k + 1) % n) * batch;
-    const double* x2 = x + ((2 * k + 2) % n) * batch;
-    const double* x3 = x + ((2 * k + 3) % n) * batch;
-    for (std::size_t b = 0; b < batch; ++b) {
-      dwt_output(x0[b], x1[b], x2[b], x3[b], &approx[k * batch + b],
-                 &detail[k * batch + b]);
-    }
-  }
-}
-
-inline void idwt_step_batch(const double* approx, const double* detail, std::size_t half,
-                            std::size_t batch, double* x) {
-  for (std::size_t k = 0; k < half; ++k) {
-    const std::size_t km = (k + half - 1) % half;
-    for (std::size_t b = 0; b < batch; ++b) {
-      idwt_outputs(approx[k * batch + b], detail[k * batch + b], approx[km * batch + b],
-                   detail[km * batch + b], &x[(2 * k) * batch + b],
-                   &x[(2 * k + 1) * batch + b]);
-    }
   }
 }
 

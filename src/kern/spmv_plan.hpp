@@ -16,9 +16,8 @@
 //
 // Determinism contract: the value of output o is *defined* as the
 // sequential sum over its taps in plan order (real entries first, then the
-// pads).  Both backends and both layouts (single vector and interleaved
-// batch) accumulate in exactly that order, which is what makes scalar,
-// AVX2, and any batch width bit-identical.
+// pads).  Both backends accumulate in exactly that order, which is what
+// makes scalar and AVX2 bit-identical.
 #pragma once
 
 #include <cstddef>

@@ -8,9 +8,9 @@
 // serves until a client sends BYE or the process receives SIGINT/SIGTERM.
 //
 // Usage: shard_serverd [--host A.B.C.D] [--port N] [--threads N]
-//                      [--queue-capacity N] [--batch-windows N]
-//                      [--deadline-ms X] [--shedding] [--fixed-scale X]
-//                      [--hint-cr X] [--hint-backlog-deadlines X]
+//                      [--queue-capacity N] [--deadline-ms X] [--shedding]
+//                      [--fixed-scale X] [--hint-cr X]
+//                      [--hint-backlog-deadlines X]
 // See docs/OPERATIONS.md for how these map onto EngineConfig.
 
 #include <fcntl.h>
@@ -48,7 +48,7 @@ void on_signal(int) {
 [[noreturn]] void usage_and_exit(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--host H] [--port N] [--threads N] [--queue-capacity N]\n"
-               "          [--batch-windows N] [--deadline-ms X] [--shedding]\n"
+               "          [--deadline-ms X] [--shedding]\n"
                "          [--fixed-scale X] [--hint-cr X] [--hint-backlog-deadlines X]\n",
                argv0);
   std::exit(2);
@@ -76,8 +76,6 @@ int main(int argc, char** argv) {
       cfg.engine.threads = std::atoi(next());
     } else if (arg == "--queue-capacity") {
       cfg.engine.queue_capacity = static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--batch-windows") {
-      cfg.engine.batch_windows = std::atoi(next());
     } else if (arg == "--deadline-ms") {
       cfg.engine.slo.deadline_ms = std::atof(next());
     } else if (arg == "--shedding") {

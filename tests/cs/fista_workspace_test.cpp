@@ -2,7 +2,7 @@
 // reallocation, no growth events) across same-shape solves, grow exactly
 // when a larger shape arrives, and keep working — with bit-identical
 // results — when shapes alternate.  Plus parity: the into-variant must
-// produce the same bits as the allocating fista_solve_batch wrapper.
+// produce the same bits as the allocating fista_reconstruct wrapper.
 #include "cs/fista.hpp"
 
 #include <gtest/gtest.h>
@@ -40,31 +40,27 @@ struct Problem {
 };
 
 Problem make_problem(std::uint64_t seed, std::size_t m, std::size_t n,
-                     std::size_t batch) {
+                     std::size_t windows) {
   sig::Rng rng(seed);
   Problem problem{SensingMatrix::make_sparse_binary(m, n, 4, rng), {}};
-  for (std::size_t b = 0; b < batch; ++b) {
+  for (std::size_t b = 0; b < windows; ++b) {
     problem.ys.push_back(
         sparse_window_measurements(problem.phi, 3, 4 + static_cast<int>(3 * b), rng));
   }
   return problem;
 }
 
-/// Runs the into-variant against `ws`, returning the signals (allocated
-/// here, outside the arena, so callers can compare runs).
+/// Runs the into-variant on every window in turn against `ws`, returning
+/// the signals (allocated here, outside the arena, so callers can compare
+/// runs).
 std::vector<std::vector<double>> solve_into(const Problem& problem,
                                             const FistaConfig& cfg,
                                             FistaWorkspace& ws) {
-  const std::size_t batch = problem.ys.size();
-  const std::size_t n = problem.phi.cols();
-  std::vector<std::vector<double>> signals(batch, std::vector<double>(n));
-  std::vector<std::span<const double>> views;
-  std::vector<FistaWindowOut> outs(batch);
-  for (std::size_t b = 0; b < batch; ++b) {
-    views.emplace_back(problem.ys[b].data(), problem.ys[b].size());
-    outs[b].signal = std::span<double>(signals[b].data(), n);
+  std::vector<std::vector<double>> signals;
+  for (const auto& y : problem.ys) {
+    signals.emplace_back(problem.phi.cols());
+    fista_solve_into(problem.phi, y, cfg, ws, signals.back());
   }
-  fista_solve_batch_into(problem.phi, views, cfg, ws, outs);
   return signals;
 }
 
@@ -79,7 +75,7 @@ TEST(FistaWorkspace, SameShapeSolvesNeverGrowAndKeepPointerIdentity) {
   EXPECT_GE(grows_after_first, 1u);  // First contact sized the arena.
 
   const double* a_block = ws.a.data();
-  const double* y_block = ws.y.data();
+  const double* z_block = ws.z.data();
   const double* scratch_block = ws.dwt_scr.data();
 
   for (int run = 0; run < 3; ++run) {
@@ -89,13 +85,10 @@ TEST(FistaWorkspace, SameShapeSolvesNeverGrowAndKeepPointerIdentity) {
     }
   }
   // No growth events and no reallocation across repeat solves: the whole
-  // point of the arena.  (Compaction swaps a<->a2 etc., so the pair of
-  // blocks is stable even when which name holds which block is not.)
+  // point of the arena.
   EXPECT_EQ(ws.grow_count(), grows_after_first);
-  const bool a_stable = ws.a.data() == a_block || ws.a2.data() == a_block;
-  const bool y_stable = ws.y.data() == y_block || ws.y2.data() == y_block;
-  EXPECT_TRUE(a_stable);
-  EXPECT_TRUE(y_stable);
+  EXPECT_EQ(ws.a.data(), a_block);
+  EXPECT_EQ(ws.z.data(), z_block);
   EXPECT_EQ(ws.dwt_scr.data(), scratch_block);
 }
 
@@ -131,13 +124,15 @@ TEST(FistaWorkspace, IntoVariantMatchesAllocatingWrapperBitwise) {
   cfg.dwt_levels = 4;
   cfg.max_iterations = 60;
 
-  const auto wrapped = fista_solve_batch(problem.phi, problem.ys, cfg);
-
   FistaWorkspace ws;
-  const auto direct = solve_into(problem, cfg, ws);
-  ASSERT_EQ(wrapped.size(), direct.size());
-  for (std::size_t b = 0; b < wrapped.size(); ++b) {
-    EXPECT_TRUE(bit_identical(wrapped[b].signal, direct[b]));
+  for (const auto& y : problem.ys) {
+    const auto wrapped = fista_reconstruct(problem.phi, y, cfg);
+    std::vector<double> direct(problem.phi.cols());
+    EXPECT_EQ(fista_solve_into(problem.phi, y, cfg, ws, direct), wrapped.iterations_run);
+    EXPECT_TRUE(bit_identical(wrapped.signal, direct));
+    // The coefficients the wrapper returns are the arena's final `a`.
+    EXPECT_TRUE(bit_identical(wrapped.coefficients,
+                              std::span<const double>(ws.a.data(), problem.phi.cols())));
   }
 }
 
@@ -148,14 +143,14 @@ TEST(FistaWorkspace, DebiasPathRunsOnTheArena) {
   cfg.debias = true;
   cfg.debias_iterations = 8;
 
-  const auto wrapped = fista_solve_batch(problem.phi, problem.ys, cfg);
   FistaWorkspace ws;
   const auto first = solve_into(problem, cfg, ws);
   const std::size_t grows = ws.grow_count();
   const auto second = solve_into(problem, cfg, ws);
   EXPECT_EQ(ws.grow_count(), grows);  // Debias scratch is part of the arena.
-  for (std::size_t b = 0; b < wrapped.size(); ++b) {
-    EXPECT_TRUE(bit_identical(wrapped[b].signal, first[b]));
+  for (std::size_t b = 0; b < problem.ys.size(); ++b) {
+    EXPECT_TRUE(bit_identical(fista_reconstruct(problem.phi, problem.ys[b], cfg).signal,
+                              first[b]));
     EXPECT_TRUE(bit_identical(first[b], second[b]));
   }
 }

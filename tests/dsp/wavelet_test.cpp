@@ -51,39 +51,29 @@ TEST(Dwt, ZeroLevelsIsIdentity) {
 /// The level cascade as first written: each level runs in `out` and copies
 /// its output back from a full-length scratch.  The copy-free cascade
 /// in dsp::dwt_*_into must reproduce it bit for bit.
-std::vector<double> forward_copy_per_level(const std::vector<double>& x, std::size_t batch,
-                                           int levels) {
+std::vector<double> forward_copy_per_level(const std::vector<double>& x, int levels) {
   const auto& k = kern::ops();
   std::vector<double> out = x;
   std::vector<double> scratch(x.size());
-  std::size_t len = x.size() / batch;
+  std::size_t len = x.size();
   for (int level = 0; level < levels; ++level) {
     const std::size_t half = len / 2;
-    if (batch == 1) {
-      k.dwt_step(out.data(), len, scratch.data(), scratch.data() + half);
-    } else {
-      k.dwt_step_batch(out.data(), len, batch, scratch.data(), scratch.data() + half * batch);
-    }
-    std::copy(scratch.begin(), scratch.begin() + static_cast<long>(len * batch), out.begin());
+    k.dwt_step(out.data(), len, scratch.data(), scratch.data() + half);
+    std::copy(scratch.begin(), scratch.begin() + static_cast<long>(len), out.begin());
     len = half;
   }
   return out;
 }
 
-std::vector<double> inverse_copy_per_level(const std::vector<double>& coeffs,
-                                           std::size_t batch, int levels) {
+std::vector<double> inverse_copy_per_level(const std::vector<double>& coeffs, int levels) {
   const auto& k = kern::ops();
   std::vector<double> out = coeffs;
   std::vector<double> scratch(coeffs.size());
-  std::size_t len = (coeffs.size() / batch) >> levels;
+  std::size_t len = coeffs.size() >> levels;
   for (int level = 0; level < levels; ++level) {
     const std::size_t full = 2 * len;
-    if (batch == 1) {
-      k.idwt_step(out.data(), out.data() + len, len, scratch.data());
-    } else {
-      k.idwt_step_batch(out.data(), out.data() + len * batch, len, batch, scratch.data());
-    }
-    std::copy(scratch.begin(), scratch.begin() + static_cast<long>(full * batch), out.begin());
+    k.idwt_step(out.data(), out.data() + len, len, scratch.data());
+    std::copy(scratch.begin(), scratch.begin() + static_cast<long>(full), out.begin());
     len = full;
   }
   return out;
@@ -95,40 +85,28 @@ bool bit_identical(const std::vector<double>& a, const std::vector<double>& b) {
 }
 
 TEST(Dwt, CopyFreeCascadeMatchesCopyPerLevelReference) {
-  // Every level count, on every available backend, batch widths 1..5 (the
-  // single-window entry points at width 1), with `scratch` exactly
-  // n * batch long and pre-filled with garbage the cascade must not read.
+  // Every level count, on every available backend, with `scratch` exactly
+  // n long and pre-filled with garbage the cascade must not read.
   const kern::Backend previous = kern::active_backend();
   for (const kern::Backend backend : {kern::Backend::kScalar, kern::Backend::kAvx2}) {
     if (!kern::set_backend(backend)) continue;
     sig::Rng rng(9);
     for (const std::size_t n : {8u, 64u, 128u, 512u}) {
-      for (std::size_t batch = 1; batch <= 5; ++batch) {
-        for (int levels = 0; levels <= dwt_max_levels(n); ++levels) {
-          std::vector<double> x(n * batch);
-          for (auto& v : x) v = rng.normal();
-          const auto fwd_ref = forward_copy_per_level(x, batch, levels);
-          const auto inv_ref = inverse_copy_per_level(x, batch, levels);
-          const auto nan = std::numeric_limits<double>::quiet_NaN();
-          std::vector<double> scratch(n * batch, nan);
-          std::vector<double> fwd(n * batch, nan);
-          std::vector<double> inv(n * batch, nan);
-          dwt_forward_batch_into(x, batch, levels, fwd, scratch);
-          dwt_inverse_batch_into(x, batch, levels, inv, scratch);
-          EXPECT_TRUE(bit_identical(fwd, fwd_ref)) << kern::backend_name() << " forward n="
-                                                   << n << " B=" << batch << " L=" << levels;
-          EXPECT_TRUE(bit_identical(inv, inv_ref)) << kern::backend_name() << " inverse n="
-                                                   << n << " B=" << batch << " L=" << levels;
-          if (batch == 1) {
-            std::fill(scratch.begin(), scratch.end(), nan);
-            std::fill(fwd.begin(), fwd.end(), nan);
-            std::fill(inv.begin(), inv.end(), nan);
-            dwt_forward_into(x, levels, fwd, scratch);
-            dwt_inverse_into(x, levels, inv, scratch);
-            EXPECT_TRUE(bit_identical(fwd, fwd_ref)) << kern::backend_name() << " n=" << n;
-            EXPECT_TRUE(bit_identical(inv, inv_ref)) << kern::backend_name() << " n=" << n;
-          }
-        }
+      for (int levels = 0; levels <= dwt_max_levels(n); ++levels) {
+        std::vector<double> x(n);
+        for (auto& v : x) v = rng.normal();
+        const auto fwd_ref = forward_copy_per_level(x, levels);
+        const auto inv_ref = inverse_copy_per_level(x, levels);
+        const auto nan = std::numeric_limits<double>::quiet_NaN();
+        std::vector<double> scratch(n, nan);
+        std::vector<double> fwd(n, nan);
+        std::vector<double> inv(n, nan);
+        dwt_forward_into(x, levels, fwd, scratch);
+        dwt_inverse_into(x, levels, inv, scratch);
+        EXPECT_TRUE(bit_identical(fwd, fwd_ref))
+            << kern::backend_name() << " forward n=" << n << " L=" << levels;
+        EXPECT_TRUE(bit_identical(inv, inv_ref))
+            << kern::backend_name() << " inverse n=" << n << " L=" << levels;
       }
     }
   }

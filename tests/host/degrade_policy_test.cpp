@@ -64,7 +64,6 @@ EngineConfig pressured_engine(DegradePolicy policy) {
   cfg.shed_solve_estimate_ms = 10.0;  // Pin the predictor: no EWMA warmup.
   cfg.degrade_policy = policy;
   cfg.degrade_tiers = {{/*cr_percent=*/70.0, /*iteration_cap=*/20}};
-  cfg.degrade_backlog_deadlines = 1.0;
   return cfg;
 }
 
@@ -162,7 +161,6 @@ TEST(DegradePolicy, DemotionRepricesTheBacklogUnderMeasuredCosts) {
   cfg.slo.deadline_ms = 0.05;  // Any measured backlog overshoots.
   cfg.degrade_policy = DegradePolicy::kCrIter;
   cfg.degrade_tiers = {{/*cr_percent=*/70.0, /*iteration_cap=*/20}};
-  cfg.degrade_backlog_deadlines = 1.0;
   ReconstructionEngine engine(cfg);
 
   auto windows = ecg_windows(5);

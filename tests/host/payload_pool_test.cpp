@@ -166,7 +166,6 @@ TEST(PayloadPool, SteadyStateCyclesAFixedBufferSet) {
   auto pool = std::make_shared<PayloadPool>();
   EngineConfig cfg;
   cfg.payload_pool = pool;
-  cfg.batch_windows = 0;
   ReconstructionEngine engine(cfg);
 
   const auto traffic = patient_windows(3, 4);

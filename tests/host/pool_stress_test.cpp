@@ -73,7 +73,6 @@ TEST(PoolStress, PooledSubmitPollRaceLiveResize) {
   FabricConfig cfg;
   cfg.shards = 2;
   cfg.engine.threads = 2;
-  cfg.engine.batch_windows = 0;
   cfg.engine.payload_pool = pool;
   ReconstructionFabric fabric(cfg);
 

@@ -1,6 +1,6 @@
 // The two-lane priority queue: strict urgent-before-routine pop order,
-// FIFO within a lane, front re-insertion, batched pops, positional victim
-// extraction, and concurrent push/pop without loss.
+// FIFO within a lane, positional victim extraction, and concurrent
+// push/pop without loss.
 #include "host/work_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -34,35 +34,6 @@ TEST(TwoLaneQueue, UrgentAlwaysPopsFirstFifoWithinLane) {
   }
   EXPECT_FALSE(q.try_pop(out));
   EXPECT_TRUE(q.empty());
-}
-
-TEST(TwoLaneQueue, PushFrontPreservesQueueAge) {
-  TwoLaneWorkQueue<int> q;
-  q.push(2, false);
-  q.push(3, false);
-  q.push_front(1, false);  // A consumer hands back what it popped first.
-  q.push_front(10, true);
-
-  int out = 0;
-  const int expected[] = {10, 1, 2, 3};
-  for (const int want : expected) {
-    ASSERT_TRUE(q.try_pop(out));
-    EXPECT_EQ(out, want);
-  }
-}
-
-TEST(TwoLaneQueue, PopSomeDrainsInPriorityOrderUpToTheLimit) {
-  TwoLaneWorkQueue<int> q;
-  for (int i = 0; i < 4; ++i) q.push(i, false);
-  q.push(100, true);
-  q.push(101, true);
-
-  std::vector<int> out;
-  EXPECT_EQ(q.pop_some(out, 4), 4u);
-  EXPECT_EQ(out, (std::vector<int>{100, 101, 0, 1}));
-  EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.pop_some(out, 10), 2u) << "short pop when the backlog runs out";
-  EXPECT_EQ(out.size(), 6u);
 }
 
 TEST(TwoLaneQueue, ExtractBestSeesPopOrderPositionsAndRemovesTheWinner) {

@@ -54,13 +54,10 @@ TEST(Backend, OpsTableFullyPopulated) {
     EXPECT_NE(table->xpby, nullptr);
     EXPECT_NE(table->grad_step, nullptr);
     EXPECT_NE(table->momentum, nullptr);
-    EXPECT_NE(table->fista_step_batch, nullptr);
+    EXPECT_NE(table->fista_step, nullptr);
     EXPECT_NE(table->spmv, nullptr);
-    EXPECT_NE(table->spmv_batch, nullptr);
     EXPECT_NE(table->dwt_step, nullptr);
     EXPECT_NE(table->idwt_step, nullptr);
-    EXPECT_NE(table->dwt_step_batch, nullptr);
-    EXPECT_NE(table->idwt_step_batch, nullptr);
   }
 }
 
@@ -138,32 +135,6 @@ TEST(SpmvPlan, EmptyPlanIsHarmless) {
   std::vector<double> x(4, 1.0);
   ops().spmv(plan, x.data(), &y);  // No outputs: must not touch y.
   EXPECT_EQ(y, 123.0);
-}
-
-TEST(SpmvPlan, BatchLayoutMatchesSingle) {
-  sig::Rng rng(2);
-  std::vector<SpmvTerms> terms;
-  const auto plan = random_plan(13, 29, 6, rng, &terms);
-  constexpr std::size_t kBatch = 5;
-
-  std::vector<std::vector<double>> xs(kBatch, std::vector<double>(29));
-  for (auto& x : xs) {
-    for (auto& v : x) v = rng.normal();
-  }
-  std::vector<double> x_interleaved(29 * kBatch);
-  for (std::size_t i = 0; i < 29; ++i) {
-    for (std::size_t b = 0; b < kBatch; ++b) x_interleaved[i * kBatch + b] = xs[b][i];
-  }
-  std::vector<double> y_batch(13 * kBatch);
-  ops().spmv_batch(plan, x_interleaved.data(), kBatch, y_batch.data());
-
-  for (std::size_t b = 0; b < kBatch; ++b) {
-    std::vector<double> y(13);
-    ops().spmv(plan, xs[b].data(), y.data());
-    for (std::size_t o = 0; o < 13; ++o) {
-      EXPECT_EQ(y[o], y_batch[o * kBatch + b]) << "window " << b << " output " << o;
-    }
-  }
 }
 
 }  // namespace

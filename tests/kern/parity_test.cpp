@@ -1,8 +1,7 @@
 // Randomized dispatch-parity property tests: the scalar and AVX2 backends
 // must produce bit-identical doubles for every kernel, for every size
-// (vector bodies AND tails), and the interleaved batch kernels must
-// reproduce the single-window kernels exactly at any batch width.  This
-// is the test behind the engine's determinism-across-dispatch contract.
+// (vector bodies AND tails).  This is the test behind the engine's
+// determinism-across-dispatch contract.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -95,11 +94,11 @@ TEST(DispatchParity, Elementwise) {
   }
 }
 
-/// Inputs of one fused-FISTA-step call over an interleaved batch.
+/// Inputs of one fused-FISTA-step call.
 struct FistaStepCase {
   std::size_t n = 0;
-  std::size_t batch = 0;
-  std::vector<double> grad, z, a, tau;
+  double tau = 0.0;
+  std::vector<double> grad, z, a;
 };
 
 constexpr double kStepLip = 3.7;
@@ -108,33 +107,32 @@ constexpr double kStepBeta = 0.81;
 /// Random inputs salted with the edge cases of the soft threshold: exact
 /// ±0 everywhere, v = z - grad / lip landing exactly on ±tau (grad = 0,
 /// z = ±tau), values just inside the threshold (whose result is a signed
-/// zero carrying v's sign bit), and a_{k-1} = ±0.
-FistaStepCase fista_step_case(std::size_t n, std::size_t batch, sig::Rng& rng) {
+/// zero carrying v's sign bit), and a_{k-1} = ±0.  `salt` rotates which
+/// element gets which edge case, so small n still meets all of them.
+FistaStepCase fista_step_case(std::size_t n, std::size_t salt, sig::Rng& rng) {
   FistaStepCase c;
   c.n = n;
-  c.batch = batch;
-  c.grad = random_vector(n * batch, rng);
-  c.z = random_vector(n * batch, rng);
-  c.a = random_vector(n * batch, rng);
-  c.tau.resize(batch);
-  for (auto& t : c.tau) t = std::abs(rng.normal()) + 0.1;
-  for (std::size_t j = 0; j < n * batch; ++j) {
-    const double tau = c.tau[j % batch];
+  c.grad = random_vector(n, rng);
+  c.z = random_vector(n, rng);
+  c.a = random_vector(n, rng);
+  c.tau = std::abs(rng.normal()) + 0.1;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t j = i + salt;
     switch (j % 7) {
       case 0:
-        c.grad[j] = 0.0;
-        c.z[j] = (j & 8) ? -tau : tau;
+        c.grad[i] = 0.0;
+        c.z[i] = (j & 8) ? -c.tau : c.tau;
         break;
       case 1:
-        c.grad[j] = (j & 8) ? -0.0 : 0.0;
-        c.z[j] = (j & 16) ? -0.0 : 0.0;
+        c.grad[i] = (j & 8) ? -0.0 : 0.0;
+        c.z[i] = (j & 16) ? -0.0 : 0.0;
         break;
       case 2:
-        c.grad[j] *= 1e-3;
-        c.z[j] *= 1e-3;
+        c.grad[i] *= 1e-3;
+        c.z[i] *= 1e-3;
         break;
       case 3:
-        c.a[j] = (j & 8) ? -0.0 : 0.0;
+        c.a[i] = (j & 8) ? -0.0 : 0.0;
         break;
       default:
         break;
@@ -143,17 +141,17 @@ FistaStepCase fista_step_case(std::size_t n, std::size_t batch, sig::Rng& rng) {
   return c;
 }
 
-/// Output of one fista_step_batch call: the updated z and a plus the
-/// per-window sums.
+/// Output of one fista_step call: the updated z and a plus the sums.
 struct FistaStepOut {
-  std::vector<double> z, a, delta, scale;
+  std::vector<double> z, a;
+  double delta = -1.0;
+  double scale = -1.0;
 };
 
 FistaStepOut run_fista_step(const Ops& table, const FistaStepCase& c) {
-  FistaStepOut out{c.z, c.a, std::vector<double>(c.batch, -1.0),
-                   std::vector<double>(c.batch, -1.0)};
-  table.fista_step_batch(c.grad.data(), kStepLip, c.tau.data(), kStepBeta, c.n, c.batch,
-                         out.z.data(), out.a.data(), out.delta.data(), out.scale.data());
+  FistaStepOut out{c.z, c.a};
+  table.fista_step(c.grad.data(), kStepLip, c.tau, kStepBeta, c.n, out.z.data(),
+                   out.a.data(), &out.delta, &out.scale);
   return out;
 }
 
@@ -163,14 +161,14 @@ TEST(DispatchParity, FistaStepIncludingSignedZerosAndTauBoundary) {
   std::vector<std::size_t> sizes = {127, 128, 512};
   for (std::size_t n = 1; n <= 9; ++n) sizes.push_back(n);
   for (const std::size_t n : sizes) {
-    for (std::size_t batch = 1; batch <= 9; ++batch) {
-      const auto c = fista_step_case(n, batch, rng);
+    for (std::size_t salt = 0; salt < 32; ++salt) {
+      const auto c = fista_step_case(n, salt, rng);
       const auto s = run_fista_step(*scalar_ops(), c);
       const auto v = run_fista_step(*avx2_ops(), c);
-      EXPECT_TRUE(bit_identical(s.z, v.z)) << "z n=" << n << " B=" << batch;
-      EXPECT_TRUE(bit_identical(s.a, v.a)) << "a n=" << n << " B=" << batch;
-      EXPECT_TRUE(bit_identical(s.delta, v.delta)) << "delta n=" << n << " B=" << batch;
-      EXPECT_TRUE(bit_identical(s.scale, v.scale)) << "scale n=" << n << " B=" << batch;
+      EXPECT_TRUE(bit_identical(s.z, v.z)) << "z n=" << n << " salt=" << salt;
+      EXPECT_TRUE(bit_identical(s.a, v.a)) << "a n=" << n << " salt=" << salt;
+      EXPECT_TRUE(bit_identical(s.delta, v.delta)) << "delta n=" << n << " salt=" << salt;
+      EXPECT_TRUE(bit_identical(s.scale, v.scale)) << "scale n=" << n << " salt=" << salt;
     }
   }
 }
@@ -197,54 +195,32 @@ TEST(DispatchParity, Momentum) {
   }
 }
 
-TEST(DispatchParity, FistaStepBatchMatchesSingleAndUnfusedSteps) {
-  // Runs on every available backend.  Each window of a batched call must
-  // equal a batch-1 call on that window alone (the batch-width contract),
-  // and both must equal the unfused sequence the kernel replaces:
-  // grad_step, the soft threshold, then momentum against a_{k-1}.
+TEST(DispatchParity, FistaStepMatchesUnfusedSteps) {
+  // Runs on every available backend: the fused step must equal the
+  // unfused sequence it replaces — grad_step, the soft threshold, then
+  // momentum against a_{k-1}.
   for (const Ops* table : {scalar_ops(), avx2_ops()}) {
     if (table == nullptr || (table == avx2_ops() && !avx2_supported())) continue;
     sig::Rng rng(5);
-    for (const std::size_t batch : {1u, 2u, 4u, 5u, 8u}) {
-      const std::size_t n = 67;
-      const auto c = fista_step_case(n, batch, rng);
-      const auto batched = run_fista_step(*table, c);
-      for (std::size_t b = 0; b < batch; ++b) {
-        FistaStepCase solo;
-        solo.n = n;
-        solo.batch = 1;
-        solo.tau = {c.tau[b]};
-        for (std::size_t i = 0; i < n; ++i) {
-          solo.grad.push_back(c.grad[i * batch + b]);
-          solo.z.push_back(c.z[i * batch + b]);
-          solo.a.push_back(c.a[i * batch + b]);
-        }
-        const auto single = run_fista_step(*table, solo);
+    for (const std::size_t n : {1u, 5u, 67u, 128u}) {
+      const auto c = fista_step_case(n, n, rng);
+      const auto fused = run_fista_step(*table, c);
 
-        std::vector<double> a_new(n);
-        table->grad_step(solo.z.data(), solo.grad.data(), kStepLip, a_new.data(), n);
-        for (auto& v : a_new) {
-          const double mag = std::fabs(v) - c.tau[b];
-          v = std::copysign(mag > 0.0 ? mag : 0.0, v);
-        }
-        std::vector<double> z_new(n);
-        double d = 0.0;
-        double s = 0.0;
-        table->momentum(a_new.data(), solo.a.data(), z_new.data(), kStepBeta, n, &d, &s);
-
-        EXPECT_TRUE(bit_identical(single.a, a_new)) << table->name << " B=" << batch;
-        EXPECT_TRUE(bit_identical(single.z, z_new)) << table->name << " B=" << batch;
-        EXPECT_TRUE(bit_identical(single.delta[0], d)) << table->name << " B=" << batch;
-        EXPECT_TRUE(bit_identical(single.scale[0], s)) << table->name << " B=" << batch;
-        EXPECT_TRUE(bit_identical(batched.delta[b], d)) << table->name << " B=" << batch;
-        EXPECT_TRUE(bit_identical(batched.scale[b], s)) << table->name << " B=" << batch;
-        for (std::size_t i = 0; i < n; ++i) {
-          EXPECT_TRUE(bit_identical(batched.a[i * batch + b], a_new[i]))
-              << table->name << " B=" << batch << " i=" << i;
-          EXPECT_TRUE(bit_identical(batched.z[i * batch + b], z_new[i]))
-              << table->name << " B=" << batch << " i=" << i;
-        }
+      std::vector<double> a_new(n);
+      table->grad_step(c.z.data(), c.grad.data(), kStepLip, a_new.data(), n);
+      for (auto& v : a_new) {
+        const double mag = std::fabs(v) - c.tau;
+        v = std::copysign(mag > 0.0 ? mag : 0.0, v);
       }
+      std::vector<double> z_new(n);
+      double d = 0.0;
+      double s = 0.0;
+      table->momentum(a_new.data(), c.a.data(), z_new.data(), kStepBeta, n, &d, &s);
+
+      EXPECT_TRUE(bit_identical(fused.a, a_new)) << table->name << " n=" << n;
+      EXPECT_TRUE(bit_identical(fused.z, z_new)) << table->name << " n=" << n;
+      EXPECT_TRUE(bit_identical(fused.delta, d)) << table->name << " n=" << n;
+      EXPECT_TRUE(bit_identical(fused.scale, s)) << table->name << " n=" << n;
     }
   }
 }
@@ -294,36 +270,10 @@ TEST(DispatchParity, DwtForwardInverse) {
   }
 }
 
-TEST(DispatchParity, DwtBatchMatchesSingle) {
-  sig::Rng rng(9);
-  for (const std::size_t batch : {1u, 3u, 4u, 8u}) {
-    const std::size_t n = 128;
-    const int levels = 4;
-    std::vector<std::vector<double>> xs(batch);
-    std::vector<double> interleaved(n * batch);
-    for (std::size_t b = 0; b < batch; ++b) {
-      xs[b] = random_vector(n, rng);
-      for (std::size_t i = 0; i < n; ++i) interleaved[i * batch + b] = xs[b][i];
-    }
-    const auto coeffs = dsp::dwt_forward_batch(interleaved, batch, levels);
-    const auto back = dsp::dwt_inverse_batch(coeffs, batch, levels);
-    for (std::size_t b = 0; b < batch; ++b) {
-      const auto solo = dsp::dwt_forward(xs[b], levels);
-      const auto solo_back = dsp::dwt_inverse(solo, levels);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_TRUE(bit_identical(solo[i], coeffs[i * batch + b]))
-            << "B=" << batch << " b=" << b << " i=" << i;
-        EXPECT_TRUE(bit_identical(solo_back[i], back[i * batch + b]))
-            << "B=" << batch << " b=" << b << " i=" << i;
-      }
-    }
-  }
-}
-
 /// End-to-end: full FISTA reconstructions must be bit-identical across
-/// backends at every batch width — the property the host engine's
-/// determinism contract rests on.
-TEST(DispatchParity, FistaEndToEndAcrossBackendsAndBatchWidths) {
+/// backends — the property the host engine's determinism contract rests
+/// on.
+TEST(DispatchParity, FistaEndToEndAcrossBackends) {
   REQUIRE_AVX2();
   BackendGuard guard;
   sig::Rng rng(10);
@@ -346,29 +296,16 @@ TEST(DispatchParity, FistaEndToEndAcrossBackendsAndBatchWidths) {
   cfg.debias_iterations = 8;
 
   ASSERT_TRUE(set_backend(Backend::kScalar));
-  std::vector<cs::FistaResult> solo_scalar;
-  for (const auto& y : ys) solo_scalar.push_back(cs::fista_reconstruct(phi, y, cfg));
+  std::vector<cs::FistaResult> expected;
+  for (const auto& y : ys) expected.push_back(cs::fista_reconstruct(phi, y, cfg));
 
-  for (const Backend backend : {Backend::kScalar, Backend::kAvx2}) {
-    ASSERT_TRUE(set_backend(backend));
-    for (const std::size_t batch : {1u, 4u, 8u}) {
-      for (std::size_t start = 0; start + batch <= kWindows; start += batch) {
-        const std::span<const std::vector<double>> slice(ys.data() + start, batch);
-        const auto results = cs::fista_solve_batch(phi, slice, cfg);
-        for (std::size_t b = 0; b < batch; ++b) {
-          const auto& expected = solo_scalar[start + b];
-          EXPECT_EQ(results[b].iterations_run, expected.iterations_run)
-              << "backend=" << (backend == Backend::kScalar ? "scalar" : "avx2")
-              << " B=" << batch << " window=" << start + b;
-          EXPECT_TRUE(bit_identical(results[b].signal, expected.signal))
-              << "backend=" << (backend == Backend::kScalar ? "scalar" : "avx2")
-              << " B=" << batch << " window=" << start + b;
-          EXPECT_TRUE(bit_identical(results[b].coefficients, expected.coefficients))
-              << "backend=" << (backend == Backend::kScalar ? "scalar" : "avx2")
-              << " B=" << batch << " window=" << start + b;
-        }
-      }
-    }
+  ASSERT_TRUE(set_backend(Backend::kAvx2));
+  for (std::size_t w = 0; w < kWindows; ++w) {
+    const auto result = cs::fista_reconstruct(phi, ys[w], cfg);
+    EXPECT_EQ(result.iterations_run, expected[w].iterations_run) << "window " << w;
+    EXPECT_TRUE(bit_identical(result.signal, expected[w].signal)) << "window " << w;
+    EXPECT_TRUE(bit_identical(result.coefficients, expected[w].coefficients))
+        << "window " << w;
   }
 }
 
