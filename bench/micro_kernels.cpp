@@ -5,7 +5,7 @@
 //    catch algorithmic blow-ups);
 //  * host-side reconstruction hot path: the kern-layer kernels
 //    (apply/adjoint/DWT/FISTA) benchmarked per backend — benchmarks named
-//    .../scalar and .../avx2 pin the dispatch, so the pair measures the
+//    .../avx2:0 and .../avx2:1 pin the dispatch, so the pair measures the
 //    SIMD speedup directly — plus the streaming engine's submit/poll
 //    round trip.  AVX2 variants report "AVX2 unavailable" on hosts
 //    without it.
@@ -148,28 +148,70 @@ std::vector<double> bench_window(std::uint64_t seed) {
   return x;
 }
 
-void BM_KernApply(benchmark::State& state) {
-  BackendPin pin(state, backend_of(state));
-  const auto phi = bench_matrix();
+/// Operator benches run the allocation-free apply_into /
+/// apply_adjoint_into on preallocated buffers, so they time the kernel
+/// alone.  Items are the operator's non-zeros.
+void run_apply(benchmark::State& state, const cs::SensingMatrix& phi) {
   const auto x = bench_window(11);
+  std::vector<double> y(phi.rows());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(phi.apply(x));
+    phi.apply_into(x, y);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(phi.nonzeros()));
+}
+
+void run_apply_adjoint(benchmark::State& state, const cs::SensingMatrix& phi) {
+  const auto window = bench_window(12);
+  const std::vector<double> y(window.begin(), window.begin() + static_cast<long>(phi.rows()));
+  std::vector<double> x(phi.cols());
+  for (auto _ : state) {
+    phi.apply_adjoint_into(y, x);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(phi.nonzeros()));
+}
+
+/// The steady d = 4 operator.  One implementation serves both backends;
+/// the avx2 argument stays so these names keep their baseline entries.
+void BM_KernApply(benchmark::State& state) {
+  BackendPin pin(state, backend_of(state));
+  run_apply(state, bench_matrix());
 }
 BENCHMARK(BM_KernApply)->ArgName("avx2")->Arg(0)->Arg(1);
 
 void BM_KernApplyAdjoint(benchmark::State& state) {
   BackendPin pin(state, backend_of(state));
-  const auto phi = bench_matrix();
-  const auto y = bench_window(12);
-  const std::vector<double> ym(y.begin(), y.begin() + kRowsCr50);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(phi.apply_adjoint(ym));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(phi.nonzeros()));
+  run_apply_adjoint(state, bench_matrix());
 }
 BENCHMARK(BM_KernApplyAdjoint)->ArgName("avx2")->Arg(0)->Arg(1);
+
+/// Operators on the generic loop: the degrade tier's row-truncated
+/// operator (the CR-50 matrix cut to the CR-70 row count, ragged columns)
+/// and the dense ±1 Bernoulli ablation operator.
+enum class GenericOperator { kTruncated, kBernoulli };
+
+cs::SensingMatrix generic_operator(GenericOperator which) {
+  if (which == GenericOperator::kTruncated) {
+    return bench_matrix().truncated(cs::rows_for_cr(70.0, kWindow));
+  }
+  sig::Rng rng(8);
+  return cs::SensingMatrix::make_bernoulli(kRowsCr50, kWindow, rng);
+}
+
+void BM_KernApplyGeneric(benchmark::State& state, GenericOperator which) {
+  run_apply(state, generic_operator(which));
+}
+BENCHMARK_CAPTURE(BM_KernApplyGeneric, truncated, GenericOperator::kTruncated);
+BENCHMARK_CAPTURE(BM_KernApplyGeneric, bernoulli, GenericOperator::kBernoulli);
+
+void BM_KernApplyAdjointGeneric(benchmark::State& state, GenericOperator which) {
+  run_apply_adjoint(state, generic_operator(which));
+}
+BENCHMARK_CAPTURE(BM_KernApplyAdjointGeneric, truncated, GenericOperator::kTruncated);
+BENCHMARK_CAPTURE(BM_KernApplyAdjointGeneric, bernoulli, GenericOperator::kBernoulli);
 
 void BM_KernDwtForward(benchmark::State& state) {
   BackendPin pin(state, backend_of(state));

@@ -3,20 +3,31 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "kern/backend.hpp"
 
 namespace wbsn::cs {
 
+namespace {
+
+void check_shape(std::size_t m, std::size_t n) {
+  if (m > kMaxSensingRows || n > kMaxSensingCols) {
+    throw std::length_error("SensingMatrix: shape past the 16-bit entry indices");
+  }
+}
+
+}  // namespace
+
 SensingMatrix SensingMatrix::make_sparse_binary(std::size_t m, std::size_t n,
                                                 std::size_t ones_per_column, sig::Rng& rng) {
   assert(ones_per_column >= 1 && ones_per_column <= m);
+  check_shape(m, n);
   SensingMatrix mat(m, n);
-  mat.col_start_.reserve(n + 1);
-  mat.entries_.reserve(n * ones_per_column);
+  mat.rows_.reserve(n * ones_per_column);
+  mat.cols_.reserve(n * ones_per_column);
   std::vector<std::uint16_t> rows(ones_per_column);
   for (std::size_t c = 0; c < n; ++c) {
-    mat.col_start_.push_back(static_cast<std::uint32_t>(mat.entries_.size()));
     // Sample `ones_per_column` distinct rows (Floyd's algorithm would be
     // overkill at these sizes; rejection is fine for d << m).
     std::size_t placed = 0;
@@ -29,151 +40,139 @@ SensingMatrix SensingMatrix::make_sparse_binary(std::size_t m, std::size_t n,
       }
       rows[placed++] = r;
     }
-    for (std::size_t i = 0; i < ones_per_column; ++i) {
-      mat.entries_.push_back({rows[i], +1});
-    }
+    mat.rows_.insert(mat.rows_.end(), rows.begin(), rows.end());
+    mat.cols_.insert(mat.cols_.end(), ones_per_column, static_cast<std::uint16_t>(c));
   }
-  mat.col_start_.push_back(static_cast<std::uint32_t>(mat.entries_.size()));
-  mat.build_plans();
+  mat.finish();
   return mat;
 }
 
 SensingMatrix SensingMatrix::make_bernoulli(std::size_t m, std::size_t n, sig::Rng& rng) {
+  check_shape(m, n);
   SensingMatrix mat(m, n);
-  mat.has_negative_ = true;
-  mat.col_start_.reserve(n + 1);
-  mat.entries_.reserve(n * m);
+  mat.rows_.reserve(n * m);
+  mat.cols_.reserve(n * m);
+  mat.signs_.reserve(n * m);
   for (std::size_t c = 0; c < n; ++c) {
-    mat.col_start_.push_back(static_cast<std::uint32_t>(mat.entries_.size()));
     for (std::size_t r = 0; r < m; ++r) {
-      mat.entries_.push_back(
-          {static_cast<std::uint16_t>(r), rng.bernoulli(0.5) ? std::int8_t{1} : std::int8_t{-1}});
+      mat.rows_.push_back(static_cast<std::uint16_t>(r));
+      mat.cols_.push_back(static_cast<std::uint16_t>(c));
+      mat.signs_.push_back(rng.bernoulli(0.5) ? std::int8_t{1} : std::int8_t{-1});
     }
   }
-  mat.col_start_.push_back(static_cast<std::uint32_t>(mat.entries_.size()));
-  mat.build_plans();
+  mat.finish();
   return mat;
 }
 
 SensingMatrix SensingMatrix::truncated(std::size_t m_eff) const {
   assert(m_eff >= 1 && m_eff <= m_);
   SensingMatrix mat(m_eff, n_);
-  mat.has_negative_ = has_negative_;
-  mat.col_start_.reserve(n_ + 1);
-  mat.entries_.reserve(entries_.size());
-  for (std::size_t c = 0; c < n_; ++c) {
-    mat.col_start_.push_back(static_cast<std::uint32_t>(mat.entries_.size()));
-    for (std::uint32_t e = col_start_[c]; e < col_start_[c + 1]; ++e) {
-      if (entries_[e].row < m_eff) mat.entries_.push_back(entries_[e]);
-    }
+  mat.rows_.reserve(rows_.size());
+  mat.cols_.reserve(cols_.size());
+  mat.signs_.reserve(signs_.size());
+  for (std::size_t e = 0; e < rows_.size(); ++e) {
+    if (rows_[e] >= m_eff) continue;
+    mat.rows_.push_back(rows_[e]);
+    mat.cols_.push_back(cols_[e]);
+    if (!signs_.empty()) mat.signs_.push_back(signs_[e]);
   }
-  mat.col_start_.push_back(static_cast<std::uint32_t>(mat.entries_.size()));
-  // Rebuilds the packed plans AND the Lipschitz constant: dropping rows
-  // shrinks the operator's largest singular value, and a solve stepping
-  // with the full-operator constant would converge needlessly slowly.
-  mat.build_plans();
+  // Recomputes the Lipschitz constant: dropping rows shrinks the
+  // operator's largest singular value, and a solve stepping with the
+  // full-operator constant would converge needlessly slowly.
+  mat.finish();
   return mat;
 }
 
-void SensingMatrix::build_plans() {
-  // Adjoint outputs are the columns — the entry lists are already
-  // column-major, so each output's canonical term order is the stored
-  // entry order.
-  std::vector<kern::SpmvTerms> cols(n_);
-  for (std::size_t c = 0; c < n_; ++c) {
-    cols[c].reserve(col_start_[c + 1] - col_start_[c]);
-    for (std::uint32_t e = col_start_[c]; e < col_start_[c + 1]; ++e) {
-      cols[c].emplace_back(static_cast<std::int32_t>(entries_[e].row),
-                           static_cast<double>(entries_[e].sign));
-    }
+void SensingMatrix::finish() {
+  // Uniform iff every column holds nonzeros() / n_ entries.
+  ones_per_column_ = n_ > 0 && rows_.size() % n_ == 0 ? rows_.size() / n_ : 0;
+  for (std::size_t e = 0; e < cols_.size() && ones_per_column_ > 0; ++e) {
+    if (cols_[e] != e / ones_per_column_) ones_per_column_ = 0;
   }
-  adjoint_plan_ = kern::build_spmv_plan(m_, cols);
-
-  // Apply outputs are the rows; scanning columns in ascending order gives
-  // each row its terms in ascending-column order, the same order the
-  // original scatter loop accumulated in.
-  std::vector<kern::SpmvTerms> rows(m_);
-  for (std::size_t c = 0; c < n_; ++c) {
-    for (std::uint32_t e = col_start_[c]; e < col_start_[c + 1]; ++e) {
-      rows[entries_[e].row].emplace_back(static_cast<std::int32_t>(c),
-                                         static_cast<double>(entries_[e].sign));
-    }
-  }
-  apply_plan_ = kern::build_spmv_plan(n_, rows);
 
   // Power iteration for the Lipschitz constant, cached so solves never
-  // recompute it.  Arithmetic (and thus bits) matches the historical
-  // per-solve loop exactly: w = Phi'(Phi v), lambda = ||w||, v = w / lambda,
-  // 40 rounds from the all-ones start.  Backend-independent by the kern
-  // parity contract.
-  const auto& k = kern::ops();
+  // recompute it: w = Phi'(Phi v), lambda = ||w||, v = w / lambda, 40
+  // rounds from the all-ones start.  Backend-independent: the operator
+  // kernels have one implementation and nrm2_sq is bit-identical across
+  // backends.
+  const kern::SparseColumns a = columns();
   std::vector<double> v(n_, 1.0);
   std::vector<double> wm(m_);
   std::vector<double> wn(n_);
   double lambda = 1.0;
   lipschitz_ = 1.0;
   for (int it = 0; it < 40; ++it) {
-    k.spmv(apply_plan_, v.data(), wm.data());
-    k.spmv(adjoint_plan_, wm.data(), wn.data());
-    lambda = std::sqrt(k.nrm2_sq(wn.data(), n_));
+    kern::sparse_apply(a, v.data(), wm.data());
+    kern::sparse_apply_adjoint(a, wm.data(), wn.data());
+    lambda = std::sqrt(kern::ops().nrm2_sq(wn.data(), n_));
     if (lambda <= 0.0) return;  // Degenerate: keep lipschitz_ = 1.0.
     for (std::size_t i = 0; i < n_; ++i) v[i] = wn[i] / lambda;
   }
   lipschitz_ = std::max(lambda, 1e-9);
 }
 
+kern::SparseColumns SensingMatrix::columns() const {
+  kern::SparseColumns a;
+  a.rows = m_;
+  a.cols = n_;
+  a.entries = rows_.size();
+  a.row = rows_.data();
+  a.col = cols_.data();
+  a.sign = signs_.empty() ? nullptr : signs_.data();
+  a.ones_per_column = ones_per_column_;
+  return a;
+}
+
 std::vector<std::int64_t> SensingMatrix::encode(std::span<const std::int32_t> x,
                                                 dsp::OpCount* ops) const {
   assert(x.size() == n_);
-  dsp::OpCount local;
   std::vector<std::int64_t> y(m_, 0);
-  for (std::size_t c = 0; c < n_; ++c) {
-    const auto v = static_cast<std::int64_t>(x[c]);
-    local.load += 1;
-    for (std::uint32_t e = col_start_[c]; e < col_start_[c + 1]; ++e) {
-      const auto& entry = entries_[e];
-      if (entry.sign > 0) {
-        y[entry.row] += v;
-      } else {
-        y[entry.row] -= v;
-      }
-      local.add += 1;
-      local.load += 2;
-      local.store += 1;
+  for (std::size_t e = 0; e < rows_.size(); ++e) {
+    const auto v = static_cast<std::int64_t>(x[cols_[e]]);
+    if (signs_.empty() || signs_[e] > 0) {
+      y[rows_[e]] += v;
+    } else {
+      y[rows_[e]] -= v;
     }
   }
-  if (ops != nullptr) *ops += local;
+  if (ops != nullptr) {
+    // One sample load per column; per entry one add and the
+    // load/load/store of the accumulator update.
+    dsp::OpCount local;
+    local.load = n_ + 2 * rows_.size();
+    local.add = rows_.size();
+    local.store = rows_.size();
+    *ops += local;
+  }
   return y;
 }
 
 std::vector<double> SensingMatrix::apply(std::span<const double> x) const {
-  assert(x.size() == n_);
   std::vector<double> y(m_);
-  kern::ops().spmv(apply_plan_, x.data(), y.data());
+  apply_into(x, y);
   return y;
 }
 
 std::vector<double> SensingMatrix::apply_adjoint(std::span<const double> y) const {
-  assert(y.size() == m_);
   std::vector<double> x(n_);
-  kern::ops().spmv(adjoint_plan_, y.data(), x.data());
+  apply_adjoint_into(y, x);
   return x;
 }
 
 void SensingMatrix::apply_into(std::span<const double> x, std::span<double> y) const {
   assert(x.size() == n_ && y.size() == m_);
-  kern::ops().spmv(apply_plan_, x.data(), y.data());
+  kern::sparse_apply(columns(), x.data(), y.data());
 }
 
 void SensingMatrix::apply_adjoint_into(std::span<const double> y, std::span<double> x) const {
   assert(y.size() == m_ && x.size() == n_);
-  kern::ops().spmv(adjoint_plan_, y.data(), x.data());
+  kern::sparse_apply_adjoint(columns(), y.data(), x.data());
 }
 
 std::size_t SensingMatrix::storage_bytes() const {
   // 16-bit row index per non-zero; +1 bit per entry for signs if any.
-  std::size_t bytes = entries_.size() * 2;
-  if (has_negative_) bytes += (entries_.size() + 7) / 8;
+  std::size_t bytes = rows_.size() * 2;
+  if (!signs_.empty()) bytes += (signs_.size() + 7) / 8;
   return bytes;
 }
 

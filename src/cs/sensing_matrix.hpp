@@ -13,13 +13,20 @@
 #include <vector>
 
 #include "dsp/opcount.hpp"
-#include "kern/spmv_plan.hpp"
+#include "kern/sparse_columns.hpp"
 #include "sig/rng.hpp"
 
 namespace wbsn::cs {
 
-/// m x n sensing operator, stored column-wise as row-index lists with
-/// +/-1 signs (sparse binary matrices use sign = +1 everywhere).
+/// Largest row and column counts a SensingMatrix can index: each entry
+/// stores its row and column as 16-bit indices.  The factories throw
+/// std::length_error past them.
+inline constexpr std::size_t kMaxSensingRows = 65536;
+inline constexpr std::size_t kMaxSensingCols = 65536;
+
+/// m x n sensing operator, stored as its ones in column-major order: the
+/// row and column of each entry, plus an optional +/-1 sign per entry
+/// (sparse binary matrices store no signs).
 class SensingMatrix {
  public:
   /// Sparse binary: exactly `ones_per_column` ones in random rows of each
@@ -32,8 +39,8 @@ class SensingMatrix {
 
   /// The operator restricted to its first `m_eff` rows: column entries
   /// with row >= m_eff are dropped (so columns may carry fewer than d
-  /// ones) and the plans — including the Lipschitz constant — are rebuilt
-  /// for the truncated shape.  This is how the host degrades a window to a
+  /// ones) and the Lipschitz constant is recomputed for the truncated
+  /// shape.  This is how the host degrades a window to a
   /// higher compression ratio without the node re-encoding: solving the
   /// first m_eff measurements against the truncated operator is exactly
   /// the problem a shorter measurement vector would have posed.  Pure
@@ -43,15 +50,15 @@ class SensingMatrix {
 
   std::size_t rows() const { return m_; }
   std::size_t cols() const { return n_; }
-  std::size_t nonzeros() const { return entries_.size(); }
+  std::size_t nonzeros() const { return rows_.size(); }
 
   /// Node-side encode: y = Phi x over integers (adds/subs only).
   std::vector<std::int64_t> encode(std::span<const std::int32_t> x,
                                    dsp::OpCount* ops = nullptr) const;
 
-  /// Host-side apply / adjoint in double precision (for the solver).
-  /// Routed through the kern layer's packed spmv plans — bit-identical
-  /// across the scalar and AVX2 backends.
+  /// Host-side apply / adjoint in double precision (for the solver), run
+  /// straight from the stored row indices by the kern layer's sparse
+  /// column kernels — one implementation for every backend.
   std::vector<double> apply(std::span<const double> x) const;
   std::vector<double> apply_adjoint(std::span<const double> y) const;
 
@@ -60,10 +67,14 @@ class SensingMatrix {
   void apply_into(std::span<const double> x, std::span<double> y) const;
   void apply_adjoint_into(std::span<const double> y, std::span<double> x) const;
 
+  /// The stored layout, as the kern operator kernels read it (valid while
+  /// this matrix lives).
+  kern::SparseColumns columns() const;
+
   /// Lipschitz constant of the composed operator's gradient (largest
   /// squared singular value, 40 power iterations) — computed once at
   /// construction so solves never pay for it.  Bit-identical to the
-  /// historical per-solve power iteration: same kernels, same order.
+  /// historical per-solve power iteration: same sums, same order.
   double lipschitz() const { return lipschitz_; }
 
   /// Bytes of node ROM needed to store the matrix (row indices, 16-bit,
@@ -73,23 +84,18 @@ class SensingMatrix {
  private:
   SensingMatrix(std::size_t m, std::size_t n) : m_(m), n_(n) {}
 
-  /// Builds the packed apply/adjoint plans from entries_; called once by
-  /// each factory so the matrix is immutable — and safely shared across
-  /// solver threads — from then on.
-  void build_plans();
+  /// Records the uniform column weight and caches the Lipschitz constant;
+  /// called once by each factory so the matrix is immutable — and safely
+  /// shared across solver threads — from then on.
+  void finish();
 
-  struct Entry {
-    std::uint16_t row;
-    std::int8_t sign;
-  };
   std::size_t m_ = 0;
   std::size_t n_ = 0;
-  std::vector<std::uint32_t> col_start_;  ///< n_+1 offsets into entries_.
-  std::vector<Entry> entries_;
-  bool has_negative_ = false;
-  double lipschitz_ = 1.0;       ///< Cached by build_plans().
-  kern::SpmvPlan apply_plan_;    ///< Row-major packing (outputs = rows).
-  kern::SpmvPlan adjoint_plan_;  ///< Column-major packing (outputs = cols).
+  std::vector<std::uint16_t> rows_;  ///< Row of each entry.
+  std::vector<std::uint16_t> cols_;  ///< Column of each entry (non-decreasing).
+  std::vector<std::int8_t> signs_;   ///< ±1 per entry; empty if all +1.
+  std::size_t ones_per_column_ = 0;  ///< Uniform column weight, else 0.
+  double lipschitz_ = 1.0;           ///< Cached by finish().
 };
 
 /// Compression ratio (%) for a window of n samples measured with m rows:

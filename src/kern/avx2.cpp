@@ -4,8 +4,6 @@
 //   * reductions keep 4 lane accumulators (lane l ← elements i ≡ l mod 4)
 //     and fold them as (s0 + s2) + (s1 + s3), which is exactly what the
 //     extract-128/add/fold epilogue below computes;
-//   * spmv walks each block's taps in plan order, one 4-lane gather per
-//     tap group;
 //   * DWT outputs evaluate the same pairwise mul/add trees;
 //   * no FMA instructions are used anywhere (this TU is compiled with
 //     -mavx2 only, plus -ffp-contract=off), so every rounding matches the
@@ -169,93 +167,6 @@ void fista_step_avx2(const double* grad, double lip, double tau, double beta, st
   *scale_sq = ref::reduce_lanes(lanes_s);
 }
 
-/// One tap group: gather the 4 lane inputs and weight by the signs.
-/// Masked gather with an explicit all-ones mask: same semantics as
-/// _mm256_i32gather_pd, but GCC's expansion of the unmasked form trips
-/// -Wmaybe-uninitialized on the undefined pass-through source.
-/// kSigned = false skips the sign multiply for uniform_positive plans
-/// (1.0 * v == v bit-exactly, so the result is unchanged).
-template <bool kSigned>
-__m256d spmv_term(const SpmvPlan& plan, const double* x, std::size_t tap_group) {
-  const std::size_t t = tap_group * SpmvPlan::kLanes;
-  const std::int32_t* idx = plan.idx.data() + t;
-  // Manual load+insert rather than vgatherdpd: the gather instruction's
-  // throughput is no better than four port-bound scalar loads, and on
-  // parts carrying the Downfall (GDS) mitigation it is far worse.
-  const __m128d lo =
-      _mm_loadh_pd(_mm_load_sd(x + idx[0]), x + idx[1]);
-  const __m128d hi =
-      _mm_loadh_pd(_mm_load_sd(x + idx[2]), x + idx[3]);
-  const __m256d gathered = _mm256_insertf128_pd(_mm256_castpd128_pd256(lo), hi, 1);
-  if constexpr (kSigned) {
-    return _mm256_mul_pd(_mm256_loadu_pd(plan.sgn.data() + t), gathered);
-  } else {
-    return gathered;
-  }
-}
-
-template <bool kSigned>
-void spmv_avx2_impl(const SpmvPlan& plan, const double* x, double* y) {
-  const std::size_t full_blocks = plan.num_outputs / SpmvPlan::kLanes;
-  std::size_t blk = 0;
-  // Four blocks in flight: each block's accumulation is a serial FP add
-  // chain gated by gather latency, so interleaving independent chains
-  // keeps the gather ports busy.  Per-block tap order is untouched.
-  for (; blk + 4 <= full_blocks; blk += 4) {
-    const std::uint32_t s0 = plan.block_tap_start[blk];
-    const std::uint32_t s1 = plan.block_tap_start[blk + 1];
-    const std::uint32_t s2 = plan.block_tap_start[blk + 2];
-    const std::uint32_t s3 = plan.block_tap_start[blk + 3];
-    const std::uint32_t s4 = plan.block_tap_start[blk + 4];
-    __m256d acc0 = _mm256_setzero_pd();
-    __m256d acc1 = _mm256_setzero_pd();
-    __m256d acc2 = _mm256_setzero_pd();
-    __m256d acc3 = _mm256_setzero_pd();
-    const std::uint32_t joint =
-        std::min(std::min(s1 - s0, s2 - s1), std::min(s3 - s2, s4 - s3));
-    for (std::uint32_t s = 0; s < joint; ++s) {
-      acc0 = _mm256_add_pd(acc0, spmv_term<kSigned>(plan, x, s0 + s));
-      acc1 = _mm256_add_pd(acc1, spmv_term<kSigned>(plan, x, s1 + s));
-      acc2 = _mm256_add_pd(acc2, spmv_term<kSigned>(plan, x, s2 + s));
-      acc3 = _mm256_add_pd(acc3, spmv_term<kSigned>(plan, x, s3 + s));
-    }
-    for (std::uint32_t g = s0 + joint; g < s1; ++g) {
-      acc0 = _mm256_add_pd(acc0, spmv_term<kSigned>(plan, x, g));
-    }
-    for (std::uint32_t g = s1 + joint; g < s2; ++g) {
-      acc1 = _mm256_add_pd(acc1, spmv_term<kSigned>(plan, x, g));
-    }
-    for (std::uint32_t g = s2 + joint; g < s3; ++g) {
-      acc2 = _mm256_add_pd(acc2, spmv_term<kSigned>(plan, x, g));
-    }
-    for (std::uint32_t g = s3 + joint; g < s4; ++g) {
-      acc3 = _mm256_add_pd(acc3, spmv_term<kSigned>(plan, x, g));
-    }
-    _mm256_storeu_pd(y + blk * SpmvPlan::kLanes, acc0);
-    _mm256_storeu_pd(y + (blk + 1) * SpmvPlan::kLanes, acc1);
-    _mm256_storeu_pd(y + (blk + 2) * SpmvPlan::kLanes, acc2);
-    _mm256_storeu_pd(y + (blk + 3) * SpmvPlan::kLanes, acc3);
-  }
-  for (; blk < full_blocks; ++blk) {
-    __m256d acc = _mm256_setzero_pd();
-    for (std::uint32_t g = plan.block_tap_start[blk]; g < plan.block_tap_start[blk + 1]; ++g) {
-      acc = _mm256_add_pd(acc, spmv_term<kSigned>(plan, x, g));
-    }
-    _mm256_storeu_pd(y + blk * SpmvPlan::kLanes, acc);
-  }
-  for (std::size_t o = full_blocks * SpmvPlan::kLanes; o < plan.num_outputs; ++o) {
-    y[o] = ref::spmv_output(plan, x, o / SpmvPlan::kLanes, o % SpmvPlan::kLanes);
-  }
-}
-
-void spmv_avx2(const SpmvPlan& plan, const double* x, double* y) {
-  if (plan.uniform_positive) {
-    spmv_avx2_impl<false>(plan, x, y);
-  } else {
-    spmv_avx2_impl<true>(plan, x, y);
-  }
-}
-
 /// Deinterleaves 8 consecutive doubles starting at p into even/odd lanes:
 /// even = (p0, p2, p4, p6), odd = (p1, p3, p5, p7).
 void load_deinterleave(const double* p, __m256d* even, __m256d* odd) {
@@ -360,7 +271,6 @@ constexpr Ops kAvx2Ops = {
     grad_step_avx2,
     momentum_avx2,
     fista_step_avx2,
-    spmv_avx2,
     dwt_step_avx2,
     idwt_step_avx2,
 };

@@ -1,11 +1,11 @@
 // Runtime-dispatched numeric kernels for the FISTA hot path.
 //
-// The reconstruction inner loop is dominated by four kernel families —
-// sensing-matrix apply/adjoint (spmv over the packed ±1 plans), the Db4
-// DWT lifting steps, the fused FISTA step (gradient step, soft threshold,
-// momentum and the stopping-test sums in one pass over the coefficients),
-// and the BLAS-1 reductions.  This layer owns them behind an Ops table
-// with two backends:
+// Besides the sensing operator (sparse_columns.hpp: one implementation
+// for every backend), the reconstruction inner loop runs three kernel
+// families — the Db4 DWT lifting steps, the fused FISTA step (gradient
+// step, soft threshold, momentum and the stopping-test sums in one pass
+// over the coefficients), and the BLAS-1 reductions.  This layer owns
+// them behind an Ops table with two backends:
 //
 //   * scalar — portable reference, runs anywhere;
 //   * avx2   — x86 AVX2 intrinsics, selected at startup via CPUID.
@@ -20,7 +20,6 @@
 //     elements i ≡ l (mod 4), and reduce as (s0 + s2) + (s1 + s3) —
 //     exactly the AVX2 register layout and its extract-fold, which the
 //     scalar backend emulates.
-//   * Spmv outputs sum their plan taps sequentially (see spmv_plan.hpp).
 //   * DWT outputs use the fixed pairwise tree (c0·x0 + c1·x1) + (c2·x2 +
 //     c3·x3).
 //   * Elementwise kernels are single-rounded expressions (no FMA; the
@@ -28,8 +27,6 @@
 #pragma once
 
 #include <cstddef>
-
-#include "kern/spmv_plan.hpp"
 
 namespace wbsn::kern {
 
@@ -67,10 +64,6 @@ struct Ops {
   /// run one after another.
   void (*fista_step)(const double* grad, double lip, double tau, double beta, std::size_t n,
                      double* z, double* a, double* delta_sq, double* scale_sq);
-
-  // --- Sparse sensing operator ---------------------------------------------
-  /// y[o] = Σ_taps sgn · x[idx] over the plan (y fully overwritten).
-  void (*spmv)(const SpmvPlan& plan, const double* x, double* y);
 
   // --- Daubechies-4 DWT steps (periodized) ---------------------------------
   /// approx[k] / detail[k] from x[2k..2k+3 mod n]; n even, half = n / 2.

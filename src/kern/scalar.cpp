@@ -16,7 +16,6 @@ constexpr Ops kScalarOps = {
     ref::grad_step,
     ref::momentum,
     ref::fista_step,
-    ref::spmv,
     ref::dwt_step,
     ref::idwt_step,
 };

@@ -10,8 +10,6 @@
 #include <cmath>
 #include <cstddef>
 
-#include "kern/spmv_plan.hpp"
-
 namespace wbsn::kern::ref {
 
 /// Canonical fold of the 4 lane accumulators: matches the AVX2
@@ -89,24 +87,6 @@ inline void fista_step(const double* grad, double lip, double tau, double beta,
   }
   *delta_sq = reduce_lanes(acc_d);
   *scale_sq = reduce_lanes(acc_s);
-}
-
-/// One plan output, summed sequentially over its taps (including pads).
-inline double spmv_output(const SpmvPlan& plan, const double* x, std::size_t block,
-                          std::size_t lane) {
-  double acc = 0.0;
-  for (std::uint32_t g = plan.block_tap_start[block]; g < plan.block_tap_start[block + 1];
-       ++g) {
-    const std::size_t t = static_cast<std::size_t>(g) * SpmvPlan::kLanes + lane;
-    acc += plan.sgn[t] * x[plan.idx[t]];
-  }
-  return acc;
-}
-
-inline void spmv(const SpmvPlan& plan, const double* x, double* y) {
-  for (std::size_t o = 0; o < plan.num_outputs; ++o) {
-    y[o] = spmv_output(plan, x, o / SpmvPlan::kLanes, o % SpmvPlan::kLanes);
-  }
 }
 
 // Daubechies-4 orthonormal filter pair (two vanishing moments).

@@ -45,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "cs/sensing_matrix.hpp"
 #include "host/coordinator.hpp"
 #include "host/reconstruction_engine.hpp"
 #include "host/slo_tracker.hpp"
@@ -289,6 +290,8 @@ inline constexpr std::uint8_t kSubmitFlagBlocking = 0x01;
 /// sensing-matrix build loop forever (d > m) or read past a buffer.
 inline constexpr std::uint32_t kMaxWindowSamples = 4096;
 inline constexpr std::uint32_t kMaxOnesPerColumn = 64;
+static_assert(kMaxWindowSamples <= cs::kMaxSensingRows,
+              "every decodable window must fit the sensing matrix's 16-bit row indices");
 
 /// One per-window outcome inside a SUBMIT_BATCH_ACK.
 struct SubmitBatchAckEntry {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <stdexcept>
 #include <vector>
 
 namespace wbsn::cs {
@@ -67,6 +69,22 @@ TEST(SensingMatrix, SparseBinaryStorageTiny) {
   // 512 cols x 4 entries x 2 bytes = 4 kB vs 128 kB + signs for dense.
   EXPECT_EQ(sparse.storage_bytes(), 512u * 4u * 2u);
   EXPECT_GT(dense.storage_bytes(), 30u * sparse.storage_bytes());
+}
+
+TEST(SensingMatrix, ShapeIsBoundedByTheSixteenBitEntryIndices) {
+  // 65536 rows is the most a 16-bit row index addresses: the last row is
+  // reachable, and one row (or column) more is refused instead of
+  // wrapping to index 0.
+  sig::Rng rng(8);
+  const auto widest = SensingMatrix::make_bernoulli(kMaxSensingRows, 1, rng);
+  const auto y = widest.encode(std::vector<std::int32_t>{7});
+  EXPECT_EQ(std::abs(y.back()), 7);
+  EXPECT_EQ(widest.apply(std::vector<double>{7.0}).back(), static_cast<double>(y.back()));
+  EXPECT_THROW(SensingMatrix::make_bernoulli(kMaxSensingRows + 1, 1, rng), std::length_error);
+  EXPECT_THROW(SensingMatrix::make_sparse_binary(kMaxSensingRows + 1, 1, 1, rng),
+               std::length_error);
+  EXPECT_THROW(SensingMatrix::make_sparse_binary(1, kMaxSensingCols + 1, 1, rng),
+               std::length_error);
 }
 
 TEST(CompressionRatio, Definition) {
