@@ -225,6 +225,31 @@ TEST(DispatchParity, FistaStepMatchesUnfusedSteps) {
   }
 }
 
+TEST(DispatchParity, SensingMatrixApplyAdjoint) {
+  REQUIRE_AVX2();
+  BackendGuard guard;
+  sig::Rng mrng(6);
+  sig::Rng xrng(7);
+  // Sparse binary (the fixed d = 4 loop) and Bernoulli (the signed
+  // entry-list loop): the operator's bits must not depend on the backend.
+  const auto sparse = cs::SensingMatrix::make_sparse_binary(100, 256, 4, mrng);
+  const auto dense = cs::SensingMatrix::make_bernoulli(24, 64, mrng);
+  for (const auto* phi : {&sparse, &dense}) {
+    const auto x = random_vector(phi->cols(), xrng);
+    const auto y = random_vector(phi->rows(), xrng);
+
+    ASSERT_TRUE(set_backend(Backend::kScalar));
+    const auto ax_scalar = phi->apply(x);
+    const auto aty_scalar = phi->apply_adjoint(y);
+    ASSERT_TRUE(set_backend(Backend::kAvx2));
+    const auto ax_avx2 = phi->apply(x);
+    const auto aty_avx2 = phi->apply_adjoint(y);
+
+    EXPECT_TRUE(bit_identical(ax_scalar, ax_avx2));
+    EXPECT_TRUE(bit_identical(aty_scalar, aty_avx2));
+  }
+}
+
 TEST(DispatchParity, DwtForwardInverse) {
   REQUIRE_AVX2();
   BackendGuard guard;

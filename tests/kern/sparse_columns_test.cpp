@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -148,6 +149,118 @@ TEST(SparseColumns, ApplyAndAdjointMatchCanonicalNaiveLoops) {
     const auto cut = phi.truncated((s.m + 1) / 2);
     expect_canonical(cut, label + " truncated", xrng);
     expect_truncation_of(phi, cut, label + " truncated", xrng);
+  }
+}
+
+// --- Random entry lists ------------------------------------------------------
+// The two suites below keep the name of the sparse mat-vec plan that these
+// kernels replaced; they drive kern::sparse_apply / sparse_apply_adjoint
+// directly on hand-built entry lists rather than through SensingMatrix.
+
+struct Entry {
+  std::uint16_t row;
+  std::uint16_t col;
+  std::int8_t sign;
+};
+
+/// Owns an entry list and exposes it as a column-major SparseColumns view.
+struct EntryList {
+  std::size_t rows = 0;
+  std::size_t cols = 0;
+  std::vector<std::uint16_t> row, col;
+  std::vector<std::int8_t> sign;
+
+  EntryList(std::size_t m, std::size_t n, std::vector<Entry> entries) : rows(m), cols(n) {
+    std::stable_sort(entries.begin(), entries.end(),
+                     [](const Entry& a, const Entry& b) { return a.col < b.col; });
+    for (const Entry& e : entries) {
+      row.push_back(e.row);
+      col.push_back(e.col);
+      sign.push_back(e.sign);
+    }
+  }
+
+  SparseColumns view(bool is_signed, std::size_t ones_per_column = 0) const {
+    SparseColumns a;
+    a.rows = rows;
+    a.cols = cols;
+    a.entries = row.size();
+    a.row = row.data();
+    a.col = col.data();
+    a.sign = is_signed ? sign.data() : nullptr;
+    a.ones_per_column = ones_per_column;
+    return a;
+  }
+};
+
+void expect_near_naive(const SparseColumns& a, sig::Rng& rng) {
+  std::vector<double> x(a.cols);
+  for (auto& v : x) v = rng.normal();
+  std::vector<double> y(a.rows);
+  for (auto& v : y) v = rng.normal();
+
+  std::vector<double> ax(a.rows, -1.0);
+  std::vector<double> aty(a.cols, -1.0);
+  sparse_apply(a, x.data(), ax.data());
+  sparse_apply_adjoint(a, y.data(), aty.data());
+  const auto ax_ref = naive_apply(a, x);
+  const auto aty_ref = naive_adjoint(a, y);
+  for (std::size_t r = 0; r < a.rows; ++r) {
+    EXPECT_NEAR(ax[r], ax_ref[r], 1e-12) << "row " << r << " of " << a.rows;
+  }
+  for (std::size_t c = 0; c < a.cols; ++c) {
+    EXPECT_NEAR(aty[c], aty_ref[c], 1e-12) << "column " << c << " of " << a.cols;
+  }
+}
+
+TEST(SpmvPlan, MatchesNaiveReferenceOnOddShapes) {
+  sig::Rng rng(1);
+  for (const std::size_t outputs : {1u, 2u, 3u, 4u, 5u, 7u, 33u, 64u}) {
+    SCOPED_TRACE("outputs=" + std::to_string(outputs));
+    const std::size_t inputs = 1 + outputs * 2;
+    // Up to 9 terms per output at random columns (repeats allowed), with
+    // random signs: ragged columns, some empty.
+    std::vector<Entry> entries;
+    for (std::size_t r = 0; r < outputs; ++r) {
+      const auto count = static_cast<std::size_t>(rng.uniform_int(0, 9));
+      for (std::size_t i = 0; i < count; ++i) {
+        entries.push_back(
+            {static_cast<std::uint16_t>(r),
+             static_cast<std::uint16_t>(rng.uniform_int(0, static_cast<std::int64_t>(inputs) - 1)),
+             static_cast<std::int8_t>(rng.bernoulli(0.5) ? 1 : -1)});
+      }
+    }
+    const EntryList ragged(outputs, inputs, entries);
+    expect_near_naive(ragged.view(/*is_signed=*/true), rng);
+    expect_near_naive(ragged.view(/*is_signed=*/false), rng);
+
+    // Exactly 4 ones per column, unsigned: the fixed-weight loop.
+    if (outputs < 4) continue;
+    std::vector<Entry> regular;
+    for (std::size_t c = 0; c < inputs; ++c) {
+      for (std::size_t t = 0; t < 4; ++t) {
+        regular.push_back(
+            {static_cast<std::uint16_t>(rng.uniform_int(0, static_cast<std::int64_t>(outputs) - 1)),
+             static_cast<std::uint16_t>(c), 1});
+      }
+    }
+    const EntryList d4(outputs, inputs, regular);
+    expect_near_naive(d4.view(/*is_signed=*/false, /*ones_per_column=*/4), rng);
+  }
+}
+
+TEST(SpmvPlan, EmptyPlanIsHarmless) {
+  // No outputs: apply must not touch y; the adjoint is all +0.0.
+  const EntryList empty(0, 4, {});
+  const SparseColumns a = empty.view(/*is_signed=*/false);
+  double y = 123.0;
+  std::vector<double> x(4, 1.0);
+  sparse_apply(a, x.data(), &y);
+  EXPECT_EQ(y, 123.0);
+  sparse_apply_adjoint(a, &y, x.data());
+  for (const double v : x) {
+    EXPECT_EQ(v, 0.0);
+    EXPECT_FALSE(std::signbit(v));
   }
 }
 
