@@ -11,7 +11,12 @@
 //             and the cross-thread completion handoff are on the hook);
 //   fabric    2 shards x 1 worker behind the coordinator (ring routing,
 //             ack bookkeeping, the pending-results queue and composite
-//             ticketing included).
+//             ticketing included);
+//   wire      the serial engine with every result sent through the
+//             wbsn-wire result path before the harness sees it:
+//             encode_result_entry (WAVELET_RESIDUAL or FLOAT64), one
+//             RESULT_BATCH frame, peek_frame, decode_result_batch into a
+//             pooled signal.
 //
 // The gate is strict (`> 0` fails, not a budget), which is why the
 // harness pre-sizes all of its own bookkeeping before the measured pass.
@@ -28,6 +33,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -37,6 +43,7 @@
 #include "host/payload_pool.hpp"
 #include "host/reconstruction_engine.hpp"
 #include "host/reconstruction_fabric.hpp"
+#include "net/wire_format.hpp"
 #include "sig/ecg_synth.hpp"
 #include "sig/rng.hpp"
 
@@ -259,6 +266,36 @@ int main(int argc, char** argv) {
         "fabric(2x1)", traffic, *pool, reference,
         [&](host::CompressedWindow&& w) { fabric.submit(std::move(w)); },
         [&] { return fabric.poll(); }));
+  }
+
+  {
+    auto pool = std::make_shared<host::PayloadPool>();
+    host::EngineConfig cfg;
+    cfg.threads = 0;
+    cfg.payload_pool = pool;
+    host::ReconstructionEngine engine(cfg);
+    std::vector<std::uint8_t> staging, frame;
+    std::vector<host::WindowResult> decoded;
+    reports.push_back(run_phase(
+        "wire(serial)", traffic, *pool, reference,
+        [&](host::CompressedWindow&& w) { engine.submit(std::move(w)); },
+        [&]() -> std::optional<host::WindowResult> {
+          auto result = engine.poll();
+          if (!result) return std::nullopt;
+          staging.clear();
+          frame.clear();
+          net::encode_result_entry(staging, *result, net::WireEncodeOptions{});
+          pool->recycle(std::move(*result));
+          net::encode_result_batch(frame, staging, 1);
+          net::FrameView view;
+          if (net::peek_frame(frame, view) != net::FrameStatus::kOk ||
+              !net::decode_result_batch(view.payload, decoded, pool.get()) ||
+              decoded.size() != 1) {
+            std::fprintf(stderr, "wire: result frame failed to round-trip\n");
+            std::abort();
+          }
+          return std::move(decoded.front());
+        }));
   }
 
   bool pass = true;

@@ -157,12 +157,33 @@ struct Fleet {
   }
 };
 
+/// Result-path wire cost of completed results: RESULT_BATCH bytes with one
+/// result per frame, and how many signals shipped in each value coding.
+struct ResultWire {
+  std::size_t bytes = 0;
+  std::map<net::ValueCoding, std::size_t> signals_by_coding;
+};
+
+ResultWire result_wire_bytes(const std::vector<host::WindowResult>& results) {
+  ResultWire out;
+  std::vector<std::uint8_t> staging, frame;
+  for (const auto& result : results) {
+    staging.clear();
+    frame.clear();
+    ++out.signals_by_coding[net::encode_result_entry(staging, result, net::WireEncodeOptions{})];
+    net::encode_result_batch(frame, staging, 1);
+    out.bytes += frame.size();
+  }
+  return out;
+}
+
 struct PhaseResult {
   std::size_t completed = 0;
   double submit_s = 0.0;  // First submit -> last durable ACK.
   double wall_s = 0.0;    // Submit + drain, end to end.
   bool bit_exact = false;
   bool submits_ok = false;
+  ResultWire result_wire;
 };
 
 /// Runs the whole batch through a fresh client: per-window blocking
@@ -209,6 +230,7 @@ PhaseResult run_phase(const std::vector<host::CompressedWindow>& batch,
   out.completed = results.size();
   out.submits_ok = submitted == batch.size();
   out.bit_exact = matches_reference(results, reference);
+  out.result_wire = result_wire_bytes(results);
   client.shutdown(/*send_bye=*/false);
   return out;
 }
@@ -513,12 +535,6 @@ int main(int argc, char** argv) {
     const auto phase = run_phase(batch, reference, client_cfg, fleet.endpoints, 0);
 
     const std::size_t submit_bytes = submit_wire_bytes(batch, scale, 1);
-    // A result frame carries the full float64 signal (determinism
-    // contract) plus ~40 bytes of metadata and framing.
-    std::size_t result_bytes_estimate = 0;
-    for (const auto& window : batch) {
-      result_bytes_estimate += 8u * window.window_samples + 40u;
-    }
 
     std::printf("\n%-28s %12s\n", "metric", "value");
     std::printf("%-28s %12zu\n", "windows submitted", batch.size());
@@ -528,9 +544,16 @@ int main(int argc, char** argv) {
     std::printf("%-28s %12.2f\n", "wall time (s)", phase.wall_s);
     std::printf("%-28s %12.1f\n", "submit wire bytes/window",
                 static_cast<double>(submit_bytes) / static_cast<double>(batch.size()));
-    std::printf("%-28s %12.1f\n", "result wire bytes/window (est)",
-                static_cast<double>(result_bytes_estimate) /
-                    static_cast<double>(batch.size()));
+    if (phase.completed > 0) {
+      std::printf("%-28s %12.1f\n", "result wire bytes/window",
+                  static_cast<double>(phase.result_wire.bytes) /
+                      static_cast<double>(phase.completed));
+    }
+    for (const auto& [coding, count] : phase.result_wire.signals_by_coding) {
+      const char* name = coding == net::ValueCoding::kWaveletResidual ? "WAVELET_RESIDUAL"
+                                                                      : "FLOAT64";
+      std::printf("%-28s %12zu\n", (std::string("signals ") + name).c_str(), count);
+    }
 
     std::printf("\nbit-exactness vs serial (%zu windows): %s\n", phase.completed,
                 phase.bit_exact ? "PASS" : "FAIL");

@@ -1,9 +1,13 @@
 #include "net/wire_format.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
 
+#include "cs/fista.hpp"
+#include "dsp/wavelet.hpp"
 #include "net/crc32c.hpp"
 
 namespace wbsn::net {
@@ -221,6 +225,172 @@ void encode_values_absent(std::vector<std::uint8_t>& out) {
   put_u8(out, static_cast<std::uint8_t>(ValueCoding::kAbsent));
 }
 
+// --- WAVELET_RESIDUAL --------------------------------------------------------
+// The encoder needs nothing but the signal: forward Db4 DWT, keep the
+// coefficients above a relative floor, rebuild the prediction p with the
+// kern inverse DWT, and ship bits(s) - bits(p) per sample.  The decoder
+// runs the same inverse DWT — bit-identical on every backend (kern's
+// canonical order) — so the residuals restore s exactly whatever the
+// threshold kept; the threshold only decides the size.
+
+namespace {
+
+/// Coefficients at or below 2^-40 of the largest are dropped: a
+/// converged FISTA window's re-derived zero coefficients sit near 2^-52
+/// of the peak (rounding noise), its real ones far above.
+constexpr int kKeepFloorExponent = -40;
+
+/// Per-thread coder scratch, grown to the largest vector seen: the
+/// coefficients, the DWT inter-level buffer, and (encode only) the
+/// prediction.
+struct WaveletScratch {
+  std::vector<double> coeffs, dwt, prediction;
+
+  void ensure(std::size_t n) {
+    if (coeffs.size() >= n) return;
+    coeffs.resize(n);
+    dwt.resize(n);
+    prediction.resize(n);
+  }
+};
+
+WaveletScratch& wavelet_scratch() {
+  static thread_local WaveletScratch scratch;
+  return scratch;
+}
+
+std::uint64_t double_bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Signed residual (a mod-2^64 difference read as two's complement) to
+/// an unsigned varint value with small magnitudes small, and back.
+std::uint64_t zigzag(std::uint64_t d) { return (d << 1) ^ (std::uint64_t{0} - (d >> 63)); }
+std::uint64_t unzigzag(std::uint64_t z) { return (z >> 1) ^ (std::uint64_t{0} - (z & 1)); }
+
+std::uint8_t* write_varint(std::uint8_t* w, std::uint64_t v) {
+  while (v >= 0x80u) {
+    *w++ = static_cast<std::uint8_t>(v) | 0x80u;
+    v >>= 7;
+  }
+  *w++ = static_cast<std::uint8_t>(v);
+  return w;
+}
+
+std::uint8_t* write_u64le(std::uint8_t* w, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) *w++ = static_cast<std::uint8_t>(v >> (8 * i));
+  return w;
+}
+
+/// Appends the WAVELET_RESIDUAL coding of `values` and returns true only
+/// when it is strictly smaller than FLOAT64; otherwise leaves `out`
+/// untouched.
+bool try_encode_wavelet(std::vector<std::uint8_t>& out, std::span<const double> values) {
+  const std::size_t n = values.size();
+  // The solver's decomposition depth, capped by what n admits.
+  const int levels = std::min(cs::FistaConfig{}.dwt_levels, dsp::dwt_max_levels(n));
+  if (levels < 1 || n > kMaxWindowSamples) return false;
+  auto& s = wavelet_scratch();
+  s.ensure(n);
+  const std::span<double> coeffs(s.coeffs.data(), n);
+  dsp::dwt_forward_into(values, levels, coeffs, s.dwt);
+  double peak = 0.0;
+  for (double c : coeffs) {
+    if (!std::isfinite(c)) return false;
+    peak = std::max(peak, std::fabs(c));
+  }
+  const double floor = std::ldexp(peak, kKeepFloorExponent);
+  std::size_t kept = 0;
+  for (double& c : coeffs) {
+    if (std::fabs(c) > floor) {
+      ++kept;
+    } else {
+      c = 0.0;  // What the decoder puts at an unset bitmap position.
+    }
+  }
+  // FLOAT64 spends 8n bytes after the shared coding byte and count; give
+  // up before the inverse DWT when even 1-byte residuals could not win.
+  const std::size_t bitmap_bytes = (n + 7) / 8;
+  const std::size_t float64_bytes = 8 * n;
+  if (1 + bitmap_bytes + 8 * kept + n >= float64_bytes) return false;
+  dsp::dwt_inverse_into(coeffs, levels, s.prediction, s.dwt);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!std::isfinite(s.prediction[i])) return false;
+  }
+
+  // Written through a cursor into the worst case (coding byte, 10-byte
+  // count, levels, bitmap, coefficients, 10-byte residuals), then trimmed:
+  // byte-at-a-time push_back would cost more than both DWTs.
+  const std::size_t start = out.size();
+  out.resize(start + 1 + 10 + 1 + bitmap_bytes + 8 * kept + 10 * n);
+  std::uint8_t* w = out.data() + start;
+  *w++ = static_cast<std::uint8_t>(ValueCoding::kWaveletResidual);
+  w = write_varint(w, n);
+  const std::uint8_t* body = w;
+  *w++ = static_cast<std::uint8_t>(levels);
+  for (std::size_t byte = 0; byte < bitmap_bytes; ++byte) {
+    std::uint8_t bits = 0;
+    for (std::size_t b = 0; b < 8 && 8 * byte + b < n; ++b) {
+      if (coeffs[8 * byte + b] != 0.0) bits |= static_cast<std::uint8_t>(1u << b);
+    }
+    *w++ = bits;
+  }
+  for (double c : coeffs) {
+    if (c != 0.0) w = write_u64le(w, double_bits(c));
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t d = double_bits(values[i]) - double_bits(s.prediction[i]);
+    w = write_varint(w, zigzag(d));
+  }
+  const bool smaller = static_cast<std::size_t>(w - body) < float64_bytes;
+  out.resize(smaller ? static_cast<std::size_t>(w - out.data()) : start);
+  return smaller;
+}
+
+bool decode_wavelet(WireReader& r, std::vector<double>& out) {
+  const std::uint64_t count = r.varint();
+  const int levels = r.u8();
+  // levels <= dwt_max_levels(count) also makes count a multiple of
+  // 2^levels with every cascade stage at least 4 long.
+  if (!r.ok() || count > kMaxWindowSamples || levels < 1 ||
+      levels > dsp::dwt_max_levels(static_cast<std::size_t>(count))) {
+    return false;
+  }
+  const auto n = static_cast<std::size_t>(count);
+  const auto bitmap = r.bytes((n + 7) / 8);
+  if (!r.ok()) return false;
+  if (n % 8 != 0 && (bitmap.back() >> (n % 8)) != 0) return false;  // Padding bits.
+  std::size_t kept = 0;
+  for (std::uint8_t byte : bitmap) kept += static_cast<std::size_t>(std::popcount(byte));
+  // 8 bytes per kept coefficient, then at least one byte per residual.
+  if (kept > r.remaining() / 8 || r.remaining() - 8 * kept < n) return false;
+  auto& s = wavelet_scratch();
+  s.ensure(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double c = 0.0;
+    if ((bitmap[i / 8] >> (i % 8)) & 1u) {
+      c = r.f64le();
+      if (!std::isfinite(c)) return false;
+    }
+    s.coeffs[i] = c;
+  }
+  out.resize(n);
+  dsp::dwt_inverse_into({s.coeffs.data(), n}, levels, out, s.dwt);
+  for (double& v : out) {
+    const std::uint64_t z = r.varint();
+    if (!r.ok() || !std::isfinite(v)) return false;
+    v = std::bit_cast<double>(double_bits(v) + unzigzag(z));
+  }
+  return true;
+}
+
+}  // namespace
+
+ValueCoding encode_signal_values(std::vector<std::uint8_t>& out,
+                                 std::span<const double> values) {
+  if (try_encode_wavelet(out, values)) return ValueCoding::kWaveletResidual;
+  encode_values(out, values, WireEncodeOptions{});
+  return ValueCoding::kFloat64;
+}
+
 bool decode_values(WireReader& r, std::vector<double>& out) {
   out.clear();
   const auto coding = static_cast<ValueCoding>(r.u8());
@@ -251,6 +421,8 @@ bool decode_values(WireReader& r, std::vector<double>& out) {
       for (auto& v : out) v = static_cast<double>(r.i32le()) * scale;
       return r.ok();
     }
+    case ValueCoding::kWaveletResidual:
+      return decode_wavelet(r, out);
   }
   return false;  // Unknown coding byte.
 }
@@ -355,8 +527,9 @@ bool decode_window_body(WireReader& r, host::CompressedWindow& out, host::Payloa
 
 }  // namespace
 
-void encode_result_entry(std::vector<std::uint8_t>& staging, const host::WindowResult& result,
-                         const WireEncodeOptions& opts) {
+ValueCoding encode_result_entry(std::vector<std::uint8_t>& staging,
+                                const host::WindowResult& result,
+                                const WireEncodeOptions& opts) {
   put_varint(staging, result.patient_id);
   put_varint(staging, result.window_index);
   put_u8(staging, static_cast<std::uint8_t>(result.priority));
@@ -367,11 +540,11 @@ void encode_result_entry(std::vector<std::uint8_t>& staging, const host::WindowR
              static_cast<std::uint64_t>(result.iterations < 0 ? 0 : result.iterations));
   put_f64le(staging, result.latency_ms);
   put_f64le(staging, result.e2e_ms);
-  // Reconstructed signals are FISTA output, not on the fixed-point grid;
-  // they ship FLOAT64 so the bit-identical determinism contract survives
-  // the wire.  The coding byte still makes this explicit per frame.
-  encode_values(staging, result.signal, WireEncodeOptions{});
+  // Reconstructed signals are FISTA output, not on the fixed-point grid:
+  // they ship WAVELET_RESIDUAL or FLOAT64, both bit-exact, so the
+  // determinism contract survives the wire.
   (void)opts;
+  return encode_signal_values(staging, result.signal);
 }
 
 bool decode_result_entry(WireReader& r, host::WindowResult& out, host::PayloadPool* pool) {

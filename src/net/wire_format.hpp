@@ -1,6 +1,6 @@
 // wbsn-wire — the compact binary serialization that puts a socket (or a
 // radio) under the reconstruction fabric.  This implementation speaks one
-// version, 4, whose only data path is batched: SUBMIT_BATCH carries K
+// version, 5, whose only data path is batched: SUBMIT_BATCH carries K
 // windows in, POLL_MANY/RESULT_BATCH carry up to N results out (a long-poll:
 // a threaded shard answers when a result is ready), and HEALTH is the
 // liveness probe.
@@ -15,14 +15,18 @@
 //
 // Payload integers are unsigned LEB128 varints (patient ids, tickets,
 // seeds, counts); floating-point scalars are raw IEEE-754 little-endian
-// (bit-preserving, NaNs included); sample vectors travel in one of three
+// (bit-preserving, NaNs included); sample vectors travel in one of four
 // value codings — FLOAT64 (lossless for anything), FIXED16/FIXED32
 // (little-endian fixed-point integers plus one f64 scale, the node's
-// native radio format).  The encoder only ever picks a fixed coding when
-// every value reconstructs *bit-exactly* as integer * scale — transport is
-// lossless by construction, never a quantizer — and falls back to FLOAT64
-// otherwise, so decode(encode(w)) == w bitwise for arbitrary windows while
+// native radio format), and WAVELET_RESIDUAL (reconstructed signals only:
+// the significant Db4 coefficients plus per-sample exact residuals).  The
+// encoder only ever picks a fixed coding when every value reconstructs
+// *bit-exactly* as integer * scale — transport is lossless by
+// construction, never a quantizer — and falls back to FLOAT64 otherwise,
+// so decode(encode(w)) == w bitwise for arbitrary windows while
 // paper-style fixed-point traffic ships at 2 bytes/sample.
+// WAVELET_RESIDUAL is exact for any input by construction: the residuals
+// carry whatever the coefficients do not.
 //
 // Zero-copy discipline: encoders append into a caller-owned byte buffer
 // (reused across frames — no allocation at steady state once the buffer
@@ -58,7 +62,7 @@ inline constexpr std::uint8_t kMagic0 = 0x57;  ///< 'W'
 inline constexpr std::uint8_t kMagic1 = 0x42;  ///< 'B'
 /// The only protocol version this implementation speaks; every frame's
 /// header byte carries it.
-inline constexpr std::uint8_t kWireVersion = 4;
+inline constexpr std::uint8_t kWireVersion = 5;
 inline constexpr std::size_t kFrameHeaderBytes = 8;
 inline constexpr std::size_t kFrameTrailerBytes = 4;
 /// Frames longer than this are rejected before buffering the payload — a
@@ -108,6 +112,10 @@ enum class ValueCoding : std::uint8_t {
   kFloat64 = 1,  ///< Raw IEEE-754 doubles, bit-preserving.
   kFixed16 = 2,  ///< i16 LE * f64 scale — the node's radio format.
   kFixed32 = 3,  ///< i32 LE * f64 scale — fixed-point overflow fallback.
+  /// Db4 support bitmap + kept coefficients, then one zigzag varint per
+  /// sample: bits(sample) − bits(inverse DWT of the coefficients), mod
+  /// 2^64.  Bit-preserving for any input (docs/WIRE_FORMAT.md §3.1).
+  kWaveletResidual = 4,
 };
 
 struct WireEncodeOptions {
@@ -203,9 +211,17 @@ void encode_values(std::vector<std::uint8_t>& out, std::span<const double> value
 /// Appends the ABSENT coding (field carried but empty).
 void encode_values_absent(std::vector<std::uint8_t>& out);
 
+/// Appends a reconstructed-signal vector: WAVELET_RESIDUAL when that is
+/// strictly smaller than FLOAT64, FLOAT64 otherwise.  Returns the coding
+/// written.  Steady state allocates nothing beyond `out` (per-thread
+/// scratch, grown to the largest vector seen).
+ValueCoding encode_signal_values(std::vector<std::uint8_t>& out,
+                                 std::span<const double> values);
+
 /// Decodes a coded sample vector into `out` (resized to fit; cleared for
 /// ABSENT).  Returns false on malformed input.  `out` keeps its capacity,
-/// so pool-drawn buffers stay warm.
+/// so pool-drawn buffers stay warm; WAVELET_RESIDUAL decodes through the
+/// same per-thread scratch as encode_signal_values.
 bool decode_values(WireReader& r, std::vector<double>& out);
 
 // --- Typed payloads ----------------------------------------------------------
@@ -341,9 +357,12 @@ void encode_poll_many(std::vector<std::uint8_t>& out, std::uint32_t max_results)
 bool decode_poll_many(std::span<const std::uint8_t> payload, std::uint32_t& max_results);
 
 /// Appends one result body (no framing) to `staging` — the server sizes a
-/// RESULT_BATCH against its byte budget as it encodes.
-void encode_result_entry(std::vector<std::uint8_t>& staging, const host::WindowResult& result,
-                         const WireEncodeOptions& opts);
+/// RESULT_BATCH against its byte budget as it encodes.  The signal ships
+/// through encode_signal_values (`opts` does not apply to it); returns the
+/// signal's coding.
+ValueCoding encode_result_entry(std::vector<std::uint8_t>& staging,
+                                const host::WindowResult& result,
+                                const WireEncodeOptions& opts);
 
 /// Frames `count` staged result bodies as one RESULT_BATCH.
 void encode_result_batch(std::vector<std::uint8_t>& out,

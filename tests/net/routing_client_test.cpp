@@ -973,8 +973,11 @@ TEST(Protocol, VersionNegotiationPicksMutualVersion) {
   EXPECT_EQ(version, kWireVersion);
 
   // Offers entirely above or entirely below the version this build speaks
-  // (a v1-v3 peer) are refused.
-  for (const HelloPayload offer : {HelloPayload{5, 9}, HelloPayload{1, 2}, HelloPayload{1, 3}}) {
+  // (a peer of any earlier version) are refused.
+  constexpr std::uint8_t kPrevious = kWireVersion - 1;
+  for (const HelloPayload offer : {HelloPayload{kWireVersion + 1, kWireVersion + 4},
+                                   HelloPayload{1, 2}, HelloPayload{1, kPrevious},
+                                   HelloPayload{kPrevious, kPrevious}}) {
     Fd fd2 = tcp_connect("127.0.0.1", shard.server->port(), 2000, 2000);
     ASSERT_TRUE(fd2.valid());
     buf.clear();

@@ -1,4 +1,4 @@
-// wbsn-wire v4 codec tests: CRC vectors, varint properties, value-coding
+// wbsn-wire v5 codec tests: CRC vectors, varint properties, value-coding
 // round trips (including the bit-exactness edge cases the fixed-point
 // fallback exists for), whole-frame round trips for every payload,
 // malformed-input and hostile-shape rejection, and byte-for-byte replay of the committed
@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -23,7 +24,13 @@
 #include <string>
 #include <vector>
 
+#include "cs/fista.hpp"
+#include "cs/pipeline.hpp"
+#include "cs/sensing_matrix.hpp"
+#include "kern/backend.hpp"
 #include "net/crc32c.hpp"
+#include "sig/adc.hpp"
+#include "sig/ecg_synth.hpp"
 
 namespace wbsn::net {
 namespace {
@@ -195,6 +202,248 @@ host::WindowResult result_round_trip(const host::WindowResult& res) {
   EXPECT_TRUE(decode_result_batch(view.payload, decoded, nullptr));
   EXPECT_EQ(decoded.size(), 1u);
   return decoded.empty() ? host::WindowResult{} : std::move(decoded.front());
+}
+
+// --- WAVELET_RESIDUAL --------------------------------------------------------
+
+/// A FISTA reconstruction of one n-sample window of a seeded low-noise
+/// ECG record, sensed at `cr_percent` with the pipeline's d = 4 operator.
+std::vector<double> fista_signal(std::size_t n, double cr_percent, std::uint64_t seed,
+                                 const cs::FistaConfig& cfg = {}) {
+  sig::SynthConfig synth;
+  synth.num_leads = 1;
+  synth.episodes = {{sig::RhythmEpisode::Kind::kSinus, 20}};
+  synth.noise = sig::NoiseParams::preset(sig::NoiseLevel::kLow);
+  sig::Rng rng(seed);
+  const auto record = sig::synthesize_ecg(synth, rng);
+  const std::vector<double> window(record.leads[0].begin(),
+                                   record.leads[0].begin() + static_cast<long>(n));
+  sig::Rng matrix_rng(seed + 1);
+  const auto phi = cs::SensingMatrix::make_sparse_binary(cs::rows_for_cr(cr_percent, n), n,
+                                                         4, matrix_rng);
+  const auto y = cs::encode_window(phi, window, sig::AdcConfig{}).measurements;
+  return cs::fista_reconstruct(phi, y, cfg).signal;
+}
+
+/// The wire-bound workload's solve: one iteration, no debias.
+cs::FistaConfig one_iteration() {
+  cs::FistaConfig cfg;
+  cfg.max_iterations = 1;
+  cfg.debias = false;
+  return cfg;
+}
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// encode_signal_values -> decode_values; returns the coding written and
+/// checks the whole body was consumed and the bits survived.
+ValueCoding signal_round_trip(const std::vector<double>& values) {
+  std::vector<std::uint8_t> buf;
+  const ValueCoding coding = encode_signal_values(buf, values);
+  EXPECT_EQ(static_cast<ValueCoding>(buf.at(0)), coding);
+  WireReader r(buf);
+  std::vector<double> decoded;
+  EXPECT_TRUE(decode_values(r, decoded));
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_TRUE(same_bits(decoded, values)) << values.size() << " samples";
+  // Never larger than FLOAT64 (coding byte + count varint + 8n).
+  std::vector<std::uint8_t> float64;
+  encode_values(float64, values, WireEncodeOptions{});
+  EXPECT_LE(buf.size(), float64.size());
+  return coding;
+}
+
+TEST(ValueCoding, WaveletResidualRoundTripsFistaOutputsBitExactly) {
+  for (const std::size_t n : {64u, 128u, 256u, 512u, 1024u}) {
+    SCOPED_TRACE(n);
+    EXPECT_EQ(signal_round_trip(fista_signal(n, 50.0, 100 + n)),
+              ValueCoding::kWaveletResidual);
+    signal_round_trip(fista_signal(n, 75.0, 200 + n, one_iteration()));
+  }
+}
+
+TEST(ValueCoding, WaveletResidualRoundTripsAdversarialVectors) {
+  const double nan_payload = std::bit_cast<double>(0x7FF8000000001234ull);
+  const double signaling_nan = std::bit_cast<double>(0x7FF0000000000001ull);
+  const double negative_nan = std::bit_cast<double>(0xFFF80000DEADBEEFull);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const double max_subnormal = std::bit_cast<double>(0x000FFFFFFFFFFFFFull);
+  const auto smooth = fista_signal(512, 50.0, 7);
+
+  std::vector<std::vector<double>> cases;
+  cases.push_back(std::vector<double>(512, 0.0));           // All zero.
+  cases.push_back(std::vector<double>(512, -0.0));          // All negative zero.
+  std::vector<double> spike(512, 0.0);
+  spike[300] = 1.0;
+  cases.push_back(spike);                                   // Single spike.
+  for (const double special : {nan_payload, signaling_nan, negative_nan, inf, -inf, -0.0,
+                               denorm, max_subnormal, -max_subnormal}) {
+    auto v = smooth;
+    v[17] = special;
+    cases.push_back(v);                                     // One special in real data.
+  }
+  std::vector<double> subnormals(256);
+  for (std::size_t i = 0; i < subnormals.size(); ++i) {
+    subnormals[i] = static_cast<double>(i % 7) * denorm * (i % 2 ? -1.0 : 1.0);
+  }
+  cases.push_back(subnormals);
+  std::vector<double> dynamic(256);
+  for (std::size_t i = 0; i < dynamic.size(); ++i) {
+    dynamic[i] = (i % 3 == 0 ? 1e300 : 1e-300) * std::sin(0.1 * static_cast<double>(i));
+  }
+  cases.push_back(dynamic);                                 // 1e±300 in one vector.
+  cases.push_back(std::vector<double>(64, std::numeric_limits<double>::max()));
+  cases.push_back(std::vector<double>(smooth.begin(), smooth.begin() + 511));  // Odd n.
+  cases.push_back(std::vector<double>(smooth.begin(), smooth.begin() + 12));   // Shallow.
+  cases.push_back(std::vector<double>(smooth.begin(), smooth.begin() + 4));    // Minimum.
+  cases.push_back(std::vector<double>(smooth.begin(), smooth.begin() + 2));
+  cases.push_back({});
+  std::vector<ValueCoding> codings;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(i);
+    codings.push_back(signal_round_trip(cases[i]));
+  }
+  // Where the coding applies it wins on these, exact residuals and all;
+  // non-finite input never reaches it.
+  EXPECT_EQ(codings[0], ValueCoding::kWaveletResidual);
+  EXPECT_EQ(codings[2], ValueCoding::kWaveletResidual);
+  EXPECT_EQ(codings[3], ValueCoding::kFloat64);
+}
+
+TEST(ValueCoding, WaveletResidualEncodedOnAvx2DecodesOnScalar) {
+  if (!kern::avx2_supported()) GTEST_SKIP() << "no AVX2 on this machine";
+  const kern::Backend original = kern::active_backend();
+  std::vector<std::vector<double>> signals;
+  for (const std::size_t n : {128u, 512u, 1024u}) signals.push_back(fista_signal(n, 50.0, n));
+  ASSERT_TRUE(kern::set_backend(kern::Backend::kAvx2));
+  std::vector<std::vector<std::uint8_t>> avx2_bodies;
+  for (const auto& s : signals) {
+    avx2_bodies.emplace_back();
+    EXPECT_EQ(encode_signal_values(avx2_bodies.back(), s), ValueCoding::kWaveletResidual);
+  }
+  ASSERT_TRUE(kern::set_backend(kern::Backend::kScalar));
+  for (std::size_t i = 0; i < signals.size(); ++i) {
+    WireReader r(avx2_bodies[i]);
+    std::vector<double> decoded;
+    ASSERT_TRUE(decode_values(r, decoded));
+    EXPECT_TRUE(same_bits(decoded, signals[i])) << i;
+    std::vector<std::uint8_t> scalar_body;
+    encode_signal_values(scalar_body, signals[i]);
+    EXPECT_EQ(scalar_body, avx2_bodies[i]) << i;  // Same bytes from either backend.
+  }
+  kern::set_backend(original);
+}
+
+TEST(ValueCoding, SteadyResultsShipWaveletAndWireBoundResultsShipFloat64) {
+  auto result = sample_result();
+  result.signal = fista_signal(512, 50.0, 11);
+  std::vector<std::uint8_t> staging;
+  EXPECT_EQ(encode_result_entry(staging, result, WireEncodeOptions{}),
+            ValueCoding::kWaveletResidual);
+  // A converged window's coefficients are sparse: well under the 8n bytes
+  // of FLOAT64.
+  EXPECT_LT(staging.size(), 8u * 512u * 4u / 5u);
+  EXPECT_TRUE(same_bits(result_round_trip(result).signal, result.signal));
+
+  result.signal = fista_signal(128, 75.0, 22, one_iteration());
+  staging.clear();
+  EXPECT_EQ(encode_result_entry(staging, result, WireEncodeOptions{}), ValueCoding::kFloat64);
+  EXPECT_TRUE(same_bits(result_round_trip(result).signal, result.signal));
+}
+
+/// Hand-built WAVELET_RESIDUAL coded vector.
+std::vector<std::uint8_t> wavelet_vector(std::uint64_t count, std::uint8_t levels,
+                                         const std::vector<std::uint8_t>& tail) {
+  std::vector<std::uint8_t> buf;
+  put_u8(buf, static_cast<std::uint8_t>(ValueCoding::kWaveletResidual));
+  put_varint(buf, count);
+  put_u8(buf, levels);
+  buf.insert(buf.end(), tail.begin(), tail.end());
+  return buf;
+}
+
+/// Bitmap of `bits` set bits from the start, then the coefficients, then
+/// one zero residual per sample.
+std::vector<std::uint8_t> wavelet_tail(std::size_t count, std::size_t bits, double coefficient,
+                                       std::size_t residuals) {
+  std::vector<std::uint8_t> tail((count + 7) / 8, 0);
+  for (std::size_t i = 0; i < bits; ++i) tail[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+  for (std::size_t i = 0; i < bits; ++i) put_f64le(tail, coefficient);
+  tail.insert(tail.end(), residuals, 0);
+  return tail;
+}
+
+bool decodes(const std::vector<std::uint8_t>& buf) {
+  WireReader r(buf);
+  std::vector<double> out;
+  return decode_values(r, out) && r.remaining() == 0;
+}
+
+TEST(ValueCoding, HostileWaveletBodiesAreMalformedNotOverreads) {
+  // The well-formed baseline the mutations start from.
+  ASSERT_TRUE(decodes(wavelet_vector(512, 5, wavelet_tail(512, 3, 1.5, 512))));
+  ASSERT_TRUE(decodes(wavelet_vector(12, 2, wavelet_tail(12, 12, 1.5, 12))));
+
+  // Levels: zero, or deeper than the count admits (512 admits 8; 12
+  // admits 2, and 12 is no multiple of 2^3).
+  EXPECT_FALSE(decodes(wavelet_vector(512, 0, wavelet_tail(512, 3, 1.5, 512))));
+  EXPECT_FALSE(decodes(wavelet_vector(512, 9, wavelet_tail(512, 3, 1.5, 512))));
+  EXPECT_FALSE(decodes(wavelet_vector(12, 3, wavelet_tail(12, 3, 1.5, 12))));
+  EXPECT_FALSE(decodes(wavelet_vector(6, 2, wavelet_tail(6, 1, 1.5, 6))));
+  EXPECT_FALSE(decodes(wavelet_vector(0, 1, {})));
+  // Count beyond the window-shape limit.
+  EXPECT_FALSE(decodes(wavelet_vector(2 * kMaxWindowSamples, 5,
+                                      wavelet_tail(2 * kMaxWindowSamples, 0, 0.0,
+                                                   2 * kMaxWindowSamples))));
+  // Truncated bitmap.
+  EXPECT_FALSE(decodes(wavelet_vector(512, 5, std::vector<std::uint8_t>(10, 0))));
+  // Set padding bits past `count` in the last bitmap byte.
+  auto padded = wavelet_tail(12, 1, 1.5, 12);
+  padded[1] |= 0x80;
+  EXPECT_FALSE(decodes(wavelet_vector(12, 2, padded)));
+  // 8 x popcount beyond the remaining bytes.
+  auto dense = wavelet_tail(512, 512, 1.5, 0);
+  dense.resize(64 + 8 * 100);
+  EXPECT_FALSE(decodes(wavelet_vector(512, 5, dense)));
+  // Non-finite coefficients, and finite ones whose inverse DWT overflows.
+  EXPECT_FALSE(decodes(wavelet_vector(16, 2, wavelet_tail(16, 1, std::nan(""), 16))));
+  EXPECT_FALSE(decodes(wavelet_vector(
+      16, 2, wavelet_tail(16, 16, std::numeric_limits<double>::max(), 16))));
+  // Missing residuals: one short.
+  EXPECT_FALSE(decodes(wavelet_vector(512, 5, wavelet_tail(512, 3, 1.5, 511))));
+  // Overlong residual: nine continuation bytes, then a tenth byte above 1.
+  auto overlong = wavelet_tail(16, 0, 0.0, 0);
+  overlong.insert(overlong.end(), 9, 0xFF);
+  overlong.push_back(0x7F);
+  overlong.insert(overlong.end(), 15, 0);
+  EXPECT_FALSE(decodes(wavelet_vector(16, 2, overlong)));
+  // A residual varint that runs off the end.
+  auto unterminated = wavelet_tail(16, 0, 0.0, 15);
+  unterminated.push_back(0x80);
+  EXPECT_FALSE(decodes(wavelet_vector(16, 2, unterminated)));
+
+  // Every strict prefix of a real body is malformed, and a trailing byte
+  // after the signal breaks the RESULT_BATCH it rides in.
+  auto result = sample_result();
+  result.signal = fista_signal(256, 50.0, 5);
+  std::vector<std::uint8_t> real;
+  ASSERT_EQ(encode_signal_values(real, result.signal), ValueCoding::kWaveletResidual);
+  for (std::size_t len = 0; len < real.size(); ++len) {
+    WireReader r({real.data(), len});
+    std::vector<double> out;
+    EXPECT_FALSE(decode_values(r, out)) << "prefix " << len;
+  }
+  std::vector<std::uint8_t> bodies;
+  ASSERT_EQ(encode_result_entry(bodies, result, WireEncodeOptions{}),
+            ValueCoding::kWaveletResidual);
+  bodies.push_back(0x00);
+  const auto frame = encode_one([&](auto& b) { encode_result_batch(b, bodies, 1); });
+  std::vector<host::WindowResult> decoded;
+  EXPECT_FALSE(decode_result_batch(must_peek(frame).payload, decoded, nullptr));
 }
 
 TEST(Frames, SubmitWindowRoundTripsBitExactly) {
@@ -799,6 +1048,14 @@ struct Golden {
   std::vector<std::uint8_t> bytes;
 };
 
+/// The WAVELET_RESIDUAL fixture: a converged 512-sample CR-50 FISTA
+/// reconstruction, the steady workload's shape.
+host::WindowResult wavelet_golden_result() {
+  auto result = sample_result();
+  result.signal = fista_signal(512, 50.0, 11);
+  return result;
+}
+
 std::vector<Golden> golden_set() {
   std::vector<Golden> set;
   set.push_back({"hello.bin", encode_one([](auto& b) { encode_hello(b, HelloPayload{}); })});
@@ -866,6 +1123,11 @@ std::vector<Golden> golden_set() {
   set.push_back({"health_ack.bin", encode_one([](auto& b) {
                    encode_health_ack(b, HealthAckPayload{7, 12, 3});
                  })});
+  set.push_back({"result_batch_wavelet.bin", encode_one([](auto& b) {
+                   std::vector<std::uint8_t> bodies;
+                   encode_result_entry(bodies, wavelet_golden_result(), WireEncodeOptions{});
+                   encode_result_batch(b, bodies, 1);
+                 })});
   return set;
 }
 
@@ -922,6 +1184,131 @@ TEST(Golden, CommittedSubmitWindowDecodesIndependently) {
   EXPECT_EQ(std::memcmp(w.measurements.data(), expect.measurements.data(),
                         w.measurements.size() * sizeof(double)),
             0);
+}
+
+// A second decoder for the RESULT_BATCH signal, written from
+// docs/WIRE_FORMAT.md (§1, §3, §3.1, §6) without the reference codec: its
+// own reader, the Db4 synthesis taps as the spec prints them, the pairwise
+// tree and the periodized cascade.  This file is compiled with
+// -ffp-contract=off (tests/CMakeLists.txt), as §3.1 requires of the
+// synthesis arithmetic.
+namespace spec {
+
+struct Reader {
+  std::span<const std::uint8_t> data;
+  std::size_t pos = 0;
+  bool ok = true;
+
+  std::uint8_t u8() {
+    if (pos >= data.size()) {
+      ok = false;
+      return 0;
+    }
+    return data[pos++];
+  }
+  std::uint64_t varint() {
+    std::uint64_t v = 0;
+    for (int i = 0; i < 10; ++i) {
+      const std::uint8_t byte = u8();
+      v |= static_cast<std::uint64_t>(byte & 0x7F) << (7 * i);
+      if ((byte & 0x80) == 0) {
+        if (i == 9 && byte > 1) ok = false;  // Overlong.
+        return v;
+      }
+    }
+    ok = false;
+    return 0;
+  }
+  double f64() {
+    std::uint64_t bits = 0;
+    for (int i = 0; i < 8; ++i) bits |= static_cast<std::uint64_t>(u8()) << (8 * i);
+    return std::bit_cast<double>(bits);
+  }
+};
+
+constexpr double kH[4] = {0x1.ee8dd4748bf15p-2, 0x1.ac4bdd6e3fd71p-1, 0x1.cb0bf0b6b7109p-3,
+                          -0x1.0907dc193069p-3};
+constexpr double kG[4] = {-0x1.0907dc193069p-3, -0x1.cb0bf0b6b7109p-3, 0x1.ac4bdd6e3fd71p-1,
+                          -0x1.ee8dd4748bf15p-2};
+
+/// One synthesis step: 2h outputs from h approximation and h detail
+/// coefficients, k' = (k - 1) mod h.
+std::vector<double> synthesize(const std::vector<double>& a, const std::vector<double>& d) {
+  const std::size_t h = a.size();
+  std::vector<double> x(2 * h);
+  for (std::size_t k = 0; k < h; ++k) {
+    const std::size_t kp = (k + h - 1) % h;
+    x[2 * k] = (kH[0] * a[k] + kG[0] * d[k]) + (kH[2] * a[kp] + kG[2] * d[kp]);
+    x[2 * k + 1] = (kH[1] * a[k] + kG[1] * d[k]) + (kH[3] * a[kp] + kG[3] * d[kp]);
+  }
+  return x;
+}
+
+/// Body of a coding-4 vector (after the coding byte).
+bool decode_wavelet_residual(Reader& r, std::vector<double>& out) {
+  const std::uint64_t count = r.varint();
+  const unsigned levels = r.u8();
+  if (!r.ok || levels < 1 || count > 4096) return false;
+  for (std::uint64_t len = count, l = 0; l < levels; ++l, len /= 2) {
+    if (len < 4 || len % 2 != 0) return false;
+  }
+  std::vector<std::uint8_t> bitmap((count + 7) / 8);
+  for (auto& byte : bitmap) byte = r.u8();
+  std::vector<double> c(count, 0.0);
+  for (std::size_t i = 0; i < count; ++i) {
+    if ((bitmap[i / 8] >> (i % 8)) & 1) c[i] = r.f64();
+  }
+  // The cascade: [approx_L | detail_L | detail_L-1 | ... | detail_1].
+  std::size_t h = count >> levels;
+  std::vector<double> p(c.begin(), c.begin() + static_cast<long>(h));
+  for (unsigned l = 0; l < levels; ++l, h *= 2) {
+    const std::vector<double> d(c.begin() + static_cast<long>(h),
+                                c.begin() + static_cast<long>(2 * h));
+    p = synthesize(p, d);
+  }
+  out.resize(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t z = r.varint();
+    const std::uint64_t residual = (z >> 1) ^ (std::uint64_t{0} - (z & 1));
+    out[i] = std::bit_cast<double>(std::bit_cast<std::uint64_t>(p[i]) + residual);
+  }
+  return r.ok;
+}
+
+}  // namespace spec
+
+TEST(Golden, CommittedWaveletResultDecodesIndependently) {
+  std::ifstream in(golden_dir() + "/result_batch_wavelet.bin", std::ios::binary);
+  ASSERT_TRUE(in.good());
+  std::vector<std::uint8_t> disk((std::istreambuf_iterator<char>(in)),
+                                 std::istreambuf_iterator<char>());
+  FrameView view;
+  ASSERT_EQ(peek_frame(disk, view), FrameStatus::kOk);
+  ASSERT_EQ(view.type, FrameType::kResultBatch);
+
+  spec::Reader r{view.payload};
+  ASSERT_EQ(r.varint(), 1u);  // count
+  const auto expect = wavelet_golden_result();
+  EXPECT_EQ(r.varint(), expect.patient_id);
+  EXPECT_EQ(r.varint(), expect.window_index);
+  EXPECT_EQ(r.u8(), static_cast<std::uint8_t>(expect.priority));
+  EXPECT_EQ(r.varint(), expect.route_tag);
+  EXPECT_EQ(r.varint(), expect.ticket);
+  EXPECT_EQ(r.f64(), expect.snr_db);
+  EXPECT_EQ(r.varint(), static_cast<std::uint64_t>(expect.iterations));
+  EXPECT_EQ(r.f64(), expect.latency_ms);
+  EXPECT_EQ(r.f64(), expect.e2e_ms);
+  ASSERT_EQ(r.u8(), 4u);  // WAVELET_RESIDUAL
+  std::vector<double> signal;
+  ASSERT_TRUE(spec::decode_wavelet_residual(r, signal));
+  EXPECT_EQ(r.pos, view.payload.size());
+  EXPECT_TRUE(same_bits(signal, expect.signal));
+
+  // The reference decoder agrees.
+  std::vector<host::WindowResult> decoded;
+  ASSERT_TRUE(decode_result_batch(view.payload, decoded, nullptr));
+  ASSERT_EQ(decoded.size(), 1u);
+  EXPECT_TRUE(same_bits(decoded[0].signal, signal));
 }
 
 }  // namespace
