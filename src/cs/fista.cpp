@@ -14,15 +14,46 @@ double norm2(std::span<const double> v) {
   return std::sqrt(kern::ops().nrm2_sq(v.data(), v.size()));
 }
 
+/// The composed operator A = Φ Ψᵀ as the solver runs it.  Whenever the
+/// DWT has a level to split, time-domain vectors are in split order (even
+/// samples, then odd ones): the finest DWT level runs the shuffle-free
+/// split steps and Φ reads, Φᵀ writes, the same positions.  levels == 0
+/// keeps natural order.  Either way every value and bit is the same.
+struct Synthesis {
+  kern::SparseColumns phi;
+  int levels = 0;
+  void (*forward)(std::span<const double>, int, std::span<double>, std::span<double>);
+  void (*inverse)(std::span<const double>, int, std::span<double>, std::span<double>);
+
+  Synthesis(const SensingMatrix& m, int dwt_levels)
+      : phi(dwt_levels > 0 ? m.split_columns() : m.columns()),
+        levels(dwt_levels),
+        forward(dwt_levels > 0 ? dsp::dwt_forward_split_into : dsp::dwt_forward_into),
+        inverse(dwt_levels > 0 ? dsp::dwt_inverse_split_into : dsp::dwt_inverse_into) {}
+
+  /// out_m = Φ Ψᵀ c (time_n: the time-domain intermediate).
+  void apply(std::span<const double> c, std::span<double> time_n, std::span<double> scratch,
+             std::span<double> out_m) const {
+    inverse(c, levels, time_n, scratch);
+    kern::sparse_apply(phi, time_n.data(), out_m.data());
+  }
+  /// out_n = Ψ Φᵀ r (time_n: the time-domain intermediate).
+  void adjoint(std::span<const double> r, std::span<double> time_n, std::span<double> scratch,
+               std::span<double> out_n) const {
+    kern::sparse_apply_adjoint(phi, r.data(), time_n.data());
+    forward(time_n, levels, out_n, scratch);
+  }
+};
+
 /// Least-squares refit of `a` restricted to its non-zero support:
 /// conjugate gradient on the normal equations of the composed operator
 /// A = Phi Psi' (masked to the support).  All scratch comes from `ws`
 /// (ensure_debias'd for this shape) — no allocation.
-void debias_on_support_ws(const SensingMatrix& phi, int levels, std::span<const double> y,
-                          std::span<double> a, int iterations, FistaWorkspace& ws) {
+void debias_on_support_ws(const Synthesis& op, std::span<const double> y, std::span<double> a,
+                          int iterations, FistaWorkspace& ws) {
   const auto& k = kern::ops();
   const std::size_t n = a.size();
-  const std::size_t m = phi.rows();
+  const std::size_t m = op.phi.rows;
   std::size_t support = 0;
   for (std::size_t i = 0; i < n; ++i) {
     ws.db_mask[i] = a[i] != 0.0;
@@ -30,17 +61,15 @@ void debias_on_support_ws(const SensingMatrix& phi, int levels, std::span<const 
   }
   if (support == 0 || support > m) return;  // Under-determined: skip.
 
+  const std::span<double> full(ws.db_full.data(), n);
+  const std::span<double> time(ws.db_time.data(), n);
+  const std::span<double> scratch(ws.db_scr.data(), n);
   const auto apply_masked = [&](std::span<const double> c, std::span<double> out_m) {
-    for (std::size_t i = 0; i < n; ++i) ws.db_full[i] = ws.db_mask[i] ? c[i] : 0.0;
-    dsp::dwt_inverse_into(std::span<const double>(ws.db_full.data(), n), levels,
-                          std::span<double>(ws.db_time.data(), n),
-                          std::span<double>(ws.db_scr.data(), n));
-    phi.apply_into(std::span<const double>(ws.db_time.data(), n), out_m);
+    for (std::size_t i = 0; i < n; ++i) full[i] = ws.db_mask[i] ? c[i] : 0.0;
+    op.apply(full, time, scratch, out_m);
   };
   const auto adjoint_masked = [&](std::span<const double> r, std::span<double> out_n) {
-    phi.apply_adjoint_into(r, std::span<double>(ws.db_full.data(), n));
-    dsp::dwt_forward_into(std::span<const double>(ws.db_full.data(), n), levels, out_n,
-                          std::span<double>(ws.db_scr.data(), n));
+    op.adjoint(r, full, scratch, out_n);
     for (std::size_t i = 0; i < n; ++i) {
       if (!ws.db_mask[i]) out_n[i] = 0.0;
     }
@@ -77,8 +106,8 @@ void debias_on_support(const SensingMatrix& phi, int levels, std::span<const dou
                        std::vector<double>& a, int iterations) {
   FistaWorkspace ws;
   ws.ensure_debias(phi.rows(), phi.cols());
-  debias_on_support_ws(phi, levels, y, std::span<double>(a.data(), a.size()), iterations,
-                       ws);
+  debias_on_support_ws(Synthesis(phi, levels), y, std::span<double>(a.data(), a.size()),
+                       iterations, ws);
 }
 
 }  // namespace
@@ -136,9 +165,10 @@ int fista_solve_into(const SensingMatrix& phi, std::span<const double> y,
   const std::span<double> a(ws.a.data(), n);
   const std::span<double> z(ws.z.data(), n);
 
+  const Synthesis op(phi, levels);
+
   // lambda from the worst-case correlation |A' y|.
-  phi.apply_adjoint_into(y, buf_n);
-  dsp::dwt_forward_into(buf_n, levels, grad, scratch);
+  op.adjoint(y, buf_n, scratch, grad);
   double max_abs = 0.0;
   for (const double v : grad) max_abs = std::max(max_abs, std::abs(v));
   const double tau = cfg.lambda_rel * max_abs / lip;
@@ -149,11 +179,9 @@ int fista_solve_into(const SensingMatrix& phi, std::span<const double> y,
   int iterations = 0;
   for (int it = 0; it < cfg.max_iterations; ++it) {
     // Gradient at z: grad = A'(A z - y).
-    dsp::dwt_inverse_into(z, levels, xz, scratch);
-    phi.apply_into(xz, buf_m);
+    op.apply(z, xz, scratch, buf_m);
     k.axpy(-1.0, y.data(), buf_m.data(), m);
-    phi.apply_adjoint_into(buf_m, buf_n);
-    dsp::dwt_forward_into(buf_n, levels, grad, scratch);
+    op.adjoint(buf_m, buf_n, scratch, grad);
     // One fused pass: a = soft(z - grad / L), z = a + beta (a - a_prev) and
     // the stopping sums; `a` carries a_prev in.
     const double t_next = 0.5 * (1.0 + std::sqrt(1.0 + 4.0 * t * t));
@@ -166,7 +194,8 @@ int fista_solve_into(const SensingMatrix& phi, std::span<const double> y,
     if (std::sqrt(delta_sq / (1e-12 + scale_sq)) < cfg.tolerance) break;
   }
 
-  if (cfg.debias) debias_on_support_ws(phi, levels, y, a, cfg.debias_iterations, ws);
+  if (cfg.debias) debias_on_support_ws(op, y, a, cfg.debias_iterations, ws);
+  // The result leaves in natural order.
   dsp::dwt_inverse_into(a, levels, signal, scratch);
   return iterations;
 }

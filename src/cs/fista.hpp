@@ -68,6 +68,12 @@ class FistaWorkspace {
   std::size_t grow_count() const { return grow_count_; }
 
   // Buffers, public for the solver core and the pointer-stability tests.
+  // Time-domain buffers — xz and db_time (inverse-DWT outputs, read by
+  // Phi), buf_n (Phi' output) and db_full while it holds Phi' output —
+  // are in split order (even samples, then odd ones) whenever the solve
+  // runs at least one DWT level, natural order at levels == 0.  Every
+  // other buffer, and db_full while it holds masked coefficients, is in
+  // wavelet-coefficient order.
   std::vector<double> buf_m;  // m
   /// `a` holds the final (post-debias) wavelet coefficients after a
   /// fista_solve_into call.

@@ -89,6 +89,7 @@ void SensingMatrix::finish() {
   for (std::size_t e = 0; e < cols_.size() && ones_per_column_ > 0; ++e) {
     if (cols_[e] != e / ones_per_column_) ones_per_column_ = 0;
   }
+  gather_ = kern::build_row_gather(view(false));
 
   // Power iteration for the Lipschitz constant, cached so solves never
   // recompute it: w = Phi'(Phi v), lambda = ||w||, v = w / lambda, 40
@@ -111,7 +112,7 @@ void SensingMatrix::finish() {
   lipschitz_ = std::max(lambda, 1e-9);
 }
 
-kern::SparseColumns SensingMatrix::columns() const {
+kern::SparseColumns SensingMatrix::view(bool split) const {
   kern::SparseColumns a;
   a.rows = m_;
   a.cols = n_;
@@ -120,7 +121,15 @@ kern::SparseColumns SensingMatrix::columns() const {
   a.col = cols_.data();
   a.sign = signs_.empty() ? nullptr : signs_.data();
   a.ones_per_column = ones_per_column_;
+  gather_.attach(a, split);
   return a;
+}
+
+kern::SparseColumns SensingMatrix::columns() const { return view(false); }
+
+kern::SparseColumns SensingMatrix::split_columns() const {
+  assert(n_ % 2 == 0);
+  return view(true);
 }
 
 std::vector<std::int64_t> SensingMatrix::encode(std::span<const std::int32_t> x,

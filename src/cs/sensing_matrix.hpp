@@ -26,7 +26,8 @@ inline constexpr std::size_t kMaxSensingCols = 65536;
 
 /// m x n sensing operator, stored as its ones in column-major order: the
 /// row and column of each entry, plus an optional +/-1 sign per entry
-/// (sparse binary matrices store no signs).
+/// (sparse binary matrices store no signs).  finish() adds the row lists
+/// the host-side apply gathers from (kern::RowGather).
 class SensingMatrix {
  public:
   /// Sparse binary: exactly `ones_per_column` ones in random rows of each
@@ -71,6 +72,11 @@ class SensingMatrix {
   /// this matrix lives).
   kern::SparseColumns columns() const;
 
+  /// The same operator over x in split order (even samples, then odd
+  /// ones): what the FISTA solver's time-domain buffers hold.  Needs an
+  /// even column count.
+  kern::SparseColumns split_columns() const;
+
   /// Lipschitz constant of the composed operator's gradient (largest
   /// squared singular value, 40 power iterations) — computed once at
   /// construction so solves never pay for it.  Bit-identical to the
@@ -84,10 +90,12 @@ class SensingMatrix {
  private:
   SensingMatrix(std::size_t m, std::size_t n) : m_(m), n_(n) {}
 
-  /// Records the uniform column weight and caches the Lipschitz constant;
-  /// called once by each factory so the matrix is immutable — and safely
-  /// shared across solver threads — from then on.
+  /// Records the uniform column weight, builds the row lists and caches
+  /// the Lipschitz constant; called once by each factory so the matrix is
+  /// immutable — and safely shared across solver threads — from then on.
   void finish();
+
+  kern::SparseColumns view(bool split) const;
 
   std::size_t m_ = 0;
   std::size_t n_ = 0;
@@ -95,6 +103,7 @@ class SensingMatrix {
   std::vector<std::uint16_t> cols_;  ///< Column of each entry (non-decreasing).
   std::vector<std::int8_t> signs_;   ///< ±1 per entry; empty if all +1.
   std::size_t ones_per_column_ = 0;  ///< Uniform column weight, else 0.
+  kern::RowGather gather_;           ///< Row lists for apply, by finish().
   double lipschitz_ = 1.0;           ///< Cached by finish().
 };
 

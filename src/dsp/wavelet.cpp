@@ -85,8 +85,12 @@ int dwt_max_levels(std::size_t n) {
 // approximation to the front of `out`, and the inverse cascade's last
 // level writes `out`.
 
-void dwt_forward_into(std::span<const double> x, int levels, std::span<double> out,
-                      std::span<double> scratch) {
+namespace {
+
+/// The copy-free cascades; `split` runs the finest level on time-domain
+/// samples in split order (evens, then odds).
+void forward_cascade(std::span<const double> x, int levels, std::span<double> out,
+                     std::span<double> scratch, bool split) {
   const std::size_t n = x.size();
   assert(levels >= 0 && levels <= dwt_max_levels(n));
   assert(out.size() >= n && scratch.size() >= n);
@@ -101,14 +105,15 @@ void dwt_forward_into(std::span<const double> x, int levels, std::span<double> o
     const std::size_t half = len / 2;
     const std::size_t parity = static_cast<std::size_t>(level % 2);
     double* approx = level + 1 == levels ? out.data() : scratch.data() + parity * (n / 2);
-    k.dwt_step(src, len, approx, out.data() + half);
+    const auto step = split && level == 0 ? k.dwt_step_split : k.dwt_step;
+    step(src, len, approx, out.data() + half);
     src = approx;
     len = half;
   }
 }
 
-void dwt_inverse_into(std::span<const double> coeffs, int levels, std::span<double> out,
-                      std::span<double> scratch) {
+void inverse_cascade(std::span<const double> coeffs, int levels, std::span<double> out,
+                     std::span<double> scratch, bool split) {
   const std::size_t n = coeffs.size();
   assert(levels >= 0 && levels <= dwt_max_levels(n));
   assert(out.size() >= n && scratch.size() >= n);
@@ -121,11 +126,37 @@ void dwt_inverse_into(std::span<const double> coeffs, int levels, std::span<doub
   std::size_t len = n >> levels;
   for (int level = 0; level < levels; ++level) {
     const std::size_t parity = static_cast<std::size_t>(level % 2);
-    double* dst = level + 1 == levels ? out.data() : scratch.data() + parity * (n / 2);
-    k.idwt_step(approx, coeffs.data() + len, len, dst);
+    const bool last = level + 1 == levels;
+    double* dst = last ? out.data() : scratch.data() + parity * (n / 2);
+    const auto step = split && last ? k.idwt_step_split : k.idwt_step;
+    step(approx, coeffs.data() + len, len, dst);
     approx = dst;
     len *= 2;
   }
+}
+
+}  // namespace
+
+void dwt_forward_into(std::span<const double> x, int levels, std::span<double> out,
+                      std::span<double> scratch) {
+  forward_cascade(x, levels, out, scratch, /*split=*/false);
+}
+
+void dwt_inverse_into(std::span<const double> coeffs, int levels, std::span<double> out,
+                      std::span<double> scratch) {
+  inverse_cascade(coeffs, levels, out, scratch, /*split=*/false);
+}
+
+void dwt_forward_split_into(std::span<const double> x, int levels, std::span<double> out,
+                            std::span<double> scratch) {
+  assert(levels >= 1);
+  forward_cascade(x, levels, out, scratch, /*split=*/true);
+}
+
+void dwt_inverse_split_into(std::span<const double> coeffs, int levels, std::span<double> out,
+                            std::span<double> scratch) {
+  assert(levels >= 1);
+  inverse_cascade(coeffs, levels, out, scratch, /*split=*/true);
 }
 
 std::vector<double> dwt_forward(std::span<const double> x, int levels) {

@@ -51,6 +51,16 @@ void dwt_forward_into(std::span<const double> x, int levels, std::span<double> o
 void dwt_inverse_into(std::span<const double> coeffs, int levels, std::span<double> out,
                       std::span<double> scratch);
 
+/// The same cascades with the time-domain side in split order — sample 2k
+/// at [k], sample 2k+1 at [n/2 + k] — read by the forward transform and
+/// written by the inverse (levels >= 1).  The finest level runs the kern
+/// split steps, which skip the lane shuffles; the coefficients and every
+/// bit match the natural-order cascade.  The FISTA solver's layout.
+void dwt_forward_split_into(std::span<const double> x, int levels, std::span<double> out,
+                            std::span<double> scratch);
+void dwt_inverse_split_into(std::span<const double> coeffs, int levels, std::span<double> out,
+                            std::span<double> scratch);
+
 /// Maximum level count usable for length n (keeps every stage even-length).
 int dwt_max_levels(std::size_t n);
 

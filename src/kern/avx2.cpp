@@ -186,20 +186,48 @@ void store_interleave(double* p, __m256d even, __m256d odd) {
   _mm256_storeu_pd(p + 4, _mm256_permute2f128_pd(lo, hi, 0x31));
 }
 
+/// The Db4 filter taps, broadcast.
+struct Db4Taps {
+  __m256d lo[4];
+  __m256d hi[4];
+  Db4Taps() {
+    for (int t = 0; t < 4; ++t) {
+      lo[t] = _mm256_set1_pd(ref::kDb4Lo[t]);
+      hi[t] = _mm256_set1_pd(ref::kDb4Hi[t]);
+    }
+  }
+};
+
+/// Four forward outputs from their taps x0..x3 (ref::dwt_output's tree).
+void dwt_outputs_vec(const Db4Taps& f, __m256d x0, __m256d x1, __m256d x2, __m256d x3,
+                     double* approx, double* detail) {
+  const __m256d a =
+      _mm256_add_pd(_mm256_add_pd(_mm256_mul_pd(f.lo[0], x0), _mm256_mul_pd(f.lo[1], x1)),
+                    _mm256_add_pd(_mm256_mul_pd(f.lo[2], x2), _mm256_mul_pd(f.lo[3], x3)));
+  const __m256d d =
+      _mm256_add_pd(_mm256_add_pd(_mm256_mul_pd(f.hi[0], x0), _mm256_mul_pd(f.hi[1], x1)),
+                    _mm256_add_pd(_mm256_mul_pd(f.hi[2], x2), _mm256_mul_pd(f.hi[3], x3)));
+  _mm256_storeu_pd(approx, a);
+  _mm256_storeu_pd(detail, d);
+}
+
+/// Four inverse output pairs from coefficients k and k-1
+/// (ref::idwt_outputs' trees).
+void idwt_outputs_vec(const Db4Taps& f, __m256d ak, __m256d dk, __m256d am, __m256d dm,
+                      __m256d* even, __m256d* odd) {
+  *even = _mm256_add_pd(_mm256_add_pd(_mm256_mul_pd(f.lo[0], ak), _mm256_mul_pd(f.hi[0], dk)),
+                        _mm256_add_pd(_mm256_mul_pd(f.lo[2], am), _mm256_mul_pd(f.hi[2], dm)));
+  *odd = _mm256_add_pd(_mm256_add_pd(_mm256_mul_pd(f.lo[1], ak), _mm256_mul_pd(f.hi[1], dk)),
+                       _mm256_add_pd(_mm256_mul_pd(f.lo[3], am), _mm256_mul_pd(f.hi[3], dm)));
+}
+
 void dwt_step_avx2(const double* x, std::size_t n, double* approx, double* detail) {
   const std::size_t half = n / 2;
   if (half < 8) {
     ref::dwt_step(x, n, approx, detail);
     return;
   }
-  const __m256d lo0 = _mm256_set1_pd(ref::kDb4Lo[0]);
-  const __m256d lo1 = _mm256_set1_pd(ref::kDb4Lo[1]);
-  const __m256d lo2 = _mm256_set1_pd(ref::kDb4Lo[2]);
-  const __m256d lo3 = _mm256_set1_pd(ref::kDb4Lo[3]);
-  const __m256d hi0 = _mm256_set1_pd(ref::kDb4Hi[0]);
-  const __m256d hi1 = _mm256_set1_pd(ref::kDb4Hi[1]);
-  const __m256d hi2 = _mm256_set1_pd(ref::kDb4Hi[2]);
-  const __m256d hi3 = _mm256_set1_pd(ref::kDb4Hi[3]);
+  const Db4Taps f;
   // Outputs k..k+3 read x[2k .. 2k+9]; stay in bounds while 2k+9 <= n-1.
   std::size_t k = 0;
   for (; k + 5 <= half; k += 4) {
@@ -209,19 +237,28 @@ void dwt_step_avx2(const double* x, std::size_t n, double* approx, double* detai
     __m256d x3;
     load_deinterleave(x + 2 * k, &x0, &x1);
     load_deinterleave(x + 2 * k + 2, &x2, &x3);
-    const __m256d a = _mm256_add_pd(
-        _mm256_add_pd(_mm256_mul_pd(lo0, x0), _mm256_mul_pd(lo1, x1)),
-        _mm256_add_pd(_mm256_mul_pd(lo2, x2), _mm256_mul_pd(lo3, x3)));
-    const __m256d d = _mm256_add_pd(
-        _mm256_add_pd(_mm256_mul_pd(hi0, x0), _mm256_mul_pd(hi1, x1)),
-        _mm256_add_pd(_mm256_mul_pd(hi2, x2), _mm256_mul_pd(hi3, x3)));
-    _mm256_storeu_pd(approx + k, a);
-    _mm256_storeu_pd(detail + k, d);
+    dwt_outputs_vec(f, x0, x1, x2, x3, approx + k, detail + k);
   }
-  for (; k < half; ++k) {
-    ref::dwt_output(x[(2 * k) % n], x[(2 * k + 1) % n], x[(2 * k + 2) % n],
-                    x[(2 * k + 3) % n], &approx[k], &detail[k]);
+  ref::dwt_step_from(x, n, k, approx, detail);
+}
+
+void dwt_step_split_avx2(const double* x, std::size_t n, double* approx, double* detail) {
+  const std::size_t half = n / 2;
+  if (half < 8) {
+    ref::dwt_step_split(x, n, approx, detail);
+    return;
   }
+  const Db4Taps f;
+  const double* even = x;
+  const double* odd = x + half;
+  // Outputs k..k+3 read even/odd[k .. k+4]; in bounds while k+4 <= half-1.
+  std::size_t k = 0;
+  for (; k + 5 <= half; k += 4) {
+    dwt_outputs_vec(f, _mm256_loadu_pd(even + k), _mm256_loadu_pd(odd + k),
+                    _mm256_loadu_pd(even + k + 1), _mm256_loadu_pd(odd + k + 1), approx + k,
+                    detail + k);
+  }
+  ref::dwt_step_split_from(x, n, k, approx, detail);
 }
 
 void idwt_step_avx2(const double* approx, const double* detail, std::size_t half,
@@ -230,36 +267,46 @@ void idwt_step_avx2(const double* approx, const double* detail, std::size_t half
     ref::idwt_step(approx, detail, half, x);
     return;
   }
-  const __m256d lo0 = _mm256_set1_pd(ref::kDb4Lo[0]);
-  const __m256d lo1 = _mm256_set1_pd(ref::kDb4Lo[1]);
-  const __m256d lo2 = _mm256_set1_pd(ref::kDb4Lo[2]);
-  const __m256d lo3 = _mm256_set1_pd(ref::kDb4Lo[3]);
-  const __m256d hi0 = _mm256_set1_pd(ref::kDb4Hi[0]);
-  const __m256d hi1 = _mm256_set1_pd(ref::kDb4Hi[1]);
-  const __m256d hi2 = _mm256_set1_pd(ref::kDb4Hi[2]);
-  const __m256d hi3 = _mm256_set1_pd(ref::kDb4Hi[3]);
+  const Db4Taps f;
   // k = 0 wraps to k⁻ = half-1: scalar.  Vector body needs k-1 >= 0 and
   // k+3 <= half-1.
   const std::size_t km0 = half - 1;
   ref::idwt_outputs(approx[0], detail[0], approx[km0], detail[km0], &x[0], &x[1]);
   std::size_t k = 1;
   for (; k + 4 <= half; k += 4) {
-    const __m256d ak = _mm256_loadu_pd(approx + k);
-    const __m256d dk = _mm256_loadu_pd(detail + k);
-    const __m256d am = _mm256_loadu_pd(approx + k - 1);
-    const __m256d dm = _mm256_loadu_pd(detail + k - 1);
-    const __m256d even = _mm256_add_pd(
-        _mm256_add_pd(_mm256_mul_pd(lo0, ak), _mm256_mul_pd(hi0, dk)),
-        _mm256_add_pd(_mm256_mul_pd(lo2, am), _mm256_mul_pd(hi2, dm)));
-    const __m256d odd = _mm256_add_pd(
-        _mm256_add_pd(_mm256_mul_pd(lo1, ak), _mm256_mul_pd(hi1, dk)),
-        _mm256_add_pd(_mm256_mul_pd(lo3, am), _mm256_mul_pd(hi3, dm)));
+    __m256d even;
+    __m256d odd;
+    idwt_outputs_vec(f, _mm256_loadu_pd(approx + k), _mm256_loadu_pd(detail + k),
+                     _mm256_loadu_pd(approx + k - 1), _mm256_loadu_pd(detail + k - 1), &even,
+                     &odd);
     store_interleave(x + 2 * k, even, odd);
   }
   for (; k < half; ++k) {
     ref::idwt_outputs(approx[k], detail[k], approx[k - 1], detail[k - 1], &x[2 * k],
                       &x[2 * k + 1]);
   }
+}
+
+void idwt_step_split_avx2(const double* approx, const double* detail, std::size_t half,
+                          double* x) {
+  if (half < 8) {
+    ref::idwt_step_split(approx, detail, half, x);
+    return;
+  }
+  const Db4Taps f;
+  const std::size_t km0 = half - 1;
+  ref::idwt_outputs(approx[0], detail[0], approx[km0], detail[km0], &x[0], &x[half]);
+  std::size_t k = 1;
+  for (; k + 4 <= half; k += 4) {
+    __m256d even;
+    __m256d odd;
+    idwt_outputs_vec(f, _mm256_loadu_pd(approx + k), _mm256_loadu_pd(detail + k),
+                     _mm256_loadu_pd(approx + k - 1), _mm256_loadu_pd(detail + k - 1), &even,
+                     &odd);
+    _mm256_storeu_pd(x + k, even);
+    _mm256_storeu_pd(x + half + k, odd);
+  }
+  ref::idwt_step_split_from(approx, detail, half, k, x);
 }
 
 constexpr Ops kAvx2Ops = {
@@ -273,6 +320,8 @@ constexpr Ops kAvx2Ops = {
     fista_step_avx2,
     dwt_step_avx2,
     idwt_step_avx2,
+    dwt_step_split_avx2,
+    idwt_step_split_avx2,
 };
 
 }  // namespace

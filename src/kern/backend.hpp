@@ -2,10 +2,11 @@
 //
 // Besides the sensing operator (sparse_columns.hpp: one implementation
 // for every backend), the reconstruction inner loop runs three kernel
-// families — the Db4 DWT lifting steps, the fused FISTA step (gradient
-// step, soft threshold, momentum and the stopping-test sums in one pass
-// over the coefficients), and the BLAS-1 reductions.  This layer owns
-// them behind an Ops table with two backends:
+// families — the Db4 DWT steps (natural order, plus the split-order pair
+// the solver's finest level runs), the fused FISTA step (gradient step,
+// soft threshold, momentum and the stopping-test sums in one pass over
+// the coefficients), and the BLAS-1 reductions.  This layer owns them
+// behind an Ops table with two backends:
 //
 //   * scalar — portable reference, runs anywhere;
 //   * avx2   — x86 AVX2 intrinsics, selected at startup via CPUID.
@@ -21,7 +22,10 @@
 //     exactly the AVX2 register layout and its extract-fold, which the
 //     scalar backend emulates.
 //   * DWT outputs use the fixed pairwise tree (c0·x0 + c1·x1) + (c2·x2 +
-//     c3·x3).
+//     c3·x3).  The split steps evaluate the same trees on the same
+//     samples, so a cascade whose finest level runs split gives the
+//     natural cascade's bits; only where the time-domain samples live
+//     differs.
 //   * Elementwise kernels are single-rounded expressions (no FMA; the
 //     kern TUs are compiled with -ffp-contract=off).
 #pragma once
@@ -71,6 +75,14 @@ struct Ops {
   /// Inverse step: x (length 2 * half) from approx/detail (length half).
   void (*idwt_step)(const double* approx, const double* detail, std::size_t half,
                     double* x);
+  /// dwt_step over x in split order: sample 2k at x[k], sample 2k+1 at
+  /// x[n/2 + k].  The finest level of the solver's transforms, where the
+  /// time-domain buffers are split; no lane shuffles.
+  void (*dwt_step_split)(const double* x, std::size_t n, double* approx, double* detail);
+  /// idwt_step writing x in split order (output 2k to x[k], 2k+1 to
+  /// x[half + k]).
+  void (*idwt_step_split)(const double* approx, const double* detail, std::size_t half,
+                          double* x);
 };
 
 enum class Backend {

@@ -18,6 +18,8 @@ constexpr Ops kScalarOps = {
     ref::fista_step,
     ref::dwt_step,
     ref::idwt_step,
+    ref::dwt_step_split,
+    ref::idwt_step_split,
 };
 
 }  // namespace

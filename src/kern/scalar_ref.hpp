@@ -101,17 +101,41 @@ inline void dwt_output(double x0, double x1, double x2, double x3, double* a, do
   *d = (kDb4Hi[0] * x0 + kDb4Hi[1] * x1) + (kDb4Hi[2] * x2 + kDb4Hi[3] * x3);
 }
 
-inline void dwt_step(const double* x, std::size_t n, double* approx, double* detail) {
+/// Forward outputs k0 .. half-1 of one level.  Only the last output wraps
+/// (taps 2k..2k+3 with k = half-1 reach n+1), so the loop runs
+/// modulo-free; the AVX2 step finishes its vector body here.
+inline void dwt_step_from(const double* x, std::size_t n, std::size_t k0, double* approx,
+                          double* detail) {
   const std::size_t half = n / 2;
   if (half == 0) return;
-  // Only the last output wraps (taps 2k..2k+3 with k = half-1 reach n+1):
-  // the main loop runs modulo-free.
-  for (std::size_t k = 0; k + 1 < half; ++k) {
+  for (std::size_t k = k0; k + 1 < half; ++k) {
     dwt_output(x[2 * k], x[2 * k + 1], x[2 * k + 2], x[2 * k + 3], &approx[k], &detail[k]);
   }
   const std::size_t k = half - 1;
-  dwt_output(x[(2 * k) % n], x[(2 * k + 1) % n], x[(2 * k + 2) % n], x[(2 * k + 3) % n],
-             &approx[k], &detail[k]);
+  dwt_output(x[2 * k], x[2 * k + 1], x[0], x[1], &approx[k], &detail[k]);
+}
+
+inline void dwt_step(const double* x, std::size_t n, double* approx, double* detail) {
+  dwt_step_from(x, n, 0, approx, detail);
+}
+
+/// dwt_step_from over x in split order: sample 2k at x[k], sample 2k+1 at
+/// x[half + k].  Same taps, same tree, so the same bits.
+inline void dwt_step_split_from(const double* x, std::size_t n, std::size_t k0,
+                                double* approx, double* detail) {
+  const std::size_t half = n / 2;
+  if (half == 0) return;
+  const double* even = x;
+  const double* odd = x + half;
+  for (std::size_t k = k0; k + 1 < half; ++k) {
+    dwt_output(even[k], odd[k], even[k + 1], odd[k + 1], &approx[k], &detail[k]);
+  }
+  const std::size_t k = half - 1;
+  dwt_output(even[k], odd[k], even[0], odd[0], &approx[k], &detail[k]);
+}
+
+inline void dwt_step_split(const double* x, std::size_t n, double* approx, double* detail) {
+  dwt_step_split_from(x, n, 0, approx, detail);
 }
 
 /// Canonical pairwise tree for one inverse output pair: output 2k uses
@@ -132,6 +156,22 @@ inline void idwt_step(const double* approx, const double* detail, std::size_t ha
     idwt_outputs(approx[k], detail[k], approx[k - 1], detail[k - 1], &x[2 * k],
                  &x[2 * k + 1]);
   }
+}
+
+/// Inverse outputs k0 .. half-1 of one level (k0 >= 1: no wrap), written
+/// in split order: output 2k to x[k], output 2k+1 to x[half + k].
+inline void idwt_step_split_from(const double* approx, const double* detail,
+                                 std::size_t half, std::size_t k0, double* x) {
+  for (std::size_t k = k0; k < half; ++k) {
+    idwt_outputs(approx[k], detail[k], approx[k - 1], detail[k - 1], &x[k], &x[half + k]);
+  }
+}
+
+inline void idwt_step_split(const double* approx, const double* detail, std::size_t half,
+                            double* x) {
+  if (half == 0) return;
+  idwt_outputs(approx[0], detail[0], approx[half - 1], detail[half - 1], &x[0], &x[half]);
+  idwt_step_split_from(approx, detail, half, 1, x);
 }
 
 }  // namespace wbsn::kern::ref

@@ -1,63 +1,179 @@
 #include "kern/sparse_columns.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 namespace wbsn::kern {
 namespace {
 
-/// The column weight the fast loop is compiled for.
+/// The column weight the fast adjoint loop is compiled for.
 constexpr std::size_t kD = 4;
+
+/// Rows per gather group: 8 independent sums per slot.
+constexpr std::size_t kGroup = 8;
 
 bool is_d4(const SparseColumns& a) { return a.sign == nullptr && a.ones_per_column == kD; }
 
+/// Position of column c in split order (evens, then odds).
+std::size_t split_position(std::size_t c, std::size_t n) { return (c & 1) * (n / 2) + c / 2; }
+
 template <bool kSigned>
-void apply_entries(const SparseColumns& a, const double* x, double* y) {
-  for (std::size_t e = 0; e < a.entries; ++e) {
-    const double v = x[a.col[e]];
-    y[a.row[e]] += kSigned ? static_cast<double>(a.sign[e]) * v : v;
+double term(const double* x, const std::uint16_t* col, const std::int8_t* sign,
+            std::size_t i) {
+  if constexpr (kSigned) {
+    return static_cast<double>(sign[i]) * x[col[i]];
+  } else {
+    return x[col[i]];
+  }
+}
+
+/// One group of `kLanes` rows (kLanes = kGroup, or 0 for a short last
+/// group of `lanes` rows); advances col/sign past the group's entries.
+template <bool kSigned, std::size_t kLanes>
+void gather_group(const SparseColumns& a, std::size_t first, std::size_t lanes,
+                  const double* x, const std::uint16_t*& col, const std::int8_t*& sign,
+                  double* y) {
+  const std::size_t width = kLanes != 0 ? kLanes : lanes;
+  const std::uint32_t* len = a.gather_len + first;
+  const std::size_t common = len[0];  // Ascending lengths: the shortest row.
+  double acc[kGroup] = {};
+  for (std::size_t s = 0; s < common; ++s) {
+    for (std::size_t l = 0; l < width; ++l) acc[l] += term<kSigned>(x, col, sign, l);
+    col += width;
+    if constexpr (kSigned) sign += width;
+  }
+  for (std::size_t l = 0; l < width; ++l) {
+    for (std::size_t t = common; t < len[l]; ++t) {
+      acc[l] += term<kSigned>(x, col, sign, 0);
+      ++col;
+      if constexpr (kSigned) ++sign;
+    }
+    y[a.gather_row[first + l]] = acc[l];
   }
 }
 
 template <bool kSigned>
+void apply_rows(const SparseColumns& a, const double* x, double* y) {
+  const std::uint16_t* col = a.gather_col;
+  const std::int8_t* sign = a.gather_sign;
+  std::size_t first = 0;
+  for (; first + kGroup <= a.rows; first += kGroup) {
+    gather_group<kSigned, kGroup>(a, first, kGroup, x, col, sign, y);
+  }
+  if (first < a.rows) gather_group<kSigned, 0>(a, first, a.rows - first, x, col, sign, y);
+}
+
+template <bool kSigned, bool kSplit>
 void adjoint_entries(const SparseColumns& a, const double* y, double* x) {
   for (std::size_t e = 0; e < a.entries; ++e) {
     const double v = y[a.row[e]];
-    x[a.col[e]] += kSigned ? static_cast<double>(a.sign[e]) * v : v;
+    const std::size_t c = kSplit ? split_position(a.col[e], a.cols) : a.col[e];
+    x[c] += kSigned ? static_cast<double>(a.sign[e]) * v : v;
+  }
+}
+
+double column_d4(const std::uint16_t* row, const double* y) {
+  double acc = 0.0;
+  for (std::size_t t = 0; t < kD; ++t) acc += y[row[t]];
+  return acc;
+}
+
+void adjoint_d4(const SparseColumns& a, const double* y, double* x) {
+  const std::uint16_t* row = a.row;
+  for (std::size_t c = 0; c < a.cols; ++c, row += kD) x[c] = column_d4(row, y);
+}
+
+/// Split order: columns 2k and 2k+1 land at x[k] and x[n/2 + k].
+void adjoint_d4_split(const SparseColumns& a, const double* y, double* x) {
+  const std::size_t half = a.cols / 2;
+  const std::uint16_t* row = a.row;
+  for (std::size_t k = 0; k < half; ++k, row += 2 * kD) {
+    x[k] = column_d4(row, y);
+    x[half + k] = column_d4(row + kD, y);
+  }
+}
+
+template <bool kSplit>
+void adjoint_generic(const SparseColumns& a, const double* y, double* x) {
+  std::fill_n(x, a.cols, 0.0);
+  if (a.sign != nullptr) {
+    adjoint_entries<true, kSplit>(a, y, x);
+  } else {
+    adjoint_entries<false, kSplit>(a, y, x);
   }
 }
 
 }  // namespace
 
-void sparse_apply(const SparseColumns& a, const double* x, double* y) {
-  std::fill_n(y, a.rows, 0.0);
-  if (is_d4(a)) {
-    const std::uint16_t* row = a.row;
-    for (std::size_t c = 0; c < a.cols; ++c, row += kD) {
-      const double v = x[c];
-      for (std::size_t t = 0; t < kD; ++t) y[row[t]] += v;
+void RowGather::attach(SparseColumns& a, bool split) const {
+  a.gather_row = row.data();
+  a.gather_len = len.data();
+  a.gather_col = split ? col_split.data() : col.data();
+  a.gather_sign = sign.empty() ? nullptr : sign.data();
+  a.split = split;
+}
+
+RowGather build_row_gather(const SparseColumns& a) {
+  // Bucket the entries by row, keeping stored (column-major) order, so
+  // each row lists its entries in ascending column order.
+  std::vector<std::size_t> start(a.rows + 1, 0);
+  for (std::size_t e = 0; e < a.entries; ++e) ++start[a.row[e] + 1];
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  std::vector<std::size_t> by_row(a.entries);
+  std::vector<std::size_t> fill(start.begin(), start.end() - 1);
+  for (std::size_t e = 0; e < a.entries; ++e) by_row[fill[a.row[e]]++] = e;
+
+  RowGather g;
+  g.row.resize(a.rows);
+  std::iota(g.row.begin(), g.row.end(), std::uint16_t{0});
+  const auto length = [&](std::size_t r) { return start[r + 1] - start[r]; };
+  std::stable_sort(g.row.begin(), g.row.end(),
+                   [&](std::uint16_t p, std::uint16_t q) { return length(p) < length(q); });
+  g.len.reserve(a.rows);
+  for (const std::uint16_t r : g.row) g.len.push_back(static_cast<std::uint32_t>(length(r)));
+
+  const bool even = a.cols % 2 == 0;
+  g.col.reserve(a.entries);
+  if (even) g.col_split.reserve(a.entries);
+  if (a.sign != nullptr) g.sign.reserve(a.entries);
+  const auto push = [&](std::uint16_t r, std::size_t slot) {
+    const std::size_t e = by_row[start[r] + slot];
+    g.col.push_back(a.col[e]);
+    if (even) g.col_split.push_back(static_cast<std::uint16_t>(split_position(a.col[e], a.cols)));
+    if (a.sign != nullptr) g.sign.push_back(a.sign[e]);
+  };
+  for (std::size_t first = 0; first < a.rows; first += kGroup) {
+    const std::size_t lanes = std::min(kGroup, a.rows - first);
+    const std::size_t common = g.len[first];
+    for (std::size_t s = 0; s < common; ++s) {
+      for (std::size_t l = 0; l < lanes; ++l) push(g.row[first + l], s);
     }
-  } else if (a.sign != nullptr) {
-    apply_entries<true>(a, x, y);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      for (std::size_t t = common; t < g.len[first + l]; ++t) push(g.row[first + l], t);
+    }
+  }
+  return g;
+}
+
+void sparse_apply(const SparseColumns& a, const double* x, double* y) {
+  if (a.gather_sign != nullptr) {
+    apply_rows<true>(a, x, y);
   } else {
-    apply_entries<false>(a, x, y);
+    apply_rows<false>(a, x, y);
   }
 }
 
 void sparse_apply_adjoint(const SparseColumns& a, const double* y, double* x) {
-  if (is_d4(a)) {
-    const std::uint16_t* row = a.row;
-    for (std::size_t c = 0; c < a.cols; ++c, row += kD) {
-      double acc = 0.0;
-      for (std::size_t t = 0; t < kD; ++t) acc += y[row[t]];
-      x[c] = acc;
+  if (a.split) {
+    if (is_d4(a)) {
+      adjoint_d4_split(a, y, x);
+    } else {
+      adjoint_generic<true>(a, y, x);
     }
-    return;
-  }
-  std::fill_n(x, a.cols, 0.0);
-  if (a.sign != nullptr) {
-    adjoint_entries<true>(a, y, x);
+  } else if (is_d4(a)) {
+    adjoint_d4(a, y, x);
   } else {
-    adjoint_entries<false>(a, y, x);
+    adjoint_generic<false>(a, y, x);
   }
 }
 

@@ -1,41 +1,53 @@
-// Sensing-operator kernels over the layout the node itself stores: the
-// row index of every one, column after column (d per column for a
-// sparse-binary matrix), plus an optional ±1 sign per entry.
+// Sensing-operator kernels over two layouts of the same sparse ±1 entries:
+// the column list the node itself stores (the row index of every one,
+// column after column, plus an optional ±1 sign per entry) and a row-list
+// form built from it once per operator (build_row_gather).
 //
-// One implementation serves every backend: the kernels are scalar
-// gather/scatter loops that an AVX2 gather version does not beat, so the
-// Ops table does not carry them.  Two loops cover every operator:
+// One implementation serves every backend: the kernels are scalar loops
+// that an AVX2 gather version does not beat, so the Ops table does not
+// carry them.
 //
-//   * d = 4, unsigned — what the pipeline, the engine and the wire path
-//     build — walks column c's rows at row[4c .. 4c + 4), with the column
-//     weight fixed at compile time;
-//   * every other operator (row-truncated degrade-tier operators with
-//     ragged columns, Bernoulli ±1 operators, any other d) walks the
-//     entry list once, reading each entry's column from col[].  No branch
-//     depends on a column's length, which is what keeps the ragged
-//     operators fast.
+//   * apply, y = Φx, gathers: every row sums its own entries in a register
+//     and stores once, so no output is read-modify-written.  Rows are
+//     sorted by length and cut into groups of 8; a group's entries run
+//     slot-major up to its shortest row (8 independent sums per slot),
+//     then each lane's tail.  There is no padding, so ragged
+//     (row-truncated degrade-tier) and signed (Bernoulli) operators run
+//     the same loop as the d = 4 production operator.
+//   * adjoint, x = Φᵀy, walks the column list: a d = 4 loop fixed at
+//     compile time for the unsigned production operator, and one
+//     entry-list loop for every other operator.
 //
-// Canonical accumulation order, the bit-exact definition of both maps:
+// Canonical accumulation order, the bit-exact definition of both maps
+// (unchanged by the gather: it is the order the column-major scatter
+// produced):
 //
-//   * apply, y = Φx: y starts at +0.0 and the entries are visited in
-//     column-major order, each adding sign · x[col] to its row — so every
-//     row sums its terms in ascending column order;
-//   * adjoint, x = Φᵀy: x starts at +0.0 and every entry adds
-//     sign · y[row] to its column — so every column sums its taps in
-//     stored entry order.
+//   * apply: every row starts at +0.0 and adds sign · x[col] over its
+//     entries in ascending column order (stored order among equal
+//     columns); a row without entries stays +0.0;
+//   * adjoint: x starts at +0.0 and every entry adds sign · y[row] to its
+//     column — so every column sums its taps in stored entry order.
 //
 // The ±1.0 sign multiply is exact, so an operator gives the same bits
 // with or without a sign array when every sign is +1.
+//
+// Split order.  A view may take x in split order — the even samples, then
+// the odd ones, so sample c sits at (c & 1)·n/2 + c/2 — which is how the
+// FISTA solver lays out its time-domain buffers for the split finest DWT
+// level (backend.hpp).  The row lists then store the remapped columns, and
+// the adjoint writes column c at its split position.  Same values, same
+// sums: only where x lives changes.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace wbsn::kern {
 
-/// Read-only view of an m x n sparse ±1 operator whose entries are
-/// stored in column-major order (ascending column; any row order within a
-/// column).
+/// Read-only view of an m x n sparse ±1 operator: its entries in
+/// column-major order (ascending column; any row order within a column)
+/// for the adjoint, and the row lists of the same entries for apply.
 struct SparseColumns {
   std::size_t rows = 0;                ///< m: length of y.
   std::size_t cols = 0;                ///< n: length of x.
@@ -45,7 +57,36 @@ struct SparseColumns {
   const std::int8_t* sign = nullptr;   ///< ±1 per entry; null when all are +1.
   /// d when every column holds exactly d entries, 0 when columns differ.
   std::size_t ones_per_column = 0;
+
+  // Row lists (RowGather): rows in ascending length order, their lengths,
+  // and every entry's column (split positions when `split`) and sign in
+  // group order.
+  const std::uint16_t* gather_row = nullptr;
+  const std::uint32_t* gather_len = nullptr;
+  const std::uint16_t* gather_col = nullptr;
+  const std::int8_t* gather_sign = nullptr;  ///< Null when all are +1.
+  /// x in split order (evens, then odds); cols must be even.
+  bool split = false;
 };
+
+/// Owning row-list form of a column-major entry list (see the header
+/// comment).  `col_split` holds the same columns at their split positions
+/// and is empty when the column count is odd.
+struct RowGather {
+  std::vector<std::uint16_t> row;
+  std::vector<std::uint32_t> len;
+  std::vector<std::uint16_t> col;
+  std::vector<std::uint16_t> col_split;
+  std::vector<std::int8_t> sign;  ///< Empty when the operator is unsigned.
+
+  /// Points `a`'s gather fields at these lists (natural or split columns)
+  /// and sets a.split.
+  void attach(SparseColumns& a, bool split) const;
+};
+
+/// Builds the row lists of `a`'s entry list (the gather fields of `a` are
+/// not read).
+RowGather build_row_gather(const SparseColumns& a);
 
 /// y = Φx (y, of length rows, fully overwritten).
 void sparse_apply(const SparseColumns& a, const double* x, double* y);

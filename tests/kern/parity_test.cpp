@@ -270,6 +270,71 @@ TEST(DispatchParity, DwtForwardInverse) {
   }
 }
 
+/// x in split order: the even samples, then the odd ones.
+std::vector<double> to_split(const std::vector<double>& x) {
+  std::vector<double> out(x.size());
+  for (std::size_t c = 0; c < x.size(); ++c) out[(c & 1) * (x.size() / 2) + c / 2] = x[c];
+  return out;
+}
+
+TEST(SplitDwt, MatchesNaturalCascadeOnEveryBackend) {
+  // The split cascades (finest level on split-order samples) against the
+  // natural ones, bit for bit: every even n from 16 to 1024 and every
+  // legal level count, on the scalar reference and on AVX2.
+  BackendGuard guard;
+  for (const Backend backend : {Backend::kScalar, Backend::kAvx2}) {
+    if (!set_backend(backend)) continue;
+    sig::Rng rng(11);
+    for (std::size_t n = 16; n <= 1024; n += 2) {
+      const auto x = random_vector(n, rng);
+      const auto x_split = to_split(x);
+      for (int levels = 1; levels <= dsp::dwt_max_levels(n); ++levels) {
+        std::vector<double> coeffs(n);
+        std::vector<double> coeffs_split(n);
+        std::vector<double> scratch(n);
+        dsp::dwt_forward_into(x, levels, coeffs, scratch);
+        dsp::dwt_forward_split_into(x_split, levels, coeffs_split, scratch);
+        EXPECT_TRUE(bit_identical(coeffs, coeffs_split))
+            << backend_name() << " forward n=" << n << " levels=" << levels;
+
+        std::vector<double> back(n);
+        std::vector<double> back_split(n);
+        dsp::dwt_inverse_into(coeffs, levels, back, scratch);
+        dsp::dwt_inverse_split_into(coeffs, levels, back_split, scratch);
+        EXPECT_TRUE(bit_identical(to_split(back), back_split))
+            << backend_name() << " inverse n=" << n << " levels=" << levels;
+      }
+    }
+  }
+}
+
+TEST(DispatchParity, SplitDwtSteps) {
+  // The split step kernels themselves, scalar against AVX2: sizes below
+  // the vector cutover, pure vector bodies and bodies with tails.
+  REQUIRE_AVX2();
+  const Ops& scalar = *scalar_ops();
+  const Ops& avx2 = *avx2_ops();
+  sig::Rng rng(12);
+  for (std::size_t n = 2; n <= 80; n += 2) {
+    const std::size_t half = n / 2;
+    const auto x = random_vector(n, rng);
+    std::vector<double> a_s(half);
+    std::vector<double> d_s(half);
+    std::vector<double> a_v(half);
+    std::vector<double> d_v(half);
+    scalar.dwt_step_split(x.data(), n, a_s.data(), d_s.data());
+    avx2.dwt_step_split(x.data(), n, a_v.data(), d_v.data());
+    EXPECT_TRUE(bit_identical(a_s, a_v)) << "forward approx n=" << n;
+    EXPECT_TRUE(bit_identical(d_s, d_v)) << "forward detail n=" << n;
+
+    std::vector<double> x_s(n);
+    std::vector<double> x_v(n);
+    scalar.idwt_step_split(a_s.data(), d_s.data(), half, x_s.data());
+    avx2.idwt_step_split(a_s.data(), d_s.data(), half, x_v.data());
+    EXPECT_TRUE(bit_identical(x_s, x_v)) << "inverse n=" << n;
+  }
+}
+
 /// End-to-end: full FISTA reconstructions must be bit-identical across
 /// backends — the property the host engine's determinism contract rests
 /// on.

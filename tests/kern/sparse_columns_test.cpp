@@ -1,11 +1,13 @@
-// Property test of the sensing-operator kernels: apply and adjoint must
-// equal, bit for bit, a naive double loop that spells out the canonical
-// accumulation order (each row sums its terms in ascending column order;
-// each column sums its taps in stored entry order; both start at +0.0 and
-// weight every term by a ±1.0 multiply).  Covers the d = 4 loop and the
-// entry-list loop: sparse-binary operators of every small d, m = 1, odd
-// m, n not a multiple of 4, an empty operator, row-truncated (ragged)
-// operators and signed Bernoulli operators.
+// Property test of the sensing-operator kernels: apply (the row gather)
+// and the adjoint must equal, bit for bit, a naive double loop that spells
+// out the canonical accumulation order (each row sums its terms in
+// ascending column order; each column sums its taps in stored entry
+// order; both start at +0.0 and weight every term by a ±1.0 multiply).
+// Covers the gather for every operator and both adjoint loops (d = 4 and
+// the entry list): sparse-binary operators of every small d, m = 1, odd
+// m, odd n, n not a multiple of 4, an empty operator, row-truncated
+// (ragged) operators down to one row, signed Bernoulli operators, ±0.0
+// and NaN inputs, and the split-order views the solver runs.
 #include "kern/sparse_columns.hpp"
 
 #include <gtest/gtest.h>
@@ -23,8 +25,11 @@
 namespace wbsn::kern {
 namespace {
 
+/// The entry's ±1.0 weight, converted from the stored sign as the kernels
+/// do: a select between ±1.0 constants would let the compiler turn the
+/// multiply into a negation, which flips a NaN's sign bit.
 double sign_of(const SparseColumns& a, std::size_t e) {
-  return a.sign != nullptr && a.sign[e] < 0 ? -1.0 : 1.0;
+  return a.sign != nullptr ? static_cast<double>(a.sign[e]) : 1.0;
 }
 
 /// Row r sums sign · x[col] over its entries, columns ascending (the
@@ -75,6 +80,36 @@ double dot(const std::vector<double>& a, const std::vector<double>& b) {
   return s;
 }
 
+/// x in split order: the even samples, then the odd ones.
+std::vector<double> to_split(const std::vector<double>& x) {
+  std::vector<double> out(x.size());
+  for (std::size_t c = 0; c < x.size(); ++c) out[(c & 1) * (x.size() / 2) + c / 2] = x[c];
+  return out;
+}
+
+/// Bit-identical, except that where `b` holds a NaN `a` need only hold a
+/// NaN: which operand's payload an add returns follows the operand order
+/// the compiler picks (it may commute a + b), not the canonical order.
+bool same_bits_or_both_nan(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::isnan(b[i]) ? !std::isnan(a[i])
+                         : std::memcmp(&a[i], &b[i], sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// A copy of `v` with NaNs of different payloads and signs at a few
+/// positions: each must reach exactly the outputs the canonical loop
+/// carries it to.
+std::vector<double> with_nans(std::vector<double> v) {
+  const double payloads[] = {std::nan("1"), -std::nan("2"), std::nan("")};
+  for (std::size_t i = 3, p = 0; i < v.size(); i += 11, ++p) v[i] = payloads[p % 3];
+  return v;
+}
+
 void expect_canonical(const cs::SensingMatrix& phi, const std::string& label, sig::Rng& rng) {
   SCOPED_TRACE(label);
   const SparseColumns a = phi.columns();
@@ -96,6 +131,26 @@ void expect_canonical(const cs::SensingMatrix& phi, const std::string& label, si
   const double lhs = dot(ax, y);
   const double rhs = dot(x, aty);
   EXPECT_NEAR(lhs, rhs, 1e-9 * (1.0 + std::fabs(lhs)));
+
+  // NaN inputs reach exactly the outputs they reach in the canonical loop.
+  const auto x_nan = with_nans(x);
+  const auto y_nan = with_nans(y);
+  phi.apply_into(x_nan, ax);
+  phi.apply_adjoint_into(y_nan, aty);
+  EXPECT_TRUE(same_bits_or_both_nan(ax, naive_apply(a, x_nan)));
+  EXPECT_TRUE(same_bits_or_both_nan(aty, naive_adjoint(a, y_nan)));
+
+  // The split view reads x, and writes Phi' y, at split positions: the
+  // same values, bit for bit.
+  if (phi.cols() % 2 != 0) return;
+  const SparseColumns s = phi.split_columns();
+  EXPECT_TRUE(s.split);
+  sparse_apply(s, to_split(x).data(), ax.data());
+  EXPECT_TRUE(bit_identical(ax, naive_apply(a, x)));
+  sparse_apply_adjoint(s, y.data(), aty.data());
+  EXPECT_TRUE(bit_identical(aty, to_split(naive_adjoint(a, y))));
+  sparse_apply(s, to_split(x_nan).data(), ax.data());
+  EXPECT_TRUE(same_bits_or_both_nan(ax, naive_apply(a, x_nan)));
 }
 
 /// A truncated operator is the full one restricted to its first rows:
@@ -121,9 +176,9 @@ TEST(SparseColumns, ApplyAndAdjointMatchCanonicalNaiveLoops) {
   struct Shape {
     std::size_t m, n;
   };
-  // m = 1, odd m, n not a multiple of 4, an empty operator, and the
-  // steady pipeline shape.
-  const Shape shapes[] = {{1, 7}, {13, 30}, {9, 0}, {64, 130}, {256, 512}};
+  // m = 1, odd m, odd n, n not a multiple of 4, an empty operator, and
+  // the steady pipeline shape.
+  const Shape shapes[] = {{1, 7}, {13, 30}, {9, 0}, {64, 130}, {31, 101}, {256, 512}};
   for (const std::size_t d : {1u, 2u, 3u, 4u, 5u, 8u}) {
     for (const Shape s : shapes) {
       if (d > s.m) continue;
@@ -152,6 +207,56 @@ TEST(SparseColumns, ApplyAndAdjointMatchCanonicalNaiveLoops) {
   }
 }
 
+TEST(SparseColumns, EmptyRowsGatherPositiveZero) {
+  // More rows than entries: most rows are empty and must come out +0.0,
+  // as the scatter's zero fill left them — also for all -0.0 inputs, and
+  // for a one-row truncation whose row may be empty.
+  sig::Rng mrng(23);
+  const auto phi = cs::SensingMatrix::make_sparse_binary(64, 7, 1, mrng);
+  for (const auto& op : {phi, phi.truncated(1), phi.truncated(5)}) {
+    const std::vector<double> x(op.cols(), -0.0);
+    std::vector<double> y(op.rows(), 123.0);
+    op.apply_into(x, y);
+    EXPECT_TRUE(bit_identical(y, naive_apply(op.columns(), x)));
+    for (const double v : y) {
+      EXPECT_EQ(v, 0.0);
+      EXPECT_FALSE(std::signbit(v));
+    }
+  }
+}
+
+TEST(SparseColumns, RowListsCoverEveryEntryOnceInGroupOrder) {
+  // The row lists are a permutation of the entry list: rows ascending by
+  // length, every row's columns ascending, and each group of 8 rows
+  // slot-major up to its shortest row, then lane by lane.
+  sig::Rng mrng(24);
+  const auto phi = cs::SensingMatrix::make_sparse_binary(37, 90, 4, mrng).truncated(29);
+  const SparseColumns a = phi.columns();
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < a.rows; ++i) {
+    if (i > 0) {
+      EXPECT_LE(a.gather_len[i - 1], a.gather_len[i]);
+    }
+    total += a.gather_len[i];
+  }
+  ASSERT_EQ(total, a.entries);
+  std::vector<std::vector<std::uint16_t>> by_row(a.rows);
+  for (std::size_t e = 0; e < a.entries; ++e) by_row[a.row[e]].push_back(a.col[e]);
+  const std::uint16_t* col = a.gather_col;
+  for (std::size_t first = 0; first < a.rows; first += 8) {
+    const std::size_t lanes = std::min<std::size_t>(8, a.rows - first);
+    const std::size_t common = a.gather_len[first];
+    std::vector<std::vector<std::uint16_t>> seen(lanes);
+    for (std::size_t s = 0; s < common; ++s) {
+      for (std::size_t l = 0; l < lanes; ++l) seen[l].push_back(*col++);
+    }
+    for (std::size_t l = 0; l < lanes; ++l) {
+      for (std::size_t t = common; t < a.gather_len[first + l]; ++t) seen[l].push_back(*col++);
+      EXPECT_EQ(seen[l], by_row[a.gather_row[first + l]]) << "row " << a.gather_row[first + l];
+    }
+  }
+}
+
 // --- Random entry lists ------------------------------------------------------
 // The two suites below keep the name of the sparse mat-vec plan that these
 // kernels replaced; they drive kern::sparse_apply / sparse_apply_adjoint
@@ -163,12 +268,14 @@ struct Entry {
   std::int8_t sign;
 };
 
-/// Owns an entry list and exposes it as a column-major SparseColumns view.
+/// Owns an entry list and exposes it as a column-major SparseColumns view
+/// with its row lists.
 struct EntryList {
   std::size_t rows = 0;
   std::size_t cols = 0;
   std::vector<std::uint16_t> row, col;
   std::vector<std::int8_t> sign;
+  RowGather gather;  ///< Of the latest view (valid until the next).
 
   EntryList(std::size_t m, std::size_t n, std::vector<Entry> entries) : rows(m), cols(n) {
     std::stable_sort(entries.begin(), entries.end(),
@@ -180,7 +287,7 @@ struct EntryList {
     }
   }
 
-  SparseColumns view(bool is_signed, std::size_t ones_per_column = 0) const {
+  SparseColumns view(bool is_signed, std::size_t ones_per_column = 0) {
     SparseColumns a;
     a.rows = rows;
     a.cols = cols;
@@ -189,6 +296,8 @@ struct EntryList {
     a.col = col.data();
     a.sign = is_signed ? sign.data() : nullptr;
     a.ones_per_column = ones_per_column;
+    gather = build_row_gather(a);
+    gather.attach(a, /*split=*/false);
     return a;
   }
 };
@@ -230,7 +339,7 @@ TEST(SpmvPlan, MatchesNaiveReferenceOnOddShapes) {
              static_cast<std::int8_t>(rng.bernoulli(0.5) ? 1 : -1)});
       }
     }
-    const EntryList ragged(outputs, inputs, entries);
+    EntryList ragged(outputs, inputs, entries);
     expect_near_naive(ragged.view(/*is_signed=*/true), rng);
     expect_near_naive(ragged.view(/*is_signed=*/false), rng);
 
@@ -244,14 +353,14 @@ TEST(SpmvPlan, MatchesNaiveReferenceOnOddShapes) {
              static_cast<std::uint16_t>(c), 1});
       }
     }
-    const EntryList d4(outputs, inputs, regular);
+    EntryList d4(outputs, inputs, regular);
     expect_near_naive(d4.view(/*is_signed=*/false, /*ones_per_column=*/4), rng);
   }
 }
 
 TEST(SpmvPlan, EmptyPlanIsHarmless) {
   // No outputs: apply must not touch y; the adjoint is all +0.0.
-  const EntryList empty(0, 4, {});
+  EntryList empty(0, 4, {});
   const SparseColumns a = empty.view(/*is_signed=*/false);
   double y = 123.0;
   std::vector<double> x(4, 1.0);
