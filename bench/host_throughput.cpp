@@ -57,6 +57,7 @@
 #include <utility>
 #include <vector>
 
+#include "cs/fista.hpp"
 #include "cs/pipeline.hpp"
 #include "host/alloc_meter.hpp"
 #include "host/payload_pool.hpp"
@@ -152,6 +153,33 @@ int run_batch_sweep(const std::vector<host::CompressedWindow>& batch) {
   std::printf("\nbit-exactness vs serial: %s\n",
               all_identical ? "PASS" : "FAIL");
   return all_identical ? 0 : 1;
+}
+
+/// Operator passes per window (cs::kLambdaPasses: FISTA iterations plus
+/// the lambda, debias-setup and debias CG passes) over the whole batch,
+/// re-solved serially with the engine's solver config: deterministic, like
+/// the iteration count, so it gates exact-or-lower.
+double mean_operator_passes(const std::vector<host::CompressedWindow>& batch,
+                            const cs::FistaConfig& fista) {
+  std::map<std::pair<std::uint64_t, std::size_t>, cs::SensingMatrix> matrices;
+  cs::FistaWorkspace ws;
+  std::vector<double> signal;
+  double passes_sum = 0.0;
+  for (const auto& window : batch) {
+    const auto key = std::make_pair(window.matrix_seed, window.measurements.size());
+    auto found = matrices.find(key);
+    if (found == matrices.end()) {
+      sig::Rng rng(window.matrix_seed);
+      auto phi = cs::SensingMatrix::make_sparse_binary(
+          window.measurements.size(), window.window_samples, window.ones_per_column, rng);
+      found = matrices.emplace(key, std::move(phi)).first;
+    }
+    signal.resize(window.window_samples);
+    int passes = 0;
+    cs::fista_solve_into(found->second, window.measurements, fista, ws, signal, &passes);
+    passes_sum += passes;
+  }
+  return batch.empty() ? 0.0 : passes_sum / static_cast<double>(batch.size());
 }
 
 int run_streaming(std::vector<host::CompressedWindow> batch, double rate_hz,
@@ -286,6 +314,7 @@ int run_streaming(std::vector<host::CompressedWindow> batch, double rate_hz,
   for (const auto& window : reference.windows) iterations_sum += window.iterations;
   const double mean_fista_iterations =
       iterations_sum / static_cast<double>(reference.windows.size());
+  const double mean_passes = mean_operator_passes(batch, serial_cfg.fista);
   std::printf("\n%-24s %12s\n", "metric", "value");
   std::printf("%-24s %12zu\n", "windows submitted", static_cast<std::size_t>(snap.submitted));
   std::printf("%-24s %12zu\n", "windows completed", static_cast<std::size_t>(snap.completed));
@@ -306,6 +335,7 @@ int run_streaming(std::vector<host::CompressedWindow> batch, double rate_hz,
   std::printf("%-24s %12.2f\n", "wall time (s)", wall_s);
   std::printf("%-24s %12.3f\n", "cpu ms/window", cpu_ms_per_window);
   std::printf("%-24s %12.2f\n", "mean FISTA iterations", mean_fista_iterations);
+  std::printf("%-24s %12.2f\n", "mean operator passes", mean_passes);
   if (host::alloc_counter_enabled() && snap.completed > 0) {
     // Includes warmup (first-touch pool misses, arena growth), so the
     // pooled steady-state rate is strictly below this; alloc_smoke holds
@@ -404,6 +434,7 @@ int run_streaming(std::vector<host::CompressedWindow> batch, double rate_hz,
                  "  \"deadline_violations\": %zu,\n"
                  "  \"cpu_ms_per_window\": %.6f,\n"
                  "  \"mean_fista_iterations\": %.6f,\n"
+                 "  \"mean_operator_passes\": %.6f,\n"
                  "  \"allocs_per_window_incl_warmup\": %.6f,\n"
                  "  \"alloc_counter_enabled\": %d,\n"
                  "  \"pooled\": %d,\n"
@@ -414,7 +445,7 @@ int run_streaming(std::vector<host::CompressedWindow> batch, double rate_hz,
                  static_cast<std::size_t>(snap.rejected), shed_total,
                  snap.throughput_per_s, snap.p50_ms, snap.p95_ms, snap.p99_ms,
                  snap.mean_ms, static_cast<std::size_t>(snap.deadline_violations),
-                 cpu_ms_per_window, mean_fista_iterations,
+                 cpu_ms_per_window, mean_fista_iterations, mean_passes,
                  snap.completed > 0 ? static_cast<double>(allocs_streaming) /
                                           static_cast<double>(snap.completed)
                                     : 0.0,

@@ -20,6 +20,11 @@ regresses, even while the fabric keeps up with the offered rate:
   * mean_fista_iterations — FISTA iterations per window over the
     fixed-seed batch.  Deterministic, so it gates exact-or-lower: a
     stopping rule that stops firing fails it at once.
+  * mean_operator_passes — operator passes per window over the same
+    batch: FISTA iterations plus the lambda pass and, where debias runs,
+    its setup pass and CG iterations (cs::kLambdaPasses).  Deterministic
+    too, and gated exact-or-lower: a debias gate or CG stop that stops
+    firing fails it even while the iteration count holds.
   * cpu_ms_per_window — process CPU per completed window, gated at
     --tolerance.  The invocation runs HOST_THROUGHPUT_ATTEMPTS times and
     the lowest CPU gates (host load only ever adds CPU); every attempt
@@ -148,11 +153,11 @@ def run_host_throughput(build_dir):
                 metrics = json.load(f)
         finally:
             os.unlink(out_path)
-        if (best is not None and metrics.get("mean_fista_iterations")
-                != best.get("mean_fista_iterations")):
-            raise SystemExit(
-                "host_throughput: mean_fista_iterations differs between "
-                "attempts of a fixed-seed run (not retryable)")
+        for key in ("mean_fista_iterations", "mean_operator_passes"):
+            if best is not None and metrics.get(key) != best.get(key):
+                raise SystemExit(
+                    f"host_throughput: {key} differs between "
+                    "attempts of a fixed-seed run (not retryable)")
         print(f"#   attempt {attempt}: "
               f"{metrics.get('cpu_ms_per_window', 0):.3f} cpu ms/window, "
               f"{metrics.get('mean_fista_iterations', 0):.2f} iterations")
@@ -270,17 +275,18 @@ def compare(results, baseline, tolerance, micro_tolerance):
 
     base_host = baseline.get("host_throughput_poisson", {})
     new_host = results.get("host_throughput_poisson", {})
-    new_iters = new_host.get("mean_fista_iterations")
-    base_iters = base_host.get("mean_fista_iterations")
-    if new_iters is None:
-        failures.append("host_throughput: no mean_fista_iterations in run")
-    elif base_iters is not None:
-        line = (f"host_throughput/mean_fista_iterations: {new_iters:.2f} vs "
-                f"baseline {base_iters:.2f}")
-        if new_iters > base_iters:
-            failures.append(line + "  (exact-or-lower)")
-        else:
-            print(f"  ok    {line}")
+    for key in ("mean_fista_iterations", "mean_operator_passes"):
+        new_count = new_host.get(key)
+        base_count = base_host.get(key)
+        if new_count is None:
+            failures.append(f"host_throughput: no {key} in run")
+        elif base_count is not None:
+            line = (f"host_throughput/{key}: {new_count:.2f} vs "
+                    f"baseline {base_count:.2f}")
+            if new_count > base_count:
+                failures.append(line + "  (exact-or-lower)")
+            else:
+                print(f"  ok    {line}")
     new_cpu = new_host.get("cpu_ms_per_window")
     base_cpu = base_host.get("cpu_ms_per_window")
     if new_cpu is None:

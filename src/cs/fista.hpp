@@ -36,11 +36,22 @@ struct FistaConfig {
   double tolerance = 3e-3;
   int dwt_levels = 5;
   /// Re-fit the non-zero coefficients by least squares after FISTA
-  /// (conjugate gradient on the support).  Removes the soft-threshold
-  /// shrinkage bias; typically worth several dB.
+  /// (conjugate gradient on the support; see debias_on_support for where
+  /// it runs).  Removes the soft-threshold shrinkage bias; typically worth
+  /// several dB.
   bool debias = true;
   int debias_iterations = 30;
 };
+
+/// Operator passes, the unit of solver work.  One pass is one trip through
+/// the composed operator and back — inverse DWT, Phi, Phi', forward DWT —
+/// which is what one FISTA iteration and one debias CG iteration each
+/// cost.  A solve runs kLambdaPasses (the correlation A'y that sets
+/// lambda) plus its FISTA iterations; when the debias refit runs it adds
+/// kDebiasSetupPasses (the warm start's residual and gradient) plus its
+/// CG iterations.
+inline constexpr int kLambdaPasses = 1;
+inline constexpr int kDebiasSetupPasses = 1;
 
 struct FistaResult {
   std::vector<double> signal;        ///< Reconstructed time-domain window.
@@ -102,9 +113,25 @@ FistaResult fista_reconstruct(const SensingMatrix& phi, std::span<const double> 
 /// reconstruction lands in the caller's `signal` buffer (n samples, e.g. a
 /// pooled WindowResult buffer), and every intermediate lives in `ws` —
 /// after the first solve of a given shape the steady state performs zero
-/// heap allocations.  Returns the number of FISTA iterations run.
+/// heap allocations.  Returns the number of FISTA iterations run, and the
+/// solve's operator passes (kLambdaPasses) through `operator_passes` when
+/// it is non-null.
 int fista_solve_into(const SensingMatrix& phi, std::span<const double> y,
-                     const FistaConfig& cfg, FistaWorkspace& ws, std::span<double> signal);
+                     const FistaConfig& cfg, FistaWorkspace& ws, std::span<double> signal,
+                     int* operator_passes = nullptr);
+
+/// The least-squares refit that follows FISTA in both the single-lead and
+/// the group solver: conjugate gradient on the normal equations of the
+/// composed operator masked to the support of `a` (its non-zero wavelet
+/// coefficients), warm-started at `a`, at most `iterations` steps.  It
+/// runs only where it pays: it is skipped when the support is empty or
+/// holds at least 0.95 m coefficients (near-square normal equations,
+/// where the refit costs SNR instead of removing shrinkage bias), and CG
+/// stops once ||g||^2 <= 1e-4 ||g_0||^2.  Both thresholds were calibrated
+/// against Figure 5.  Scratch comes from `ws`.  Returns the operator
+/// passes run: 0 when skipped, else kDebiasSetupPasses + CG iterations.
+int debias_on_support(const SensingMatrix& phi, int dwt_levels, std::span<const double> y,
+                      std::span<double> a, int iterations, FistaWorkspace& ws);
 
 struct GroupFistaResult {
   std::vector<std::vector<double>> signals;  ///< [lead][sample].

@@ -126,20 +126,21 @@ void momentum_avx2(const double* a, const double* a_prev, double* z, double beta
 
 /// The fused FISTA step on one vector of elements: returns d = a_k - a_{k-1}
 /// and leaves a_k in *a_io, z_k in *z_io (see ref::fista_step_one).
-__m256d fista_step_vec(__m256d* z_io, __m256d grad, __m256d* a_io, __m256d lip,
+__m256d fista_step_vec(__m256d* z_io, __m256d grad, __m256d* a_io, __m256d inv_lip,
                        __m256d tau, __m256d beta) {
-  const __m256d a_new = soft_threshold_vec(_mm256_sub_pd(*z_io, _mm256_div_pd(grad, lip)), tau);
+  const __m256d a_new =
+      soft_threshold_vec(_mm256_sub_pd(*z_io, _mm256_mul_pd(grad, inv_lip)), tau);
   const __m256d d = _mm256_sub_pd(a_new, *a_io);
   *a_io = a_new;
   *z_io = _mm256_add_pd(a_new, _mm256_mul_pd(beta, d));
   return d;
 }
 
-void fista_step_avx2(const double* grad, double lip, double tau, double beta, std::size_t n,
-                     double* z, double* a, double* delta_sq, double* scale_sq) {
+void fista_step_avx2(const double* grad, double inv_lip, double tau, double beta,
+                     std::size_t n, double* z, double* a, double* delta_sq, double* scale_sq) {
   // 4 consecutive elements per register, lane l holding elements
   // i ≡ l (mod 4); the scalar tail continues the same lanes.
-  const __m256d lvec = _mm256_set1_pd(lip);
+  const __m256d inv_lip_vec = _mm256_set1_pd(inv_lip);
   const __m256d tvec = _mm256_set1_pd(tau);
   const __m256d bvec = _mm256_set1_pd(beta);
   __m256d acc_d = _mm256_setzero_pd();
@@ -148,7 +149,8 @@ void fista_step_avx2(const double* grad, double lip, double tau, double beta, st
   for (; i + 4 <= n; i += 4) {
     __m256d zv = _mm256_loadu_pd(z + i);
     __m256d av = _mm256_loadu_pd(a + i);
-    const __m256d d = fista_step_vec(&zv, _mm256_loadu_pd(grad + i), &av, lvec, tvec, bvec);
+    const __m256d d =
+        fista_step_vec(&zv, _mm256_loadu_pd(grad + i), &av, inv_lip_vec, tvec, bvec);
     acc_d = _mm256_add_pd(acc_d, _mm256_mul_pd(d, d));
     acc_s = _mm256_add_pd(acc_s, _mm256_mul_pd(av, av));
     _mm256_storeu_pd(z + i, zv);
@@ -159,7 +161,7 @@ void fista_step_avx2(const double* grad, double lip, double tau, double beta, st
   _mm256_store_pd(lanes_d, acc_d);
   _mm256_store_pd(lanes_s, acc_s);
   for (; i < n; ++i) {
-    const double d = ref::fista_step_one(z[i], grad[i], a[i], lip, tau, beta);
+    const double d = ref::fista_step_one(z[i], grad[i], a[i], inv_lip, tau, beta);
     lanes_d[i & 3] += d * d;
     lanes_s[i & 3] += a[i] * a[i];
   }

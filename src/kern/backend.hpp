@@ -61,13 +61,15 @@ struct Ops {
                    std::size_t n, double* delta_sq, double* scale_sq);
   /// One whole FISTA step in a single pass over one window; `a` holds
   /// a_{k-1} on entry and a_k on exit.  Per element:
-  ///   v = z - grad / lip,  a_k = copysign(max(|v| - tau, 0), v),
-  ///   d = a_k - a_{k-1},   z = a_k + beta * d,
+  ///   v = z - grad * inv_lip,  a_k = copysign(max(|v| - tau, 0), v),
+  ///   d = a_k - a_{k-1},       z = a_k + beta * d,
   /// with *delta_sq = Σ d² and *scale_sq = Σ a_k² in canonical lane
-  /// order.  Bit-identical to grad_step, the soft threshold and momentum
-  /// run one after another.
-  void (*fista_step)(const double* grad, double lip, double tau, double beta, std::size_t n,
-                     double* z, double* a, double* delta_sq, double* scale_sq);
+  /// order.  The step multiplies by 1/L, computed once per solve by the
+  /// caller: a per-element divide bound the kernel on divider throughput.
+  /// Bit-identical to v = z + (-inv_lip) * grad (axpy), the soft threshold
+  /// and momentum run one after another.
+  void (*fista_step)(const double* grad, double inv_lip, double tau, double beta,
+                     std::size_t n, double* z, double* a, double* delta_sq, double* scale_sq);
 
   // --- Daubechies-4 DWT steps (periodized) ---------------------------------
   /// approx[k] / detail[k] from x[2k..2k+3 mod n]; n even, half = n / 2.

@@ -66,22 +66,22 @@ inline void momentum(const double* a, const double* a_prev, double* z, double be
 
 /// One element of the fused FISTA step; a holds a_{k-1} on entry and
 /// a_k on exit.  Returns d = a_k - a_{k-1}.
-inline double fista_step_one(double& z, double grad, double& a, double lip, double tau,
+inline double fista_step_one(double& z, double grad, double& a, double inv_lip, double tau,
                              double beta) {
-  const double a_new = soft_threshold_one(z - grad / lip, tau);
+  const double a_new = soft_threshold_one(z - grad * inv_lip, tau);
   const double d = a_new - a;
   a = a_new;
   z = a_new + beta * d;
   return d;
 }
 
-inline void fista_step(const double* grad, double lip, double tau, double beta,
+inline void fista_step(const double* grad, double inv_lip, double tau, double beta,
                        std::size_t n, double* z, double* a, double* delta_sq,
                        double* scale_sq) {
   double acc_d[4] = {0.0, 0.0, 0.0, 0.0};
   double acc_s[4] = {0.0, 0.0, 0.0, 0.0};
   for (std::size_t i = 0; i < n; ++i) {
-    const double d = fista_step_one(z[i], grad[i], a[i], lip, tau, beta);
+    const double d = fista_step_one(z[i], grad[i], a[i], inv_lip, tau, beta);
     acc_d[i & 3] += d * d;
     acc_s[i & 3] += a[i] * a[i];
   }

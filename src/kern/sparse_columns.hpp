@@ -3,9 +3,8 @@
 // column after column, plus an optional ±1 sign per entry) and a row-list
 // form built from it once per operator (build_row_gather).
 //
-// One implementation serves every backend: the kernels are scalar loops
-// that an AVX2 gather version does not beat, so the Ops table does not
-// carry them.
+// One implementation serves every backend: the kernels are plain scalar
+// loops compiled without FMA, so the Ops table does not carry them.
 //
 //   * apply, y = Φx, gathers: every row sums its own entries in a register
 //     and stores once, so no output is read-modify-written.  Rows are

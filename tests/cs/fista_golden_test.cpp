@@ -89,7 +89,7 @@ TEST(FistaGolden, SteadyWindowsDefaultConfig) {
     digest.add(r.signal);
     digest.add(r.iterations_run);
   }
-  EXPECT_EQ(digest.hex(), "0x5a3d4a3bc404d562");
+  EXPECT_EQ(digest.hex(), "0xebe414f42a41481a");
 }
 
 TEST(FistaGolden, WireBoundWindowsOneIterationNoDebias) {
@@ -105,7 +105,7 @@ TEST(FistaGolden, WireBoundWindowsOneIterationNoDebias) {
     digest.add(r.signal);
     digest.add(r.iterations_run);
   }
-  EXPECT_EQ(digest.hex(), "0x014c408a53b7e687");
+  EXPECT_EQ(digest.hex(), "0x9ccbd5062a5baa25");
 }
 
 TEST(FistaGolden, BatchOfFiveDefaultConfig) {
@@ -119,7 +119,7 @@ TEST(FistaGolden, BatchOfFiveDefaultConfig) {
     digest.add(r.signal);
     digest.add(r.iterations_run);
   }
-  EXPECT_EQ(digest.hex(), "0x6b7493359bed0f01");
+  EXPECT_EQ(digest.hex(), "0x7a3e04f9a17a58af");
 }
 
 TEST(FistaGolden, TruncatedOperator) {
@@ -138,7 +138,7 @@ TEST(FistaGolden, TruncatedOperator) {
     digest.add(r.signal);
     digest.add(r.iterations_run);
   }
-  EXPECT_EQ(digest.hex(), "0xb100285cecfcdf9e");
+  EXPECT_EQ(digest.hex(), "0x120ecc4d73727357");
 }
 
 TEST(FistaGolden, BernoulliOperator) {
@@ -152,7 +152,7 @@ TEST(FistaGolden, BernoulliOperator) {
     digest.add(r.signal);
     digest.add(r.iterations_run);
   }
-  EXPECT_EQ(digest.hex(), "0xf1c459a26bf93f61");
+  EXPECT_EQ(digest.hex(), "0x59fb26e732240da4");
 }
 
 TEST(FistaGolden, GroupSolveThreeLeads) {

@@ -129,6 +129,71 @@ TEST(Fista, DefaultToleranceStopsSteadyWindowsWithinFig5Margin) {
   }
 }
 
+TEST(Fista, ReportsOperatorPasses) {
+  // passes = the lambda pass + FISTA iterations, plus the debias refit's
+  // setup pass and CG iterations when it runs; the debiased solve is the
+  // plain solve followed by debias_on_support on its coefficients.
+  sig::Rng rng(6);
+  const std::size_t n = 256;
+  const int levels = 4;
+  const auto phi = SensingMatrix::make_sparse_binary(120, n, 4, rng);
+  FistaConfig plain;
+  plain.dwt_levels = levels;
+  plain.lambda_rel = 0.05;  // Sparse iterates, so the refit runs.
+  plain.debias = false;
+  FistaConfig debiased = plain;
+  debiased.debias = true;
+  int debias_ran = 0;
+  FistaWorkspace ws;
+  std::vector<double> signal(n);
+  for (int trial = 0; trial < 6; ++trial) {
+    const auto y = phi.apply(sparse_signal(n, levels, 6 + 4 * trial, rng));
+    int plain_passes = 0;
+    const int iterations = fista_solve_into(phi, y, plain, ws, signal, &plain_passes);
+    EXPECT_EQ(plain_passes, kLambdaPasses + iterations);
+
+    std::vector<double> a(ws.a.begin(), ws.a.begin() + static_cast<long>(n));
+    const int refit = debias_on_support(phi, levels, y, a, debiased.debias_iterations, ws);
+    EXPECT_LE(refit, kDebiasSetupPasses + debiased.debias_iterations);
+    debias_ran += refit > 0;
+
+    int passes = 0;
+    EXPECT_EQ(fista_solve_into(phi, y, debiased, ws, signal, &passes), iterations);
+    EXPECT_EQ(passes, plain_passes + refit);
+    EXPECT_EQ(signal, dsp::dwt_inverse(a, levels));
+  }
+  EXPECT_GT(debias_ran, 0);
+}
+
+TEST(Fista, DebiasSkipsFromNinetyFivePercentSupport) {
+  // The gate's boundary: a support of ceil(0.95 m) coefficients skips the
+  // refit (0 passes, coefficients untouched), one coefficient fewer runs
+  // it.  m = 40 puts 0.95 m on an integer, m = 50 between two.
+  for (const std::size_t m : {40u, 50u}) {
+    sig::Rng rng(7 + m);
+    const std::size_t n = 128;
+    const int levels = 3;
+    const auto phi = SensingMatrix::make_sparse_binary(m, n, 4, rng);
+    std::vector<double> y(m);
+    for (auto& v : y) v = rng.normal();
+    const auto boundary = static_cast<std::size_t>(std::ceil(0.95 * static_cast<double>(m)));
+    for (const std::size_t support : {boundary, boundary - 1}) {
+      std::vector<double> a(n, 0.0);
+      for (std::size_t i = 0; i < support; ++i) a[3 * i % n] = rng.normal();
+      const auto before = a;
+      FistaWorkspace ws;
+      const int passes = debias_on_support(phi, levels, y, a, 30, ws);
+      if (support == boundary) {
+        EXPECT_EQ(passes, 0) << "m=" << m << " |S|=" << support;
+        EXPECT_EQ(a, before) << "m=" << m;
+      } else {
+        EXPECT_GT(passes, kDebiasSetupPasses) << "m=" << m << " |S|=" << support;
+        EXPECT_NE(a, before) << "m=" << m;
+      }
+    }
+  }
+}
+
 TEST(GroupFista, JointBeatsIndependentAtHighCr) {
   // The Figure-5 mechanism: leads share wavelet support, so joint recovery
   // tolerates higher CR.  Compare on a 3-lead record at CR = 75 %.

@@ -101,11 +101,11 @@ struct FistaStepCase {
   std::vector<double> grad, z, a;
 };
 
-constexpr double kStepLip = 3.7;
+constexpr double kStepInvLip = 1.0 / 3.7;
 constexpr double kStepBeta = 0.81;
 
 /// Random inputs salted with the edge cases of the soft threshold: exact
-/// ±0 everywhere, v = z - grad / lip landing exactly on ±tau (grad = 0,
+/// ±0 everywhere, v = z - grad * inv_lip landing exactly on ±tau (grad = 0,
 /// z = ±tau), values just inside the threshold (whose result is a signed
 /// zero carrying v's sign bit), and a_{k-1} = ±0.  `salt` rotates which
 /// element gets which edge case, so small n still meets all of them.
@@ -150,12 +150,14 @@ struct FistaStepOut {
 
 FistaStepOut run_fista_step(const Ops& table, const FistaStepCase& c) {
   FistaStepOut out{c.z, c.a};
-  table.fista_step(c.grad.data(), kStepLip, c.tau, kStepBeta, c.n, out.z.data(),
+  table.fista_step(c.grad.data(), kStepInvLip, c.tau, kStepBeta, c.n, out.z.data(),
                    out.a.data(), &out.delta, &out.scale);
   return out;
 }
 
 TEST(DispatchParity, FistaStepIncludingSignedZerosAndTauBoundary) {
+  // The reciprocal step (multiply by 1/L), scalar against AVX2: n = 1..9
+  // and 127 run the scalar tail after (or instead of) the vector body.
   REQUIRE_AVX2();
   sig::Rng rng(3);
   std::vector<std::size_t> sizes = {127, 128, 512};
@@ -197,8 +199,9 @@ TEST(DispatchParity, Momentum) {
 
 TEST(DispatchParity, FistaStepMatchesUnfusedSteps) {
   // Runs on every available backend: the fused step must equal the
-  // unfused sequence it replaces — grad_step, the soft threshold, then
-  // momentum against a_{k-1}.
+  // unfused sequence it replaces — the gradient step z + (-1/L) * grad
+  // (axpy: the same product, so the same bits as z - grad * (1/L)), the
+  // soft threshold, then momentum against a_{k-1}.
   for (const Ops* table : {scalar_ops(), avx2_ops()}) {
     if (table == nullptr || (table == avx2_ops() && !avx2_supported())) continue;
     sig::Rng rng(5);
@@ -206,8 +209,8 @@ TEST(DispatchParity, FistaStepMatchesUnfusedSteps) {
       const auto c = fista_step_case(n, n, rng);
       const auto fused = run_fista_step(*table, c);
 
-      std::vector<double> a_new(n);
-      table->grad_step(c.z.data(), c.grad.data(), kStepLip, a_new.data(), n);
+      std::vector<double> a_new = c.z;
+      table->axpy(-kStepInvLip, c.grad.data(), a_new.data(), n);
       for (auto& v : a_new) {
         const double mag = std::fabs(v) - c.tau;
         v = std::copysign(mag > 0.0 ? mag : 0.0, v);
