@@ -461,8 +461,8 @@ int run_streaming(std::vector<host::CompressedWindow> batch, double rate_hz,
 // Adaptive-degradation overload drill (--adaptive).
 //
 // Two phases over the same deterministic arrival schedule at ~2x the
-// measured sustainable rate: a shedding-only baseline (DegradePolicy off —
-// the PR-8 behavior) and an adaptive run where queued routine windows
+// measured sustainable rate: a shedding-only baseline (empty degrade
+// ladder) and an adaptive run where queued routine windows
 // demote one rung down the degrade ladder (lower effective CR + capped
 // FISTA iterations) instead of being dropped whole.  Reported: the
 // completed-goodput speedup, the degraded/shed/rejected split, per-tier
@@ -472,7 +472,8 @@ int run_streaming(std::vector<host::CompressedWindow> batch, double rate_hz,
 //     its recorded tier must match bit for bit (the determinism contract
 //     is per (payload, tier));
 //   * off-policy audit — every baseline window must match the serial
-//     full-fidelity reference bit for bit (policy off changes nothing);
+//     full-fidelity reference bit for bit (an empty ladder changes
+//     nothing);
 //   * urgent fidelity — zero urgent-lane windows degraded (demotion is
 //     structurally routine-only; this proves it end to end).
 //
@@ -660,12 +661,10 @@ int run_adaptive(std::vector<host::CompressedWindow> batch, int threads,
               base_cr, tier_cr, tier_cap, overload_factor, rate_hz,
               cfg.slo.deadline_ms);
 
-  host::EngineConfig baseline_cfg = cfg;
-  baseline_cfg.degrade_policy = host::DegradePolicy::kOff;
-  const auto baseline = run_overload_phase(batch, baseline_cfg, rate_hz);
+  // `cfg` has no degrade ladder: the baseline only sheds.
+  const auto baseline = run_overload_phase(batch, cfg, rate_hz);
 
   host::EngineConfig adaptive_cfg = cfg;
-  adaptive_cfg.degrade_policy = host::DegradePolicy::kCrIter;
   adaptive_cfg.degrade_tiers = {{tier_cr, tier_cap}};
   const auto adaptive = run_overload_phase(batch, adaptive_cfg, rate_hz);
 

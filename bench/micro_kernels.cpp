@@ -345,7 +345,7 @@ void BM_EngineSubmitPoll(benchmark::State& state) {
   host::EngineConfig cfg;
   cfg.threads = 0;  // Solve inline: no cross-thread wakeup noise.
   cfg.fista.max_iterations = 1;
-  cfg.fista.debias = false;
+  cfg.fista.debias_iterations = 0;
   host::ReconstructionEngine engine(cfg);
 
   host::CompressedWindow window;
@@ -375,7 +375,7 @@ void BM_EngineSubmitPollPooled(benchmark::State& state) {
   host::EngineConfig cfg;
   cfg.threads = 0;  // Solve inline: no cross-thread wakeup noise.
   cfg.fista.max_iterations = 1;
-  cfg.fista.debias = false;
+  cfg.fista.debias_iterations = 0;
   cfg.payload_pool = pool;
   host::ReconstructionEngine engine(cfg);
 

@@ -61,6 +61,7 @@ constexpr double kDebiasCgStop = 1e-4;
 /// (ensure_debias'd for this shape) — no allocation.
 int debias_on_support_ws(const Synthesis& op, std::span<const double> y, std::span<double> a,
                          int iterations, FistaWorkspace& ws) {
+  if (iterations <= 0) return 0;
   const auto& k = kern::ops();
   const std::size_t n = a.size();
   const std::size_t m = op.phi.rows;
@@ -209,7 +210,7 @@ int fista_solve_into(const SensingMatrix& phi, std::span<const double> y,
   }
 
   int passes = kLambdaPasses + iterations;
-  if (cfg.debias) passes += debias_on_support_ws(op, y, a, cfg.debias_iterations, ws);
+  passes += debias_on_support_ws(op, y, a, cfg.debias_iterations, ws);
   // The result leaves in natural order.
   dsp::dwt_inverse_into(a, levels, signal, scratch);
   if (operator_passes != nullptr) *operator_passes = passes;
@@ -301,7 +302,7 @@ GroupFistaResult group_fista_reconstruct_multi(std::span<const SensingMatrix> ph
   result.signals.reserve(num_leads);
   FistaWorkspace ws;
   for (std::size_t l = 0; l < num_leads; ++l) {
-    if (cfg.debias) debias_on_support(phis[l], levels, ys[l], a[l], cfg.debias_iterations, ws);
+    debias_on_support(phis[l], levels, ys[l], a[l], cfg.debias_iterations, ws);
     result.signals.push_back(dsp::dwt_inverse(a[l], levels));
   }
   return result;

@@ -35,11 +35,10 @@ struct FistaConfig {
   /// still all zero.  0 disables the stop (always run max_iterations).
   double tolerance = 3e-3;
   int dwt_levels = 5;
-  /// Re-fit the non-zero coefficients by least squares after FISTA
-  /// (conjugate gradient on the support; see debias_on_support for where
-  /// it runs).  Removes the soft-threshold shrinkage bias; typically worth
-  /// several dB.
-  bool debias = true;
+  /// CG budget of the least-squares refit of the non-zero coefficients
+  /// after FISTA (see debias_on_support for where it runs).  Removes the
+  /// soft-threshold shrinkage bias; typically worth several dB.  0 = no
+  /// refit.
   int debias_iterations = 30;
 };
 
@@ -49,7 +48,7 @@ struct FistaConfig {
 /// cost.  A solve runs kLambdaPasses (the correlation A'y that sets
 /// lambda) plus its FISTA iterations; when the debias refit runs it adds
 /// kDebiasSetupPasses (the warm start's residual and gradient) plus its
-/// CG iterations.
+/// CG iterations; with debias_iterations == 0 it adds nothing.
 inline constexpr int kLambdaPasses = 1;
 inline constexpr int kDebiasSetupPasses = 1;
 
@@ -128,8 +127,9 @@ int fista_solve_into(const SensingMatrix& phi, std::span<const double> y,
 /// holds at least 0.95 m coefficients (near-square normal equations,
 /// where the refit costs SNR instead of removing shrinkage bias), and CG
 /// stops once ||g||^2 <= 1e-4 ||g_0||^2.  Both thresholds were calibrated
-/// against Figure 5.  Scratch comes from `ws`.  Returns the operator
-/// passes run: 0 when skipped, else kDebiasSetupPasses + CG iterations.
+/// against Figure 5.  `iterations <= 0` skips it too.  Scratch comes from
+/// `ws`.  Returns the operator passes run: 0 when skipped, else
+/// kDebiasSetupPasses + CG iterations.
 int debias_on_support(const SensingMatrix& phi, int dwt_levels, std::span<const double> y,
                       std::span<double> a, int iterations, FistaWorkspace& ws);
 

@@ -106,7 +106,7 @@ class ShardLink {
   /// Removes the patient's SLO state from the shard (nullopt: untracked).
   virtual bool extract_slo(std::uint32_t patient_id, std::optional<SloTrackerState>& state) = 0;
   /// Adds `state` to the patient's tracker; `adopted` is false when the
-  /// shard dropped it (breakdown off or at its cap).
+  /// shard dropped it (its tracker map is at its cap).
   virtual bool adopt_slo(std::uint32_t patient_id, const SloTrackerState& state,
                          bool& adopted) = 0;
   /// One liveness round trip.

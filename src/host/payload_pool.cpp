@@ -10,20 +10,15 @@ PayloadPool::PayloadPool(PayloadPoolConfig cfg) : cfg_(cfg) {
   signals_.reserve(cfg_.capacity);
 }
 
-std::vector<double> PayloadPool::acquire_from(std::vector<std::vector<double>>& list,
-                                              std::size_t reserve) {
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    if (!list.empty()) {
-      std::vector<double> buf = std::move(list.back());
-      list.pop_back();
-      ++stats_.hits;
-      return buf;
-    }
+std::vector<double> PayloadPool::acquire_from(std::vector<std::vector<double>>& list) {
+  std::lock_guard<std::mutex> lk(mutex_);
+  if (list.empty()) {
     ++stats_.misses;
+    return {};  // The producer's first fill sizes it.
   }
-  std::vector<double> buf;
-  if (reserve > 0) buf.reserve(reserve);
+  std::vector<double> buf = std::move(list.back());
+  list.pop_back();
+  ++stats_.hits;
   return buf;
 }
 
@@ -40,15 +35,15 @@ void PayloadPool::recycle_to(std::vector<std::vector<double>>& list,
 }
 
 std::vector<double> PayloadPool::acquire_measurements() {
-  return acquire_from(measurements_, cfg_.measurement_reserve);
+  return acquire_from(measurements_);
 }
 
 std::vector<double> PayloadPool::acquire_reference() {
-  return acquire_from(references_, cfg_.signal_reserve);
+  return acquire_from(references_);
 }
 
 std::vector<double> PayloadPool::acquire_signal() {
-  return acquire_from(signals_, cfg_.signal_reserve);
+  return acquire_from(signals_);
 }
 
 CompressedWindow PayloadPool::acquire_window() {

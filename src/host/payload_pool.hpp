@@ -44,11 +44,6 @@ struct PayloadPoolConfig {
   /// Maximum buffers retained per freelist (measurements / references /
   /// signals each).  Recycles beyond the cap free the buffer instead.
   std::size_t capacity = 1024;
-  /// Initial capacity reserved in a freshly allocated measurement buffer
-  /// (0 = let the producer's first fill size it).
-  std::size_t measurement_reserve = 0;
-  /// Likewise for reference and signal buffers (window_samples-sized).
-  std::size_t signal_reserve = 0;
 };
 
 struct PayloadPoolStats {
@@ -92,8 +87,7 @@ class PayloadPool {
   const PayloadPoolConfig& config() const { return cfg_; }
 
  private:
-  std::vector<double> acquire_from(std::vector<std::vector<double>>& list,
-                                   std::size_t reserve);
+  std::vector<double> acquire_from(std::vector<std::vector<double>>& list);
   void recycle_to(std::vector<std::vector<double>>& list, std::vector<double>&& buf);
 
   PayloadPoolConfig cfg_;

@@ -173,7 +173,6 @@ std::size_t ReconstructionEngine::cached_matrices() const {
 }
 
 std::shared_ptr<SloTracker> ReconstructionEngine::patient_tracker(std::uint32_t patient_id) {
-  if (!cfg_.per_patient_slo) return nullptr;
   std::lock_guard<std::mutex> lk(patient_slo_mutex_);
   const auto found = patient_slo_.find(patient_id);
   if (found != patient_slo_.end()) return found->second;
@@ -198,7 +197,6 @@ std::optional<SloTrackerState> ReconstructionEngine::extract_patient_slo(
 
 bool ReconstructionEngine::adopt_patient_slo(std::uint32_t patient_id,
                                              const SloTrackerState& state) {
-  if (!cfg_.per_patient_slo) return false;
   std::lock_guard<std::mutex> lk(patient_slo_mutex_);
   auto found = patient_slo_.find(patient_id);
   if (found == patient_slo_.end()) {
@@ -411,7 +409,7 @@ cs::SolveTier ReconstructionEngine::tier_for(std::size_t rung, std::uint32_t m_f
   const DegradeTierSpec& spec = cfg_.degrade_tiers[clamped - 1];
   tier.tier = static_cast<std::uint8_t>(clamped);
   tier.iteration_cap = spec.iteration_cap;
-  if (cfg_.degrade_policy == DegradePolicy::kCrIter && spec.cr_percent > 0.0) {
+  if (spec.cr_percent > 0.0) {
     const auto rows = static_cast<std::uint32_t>(cs::rows_for_cr(spec.cr_percent, n));
     // Only truncation counts: a rung whose CR keeps at least as many rows
     // as the window actually carries leaves the operator whole.
@@ -454,7 +452,7 @@ std::vector<std::uint32_t> ReconstructionEngine::pending_patients(std::size_t ma
 }
 
 void ReconstructionEngine::maybe_degrade_backlog() {
-  if (cfg_.degrade_policy == DegradePolicy::kOff || cfg_.degrade_tiers.empty()) return;
+  if (cfg_.degrade_tiers.empty()) return;
   const double deadline_ms = cfg_.slo.deadline_ms;
   if (deadline_ms <= 0.0) return;
   const auto workers = static_cast<double>(std::max(1, cfg_.threads));
@@ -572,7 +570,7 @@ std::optional<std::uint64_t> ReconstructionEngine::try_submit_impl(CompressedWin
   // capacity, deadline-aware shedding may instead free a slot by dropping
   // the queued window predicted to miss its deadline — the arrival then
   // takes over the victim's reservation.  Demote-first: before any queued
-  // window is shed whole, an active DegradePolicy first tries to relieve
+  // window is shed whole, a degrade ladder first tries to relieve
   // the pressure by degrading queued routine windows to a cheaper tier —
   // which can dissolve the predicted miss entirely (the arrival then
   // bounces, but the backlog drains faster and stops hitting capacity).
@@ -596,7 +594,7 @@ std::optional<std::uint64_t> ReconstructionEngine::try_submit_impl(CompressedWin
   item->enqueue_time = Clock::now();
   // Price the admission into the backlog (at the window's tier — a preset
   // tier is charged at its cheaper cost).  Always on: backlog_wait_ms()
-  // feeds the CR-hint pressure signal regardless of DegradePolicy, and
+  // feeds the CR-hint pressure signal with or without a ladder, and
   // counters never affect values.
   item->charged_cost_us = charge_estimate_us(item->window);
   if (item->charged_cost_us > 0) {
@@ -625,8 +623,8 @@ std::optional<std::uint64_t> ReconstructionEngine::try_submit_impl(CompressedWin
   // Proactive degrade trigger: if this admission pushed the priced backlog
   // past one deadline, demote queued routine windows now instead of
   // waiting for capacity to fill.
-  if (cfg_.degrade_policy != DegradePolicy::kOff && !cfg_.degrade_tiers.empty() &&
-      cfg_.slo.deadline_ms > 0.0 && backlog_wait_ms() > cfg_.slo.deadline_ms) {
+  if (!cfg_.degrade_tiers.empty() && cfg_.slo.deadline_ms > 0.0 &&
+      backlog_wait_ms() > cfg_.slo.deadline_ms) {
     maybe_degrade_backlog();
   }
   return ticket;

@@ -95,9 +95,9 @@ struct CompressedWindow {
   /// the fleet was resized while the window was in flight.
   std::uint32_t route_tag = 0;
   /// Solve fidelity tier.  Tier 0 (the default) is the full-fidelity solve
-  /// and the only tier the engine ever uses unless a DegradePolicy demotes
-  /// the window after admission — or the submitter presets a tier, which
-  /// the engine honors as-is (the re-solve audit path).  A non-zero tier
+  /// and the only tier the engine ever uses unless the degrade ladder
+  /// demotes the window after admission — or the submitter presets a
+  /// tier, which the engine honors as-is (the re-solve audit path).  A non-zero tier
   /// changes the window's reconstruction (fewer rows and/or fewer FISTA
   /// iterations), so the determinism contract is per (payload, tier).
   cs::SolveTier solve_tier{};
@@ -113,8 +113,8 @@ struct WindowResult {
   cs::WindowPriority priority = cs::WindowPriority::kRoutine;  ///< Echo of the input lane.
   std::uint32_t route_tag = 0;    ///< Echo of CompressedWindow::route_tag.
   std::uint64_t ticket = 0;       ///< Engine-wide submission sequence number.
-  /// Tier the window was actually solved at (submitted tier, or the tier a
-  /// DegradePolicy demoted it to while queued).
+  /// Tier the window was actually solved at (submitted tier, or the tier
+  /// the degrade ladder demoted it to while queued).
   cs::SolveTier solve_tier{};
   bool degraded = false;          ///< solve_tier.tier != 0.
   std::vector<double> signal;     ///< Reconstructed time-domain window.
@@ -155,31 +155,15 @@ BatchResult reconstruct_batch(
     const std::function<std::uint64_t(const CompressedWindow&)>& submit,
     const std::function<std::vector<WindowResult>()>& drain);
 
-/// How the engine may trade reconstruction fidelity for backlog relief —
-/// degrading routine windows along the paper's Figure-5 SNR/CR curve
-/// instead of shedding them whole.  Urgent (AF-alarm) windows always keep
-/// full fidelity regardless of policy.
-enum class DegradePolicy {
-  /// Never degrade.  Results are bit-identical to an engine without the
-  /// tier machinery (tier stays 0 everywhere).
-  kOff,
-  /// Demote queued routine windows by capping FISTA iterations only; the
-  /// sensing operator keeps every measurement row.
-  kIterCap,
-  /// Demote by raising the effective compression ratio (row-truncating the
-  /// sensing operator to rows_for_cr(cr, n) measurements) AND capping
-  /// iterations — the full Figure-5 trade.
-  kCrIter,
-};
-
 /// One rung of the degrade ladder (EngineConfig::degrade_tiers).  Rung k
 /// of the config vector is solve tier k+1; demotion only ever moves a
-/// window down the ladder (tier never decreases while queued).
+/// window down the ladder (tier never decreases while queued).  Urgent
+/// (AF-alarm) windows are never demoted.
 struct DegradeTierSpec {
-  /// Effective compression ratio at this rung, percent.  Used only under
-  /// DegradePolicy::kCrIter, and only when it truncates (the resulting row
-  /// count is clamped to the window's actual measurements).  0 keeps every
-  /// row.
+  /// Effective compression ratio at this rung, percent: the solve keeps
+  /// the first rows_for_cr(cr, n) measurement rows, the paper's Figure-5
+  /// SNR/CR trade.  Applies only when it truncates (the row count is
+  /// clamped to the window's actual measurements); 0 keeps every row.
   double cr_percent = 0.0;
   /// FISTA iteration cap at this rung; 0 = the full configured budget.
   std::uint32_t iteration_cap = 0;
@@ -204,15 +188,14 @@ struct EngineConfig {
   /// Per-window solve-time estimate feeding the shed predictor, in ms.
   /// 0 (default) uses the engine's measured EWMA of completed solves.
   double shed_solve_estimate_ms = 0.0;
-  /// Fidelity-degrade policy: when the priced backlog (backlog_wait_ms())
-  /// exceeds one deadline after an admission — and again as the
-  /// demote-first step wherever the deadline-shed victim scan would fire —
-  /// queued routine windows are demoted one rung down degrade_tiers
-  /// ("solve cheaper") before any window is shed whole.  kOff (default)
-  /// keeps PR-8 behavior bit for bit.  Requires slo.deadline_ms > 0 and a
-  /// non-empty degrade_tiers to act.
-  DegradePolicy degrade_policy = DegradePolicy::kOff;
-  /// The degrade ladder, cheapest rung last; see DegradeTierSpec.
+  /// The fidelity-degrade ladder, cheapest rung last; see DegradeTierSpec.
+  /// Empty (the default) never degrades: results are bit-identical to an
+  /// engine without the tier machinery.  Non-empty: when the priced
+  /// backlog (backlog_wait_ms()) exceeds one deadline after an admission —
+  /// and again as the demote-first step wherever the deadline-shed victim
+  /// scan would fire — queued routine windows are demoted one rung
+  /// ("solve cheaper") before any window is shed whole.  Requires
+  /// slo.deadline_ms > 0 to act.
   std::vector<DegradeTierSpec> degrade_tiers;
   /// Invoked (from a worker thread) every time the engine makes progress a
   /// blocked producer could be waiting on: a result was published and its
@@ -229,14 +212,12 @@ struct EngineConfig {
   /// keep their matrix alive regardless (shared ownership), so eviction
   /// never changes results — it only bounds memory across seed churn.
   std::size_t matrix_cache_capacity = 64;
-  /// Maintain one SloTracker per patient_id alongside the engine-wide
-  /// one (see patient_slo_snapshots()).
-  bool per_patient_slo = true;
-  /// Bound on the per-patient tracker map (each tracker is a few KB and
-  /// lives for the engine lifetime — recording threads hold raw pointers,
-  /// so entries are never evicted).  Ids beyond the cap simply go
-  /// untracked in the breakdown; the engine-wide tracker still counts
-  /// them.  0 = unbounded.
+  /// Bound on the per-patient tracker map: one SloTracker per patient_id
+  /// alongside the engine-wide one (see patient_slo_snapshots()).  Each
+  /// tracker is a few KB and lives for the engine lifetime — recording
+  /// threads hold raw pointers, so entries are never evicted.  Ids beyond
+  /// the cap simply go untracked in the breakdown; the engine-wide tracker
+  /// still counts them.  0 = unbounded.
   std::size_t max_tracked_patients = 4096;
   /// Shared payload pool (payload_pool.hpp).  When set, the engine recycles
   /// every consumed window's measurement/reference buffers back into it
@@ -251,7 +232,7 @@ struct EngineConfig {
   SloConfig slo{};
 };
 
-/// One patient's latency/throughput breakdown (per_patient_slo).
+/// One patient's latency/throughput breakdown (patient_slo_snapshots()).
 struct PatientSlo {
   std::uint32_t patient_id = 0;
   SloSnapshot slo;
@@ -342,8 +323,8 @@ class ReconstructionEngine {
     return lane_slo_[lane_index(priority)];
   }
 
-  /// Per-patient SLO breakdown, sorted by patient_id; empty when
-  /// per_patient_slo is off.  Same approximation caveats as
+  /// Per-patient SLO breakdown, sorted by patient_id (at most
+  /// max_tracked_patients entries).  Same approximation caveats as
   /// SloTracker::snapshot() while traffic is in flight.
   std::vector<PatientSlo> patient_slo_snapshots() const;
 
@@ -357,11 +338,10 @@ class ReconstructionEngine {
 
   /// Adds an extracted state to this engine's tracker for `patient_id`
   /// (created if absent; folded in if a submission beat the handoff —
-  /// counts conserved either way).  Returns false when the breakdown is
-  /// off or the patient map is at max_tracked_patients capacity (the
-  /// history is dropped from the breakdown; engine-wide counters are
-  /// unaffected, matching how a new patient beyond the cap goes
-  /// untracked).
+  /// counts conserved either way).  Returns false when the patient map is
+  /// at max_tracked_patients capacity (the history is dropped from the
+  /// breakdown; engine-wide counters are unaffected, matching how a new
+  /// patient beyond the cap goes untracked).
   bool adopt_patient_slo(std::uint32_t patient_id, const SloTrackerState& state);
 
   /// Sensing matrices currently cached (bounded by matrix_cache_capacity).
@@ -468,11 +448,11 @@ class ReconstructionEngine {
   /// Demote-first: walks the routine lane demoting queued windows one rung
   /// down the degrade ladder until the priced backlog fits inside one
   /// deadline (or every routine window is at the bottom rung).  Urgent
-  /// windows are never touched.  No-op unless degrade_policy is active,
-  /// the ladder is non-empty, and a deadline is configured.
+  /// windows are never touched.  No-op unless the ladder is non-empty and
+  /// a deadline is configured.
   void maybe_degrade_backlog();
   /// The per-patient tracker for `patient_id` (created on first use), or
-  /// nullptr when per_patient_slo is off.
+  /// nullptr once max_tracked_patients ids are tracked.
   std::shared_ptr<SloTracker> patient_tracker(std::uint32_t patient_id);
   /// Decrements the patient's pending count and wakes drain_patient()
   /// waiters.
@@ -503,8 +483,8 @@ class ReconstructionEngine {
   /// Sum of the admission-time solve-cost estimates (microseconds) of
   /// every window currently queued or solving — the backlog priced in
   /// time rather than windows.  Charged at admission, re-priced on
-  /// demotion, released exactly at completion/shed.  Maintained regardless
-  /// of DegradePolicy (it feeds backlog_wait_ms() and the CR-hint
+  /// demotion, released exactly at completion/shed.  Maintained with or
+  /// without a degrade ladder (it feeds backlog_wait_ms() and the CR-hint
   /// pressure signal, and counters never affect values).
   std::atomic<std::uint64_t> pending_cost_us_{0};
 

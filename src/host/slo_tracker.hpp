@@ -59,7 +59,7 @@ struct SloSnapshot {
   /// it together with that metric.
   std::uint64_t grouped_windows = 0;
   /// Windows completed at a degraded solve tier (cs::SolveTier::tier != 0)
-  /// — demoted by the engine's DegradePolicy, or submitted pre-degraded.
+  /// — demoted down the engine's degrade ladder, or submitted pre-degraded.
   /// The closed-loop observability hook: degraded_windows / completed is
   /// the fidelity-trade rate, and the urgent lane's count must stay 0
   /// (urgent windows always keep full fidelity).

@@ -12,6 +12,9 @@ namespace {
 constexpr std::size_t kRecvChunk = 64 * 1024;
 /// Results requested per POLL_MANY.
 constexpr std::uint32_t kPollBatch = 64;
+/// Ceiling on one reconnect backoff sleep.  Uncapped doubling overflowed
+/// int at high reconnect_attempts.
+constexpr int kReconnectBackoffMaxMs = 2000;
 
 /// The POLL_MANY frame, encoded once: it never changes.
 const std::vector<std::uint8_t>& poll_frame() {
@@ -42,7 +45,7 @@ bool SocketLink::reconnect() {
   for (int attempt = 0; attempt <= cfg_.reconnect_attempts; ++attempt) {
     if (attempt > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(RoutingClient::backoff_delay_ms(
-          attempt, cfg_.reconnect_backoff_ms, cfg_.reconnect_backoff_max_ms, seed)));
+          attempt, cfg_.reconnect_backoff_ms, kReconnectBackoffMaxMs, seed)));
     }
     Fd fd = tcp_connect(endpoint_.host, endpoint_.port, cfg_.connect_timeout_ms,
                         cfg_.io_timeout_ms);

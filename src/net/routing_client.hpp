@@ -67,11 +67,9 @@ struct RoutingClientConfig {
   /// DRAIN_PATIENT response legitimately waits out a backlog.
   int io_timeout_ms = 60000;
   int reconnect_attempts = 5;
-  int reconnect_backoff_ms = 10;  ///< Doubles per attempt up to the cap.
-  /// Ceiling on one backoff sleep.  The schedule is base·2^(k-1) clamped
-  /// here, plus deterministic jitter up to +25% (see backoff_delay_ms) —
-  /// uncapped doubling overflowed int at high reconnect_attempts.
-  int reconnect_backoff_max_ms = 2000;
+  /// First reconnect backoff.  Doubles per attempt up to a fixed 2 s
+  /// ceiling, plus deterministic jitter up to +25% (see backoff_delay_ms).
+  int reconnect_backoff_ms = 10;
   /// Socket receive deadline for a HEALTH probe response, separate from
   /// io_timeout_ms (which is sized for verbs that legitimately wait, like
   /// DRAIN_PATIENT).  A shard that cannot echo a nonce within this window

@@ -11,18 +11,21 @@
 //                      [--queue-capacity N] [--deadline-ms X] [--shedding]
 //                      [--fixed-scale X] [--hint-cr X]
 //                      [--hint-backlog-deadlines X]
-// See docs/OPERATIONS.md for how these map onto EngineConfig.
+// See docs/OPERATIONS.md for how these map onto EngineConfig.  A flag
+// value that is not a number in range (parse_shard_serverd_args) prints
+// the usage and exits 2.
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
+#include <memory>
+#include <span>
+#include <utility>
 
 #include "net/shard_server.hpp"
+#include "net/shard_serverd_args.hpp"
 
 namespace {
 
@@ -45,52 +48,21 @@ void on_signal(int) {
   }
 }
 
-[[noreturn]] void usage_and_exit(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--host H] [--port N] [--threads N] [--queue-capacity N]\n"
-               "          [--deadline-ms X] [--shedding]\n"
-               "          [--fixed-scale X] [--hint-cr X] [--hint-backlog-deadlines X]\n",
-               argv0);
-  std::exit(2);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  wbsn::net::ShardServerConfig cfg;
-  cfg.stop_on_bye = true;
-  cfg.engine.threads = 2;
-  cfg.engine.payload_pool = std::make_shared<wbsn::host::PayloadPool>();
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage_and_exit(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--host") {
-      cfg.host = next();
-    } else if (arg == "--port") {
-      cfg.port = static_cast<std::uint16_t>(std::atoi(next()));
-    } else if (arg == "--threads") {
-      cfg.engine.threads = std::atoi(next());
-    } else if (arg == "--queue-capacity") {
-      cfg.engine.queue_capacity = static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--deadline-ms") {
-      cfg.engine.slo.deadline_ms = std::atof(next());
-    } else if (arg == "--shedding") {
-      cfg.engine.deadline_shedding = true;
-    } else if (arg == "--fixed-scale") {
-      cfg.wire.fixed_scale = std::atof(next());
-    } else if (arg == "--hint-cr") {
-      // CR advisory (percent) answered to CR_HINT sweeps under pressure.
-      cfg.hint_cr_percent = std::atof(next());
-    } else if (arg == "--hint-backlog-deadlines") {
-      cfg.hint_backlog_deadlines = std::atof(next());
-    } else {
-      usage_and_exit(argv[0]);
-    }
+  const std::span<const char* const> args(argv, static_cast<std::size_t>(argc));
+  auto parsed = wbsn::net::parse_shard_serverd_args(args.empty() ? args : args.subspan(1));
+  if (!parsed) {
+    std::fputs(
+        "usage: shard_serverd [--host H] [--port N] [--threads N] [--queue-capacity N]\n"
+        "                     [--deadline-ms X] [--shedding]\n"
+        "                     [--fixed-scale X] [--hint-cr X] [--hint-backlog-deadlines X]\n",
+        stderr);
+    return 2;
   }
+  wbsn::net::ShardServerConfig cfg = std::move(*parsed);
+  cfg.engine.payload_pool = std::make_shared<wbsn::host::PayloadPool>();
 
   // The stop pipe must exist before any signal can fire.  Nonblocking
   // write end: a full pipe already means a wake is pending, and a handler

@@ -98,7 +98,7 @@ TEST(FistaGolden, WireBoundWindowsOneIterationNoDebias) {
   const auto ys = encode(phi, ecg_windows(128, 8, 22));
   FistaConfig cfg;
   cfg.max_iterations = 1;
-  cfg.debias = false;
+  cfg.debias_iterations = 0;
   Fnv1a digest;
   for (const auto& y : ys) {
     const auto r = fista_reconstruct(phi, y, cfg);

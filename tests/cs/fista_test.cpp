@@ -140,9 +140,9 @@ TEST(Fista, ReportsOperatorPasses) {
   FistaConfig plain;
   plain.dwt_levels = levels;
   plain.lambda_rel = 0.05;  // Sparse iterates, so the refit runs.
-  plain.debias = false;
+  plain.debias_iterations = 0;
   FistaConfig debiased = plain;
-  debiased.debias = true;
+  debiased.debias_iterations = FistaConfig{}.debias_iterations;
   int debias_ran = 0;
   FistaWorkspace ws;
   std::vector<double> signal(n);
@@ -163,6 +163,42 @@ TEST(Fista, ReportsOperatorPasses) {
     EXPECT_EQ(signal, dsp::dwt_inverse(a, levels));
   }
   EXPECT_GT(debias_ran, 0);
+}
+
+TEST(Fista, ZeroDebiasIterationsRunsNoRefitPass) {
+  // debias_iterations = 0 switches the refit off even on a support small
+  // enough for it to run: no setup pass is run or counted, and the signal
+  // is the FISTA iterate's, bit for bit.  The default budget on the same
+  // window runs the refit and moves the signal.
+  sig::Rng rng(8);
+  const std::size_t n = 256;
+  const std::size_t m = 120;
+  const int levels = 4;
+  const auto phi = SensingMatrix::make_sparse_binary(m, n, 4, rng);
+  const auto y = phi.apply(sparse_signal(n, levels, 10, rng));
+  FistaConfig off;
+  off.dwt_levels = levels;
+  off.lambda_rel = 0.05;
+  off.debias_iterations = 0;
+  FistaWorkspace ws;
+  std::vector<double> signal(n);
+  int passes = 0;
+  const int iterations = fista_solve_into(phi, y, off, ws, signal, &passes);
+  const std::vector<double> a(ws.a.begin(), ws.a.begin() + static_cast<long>(n));
+  std::size_t support = 0;
+  for (const double v : a) support += v != 0.0;
+  ASSERT_GT(support, 0u);
+  ASSERT_LT(20 * support, 19 * m) << "|S| must sit below 0.95 m";
+  EXPECT_EQ(passes, kLambdaPasses + iterations);
+  EXPECT_EQ(signal, dsp::dwt_inverse(a, levels));
+
+  FistaConfig on = off;
+  on.debias_iterations = FistaConfig{}.debias_iterations;
+  std::vector<double> refit_signal(n);
+  int refit_passes = 0;
+  EXPECT_EQ(fista_solve_into(phi, y, on, ws, refit_signal, &refit_passes), iterations);
+  EXPECT_GT(refit_passes, passes + kDebiasSetupPasses);
+  EXPECT_NE(refit_signal, signal);
 }
 
 TEST(Fista, DebiasSkipsFromNinetyFivePercentSupport) {

@@ -140,7 +140,6 @@ TEST(FistaWorkspace, DebiasPathRunsOnTheArena) {
   const auto problem = make_problem(15, 64, 128, 3);
   FistaConfig cfg;
   cfg.dwt_levels = 3;
-  cfg.debias = true;
   cfg.debias_iterations = 8;
 
   FistaWorkspace ws;

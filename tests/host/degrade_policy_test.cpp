@@ -1,10 +1,11 @@
-// Fidelity-degrade policy: under backlog pressure the engine demotes
+// Fidelity-degrade ladder: under backlog pressure the engine demotes
 // queued routine windows down the Figure-5 ladder (higher effective CR,
 // capped iterations) instead of shedding them whole.  Pins the contract
-// edges: policy off is bit-identical to an engine without the tier
-// machinery, urgent windows never demote no matter the flood, a preset
-// tier is honored deterministically (the audit path), and a
-// row-truncated solve still reconstructs the signal.
+// edges: an empty ladder is bit-identical to an engine without the tier
+// machinery, urgent windows never demote no matter the flood, an
+// iteration-only rung keeps every row, a preset tier is honored
+// deterministically (the audit path), and a row-truncated solve still
+// reconstructs the signal.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -57,20 +58,22 @@ bool same_signal(const std::vector<double>& a, const std::vector<double>& b) {
 /// demotion trigger on every submit past the first: pinned 10 ms solves
 /// against a 10 ms deadline mean the priced backlog overshoots as soon
 /// as two windows queue.
-EngineConfig pressured_engine(DegradePolicy policy) {
+EngineConfig pressured_engine(std::vector<DegradeTierSpec> ladder) {
   auto cfg = fast_engine(0);  // Serial: nothing drains until poll().
   cfg.queue_capacity = 64;
   cfg.slo.deadline_ms = 10.0;
   cfg.shed_solve_estimate_ms = 10.0;  // Pin the predictor: no EWMA warmup.
-  cfg.degrade_policy = policy;
-  cfg.degrade_tiers = {{/*cr_percent=*/70.0, /*iteration_cap=*/20}};
+  cfg.degrade_tiers = std::move(ladder);
   return cfg;
 }
 
-TEST(DegradePolicy, OffIsBitIdenticalToAnEngineWithoutTheMachinery) {
-  // Same pressured shape, policy off vs a plain engine that has never
+/// One rung: CR 70, iterations capped at 20.
+const std::vector<DegradeTierSpec> kCrRung = {{/*cr_percent=*/70.0, /*iteration_cap=*/20}};
+
+TEST(DegradePolicy, EmptyLadderIsBitIdenticalToThePlainEngine) {
+  // Same pressured shape, no ladder vs a plain engine that has never
   // heard of tiers: every reconstruction must match bit for bit.
-  ReconstructionEngine off(pressured_engine(DegradePolicy::kOff));
+  ReconstructionEngine off(pressured_engine({}));
   ReconstructionEngine plain(fast_engine(0));
 
   auto first = ecg_windows(6);
@@ -86,13 +89,13 @@ TEST(DegradePolicy, OffIsBitIdenticalToAnEngineWithoutTheMachinery) {
     EXPECT_EQ(off_results[i].solve_tier.tier, 0u);
     EXPECT_FALSE(off_results[i].degraded);
     EXPECT_TRUE(same_signal(off_results[i].signal, plain_results[i].signal))
-        << "window " << i << ": kOff changed the reconstruction";
+        << "window " << i << ": an empty ladder changed the reconstruction";
   }
   EXPECT_EQ(off.slo().snapshot().degraded_windows, 0u);
 }
 
 TEST(DegradePolicy, ProactiveTriggerDemotesQueuedRoutineWindows) {
-  ReconstructionEngine engine(pressured_engine(DegradePolicy::kCrIter));
+  ReconstructionEngine engine(pressured_engine(kCrRung));
   auto windows = ecg_windows(8);
   const std::uint32_t n = windows.front().window_samples;
   const auto expected_m =
@@ -125,8 +128,31 @@ TEST(DegradePolicy, ProactiveTriggerDemotesQueuedRoutineWindows) {
             degraded);
 }
 
+TEST(DegradePolicy, IterationOnlyRungKeepsEveryRow) {
+  // A rung with cr_percent 0 caps iterations and leaves the operator
+  // whole: degraded results solve on all m rows.
+  ReconstructionEngine engine(pressured_engine({{/*cr_percent=*/0.0, /*iteration_cap=*/20}}));
+  auto windows = ecg_windows(8);
+  for (auto& window : windows) {
+    ASSERT_TRUE(engine.try_submit(std::move(window)).has_value());
+  }
+
+  const auto results = engine.drain();
+  ASSERT_EQ(results.size(), 8u);
+  std::size_t degraded = 0;
+  for (const auto& result : results) {
+    if (!result.degraded) continue;
+    ++degraded;
+    EXPECT_EQ(result.solve_tier.tier, 1u);
+    EXPECT_EQ(result.solve_tier.effective_m, 0u);
+    EXPECT_EQ(result.solve_tier.iteration_cap, 20u);
+    EXPECT_LE(result.iterations, 20);
+  }
+  EXPECT_GT(degraded, 0u) << "priced backlog never tripped the trigger";
+}
+
 TEST(DegradePolicy, UrgentWindowsNeverDemoteUnderFlood) {
-  ReconstructionEngine engine(pressured_engine(DegradePolicy::kCrIter));
+  ReconstructionEngine engine(pressured_engine(kCrRung));
   auto windows = ecg_windows(12);
   for (std::size_t i = 0; i < windows.size(); ++i) {
     if (i % 3 == 0) windows[i].priority = cs::WindowPriority::kUrgent;  // 4 of 12.
@@ -159,8 +185,7 @@ TEST(DegradePolicy, DemotionRepricesTheBacklogUnderMeasuredCosts) {
   auto cfg = fast_engine(0);
   cfg.queue_capacity = 64;
   cfg.slo.deadline_ms = 0.05;  // Any measured backlog overshoots.
-  cfg.degrade_policy = DegradePolicy::kCrIter;
-  cfg.degrade_tiers = {{/*cr_percent=*/70.0, /*iteration_cap=*/20}};
+  cfg.degrade_tiers = kCrRung;
   ReconstructionEngine engine(cfg);
 
   auto windows = ecg_windows(5);
@@ -200,7 +225,7 @@ TEST(DegradePolicy, DemotionRepricesTheBacklogUnderMeasuredCosts) {
 
 TEST(DegradePolicy, PresetTierIsHonoredDeterministically) {
   // The audit path: a submitter presets a tier and the engine solves at
-  // exactly that fidelity, reproducibly, with no policy configured.
+  // exactly that fidelity, reproducibly, with no ladder configured.
   auto windows = ecg_windows(1);
   const std::uint32_t n = windows.front().window_samples;
   cs::SolveTier tier;

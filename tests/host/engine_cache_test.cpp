@@ -173,18 +173,5 @@ TEST(EnginePatientSlo, TrackedPatientCapBoundsTheMap) {
   EXPECT_EQ(engine.slo().snapshot().completed, 6u);
 }
 
-TEST(EnginePatientSlo, DisabledMeansEmpty) {
-  auto cfg = fast_engine(0);
-  cfg.per_patient_slo = false;
-  ReconstructionEngine engine(cfg);
-  const auto batch = compress_record(make_record(61, 4), 3, fast_compression());
-  for (const auto& window : batch) {
-    CompressedWindow copy = window;
-    ASSERT_TRUE(engine.try_submit(std::move(copy)).has_value());
-    ASSERT_TRUE(engine.poll().has_value());
-  }
-  EXPECT_TRUE(engine.patient_slo_snapshots().empty());
-}
-
 }  // namespace
 }  // namespace wbsn::host

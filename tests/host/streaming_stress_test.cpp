@@ -321,7 +321,7 @@ TEST(StreamingStress, DrainWakesWhenTheLastCompletionLandsMidSweep) {
   EngineConfig cfg;
   cfg.threads = kWorkers;
   cfg.fista.max_iterations = 1;
-  cfg.fista.debias = false;
+  cfg.fista.debias_iterations = 0;
   ReconstructionEngine engine(cfg);
   CompressedWindow window;
   window.window_samples = 16;

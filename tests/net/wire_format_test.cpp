@@ -229,7 +229,7 @@ std::vector<double> fista_signal(std::size_t n, double cr_percent, std::uint64_t
 cs::FistaConfig one_iteration() {
   cs::FistaConfig cfg;
   cfg.max_iterations = 1;
-  cfg.debias = false;
+  cfg.debias_iterations = 0;
   return cfg;
 }
 
