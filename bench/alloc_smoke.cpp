@@ -16,7 +16,13 @@
 //             wbsn-wire result path before the harness sees it:
 //             encode_result_entry (WAVELET_RESIDUAL or FLOAT64), one
 //             RESULT_BATCH frame, peek_frame, decode_result_batch into a
-//             pooled signal.
+//             pooled signal;
+//   no-ref    production traffic: windows carry no reference.  Each one
+//             crosses a SUBMIT_BATCH frame (the producer's buffers go back
+//             to the pool once encoded, as a client's do on ack) and
+//             reaches the serial engine with a capacity-0 reference that
+//             the pool must not keep — handed out as a measurement or
+//             signal buffer, it would allocate on its first fill.
 //
 // The gate is strict (`> 0` fails, not a budget), which is why the
 // harness pre-sizes all of its own bookkeeping before the measured pass.
@@ -77,6 +83,11 @@ Traffic make_traffic(int patients, int beats) {
   if (!traffic.templates.empty()) {
     traffic.window_samples = traffic.templates.front().window_samples;
   }
+  return traffic;
+}
+
+Traffic without_references(Traffic traffic) {
+  for (auto& tmpl : traffic.templates) tmpl.reference.clear();
   return traffic;
 }
 
@@ -296,6 +307,33 @@ int main(int argc, char** argv) {
           }
           return std::move(decoded.front());
         }));
+  }
+
+  {
+    auto pool = std::make_shared<host::PayloadPool>();
+    host::EngineConfig cfg;
+    cfg.threads = 0;
+    cfg.payload_pool = pool;
+    host::ReconstructionEngine engine(cfg);
+    std::vector<std::uint8_t> frame;
+    std::vector<host::CompressedWindow> decoded;
+    reports.push_back(run_phase(
+        "no-ref(wire-in)", without_references(traffic), *pool, reference,
+        [&](host::CompressedWindow&& w) {
+          frame.clear();
+          net::encode_submit_batch(frame, {&w, 1}, 0, net::WireEncodeOptions{});
+          pool->recycle(std::move(w));
+          net::FrameView view;
+          std::uint8_t flags = 0;
+          if (net::peek_frame(frame, view) != net::FrameStatus::kOk ||
+              !net::decode_submit_batch(view.payload, flags, decoded, pool.get()) ||
+              decoded.size() != 1 || !decoded.front().reference.empty()) {
+            std::fprintf(stderr, "no-ref: window frame failed to round-trip\n");
+            std::abort();
+          }
+          engine.submit(std::move(decoded.front()));
+        },
+        [&] { return engine.poll(); }));
   }
 
   bool pass = true;

@@ -10,7 +10,10 @@ Each config struct below has a knob table in OPERATIONS.md, under the
     it (``fista.tolerance``, ``engine.*``);
   * every row must name a live field.  Dotted rows resolve through the
     nested config structs (``engine.slo.deadline_ms`` → EngineConfig →
-    SloConfig), and ``x.*`` needs ``x`` to be a struct-typed field.
+    SloConfig), and ``x.*`` needs ``x`` to be a struct-typed field;
+  * the ShardServerConfig table's "Daemon flag" column and the flags
+    ``src/net/shard_serverd_args.cpp`` compares against must agree: every
+    documented ``--flag`` is parsed, and every parsed flag has a row.
 
 Fields are read from the struct definitions in ``src/**/*.hpp``
 (top-level ``struct Name {`` blocks; member functions, ``static`` and
@@ -30,11 +33,16 @@ TABLED = ("EngineConfig", "FabricConfig", "PayloadPoolConfig",
           "RoutingClientConfig", "ShardServerConfig")
 # Structs a dotted row may descend into.
 NESTED = ("EngineConfig", "FistaConfig", "SloConfig", "WireEncodeOptions")
+# The daemon's flag parser, and the table whose second column names its flags.
+DAEMON_PARSER = pathlib.Path("src/net/shard_serverd_args.cpp")
+DAEMON_TABLE = "ShardServerConfig"
 
 STRUCT_OPEN = re.compile(r"^struct (\w+) \{")
 IDENT_AT_END = re.compile(r"(\w+)\s*$")
 HEADING = re.compile(r"^##\s+(.*)$")
 ROW_KNOB = re.compile(r"^\|\s*`([^`]+)`\s*\|")
+ROW_FLAG = re.compile(r"^\|[^|]*\|\s*`(--[\w-]+)`\s*\|")
+PARSER_FLAG = re.compile(r'==\s*"(--[\w-]+)"')
 
 
 def strip_comments(text: str) -> str:
@@ -102,9 +110,9 @@ def nested_struct(field_type: str) -> str | None:
     return name if name in NESTED else None
 
 
-def parse_tables(doc: pathlib.Path) -> dict[str, list[tuple[int, str]]]:
-    """struct name -> [(line, knob)] for each struct's knob table."""
-    tables: dict[str, list[tuple[int, str]]] = {}
+def parse_tables(doc: pathlib.Path) -> dict[str, list[tuple[int, str, str]]]:
+    """struct name -> [(line, knob, row text)] for each struct's knob table."""
+    tables: dict[str, list[tuple[int, str, str]]] = {}
     current = None
     for lineno, line in enumerate(doc.read_text(encoding="utf-8").splitlines(), 1):
         h = HEADING.match(line)
@@ -116,7 +124,7 @@ def parse_tables(doc: pathlib.Path) -> dict[str, list[tuple[int, str]]]:
             continue
         row = ROW_KNOB.match(line)
         if current and row:
-            tables[current].append((lineno, row.group(1)))
+            tables[current].append((lineno, row.group(1), line))
     return tables
 
 
@@ -151,14 +159,33 @@ def check(root: pathlib.Path, doc: pathlib.Path) -> list[str]:
         if struct not in tables:
             problems.append(f"{doc}: no knob table for {struct}")
             continue
-        knobs = [knob for _, knob in tables[struct]]
-        for lineno, knob in tables[struct]:
+        knobs = [knob for _, knob, _ in tables[struct]]
+        for lineno, knob, _ in tables[struct]:
             why = resolve(structs, struct, knob)
             if why:
                 problems.append(f"{doc}:{lineno}: row `{knob}` is stale: {why}")
         for field in structs[struct]:
             if not any(k == field or k.startswith(field + ".") for k in knobs):
                 problems.append(f"{doc}: {struct}::{field} has no row")
+    return problems + check_daemon_flags(root, doc, tables.get(DAEMON_TABLE, []))
+
+
+def check_daemon_flags(root: pathlib.Path, doc: pathlib.Path, rows) -> list[str]:
+    parser = root / DAEMON_PARSER
+    if not parser.is_file():
+        return [f"src: daemon flag parser {DAEMON_PARSER} not found"]
+    parsed = set(PARSER_FLAG.findall(strip_comments(parser.read_text(encoding="utf-8"))))
+    problems, documented = [], set()
+    for lineno, _, line in rows:
+        flag = ROW_FLAG.match(line)
+        if not flag:
+            continue
+        documented.add(flag.group(1))
+        if flag.group(1) not in parsed:
+            problems.append(f"{doc}:{lineno}: daemon flag `{flag.group(1)}` is not parsed "
+                            f"by {DAEMON_PARSER}")
+    for flag in sorted(parsed - documented):
+        problems.append(f"{doc}: daemon flag `{flag}` has no row")
     return problems
 
 
@@ -180,7 +207,7 @@ def main() -> int:
     if problems:
         print(f"{len(problems)} knob-table mismatch(es)")
         return 1
-    print(f"knob tables match {', '.join(TABLED)}")
+    print(f"knob tables match {', '.join(TABLED)} and the shard_serverd flags")
     return 0
 
 

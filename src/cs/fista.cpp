@@ -228,13 +228,6 @@ FistaResult fista_reconstruct(const SensingMatrix& phi, std::span<const double> 
   return result;
 }
 
-GroupFistaResult group_fista_reconstruct(const SensingMatrix& phi,
-                                         std::span<const std::vector<double>> ys,
-                                         const FistaConfig& cfg) {
-  std::vector<SensingMatrix> phis(ys.size(), phi);
-  return group_fista_reconstruct_multi(phis, ys, cfg);
-}
-
 GroupFistaResult group_fista_reconstruct_multi(std::span<const SensingMatrix> phis,
                                                std::span<const std::vector<double>> ys,
                                                const FistaConfig& cfg) {
@@ -268,7 +261,7 @@ GroupFistaResult group_fista_reconstruct_multi(std::span<const SensingMatrix> ph
       auto az = phis[l].apply(dsp::dwt_inverse(z[l], levels));
       kn.axpy(-1.0, ys[l].data(), az.data(), az.size());
       const auto grad = dsp::dwt_forward(phis[l].apply_adjoint(az), levels);
-      kn.grad_step(z[l].data(), grad.data(), lip, a[l].data(), n);
+      for (std::size_t i = 0; i < n; ++i) a[l][i] = z[l][i] - grad[i] / lip;
     }
     // Group (row-wise) soft threshold: shrink the cross-lead coefficient
     // vector at each index jointly — coefficients survive only where the

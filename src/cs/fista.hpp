@@ -138,12 +138,6 @@ struct GroupFistaResult {
   int iterations_run = 0;
 };
 
-/// Joint multi-lead reconstruction; `ys[l]` holds lead l's measurements
-/// (all leads sensed with the same Phi, as on the node).
-GroupFistaResult group_fista_reconstruct(const SensingMatrix& phi,
-                                         std::span<const std::vector<double>> ys,
-                                         const FistaConfig& cfg = {});
-
 /// Joint multi-lead reconstruction with one sensing matrix per lead.
 /// Sensing each lead with an *independent* matrix costs the node nothing
 /// (each matrix is a stored seed) but de-correlates the measurement

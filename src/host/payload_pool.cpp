@@ -4,81 +4,52 @@
 
 namespace wbsn::host {
 
-PayloadPool::PayloadPool(PayloadPoolConfig cfg) : cfg_(cfg) {
-  measurements_.reserve(cfg_.capacity);
-  references_.reserve(cfg_.capacity);
-  signals_.reserve(cfg_.capacity);
-}
-
-std::vector<double> PayloadPool::acquire_from(std::vector<std::vector<double>>& list) {
-  std::lock_guard<std::mutex> lk(mutex_);
-  if (list.empty()) {
-    ++stats_.misses;
-    return {};  // The producer's first fill sizes it.
-  }
-  std::vector<double> buf = std::move(list.back());
-  list.pop_back();
-  ++stats_.hits;
-  return buf;
-}
-
-void PayloadPool::recycle_to(std::vector<std::vector<double>>& list,
-                             std::vector<double>&& buf) {
-  buf.clear();  // Size 0, capacity kept — the whole point.
-  std::lock_guard<std::mutex> lk(mutex_);
-  if (list.size() < cfg_.capacity) {
-    list.push_back(std::move(buf));
-    ++stats_.recycled;
-  } else {
-    ++stats_.dropped;  // `buf` frees on scope exit.
-  }
-}
-
-std::vector<double> PayloadPool::acquire_measurements() {
-  return acquire_from(measurements_);
-}
-
-std::vector<double> PayloadPool::acquire_reference() {
-  return acquire_from(references_);
-}
-
-std::vector<double> PayloadPool::acquire_signal() {
-  return acquire_from(signals_);
-}
-
 CompressedWindow PayloadPool::acquire_window() {
   CompressedWindow window;
-  window.measurements = acquire_measurements();
-  window.reference = acquire_reference();
+  window.measurements = acquire();
+  window.reference = acquire();
   return window;
 }
 
-void PayloadPool::recycle_measurements(std::vector<double>&& buf) {
-  recycle_to(measurements_, std::move(buf));
+std::vector<double> PayloadPool::acquire() {
+  std::vector<double> buf = free_.acquire();
+  const std::size_t widest = widest_.load(std::memory_order_relaxed);
+  // A miss (counted) allocates the full width now; so does a hit parked
+  // while another thread was raising the widest.
+  if (buf.capacity() > 0 && buf.capacity() < widest) free_.count_miss();
+  buf.reserve(widest);
+  return buf;
 }
 
-void PayloadPool::recycle_reference(std::vector<double>&& buf) {
-  recycle_to(references_, std::move(buf));
-}
-
-void PayloadPool::recycle_signal(std::vector<double>&& buf) {
-  recycle_to(signals_, std::move(buf));
+void PayloadPool::recycle(std::vector<double>&& buf) {
+  const std::size_t width = buf.capacity();
+  if (width == 0) return;
+  buf.clear();  // Size 0, capacity kept — the whole point.
+  std::size_t widest = widest_.load(std::memory_order_relaxed);
+  while (width > widest && !widest_.compare_exchange_weak(widest, width)) {
+  }
+  if (width > widest) {
+    // Raised the widest (rare): widen the parked buffers now, so none of
+    // them surfaces narrow long after warm-up.
+    free_.update_parked([width](std::vector<double>& parked) {
+      const bool narrow = parked.capacity() < width;
+      parked.reserve(width);
+      return narrow;
+    });
+  } else if (width < widest && !free_.full()) {  // Not if it would be dropped.
+    buf.reserve(widest);
+    free_.count_miss();
+  }
+  free_.recycle(std::move(buf));
 }
 
 void PayloadPool::recycle(CompressedWindow&& window) {
-  recycle_measurements(std::move(window.measurements));
-  // Windows without a reference recycle an empty (capacity-0) buffer —
-  // harmless: it comes back as good as a fresh miss, without the miss.
-  recycle_reference(std::move(window.reference));
+  recycle(std::move(window.measurements));
+  recycle(std::move(window.reference));
 }
 
 void PayloadPool::recycle(WindowResult&& result) {
-  recycle_signal(std::move(result.signal));
-}
-
-PayloadPoolStats PayloadPool::stats() const {
-  std::lock_guard<std::mutex> lk(mutex_);
-  return stats_;
+  recycle(std::move(result.signal));
 }
 
 }  // namespace wbsn::host

@@ -5,12 +5,17 @@
 // reconstructed signal).  In a streaming deployment those buffers churn
 // once per window forever — the dominant steady-state allocation source
 // once the solver runs on an arena (cs::FistaWorkspace).  This module
-// recycles them instead: fixed-capacity freelists of buffers, checked out
-// by the producer at submit time and returned by the engine after the
-// solve (measurement side) and by the consumer after poll (signal side).
-// The same discipline lilliput applies to its framebuffers: allocate
-// once, swap per op, never per request.
+// recycles them instead: one fixed-capacity freelist of buffers, checked
+// out by the producer or wire decoder and by the engine at admission, and
+// returned by the engine after the solve and by the consumer after poll.
 //
+//  * One list, no roles: a buffer recycled by one side serves an acquire
+//    on the other.  Since any buffer may serve any part next (m-sized
+//    measurements, n-sized references and signals), every buffer is
+//    widened to the widest recycled so far, so no fill of a pooled buffer
+//    allocates; each widening is a counted miss.  The widest never
+//    shrinks, so pooled memory is bounded by capacity x the widest window
+//    ever recycled (the wire admits up to 4096 samples).
 //  * Exhaustion degrades, never blocks: an empty freelist hands out a
 //    fresh allocation (counted as a miss), an over-capacity recycle frees
 //    the buffer (counted as a drop).  The pool bounds pooled memory, not
@@ -24,10 +29,11 @@
 //    EngineConfig::payload_pool survives the fabric's resize() because
 //    every rebuilt engine inherits the same pool object.
 //
-// ObjectPool<T> below is the same freelist discipline for whole nodes
-// (the engine recycles its WorkItems through one).
+// ObjectPool<T> below puts whole heap nodes on the same Freelist (the
+// engine recycles its WorkItems through one).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -41,39 +47,106 @@ struct CompressedWindow;
 struct WindowResult;
 
 struct PayloadPoolConfig {
-  /// Maximum buffers retained per freelist (measurements / references /
-  /// signals each).  Recycles beyond the cap free the buffer instead.
-  std::size_t capacity = 1024;
+  /// Maximum buffers the freelist retains: a measurement, a reference and
+  /// a signal for each of 1024 windows.  Recycles beyond the cap free the
+  /// buffer instead.
+  std::size_t capacity = 3 * 1024;
 };
 
 struct PayloadPoolStats {
-  std::uint64_t hits = 0;      ///< Acquires served from a freelist.
-  std::uint64_t misses = 0;    ///< Acquires that had to allocate.
-  std::uint64_t recycled = 0;  ///< Buffers returned to a freelist.
+  std::uint64_t hits = 0;      ///< Acquires served from the freelist.
+  std::uint64_t misses = 0;    ///< Allocations: empty-list acquires, widenings.
+  std::uint64_t recycled = 0;  ///< Items returned to the freelist.
   std::uint64_t dropped = 0;   ///< Recycles freed because the list was full.
+};
+
+/// The freelist both pools are built on: a mutex-guarded stack of at most
+/// `capacity` parked items.  acquire() on an empty list is a counted miss
+/// that returns a value-initialized T (an empty vector, a null pointer);
+/// recycle() past capacity is a counted drop that frees the item once the
+/// lock is released.  The stack is reserved up front, so steady-state
+/// acquire/recycle cycles allocate nothing.
+template <typename T>
+class Freelist {
+ public:
+  explicit Freelist(std::size_t capacity) : capacity_(capacity) { free_.reserve(capacity_); }
+
+  T acquire() {
+    std::lock_guard<std::mutex> lk(mutex_);
+    if (free_.empty()) {
+      ++stats_.misses;
+      return T{};
+    }
+    T item = std::move(free_.back());
+    free_.pop_back();
+    ++stats_.hits;
+    return item;
+  }
+
+  void recycle(T item) {
+    std::lock_guard<std::mutex> lk(mutex_);
+    if (free_.size() < capacity_) {
+      free_.push_back(std::move(item));
+      ++stats_.recycled;
+    } else {
+      ++stats_.dropped;
+    }
+  }
+
+  /// Counts an allocation made for the list outside acquire().
+  void count_miss() {
+    std::lock_guard<std::mutex> lk(mutex_);
+    ++stats_.misses;
+  }
+
+  /// Calls `f` on every parked item under the lock, counting a miss for
+  /// each call that returns true (it allocated).
+  template <typename F>
+  void update_parked(F&& f) {
+    std::lock_guard<std::mutex> lk(mutex_);
+    for (T& item : free_) {
+      if (f(item)) ++stats_.misses;
+    }
+  }
+
+  PayloadPoolStats stats() const {
+    std::lock_guard<std::mutex> lk(mutex_);
+    return stats_;
+  }
+
+  /// Whether a recycle now would be dropped (a hint: other threads race it).
+  bool full() const {
+    std::lock_guard<std::mutex> lk(mutex_);
+    return free_.size() >= capacity_;
+  }
+
+ private:
+  std::size_t capacity_;
+  mutable std::mutex mutex_;
+  std::vector<T> free_;
+  PayloadPoolStats stats_;
 };
 
 class PayloadPool {
  public:
-  explicit PayloadPool(PayloadPoolConfig cfg = {});
+  explicit PayloadPool(PayloadPoolConfig cfg = {}) : free_(cfg.capacity) {}
 
   PayloadPool(const PayloadPool&) = delete;
   PayloadPool& operator=(const PayloadPool&) = delete;
 
-  /// One buffer, role-keyed so each freelist's capacities stay stable
-  /// (measurements are m-sized, references/signals n-sized — mixing them
-  /// would re-grow buffers forever).
-  std::vector<double> acquire_measurements();
-  std::vector<double> acquire_reference();
-  std::vector<double> acquire_signal();
+  /// One buffer, empty, with room for the widest buffer recycled so far
+  /// (a miss allocates that much at once).
+  std::vector<double> acquire();
 
-  /// A window shell with pooled measurement + reference buffers (cleared,
-  /// capacity warm).  Metadata fields are default-initialized.
+  /// A window shell with pooled measurement + reference buffers.  Metadata
+  /// fields are default-initialized.
   CompressedWindow acquire_window();
 
-  void recycle_measurements(std::vector<double>&& buf);
-  void recycle_reference(std::vector<double>&& buf);
-  void recycle_signal(std::vector<double>&& buf);
+  /// Keeps `buf` for a later acquire, widened to the widest buffer seen
+  /// (a counted miss) unless it would be dropped.  A buffer that never
+  /// held anything (capacity 0, e.g. an absent reference) is not kept:
+  /// handed out, its first fill would allocate.
+  void recycle(std::vector<double>&& buf);
 
   /// Returns a consumed window's payload buffers to the pool (the engine
   /// calls this once the solve no longer needs the measurements).
@@ -83,81 +156,34 @@ class PayloadPool {
   /// keep the signal just don't call this — move-out semantics.
   void recycle(WindowResult&& result);
 
-  PayloadPoolStats stats() const;
-  const PayloadPoolConfig& config() const { return cfg_; }
+  PayloadPoolStats stats() const { return free_.stats(); }
 
  private:
-  std::vector<double> acquire_from(std::vector<std::vector<double>>& list);
-  void recycle_to(std::vector<std::vector<double>>& list, std::vector<double>&& buf);
-
-  PayloadPoolConfig cfg_;
-  mutable std::mutex mutex_;
-  std::vector<std::vector<double>> measurements_;
-  std::vector<std::vector<double>> references_;
-  std::vector<std::vector<double>> signals_;
-  PayloadPoolStats stats_;
+  Freelist<std::vector<double>> free_;
+  std::atomic<std::size_t> widest_{0};  ///< Largest capacity recycled so far.
 };
 
-/// Fixed-capacity freelist of heap nodes: acquire() pops a recycled node
-/// (or news one on a miss), recycle() pushes it back (or deletes it past
-/// capacity).  The freelist vector is reserved up front, so steady-state
-/// acquire/recycle cycles allocate nothing.  Thread-safe.
+/// Heap nodes on the same Freelist: acquire() pops a recycled node (or
+/// news one on a miss), recycle() parks it again (or deletes it past
+/// capacity).  Nodes are stored as-is: callers reset any state they don't
+/// want resurrected before recycling.
 template <typename T>
 class ObjectPool {
  public:
-  explicit ObjectPool(std::size_t capacity) : capacity_(capacity) {
-    free_.reserve(capacity_);
-  }
-
-  ~ObjectPool() {
-    for (T* obj : free_) delete obj;
-  }
-
-  ObjectPool(const ObjectPool&) = delete;
-  ObjectPool& operator=(const ObjectPool&) = delete;
+  explicit ObjectPool(std::size_t capacity) : free_(capacity) {}
 
   T* acquire() {
-    {
-      std::lock_guard<std::mutex> lk(mutex_);
-      if (!free_.empty()) {
-        T* obj = free_.back();
-        free_.pop_back();
-        ++hits_;
-        return obj;
-      }
-      ++misses_;
-    }
-    return new T();
+    std::unique_ptr<T> obj = free_.acquire();
+    return obj != nullptr ? obj.release() : new T();
   }
 
-  /// Takes ownership back.  The node is stored as-is: callers reset any
-  /// state they don't want resurrected before recycling.
-  void recycle(T* obj) {
-    {
-      std::lock_guard<std::mutex> lk(mutex_);
-      if (free_.size() < capacity_) {
-        free_.push_back(obj);
-        ++recycled_;
-        return;
-      }
-      ++dropped_;
-    }
-    delete obj;
-  }
+  /// Takes ownership back.
+  void recycle(T* obj) { free_.recycle(std::unique_ptr<T>(obj)); }
 
-  PayloadPoolStats stats() const {
-    std::lock_guard<std::mutex> lk(mutex_);
-    return {hits_, misses_, recycled_, dropped_};
-  }
+  PayloadPoolStats stats() const { return free_.stats(); }
 
  private:
-  std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::vector<T*> free_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t recycled_ = 0;
-  std::uint64_t dropped_ = 0;
+  Freelist<std::unique_ptr<T>> free_;
 };
 
 }  // namespace wbsn::host

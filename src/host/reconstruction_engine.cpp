@@ -586,9 +586,9 @@ std::optional<std::uint64_t> ReconstructionEngine::try_submit_impl(CompressedWin
   WorkItem* item = item_pool_.acquire();
   item->phi = prepare_matrix(window);
   item->window = std::move(window);
-  // The result buffer is drawn here, not at solve time: the pool's signal
+  // The result buffer is drawn here, not at solve time: the pool's
   // high-water then follows the in-flight window count.
-  if (cfg_.payload_pool != nullptr) item->result.signal = cfg_.payload_pool->acquire_signal();
+  if (cfg_.payload_pool != nullptr) item->result.signal = cfg_.payload_pool->acquire();
   item->patient_slo = patient_tracker(item->window.patient_id);
   item->ticket = next_ticket_.fetch_add(1, std::memory_order_relaxed);
   item->enqueue_time = Clock::now();

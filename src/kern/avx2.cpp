@@ -75,17 +75,6 @@ void xpby_avx2(const double* x, double beta, double* y, std::size_t n) {
   ref::xpby(x + i, beta, y + i, n - i);
 }
 
-void grad_step_avx2(const double* z, const double* grad, double lip, double* a,
-                    std::size_t n) {
-  const __m256d l = _mm256_set1_pd(lip);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d g = _mm256_div_pd(_mm256_loadu_pd(grad + i), l);
-    _mm256_storeu_pd(a + i, _mm256_sub_pd(_mm256_loadu_pd(z + i), g));
-  }
-  ref::grad_step(z + i, grad + i, lip, a + i, n - i);
-}
-
 /// copysign(max(|v| - tau, 0), v), vector form (see ref::soft_threshold_one).
 /// The sign mask is built inline: a namespace-scope __m256d would run AVX
 /// instructions during static init, before the CPUID check can protect a
@@ -317,7 +306,6 @@ constexpr Ops kAvx2Ops = {
     nrm2_sq_avx2,
     axpy_avx2,
     xpby_avx2,
-    grad_step_avx2,
     momentum_avx2,
     fista_step_avx2,
     dwt_step_avx2,

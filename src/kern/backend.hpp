@@ -50,9 +50,6 @@ struct Ops {
   void (*axpy)(double alpha, const double* x, double* y, std::size_t n);
   /// y[i] = x[i] + beta * y[i].
   void (*xpby)(const double* x, double beta, double* y, std::size_t n);
-  /// a[i] = z[i] - grad[i] / lip (the FISTA gradient step).
-  void (*grad_step)(const double* z, const double* grad, double lip, double* a,
-                    std::size_t n);
 
   // --- Fused FISTA updates -------------------------------------------------
   /// z[i] = a[i] + beta * (a[i] - a_prev[i]); *delta_sq = Σ (a - a_prev)²,

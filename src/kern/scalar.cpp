@@ -13,7 +13,6 @@ constexpr Ops kScalarOps = {
     ref::nrm2_sq,
     ref::axpy,
     ref::xpby,
-    ref::grad_step,
     ref::momentum,
     ref::fista_step,
     ref::dwt_step,

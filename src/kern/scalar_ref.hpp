@@ -38,11 +38,6 @@ inline void xpby(const double* x, double beta, double* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] = x[i] + beta * y[i];
 }
 
-inline void grad_step(const double* z, const double* grad, double lip, double* a,
-                      std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) a[i] = z[i] - grad[i] / lip;
-}
-
 /// copysign(max(|v| - tau, 0), v): the branchless form both backends use;
 /// |v| <= tau yields ±0.0 carrying v's sign bit.
 inline double soft_threshold_one(double v, double tau) {

@@ -31,10 +31,6 @@ std::optional<ShardServerConfig> parse_shard_serverd_args(std::span<const char* 
 
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string_view flag = args[i];
-    if (flag == "--shedding") {
-      cfg.engine.deadline_shedding = true;
-      continue;
-    }
     if (i + 1 >= args.size()) return std::nullopt;
     const std::string_view value = args[++i];
     // A whole number in [0, max] into `field`.

@@ -8,7 +8,7 @@
 // serves until a client sends BYE or the process receives SIGINT/SIGTERM.
 //
 // Usage: shard_serverd [--host A.B.C.D] [--port N] [--threads N]
-//                      [--queue-capacity N] [--deadline-ms X] [--shedding]
+//                      [--queue-capacity N] [--deadline-ms X]
 //                      [--fixed-scale X] [--hint-cr X]
 //                      [--hint-backlog-deadlines X]
 // See docs/OPERATIONS.md for how these map onto EngineConfig.  A flag
@@ -56,8 +56,8 @@ int main(int argc, char** argv) {
   if (!parsed) {
     std::fputs(
         "usage: shard_serverd [--host H] [--port N] [--threads N] [--queue-capacity N]\n"
-        "                     [--deadline-ms X] [--shedding]\n"
-        "                     [--fixed-scale X] [--hint-cr X] [--hint-backlog-deadlines X]\n",
+        "                     [--deadline-ms X] [--fixed-scale X] [--hint-cr X]\n"
+        "                     [--hint-backlog-deadlines X]\n",
         stderr);
     return 2;
   }

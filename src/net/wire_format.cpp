@@ -391,10 +391,13 @@ ValueCoding encode_signal_values(std::vector<std::uint8_t>& out,
   return ValueCoding::kFloat64;
 }
 
-bool decode_values(WireReader& r, std::vector<double>& out) {
+bool decode_values(WireReader& r, std::vector<double>& out, host::PayloadPool* pool) {
   out.clear();
   const auto coding = static_cast<ValueCoding>(r.u8());
   if (!r.ok()) return false;
+  if (coding != ValueCoding::kAbsent && pool != nullptr && out.capacity() == 0) {
+    out = pool->acquire();
+  }
   switch (coding) {
     case ValueCoding::kAbsent:
       return true;
@@ -510,15 +513,11 @@ bool decode_window_body(WireReader& r, host::CompressedWindow& out, host::Payloa
   out.ones_per_column = static_cast<std::uint32_t>(d);
   out.priority = static_cast<cs::WindowPriority>(r.u8());
   out.route_tag = static_cast<std::uint32_t>(r.varint());
-  if (pool) {
-    if (out.measurements.capacity() == 0) out.measurements = pool->acquire_measurements();
-    if (out.reference.capacity() == 0) out.reference = pool->acquire_reference();
-  }
-  if (!decode_values(r, out.measurements)) return false;
+  if (!decode_values(r, out.measurements, pool)) return false;
   // ABSENT is the only coding that is a single byte; a coded vector
   // carries at least a count after its coding byte.
   const std::size_t before_reference = r.remaining();
-  if (!decode_values(r, out.reference)) return false;
+  if (!decode_values(r, out.reference, pool)) return false;
   const bool reference_absent = before_reference - r.remaining() == 1;
   const std::uint64_t m = out.measurements.size();
   return r.ok() && m >= 1 && m <= n && n <= kMaxWindowSamples && d >= 1 && d <= m &&
@@ -557,8 +556,7 @@ bool decode_result_entry(WireReader& r, host::WindowResult& out, host::PayloadPo
   out.iterations = static_cast<int>(r.varint());
   out.latency_ms = r.f64le();
   out.e2e_ms = r.f64le();
-  if (pool && out.signal.capacity() == 0) out.signal = pool->acquire_signal();
-  if (!decode_values(r, out.signal)) return false;
+  if (!decode_values(r, out.signal, pool)) return false;
   return r.ok();
 }
 

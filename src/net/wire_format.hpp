@@ -219,10 +219,12 @@ ValueCoding encode_signal_values(std::vector<std::uint8_t>& out,
                                  std::span<const double> values);
 
 /// Decodes a coded sample vector into `out` (resized to fit; cleared for
-/// ABSENT).  Returns false on malformed input.  `out` keeps its capacity,
-/// so pool-drawn buffers stay warm; WAVELET_RESIDUAL decodes through the
-/// same per-thread scratch as encode_signal_values.
-bool decode_values(WireReader& r, std::vector<double>& out);
+/// ABSENT).  Returns false on malformed input.  `out` keeps its capacity;
+/// when it has none and `pool` is set, a present vector is decoded into a
+/// buffer drawn from `pool` (ABSENT draws nothing).  WAVELET_RESIDUAL
+/// decodes through the same per-thread scratch as encode_signal_values.
+bool decode_values(WireReader& r, std::vector<double>& out,
+                   host::PayloadPool* pool = nullptr);
 
 // --- Typed payloads ----------------------------------------------------------
 // Each encode_* appends one complete frame (header..CRC) to `out`; each

@@ -165,7 +165,8 @@ TEST(FistaGolden, GroupSolveThreeLeads) {
   const auto phi = seeded_matrix(50.0, 256, 404);
   std::vector<std::vector<double>> windows;
   for (const auto& lead : rec.leads) windows.emplace_back(lead.begin(), lead.begin() + 256);
-  const auto r = group_fista_reconstruct(phi, encode(phi, windows), FistaConfig{});
+  const std::vector<SensingMatrix> phis(windows.size(), phi);
+  const auto r = group_fista_reconstruct_multi(phis, encode(phi, windows), FistaConfig{});
   Fnv1a digest;
   for (const auto& s : r.signals) digest.add(s);
   digest.add(r.iterations_run);

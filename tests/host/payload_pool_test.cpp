@@ -1,7 +1,8 @@
 // PayloadPool / ObjectPool semantics, and the end-to-end recycling
 // contract through the engine and fabric: buffers checked out at submit
 // travel by move (pointer identity — never copied), come back to the pool
-// after the solve, and the same heap blocks serve the next window.
+// after the solve, and the same heap blocks serve the next window, in
+// whatever part of it the one freelist hands them to.
 // Exhaustion must degrade to counted plain allocation, never block, and a
 // pool shared through EngineConfig must survive a fabric resize because
 // every rebuilt shard inherits the same object.
@@ -52,12 +53,12 @@ CompressedWindow pooled_copy(PayloadPool& pool, const CompressedWindow& src) {
 
 TEST(PayloadPool, RoundTripReturnsTheSameBuffer) {
   PayloadPool pool;
-  auto buf = pool.acquire_measurements();
+  auto buf = pool.acquire();
   buf.resize(64, 1.5);
   const double* data = buf.data();
-  pool.recycle_measurements(std::move(buf));
+  pool.recycle(std::move(buf));
 
-  auto again = pool.acquire_measurements();
+  auto again = pool.acquire();
   EXPECT_EQ(again.data(), data);      // The exact heap block came back.
   EXPECT_TRUE(again.empty());          // Cleared...
   EXPECT_GE(again.capacity(), 64u);    // ...but capacity-warm.
@@ -69,17 +70,24 @@ TEST(PayloadPool, RoundTripReturnsTheSameBuffer) {
   EXPECT_EQ(stats.dropped, 0u);
 }
 
-TEST(PayloadPool, FreelistsAreRoleKeyed) {
+// Any buffer may serve any part next, so every buffer the pool hands out
+// has room for the widest it has seen: an n-sample fill never allocates.
+TEST(PayloadPool, BuffersWidenToTheWidestSeen) {
   PayloadPool pool;
-  auto measurement = pool.acquire_measurements();
-  measurement.resize(8);
-  const double* data = measurement.data();
-  pool.recycle_measurements(std::move(measurement));
-
-  // A signal acquire must not steal the measurement freelist's buffer.
-  auto signal = pool.acquire_signal();
-  EXPECT_NE(signal.data(), data);
+  pool.recycle(std::vector<double>(32, 0.0));
+  pool.recycle(std::vector<double>(128, 0.0));  // Widens the parked 32.
+  pool.recycle(std::vector<double>(64, 0.0));   // Widened before it is parked.
   EXPECT_EQ(pool.stats().misses, 2u);
+
+  // Three hits, then a miss.
+  for (int i = 0; i < 4; ++i) {
+    auto buf = pool.acquire();
+    EXPECT_TRUE(buf.empty());
+    EXPECT_GE(buf.capacity(), 128u);
+  }
+  const auto stats = pool.stats();
+  EXPECT_EQ(stats.hits, 3u);
+  EXPECT_EQ(stats.misses, 3u);  // Each widening is an allocation, as is the miss.
 }
 
 TEST(PayloadPool, ExhaustionDegradesToCountedAllocation) {
@@ -90,7 +98,7 @@ TEST(PayloadPool, ExhaustionDegradesToCountedAllocation) {
   // Three recycles into a two-slot freelist: the third is dropped (freed).
   for (int i = 0; i < 3; ++i) {
     std::vector<double> buf(16, 0.0);
-    pool.recycle_signal(std::move(buf));
+    pool.recycle(std::move(buf));
   }
   auto stats = pool.stats();
   EXPECT_EQ(stats.recycled, 2u);
@@ -98,9 +106,9 @@ TEST(PayloadPool, ExhaustionDegradesToCountedAllocation) {
 
   // Three acquires from those two slots: the third is a fresh allocation
   // (a miss), handed out without blocking.
-  auto a = pool.acquire_signal();
-  auto b = pool.acquire_signal();
-  auto c = pool.acquire_signal();
+  auto a = pool.acquire();
+  auto b = pool.acquire();
+  auto c = pool.acquire();
   stats = pool.stats();
   EXPECT_EQ(stats.hits, 2u);
   EXPECT_EQ(stats.misses, 1u);
@@ -108,7 +116,7 @@ TEST(PayloadPool, ExhaustionDegradesToCountedAllocation) {
   EXPECT_EQ(c.size(), 1u);
 }
 
-TEST(PayloadPool, WindowAndResultRecyclersSplitByRole) {
+TEST(PayloadPool, WindowAndResultRecyclersKeepEveryWarmBuffer) {
   PayloadPool pool;
   CompressedWindow window = pool.acquire_window();
   window.measurements.resize(32);
@@ -118,9 +126,19 @@ TEST(PayloadPool, WindowAndResultRecyclersSplitByRole) {
   WindowResult result;
   result.signal.resize(128);
   pool.recycle(std::move(result));
+  EXPECT_EQ(pool.stats().recycled, 3u);  // measurements + reference + signal.
 
+  // A reference-less window (the production shape) returns its measurement
+  // buffer only: its capacity-0 reference, handed out later, would
+  // allocate on its first fill.
+  CompressedWindow bare;
+  bare.measurements.resize(32);
+  pool.recycle(std::move(bare));
   const auto stats = pool.stats();
-  EXPECT_EQ(stats.recycled, 3u);  // measurements + reference + signal.
+  EXPECT_EQ(stats.recycled, 4u);
+  EXPECT_EQ(stats.dropped, 0u);
+  for (int i = 0; i < 4; ++i) EXPECT_GE(pool.acquire().capacity(), 128u);
+  EXPECT_EQ(pool.stats().hits, 4u);
 }
 
 // The end-to-end move contract: the measurement buffer the producer filled
@@ -135,6 +153,9 @@ TEST(PayloadPool, MeasurementBufferSurvivesSubmitSolvePollByPointerIdentity) {
 
   const auto traffic = patient_windows(7, 3);
   ASSERT_GE(traffic.size(), 2u);
+  // A warm pool (the steady state): three buffers as wide as a window, so
+  // no recycle below has to widen, and reallocate, the block it parks.
+  for (int i = 0; i < 3; ++i) pool->recycle(std::vector<double>(traffic[0].window_samples));
 
   CompressedWindow first = pooled_copy(*pool, traffic[0]);
   const double* measurement_block = first.measurements.data();
@@ -145,11 +166,22 @@ TEST(PayloadPool, MeasurementBufferSurvivesSubmitSolvePollByPointerIdentity) {
   ASSERT_TRUE(result.has_value());
   pool->recycle(std::move(*result));
 
-  // The engine recycled the measurement buffer after the solve; the next
-  // producer acquire gets the identical block — which is only possible if
+  // The engine recycled the measurement buffer after the solve: the pool
+  // again holds three blocks (measurements, reference, signal), the
+  // identical measurement block among them — which is only possible if
   // nothing on the submit path copied it.
+  EXPECT_EQ(pool->stats().recycled, 6u);
+  std::vector<std::vector<double>> parked(3);
+  std::set<const double*> parked_blocks;
+  for (auto& buf : parked) {
+    buf = pool->acquire();
+    parked_blocks.insert(buf.data());
+  }
+  EXPECT_EQ(parked_blocks.count(measurement_block), 1u);
+  EXPECT_EQ(pool->stats().misses, 0u);
+  for (auto& buf : parked) pool->recycle(std::move(buf));
+
   CompressedWindow second = pooled_copy(*pool, traffic[1]);
-  EXPECT_EQ(second.measurements.data(), measurement_block);
 
   ASSERT_TRUE(engine.try_submit(std::move(second)).has_value());
   auto second_result = engine.poll();
@@ -160,7 +192,7 @@ TEST(PayloadPool, MeasurementBufferSurvivesSubmitSolvePollByPointerIdentity) {
   EXPECT_FALSE(kept.empty());
 }
 
-// Steady-state cycling: after the first lap primes the freelists, every
+// Steady-state cycling: after the first lap primes the freelist, every
 // subsequent lap's acquires are hits drawn from a fixed set of buffers.
 TEST(PayloadPool, SteadyStateCyclesAFixedBufferSet) {
   auto pool = std::make_shared<PayloadPool>();
@@ -172,25 +204,36 @@ TEST(PayloadPool, SteadyStateCyclesAFixedBufferSet) {
   ASSERT_GE(traffic.size(), 3u);
 
   std::set<const double*> blocks_seen;
+  PayloadPoolStats warm;
   for (int lap = 0; lap < 4; ++lap) {
+    if (lap == 1) warm = pool->stats();
     for (const auto& tmpl : traffic) {
       CompressedWindow window = pooled_copy(*pool, tmpl);
-      blocks_seen.insert(window.measurements.data());
+      if (lap > 0) {
+        blocks_seen.insert(window.measurements.data());
+        blocks_seen.insert(window.reference.data());
+      }
       ASSERT_TRUE(engine.try_submit(std::move(window)).has_value());
       auto result = engine.poll();
       ASSERT_TRUE(result.has_value());
+      if (lap > 0) blocks_seen.insert(result->signal.data());
       pool->recycle(std::move(*result));
     }
   }
-  // Submit-then-poll in lockstep keeps exactly one window in flight, so
-  // one measurement block serves every lap after the first allocates it.
-  EXPECT_EQ(blocks_seen.size(), 1u);
+  // Submit-then-poll in lockstep keeps exactly one window in flight: its
+  // measurements, its reference and its signal.  The buffers trade parts
+  // from window to window, but after the first lap the same three blocks
+  // serve every one.
+  EXPECT_EQ(blocks_seen.size(), 3u);
 
-  const auto stats = pool.get()->stats();
-  EXPECT_GT(stats.hits, 0u);
+  // The first window's three acquires missed, and the first measurement
+  // buffer (m wide) was widened once, when the first n-wide buffer came
+  // back.  After that, only hits.
+  EXPECT_EQ(warm.misses, 4u);
+  const auto stats = pool->stats();
+  EXPECT_GT(stats.hits, warm.hits);
+  EXPECT_EQ(stats.misses, warm.misses);
   EXPECT_EQ(stats.dropped, 0u);
-  // Only the very first window of each role missed.
-  EXPECT_LE(stats.misses, 3u);
 }
 
 // A fabric resize rebuilds engines; they must inherit the same pool

@@ -244,6 +244,8 @@ class ReshardChaos : public ::testing::Test {
         // Blocking submits: nothing shed or rejected, everything completed.
         EXPECT_EQ(first.completed, first.submitted);
         EXPECT_EQ(first.submitted, traffic.size());
+        EXPECT_EQ(first.shed, 0u);
+        EXPECT_EQ(first.rejected, 0u);
         {
           SCOPED_TRACE("replay determinism");
           expect_equal_outcomes(first, second);

@@ -47,7 +47,6 @@ TEST(Backend, OpsTableFullyPopulated) {
     EXPECT_NE(table->nrm2_sq, nullptr);
     EXPECT_NE(table->axpy, nullptr);
     EXPECT_NE(table->xpby, nullptr);
-    EXPECT_NE(table->grad_step, nullptr);
     EXPECT_NE(table->momentum, nullptr);
     EXPECT_NE(table->fista_step, nullptr);
     EXPECT_NE(table->dwt_step, nullptr);

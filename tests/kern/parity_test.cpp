@@ -74,7 +74,6 @@ TEST(DispatchParity, Elementwise) {
   sig::Rng rng(2);
   for (const std::size_t n : kSizes) {
     const auto x = random_vector(n, rng);
-    const auto z = random_vector(n, rng);
     auto y_a = random_vector(n, rng);
     auto y_b = y_a;
 
@@ -85,12 +84,6 @@ TEST(DispatchParity, Elementwise) {
     scalar.xpby(x.data(), -1.13, y_a.data(), n);
     avx2.xpby(x.data(), -1.13, y_b.data(), n);
     EXPECT_TRUE(bit_identical(y_a, y_b)) << "xpby n=" << n;
-
-    std::vector<double> a_a(n);
-    std::vector<double> a_b(n);
-    scalar.grad_step(z.data(), x.data(), 3.7, a_a.data(), n);
-    avx2.grad_step(z.data(), x.data(), 3.7, a_b.data(), n);
-    EXPECT_TRUE(bit_identical(a_a, a_b)) << "grad_step n=" << n;
   }
 }
 

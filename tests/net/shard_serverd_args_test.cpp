@@ -36,11 +36,10 @@ TEST(ShardServerdArgs, EveryFlagLandsInItsField) {
   EXPECT_EQ(net->port, 65535u);
   EXPECT_EQ(net->wire.fixed_scale, 0.25);
 
-  const auto engine = parse({"--threads", "4", "--queue-capacity", "64", "--shedding"});
+  const auto engine = parse({"--threads", "4", "--queue-capacity", "64"});
   ASSERT_TRUE(engine.has_value());
   EXPECT_EQ(engine->engine.threads, 4);
   EXPECT_EQ(engine->engine.queue_capacity, 64u);
-  EXPECT_TRUE(engine->engine.deadline_shedding);
 
   const auto slo = parse({"--deadline-ms", "1024.5", "--hint-cr", "100"});
   ASSERT_TRUE(slo.has_value());
@@ -103,6 +102,10 @@ TEST(ShardServerdArgs, RejectsNonFiniteOrNegativeReals) {
 TEST(ShardServerdArgs, RejectsUnknownFlagsAndMissingValues) {
   EXPECT_FALSE(parse({"--bogus"}));
   EXPECT_FALSE(parse({"--bogus", "1"}));
+  // Deadline shedding acts only on non-blocking admission, and the wire's
+  // clients only submit blocking, so the daemon has no flag for it.
+  EXPECT_FALSE(parse({"--shedding"}));
+  EXPECT_FALSE(parse({"--threads", "4", "--shedding"}));
   EXPECT_FALSE(parse({"--port"}));
   EXPECT_FALSE(parse({"--threads", "1", "--deadline-ms"}));
   EXPECT_FALSE(parse({"--host", ""}));

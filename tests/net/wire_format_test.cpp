@@ -27,6 +27,7 @@
 #include "cs/fista.hpp"
 #include "cs/pipeline.hpp"
 #include "cs/sensing_matrix.hpp"
+#include "host/payload_pool.hpp"
 #include "kern/backend.hpp"
 #include "net/crc32c.hpp"
 #include "sig/adc.hpp"
@@ -814,6 +815,31 @@ TEST(BatchFrames, PollManyAndResultBatchRoundTrip) {
     ASSERT_TRUE(decode_result_batch(must_peek(buf).payload, decoded, nullptr));
     EXPECT_TRUE(decoded.empty());
   }
+}
+
+// The pool keeps one freelist for every payload: a client's window buffer,
+// recycled when the shard acknowledges the window, is the very block the
+// next decoded result signal lands in — a hit, not a fresh allocation.
+TEST(BatchFrames, RecycledWindowBufferServesTheNextDecodedSignal) {
+  host::PayloadPool pool;
+  host::CompressedWindow window = pool.acquire_window();
+  window.measurements.assign(32, 0.5);
+  const double* block = window.measurements.data();
+  pool.recycle(std::move(window));
+  const auto before = pool.stats();
+
+  std::vector<std::uint8_t> bodies;
+  const auto sent = sample_result();
+  encode_result_entry(bodies, sent, WireEncodeOptions{});
+  const auto buf = encode_one([&](auto& b) { encode_result_batch(b, bodies, 1); });
+  std::vector<host::WindowResult> decoded;
+  ASSERT_TRUE(decode_result_batch(must_peek(buf).payload, decoded, &pool));
+  ASSERT_EQ(decoded.size(), 1u);
+  EXPECT_EQ(decoded[0].signal.data(), block);
+  EXPECT_EQ(decoded[0].signal.size(), sent.signal.size());
+  const auto after = pool.stats();
+  EXPECT_EQ(after.hits, before.hits + 1);
+  EXPECT_EQ(after.misses, before.misses);
 }
 
 TEST(BatchFrames, CrHintRoundTripsBitExactly) {
