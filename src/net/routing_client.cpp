@@ -105,8 +105,12 @@ bool SocketLink::read_frame() {
       }
       frame_.assign(rx_.begin(), rx_.begin() + peek.frame_bytes);
       rx_.erase(rx_.begin(), rx_.begin() + peek.frame_bytes);
-      // Re-peek against the stable copy so the view outlives rx_.
-      return peek_frame(frame_, view_) == FrameStatus::kOk;
+      // Point the view at the stable copy so it outlives rx_.  The peek
+      // above already checked the CRC; a re-peek would run it again.
+      view_ = peek;
+      view_.payload = std::span<const std::uint8_t>(frame_).subspan(kFrameHeaderBytes,
+                                                                    peek.payload.size());
+      return true;
     }
     if (status != FrameStatus::kNeedMore) {
       fd_.reset();  // Corrupt or desynchronized stream; resync via reconnect.

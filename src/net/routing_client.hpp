@@ -143,7 +143,7 @@ class SocketLink final : public host::ShardLink {
   /// response must be of type `expect`.
   bool round_trip(const std::vector<std::uint8_t>& buf, bool may_retry, FrameType expect);
   /// Blocks until one complete frame is buffered; copies it into frame_
-  /// (stable against further reads) and parses it into view_.  RESULT_BATCH
+  /// (stable against further reads) and points view_ into the copy.  RESULT_BATCH
   /// answers owed to armed polls are absorbed on the way.
   bool read_frame();
   /// Decodes one RESULT_BATCH (the answer to the oldest owed poll) into

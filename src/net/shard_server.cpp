@@ -1,6 +1,7 @@
 #include "net/shard_server.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <poll.h>
 #include <sys/socket.h>
@@ -27,14 +28,18 @@ bool ShardServer::start() {
   // must never block them: a full pipe already has a wake pending.
   if (!set_nonblocking(wake_wr_.get())) return false;
   if (!listener_.listen(cfg_.host, cfg_.port)) return false;
-  // Every completion or shed re-arms the event loop so parked deferred
-  // verbs (blocking submits, patient drains) run their next step.  The
-  // raw fd is safe to capture: wake_wr_ outlives engine_ (declaration
-  // order), and the engine joins its workers before destruction returns.
+  // Every completion or shed runs the hook.  It wakes the loop only
+  // while a verb waits for one (wake_armed_, see run()), and then once:
+  // taking the flag down means a burst of completions costs one pipe
+  // write.  Capturing `this` and the raw fd is safe: both
+  // atomics and wake_wr_ outlive engine_ (declaration order), and the
+  // engine joins its workers before destruction returns.
   const int wake_fd = wake_wr_.get();
-  cfg_.engine.progress_hook = [wake_fd] {
+  cfg_.engine.progress_hook = [this, wake_fd] {
+    if (!wake_armed_.exchange(false)) return;
     const char byte = 1;
     (void)!::write(wake_fd, &byte, 1);
+    wake_writes_.fetch_add(1, std::memory_order_relaxed);
   };
   engine_ = std::make_unique<host::ReconstructionEngine>(cfg_.engine);
   return true;
@@ -114,6 +119,20 @@ void ShardServer::run() {
       if (alive && (revents & POLLHUP) && conn.tx_sent >= conn.tx.size()) alive = false;
       if (alive && conn.close_after_flush && conn.tx_sent >= conn.tx.size()) alive = false;
       if (!alive) conn.fd.reset();
+    }
+    // Arm the progress hook before the checks below, while any verb
+    // waits.  A completion published before the arm is seen by those
+    // checks; one published after it finds the flag set and writes the
+    // pipe.  So no wakeup is lost, and with nothing waiting no completion
+    // wakes the loop.
+    const bool waiting = std::any_of(conns_.begin(), conns_.end(), [](const auto& c) {
+      return c->fd.valid() && (c->deferred != Connection::Deferred::kNone || c->parked_poll != 0);
+    });
+    if (waiting) {
+      wake_armed_.store(true);
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+    } else if (wake_armed_.load(std::memory_order_relaxed)) {
+      wake_armed_.store(false, std::memory_order_relaxed);
     }
     // Deferred completions: re-run every parked verb (the engine's
     // progress hook — or any socket event — woke us).  When one finishes,
@@ -250,7 +269,7 @@ void ShardServer::handle_frame(Connection& conn, const FrameView& frame) {
         encode_patient_frame(tx, FrameType::kDrainDone, patient_id);
       } else {
         // Workers drain the patient; park until patient_pending hits 0
-        // (the progress hook fires on every completion and shed).
+        // (the progress hook runs on every completion and shed).
         conn.deferred_patient = patient_id;
         conn.deferred = Connection::Deferred::kDrain;
         advance_deferred(conn);
@@ -371,7 +390,7 @@ void ShardServer::advance_deferred(Connection& conn) {
       while (conn.deferred_next < conn.deferred_windows.size()) {
         auto ticket =
             engine_->try_submit_step(std::move(conn.deferred_windows[conn.deferred_next]));
-        if (!ticket) return;  // Full again; the next progress hook re-arms us.
+        if (!ticket) return;  // Full again; the next slot release wakes us.
         conn.deferred_acks.push_back({true, *ticket});
         ++conn.deferred_next;
       }

@@ -18,9 +18,13 @@
 // blocking flag (admission backpressure) and
 // DRAIN_PATIENT (patient quiescence) — never block the loop when the
 // engine has workers: they park as a per-connection *deferred completion*,
-// the engine's progress_hook pokes the self-pipe each time slots free or a
-// patient retires, and the loop re-runs the parked step until it can send
-// the response.  Frames behind a deferred verb wait (responses stay in
+// and the loop re-runs the parked step until it can send the response.
+// The engine's progress_hook runs each time a slot frees or a patient
+// retires, but pokes the self-pipe only while the loop has armed it: the
+// loop arms it while some connection holds a parked or deferred verb, and
+// the first hook to run after that disarms it and writes one byte.  A
+// burst of completions thus costs one write, and with no verb waiting
+// none at all.  Frames behind a deferred verb wait (responses stay in
 // request order per connection); other connections keep flowing.  With a
 // serial engine (threads == 0) the calling thread IS the solver, so those
 // verbs run inline exactly as before.
@@ -105,6 +109,10 @@ class ShardServer {
 
   host::ReconstructionEngine& engine() { return *engine_; }
 
+  /// Self-pipe bytes the progress hook has written (stop() not counted):
+  /// one per wake of a waiting verb, none while no verb waits.
+  std::uint64_t wake_writes() const { return wake_writes_.load(std::memory_order_relaxed); }
+
  private:
   struct Connection {
     Fd fd;
@@ -151,9 +159,14 @@ class ShardServer {
   TcpListener listener_;
   /// Self-pipe: stop() and the engine's progress_hook wake the poll loop
   /// (both ends nonblocking — a full pipe already means a wake is pending).
-  /// Declared before engine_ so the pipe outlives the worker threads that
-  /// write to it through the hook.
+  /// Declared before engine_, like the two atomics below, so the pipe
+  /// outlives the worker threads that write to it through the hook.
   Fd wake_rd_, wake_wr_;
+  /// True while the loop waits for engine progress (a parked POLL_MANY or
+  /// a deferred SUBMIT_BATCH/DRAIN_PATIENT); the hook writes the pipe only
+  /// when its exchange(false) finds it set.
+  std::atomic<bool> wake_armed_{false};
+  std::atomic<std::uint64_t> wake_writes_{0};
   std::unique_ptr<host::ReconstructionEngine> engine_;
   std::vector<std::unique_ptr<Connection>> conns_;
   /// Staging buffer for RESULT_BATCH bodies (single-threaded loop).

@@ -218,7 +218,14 @@ void encode_values(std::vector<std::uint8_t>& out, std::span<const double> value
   }
   put_u8(out, static_cast<std::uint8_t>(ValueCoding::kFloat64));
   put_varint(out, values.size());
-  for (double v : values) put_f64le(out, v);
+  if constexpr (std::endian::native == std::endian::little) {
+    // The in-memory doubles already are the wire's little-endian bytes.
+    const std::size_t start = out.size();
+    out.resize(start + 8 * values.size());
+    if (!values.empty()) std::memcpy(out.data() + start, values.data(), 8 * values.size());
+  } else {
+    for (double v : values) put_f64le(out, v);
+  }
 }
 
 void encode_values_absent(std::vector<std::uint8_t>& out) {
@@ -265,6 +272,13 @@ std::uint64_t double_bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 /// an unsigned varint value with small magnitudes small, and back.
 std::uint64_t zigzag(std::uint64_t d) { return (d << 1) ^ (std::uint64_t{0} - (d >> 63)); }
 std::uint64_t unzigzag(std::uint64_t z) { return (z >> 1) ^ (std::uint64_t{0} - (z & 1)); }
+
+/// Bytes the WAVELET_RESIDUAL writer resizes to before trimming: coding
+/// byte, 10-byte count, levels, bitmap, `kept` coefficients and 10-byte
+/// residuals.  With kept == n it also bounds FLOAT64 (1 + 10 + 8n).
+constexpr std::size_t wavelet_worst_bytes(std::size_t n, std::size_t kept) {
+  return 1 + 10 + 1 + (n + 7) / 8 + 8 * kept + 10 * n;
+}
 
 std::uint8_t* write_varint(std::uint8_t* w, std::uint64_t v) {
   while (v >= 0x80u) {
@@ -316,11 +330,10 @@ bool try_encode_wavelet(std::vector<std::uint8_t>& out, std::span<const double> 
     if (!std::isfinite(s.prediction[i])) return false;
   }
 
-  // Written through a cursor into the worst case (coding byte, 10-byte
-  // count, levels, bitmap, coefficients, 10-byte residuals), then trimmed:
+  // Written through a cursor into the worst case, then trimmed:
   // byte-at-a-time push_back would cost more than both DWTs.
   const std::size_t start = out.size();
-  out.resize(start + 1 + 10 + 1 + bitmap_bytes + 8 * kept + 10 * n);
+  out.resize(start + wavelet_worst_bytes(n, kept));
   std::uint8_t* w = out.data() + start;
   *w++ = static_cast<std::uint8_t>(ValueCoding::kWaveletResidual);
   w = write_varint(w, n);
@@ -405,7 +418,12 @@ bool decode_values(WireReader& r, std::vector<double>& out, host::PayloadPool* p
       const std::uint64_t count = r.varint();
       if (!r.ok() || count > r.remaining() / 8) return false;
       out.resize(static_cast<std::size_t>(count));
-      for (auto& v : out) v = r.f64le();
+      if constexpr (std::endian::native == std::endian::little) {
+        const auto bytes = r.bytes(8 * out.size());
+        if (!out.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
+      } else {
+        for (auto& v : out) v = r.f64le();
+      }
       return r.ok();
     }
     case ValueCoding::kFixed16: {
@@ -529,6 +547,14 @@ bool decode_window_body(WireReader& r, host::CompressedWindow& out, host::Payloa
 ValueCoding encode_result_entry(std::vector<std::uint8_t>& staging,
                                 const host::WindowResult& result,
                                 const WireEncodeOptions& opts) {
+  // Reserve the entry's worst case first: five varints at 10 bytes, the
+  // priority byte, three doubles, and the signal's worst case.  The
+  // capacity then follows the signal length alone, not how wide this
+  // entry's ticket happens to be, so steady traffic never regrows it.
+  constexpr std::size_t kHeaderWorstBytes = 5 * 10 + 1 + 3 * 8;
+  const std::size_t need = staging.size() + kHeaderWorstBytes +
+                           wavelet_worst_bytes(result.signal.size(), result.signal.size());
+  if (staging.capacity() < need) staging.reserve(std::max(need, 2 * staging.capacity()));
   put_varint(staging, result.patient_id);
   put_varint(staging, result.window_index);
   put_u8(staging, static_cast<std::uint8_t>(result.priority));

@@ -5,8 +5,10 @@
 // serial in-process reference, composite-ticket round trips, SLO history
 // migration across a live reshard, counter conservation across retired
 // shards, the POLL_MANY long-poll (park, release by completion or by the
-// next frame), and the protocol-level rejection paths (unknown version,
-// talking before HELLO, retired frame types, hostile window shapes).
+// next frame), the gated progress hook (no wake while no verb waits, none
+// lost while one does), and the protocol-level rejection paths (unknown
+// version, talking before HELLO, retired frame types, hostile window
+// shapes).
 
 #include "net/routing_client.hpp"
 
@@ -15,6 +17,7 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -903,6 +906,146 @@ TEST(LongPoll, IdlePollsSendAtMostOnePollManyPerShard) {
     EXPECT_EQ(sent[s] - before[s], 1u) << "shard " << s << ": one armed POLL_MANY in total";
   }
   client.shutdown(/*send_bye=*/false);
+}
+
+// --- The gated progress hook: the shard's loop is woken only while a verb
+// waits for engine progress, and every waiting verb still gets its wake.
+
+/// Sends one blocking SUBMIT_BATCH of `windows` on `fd` and reads its ack.
+std::vector<SubmitBatchAckEntry> submit_and_ack(Fd& fd, std::vector<std::uint8_t>& rx,
+                                                const std::vector<CompressedWindow>& windows) {
+  std::vector<std::uint8_t> buf, frame;
+  encode_submit_batch(buf, windows, kSubmitFlagBlocking, WireEncodeOptions{});
+  EXPECT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
+  FrameView view;
+  next_frame(fd, rx, frame, view);
+  std::vector<SubmitBatchAckEntry> acks;
+  EXPECT_EQ(view.type, FrameType::kSubmitBatchAck);
+  EXPECT_TRUE(decode_submit_batch_ack(view.payload, acks));
+  return acks;
+}
+
+/// The first `count` windows of a fleet big enough to supply them.
+std::vector<CompressedWindow> first_windows(std::size_t count) {
+  auto traffic = fleet_traffic(/*patients=*/8, /*beats_per_patient=*/8);
+  EXPECT_GE(traffic.size(), count);
+  traffic.resize(std::min(count, traffic.size()));
+  return traffic;
+}
+
+TEST(WakeGate, BlockingSubmitWithNothingParkedWritesNoWake) {
+  LocalShard shard(1);
+  Fd fd = negotiated_connection(shard);
+  std::vector<std::uint8_t> rx;
+  const auto windows = first_windows(32);
+  const auto acks = submit_and_ack(fd, rx, windows);
+  ASSERT_EQ(acks.size(), windows.size());
+  for (const auto& ack : acks) EXPECT_TRUE(ack.accepted);
+  // Every window solves with no verb waiting: no completion may wake the
+  // loop.
+  auto& engine = shard.server->engine();
+  for (int waited_ms = 0; engine.ready_results() < windows.size() && waited_ms < 5000;
+       ++waited_ms) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(engine.ready_results(), windows.size());
+  EXPECT_EQ(shard.server->wake_writes(), 0u);
+
+  std::vector<std::uint8_t> buf;
+  encode_poll_many(buf, 0);
+  ASSERT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
+  std::vector<WindowResult> results;
+  next_result_batch(fd, rx, results);
+  EXPECT_EQ(results.size(), windows.size());
+  EXPECT_EQ(shard.server->wake_writes(), 0u);
+}
+
+TEST(WakeGate, DeferredSubmitIsAckedInFullAndInOrder) {
+  // 64 windows against 2 slots: the submit parks, and only slot releases
+  // (the hook's wakes) let it admit the rest.
+  ShardServerConfig cfg;
+  cfg.engine = fast_engine(1);
+  cfg.engine.queue_capacity = 2;
+  LocalShard shard(std::move(cfg));
+  Fd fd = negotiated_connection(shard);
+  std::vector<std::uint8_t> rx;
+  const auto windows = first_windows(64);
+  const auto acks = submit_and_ack(fd, rx, windows);
+  ASSERT_EQ(acks.size(), windows.size());
+  for (std::size_t i = 0; i < acks.size(); ++i) {
+    EXPECT_TRUE(acks[i].accepted) << i;
+    if (i > 0) {
+      EXPECT_GT(acks[i].local_ticket, acks[i - 1].local_ticket) << i;
+    }
+  }
+  EXPECT_GE(shard.server->wake_writes(), 1u) << "only a hook wake admits past the 2 slots";
+
+  std::set<WindowKey> seen;
+  while (seen.size() < windows.size()) {
+    std::vector<std::uint8_t> buf;
+    encode_poll_many(buf, 0);
+    ASSERT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
+    std::vector<WindowResult> results;
+    next_result_batch(fd, rx, results);
+    ASSERT_FALSE(results.empty());
+    for (const auto& r : results) seen.insert({r.patient_id, r.window_index});
+  }
+  for (const auto& w : windows) EXPECT_TRUE(seen.count({w.patient_id, w.window_index}));
+}
+
+TEST(WakeGate, DrainPatientWithQueuedWindowsAnswersDrainDone) {
+  // The drain rides in the same write as the patient's windows, so it
+  // reaches the loop while they are still queued behind one worker.
+  ShardServerConfig cfg;
+  cfg.engine = fast_engine(1);
+  cfg.engine.fista.max_iterations = 200;
+  LocalShard shard(std::move(cfg));
+  Fd fd = negotiated_connection(shard);
+  auto windows = fleet_traffic(/*patients=*/1, /*beats_per_patient=*/24);
+  ASSERT_GE(windows.size(), 8u);
+  const std::uint32_t patient = windows.front().patient_id;
+  std::vector<std::uint8_t> buf, rx, frame;
+  encode_submit_batch(buf, windows, kSubmitFlagBlocking, WireEncodeOptions{});
+  encode_patient_frame(buf, FrameType::kDrainPatient, patient);
+  ASSERT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
+  FrameView view;
+  next_frame(fd, rx, frame, view);
+  ASSERT_EQ(view.type, FrameType::kSubmitBatchAck);
+  next_frame(fd, rx, frame, view);
+  ASSERT_EQ(view.type, FrameType::kDrainDone);
+  std::uint32_t echoed = 0;
+  ASSERT_TRUE(decode_patient_frame(view.payload, echoed));
+  EXPECT_EQ(echoed, patient);
+  EXPECT_EQ(shard.server->engine().patient_pending(patient), 0u);
+  EXPECT_EQ(shard.server->engine().ready_results(), windows.size());
+}
+
+TEST(WakeGate, ParkedPollIsReleasedByEveryCompletion) {
+  // A lost wakeup would leave a round's poll parked for good; the 2-s
+  // receive timeout of negotiated_connection turns that into a failure.
+  // The pause before each submit varies, so the completion lands before,
+  // during and after the loop arms the hook.
+  LocalShard shard(1);
+  Fd poller = negotiated_connection(shard);
+  Fd submitter = negotiated_connection(shard);
+  const auto windows = fleet_traffic(/*patients=*/1, /*beats_per_patient=*/4);
+  std::vector<std::uint8_t> poll_rx, submit_rx;
+  constexpr int kRounds = 200;
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE(round);
+    std::vector<std::uint8_t> buf;
+    encode_poll_many(buf, 8);
+    ASSERT_TRUE(send_all(poller.get(), buf.data(), buf.size()));
+    std::this_thread::sleep_for(std::chrono::microseconds((round * 37) % 500));
+    const std::vector<CompressedWindow> one{windows[round % windows.size()]};
+    const auto acks = submit_and_ack(submitter, submit_rx, one);
+    ASSERT_EQ(acks.size(), 1u);
+    std::vector<WindowResult> results;
+    next_result_batch(poller, poll_rx, results);
+    ASSERT_EQ(results.size(), 1u);
+  }
+  // The hook runs once per completion, so it writes at most that often.
+  EXPECT_LE(shard.server->wake_writes(), static_cast<std::uint64_t>(kRounds));
 }
 
 TEST(Protocol, HealthEchoesNonce) {
