@@ -11,14 +11,10 @@
 //    per-lane (urgent vs routine) split, per-shard and per-patient
 //    breakdowns, plus the same bit-exactness check.
 //
-//  * Adaptive drill (--adaptive): shedding-only baseline versus
-//    degrade-don't-drop under calibrated 2x overload; see the block
-//    comment above run_adaptive().
-//
 // Usage: host_throughput [patients] [beats_per_patient] [cr_percent]
 //                        [--poisson RATE_HZ] [--threads N] [--deadline-ms D]
 //                        [--shards S] [--priority-frac F]
-//                        [--shed] [--adaptive] [--reshard-at K:S ...]
+//                        [--shed] [--reshard-at K:S ...]
 //                        [--pool] [--json FILE]
 //
 // --shards S partitions the fleet across S engine shards by patient_id
@@ -457,396 +453,6 @@ int run_streaming(std::vector<host::CompressedWindow> batch, double rate_hz,
   return all_identical ? 0 : 1;
 }
 
-// ---------------------------------------------------------------------------
-// Adaptive-degradation overload drill (--adaptive).
-//
-// Two phases over the same deterministic arrival schedule at ~2x the
-// measured sustainable rate: a shedding-only baseline (empty degrade
-// ladder) and an adaptive run where queued routine windows
-// demote one rung down the degrade ladder (lower effective CR + capped
-// FISTA iterations) instead of being dropped whole.  Reported: the
-// completed-goodput speedup, the degraded/shed/rejected split, per-tier
-// SNR, and three hard correctness gates:
-//
-//   * tier audit — every completed adaptive window re-solved serially AT
-//     its recorded tier must match bit for bit (the determinism contract
-//     is per (payload, tier));
-//   * off-policy audit — every baseline window must match the serial
-//     full-fidelity reference bit for bit (an empty ladder changes
-//     nothing);
-//   * urgent fidelity — zero urgent-lane windows degraded (demotion is
-//     structurally routine-only; this proves it end to end).
-//
-// The SNR reference is this system's own Fig-5 point for the degraded CR:
-// calibration windows solved with the *truncated* operator at full
-// iterations.  The speedup and SNR-floor gates are enforced numerically by
-// scripts/bench_trajectory.py; the process exit code carries only the
-// correctness gates (plus non-vacuousness: the adaptive run must actually
-// demote something).
-
-struct OverloadPhase {
-  double wall_s = 0.0;
-  host::SloSnapshot snap{};
-  host::SloSnapshot routine_lane{};
-  host::SloSnapshot urgent_lane{};
-  std::vector<host::WindowResult> results;
-};
-
-OverloadPhase run_overload_phase(const std::vector<host::CompressedWindow>& batch,
-                                 const host::EngineConfig& cfg, double rate_hz) {
-  host::ReconstructionEngine engine(cfg);
-  OverloadPhase out;
-  out.results.reserve(batch.size());
-  const auto t0 = Clock::now();
-  double next_arrival_s = 0.0;
-  for (const auto& window : batch) {
-    // Fixed inter-arrival times: the overload factor is exact and the
-    // schedule is identical across both phases (and across reruns).
-    next_arrival_s += 1.0 / rate_hz;
-    const auto arrival = t0 + std::chrono::duration_cast<Clock::duration>(
-                                  std::chrono::duration<double>(next_arrival_s));
-    while (Clock::now() < arrival) {
-      if (auto result = engine.poll()) {
-        out.results.push_back(std::move(*result));
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
-    }
-    host::CompressedWindow copy = window;
-    (void)engine.try_submit(std::move(copy));  // Overload sheds or rejects.
-  }
-  while (engine.in_flight() > 0 || engine.ready_results() > 0) {
-    if (auto result = engine.poll()) {
-      out.results.push_back(std::move(*result));
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-  }
-  out.wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
-  out.snap = engine.slo().snapshot();
-  out.routine_lane = engine.lane_slo(cs::WindowPriority::kRoutine).snapshot();
-  out.urgent_lane = engine.lane_slo(cs::WindowPriority::kUrgent).snapshot();
-  return out;
-}
-
-/// Serial per-window solve cost at `tier` (default tier = full fidelity),
-/// in ms, over the first `count` windows.
-double measure_solve_ms(const std::vector<host::CompressedWindow>& batch,
-                        std::size_t count, const cs::SolveTier& tier) {
-  host::EngineConfig cfg;
-  host::ReconstructionEngine engine(cfg);
-  const std::size_t k = std::min(count, batch.size());
-  // Warm the matrix cache outside the timed region (one-time build cost).
-  {
-    host::CompressedWindow copy = batch.front();
-    copy.solve_tier = tier;
-    (void)engine.submit(std::move(copy));
-    while (!engine.poll()) {
-    }
-  }
-  const auto t0 = Clock::now();
-  for (std::size_t i = 0; i < k; ++i) {
-    host::CompressedWindow copy = batch[i];
-    copy.solve_tier = tier;
-    (void)engine.submit(std::move(copy));
-  }
-  std::size_t done = 0;
-  while (done < k) {
-    if (engine.poll()) ++done;
-  }
-  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count() /
-         static_cast<double>(k);
-}
-
-/// Mean SNR of the first `count` windows solved serially at `tier` — with
-/// effective_m set and iteration_cap 0 this is the system's own Fig-5
-/// point for the degraded CR (truncated operator, full iterations).
-double tiered_mean_snr(const std::vector<host::CompressedWindow>& batch,
-                       std::size_t count, const cs::SolveTier& tier) {
-  host::EngineConfig cfg;
-  host::ReconstructionEngine engine(cfg);
-  const std::size_t k = std::min(count, batch.size());
-  for (std::size_t i = 0; i < k; ++i) {
-    host::CompressedWindow copy = batch[i];
-    copy.solve_tier = tier;
-    (void)engine.submit(std::move(copy));
-  }
-  double acc = 0.0;
-  std::size_t done = 0;
-  std::size_t scored = 0;
-  while (done < k) {
-    auto result = engine.poll();
-    if (!result) continue;
-    ++done;
-    if (!std::isnan(result->snr_db)) {
-      acc += result->snr_db;
-      ++scored;
-    }
-  }
-  return scored > 0 ? acc / static_cast<double>(scored) : 0.0;
-}
-
-int run_adaptive(std::vector<host::CompressedWindow> batch, int threads,
-                 double priority_frac, const std::string& json_path) {
-  // Serial full-fidelity reference for the off-policy audit.
-  host::EngineConfig serial_cfg;
-  host::ReconstructionEngine serial(serial_cfg);
-  const auto reference = serial.reconstruct(batch);
-  std::map<std::pair<std::uint32_t, std::uint32_t>, const std::vector<double>*> ref_by_key;
-  for (const auto& w : reference.windows) {
-    ref_by_key[{w.patient_id, w.window_index}] = &w.signal;
-  }
-
-  // Deterministic urgent tagging + shuffled arrivals, as in run_streaming.
-  sig::Rng rng(0xADA9717EULL);
-  std::size_t urgent_count = 0;
-  for (auto& window : batch) {
-    if (rng.uniform() < priority_frac) {
-      window.priority = cs::WindowPriority::kUrgent;
-      ++urgent_count;
-    }
-  }
-  for (std::size_t i = batch.size(); i > 1; --i) {
-    std::swap(batch[i - 1], batch[static_cast<std::size_t>(rng.uniform_int(
-                                0, static_cast<std::int64_t>(i) - 1))]);
-  }
-  std::map<std::pair<std::uint32_t, std::uint32_t>, std::size_t> index_by_key;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    index_by_key[{batch[i].patient_id, batch[i].window_index}] = i;
-  }
-
-  // The degrade ladder: one rung, 20 CR points cheaper with a capped
-  // iteration budget — a point still on the paper's usable Fig-5 range.
-  // The cap is half the iterations a full solve actually runs (FISTA
-  // stops at convergence, well short of max_iterations), so the rung
-  // halves the solver work whatever the stopping rule does.
-  const std::uint32_t n = batch.front().window_samples;
-  const double base_cr =
-      cs::compression_ratio_percent(batch.front().measurements.size(), n);
-  const double tier_cr = std::min(90.0, base_cr + 20.0);
-  std::uint64_t full_iterations = 0;
-  for (const auto& w : reference.windows) full_iterations += w.iterations;
-  const auto tier_cap = static_cast<std::uint32_t>(
-      std::max<std::uint64_t>(1, full_iterations / (2 * reference.windows.size())));
-  cs::SolveTier degraded_tier;
-  degraded_tier.tier = 1;
-  degraded_tier.effective_m =
-      static_cast<std::uint32_t>(cs::rows_for_cr(tier_cr, n));
-  degraded_tier.iteration_cap = tier_cap;
-  cs::SolveTier fig5_tier = degraded_tier;  // Same operator, full iterations.
-  fig5_tier.iteration_cap = 0;
-
-  // Calibrate the overload from measured cost, so "2x" means 2x on this
-  // machine: arrivals at overload_factor x the pool's sustainable rate.
-  const double solve_ms = measure_solve_ms(batch, 12, cs::SolveTier{});
-  const double tier_solve_ms = measure_solve_ms(batch, 12, degraded_tier);
-  const double overload_factor = 2.0;
-  const double rate_hz =
-      overload_factor * static_cast<double>(threads) * 1000.0 / solve_ms;
-
-  host::EngineConfig cfg;
-  cfg.threads = threads;
-  cfg.queue_capacity = 32;
-  cfg.deadline_shedding = true;
-  // Half-capacity backlog of full-fidelity solves blows the deadline:
-  // deep enough to absorb bursts, tight enough that sustained 2x overload
-  // forces a policy decision (shed vs degrade) on most of the stream.
-  cfg.slo.deadline_ms = 0.5 * static_cast<double>(cfg.queue_capacity) *
-                        solve_ms / static_cast<double>(threads);
-
-  std::printf("adaptive drill: %zu windows (%zu urgent), %d threads, "
-              "solve %.2f ms full / %.2f ms tier-1 (CR %.0f%% -> %.0f%%, "
-              "cap %u), %.0fx overload (%.1f win/s), deadline %.1f ms\n\n",
-              batch.size(), urgent_count, threads, solve_ms, tier_solve_ms,
-              base_cr, tier_cr, tier_cap, overload_factor, rate_hz,
-              cfg.slo.deadline_ms);
-
-  // `cfg` has no degrade ladder: the baseline only sheds.
-  const auto baseline = run_overload_phase(batch, cfg, rate_hz);
-
-  host::EngineConfig adaptive_cfg = cfg;
-  adaptive_cfg.degrade_tiers = {{tier_cr, tier_cap}};
-  const auto adaptive = run_overload_phase(batch, adaptive_cfg, rate_hz);
-
-  // Per-tier SNR split of the adaptive run.
-  std::map<unsigned, std::pair<std::size_t, double>> tier_snr;  // count, sum.
-  std::size_t urgent_degraded = 0;
-  for (const auto& result : adaptive.results) {
-    if (result.degraded && result.priority == cs::WindowPriority::kUrgent) {
-      ++urgent_degraded;
-    }
-    if (!std::isnan(result.snr_db)) {
-      auto& slot = tier_snr[result.solve_tier.tier];
-      ++slot.first;
-      slot.second += result.snr_db;
-    }
-  }
-  // Two calibration points on this system's own degraded-CR curve: the
-  // Fig-5 point proper (truncated operator, full iterations) and the
-  // actual operating point (same operator, capped iterations).  The
-  // degraded-lane mean is gated against the former minus a fixed margin —
-  // the cap costs a couple of dB, which is the price of the cheap tier.
-  const double fig5_floor = tiered_mean_snr(batch, 16, fig5_tier);
-  const double tier_point = tiered_mean_snr(batch, 16, degraded_tier);
-
-  const auto phase_goodput = [](const OverloadPhase& phase) {
-    return phase.wall_s > 0.0
-               ? static_cast<double>(phase.snap.completed) / phase.wall_s
-               : 0.0;
-  };
-  const double baseline_goodput = phase_goodput(baseline);
-  const double adaptive_goodput = phase_goodput(adaptive);
-  const double speedup =
-      baseline_goodput > 0.0 ? adaptive_goodput / baseline_goodput : 0.0;
-
-  const auto print_phase = [](const char* name, const OverloadPhase& phase,
-                              double goodput) {
-    std::printf("%-10s %9zu completed %6zu shed %6zu rejected %6zu degraded "
-                "%8.1f win/s %7.2f s\n",
-                name, static_cast<std::size_t>(phase.snap.completed),
-                static_cast<std::size_t>(phase.snap.shed_routine +
-                                         phase.snap.shed_urgent),
-                static_cast<std::size_t>(phase.snap.rejected),
-                static_cast<std::size_t>(phase.snap.degraded_windows), goodput,
-                phase.wall_s);
-  };
-  print_phase("baseline", baseline, baseline_goodput);
-  print_phase("adaptive", adaptive, adaptive_goodput);
-  std::printf("\ncompleted-goodput speedup: %.2fx\n", speedup);
-
-  std::printf("\n%-8s %10s %12s\n", "tier", "windows", "mean_snr_db");
-  double degraded_mean_snr = 0.0;
-  double full_mean_snr = 0.0;
-  for (const auto& [tier, stat] : tier_snr) {
-    const double mean = stat.second / static_cast<double>(stat.first);
-    if (tier == 0) {
-      full_mean_snr = mean;
-    } else {
-      degraded_mean_snr = mean;
-    }
-    std::printf("%-8u %10zu %12.2f\n", tier, stat.first, mean);
-  }
-  std::printf("fig-5 floor at CR %.0f%% (truncated op, full iters): %.2f dB; "
-              "capped operating point: %.2f dB\n",
-              tier_cr, fig5_floor, tier_point);
-  std::printf("urgent windows degraded: %zu (lane counter %zu)\n",
-              urgent_degraded,
-              static_cast<std::size_t>(adaptive.urgent_lane.degraded_windows));
-
-  // Gate 1: off-policy bit-identity — the baseline phase must reproduce
-  // the serial full-fidelity reference exactly.
-  bool off_policy_exact = true;
-  std::size_t compared = 0;
-  for (const auto& result : baseline.results) {
-    const auto found = ref_by_key.find({result.patient_id, result.window_index});
-    if (found == ref_by_key.end()) {
-      off_policy_exact = false;
-      break;
-    }
-    ++compared;
-    if (result.signal.size() != found->second->size() ||
-        (!result.signal.empty() &&
-         std::memcmp(result.signal.data(), found->second->data(),
-                     result.signal.size() * sizeof(double)) != 0)) {
-      off_policy_exact = false;
-    }
-  }
-  off_policy_exact = off_policy_exact && compared > 0;
-  std::printf("\noff-policy bit-exactness vs serial (%zu windows): %s\n",
-              compared, off_policy_exact ? "PASS" : "FAIL");
-
-  // Gate 2: tier audit — every completed adaptive window, re-solved
-  // serially AT its recorded tier, must match bit for bit.
-  bool tier_audit_exact = !adaptive.results.empty();
-  {
-    host::EngineConfig audit_cfg;
-    host::ReconstructionEngine audit(audit_cfg);
-    for (const auto& result : adaptive.results) {
-      const auto found = index_by_key.find({result.patient_id, result.window_index});
-      if (found == index_by_key.end()) {
-        tier_audit_exact = false;
-        break;
-      }
-      host::CompressedWindow copy = batch[found->second];
-      copy.solve_tier = result.solve_tier;
-      (void)audit.submit(std::move(copy));
-      std::optional<host::WindowResult> expect;
-      while (!(expect = audit.poll())) {
-      }
-      if (expect->signal.size() != result.signal.size() ||
-          (!result.signal.empty() &&
-           std::memcmp(expect->signal.data(), result.signal.data(),
-                       result.signal.size() * sizeof(double)) != 0)) {
-        tier_audit_exact = false;
-      }
-    }
-  }
-  std::printf("tier audit (%zu windows re-solved at recorded tier): %s\n",
-              adaptive.results.size(), tier_audit_exact ? "PASS" : "FAIL");
-
-  // Gate 3: the urgent lane keeps full fidelity, and the adaptive run
-  // must actually have demoted something (a vacuous pass is a broken
-  // scenario, not a healthy one).
-  const bool urgent_clean =
-      urgent_degraded == 0 && adaptive.urgent_lane.degraded_windows == 0;
-  const bool non_vacuous = adaptive.snap.degraded_windows > 0;
-  std::printf("urgent lane clean: %s; degradation exercised: %s\n",
-              urgent_clean ? "PASS" : "FAIL", non_vacuous ? "PASS" : "FAIL");
-
-  if (!json_path.empty()) {
-    std::FILE* out = std::fopen(json_path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 2;
-    }
-    std::fprintf(out,
-                 "{\n"
-                 "  \"windows_total\": %zu,\n"
-                 "  \"baseline_completed\": %zu,\n"
-                 "  \"baseline_shed\": %zu,\n"
-                 "  \"baseline_rejected\": %zu,\n"
-                 "  \"baseline_goodput_win_per_s\": %.6f,\n"
-                 "  \"adaptive_completed\": %zu,\n"
-                 "  \"adaptive_shed\": %zu,\n"
-                 "  \"adaptive_rejected\": %zu,\n"
-                 "  \"adaptive_degraded\": %zu,\n"
-                 "  \"adaptive_urgent_degraded\": %zu,\n"
-                 "  \"adaptive_goodput_win_per_s\": %.6f,\n"
-                 "  \"adaptive_speedup\": %.6f,\n"
-                 "  \"degraded_mean_snr_db\": %.6f,\n"
-                 "  \"full_mean_snr_db\": %.6f,\n"
-                 "  \"fig5_floor_snr_db\": %.6f,\n"
-                 "  \"tier_point_snr_db\": %.6f,\n"
-                 "  \"tier_cr_percent\": %.6f,\n"
-                 "  \"tier_iteration_cap\": %u,\n"
-                 "  \"tier_audit_bit_exact\": %d,\n"
-                 "  \"off_policy_bit_exact\": %d,\n"
-                 "  \"urgent_lane_clean\": %d\n"
-                 "}\n",
-                 batch.size(), static_cast<std::size_t>(baseline.snap.completed),
-                 static_cast<std::size_t>(baseline.snap.shed_routine +
-                                          baseline.snap.shed_urgent),
-                 static_cast<std::size_t>(baseline.snap.rejected),
-                 baseline_goodput,
-                 static_cast<std::size_t>(adaptive.snap.completed),
-                 static_cast<std::size_t>(adaptive.snap.shed_routine +
-                                          adaptive.snap.shed_urgent),
-                 static_cast<std::size_t>(adaptive.snap.rejected),
-                 static_cast<std::size_t>(adaptive.snap.degraded_windows),
-                 urgent_degraded, adaptive_goodput, speedup, degraded_mean_snr,
-                 full_mean_snr, fig5_floor, tier_point, tier_cr, tier_cap,
-                 tier_audit_exact ? 1 : 0, off_policy_exact ? 1 : 0,
-                 urgent_clean ? 1 : 0);
-    std::fclose(out);
-    std::printf("json metrics -> %s\n", json_path.c_str());
-  }
-
-  const bool pass =
-      off_policy_exact && tier_audit_exact && urgent_clean && non_vacuous;
-  std::printf("\nadaptive drill: %s\n", pass ? "PASS" : "FAIL");
-  return pass ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -859,7 +465,6 @@ int main(int argc, char** argv) {
   double priority_frac = 0.0;
   bool shed_enabled = false;
   bool pooled = false;
-  bool adaptive = false;
   std::string json_path;
   std::vector<std::pair<std::size_t, int>> reshards;
 
@@ -885,8 +490,6 @@ int main(int argc, char** argv) {
       priority_frac = std::atof(argv[++i]);
     } else if (arg == "--shed") {
       shed_enabled = true;
-    } else if (arg == "--adaptive") {
-      adaptive = true;
     } else if (arg == "--pool") {
       pooled = true;
     } else if (arg == "--json") {
@@ -918,12 +521,6 @@ int main(int argc, char** argv) {
   std::printf("# batch: %zu windows\n\n", batch.size());
   if (batch.empty()) return 0;
 
-  if (adaptive) {
-    // Degrade-vs-shed drill under calibrated overload; the urgent share
-    // defaults to the AF-alarm fraction when the flag is not given.
-    return run_adaptive(std::move(batch), std::max(1, threads),
-                        priority_frac > 0.0 ? priority_frac : 0.1, json_path);
-  }
   if (poisson_hz > 0.0) {
     if (deadline_ms < 0.0) {
       deadline_ms = cs::window_period_ms(batch.front().window_samples);

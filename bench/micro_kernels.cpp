@@ -189,8 +189,8 @@ void BM_KernApplyAdjoint(benchmark::State& state) {
 BENCHMARK(BM_KernApplyAdjoint)->ArgName("avx2")->Arg(0)->Arg(1);
 
 /// Operators off the d = 4 path (the same row gather for apply, the
-/// entry-list loop for the adjoint): the degrade tier's row-truncated
-/// operator (the CR-50 matrix cut to the CR-70 row count, ragged columns)
+/// entry-list loop for the adjoint): a row-truncated operator (the CR-50
+/// matrix cut to the CR-70 row count, ragged columns)
 /// and the dense ±1 Bernoulli ablation operator.
 enum class GenericOperator { kTruncated, kBernoulli };
 

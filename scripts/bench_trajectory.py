@@ -1,12 +1,10 @@
 #!/usr/bin/env python3
 """Benchmark-trajectory gate: run the perf suite, record it, compare it.
 
-Runs the four steady benchmarks —
+Runs the three steady benchmarks —
 
   * micro_kernels (google-benchmark, JSON output, median of N repetitions)
   * host_throughput --poisson (streaming fabric; its --json metrics file)
-  * host_throughput --adaptive (closed-loop degrade drill: shedding-only
-    baseline vs degrade-don't-drop under calibrated 2x overload)
   * net_loopback --pipeline (pipelined SUBMIT_BATCH submit path over real
     loopback TCP; its --json metrics file)
 
@@ -42,14 +40,6 @@ runner, the invocation runs NET_LOOPBACK_ATTEMPTS times and the best
 attempt is what gates — but bit-exactness is never retried: one corrupt
 attempt fails the whole run.
 
-The adaptive drill gates the same way: goodput under overload must beat
-the shedding-only baseline by ADAPTIVE_SPEEDUP_FLOOR (retried, best
-attempt), the degraded mean SNR must sit within ADAPTIVE_SNR_MARGIN_DB
-of the full-iteration Figure-5 point at the degraded CR, and the
-correctness bits — off-policy bit-exactness, the per-tier re-solve
-audit, and zero urgent degradations — fail immediately on any attempt,
-never retried.
-
 Only the standard library is used.  Typical invocations:
 
   python3 scripts/bench_trajectory.py --build-dir build          # gate
@@ -79,15 +69,6 @@ NET_LOOPBACK_ARGS = [
     "--pipeline", "8", "--batch-frames", "16", "--repeat", "5",
 ]
 NET_LOOPBACK_ATTEMPTS = 3
-HOST_ADAPTIVE_ARGS = ["16", "24", "50", "--adaptive", "--threads", "2"]
-HOST_ADAPTIVE_ATTEMPTS = 3
-ADAPTIVE_SPEEDUP_FLOOR = 1.3
-# The capped degraded tier gives up some convergence relative to the
-# full-iteration Figure-5 point at the same CR (measured ~2.7-2.8 dB on
-# this shape, with the cap at half the measured full-solve iterations);
-# the margin absorbs that plus window-subset variance (which windows
-# demote depends on arrival timing).
-ADAPTIVE_SNR_MARGIN_DB = 3.5
 MICRO_REPETITIONS = 3
 
 
@@ -165,52 +146,6 @@ def run_host_throughput(build_dir):
                             < best.get("cpu_ms_per_window", 0)):
             best = metrics
     best["attempts"] = HOST_THROUGHPUT_ATTEMPTS
-    return best
-
-
-def run_host_adaptive(build_dir):
-    """host_throughput --adaptive --json -> best attempt's metrics object.
-
-    Goodput speedup races the scheduler, so whole invocations are
-    retried and the best attempt gates.  The correctness bits (off-policy
-    bit-exactness, the tier re-solve audit, urgent-lane cleanliness) are
-    not timing — any failed attempt fails the run, never retried.
-    """
-    binary = os.path.join(build_dir, "bench", "host_throughput")
-    best = None
-    for attempt in range(1, HOST_ADAPTIVE_ATTEMPTS + 1):
-        with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
-            out_path = tmp.name
-        try:
-            subprocess.run([binary, *HOST_ADAPTIVE_ARGS, "--json", out_path],
-                           stdout=subprocess.DEVNULL)
-            try:
-                with open(out_path) as f:
-                    metrics = json.load(f)
-            except (OSError, json.JSONDecodeError):
-                raise SystemExit(
-                    "host_throughput --adaptive produced no metrics JSON")
-        finally:
-            os.unlink(out_path)
-        for bit in ("off_policy_bit_exact", "tier_audit_bit_exact",
-                    "urgent_lane_clean"):
-            if metrics.get(bit) != 1:
-                raise SystemExit(
-                    f"host_throughput --adaptive: {bit} failed "
-                    "(not retryable)")
-        if metrics.get("adaptive_urgent_degraded", 0) != 0:
-            raise SystemExit(
-                "host_throughput --adaptive: an urgent window was degraded "
-                "(not retryable)")
-        if best is None or (metrics.get("adaptive_speedup", 0)
-                            > best.get("adaptive_speedup", 0)):
-            best = metrics
-        print(f"#   attempt {attempt}: adaptive speedup "
-              f"{metrics.get('adaptive_speedup', 0):.2f}x, degraded SNR "
-              f"{metrics.get('degraded_mean_snr_db', 0):.2f} dB")
-        if best.get("adaptive_speedup", 0) >= ADAPTIVE_SPEEDUP_FLOOR:
-            break
-    best["attempts"] = attempt
     return best
 
 
@@ -302,35 +237,6 @@ def compare(results, baseline, tolerance, micro_tolerance):
     if new_host.get("bit_exact") == 0:
         failures.append("host_throughput: bit-exactness check failed")
 
-    base_adaptive = baseline.get("host_adaptive", {})
-    new_adaptive = results.get("host_adaptive", {})
-    check("host_adaptive/goodput_win_per_s",
-          new_adaptive.get("adaptive_goodput_win_per_s"),
-          base_adaptive.get("adaptive_goodput_win_per_s"),
-          micro_tolerance)
-    adaptive_speedup = new_adaptive.get("adaptive_speedup")
-    if (adaptive_speedup is not None
-            and adaptive_speedup < ADAPTIVE_SPEEDUP_FLOOR):
-        failures.append(
-            f"host_adaptive: goodput speedup {adaptive_speedup:.2f}x "
-            f"< {ADAPTIVE_SPEEDUP_FLOOR:.1f}x floor")
-    degraded_snr = new_adaptive.get("degraded_mean_snr_db")
-    fig5_floor = new_adaptive.get("fig5_floor_snr_db")
-    if degraded_snr is not None and fig5_floor is not None:
-        floor = fig5_floor - ADAPTIVE_SNR_MARGIN_DB
-        line = (f"host_adaptive: degraded SNR {degraded_snr:.2f} dB vs "
-                f"Fig-5 floor {fig5_floor:.2f} - {ADAPTIVE_SNR_MARGIN_DB} dB")
-        if degraded_snr < floor:
-            failures.append(line)
-        else:
-            print(f"  ok    {line}")
-    if new_adaptive.get("adaptive_urgent_degraded", 0) != 0:
-        failures.append("host_adaptive: an urgent window was degraded")
-    for bit in ("off_policy_bit_exact", "tier_audit_bit_exact",
-                "urgent_lane_clean"):
-        if new_adaptive.get(bit) == 0:
-            failures.append(f"host_adaptive: {bit} failed")
-
     base_net = baseline.get("net_loopback_pipeline", {})
     new_net = results.get("net_loopback_pipeline", {})
     check("net_loopback/v2_win_per_s", new_net.get("v2_win_per_s"),
@@ -370,8 +276,6 @@ def main():
     print(f"#   {len(micro)} benchmarks")
     print("# host_throughput " + " ".join(HOST_THROUGHPUT_ARGS))
     host = run_host_throughput(args.build_dir)
-    print("# host_throughput " + " ".join(HOST_ADAPTIVE_ARGS))
-    adaptive = run_host_adaptive(args.build_dir)
     print("# net_loopback " + " ".join(NET_LOOPBACK_ARGS))
     net = run_net_loopback(args.build_dir)
 
@@ -379,7 +283,6 @@ def main():
         "schema": 1,
         "micro": micro,
         "host_throughput_poisson": host,
-        "host_adaptive": adaptive,
         "net_loopback_pipeline": net,
     }
     with open(args.output, "w") as f:

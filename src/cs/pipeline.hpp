@@ -66,23 +66,6 @@ inline const char* to_string(WindowPriority p) {
   return p == WindowPriority::kUrgent ? "urgent" : "routine";
 }
 
-/// The solve fidelity tier of one window on the host.  Tier 0 (the
-/// default-constructed value) is full fidelity: every measurement, the
-/// solver's configured iteration budget — the PR-8 behavior, bit for bit.
-/// Higher tiers are cheaper operating points on the Figure-5 SNR-vs-CR
-/// curve, reached by truncating the measurement vector (effective_m — a
-/// higher effective CR without the node re-encoding) and/or capping FISTA
-/// iterations.  Unlike WindowPriority, the tier DOES change reconstruction
-/// values — the determinism contract becomes per (payload, tier): the same
-/// window solved at the same tier is bit-identical everywhere.
-struct SolveTier {
-  std::uint8_t tier = 0;           ///< 0 = full fidelity; 1.. = degrade_tiers[tier-1].
-  std::uint32_t effective_m = 0;   ///< Solve only the first m measurements; 0 = all.
-  std::uint32_t iteration_cap = 0; ///< Cap on FistaConfig::max_iterations; 0 = none.
-
-  bool operator==(const SolveTier&) const = default;
-};
-
 /// Real-time arrival period of one window: a node sampling at `fs_hz`
 /// emits a compressed window every `window_samples / fs_hz` seconds, so
 /// this is both the mean inter-arrival time of live traffic and the

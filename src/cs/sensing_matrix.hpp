@@ -41,10 +41,9 @@ class SensingMatrix {
   /// The operator restricted to its first `m_eff` rows: column entries
   /// with row >= m_eff are dropped (so columns may carry fewer than d
   /// ones) and the Lipschitz constant is recomputed for the truncated
-  /// shape.  This is how the host degrades a window to a
-  /// higher compression ratio without the node re-encoding: solving the
-  /// first m_eff measurements against the truncated operator is exactly
-  /// the problem a shorter measurement vector would have posed.  Pure
+  /// shape.  Solving the first m_eff measurements against the truncated
+  /// operator is exactly the problem a shorter measurement vector (a
+  /// higher compression ratio) would have posed.  Pure
   /// function of (this, m_eff), so a cache rebuild is bit-identical.
   /// `m_eff` must be in [1, rows()].
   SensingMatrix truncated(std::size_t m_eff) const;

@@ -97,7 +97,7 @@ void ReconstructionEngine::worker_loop() {
 std::shared_ptr<const cs::SensingMatrix> ReconstructionEngine::prepare_matrix(
     const CompressedWindow& window) {
   const MatrixKey key{window.matrix_seed, window.measurements.size(), window.window_samples,
-                      window.ones_per_column, 0};
+                      window.ones_per_column};
   {
     std::lock_guard<std::mutex> lk(matrices_mutex_);
     const auto found = matrices_.find(key);
@@ -122,41 +122,6 @@ std::shared_ptr<const cs::SensingMatrix> ReconstructionEngine::prepare_matrix(
       while (matrices_.size() > cfg_.matrix_cache_capacity) {
         // Evict least-recently used.  Windows already holding the
         // shared_ptr keep the matrix alive until they finish.
-        matrices_.erase(lru_.back());
-        lru_.pop_back();
-      }
-    }
-  } else {
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-  }
-  return it->second.phi;
-}
-
-std::shared_ptr<const cs::SensingMatrix> ReconstructionEngine::solve_matrix_for(
-    const CompressedWindow& window, const std::shared_ptr<const cs::SensingMatrix>& full) {
-  const std::size_t m_eff = window.solve_tier.effective_m;
-  if (m_eff == 0 || m_eff >= full->rows()) return full;
-  const MatrixKey key{window.matrix_seed, window.measurements.size(), window.window_samples,
-                      window.ones_per_column, m_eff};
-  {
-    std::lock_guard<std::mutex> lk(matrices_mutex_);
-    const auto found = matrices_.find(key);
-    if (found != matrices_.end()) {
-      lru_.splice(lru_.begin(), lru_, found->second.lru_pos);  // Touch.
-      return found->second.phi;
-    }
-  }
-  // Same miss protocol as prepare_matrix: build outside the lock (the
-  // truncation is a pure function of the full operator and m_eff, so a
-  // racing duplicate is bit-identical and simply discarded).
-  auto built = std::make_shared<const cs::SensingMatrix>(full->truncated(m_eff));
-  std::lock_guard<std::mutex> lk(matrices_mutex_);
-  const auto [it, inserted] = matrices_.emplace(key, CachedMatrix{std::move(built), {}});
-  if (inserted) {
-    lru_.push_front(key);
-    it->second.lru_pos = lru_.begin();
-    if (cfg_.matrix_cache_capacity > 0) {
-      while (matrices_.size() > cfg_.matrix_cache_capacity) {
         matrices_.erase(lru_.back());
         lru_.pop_back();
       }
@@ -228,57 +193,31 @@ void ReconstructionEngine::process_one(WorkItem* item) {
   // fabric shards) only widens its high-water mark.
   static thread_local cs::FistaWorkspace workspace;
 
-  // Resolve the solve operator and iteration budget from the window's tier.
-  // Tier 0 takes the untouched path: the full operator and the configured
-  // FistaConfig, bit-identical to an engine without the tier machinery.
-  CompressedWindow& window = item->window;
-  const cs::SolveTier tier = window.solve_tier;
-  std::shared_ptr<const cs::SensingMatrix> solve_phi = item->phi;
-  cs::FistaConfig fista = cfg_.fista;
-  if (tier.tier != 0) {
-    if (tier.effective_m > 0 && tier.effective_m < solve_phi->rows()) {
-      solve_phi = solve_matrix_for(window, item->phi);
-    }
-    if (tier.iteration_cap > 0) {
-      fista.max_iterations =
-          std::min(fista.max_iterations, static_cast<int>(tier.iteration_cap));
-    }
-  }
-
   // Measurements are *borrowed* from the queued window (no copy — the
   // buffer travels by move from the producer through the queue to here),
   // and the signal lands directly in the result buffer, drawn from the
-  // payload pool at admission.  A row-truncated operator reads only the
-  // first rows() measurements.
-  const std::size_t rows = std::min(window.measurements.size(), solve_phi->rows());
+  // payload pool at admission.
+  CompressedWindow& window = item->window;
   WindowResult& result = item->result;
   result.signal.resize(window.window_samples);
   const auto t0 = Clock::now();
-  result.iterations = cs::fista_solve_into(
-      *solve_phi, std::span<const double>(window.measurements.data(), rows), fista, workspace,
-      std::span<double>(result.signal.data(), result.signal.size()));
+  result.iterations =
+      cs::fista_solve_into(*item->phi, window.measurements, cfg_.fista, workspace,
+                           std::span<double>(result.signal.data(), result.signal.size()));
   const auto t1 = Clock::now();
   const double solve_ms = ms_between(t0, t1);
 
   // Feed the cost model: EWMA (alpha = 1/8) of per-window solve time,
-  // keyed by the shape actually solved (rows of the possibly-truncated
-  // operator) and tier, plus the shape-blind global fallback.  Racy
+  // keyed by (m, n), plus the shape-blind global fallback.  Racy
   // read-modify-write across workers only blurs the estimate.
-  cost_model_.record(static_cast<std::uint32_t>(solve_phi->rows()), window.window_samples,
-                     tier.tier, static_cast<std::uint64_t>(solve_ms * 1000.0));
-  // Full solves stop at convergence, so a capped rung's price is set
-  // against the iterations they actually run, not the configured budget.
-  if (tier.tier == 0) {
-    cost_model_.record_iterations(static_cast<std::uint32_t>(result.iterations));
-  }
+  cost_model_.record(static_cast<std::uint32_t>(window.measurements.size()),
+                     window.window_samples, static_cast<std::uint64_t>(solve_ms * 1000.0));
 
   result.patient_id = window.patient_id;
   result.window_index = window.window_index;
   result.priority = window.priority;
   result.route_tag = window.route_tag;
   result.ticket = item->ticket;
-  result.solve_tier = window.solve_tier;
-  result.degraded = window.solve_tier.tier != 0;
   result.latency_ms = solve_ms;
   result.e2e_ms = ms_between(item->enqueue_time, t1);
   result.snr_db = window.reference.empty()
@@ -287,11 +226,6 @@ void ReconstructionEngine::process_one(WorkItem* item) {
   slo_.on_complete(result.e2e_ms);
   lane_slo_[lane_index(window.priority)].on_complete(result.e2e_ms);
   if (item->patient_slo != nullptr) item->patient_slo->on_complete(result.e2e_ms);
-  if (result.degraded) {
-    slo_.on_degraded();
-    lane_slo_[lane_index(window.priority)].on_degraded();
-    if (item->patient_slo != nullptr) item->patient_slo->on_degraded();
-  }
   // Snapshot what the bookkeeping below needs now: the moment the item is
   // published to done_, a concurrent poll() may pop and recycle it (wiping
   // window and result), so nothing on the item may be read after that.
@@ -398,35 +332,12 @@ bool ReconstructionEngine::reserve_slot() {
 
 double ReconstructionEngine::solve_estimate_ms(std::uint32_t measurements,
                                                std::uint32_t samples) const {
-  return cost_model_.estimate_ms(measurements, samples, 0, 1.0);
-}
-
-cs::SolveTier ReconstructionEngine::tier_for(std::size_t rung, std::uint32_t m_full,
-                                             std::uint32_t n) const {
-  cs::SolveTier tier;
-  if (rung == 0 || cfg_.degrade_tiers.empty()) return tier;
-  const std::size_t clamped = std::min(rung, cfg_.degrade_tiers.size());
-  const DegradeTierSpec& spec = cfg_.degrade_tiers[clamped - 1];
-  tier.tier = static_cast<std::uint8_t>(clamped);
-  tier.iteration_cap = spec.iteration_cap;
-  if (spec.cr_percent > 0.0) {
-    const auto rows = static_cast<std::uint32_t>(cs::rows_for_cr(spec.cr_percent, n));
-    // Only truncation counts: a rung whose CR keeps at least as many rows
-    // as the window actually carries leaves the operator whole.
-    if (rows < m_full) tier.effective_m = rows;
-  }
-  return tier;
+  return cost_model_.estimate_ms(measurements, samples);
 }
 
 std::uint64_t ReconstructionEngine::charge_estimate_us(const CompressedWindow& window) const {
-  const auto m_full = static_cast<std::uint32_t>(window.measurements.size());
-  const cs::SolveTier& tier = window.solve_tier;
-  const std::uint32_t m_used =
-      tier.effective_m > 0 ? std::min(m_full, tier.effective_m) : m_full;
-  const double scale = SolveCostModel::tier_scale(
-      tier.iteration_cap, cost_model_.full_iterations(
-                              static_cast<std::uint32_t>(std::max(0, cfg_.fista.max_iterations))));
-  const double est_ms = cost_model_.estimate_ms(m_used, window.window_samples, tier.tier, scale);
+  const double est_ms = solve_estimate_ms(static_cast<std::uint32_t>(window.measurements.size()),
+                                          window.window_samples);
   return est_ms > 0.0 ? static_cast<std::uint64_t>(est_ms * 1000.0) : 0;
 }
 
@@ -451,40 +362,6 @@ std::vector<std::uint32_t> ReconstructionEngine::pending_patients(std::size_t ma
   return out;
 }
 
-void ReconstructionEngine::maybe_degrade_backlog() {
-  if (cfg_.degrade_tiers.empty()) return;
-  const double deadline_ms = cfg_.slo.deadline_ms;
-  if (deadline_ms <= 0.0) return;
-  const auto workers = static_cast<double>(std::max(1, cfg_.threads));
-  const std::size_t bottom = cfg_.degrade_tiers.size();
-  // One rung per pass: each routine window in pop order steps one tier
-  // down until the priced backlog fits the budget again.  Sustained
-  // pressure walks again on the next admission, stepping further.  The
-  // urgent lane is structurally out of reach (for_each_routine), so AF
-  // windows always keep full fidelity.
-  queue_.for_each_routine([&](WorkItem* item) {
-    const double wait_ms =
-        static_cast<double>(pending_cost_us_.load(std::memory_order_relaxed)) / 1000.0 /
-        workers;
-    if (wait_ms <= deadline_ms) return;  // Pressure already relieved.
-    CompressedWindow& window = item->window;
-    if (window.solve_tier.tier >= bottom) return;  // Already at the bottom rung.
-    window.solve_tier =
-        tier_for(static_cast<std::size_t>(window.solve_tier.tier) + 1,
-                 static_cast<std::uint32_t>(window.measurements.size()),
-                 window.window_samples);
-    // Re-price the demoted window so the backlog (and any later shed scan)
-    // sees its demoted cost, not its full-fidelity one.
-    const std::uint64_t new_cost = charge_estimate_us(window);
-    if (new_cost < item->charged_cost_us) {
-      pending_cost_us_.fetch_sub(item->charged_cost_us - new_cost, std::memory_order_relaxed);
-    } else if (new_cost > item->charged_cost_us) {
-      pending_cost_us_.fetch_add(new_cost - item->charged_cost_us, std::memory_order_relaxed);
-    }
-    item->charged_cost_us = new_cost;
-  });
-}
-
 bool ReconstructionEngine::shed_predicted_miss(cs::WindowPriority arrival_priority) {
   const double deadline_ms = cfg_.slo.deadline_ms;
   if (deadline_ms <= 0.0) return false;
@@ -497,13 +374,11 @@ bool ReconstructionEngine::shed_predicted_miss(cs::WindowPriority arrival_priori
   const auto now = Clock::now();
   // Predicted completion if left queued: everything ahead of it plus
   // itself must solve, spread across the pool — a coarse M/D/c wait model.
-  // Each queued window contributes its own (shape, tier) cost estimate,
-  // so a backlog mixing window sizes is costed window by window rather
-  // than by one blurred average — and a window the degrade policy already
-  // demoted is priced at its demoted cost, not its full-fidelity one;
-  // extract_best scans in pop order (urgent lane first), which is exactly
-  // the order the cumulative cost accrues in.  Positive overshoot means
-  // the deadline is already forecast to be missed.
+  // Each queued window contributes its own shape's cost estimate, so a
+  // backlog mixing window sizes is costed window by window rather than by
+  // one blurred average; extract_best scans in pop order (urgent lane
+  // first), which is exactly the order the cumulative cost accrues in.
+  // Positive overshoot means the deadline is already forecast to be missed.
   double cum_wait_ms = 0.0;
   const auto make_score = [&](bool urgent_eligible) {
     return [&, urgent_eligible](WorkItem* item, std::size_t,
@@ -521,10 +396,10 @@ bool ReconstructionEngine::shed_predicted_miss(cs::WindowPriority arrival_priori
   // Routine victims first (urgent windows still contribute queue-wait cost
   // but are never eligible); the urgent lane becomes eligible only when no
   // routine window is predicted to miss AND the arrival itself is urgent.
-  auto victim = queue_.extract_best(make_score(false), /*include_urgent=*/true);
+  auto victim = queue_.extract_best(make_score(false));
   if (!victim.has_value() && arrival_priority == cs::WindowPriority::kUrgent) {
     cum_wait_ms = 0.0;  // Fresh scan, fresh cumulative cost.
-    victim = queue_.extract_best(make_score(true), /*include_urgent=*/true);
+    victim = queue_.extract_best(make_score(true));
   }
   if (!victim.has_value()) return false;
   WorkItem* item = *victim;
@@ -569,13 +444,8 @@ std::optional<std::uint64_t> ReconstructionEngine::try_submit_impl(CompressedWin
   // Reserve an in-flight slot first; this is the only admission gate.  At
   // capacity, deadline-aware shedding may instead free a slot by dropping
   // the queued window predicted to miss its deadline — the arrival then
-  // takes over the victim's reservation.  Demote-first: before any queued
-  // window is shed whole, a degrade ladder first tries to relieve
-  // the pressure by degrading queued routine windows to a cheaper tier —
-  // which can dissolve the predicted miss entirely (the arrival then
-  // bounces, but the backlog drains faster and stops hitting capacity).
+  // takes over the victim's reservation.
   if (!reserve_slot()) {
-    if (allow_shedding) maybe_degrade_backlog();
     if (!(allow_shedding && shed_predicted_miss(window.priority))) {
       return std::nullopt;
     }
@@ -592,10 +462,8 @@ std::optional<std::uint64_t> ReconstructionEngine::try_submit_impl(CompressedWin
   item->patient_slo = patient_tracker(item->window.patient_id);
   item->ticket = next_ticket_.fetch_add(1, std::memory_order_relaxed);
   item->enqueue_time = Clock::now();
-  // Price the admission into the backlog (at the window's tier — a preset
-  // tier is charged at its cheaper cost).  Always on: backlog_wait_ms()
-  // feeds the CR-hint pressure signal with or without a ladder, and
-  // counters never affect values.
+  // Price the admission into the backlog: backlog_wait_ms() feeds the
+  // CR-hint pressure signal, and counters never affect values.
   item->charged_cost_us = charge_estimate_us(item->window);
   if (item->charged_cost_us > 0) {
     pending_cost_us_.fetch_add(item->charged_cost_us, std::memory_order_relaxed);
@@ -619,13 +487,6 @@ std::optional<std::uint64_t> ReconstructionEngine::try_submit_impl(CompressedWin
       std::lock_guard<std::mutex> lk(work_mutex_);
     }
     work_cv_.notify_one();
-  }
-  // Proactive degrade trigger: if this admission pushed the priced backlog
-  // past one deadline, demote queued routine windows now instead of
-  // waiting for capacity to fill.
-  if (!cfg_.degrade_tiers.empty() && cfg_.slo.deadline_ms > 0.0 &&
-      backlog_wait_ms() > cfg_.slo.deadline_ms) {
-    maybe_degrade_backlog();
   }
   return ticket;
 }

@@ -94,13 +94,6 @@ struct CompressedWindow {
   /// same epoch-tagged composite ticket its submit() returned, even when
   /// the fleet was resized while the window was in flight.
   std::uint32_t route_tag = 0;
-  /// Solve fidelity tier.  Tier 0 (the default) is the full-fidelity solve
-  /// and the only tier the engine ever uses unless the degrade ladder
-  /// demotes the window after admission — or the submitter presets a
-  /// tier, which the engine honors as-is (the re-solve audit path).  A non-zero tier
-  /// changes the window's reconstruction (fewer rows and/or fewer FISTA
-  /// iterations), so the determinism contract is per (payload, tier).
-  cs::SolveTier solve_tier{};
   std::vector<double> measurements;  ///< y, already scaled to mV.
   /// Optional ground truth (test/bench only; empty in production) for SNR.
   std::vector<double> reference;
@@ -113,10 +106,6 @@ struct WindowResult {
   cs::WindowPriority priority = cs::WindowPriority::kRoutine;  ///< Echo of the input lane.
   std::uint32_t route_tag = 0;    ///< Echo of CompressedWindow::route_tag.
   std::uint64_t ticket = 0;       ///< Engine-wide submission sequence number.
-  /// Tier the window was actually solved at (submitted tier, or the tier
-  /// the degrade ladder demoted it to while queued).
-  cs::SolveTier solve_tier{};
-  bool degraded = false;          ///< solve_tier.tier != 0.
   std::vector<double> signal;     ///< Reconstructed time-domain window.
   double snr_db = 0.0;            ///< NaN when no reference was attached.
   int iterations = 0;
@@ -155,20 +144,6 @@ BatchResult reconstruct_batch(
     const std::function<std::uint64_t(const CompressedWindow&)>& submit,
     const std::function<std::vector<WindowResult>()>& drain);
 
-/// One rung of the degrade ladder (EngineConfig::degrade_tiers).  Rung k
-/// of the config vector is solve tier k+1; demotion only ever moves a
-/// window down the ladder (tier never decreases while queued).  Urgent
-/// (AF-alarm) windows are never demoted.
-struct DegradeTierSpec {
-  /// Effective compression ratio at this rung, percent: the solve keeps
-  /// the first rows_for_cr(cr, n) measurement rows, the paper's Figure-5
-  /// SNR/CR trade.  Applies only when it truncates (the row count is
-  /// clamped to the window's actual measurements); 0 keeps every row.
-  double cr_percent = 0.0;
-  /// FISTA iteration cap at this rung; 0 = the full configured budget.
-  std::uint32_t iteration_cap = 0;
-};
-
 struct EngineConfig {
   /// Worker threads.  0 = solve in the calling thread during poll()/
   /// drain() (serial reference mode); N >= 1 spawns N persistent workers.
@@ -188,15 +163,6 @@ struct EngineConfig {
   /// Per-window solve-time estimate feeding the shed predictor, in ms.
   /// 0 (default) uses the engine's measured EWMA of completed solves.
   double shed_solve_estimate_ms = 0.0;
-  /// The fidelity-degrade ladder, cheapest rung last; see DegradeTierSpec.
-  /// Empty (the default) never degrades: results are bit-identical to an
-  /// engine without the tier machinery.  Non-empty: when the priced
-  /// backlog (backlog_wait_ms()) exceeds one deadline after an admission —
-  /// and again as the demote-first step wherever the deadline-shed victim
-  /// scan would fire — queued routine windows are demoted one rung
-  /// ("solve cheaper") before any window is shed whole.  Requires
-  /// slo.deadline_ms > 0 to act.
-  std::vector<DegradeTierSpec> degrade_tiers;
   /// Invoked (from a worker thread) every time the engine makes progress a
   /// blocked producer could be waiting on: a result was published and its
   /// in-flight slot released, or a queued window was shed.  Fires AFTER
@@ -359,15 +325,15 @@ class ReconstructionEngine {
   /// The priced backlog: the sum of every in-flight window's admission-time
   /// solve-cost estimate divided across the worker pool, in ms — how long
   /// the queue would take to drain if nothing else arrived.  0 until any
-  /// solve-cost signal exists.  This is the pressure signal behind both
-  /// the proactive degrade trigger and the shard server's CR hints.
+  /// solve-cost signal exists.  This is the pressure signal behind the
+  /// shard server's CR hints.
   double backlog_wait_ms() const;
 
   /// Up to `max` patient ids with windows currently in flight (submitted,
   /// not yet solved or shed), ascending.  Feeds per-patient CR hints.
   std::vector<std::uint32_t> pending_patients(std::size_t max) const;
 
-  /// The per-(shape, tier) solve-cost model (diagnostics/tests).
+  /// The per-shape solve-cost model (diagnostics/tests).
   const SolveCostModel& cost_model() const { return cost_model_; }
 
   // --- Batch wrapper -------------------------------------------------------
@@ -399,7 +365,7 @@ class ReconstructionEngine {
     std::uint64_t ticket = 0;
     /// The admission-time solve-cost estimate this window charged into
     /// pending_cost_us_ — remembered so completion/shed releases exactly
-    /// what was charged and a demotion adjusts by the exact delta.
+    /// what was charged.
     std::uint64_t charged_cost_us = 0;
     std::chrono::steady_clock::time_point enqueue_time{};
     WindowResult result;
@@ -430,27 +396,12 @@ class ReconstructionEngine {
   /// result.
   void process_one(WorkItem* item);
   /// Builds/reuses the sensing matrix a window needs; bounded LRU keyed
-  /// by (seed, m, n, d, m_eff).  Construction is a pure function of the
-  /// key, so a rebuilt matrix is bit-identical to the evicted one.
+  /// by (seed, m, n, d).  Construction is a pure function of the key, so a
+  /// rebuilt matrix is bit-identical to the evicted one.
   std::shared_ptr<const cs::SensingMatrix> prepare_matrix(const CompressedWindow& window);
-  /// The operator the solve should actually apply for `window`: `full`
-  /// itself at full fidelity, or its row-truncated form (cached in the
-  /// same LRU) when the window's tier sets effective_m below full rows.
-  std::shared_ptr<const cs::SensingMatrix> solve_matrix_for(
-      const CompressedWindow& window, const std::shared_ptr<const cs::SensingMatrix>& full);
-  /// The cs::SolveTier for rung `rung` (1-based into cfg_.degrade_tiers)
-  /// of a window with `m_full` measurements over `n` samples.  Rung 0 (or
-  /// an empty ladder) is the full-fidelity tier.
-  cs::SolveTier tier_for(std::size_t rung, std::uint32_t m_full, std::uint32_t n) const;
-  /// Admission-time solve-cost estimate of one window at its current
-  /// tier, microseconds (0 when no signal exists yet).
+  /// Admission-time solve-cost estimate of one window's (m, n) shape,
+  /// microseconds (0 when no signal exists yet).
   std::uint64_t charge_estimate_us(const CompressedWindow& window) const;
-  /// Demote-first: walks the routine lane demoting queued windows one rung
-  /// down the degrade ladder until the priced backlog fits inside one
-  /// deadline (or every routine window is at the bottom rung).  Urgent
-  /// windows are never touched.  No-op unless the ladder is non-empty and
-  /// a deadline is configured.
-  void maybe_degrade_backlog();
   /// The per-patient tracker for `patient_id` (created on first use), or
   /// nullptr once max_tracked_patients ids are tracked.
   std::shared_ptr<SloTracker> patient_tracker(std::uint32_t patient_id);
@@ -474,28 +425,21 @@ class ReconstructionEngine {
   std::vector<std::thread> workers_;
   SloTracker slo_;
   SloTracker lane_slo_[cs::kPriorityLanes];  ///< [0]=routine, [1]=urgent.
-  /// Per-(m, n, tier) solve-cost model (solve_cost_model.hpp): the
-  /// engine's old per-(m, n) EWMA table extended with the solve-tier
-  /// dimension, so the shed predictor and the degrade policy can price
-  /// "solve cheaper" against "shed".  Its override_ms is wired to
+  /// Per-(m, n) solve-cost model (solve_cost_model.hpp) pricing the shed
+  /// predictor and the priced backlog.  Its override_ms is wired to
   /// cfg_.shed_solve_estimate_ms at construction.
   SolveCostModel cost_model_;
   /// Sum of the admission-time solve-cost estimates (microseconds) of
   /// every window currently queued or solving — the backlog priced in
-  /// time rather than windows.  Charged at admission, re-priced on
-  /// demotion, released exactly at completion/shed.  Maintained with or
-  /// without a degrade ladder (it feeds backlog_wait_ms() and the CR-hint
-  /// pressure signal, and counters never affect values).
+  /// time rather than windows.  Charged at admission, released exactly at
+  /// completion/shed.  Feeds backlog_wait_ms() and the CR-hint pressure
+  /// signal; counters never affect values.
   std::atomic<std::uint64_t> pending_cost_us_{0};
 
   // Bounded LRU cache of seeded sensing operators, keyed by
-  // (seed, m, n, d, m_eff) — m_eff == 0 is the full operator, m_eff > 0 a
-  // row-truncated form used by degraded solve tiers (derived from the full
-  // matrix via SensingMatrix::truncated, itself deterministic, so eviction
-  // still never changes results).  lru_ orders keys most-recent-first;
-  // each map value carries its lru_ position for O(log n) touch.
-  using MatrixKey =
-      std::tuple<std::uint64_t, std::size_t, std::size_t, std::size_t, std::size_t>;
+  // (seed, m, n, d).  lru_ orders keys most-recent-first; each map value
+  // carries its lru_ position for O(log n) touch.
+  using MatrixKey = std::tuple<std::uint64_t, std::size_t, std::size_t, std::size_t>;
   struct CachedMatrix {
     std::shared_ptr<const cs::SensingMatrix> phi;
     std::list<MatrixKey>::iterator lru_pos;

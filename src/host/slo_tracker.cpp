@@ -67,10 +67,6 @@ void SloTracker::on_shed(bool urgent) {
 
 void SloTracker::on_reject() { rejected_.fetch_add(1, std::memory_order_relaxed); }
 
-void SloTracker::on_degraded() {
-  degraded_windows_.fetch_add(1, std::memory_order_relaxed);
-}
-
 void SloTracker::merge_from(const SloTracker& other) {
   for (std::size_t i = 0; i < kBuckets; ++i) {
     const std::uint64_t count = other.buckets_[i].load(std::memory_order_relaxed);
@@ -92,8 +88,6 @@ void SloTracker::merge_from(const SloTracker& other) {
                         std::memory_order_relaxed);
   sum_us_.fetch_add(other.sum_us_.load(std::memory_order_relaxed),
                     std::memory_order_relaxed);
-  degraded_windows_.fetch_add(other.degraded_windows_.load(std::memory_order_relaxed),
-                              std::memory_order_relaxed);
   const std::uint64_t other_max = other.max_us_.load(std::memory_order_relaxed);
   std::uint64_t seen = max_us_.load(std::memory_order_relaxed);
   while (other_max > seen &&
@@ -169,7 +163,6 @@ SloSnapshot SloTracker::snapshot() const {
   snap.shed_routine = shed_routine_.load(std::memory_order_relaxed);
   snap.shed_urgent = shed_urgent_.load(std::memory_order_relaxed);
   snap.rejected = rejected_.load(std::memory_order_relaxed);
-  snap.degraded_windows = degraded_windows_.load(std::memory_order_relaxed);
   const std::uint64_t retired = retrieved_.load(std::memory_order_relaxed) +
                                 snap.shed_routine + snap.shed_urgent;
   snap.in_flight = snap.submitted - std::min(retired, snap.submitted);
@@ -220,7 +213,6 @@ void SloTracker::reset() {
   sum_us_.store(0, std::memory_order_relaxed);
   max_us_.store(0, std::memory_order_relaxed);
   max_in_flight_.store(0, std::memory_order_relaxed);
-  degraded_windows_.store(0, std::memory_order_relaxed);
   start_ = std::chrono::steady_clock::now();
 }
 

@@ -58,12 +58,6 @@ struct SloSnapshot {
   /// the fleet benchmark still reads it (as host.batch_hit_frac); remove
   /// it together with that metric.
   std::uint64_t grouped_windows = 0;
-  /// Windows completed at a degraded solve tier (cs::SolveTier::tier != 0)
-  /// — demoted down the engine's degrade ladder, or submitted pre-degraded.
-  /// The closed-loop observability hook: degraded_windows / completed is
-  /// the fidelity-trade rate, and the urgent lane's count must stay 0
-  /// (urgent windows always keep full fidelity).
-  std::uint64_t degraded_windows = 0;
   double p50_ms = 0.0;
   double p95_ms = 0.0;
   double p99_ms = 0.0;
@@ -129,11 +123,6 @@ class SloTracker {
   /// victim).  The window was never on_submit()ed.  Thread-safe.
   void on_reject();
 
-  /// A window completed at a degraded solve tier (tier != 0).  Engine-wide
-  /// observability only: not part of SloTrackerState (the SLO_STATE wire
-  /// layout is frozen), so it does not migrate with a patient.  Thread-safe.
-  void on_degraded();
-
   SloSnapshot snapshot() const;
 
   /// Adds `other`'s counters and latency histogram into this tracker, and
@@ -190,7 +179,6 @@ class SloTracker {
   std::atomic<std::uint64_t> sum_us_{0};
   std::atomic<std::uint64_t> max_us_{0};
   std::atomic<std::uint64_t> max_in_flight_{0};
-  std::atomic<std::uint64_t> degraded_windows_{0};
 };
 
 }  // namespace wbsn::host

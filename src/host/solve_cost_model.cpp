@@ -1,7 +1,5 @@
 #include "host/solve_cost_model.hpp"
 
-#include <algorithm>
-
 namespace wbsn::host {
 
 namespace {
@@ -14,28 +12,9 @@ void fold(std::atomic<std::uint64_t>& ewma, std::uint64_t sample_us) {
 
 }  // namespace
 
-double SolveCostModel::tier_scale(std::uint32_t iteration_cap, std::uint32_t full_iterations) {
-  if (iteration_cap == 0 || full_iterations == 0 || iteration_cap >= full_iterations) {
-    return 1.0;
-  }
-  const double ratio =
-      static_cast<double>(iteration_cap) / static_cast<double>(full_iterations);
-  return std::clamp(ratio, 0.05, 1.0);
-}
-
-void SolveCostModel::record_iterations(std::uint32_t iterations) {
-  fold(full_iterations_, iterations);
-}
-
-std::uint32_t SolveCostModel::full_iterations(std::uint32_t fallback) const {
-  const std::uint64_t mean = full_iterations_.load(std::memory_order_relaxed);
-  return mean > 0 ? static_cast<std::uint32_t>(mean) : fallback;
-}
-
-void SolveCostModel::record(std::uint32_t m, std::uint32_t n, std::uint8_t tier,
-                            std::uint64_t sample_us) {
+void SolveCostModel::record(std::uint32_t m, std::uint32_t n, std::uint64_t sample_us) {
   fold(global_us_, sample_us);
-  const std::uint64_t key = pack_key(m, n, tier);
+  const std::uint64_t key = pack_key(m, n);
   if (key == 0) return;  // Shape doesn't pack: the global EWMA carries it.
   const std::size_t start = static_cast<std::size_t>(key) % kSlots;
   for (std::size_t probe = 0; probe < kSlots; ++probe) {
@@ -63,24 +42,16 @@ std::uint64_t SolveCostModel::lookup_us(std::uint64_t key) const {
   return 0;
 }
 
-std::uint64_t SolveCostModel::measured_us(std::uint32_t m, std::uint32_t n,
-                                          std::uint8_t tier) const {
-  return lookup_us(pack_key(m, n, tier));
+std::uint64_t SolveCostModel::measured_us(std::uint32_t m, std::uint32_t n) const {
+  return lookup_us(pack_key(m, n));
 }
 
-double SolveCostModel::estimate_ms(std::uint32_t m, std::uint32_t n, std::uint8_t tier,
-                                   double tier_scale) const {
+double SolveCostModel::estimate_ms(std::uint32_t m, std::uint32_t n) const {
   if (override_ms > 0.0) return override_ms;
-  if (const std::uint64_t us = lookup_us(pack_key(m, n, tier)); us > 0) {
+  if (const std::uint64_t us = lookup_us(pack_key(m, n)); us > 0) {
     return static_cast<double>(us) / 1000.0;
   }
-  if (tier != 0) {
-    if (const std::uint64_t us = lookup_us(pack_key(m, n, 0)); us > 0) {
-      return static_cast<double>(us) / 1000.0 * tier_scale;
-    }
-  }
-  const double scale = tier != 0 ? tier_scale : 1.0;
-  return static_cast<double>(global_us_.load(std::memory_order_relaxed)) / 1000.0 * scale;
+  return static_cast<double>(global_us_.load(std::memory_order_relaxed)) / 1000.0;
 }
 
 }  // namespace wbsn::host

@@ -116,14 +116,14 @@ class TwoLaneWorkQueue {
     return false;
   }
 
-  /// Removes and returns the queued item maximizing `score`, considering
-  /// the routine lane and — when `include_urgent` — the urgent lane too.
-  /// `score(item, position, urgent)` returns std::nullopt to disqualify;
-  /// `position` is the item's place in overall pop order (urgent lane
-  /// first), which is what a wait-time predictor needs.  Returns nullopt
-  /// when no item qualifies.  Used to extract deadline-shed victims.
+  /// Removes and returns the queued item maximizing `score` over both
+  /// lanes.  `score(item, position, urgent)` returns std::nullopt to
+  /// disqualify; `position` is the item's place in overall pop order
+  /// (urgent lane first), which is what a wait-time predictor needs.
+  /// Returns nullopt when no item qualifies.  Used to extract deadline-shed
+  /// victims.
   template <typename ScoreFn>
-  std::optional<T> extract_best(ScoreFn&& score, bool include_urgent) {
+  std::optional<T> extract_best(ScoreFn&& score) {
     std::lock_guard<std::mutex> lk(mutex_);
     RingDeque<T>* best_lane = nullptr;
     std::size_t best_index = 0;
@@ -139,24 +139,12 @@ class TwoLaneWorkQueue {
         }
       }
     };
-    if (include_urgent) scan(urgent_, true, 0);
+    scan(urgent_, true, 0);
     scan(routine_, false, urgent_.size());
     if (best_lane == nullptr) return std::nullopt;
     T out = std::move((*best_lane)[best_index]);
     best_lane->erase(best_index);
     return out;
-  }
-
-  /// Visits every queued routine-lane item in pop order under the queue
-  /// mutex.  `fn(item)` may mutate the item in place but must not enqueue,
-  /// dequeue, or block.  Used by the degrade policy to demote queued
-  /// routine windows to a cheaper solve tier; the urgent lane is
-  /// deliberately unreachable from here (urgent windows keep full
-  /// fidelity).
-  template <typename Fn>
-  void for_each_routine(Fn&& fn) {
-    std::lock_guard<std::mutex> lk(mutex_);
-    for (std::size_t i = 0; i < routine_.size(); ++i) fn(routine_[i]);
   }
 
   std::size_t size() const {

@@ -11,7 +11,7 @@
 //     sorted by length and cut into groups of 8; a group's entries run
 //     slot-major up to its shortest row (8 independent sums per slot),
 //     then each lane's tail.  There is no padding, so ragged
-//     (row-truncated degrade-tier) and signed (Bernoulli) operators run
+//     (row-truncated) and signed (Bernoulli) operators run
 //     the same loop as the d = 4 production operator.
 //   * adjoint, x = Φᵀy, walks the column list: a d = 4 loop fixed at
 //     compile time for the unsigned production operator, and one

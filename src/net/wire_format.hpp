@@ -386,7 +386,7 @@ bool decode_result_batch(std::span<const std::uint8_t> payload,
 // that raced a reshard can be recognized as stale and discarded instead
 // of steering a patient now owned by a different shard.  Advisory only —
 // a node that ignores it keeps full fidelity and simply keeps paying the
-// host-side degrade/shed rate.
+// host-side queueing delay (and shed rate, where the shard sheds).
 
 struct CrHintEntry {
   std::uint32_t patient_id = 0;

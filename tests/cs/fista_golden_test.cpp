@@ -123,9 +123,9 @@ TEST(FistaGolden, BatchOfFiveDefaultConfig) {
 }
 
 TEST(FistaGolden, TruncatedOperator) {
-  // The host's degrade tier: CR-50 measurements solved on the first
-  // CR-70 rows against the row-truncated operator (columns left with
-  // fewer than d ones), iteration cap 60 — the ragged operator path.
+  // CR-50 measurements solved on the first CR-70 rows against the
+  // row-truncated operator (columns left with fewer than d ones),
+  // iteration cap 60 — the ragged operator path.
   const auto full = seeded_matrix(50.0, 512, 505);
   const auto phi = full.truncated(rows_for_cr(70.0, 512));
   const auto ys = encode(full, ecg_windows(512, 4, 55));

@@ -3,7 +3,9 @@
 // amount than a 128-sample one and a shape-blind average lies about both.
 // Pins the estimate surface: 0 before any solve, per-shape after solving
 // that shape and untouched by solving another, global fallback for shapes
-// never seen, and the configured override beating the measurements.
+// never seen, and the configured override beating the measurements.  Also
+// pins the priced backlog (backlog_wait_ms) the CR hints read, and the
+// pending-patient list they are addressed to.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -116,6 +118,49 @@ TEST(SolveEstimate, ConfiguredOverrideBeatsMeasurement) {
   // every shape, including ones never solved.
   EXPECT_EQ(engine.solve_estimate_ms(s.m, s.n), 7.5);
   EXPECT_EQ(engine.solve_estimate_ms(9999, 9999), 7.5);
+}
+
+TEST(SolveEstimate, BacklogPricesEveryAdmissionAndReleasesItExactly) {
+  // The priced backlog behind the CR hints: each admission charges its
+  // estimate, completion and shed release exactly that charge.  Serial
+  // mode, so nothing drains until drain(), and the pinned estimate makes
+  // every charge exact.
+  constexpr double kEstimateMs = 7.5;
+  EngineConfig cfg;
+  cfg.threads = 0;
+  cfg.fista.max_iterations = 25;
+  cfg.fista.debias_iterations = 5;
+  cfg.queue_capacity = 3;
+  cfg.deadline_shedding = true;
+  cfg.slo.deadline_ms = 5.0;  // Below one solve: every queued window is a predicted miss.
+  cfg.shed_solve_estimate_ms = kEstimateMs;
+  ReconstructionEngine engine(cfg);
+  const double workers = 1.0;  // Serial mode prices against one solver.
+
+  auto windows = shaped_windows(/*window_samples=*/128, /*count=*/7);
+  EXPECT_EQ(engine.backlog_wait_ms(), 0.0);
+  EXPECT_TRUE(engine.pending_patients(8).empty());
+
+  for (std::size_t k = 1; k <= 3; ++k) {
+    ASSERT_TRUE(engine.try_submit(std::move(windows[k - 1])).has_value());
+    EXPECT_DOUBLE_EQ(engine.backlog_wait_ms(), static_cast<double>(k) * kEstimateMs / workers);
+  }
+  EXPECT_EQ(engine.pending_patients(8), std::vector<std::uint32_t>{1u});
+  ASSERT_EQ(engine.drain().size(), 3u);
+  EXPECT_EQ(engine.backlog_wait_ms(), 0.0);
+  EXPECT_TRUE(engine.pending_patients(8).empty());
+
+  // At capacity a fourth arrival sheds a queued window: the victim's
+  // charge leaves, the arrival's comes in, and the total stays three.
+  for (std::size_t i = 3; i < 6; ++i) {
+    ASSERT_TRUE(engine.try_submit(std::move(windows[i])).has_value());
+  }
+  ASSERT_TRUE(engine.try_submit(std::move(windows[6])).has_value());
+  EXPECT_EQ(engine.slo().snapshot().shed_routine, 1u);
+  EXPECT_DOUBLE_EQ(engine.backlog_wait_ms(), 3.0 * kEstimateMs / workers);
+  ASSERT_EQ(engine.drain().size(), 3u);
+  EXPECT_EQ(engine.backlog_wait_ms(), 0.0);
+  EXPECT_TRUE(engine.pending_patients(8).empty());
 }
 
 }  // namespace

@@ -49,21 +49,19 @@ TEST(TwoLaneQueue, ExtractBestSeesPopOrderPositionsAndRemovesTheWinner) {
       [&](int value, std::size_t position, bool) -> std::optional<double> {
         seen.push_back({value, position});
         return std::nullopt;
-      },
-      /*include_urgent=*/true);
+      });
   EXPECT_FALSE(none.has_value());
   EXPECT_EQ(seen, (std::vector<std::pair<int, std::size_t>>{{10, 0}, {11, 1}, {20, 2}, {21, 3}}));
   EXPECT_EQ(q.size(), 4u) << "a scan with no qualifier removes nothing";
 
-  // Routine-only scan still reports pop-order positions (offset by the
-  // urgent lane) and picks the max score.
+  // A routine-only scan (urgent items disqualified) still reports
+  // pop-order positions (offset by the urgent lane) and picks the max score.
   auto victim = q.extract_best(
       [](int value, std::size_t position, bool urgent) -> std::optional<double> {
-        EXPECT_FALSE(urgent);
+        if (urgent) return std::nullopt;
         EXPECT_GE(position, 2u);
         return value == 20 ? std::optional<double>(5.0) : std::optional<double>(1.0);
-      },
-      /*include_urgent=*/false);
+      });
   ASSERT_TRUE(victim.has_value());
   EXPECT_EQ(*victim, 20);
   EXPECT_EQ(q.size(), 3u);

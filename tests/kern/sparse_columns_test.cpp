@@ -187,7 +187,7 @@ TEST(SparseColumns, ApplyAndAdjointMatchCanonicalNaiveLoops) {
                                 " n=" + std::to_string(s.n);
       expect_canonical(phi, label, xrng);
       // Row-truncated: columns lose the ones past m_eff (ragged, some
-      // possibly empty), as the host's degrade tiers solve.
+      // possibly empty).
       for (const std::size_t m_eff : {std::size_t{1}, (s.m + 1) / 2, s.m * 3 / 5}) {
         if (m_eff < 1) continue;
         const auto cut = phi.truncated(m_eff);
