@@ -504,7 +504,7 @@ int main(int argc, char** argv) {
       }
       reshards.emplace_back(static_cast<std::size_t>(std::atoll(value.c_str())),
                             std::max(1, std::atoi(value.c_str() + colon + 1)));
-    } else if (n_positional < 3) {
+    } else if (n_positional < 3 && arg.rfind("--", 0) != 0) {
       positional[n_positional++] = argv[i];
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());

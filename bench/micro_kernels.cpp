@@ -318,8 +318,9 @@ void BM_SloTrackerRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_SloTrackerRecord);
 
-/// Folding the full 320-bucket histogram into quantiles — the cost of one
-/// monitoring read (fabric aggregation runs one merge+snapshot per shard).
+/// Reading the full 320-bucket histogram and folding it into quantiles —
+/// the cost of one monitoring read (fabric aggregation reads one state per
+/// shard and summarizes their sum).
 void BM_SloTrackerSnapshot(benchmark::State& state) {
   host::SloTracker tracker(host::SloConfig{.deadline_ms = 2048.0});
   sig::Rng rng(21);

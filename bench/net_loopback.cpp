@@ -475,7 +475,7 @@ int main(int argc, char** argv) {
       repeat = static_cast<std::size_t>(std::max(1, std::atoi(argv[++i])));
     } else if (arg == "--json") {
       json_path = argv[++i];
-    } else if (n_positional < 3) {
+    } else if (n_positional < 3 && arg.rfind("--", 0) != 0) {
       positional[n_positional++] = argv[i];
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());

@@ -22,19 +22,19 @@ ShardCounters& ShardCounters::operator+=(const ShardCounters& s) {
 }
 
 ShardCounters engine_counters(const ReconstructionEngine& engine) {
-  const SloSnapshot snap = engine.slo().snapshot();
+  // Exact once quiesced (the only time a coordinator audits); racing
+  // traffic makes it approximate like any tracker read.
+  const SloTrackerState slo = engine.slo().state();
   ShardCounters c;
-  c.submitted = snap.submitted;
-  c.completed = snap.completed;
-  c.shed_routine = snap.shed_routine;
-  c.shed_urgent = snap.shed_urgent;
-  c.rejected = snap.rejected;
-  c.deadline_violations = snap.deadline_violations;
+  c.submitted = slo.submitted;
+  c.completed = slo.completed;
+  c.retrieved = slo.retrieved;
+  c.shed_routine = slo.shed_routine;
+  c.shed_urgent = slo.shed_urgent;
+  c.rejected = slo.rejected;
+  c.deadline_violations = slo.violations;
   c.unsolved = engine.in_flight();
   c.ready = engine.ready_results();
-  // Exact once quiesced (the only time a coordinator audits); racing
-  // traffic makes it approximate like the snapshot itself.
-  c.retrieved = snap.completed - std::min(snap.completed, c.ready);
   return c;
 }
 

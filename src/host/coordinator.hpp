@@ -109,8 +109,6 @@ class ShardLink {
   /// shard dropped it (its tracker map is at its cap).
   virtual bool adopt_slo(std::uint32_t patient_id, const SloTrackerState& state,
                          bool& adopted) = 0;
-  /// One liveness round trip.
-  virtual bool health() = 0;
   /// Ends the link; with `bye`, dismisses the shard first.
   virtual void close(bool bye) = 0;
 

@@ -27,10 +27,10 @@ ReconstructionEngine::ReconstructionEngine(EngineConfig cfg)
       // 2x the in-flight bound: queued windows plus a same-sized tranche
       // parked in the completion list all recycle without a miss.
       item_pool_(2 * std::max<std::size_t>(1, cfg.queue_capacity)),
-      slo_(cfg.slo) {
+      slo_(cfg.slo),
+      lane_slo_{SloTracker(cfg.slo), SloTracker(cfg.slo)} {
   pending_sweep_threshold_ = std::max<std::size_t>(1024, 4 * capacity_);
   cost_model_.override_ms = cfg_.shed_solve_estimate_ms;
-  for (auto& tracker : lane_slo_) tracker.configure(cfg_.slo);
   const int threads = std::max(0, cfg_.threads);
   workers_.reserve(static_cast<std::size_t>(threads));
   for (int i = 0; i < threads; ++i) {
@@ -345,21 +345,6 @@ double ReconstructionEngine::backlog_wait_ms() const {
   const auto workers = static_cast<double>(std::max(1, cfg_.threads));
   return static_cast<double>(pending_cost_us_.load(std::memory_order_relaxed)) / 1000.0 /
          workers;
-}
-
-std::vector<std::uint32_t> ReconstructionEngine::pending_patients(std::size_t max) const {
-  std::vector<std::uint32_t> out;
-  {
-    std::lock_guard<std::mutex> lk(pending_mutex_);
-    out.reserve(std::min(max, patient_pending_.size()));
-    for (const auto& [patient_id, pending] : patient_pending_) {
-      if (pending == 0) continue;
-      out.push_back(patient_id);
-      if (out.size() >= max) break;
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 bool ReconstructionEngine::shed_predicted_miss(cs::WindowPriority arrival_priority) {

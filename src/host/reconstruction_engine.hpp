@@ -277,10 +277,8 @@ class ReconstructionEngine {
     return queue_.lane_size(priority == cs::WindowPriority::kUrgent);
   }
 
-  /// Latency/throughput/deadline statistics since construction (or the
-  /// last slo().reset() while quiesced).
+  /// Latency/throughput/deadline statistics since construction.
   const SloTracker& slo() const { return slo_; }
-  SloTracker& slo() { return slo_; }  ///< Mutable, e.g. for per-interval reset().
 
   /// Per-lane breakdown of the same statistics: every window is recorded
   /// both engine-wide and in its priority lane's tracker, so under mixed
@@ -328,10 +326,6 @@ class ReconstructionEngine {
   /// solve-cost signal exists.  This is the pressure signal behind the
   /// shard server's CR hints.
   double backlog_wait_ms() const;
-
-  /// Up to `max` patient ids with windows currently in flight (submitted,
-  /// not yet solved or shed), ascending.  Feeds per-patient CR hints.
-  std::vector<std::uint32_t> pending_patients(std::size_t max) const;
 
   /// The per-shape solve-cost model (diagnostics/tests).
   const SolveCostModel& cost_model() const { return cost_model_; }

@@ -56,8 +56,6 @@ ReconstructionFabric::ReconstructionFabric(FabricConfig cfg) : cfg_(std::move(cf
     links.push_back(std::make_unique<EngineLink>(cfg_.engine));
   }
   coord_.open(std::move(links));
-  retired_slo_.configure(cfg_.engine.slo);
-  for (auto& tracker : retired_lane_slo_) tracker.configure(cfg_.engine.slo);
 }
 
 std::vector<std::pair<std::size_t, ReconstructionEngine*>> ReconstructionFabric::engines() const {
@@ -99,10 +97,10 @@ ResizeReport ReconstructionFabric::resize(int new_shards) {
   std::vector<std::unique_ptr<ShardLink>> retired;
   (void)coord_.resize(std::move(next), report, &retired);
   for (const auto& link : retired) {
-    ReconstructionEngine& engine = static_cast<EngineLink&>(*link).engine();
-    retired_slo_.merge_from(engine.slo());
-    retired_lane_slo_[0].merge_from(engine.lane_slo(cs::WindowPriority::kRoutine));
-    retired_lane_slo_[1].merge_from(engine.lane_slo(cs::WindowPriority::kUrgent));
+    const ReconstructionEngine& engine = static_cast<EngineLink&>(*link).engine();
+    retired_slo_ += engine.slo().state();
+    retired_lane_slo_[0] += engine.lane_slo(cs::WindowPriority::kRoutine).state();
+    retired_lane_slo_[1] += engine.lane_slo(cs::WindowPriority::kUrgent).state();
   }
   return report;
 }
@@ -117,10 +115,9 @@ FailoverReport ReconstructionFabric::fail_shard(std::size_t index) {
 }
 
 SloSnapshot ReconstructionFabric::slo_snapshot() {
-  SloTracker merged(cfg_.engine.slo);
-  for (const auto& [index, engine] : engines()) merged.merge_from(engine->slo());
-  merged.merge_from(retired_slo_);
-  SloSnapshot snap = merged.snapshot();
+  SloTrackerState sum = retired_slo_;
+  for (const auto& [index, engine] : engines()) sum += engine->slo().state();
+  SloSnapshot snap = summarize_fleet(sum);
   // Counters come from the one set of books that also covers crash-failed
   // shards (whose trackers died with them): every acknowledged window is
   // retrieved, shed, lost, or still in flight.
@@ -138,10 +135,16 @@ SloSnapshot ReconstructionFabric::slo_snapshot() {
 }
 
 SloSnapshot ReconstructionFabric::lane_slo_snapshot(cs::WindowPriority priority) const {
-  SloTracker merged(cfg_.engine.slo);
-  for (const auto& [index, engine] : engines()) merged.merge_from(engine->lane_slo(priority));
-  merged.merge_from(retired_lane_slo_[priority == cs::WindowPriority::kUrgent ? 1 : 0]);
-  return merged.snapshot();
+  SloTrackerState sum = retired_lane_slo_[priority == cs::WindowPriority::kUrgent ? 1 : 0];
+  for (const auto& [index, engine] : engines()) sum += engine->lane_slo(priority).state();
+  return summarize_fleet(sum);
+}
+
+SloSnapshot ReconstructionFabric::summarize_fleet(SloTrackerState sum) const {
+  const auto age = std::chrono::duration_cast<std::chrono::microseconds>(
+      std::chrono::steady_clock::now() - started_);
+  sum.elapsed_us = std::max(sum.elapsed_us, static_cast<std::uint64_t>(age.count()));
+  return summarize(sum, cfg_.engine.slo.deadline_ms);
 }
 
 std::vector<ShardSlo> ReconstructionFabric::shard_slo_snapshots() const {

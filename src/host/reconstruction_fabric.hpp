@@ -15,9 +15,9 @@
 // (coordinator.hpp), shared with the cross-machine net::RoutingClient.
 // What the fabric adds is what only an in-process transport can offer:
 // building EngineLinks from a FabricConfig, direct access to a shard's
-// engine, SLO views folded from the engines' real histograms (merged, not
-// averaged; the same per lane, plus per-shard and per-patient
-// breakdowns), and the reconstruct() batch wrapper.
+// engine, SLO views that add up the engines' SLO states (real histograms
+// summed, not averaged quantiles; the same per lane, plus per-shard and
+// per-patient breakdowns), and the reconstruct() batch wrapper.
 //
 // Threading: single owner.  One thread drives the fabric — submit, poll,
 // drain, resize and the snapshots alike; it is not safe to call from
@@ -31,6 +31,7 @@
 // *where* and *when* a window solves, never *what* it solves to.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -81,7 +82,6 @@ class EngineLink final : public ShardLink {
   bool extract_slo(std::uint32_t patient_id, std::optional<SloTrackerState>& state) override;
   bool adopt_slo(std::uint32_t patient_id, const SloTrackerState& state,
                  bool& adopted) override;
-  bool health() override { return true; }
   void close(bool) override {}
 
  private:
@@ -157,7 +157,7 @@ class ReconstructionFabric {
 
   // --- Aggregate SLO views -------------------------------------------------
 
-  /// Fabric-wide SLO: every live and retired shard's tracker folded into
+  /// Fabric-wide SLO: every live and retired shard's SLO state added into
   /// one histogram, with the counters taken from the coordinator's
   /// conservation books (crash-failed shards contribute counters only —
   /// their histograms died with them).  Approximate while traffic is in
@@ -188,13 +188,17 @@ class ReconstructionFabric {
  private:
   /// Live engines with their shard index.
   std::vector<std::pair<std::size_t, ReconstructionEngine*>> engines() const;
+  /// Summarizes a fleet-wide sum on a clock spanning the fabric's whole
+  /// life, even once every shard it started with has failed.
+  SloSnapshot summarize_fleet(SloTrackerState sum) const;
 
   FabricConfig cfg_;
   Coordinator coord_;
-  /// Histograms of retired shards, folded in at retirement so aggregate
-  /// and lane percentiles cover the whole topology history.
-  SloTracker retired_slo_;
-  SloTracker retired_lane_slo_[cs::kPriorityLanes];
+  /// Retired shards' SLO states, added up at retirement so aggregate and
+  /// lane percentiles cover the whole topology history.
+  SloTrackerState retired_slo_;
+  SloTrackerState retired_lane_slo_[cs::kPriorityLanes];
+  std::chrono::steady_clock::time_point started_ = std::chrono::steady_clock::now();
 };
 
 }  // namespace wbsn::host

@@ -4,22 +4,22 @@
 // lock-free log-bucketed histogram (power-of-two octaves split into 8
 // sub-buckets, HdrHistogram-style, <= 12.5% relative quantile error), so
 // the hot path is a handful of relaxed atomic increments — no mutex, no
-// allocation.  snapshot() folds the histogram into p50/p95/p99/max/mean,
-// throughput, in-flight depth, and deadline-violation counts.
+// allocation.  state() reads the counters and histogram out as one plain
+// SloTrackerState; summarize() folds a state (or a sum of them) into
+// p50/p95/p99/max/mean, throughput, in-flight depth, and deadline-violation
+// counts, and snapshot() is summarize(state()).
 //
-// Counter reads in snapshot() are individually atomic but not taken at a
+// Counter reads in state() are individually atomic but not taken at a
 // single instant, so a snapshot raced against recording threads is
 // approximate; once the engine is drained (quiesced) it is exact.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 namespace wbsn::host {
 
@@ -68,13 +68,17 @@ struct SloSnapshot {
   double deadline_ms = 0.0;       ///< Echo of the configured deadline.
 };
 
-/// A tracker's counters and histogram as plain (non-atomic) values — the
-/// form a patient's SLO history moves in across a reshard.  `buckets` holds only
-/// the non-zero histogram bins as (index, count) pairs (the histogram is
-/// sparse for any real workload), and the wall-clock anchor travels as
-/// `elapsed_us` since steady_clock time points are meaningless in another
-/// process.  Serialized by net/wire_format as the SLO_STATE payload.
+/// A tracker's counters and histogram as plain (non-atomic) values: the
+/// one form an SLO book takes outside the recording hot path.  Views add
+/// states together (`+=`) and summarize() the sum; a patient's history
+/// crosses a reshard as one (net/wire_format's SLO_STATE payload).  The
+/// wall-clock anchor travels as `elapsed_us`, since steady_clock time
+/// points are meaningless in another process.
 struct SloTrackerState {
+  /// Histogram bins: 8 sub-buckets per octave, octaves up to 2^41 us
+  /// (~25 days) before the index clamps (see slo_tracker.cpp).
+  static constexpr std::size_t kBuckets = 8 * 40;
+
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
   std::uint64_t retrieved = 0;
@@ -86,24 +90,31 @@ struct SloTrackerState {
   std::uint64_t max_us = 0;
   std::uint64_t max_in_flight = 0;
   std::uint64_t elapsed_us = 0;  ///< Age of the tracker's throughput clock.
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> buckets;  ///< Non-zero bins.
+  std::array<std::uint64_t, kBuckets> buckets{};  ///< Latency counts per bin.
+
+  /// Adds the counts and histograms, takes the larger `max_us` and
+  /// `max_in_flight`, and keeps the longer `elapsed_us` (so throughput
+  /// spans both).  max_in_flight of a sum is a lower bound on the true
+  /// high-water mark: the per-tracker marks need not be simultaneous.
+  SloTrackerState& operator+=(const SloTrackerState& s);
 
   bool empty() const {
     return submitted == 0 && completed == 0 && retrieved == 0 && shed_routine == 0 &&
-           shed_urgent == 0 && rejected == 0 && violations == 0 && buckets.empty();
+           shed_urgent == 0 && rejected == 0 && violations == 0 &&
+           std::all_of(buckets.begin(), buckets.end(), [](std::uint64_t n) { return n == 0; });
   }
 };
 
+/// Folds a state into p50/p95/p99/max/mean, throughput over `elapsed_us`,
+/// in-flight depth and the violation counts; echoes `deadline_ms`.
+SloSnapshot summarize(const SloTrackerState& state, double deadline_ms);
+
 class SloTracker {
  public:
-  explicit SloTracker(SloConfig cfg = {}) : cfg_(cfg) { reset(); }
+  explicit SloTracker(SloConfig cfg = {}) : cfg_(cfg) {}
 
   SloTracker(const SloTracker&) = delete;
   SloTracker& operator=(const SloTracker&) = delete;
-
-  /// Re-targets the deadline.  For trackers that cannot take a config at
-  /// construction (array members); must not race recording.
-  void configure(SloConfig cfg) { cfg_ = cfg; }
 
   /// A window entered the engine.  Thread-safe.
   void on_submit();
@@ -123,17 +134,12 @@ class SloTracker {
   /// victim).  The window was never on_submit()ed.  Thread-safe.
   void on_reject();
 
-  SloSnapshot snapshot() const;
+  /// The counters and histogram, loaded one by one: each read is atomic
+  /// but they are not taken at a single instant, so a state read under
+  /// traffic is approximate (exact once recording is quiesced).
+  SloTrackerState state() const;
 
-  /// Adds `other`'s counters and latency histogram into this tracker, and
-  /// adopts the earlier of the two start times (so elapsed/throughput span
-  /// both).  Used by the fabric to fold per-shard trackers into one
-  /// aggregate before snapshotting.  Same caveat as snapshot(): reads race
-  /// concurrent recording on `other`, so an aggregate taken under traffic
-  /// is approximate (exact once quiesced).  max_in_flight becomes the max
-  /// of the per-tracker marks — a lower bound on the true aggregate
-  /// high-water mark, since the marks need not be simultaneous.
-  void merge_from(const SloTracker& other);
+  SloSnapshot snapshot() const { return summarize(state(), cfg_.deadline_ms); }
 
   /// Moves this tracker's counters and histogram into a plain-value state
   /// that can cross a process boundary — the reshard handoff of a
@@ -153,22 +159,15 @@ class SloTracker {
   /// concurrently with recording.
   void reset();
 
-  double deadline_ms() const { return cfg_.deadline_ms; }
-
  private:
-  // 8 sub-buckets per octave.  Indices 0..7 are exact (one bucket per
-  // microsecond); every later octave [2^k, 2^(k+1)) is split into 8.
-  static constexpr unsigned kSubBits = 3;
-  static constexpr std::size_t kSub = std::size_t{1} << kSubBits;
-  // Octaves up to 2^41 us (~25 days) before the index clamps.
-  static constexpr std::size_t kBuckets = kSub * 40;
-
-  static std::size_t bucket_index(std::uint64_t us);
-  static double bucket_mid_us(std::size_t index);
+  /// Reads every field through `take` (a load or an exchange): the one
+  /// field list behind state() and extract_state().
+  template <typename Self, typename Take>
+  static SloTrackerState read(Self& self, Take take);
 
   SloConfig cfg_;
-  std::chrono::steady_clock::time_point start_{};
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
+  std::chrono::steady_clock::time_point start_ = std::chrono::steady_clock::now();
+  std::array<std::atomic<std::uint64_t>, SloTrackerState::kBuckets> buckets_{};
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> completed_{0};
   std::atomic<std::uint64_t> retrieved_{0};

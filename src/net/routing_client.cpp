@@ -339,9 +339,9 @@ bool SocketLink::health() {
   return true;
 }
 
-bool SocketLink::cr_hint(std::uint64_t epoch, std::uint32_t max_entries, CrHintAckPayload& ack) {
+bool SocketLink::cr_hint(std::uint64_t epoch, CrHintAckPayload& ack) {
   tx_.clear();
-  encode_cr_hint(tx_, epoch, max_entries);
+  encode_cr_hint(tx_, epoch, /*max_entries=*/0);
   if (!round_trip(tx_, /*may_retry=*/true, FrameType::kCrHintAck) ||
       !decode_cr_hint_ack(view_.payload, ack)) {
     fd_.reset();
@@ -366,9 +366,7 @@ RoutingClient::RoutingClient(RoutingClientConfig cfg)
     : cfg_(std::move(cfg)), coord_(host::CoordinatorConfig{cfg_.auto_failover, cfg_.payload_pool}) {}
 
 bool RoutingClient::connect(std::vector<ShardEndpoint> shards) {
-  cr_hints_.clear();
-  shard_advisory_.clear();
-  hints_epoch_ = ~std::uint64_t{0};
+  hints_epoch_ = ~std::uint64_t{0};  // Drops any cached hints.
   std::vector<std::unique_ptr<host::ShardLink>> links;
   for (auto& ep : shards) {
     auto link = std::make_unique<SocketLink>(std::move(ep), links.size(), cfg_);
@@ -409,8 +407,7 @@ int RoutingClient::backoff_delay_ms(int attempt, int base_ms, int max_ms, std::u
   return static_cast<int>(delay);
 }
 
-bool RoutingClient::refresh_cr_hints(std::uint32_t max_entries_per_shard) {
-  cr_hints_.clear();
+bool RoutingClient::refresh_cr_hints() {
   shard_advisory_.assign(shard_count(), 0.0);
   hints_epoch_ = epoch();
   bool ok = true;
@@ -418,23 +415,19 @@ bool RoutingClient::refresh_cr_hints(std::uint32_t max_entries_per_shard) {
     SocketLink* l = link(shard);
     if (l == nullptr) continue;
     CrHintAckPayload ack;
-    if (!l->cr_hint(epoch(), max_entries_per_shard, ack) || ack.epoch != epoch()) {
+    if (!l->cr_hint(epoch(), ack) || ack.epoch != epoch()) {
       // Unreachable, or answered for an epoch we no longer route by: drop
       // it rather than risk steering a node through the wrong owner.
       ok = false;
       continue;
     }
     shard_advisory_[shard] = ack.advisory_cr_centi / 100.0;
-    for (const auto& entry : ack.entries) cr_hints_[entry.patient_id] = entry.cr_centi / 100.0;
   }
   return ok;
 }
 
 std::optional<double> RoutingClient::cr_hint(std::uint32_t patient_id) const {
   if (shard_count() == 0 || hints_epoch_ != epoch()) return std::nullopt;
-  if (auto it = cr_hints_.find(patient_id); it != cr_hints_.end() && it->second > 0.0) {
-    return it->second;
-  }
   const double advisory = shard_advisory_[owner(patient_id)];
   if (advisory > 0.0) return advisory;
   return std::nullopt;

@@ -44,7 +44,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "host/coordinator.hpp"
@@ -115,8 +114,9 @@ class SocketLink final : public host::ShardLink {
   /// Connects (with the reconnect schedule) unless already connected.
   bool ensure_connected();
 
-  /// One CR_HINT round trip for routing epoch `epoch`.
-  bool cr_hint(std::uint64_t epoch, std::uint32_t max_entries, CrHintAckPayload& ack);
+  /// One CR_HINT round trip for routing epoch `epoch`, asking for no
+  /// per-patient entries: only the shard-wide advisory.
+  bool cr_hint(std::uint64_t epoch, CrHintAckPayload& ack);
 
   bool submit(host::CompressedWindow& window, bool blocking) override;
   bool flush() override;
@@ -131,8 +131,9 @@ class SocketLink final : public host::ShardLink {
                    std::optional<host::SloTrackerState>& state) override;
   bool adopt_slo(std::uint32_t patient_id, const host::SloTrackerState& state,
                  bool& adopted) override;
-  /// HEALTH, its nonce echoed within health_probe_timeout_ms.
-  bool health() override;
+  /// One liveness round trip: HEALTH, its nonce echoed within
+  /// health_probe_timeout_ms.
+  bool health();
   void close(bool bye) override;
 
  private:
@@ -234,20 +235,19 @@ class RoutingClient {
     return coord_.patient_slo_state(patient_id);
   }
 
-  /// Polls every live shard with CR_HINT and caches the answers: the
-  /// shard-wide advisory CR and any per-patient entries, all tagged with
-  /// the current routing epoch (a reshard invalidates them — stale hints
-  /// must never steer a node via the wrong owner).  False when any shard
-  /// was unreachable or answered for a different epoch; the hints that did
-  /// land are kept.
-  bool refresh_cr_hints(std::uint32_t max_entries_per_shard = 64);
+  /// Polls every live shard with CR_HINT and caches each shard's advisory
+  /// CR, tagged with the current routing epoch (a reshard invalidates them
+  /// — stale hints must never steer a node via the wrong owner).  False
+  /// when any shard was unreachable or answered for a different epoch; the
+  /// hints that did land are kept.
+  bool refresh_cr_hints();
 
   /// The advisory CR (percent) the fleet wants `patient_id`'s node to
-  /// encode at, from the last refresh_cr_hints(): the per-patient entry if
-  /// the shard sent one, else its owner shard's advisory.  nullopt when no
-  /// pressure was reported or the hints predate the current epoch — the
-  /// node then encodes at its configured fidelity.  Advisory by contract:
-  /// ignoring it is always correct, just slower under overload.
+  /// encode at, from the last refresh_cr_hints(): its owner shard's
+  /// advisory.  nullopt when no pressure was reported or the hints predate
+  /// the current epoch — the node then encodes at its configured fidelity.
+  /// Advisory by contract: ignoring it is always correct, just slower
+  /// under overload.
   std::optional<double> cr_hint(std::uint32_t patient_id) const;
 
   /// One liveness round trip to shard `shard`: HEALTH, its nonce echoed
@@ -277,12 +277,11 @@ class RoutingClient {
 
   RoutingClientConfig cfg_;
   host::Coordinator coord_;
-  /// CR-hint cache from the last refresh_cr_hints().  Valid only while
-  /// hints_epoch_ == epoch() (a reshard opens a new epoch and thereby
-  /// invalidates every cached hint).  0.0 entries mean "no advisory".
-  std::unordered_map<std::uint32_t, double> cr_hints_;  ///< patient -> CR %.
-  std::vector<double> shard_advisory_;                  ///< shard -> CR %.
-  std::uint64_t hints_epoch_ = ~std::uint64_t{0};       ///< Sentinel: none yet.
+  /// CR-hint cache from the last refresh_cr_hints(), shard -> CR %.  Valid
+  /// only while hints_epoch_ == epoch() (a reshard opens a new epoch and
+  /// thereby invalidates every cached hint).  0.0 means "no advisory".
+  std::vector<double> shard_advisory_;
+  std::uint64_t hints_epoch_ = ~std::uint64_t{0};  ///< Sentinel: none yet.
 };
 
 }  // namespace wbsn::net

@@ -326,14 +326,8 @@ void ShardServer::handle_frame(Connection& conn, const FrameView& frame) {
       if (cfg_.hint_cr_percent > 0.0 && under_pressure) {
         ack.advisory_cr_centi =
             static_cast<std::uint32_t>(cfg_.hint_cr_percent * 100.0 + 0.5);
-        // Per-patient entries cover the patients actually backed up on this
-        // shard, so a client can steer just those nodes; each carries the
-        // same shard-wide advisory today.
-        const std::size_t cap = std::min(max_entries, kMaxPollResults);
-        for (const std::uint32_t patient : engine_->pending_patients(cap)) {
-          ack.entries.push_back({patient, ack.advisory_cr_centi});
-        }
       }
+      // No per-patient entries (`max_entries` is unused): each would repeat the advisory.
       encode_cr_hint_ack(tx, ack);
       return;
     }

@@ -617,10 +617,14 @@ void encode_slo_state(std::vector<std::uint8_t>& out, FrameType type,
     put_varint(out, s.max_us);
     put_varint(out, s.max_in_flight);
     put_varint(out, s.elapsed_us);
-    put_varint(out, s.buckets.size());
-    for (const auto& [index, count] : s.buckets) {
+    // Only the non-zero bins travel, as (index, count) in index order.
+    put_varint(out, static_cast<std::uint64_t>(
+                        std::count_if(s.buckets.begin(), s.buckets.end(),
+                                      [](std::uint64_t count) { return count > 0; })));
+    for (std::size_t index = 0; index < s.buckets.size(); ++index) {
+      if (s.buckets[index] == 0) continue;
       put_varint(out, index);
-      put_varint(out, count);
+      put_varint(out, s.buckets[index]);
     }
   }
   frame_end(out, p);
@@ -648,11 +652,12 @@ bool decode_slo_state(std::span<const std::uint8_t> payload, SloStatePayload& ou
     s.elapsed_us = r.varint();
     const std::uint64_t n = r.varint();
     if (!r.ok() || n > r.remaining() / 2) return false;  // >= 2 bytes per bin.
-    s.buckets.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) {
-      const auto index = static_cast<std::uint32_t>(r.varint());
+      const std::uint64_t index = r.varint();
       const std::uint64_t count = r.varint();
-      s.buckets.emplace_back(index, count);
+      // A bin past this build's histogram (a corrupt or foreign peer) is
+      // dropped, never written out of bounds.
+      if (index < s.buckets.size()) s.buckets[index] += count;
     }
   }
   return r.ok() && r.remaining() == 0;

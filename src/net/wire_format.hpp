@@ -381,7 +381,9 @@ bool decode_result_batch(std::span<const std::uint8_t> payload,
 // much solve pressure it is under; CR_HINT_ACK := epoch(varint, echoed)
 // advisory_cr_centi(varint; 0 = no pressure, else advisory CR% × 100)
 // count(varint) count × (patient_id(varint) cr_centi(varint)) answers
-// with a shard-wide advisory plus up to max_entries per-patient hints.
+// with a shard-wide advisory plus up to max_entries per-patient hints
+// (v5 allows them; this repo's server sends none and its client asks for
+// none, since each would repeat the shard-wide advisory).
 // The epoch is the requester's topology epoch, echoed verbatim, so a hint
 // that raced a reshard can be recognized as stale and discarded instead
 // of steering a patient now owned by a different shard.  Advisory only —

@@ -75,7 +75,6 @@ class ScriptedLink final : public ShardLink {
     adopted = true;
     return alive;
   }
-  bool health() override { return alive; }
   void close(bool bye) override { log_.push_back(name_ + (bye ? ":bye" : ":close")); }
 
  private:

@@ -16,8 +16,9 @@
 // Three resize shapes are required by the acceptance bar — grow, shrink,
 // and grow-then-shrink — each run with 1 and N worker threads per shard
 // (plus the serial inline mode); a serial overload schedule checks that
-// rejection accounting also survives topology changes; and a parked-
-// results schedule checks every moved patient's own books.
+// rejection accounting also survives topology changes; a parked-results
+// schedule checks every moved patient's own books; and two plans that keep
+// a live shard at another index check tickets and books across the shift.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -76,6 +77,20 @@ std::vector<CompressedWindow> fleet_traffic(int patients, int beats_per_patient)
     if (i % 3 == 0) traffic[i].priority = cs::WindowPriority::kUrgent;
   }
   return traffic;
+}
+
+/// The serial single-engine reconstruction of `traffic`, keyed by window.
+std::map<WindowKey, WindowResult> serial_reference(const std::vector<CompressedWindow>& traffic) {
+  std::map<WindowKey, WindowResult> reference;
+  ReconstructionEngine serial(fast_engine(0));
+  for (const auto& window : traffic) {
+    CompressedWindow copy = window;
+    serial.submit(std::move(copy));
+  }
+  for (auto& result : serial.drain()) {
+    reference.emplace(WindowKey{result.patient_id, result.window_index}, std::move(result));
+  }
+  return reference;
 }
 
 struct Op {
@@ -215,19 +230,9 @@ class ReshardChaos : public ::testing::Test {
     const auto traffic = fleet_traffic(/*patients=*/8, /*beats_per_patient=*/4);
     ASSERT_GE(traffic.size(), 16u);
 
-    // Serial single-engine reference: the one ground truth every cell of
-    // the (link x threads x replay) grid must reproduce bit for bit.
-    std::map<WindowKey, WindowResult> reference;
-    {
-      ReconstructionEngine serial(fast_engine(0));
-      for (const auto& window : traffic) {
-        CompressedWindow copy = window;
-        serial.submit(std::move(copy));
-      }
-      for (auto& result : serial.drain()) {
-        reference.emplace(WindowKey{result.patient_id, result.window_index}, std::move(result));
-      }
-    }
+    // The one ground truth every cell of the (link x threads x replay) grid
+    // must reproduce bit for bit.
+    const auto reference = serial_reference(traffic);
     ASSERT_EQ(reference.size(), traffic.size());
 
     const auto ops = make_schedule(traffic.size(), seed, resizes);
@@ -349,6 +354,91 @@ TEST_F(ReshardChaos, MovedPatientsSettleParkedResults) {
         EXPECT_EQ(state->submitted, state->retrieved + state->shed_routine + state->shed_urgent)
             << "patient " << patient << " keeps windows in flight after the drain";
         EXPECT_EQ(state->completed, state->submitted) << "patient " << patient;
+      }
+    }
+  }
+}
+
+// A live shard kept at another index: the reorder {0,1,2} -> {1,2,0}
+// (every patient's owning link changes while no shard retires) and then
+// the shrink {0,1,2} -> {1} (the survivor moves to index 0).  Tickets
+// compose the index a window was submitted to, so each result must still
+// carry the ticket its submit returned; results, the conservation
+// identity and every patient's own books must survive both plans.
+TEST_F(ReshardChaos, KeptShardAtAnotherIndexConservesEverything) {
+  const auto traffic = fleet_traffic(/*patients=*/8, /*beats_per_patient=*/3);
+  const auto reference = serial_reference(traffic);
+  ASSERT_EQ(reference.size(), traffic.size());
+  std::map<std::uint32_t, std::uint64_t> per_patient;
+  for (const auto& window : traffic) ++per_patient[window.patient_id];
+
+  for (const LinkKind kind : {LinkKind::kEngine, LinkKind::kSocket}) {
+    for (const int threads : {0, 2}) {
+      SCOPED_TRACE(link_name(kind) + ", threads=" + std::to_string(threads));
+      LinkFactory shards(kind, fast_engine(threads));
+      Coordinator coord;
+      shards.open(coord, 3);
+
+      std::map<WindowKey, std::uint64_t> tickets;
+      std::map<WindowKey, WindowResult> results;
+      const auto keep = [&results](WindowResult&& result) {
+        const WindowKey key{result.patient_id, result.window_index};
+        EXPECT_TRUE(results.emplace(key, std::move(result)).second)
+            << "duplicate result for patient " << key.first << " window " << key.second;
+      };
+      std::size_t next = 0;
+      const auto submit_until = [&](std::size_t end) {
+        for (; next < end; ++next) {
+          CompressedWindow copy = traffic[next];
+          const auto ticket = coord.submit(copy, /*blocking=*/true);
+          ASSERT_TRUE(ticket.has_value()) << "window " << next;
+          tickets[{traffic[next].patient_id, traffic[next].window_index}] = *ticket;
+          if (next % 2 == 0) {
+            if (auto result = coord.poll()) keep(std::move(*result));
+          }
+        }
+      };
+
+      submit_until(traffic.size() / 3);
+      const auto reorder = shards.replan(coord, {1, 2, 0});
+      EXPECT_EQ(reorder.retired_shards, 0u);
+      EXPECT_GT(reorder.moved_patients, 0u);
+      submit_until(2 * traffic.size() / 3);
+      const auto shrink = shards.replan(coord, {1});
+      EXPECT_EQ(shrink.retired_shards, 2u);
+      EXPECT_EQ(coord.shard_count(), 1u);
+      submit_until(traffic.size());
+      for (auto&& result : coord.drain()) keep(std::move(result));
+
+      ASSERT_EQ(results.size(), traffic.size());
+      for (const auto& [key, expected] : reference) {
+        const auto found = results.find(key);
+        ASSERT_NE(found, results.end());
+        EXPECT_TRUE(bit_identical(found->second.signal, expected.signal))
+            << "patient " << key.first << " window " << key.second
+            << " differs from the serial reference";
+        EXPECT_EQ(found->second.iterations, expected.iterations);
+        EXPECT_EQ(found->second.ticket, tickets.at(key))
+            << "patient " << key.first << " window " << key.second
+            << " came back under another ticket than its submit returned";
+      }
+
+      const ShardCounters books = coord.aggregate();
+      EXPECT_EQ(books.submitted, traffic.size());
+      EXPECT_EQ(books.submitted,
+                books.completed + books.shed_routine + books.shed_urgent + books.rejected +
+                    books.lost);
+      EXPECT_EQ(books.completed, traffic.size());
+      EXPECT_EQ(books.retrieved, books.completed);
+      EXPECT_EQ(books.unsolved, 0u);
+      EXPECT_EQ(books.ready, 0u);
+
+      for (const auto& [patient, submitted] : per_patient) {
+        const auto state = coord.patient_slo_state(patient);
+        ASSERT_TRUE(state.has_value()) << "patient " << patient << " lost their tracker";
+        EXPECT_EQ(state->submitted, submitted) << "patient " << patient;
+        EXPECT_EQ(state->completed, submitted) << "patient " << patient;
+        EXPECT_EQ(state->retrieved, submitted) << "patient " << patient;
       }
     }
   }

@@ -63,13 +63,21 @@ class LinkFactory {
   /// The fabric's resize plan: surviving indices keep their shards, new
   /// indices and crash holes get fresh ones, indices past `target` retire.
   ResizeReport resize(Coordinator& coord, std::size_t target) {
-    std::vector<Coordinator::NextSlot> next(target);
+    std::vector<std::size_t> plan(target, Coordinator::NextSlot::kFresh);
     for (std::size_t i = 0; i < target; ++i) {
-      if (coord.link(i) != nullptr) {
-        next[i].keep = i;
-      } else {
-        next[i].fresh = make();
-      }
+      if (coord.link(i) != nullptr) plan[i] = i;
+    }
+    return replan(coord, plan);
+  }
+
+  /// An arbitrary plan: new slot i keeps current slot plan[i] (possibly at
+  /// another index), or gets a fresh shard for NextSlot::kFresh.  Current
+  /// slots the plan does not name retire.
+  ResizeReport replan(Coordinator& coord, const std::vector<std::size_t>& plan) {
+    std::vector<Coordinator::NextSlot> next(plan.size());
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+      next[i].keep = plan[i];
+      if (plan[i] == Coordinator::NextSlot::kFresh) next[i].fresh = make();
     }
     ResizeReport report;
     EXPECT_TRUE(coord.resize(std::move(next), report));

@@ -176,7 +176,7 @@ TEST(SloTracker, ShedAndRejectCountersSplitByLane) {
   EXPECT_EQ(snap.shed_routine + snap.shed_urgent + snap.rejected, 0u);
 }
 
-TEST(SloTracker, MergeFromFoldsHistogramsAndCounters) {
+TEST(SloTracker, StateSumFoldsHistogramsAndCounters) {
   SloTracker a(SloConfig{.deadline_ms = 10.0});
   SloTracker b(SloConfig{.deadline_ms = 10.0});
   // a: 100 windows at 2 ms; b: 100 windows at 200 ms (all violations).
@@ -191,28 +191,27 @@ TEST(SloTracker, MergeFromFoldsHistogramsAndCounters) {
   b.on_shed(/*urgent=*/true);
   b.on_reject();
 
-  SloTracker merged(SloConfig{.deadline_ms = 10.0});
-  merged.merge_from(a);
-  merged.merge_from(b);
-  const auto snap = merged.snapshot();
+  SloTrackerState sum = a.state();
+  sum += b.state();
+  const auto snap = summarize(sum, 10.0);
   EXPECT_EQ(snap.submitted, 200u);
   EXPECT_EQ(snap.completed, 200u);
   EXPECT_EQ(snap.deadline_violations, 100u);
   EXPECT_EQ(snap.shed_urgent, 1u);
   EXPECT_EQ(snap.rejected, 1u);
-  // Quantiles come from the merged histogram, not an average of per-shard
+  // Quantiles come from the summed histogram, not an average of per-shard
   // quantiles: the bimodal mix has p50 in the low mode, p95 in the high.
   EXPECT_NEAR(snap.p50_ms, 2.0, 2.0 * kRelTol);
   EXPECT_NEAR(snap.p95_ms, 200.0, 200.0 * kRelTol);
   EXPECT_DOUBLE_EQ(snap.max_ms, 200.0);
   EXPECT_NEAR(snap.mean_ms, 101.0, 0.1);
-  // The merged clock spans the earliest start, so throughput is well
-  // defined and positive.
+  // The sum keeps the longer clock, so throughput is well defined and
+  // positive.
   EXPECT_GT(snap.elapsed_s, 0.0);
   EXPECT_GT(snap.throughput_per_s, 0.0);
 }
 
-TEST(SloTracker, MergeFromEmptySourceIsANoOp) {
+TEST(SloTracker, StateSumWithEmptySourceIsANoOp) {
   SloTracker tracker(SloConfig{.deadline_ms = 5.0});
   for (int i = 0; i < 10; ++i) {
     tracker.on_submit();
@@ -222,8 +221,9 @@ TEST(SloTracker, MergeFromEmptySourceIsANoOp) {
   const auto before = tracker.snapshot();
 
   SloTracker empty(SloConfig{.deadline_ms = 5.0});
-  tracker.merge_from(empty);
-  const auto after = tracker.snapshot();
+  SloTrackerState sum = tracker.state();
+  sum += empty.state();
+  const auto after = summarize(sum, 5.0);
   EXPECT_EQ(after.submitted, before.submitted);
   EXPECT_EQ(after.completed, before.completed);
   EXPECT_EQ(after.shed_routine + after.shed_urgent, 0u);
@@ -231,7 +231,7 @@ TEST(SloTracker, MergeFromEmptySourceIsANoOp) {
   EXPECT_DOUBLE_EQ(after.p50_ms, before.p50_ms);
   EXPECT_DOUBLE_EQ(after.max_ms, before.max_ms);
   EXPECT_DOUBLE_EQ(after.mean_ms, before.mean_ms);
-  EXPECT_EQ(empty.snapshot().submitted, 0u) << "merge_from must not touch the source";
+  EXPECT_EQ(empty.snapshot().submitted, 0u) << "reading a state must not touch the source";
 }
 
 // The cross-process handoff pair behind the wire MIGRATE_SLO/ADOPT_SLO
@@ -284,13 +284,6 @@ TEST(SloTracker, ExtractAbsorbConservesStateAcrossTheStructBoundary) {
   dest.absorb_state(small.extract_state());
   EXPECT_DOUBLE_EQ(dest.snapshot().max_ms, 500.0);
 
-  // A hostile bucket index from a corrupt peer is ignored, not written
-  // out of bounds.
-  SloTrackerState corrupt;
-  corrupt.buckets.emplace_back(100000u, 7u);
-  dest.absorb_state(corrupt);
-  EXPECT_EQ(dest.snapshot().completed, after.completed + 1);
-
   // An extracted-empty tracker round-trips as a no-op.
   EXPECT_TRUE(SloTracker().extract_state().empty());
 }
@@ -327,8 +320,8 @@ TEST(SloTracker, ExtractStateConcurrentWithRecordConservesTotals) {
 
 // Snapshots raced against recording threads must stay internally sane
 // (never crash, never report impossible totals once quiesced).  This is
-// also the TSan probe for the record/snapshot concurrency the engine and
-// the fabric's merge_from rely on.
+// also the TSan probe for the record/state-read concurrency the engine and
+// the fabric's summed views rely on.
 TEST(SloTracker, ConcurrentRecordVersusSnapshot) {
   SloTracker tracker(SloConfig{.deadline_ms = 0.5});
   constexpr int kThreads = 3;

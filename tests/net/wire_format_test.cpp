@@ -717,7 +717,8 @@ TEST(Frames, ControlFramesRoundTrip) {
     slo.state.sum_us = 34567;
     slo.state.max_us = 9999;
     slo.state.elapsed_us = 1000000;
-    slo.state.buckets = {{3, 4}, {17, 7}};
+    slo.state.buckets[3] = 4;
+    slo.state.buckets[17] = 7;
     const auto buf =
         encode_one([&](auto& b) { encode_slo_state(b, FrameType::kSloState, slo); });
     SloStatePayload d;
@@ -725,10 +726,34 @@ TEST(Frames, ControlFramesRoundTrip) {
     EXPECT_EQ(d.patient_id, 9u);
     ASSERT_TRUE(d.present);
     EXPECT_EQ(d.state.submitted, 12u);
-    ASSERT_EQ(d.state.buckets.size(), 2u);
-    EXPECT_EQ(d.state.buckets[1].first, 17u);
-    EXPECT_EQ(d.state.buckets[1].second, 7u);
+    EXPECT_EQ(d.state.buckets, slo.state.buckets);
+    EXPECT_EQ(d.state.buckets[17], 7u);
   }
+}
+
+TEST(Frames, SloStateDropsBinsPastTheHistogram) {
+  // A hostile or foreign peer's bin index past this build's histogram is
+  // dropped, not written out of bounds; the rest of the state decodes.
+  std::vector<std::uint8_t> payload;
+  put_varint(payload, 5);  // patient_id
+  put_u8(payload, 1);      // present
+  for (const std::uint64_t counter : {3, 3, 3, 0, 0, 0, 0, 600, 400, 1, 1000}) {
+    put_varint(payload, counter);
+  }
+  put_varint(payload, 3);  // bins
+  for (const std::uint64_t index : {std::uint64_t{2}, std::uint64_t{100000},
+                                    (std::uint64_t{1} << 32) + 2}) {
+    put_varint(payload, index);
+    put_varint(payload, 7);
+  }
+  SloStatePayload d;
+  ASSERT_TRUE(decode_slo_state(payload, d));
+  ASSERT_TRUE(d.present);
+  EXPECT_EQ(d.state.completed, 3u);
+  EXPECT_EQ(d.state.buckets[2], 7u) << "only the in-range bin lands";
+  std::uint64_t binned = 0;
+  for (const std::uint64_t count : d.state.buckets) binned += count;
+  EXPECT_EQ(binned, 7u);
 }
 
 // --- Batched data frames -----------------------------------------------------
@@ -1145,7 +1170,8 @@ std::vector<Golden> golden_set() {
                    slo.state.max_us = 40000;
                    slo.state.max_in_flight = 4;
                    slo.state.elapsed_us = 2000000;
-                   slo.state.buckets = {{96, 3}, {104, 7}};
+                   slo.state.buckets[96] = 3;
+                   slo.state.buckets[104] = 7;
                    encode_slo_state(b, FrameType::kSloState, slo);
                  })});
   set.push_back({"snapshot.bin", encode_one([](auto& b) {
