@@ -34,6 +34,12 @@ looser --micro-tolerance because nanosecond-scale benches jitter 10-20%
 run-to-run on shared runners even as medians of repetitions.  Latency
 and allocation metrics ride along informationally.
 
+The net_loopback wire bytes gate exact-or-lower, like the iteration
+counts: submit_bytes_per_window_v2 (the pipelined SUBMIT_BATCH frames)
+and result_bytes_per_window_v2 (the same batch solved to convergence and
+re-encoded one RESULT_BATCH per window).  Both are deterministic, so a
+coding change that gives bytes back fails at once.
+
 The net_loopback submit rate gates against the baseline at
 --micro-tolerance.  Because it races the host scheduler on a shared-core
 runner, the invocation runs NET_LOOPBACK_ATTEMPTS times and the best
@@ -239,6 +245,18 @@ def compare(results, baseline, tolerance, micro_tolerance):
 
     base_net = baseline.get("net_loopback_pipeline", {})
     new_net = results.get("net_loopback_pipeline", {})
+    for key in ("submit_bytes_per_window_v2", "result_bytes_per_window_v2"):
+        new_bytes = new_net.get(key)
+        base_bytes = base_net.get(key)
+        if new_bytes is None:
+            failures.append(f"net_loopback: no {key} in run")
+        elif base_bytes is not None:
+            line = (f"net_loopback/{key}: {new_bytes:.1f} vs "
+                    f"baseline {base_bytes:.1f}")
+            if new_bytes > base_bytes:
+                failures.append(line + "  (exact-or-lower)")
+            else:
+                print(f"  ok    {line}")
     check("net_loopback/v2_win_per_s", new_net.get("v2_win_per_s"),
           base_net.get("v2_win_per_s"), micro_tolerance)
     if new_net.get("bit_exact") == 0:

@@ -1,6 +1,6 @@
 // RoutingClient — the cross-machine face of the coordinator.
 //
-// Speaks wbsn-wire v5 to a fleet of ShardServer processes and presents
+// Speaks wbsn-wire v6 to a fleet of ShardServer processes and presents
 // the same submit/poll/drain surface as host::ReconstructionFabric.  Both
 // are façades over one host::Coordinator (coordinator.hpp), which owns the
 // ring per epoch, composite tickets, the resize migration order

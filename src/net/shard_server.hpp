@@ -5,7 +5,7 @@
 // deployment now runs N ShardServer processes (see shard_serverd_main.cpp)
 // and one RoutingClient that routes patients across them with the same
 // consistent-hash ring.  The server itself is deliberately dumb: it speaks
-// wbsn-wire v5 (wire_format.hpp), maps each request frame onto the
+// wbsn-wire v6 (wire_format.hpp), maps each request frame onto the
 // corresponding ReconstructionEngine verb, and knows nothing about rings,
 // epochs, or topology — all placement intelligence lives client-side, so
 // growing the fleet never requires touching a running shard.

@@ -23,16 +23,6 @@ void put_u32le(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v >> 24));
 }
 
-void put_i16le(std::vector<std::uint8_t>& out, std::int16_t v) {
-  const auto u = static_cast<std::uint16_t>(v);
-  out.push_back(static_cast<std::uint8_t>(u));
-  out.push_back(static_cast<std::uint8_t>(u >> 8));
-}
-
-void put_i32le(std::vector<std::uint8_t>& out, std::int32_t v) {
-  put_u32le(out, static_cast<std::uint32_t>(v));
-}
-
 void put_f64le(std::vector<std::uint8_t>& out, double v) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
@@ -174,19 +164,73 @@ FrameStatus peek_frame(std::span<const std::uint8_t> buf, FrameView& out,
 
 namespace {
 
-/// True when every value is bit-exactly representable as q * scale with q
-/// a signed integer in [lo, hi].  Quantization uses nearbyint and the
-/// check is a bitwise round-trip compare, so −0.0, NaN, infinities, and
-/// anything off-grid all fail into the FLOAT64 fallback.
-bool fits_fixed(std::span<const double> values, double scale, double lo, double hi) {
-  for (double v : values) {
-    if (!std::isfinite(v)) return false;
-    const double q = std::nearbyint(v / scale);
-    if (!(q >= lo && q <= hi)) return false;
-    const double back = q * scale;
-    if (std::memcmp(&back, &v, sizeof(double)) != 0) return false;
+std::uint64_t double_bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+std::uint8_t* write_varint(std::uint8_t* w, std::uint64_t v) {
+  while (v >= 0x80u) {
+    *w++ = static_cast<std::uint8_t>(v) | 0x80u;
+    v >>= 7;
   }
-  return true;
+  *w++ = static_cast<std::uint8_t>(v);
+  return w;
+}
+
+/// One 8-byte little-endian store and load.  On a little-endian host
+/// they are one memcpy; byte stores through a uint8_t* may alias the
+/// caller's state and force it to reload after each byte.
+void store_u64le(std::uint8_t* p, std::uint64_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, sizeof(v));
+  } else {
+    for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+std::uint64_t load_u64le(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(v));
+  } else {
+    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  }
+  return v;
+}
+
+enum class FixedFit : std::uint8_t { kFits, kOutOfRange, kOffGrid };
+
+/// Appends `values` as `coding` (FIXED16 with Int = int16_t, FIXED32 with
+/// int32_t) in one pass: one divide per value, written through a cursor
+/// into a buffer pre-sized to `count` samples.  Each value is checked
+/// against what the decoder rebuilds, double(integer) * scale, bitwise —
+/// so −0.0 (whose integer 0 rebuilds as +0.0), NaN, infinities and
+/// off-grid values all fail.  On the first failure `out` is rolled back:
+/// an off-grid value rules out every fixed coding, an out-of-range one
+/// only this width.
+template <typename Int>
+FixedFit try_encode_fixed(std::vector<std::uint8_t>& out, std::span<const double> values,
+                          double scale, ValueCoding coding) {
+  const std::size_t start = out.size();
+  out.resize(start + 1 + 8 + 10 + sizeof(Int) * values.size());
+  std::uint8_t* w = out.data() + start;
+  *w++ = static_cast<std::uint8_t>(coding);
+  store_u64le(w, double_bits(scale));
+  w = write_varint(w + 8, values.size());
+  for (double v : values) {
+    const double q = std::nearbyint(v / scale);
+    if (!(q >= std::numeric_limits<Int>::min() && q <= std::numeric_limits<Int>::max())) {
+      out.resize(start);
+      return std::isfinite(q) ? FixedFit::kOutOfRange : FixedFit::kOffGrid;
+    }
+    const auto integer = static_cast<Int>(q);
+    if (double_bits(static_cast<double>(integer) * scale) != double_bits(v)) {
+      out.resize(start);
+      return FixedFit::kOffGrid;
+    }
+    const auto u = static_cast<std::make_unsigned_t<Int>>(integer);
+    for (std::size_t b = 0; b < sizeof(Int); ++b) *w++ = static_cast<std::uint8_t>(u >> (8 * b));
+  }
+  out.resize(static_cast<std::size_t>(w - out.data()));
+  return FixedFit::kFits;
 }
 
 }  // namespace
@@ -195,26 +239,11 @@ void encode_values(std::vector<std::uint8_t>& out, std::span<const double> value
                    const WireEncodeOptions& opts) {
   const double scale = opts.fixed_scale;
   if (scale > 0.0 && std::isfinite(scale)) {
-    if (fits_fixed(values, scale, std::numeric_limits<std::int16_t>::min(),
-                   std::numeric_limits<std::int16_t>::max())) {
-      put_u8(out, static_cast<std::uint8_t>(ValueCoding::kFixed16));
-      put_f64le(out, scale);
-      put_varint(out, values.size());
-      for (double v : values) {
-        put_i16le(out, static_cast<std::int16_t>(std::nearbyint(v / scale)));
-      }
-      return;
+    FixedFit fit = try_encode_fixed<std::int16_t>(out, values, scale, ValueCoding::kFixed16);
+    if (fit == FixedFit::kOutOfRange) {
+      fit = try_encode_fixed<std::int32_t>(out, values, scale, ValueCoding::kFixed32);
     }
-    if (fits_fixed(values, scale, std::numeric_limits<std::int32_t>::min(),
-                   std::numeric_limits<std::int32_t>::max())) {
-      put_u8(out, static_cast<std::uint8_t>(ValueCoding::kFixed32));
-      put_f64le(out, scale);
-      put_varint(out, values.size());
-      for (double v : values) {
-        put_i32le(out, static_cast<std::int32_t>(std::nearbyint(v / scale)));
-      }
-      return;
-    }
+    if (fit == FixedFit::kFits) return;
   }
   put_u8(out, static_cast<std::uint8_t>(ValueCoding::kFloat64));
   put_varint(out, values.size());
@@ -239,6 +268,12 @@ void encode_values_absent(std::vector<std::uint8_t>& out) {
 // runs the same inverse DWT — bit-identical on every backend (kern's
 // canonical order) — so the residuals restore s exactly whatever the
 // threshold kept; the threshold only decides the size.
+//
+// After the byte-aligned count, levels and bitmap, the body is one
+// LSB-first bitstream (docs/WIRE_FORMAT.md §3.1): each kept coefficient as
+// its sign, a Rice-coded exponent offset below the largest exponent, and
+// its 52 raw mantissa bits; then per block of 16 samples a Rice parameter
+// and the zigzagged residuals Rice-coded with it; zero padding to a byte.
 
 namespace {
 
@@ -247,17 +282,223 @@ namespace {
 /// of the peak (rounding noise), its real ones far above.
 constexpr int kKeepFloorExponent = -40;
 
+/// Bitstream field widths and the largest legal Rice parameters.  A
+/// parameter of at most 56 bits keeps every bit read within one refill of
+/// the 64-bit bit buffer; exponent offsets stay below 2^11, so a larger
+/// exponent parameter than 10 would never be shorter.
+constexpr unsigned kExponentBits = 11;
+constexpr unsigned kExponentParamBits = 4;
+constexpr unsigned kMaxExponentParam = 10;
+constexpr unsigned kResidualParamBits = 6;
+constexpr unsigned kMaxResidualParam = 56;
+constexpr unsigned kMantissaBits = 52;
+constexpr std::uint64_t kMantissaMask = (std::uint64_t{1} << kMantissaBits) - 1;
+constexpr std::uint64_t kNonFiniteExponent = 0x7FF;
+/// Residuals share one Rice parameter per block of this many samples.
+constexpr std::size_t kResidualBlock = 16;
+/// A Rice quotient at or above this escapes: this many zero bits, then
+/// the value in 64 raw bits.
+constexpr unsigned kRiceEscape = 32;
+
+std::uint64_t low_bits(std::uint64_t v, unsigned n) {
+  return v & ((std::uint64_t{1} << n) - 1);
+}
+
+std::uint64_t biased_exponent(double c) { return (double_bits(c) >> kMantissaBits) & 0x7FF; }
+
+/// Bits Rice(v, k) takes, the escape included.
+std::uint64_t rice_bits(std::uint64_t v, unsigned k) {
+  const std::uint64_t q = v >> k;
+  return q < kRiceEscape ? q + 1 + k : kRiceEscape + 64;
+}
+
+std::uint64_t rice_cost(std::span<const std::uint64_t> values, unsigned k) {
+  std::uint64_t bits = 0;
+  for (std::uint64_t v : values) bits += rice_bits(v, k);
+  return bits;
+}
+
+/// A Rice parameter in [0, k_max] for the non-empty `values`: start at
+/// their mean bit width and step while a neighbour is strictly cheaper.
+/// Any parameter decodes; this one only keeps the code short.  `bits`
+/// receives its cost.
+unsigned choose_rice_parameter(std::span<const std::uint64_t> values, unsigned k_max,
+                               std::uint64_t& bits) {
+  std::uint64_t width_sum = 0;
+  for (std::uint64_t v : values) width_sum += static_cast<std::uint64_t>(std::bit_width(v));
+  auto k = static_cast<unsigned>(std::min<std::uint64_t>(k_max, width_sum / values.size()));
+  bits = rice_cost(values, k);
+  for (const bool down : {true, false}) {
+    bool moved = false;
+    while (down ? k > 0 : k < k_max) {
+      const unsigned next = down ? k - 1 : k + 1;
+      const std::uint64_t cost = rice_cost(values, next);
+      if (cost >= bits) break;
+      bits = cost;
+      k = next;
+      moved = true;
+    }
+    if (moved) break;
+  }
+  return k;
+}
+
+/// LSB-first bit writer over a buffer with 8 bytes of room past the
+/// stream's end: every put stores the whole 64-bit accumulator.
+class BitWriter {
+ public:
+  explicit BitWriter(std::uint8_t* out) : w_(out) {}
+
+  /// Appends the low `n` bits of `v` (n <= 56, v < 2^n).
+  void put(std::uint64_t v, unsigned n) {
+    acc_ |= v << fill_;
+    fill_ += n;
+    store_u64le(w_, acc_);
+    const unsigned whole = fill_ & ~7u;
+    w_ += whole / 8;
+    acc_ >>= whole;
+    fill_ -= whole;
+  }
+
+  /// Appends `prefix` (the low `prefix_bits` bits, at most 1) and then
+  /// Rice(v, k) — the coefficient sign rides in front of its exponent
+  /// offset.  The common code is one put.
+  void rice(std::uint64_t v, unsigned k, std::uint64_t prefix = 0, unsigned prefix_bits = 0) {
+    const std::uint64_t q = v >> k;
+    if (q >= kRiceEscape) {
+      put(prefix, prefix_bits + kRiceEscape);
+      put(low_bits(v, 32), 32);
+      put(v >> 32, 32);
+      return;
+    }
+    const auto unary = static_cast<unsigned>(q) + 1;
+    const std::uint64_t head = prefix | std::uint64_t{1} << (prefix_bits + unary - 1);
+    if (prefix_bits + unary + k <= 56) {
+      put(head | low_bits(v, k) << (prefix_bits + unary), prefix_bits + unary + k);
+    } else {
+      put(head, prefix_bits + unary);
+      put(low_bits(v, k), k);
+    }
+  }
+
+  /// End of the stream, its last byte zero-padded.
+  std::uint8_t* finish() const { return w_ + (fill_ > 0 ? 1 : 0); }
+
+ private:
+  std::uint8_t* w_;
+  std::uint64_t acc_ = 0;
+  unsigned fill_ = 0;
+};
+
+/// LSB-first bit reader.  It checks the bounds once per refill, which
+/// loads a whole 64-bit word while 8 bytes remain and single bytes after.
+/// A fixed-width read refills first, always: a refill of a full buffer
+/// is a no-op, and cheaper than a branch on the fill level, which would
+/// mispredict.  A Rice read refills only when the buffer might not hold a
+/// whole code, so the short residual codes mostly decode from the buffer
+/// alone and keep the refill's load off their dependency chain.
+class BitReader {
+ public:
+  explicit BitReader(std::span<const std::uint8_t> data)
+      : begin_(data.data()), p_(data.data()), end_(data.data() + data.size()) {}
+
+  /// The next `n` bits (n <= 56); false when the data ends first.
+  bool get(unsigned n, std::uint64_t& v) {
+    refill();
+    if (fill_ < n) return false;
+    v = low_bits(acc_, n);
+    skip(n);
+    return true;
+  }
+
+  /// Rice(v, k), after `prefix_bits` (0 or 1) bits returned in `prefix`
+  /// — a kept coefficient's sign rides in front of its exponent offset,
+  /// so the pair costs one buffer check instead of a refill plus one.
+  bool rice(unsigned k, std::uint64_t& v, std::uint64_t* prefix = nullptr,
+            unsigned prefix_bits = 0) {
+    if (fill_ <= prefix_bits + kRiceEscape + k) refill();
+    // Bits past fill_ are either the next bytes or zeros, so a quotient
+    // that reaches past fill_ means the data ended.
+    const auto q = static_cast<unsigned>(
+        std::countr_zero(acc_ >> prefix_bits | (std::uint64_t{1} << kRiceEscape)));
+    const unsigned head = prefix_bits + q + 1;
+    if (q < kRiceEscape && head + k <= fill_) {  // The common code.
+      if (prefix != nullptr) *prefix = low_bits(acc_, prefix_bits);
+      v = static_cast<std::uint64_t>(q) << k | low_bits(acc_ >> head, k);
+      skip(head + k);
+      return true;
+    }
+    if (prefix != nullptr && !get(prefix_bits, *prefix)) return false;
+    if (q == kRiceEscape) {
+      std::uint64_t low = 0, high = 0;
+      if (fill_ < kRiceEscape) return false;
+      skip(kRiceEscape);
+      if (!get(32, low) || !get(32, high)) return false;
+      v = low | high << 32;
+      return true;
+    }
+    if (fill_ < q + 1) return false;
+    skip(q + 1);
+    std::uint64_t remainder = 0;
+    if (!get(k, remainder)) return false;
+    v = static_cast<std::uint64_t>(q) << k | remainder;
+    return true;
+  }
+
+  /// Bytes the stream took, its last partial byte included; false when
+  /// that byte's unread (padding) bits are not all zero.
+  bool finish(std::size_t& bytes) const {
+    bytes = static_cast<std::size_t>(p_ - begin_) - fill_ / 8;
+    return low_bits(acc_, fill_ % 8) == 0;
+  }
+
+ private:
+  void skip(unsigned n) {
+    acc_ >>= n;
+    fill_ -= n;
+  }
+
+  void refill() {
+    if (end_ - p_ >= 8) {
+      acc_ |= load_u64le(p_) << fill_;
+      p_ += (63 - fill_) >> 3;
+      fill_ |= 56;
+    } else {
+      // Stop below 64 bits: skip() may then consume every buffered bit
+      // without a 64-bit shift.
+      while (fill_ < 56 && p_ < end_) {
+        acc_ |= static_cast<std::uint64_t>(*p_++) << fill_;
+        fill_ += 8;
+      }
+    }
+  }
+
+  const std::uint8_t* begin_;
+  const std::uint8_t* p_;
+  const std::uint8_t* end_;
+  std::uint64_t acc_ = 0;
+  unsigned fill_ = 0;  ///< Unread bits at the bottom of acc_.
+};
+
 /// Per-thread coder scratch, grown to the largest vector seen: the
 /// coefficients, the DWT inter-level buffer, and (encode only) the
-/// prediction.
+/// prediction, the bitmap, the kept coefficients' bits, the Rice symbols
+/// and the residual blocks' parameters.
 struct WaveletScratch {
   std::vector<double> coeffs, dwt, prediction;
+  std::vector<std::uint64_t> kept_bits, offsets, residuals;
+  std::vector<std::uint8_t> bitmap, block_params;
 
   void ensure(std::size_t n) {
     if (coeffs.size() >= n) return;
     coeffs.resize(n);
     dwt.resize(n);
     prediction.resize(n);
+    kept_bits.resize(n);
+    offsets.resize(n);
+    residuals.resize(n);
+    bitmap.resize((n + 7) / 8);
+    block_params.resize((n + kResidualBlock - 1) / kResidualBlock);
   }
 };
 
@@ -266,37 +507,21 @@ WaveletScratch& wavelet_scratch() {
   return scratch;
 }
 
-std::uint64_t double_bits(double v) { return std::bit_cast<std::uint64_t>(v); }
-
 /// Signed residual (a mod-2^64 difference read as two's complement) to
-/// an unsigned varint value with small magnitudes small, and back.
+/// an unsigned value with small magnitudes small, and back.
 std::uint64_t zigzag(std::uint64_t d) { return (d << 1) ^ (std::uint64_t{0} - (d >> 63)); }
 std::uint64_t unzigzag(std::uint64_t z) { return (z >> 1) ^ (std::uint64_t{0} - (z & 1)); }
 
-/// Bytes the WAVELET_RESIDUAL writer resizes to before trimming: coding
-/// byte, 10-byte count, levels, bitmap, `kept` coefficients and 10-byte
-/// residuals.  With kept == n it also bounds FLOAT64 (1 + 10 + 8n).
-constexpr std::size_t wavelet_worst_bytes(std::size_t n, std::size_t kept) {
-  return 1 + 10 + 1 + (n + 7) / 8 + 8 * kept + 10 * n;
-}
-
-std::uint8_t* write_varint(std::uint8_t* w, std::uint64_t v) {
-  while (v >= 0x80u) {
-    *w++ = static_cast<std::uint8_t>(v) | 0x80u;
-    v >>= 7;
-  }
-  *w++ = static_cast<std::uint8_t>(v);
-  return w;
-}
-
-std::uint8_t* write_u64le(std::uint8_t* w, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) *w++ = static_cast<std::uint8_t>(v >> (8 * i));
-  return w;
-}
+/// Bytes a reconstructed-signal vector of n samples can take: FLOAT64's
+/// coding byte, 10-byte count and 8n, which also covers a
+/// WAVELET_RESIDUAL vector (its body is smaller than 8n) and the 8 bytes
+/// the bit writer stores past the stream's end.
+constexpr std::size_t signal_worst_bytes(std::size_t n) { return 1 + 10 + 8 * n + 8; }
 
 /// Appends the WAVELET_RESIDUAL coding of `values` and returns true only
 /// when it is strictly smaller than FLOAT64; otherwise leaves `out`
-/// untouched.
+/// untouched.  The loops over coefficients are branch-free: which ones
+/// are kept follows the signal, and a branch on it mispredicts often.
 bool try_encode_wavelet(std::vector<std::uint8_t>& out, std::span<const double> values) {
   const std::size_t n = values.size();
   // The solver's decomposition depth, capped by what n admits.
@@ -304,58 +529,93 @@ bool try_encode_wavelet(std::vector<std::uint8_t>& out, std::span<const double> 
   if (levels < 1 || n > kMaxWindowSamples) return false;
   auto& s = wavelet_scratch();
   s.ensure(n);
-  const std::span<double> coeffs(s.coeffs.data(), n);
-  dsp::dwt_forward_into(values, levels, coeffs, s.dwt);
+  double* coeffs = s.coeffs.data();
+  dsp::dwt_forward_into(values, levels, {coeffs, n}, s.dwt);
   double peak = 0.0;
-  for (double c : coeffs) {
-    if (!std::isfinite(c)) return false;
-    peak = std::max(peak, std::fabs(c));
+  bool finite = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double magnitude = std::fabs(coeffs[i]);
+    finite &= magnitude <= std::numeric_limits<double>::max();
+    peak = std::max(peak, magnitude);
   }
+  if (!finite) return false;
+
+  // Keep the coefficients above the floor, zero the rest (what the
+  // decoder puts at an unset bitmap position), and list the kept ones.
   const double floor = std::ldexp(peak, kKeepFloorExponent);
+  const std::size_t bitmap_bytes = (n + 7) / 8;
+  std::uint64_t* kept_bits = s.kept_bits.data();
   std::size_t kept = 0;
-  for (double& c : coeffs) {
-    if (std::fabs(c) > floor) {
-      ++kept;
-    } else {
-      c = 0.0;  // What the decoder puts at an unset bitmap position.
+  std::uint64_t e_max = 0;
+  for (std::size_t byte = 0; byte < bitmap_bytes; ++byte) {
+    unsigned set = 0;
+    for (std::size_t b = 0, i = 8 * byte; b < 8 && i < n; ++b, ++i) {
+      const bool keep = std::fabs(coeffs[i]) > floor;
+      coeffs[i] = keep ? coeffs[i] : 0.0;
+      kept_bits[kept] = double_bits(coeffs[i]);
+      kept += keep;
+      e_max = std::max(e_max, biased_exponent(coeffs[i]));
+      set |= static_cast<unsigned>(keep) << b;
     }
+    s.bitmap[byte] = static_cast<std::uint8_t>(set);
   }
   // FLOAT64 spends 8n bytes after the shared coding byte and count; give
   // up before the inverse DWT when even 1-byte residuals could not win.
-  const std::size_t bitmap_bytes = (n + 7) / 8;
   const std::size_t float64_bytes = 8 * n;
   if (1 + bitmap_bytes + 8 * kept + n >= float64_bytes) return false;
-  dsp::dwt_inverse_into(coeffs, levels, s.prediction, s.dwt);
+  dsp::dwt_inverse_into({coeffs, n}, levels, s.prediction, s.dwt);
+  std::uint64_t* residuals = s.residuals.data();
   for (std::size_t i = 0; i < n; ++i) {
-    if (!std::isfinite(s.prediction[i])) return false;
+    finite &= std::isfinite(s.prediction[i]);
+    residuals[i] = zigzag(double_bits(values[i]) - double_bits(s.prediction[i]));
   }
+  if (!finite) return false;
 
-  // Written through a cursor into the worst case, then trimmed:
-  // byte-at-a-time push_back would cost more than both DWTs.
+  // Choose every Rice parameter first: that fixes the stream's exact size,
+  // so the FLOAT64 comparison needs no trial write.
+  std::uint64_t bits = 0;
+  unsigned exponent_param = 0;
+  if (kept > 0) {
+    for (std::size_t j = 0; j < kept; ++j) {
+      s.offsets[j] = e_max - (kept_bits[j] >> kMantissaBits & 0x7FF);
+    }
+    exponent_param = choose_rice_parameter({s.offsets.data(), kept}, kMaxExponentParam, bits);
+    bits += kExponentBits + kExponentParamBits + kept * (1 + kMantissaBits);
+  }
+  for (std::size_t first = 0, block = 0; first < n; first += kResidualBlock, ++block) {
+    std::uint64_t block_bits = 0;
+    s.block_params[block] = static_cast<std::uint8_t>(choose_rice_parameter(
+        {residuals + first, std::min(kResidualBlock, n - first)}, kMaxResidualParam,
+        block_bits));
+    bits += kResidualParamBits + block_bits;
+  }
+  const std::size_t stream_bytes = static_cast<std::size_t>((bits + 7) / 8);
+  if (1 + bitmap_bytes + stream_bytes >= float64_bytes) return false;
+
   const std::size_t start = out.size();
-  out.resize(start + wavelet_worst_bytes(n, kept));
+  out.resize(start + signal_worst_bytes(n));
   std::uint8_t* w = out.data() + start;
   *w++ = static_cast<std::uint8_t>(ValueCoding::kWaveletResidual);
   w = write_varint(w, n);
-  const std::uint8_t* body = w;
   *w++ = static_cast<std::uint8_t>(levels);
-  for (std::size_t byte = 0; byte < bitmap_bytes; ++byte) {
-    std::uint8_t bits = 0;
-    for (std::size_t b = 0; b < 8 && 8 * byte + b < n; ++b) {
-      if (coeffs[8 * byte + b] != 0.0) bits |= static_cast<std::uint8_t>(1u << b);
+  std::memcpy(w, s.bitmap.data(), bitmap_bytes);
+  BitWriter stream(w + bitmap_bytes);
+  if (kept > 0) {
+    stream.put(e_max, kExponentBits);
+    stream.put(exponent_param, kExponentParamBits);
+    for (std::size_t j = 0; j < kept; ++j) {
+      stream.rice(s.offsets[j], exponent_param, kept_bits[j] >> 63, 1);
+      stream.put(kept_bits[j] & kMantissaMask, kMantissaBits);
     }
-    *w++ = bits;
   }
-  for (double c : coeffs) {
-    if (c != 0.0) w = write_u64le(w, double_bits(c));
+  for (std::size_t first = 0, block = 0; first < n; first += kResidualBlock, ++block) {
+    const unsigned k = s.block_params[block];
+    stream.put(k, kResidualParamBits);
+    const std::size_t last = std::min(n, first + kResidualBlock);
+    for (std::size_t i = first; i < last; ++i) stream.rice(residuals[i], k);
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t d = double_bits(values[i]) - double_bits(s.prediction[i]);
-    w = write_varint(w, zigzag(d));
-  }
-  const bool smaller = static_cast<std::size_t>(w - body) < float64_bytes;
-  out.resize(smaller ? static_cast<std::size_t>(w - out.data()) : start);
-  return smaller;
+  out.resize(static_cast<std::size_t>(stream.finish() - out.data()));
+  return true;
 }
 
 bool decode_wavelet(WireReader& r, std::vector<double>& out) {
@@ -373,26 +633,56 @@ bool decode_wavelet(WireReader& r, std::vector<double>& out) {
   if (n % 8 != 0 && (bitmap.back() >> (n % 8)) != 0) return false;  // Padding bits.
   std::size_t kept = 0;
   for (std::uint8_t byte : bitmap) kept += static_cast<std::size_t>(std::popcount(byte));
-  // 8 bytes per kept coefficient, then at least one byte per residual.
-  if (kept > r.remaining() / 8 || r.remaining() - 8 * kept < n) return false;
+
+  BitReader stream(r.rest());
+  std::uint64_t e_max = 0;
+  std::uint64_t exponent_param = 0;
+  // e_max below 2047 also keeps every decoded coefficient finite.
+  if (kept > 0 && (!stream.get(kExponentBits, e_max) ||
+                   !stream.get(kExponentParamBits, exponent_param) ||
+                   e_max == kNonFiniteExponent || exponent_param > kMaxExponentParam)) {
+    return false;
+  }
   auto& s = wavelet_scratch();
   s.ensure(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double c = 0.0;
-    if ((bitmap[i / 8] >> (i % 8)) & 1u) {
-      c = r.f64le();
-      if (!std::isfinite(c)) return false;
+  double* coeffs = s.coeffs.data();
+  std::fill_n(coeffs, n, 0.0);
+  // Visit the set bitmap bits a 64-bit word at a time.
+  for (std::size_t word = 0; word < bitmap.size(); word += 8) {
+    std::uint64_t set = 0;
+    const std::size_t len = std::min<std::size_t>(8, bitmap.size() - word);
+    for (std::size_t b = 0; b < len; ++b) {
+      set |= static_cast<std::uint64_t>(bitmap[word + b]) << (8 * b);
     }
-    s.coeffs[i] = c;
+    for (; set != 0; set &= set - 1) {
+      std::uint64_t sign = 0, offset = 0, mantissa = 0;
+      if (!stream.rice(static_cast<unsigned>(exponent_param), offset, &sign, 1) ||
+          offset > e_max || !stream.get(kMantissaBits, mantissa)) {
+        return false;
+      }
+      coeffs[8 * word + static_cast<std::size_t>(std::countr_zero(set))] =
+          std::bit_cast<double>(sign << 63 | (e_max - offset) << kMantissaBits | mantissa);
+    }
   }
   out.resize(n);
-  dsp::dwt_inverse_into({s.coeffs.data(), n}, levels, out, s.dwt);
-  for (double& v : out) {
-    const std::uint64_t z = r.varint();
-    if (!r.ok() || !std::isfinite(v)) return false;
-    v = std::bit_cast<double>(double_bits(v) + unzigzag(z));
+  dsp::dwt_inverse_into({coeffs, n}, levels, out, s.dwt);
+  bool finite = true;
+  for (double p : out) finite &= std::isfinite(p);
+  if (!finite) return false;
+  for (std::size_t first = 0; first < n; first += kResidualBlock) {
+    std::uint64_t k = 0;
+    if (!stream.get(kResidualParamBits, k) || k > kMaxResidualParam) return false;
+    const std::size_t last = std::min(n, first + kResidualBlock);
+    for (std::size_t i = first; i < last; ++i) {
+      std::uint64_t z = 0;
+      if (!stream.rice(static_cast<unsigned>(k), z)) return false;
+      out[i] = std::bit_cast<double>(double_bits(out[i]) + unzigzag(z));
+    }
   }
-  return true;
+  std::size_t stream_bytes = 0;
+  if (!stream.finish(stream_bytes)) return false;  // Non-zero padding.
+  r.bytes(stream_bytes);
+  return r.ok();
 }
 
 }  // namespace
@@ -553,7 +843,7 @@ ValueCoding encode_result_entry(std::vector<std::uint8_t>& staging,
   // entry's ticket happens to be, so steady traffic never regrows it.
   constexpr std::size_t kHeaderWorstBytes = 5 * 10 + 1 + 3 * 8;
   const std::size_t need = staging.size() + kHeaderWorstBytes +
-                           wavelet_worst_bytes(result.signal.size(), result.signal.size());
+                           signal_worst_bytes(result.signal.size());
   if (staging.capacity() < need) staging.reserve(std::max(need, 2 * staging.capacity()));
   put_varint(staging, result.patient_id);
   put_varint(staging, result.window_index);

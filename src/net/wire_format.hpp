@@ -1,6 +1,6 @@
 // wbsn-wire — the compact binary serialization that puts a socket (or a
 // radio) under the reconstruction fabric.  This implementation speaks one
-// version, 5, whose only data path is batched: SUBMIT_BATCH carries K
+// version, 6, whose only data path is batched: SUBMIT_BATCH carries K
 // windows in, POLL_MANY/RESULT_BATCH carry up to N results out (a long-poll:
 // a threaded shard answers when a result is ready), and HEALTH is the
 // liveness probe.
@@ -19,7 +19,8 @@
 // value codings — FLOAT64 (lossless for anything), FIXED16/FIXED32
 // (little-endian fixed-point integers plus one f64 scale, the node's
 // native radio format), and WAVELET_RESIDUAL (reconstructed signals only:
-// the significant Db4 coefficients plus per-sample exact residuals).  The
+// the significant Db4 coefficients plus per-sample exact residuals, both
+// Rice-coded in one bitstream).  The
 // encoder only ever picks a fixed coding when every value reconstructs
 // *bit-exactly* as integer * scale — transport is lossless by
 // construction, never a quantizer — and falls back to FLOAT64 otherwise,
@@ -62,7 +63,7 @@ inline constexpr std::uint8_t kMagic0 = 0x57;  ///< 'W'
 inline constexpr std::uint8_t kMagic1 = 0x42;  ///< 'B'
 /// The only protocol version this implementation speaks; every frame's
 /// header byte carries it.
-inline constexpr std::uint8_t kWireVersion = 5;
+inline constexpr std::uint8_t kWireVersion = 6;
 inline constexpr std::size_t kFrameHeaderBytes = 8;
 inline constexpr std::size_t kFrameTrailerBytes = 4;
 /// Frames longer than this are rejected before buffering the payload — a
@@ -112,9 +113,11 @@ enum class ValueCoding : std::uint8_t {
   kFloat64 = 1,  ///< Raw IEEE-754 doubles, bit-preserving.
   kFixed16 = 2,  ///< i16 LE * f64 scale — the node's radio format.
   kFixed32 = 3,  ///< i32 LE * f64 scale — fixed-point overflow fallback.
-  /// Db4 support bitmap + kept coefficients, then one zigzag varint per
-  /// sample: bits(sample) − bits(inverse DWT of the coefficients), mod
-  /// 2^64.  Bit-preserving for any input (docs/WIRE_FORMAT.md §3.1).
+  /// Db4 support bitmap, then one bitstream: the kept coefficients (sign,
+  /// Rice-coded exponent offset, raw mantissa) and, per block of 16
+  /// samples, Rice-coded zigzag residuals bits(sample) − bits(inverse DWT
+  /// of the coefficients), mod 2^64.  Bit-preserving for any input
+  /// (docs/WIRE_FORMAT.md §3.1).
   kWaveletResidual = 4,
 };
 
@@ -130,8 +133,6 @@ struct WireEncodeOptions {
 
 void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v);
 void put_u32le(std::vector<std::uint8_t>& out, std::uint32_t v);
-void put_i16le(std::vector<std::uint8_t>& out, std::int16_t v);
-void put_i32le(std::vector<std::uint8_t>& out, std::int32_t v);
 void put_f64le(std::vector<std::uint8_t>& out, double v);
 /// Unsigned LEB128: 7 value bits per byte, high bit = continuation.
 void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v);
@@ -155,6 +156,11 @@ class WireReader {
   std::uint64_t varint();
   /// Raw view of the next `n` bytes (for bulk sample copies).
   std::span<const std::uint8_t> bytes(std::size_t n);
+  /// Every unread byte, not consumed: a bit-level decoder reads from it,
+  /// then consumes what it used through bytes().
+  std::span<const std::uint8_t> rest() const {
+    return ok_ ? data_.subspan(pos_) : std::span<const std::uint8_t>{};
+  }
 
  private:
   bool take(std::size_t n);
@@ -382,7 +388,7 @@ bool decode_result_batch(std::span<const std::uint8_t> payload,
 // advisory_cr_centi(varint; 0 = no pressure, else advisory CR% × 100)
 // count(varint) count × (patient_id(varint) cr_centi(varint)) answers
 // with a shard-wide advisory plus up to max_entries per-patient hints
-// (v5 allows them; this repo's server sends none and its client asks for
+// (v6 allows them; this repo's server sends none and its client asks for
 // none, since each would repeat the shard-wide advisory).
 // The epoch is the requester's topology epoch, echoed verbatim, so a hint
 // that raced a reshard can be recognized as stale and discarded instead

@@ -1,4 +1,4 @@
-// wbsn-wire v5 codec tests: CRC vectors, varint properties, value-coding
+// wbsn-wire v6 codec tests: CRC vectors, varint properties, value-coding
 // round trips (including the bit-exactness edge cases the fixed-point
 // fallback exists for), whole-frame round trips for every payload,
 // malformed-input and hostile-shape rejection, and byte-for-byte replay of the committed
@@ -29,11 +29,13 @@
 #include "cs/fista.hpp"
 #include "cs/pipeline.hpp"
 #include "cs/sensing_matrix.hpp"
+#include "dsp/wavelet.hpp"
 #include "host/payload_pool.hpp"
 #include "kern/backend.hpp"
 #include "net/crc32c.hpp"
 #include "sig/adc.hpp"
 #include "sig/ecg_synth.hpp"
+#include "wavelet_spec.hpp"
 
 namespace wbsn::net {
 namespace {
@@ -190,6 +192,52 @@ TEST(ValueCoding, NonFiniteAndNegativeZeroNeverQuantize) {
   EXPECT_EQ(std::memcmp(decoded.data(), tricky.data(), tricky.size() * sizeof(double)), 0);
   EXPECT_TRUE(std::signbit(decoded[0]));
   EXPECT_TRUE(std::isnan(decoded[1]));
+}
+
+TEST(ValueCoding, NegativeZeroAloneNeverQuantizes) {
+  // No NaN beside it to force the fallback: the −0.0 itself must, since
+  // its integer 0 decodes as +0.0.  At scale 1, at the ADC scale, and on
+  // the FIXED32 path.
+  const double adc = cs::measurement_scale_mv(sig::AdcConfig{});
+  const std::vector<std::pair<std::vector<double>, double>> cases{
+      {{-0.0, 1.0}, 1.0}, {{3 * adc, -0.0, -adc}, adc}, {{40000.0, -0.0}, 1.0}};
+  for (const auto& [values, scale] : cases) {
+    std::vector<std::uint8_t> buf;
+    encode_values(buf, values, WireEncodeOptions{scale});
+    EXPECT_EQ(static_cast<ValueCoding>(buf[0]), ValueCoding::kFloat64) << scale;
+    WireReader r(buf);
+    std::vector<double> decoded;
+    ASSERT_TRUE(decode_values(r, decoded));
+    ASSERT_EQ(decoded.size(), values.size());
+    EXPECT_EQ(std::memcmp(decoded.data(), values.data(), values.size() * sizeof(double)), 0);
+  }
+}
+
+TEST(ValueCoding, FixedCodingsWriteTheSpecLayout) {
+  // coding, scale (f64), count (varint), then little-endian integers.
+  std::vector<std::uint8_t> buf;
+  encode_values(buf, std::vector<double>{-2.0, 0.5, 1.0}, WireEncodeOptions{0.5});
+  std::vector<std::uint8_t> expect{static_cast<std::uint8_t>(ValueCoding::kFixed16)};
+  put_f64le(expect, 0.5);
+  put_varint(expect, 3);
+  expect.insert(expect.end(), {0xFC, 0xFF, 0x01, 0x00, 0x02, 0x00});  // -4, 1, 2
+  EXPECT_EQ(buf, expect);
+
+  buf.clear();
+  encode_values(buf, std::vector<double>{70000.0, -1.0}, WireEncodeOptions{1.0});
+  expect = {static_cast<std::uint8_t>(ValueCoding::kFixed32)};
+  put_f64le(expect, 1.0);
+  put_varint(expect, 2);
+  expect.insert(expect.end(), {0x70, 0x11, 0x01, 0x00, 0xFF, 0xFF, 0xFF, 0xFF});  // 70000, -1
+  EXPECT_EQ(buf, expect);
+
+  // A value off the grid after one that fits rolls the buffer back to
+  // what it held, then appends FLOAT64.
+  buf = {0xAA};
+  encode_values(buf, std::vector<double>{1.0, 0.3}, WireEncodeOptions{1.0});
+  ASSERT_EQ(buf.size(), 1u + 1 + 1 + 16);
+  EXPECT_EQ(buf[0], 0xAA);
+  EXPECT_EQ(static_cast<ValueCoding>(buf[1]), ValueCoding::kFloat64);
 }
 
 host::CompressedWindow sample_window() {
@@ -353,10 +401,127 @@ TEST(ValueCoding, WaveletResidualRoundTripsAdversarialVectors) {
     codings.push_back(signal_round_trip(cases[i]));
   }
   // Where the coding applies it wins on these, exact residuals and all;
-  // non-finite input never reaches it.
+  // non-finite input (cases 3-7: the NaNs and both infinities) never
+  // reaches it.
   EXPECT_EQ(codings[0], ValueCoding::kWaveletResidual);
   EXPECT_EQ(codings[2], ValueCoding::kWaveletResidual);
-  EXPECT_EQ(codings[3], ValueCoding::kFloat64);
+  for (std::size_t i = 3; i <= 7; ++i) EXPECT_EQ(codings[i], ValueCoding::kFloat64) << i;
+}
+
+/// Inverse DWT of a sparse random coefficient vector, every coefficient of
+/// `scale` magnitude: the shape the coding is built for, at any length the
+/// transform admits.  `first`/`last` bound where the details may sit.
+std::vector<double> sparse_signal(std::size_t n, std::uint64_t seed, double scale = 1.0,
+                                  std::size_t first = 0, std::size_t last = SIZE_MAX) {
+  const int levels = std::min(cs::FistaConfig{}.dwt_levels, dsp::dwt_max_levels(n));
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> uniform(-scale, scale);
+  std::vector<double> c(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool approx = i < (n >> levels);
+    if (approx || (i >= first && i < last && rng() % 6 == 0)) c[i] = uniform(rng);
+  }
+  if (first > 0) std::fill(c.begin(), c.begin() + static_cast<long>(n >> levels), 0.0);
+  return dsp::dwt_inverse(c, levels);
+}
+
+std::vector<kern::Backend> machine_backends() {
+  std::vector<kern::Backend> backends{kern::Backend::kScalar};
+  if (kern::avx2_supported()) backends.push_back(kern::Backend::kAvx2);
+  return backends;
+}
+
+/// Encodes `values` on every kern backend this machine has and decodes
+/// each result on every backend: one set of bytes, the bits restored.  A
+/// WAVELET_RESIDUAL vector is also decoded by the spec decoder, and the
+/// spec writer must rebuild its very bytes.  Returns the parsed body.
+spec::Body round_trip_everywhere(const std::vector<double>& values, ValueCoding expect) {
+  const kern::Backend original = kern::active_backend();
+  std::vector<std::uint8_t> first;
+  for (const kern::Backend encoder : machine_backends()) {
+    EXPECT_TRUE(kern::set_backend(encoder));
+    std::vector<std::uint8_t> buf;
+    EXPECT_EQ(encode_signal_values(buf, values), expect);
+    if (first.empty()) first = buf;
+    EXPECT_EQ(buf, first) << "encoded on backend " << static_cast<int>(encoder);
+    for (const kern::Backend decoder : machine_backends()) {
+      kern::set_backend(decoder);
+      WireReader r(buf);
+      std::vector<double> decoded;
+      EXPECT_TRUE(decode_values(r, decoded));
+      EXPECT_EQ(r.remaining(), 0u);
+      EXPECT_TRUE(same_bits(decoded, values)) << "decoded on backend " << static_cast<int>(decoder);
+    }
+  }
+  kern::set_backend(original);
+  spec::Body body;
+  if (expect == ValueCoding::kWaveletResidual && !first.empty()) {
+    spec::Reader r{first};
+    EXPECT_EQ(r.u8(), static_cast<std::uint8_t>(ValueCoding::kWaveletResidual));
+    std::vector<double> decoded;
+    EXPECT_TRUE(spec::decode_wavelet_residual(r, decoded, &body));
+    EXPECT_EQ(r.pos, first.size());
+    EXPECT_TRUE(same_bits(decoded, values));
+    EXPECT_EQ(spec::write(body), first);
+  }
+  return body;
+}
+
+std::size_t escaped_residuals(const spec::Body& body) {
+  return static_cast<std::size_t>(std::count_if(body.residuals.begin(), body.residuals.end(),
+                                                [](const spec::Code& c) { return c.escaped; }));
+}
+
+TEST(ValueCoding, WaveletResidualRoundTripsAtEveryLengthOnEveryBackend) {
+  // From the shallowest vector (8 samples, 2 levels) to the window-shape
+  // limit, lengths that are and are not multiples of the 16-sample block.
+  for (const std::size_t n : {8u, 12u, 16u, 24u, 40u, 72u, 100u, 136u, 248u, 504u, 512u, 520u,
+                              1000u, 2056u, 4096u}) {
+    SCOPED_TRACE(n);
+    const auto body = round_trip_everywhere(sparse_signal(n, n), ValueCoding::kWaveletResidual);
+    EXPECT_EQ(body.block_params.size(), (n + 15) / 16);
+  }
+}
+
+TEST(ValueCoding, WaveletResidualEdgeCasesRoundTripOnEveryBackend) {
+  // ±0: an all +0 vector keeps no coefficient; −0.0 inside real data.
+  auto body = round_trip_everywhere(std::vector<double>(512, 0.0), ValueCoding::kWaveletResidual);
+  EXPECT_TRUE(body.coefficients.empty());
+  auto zeros = sparse_signal(512, 3);
+  zeros[40] = -0.0;
+  zeros[41] = 0.0;
+  round_trip_everywhere(zeros, ValueCoding::kWaveletResidual);
+
+  // Subnormal coefficients: biased exponent 0 travels like any other.
+  std::vector<double> subnormal = sparse_signal(512, 4, 1e-310);
+  body = round_trip_everywhere(subnormal, ValueCoding::kWaveletResidual);
+  EXPECT_FALSE(body.coefficients.empty());
+  EXPECT_EQ(body.e_max, 0u);
+
+  // Details in the first quarter only: the prediction is exactly zero
+  // further on, so whole residual blocks are zero and take parameter 0.
+  body = round_trip_everywhere(sparse_signal(512, 5, 1.0, 256, 320),
+                               ValueCoding::kWaveletResidual);
+  std::size_t zero_blocks = 0;
+  for (std::size_t b = 0; b < body.block_params.size(); ++b) {
+    bool zero = true;
+    for (std::size_t i = 16 * b; i < 16 * b + 16; ++i) zero &= body.residuals[i].value == 0;
+    zero_blocks += zero && body.block_params[b] == 0;
+  }
+  EXPECT_GE(zero_blocks, 8u);
+
+  // One huge coefficient beside tiny ones: where its Db4 wave crosses
+  // zero the samples are small but the prediction is off by many of their
+  // ULPs, so some residual takes the escape.
+  auto spike = sparse_signal(512, 6, 1e-3);
+  {
+    std::vector<double> c(512, 0.0);
+    c[300] = 1e6;
+    const auto wave = dsp::dwt_inverse(c, 5);
+    for (std::size_t i = 0; i < spike.size(); ++i) spike[i] += wave[i];
+  }
+  body = round_trip_everywhere(spike, ValueCoding::kWaveletResidual);
+  EXPECT_GT(escaped_residuals(body), 0u);
 }
 
 TEST(ValueCoding, WaveletResidualEncodedOnAvx2DecodesOnScalar) {
@@ -400,26 +565,24 @@ TEST(ValueCoding, SteadyResultsShipWaveletAndWireBoundResultsShipFloat64) {
   EXPECT_TRUE(same_bits(result_round_trip(result).signal, result.signal));
 }
 
-/// Hand-built WAVELET_RESIDUAL coded vector.
-std::vector<std::uint8_t> wavelet_vector(std::uint64_t count, std::uint8_t levels,
-                                         const std::vector<std::uint8_t>& tail) {
-  std::vector<std::uint8_t> buf;
-  put_u8(buf, static_cast<std::uint8_t>(ValueCoding::kWaveletResidual));
-  put_varint(buf, count);
-  put_u8(buf, levels);
-  buf.insert(buf.end(), tail.begin(), tail.end());
-  return buf;
-}
-
-/// Bitmap of `bits` set bits from the start, then the coefficients, then
-/// one zero residual per sample.
-std::vector<std::uint8_t> wavelet_tail(std::size_t count, std::size_t bits, double coefficient,
-                                       std::size_t residuals) {
-  std::vector<std::uint8_t> tail((count + 7) / 8, 0);
-  for (std::size_t i = 0; i < bits; ++i) tail[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
-  for (std::size_t i = 0; i < bits; ++i) put_f64le(tail, coefficient);
-  tail.insert(tail.end(), residuals, 0);
-  return tail;
+/// A hand-built WAVELET_RESIDUAL body: `count` samples at `levels`, the
+/// first `kept` coefficients set to `coefficient` (which must be finite
+/// and non-zero), every residual zero, every Rice parameter 0.
+spec::Body hand_body(std::uint64_t count, std::uint8_t levels, std::size_t kept,
+                     double coefficient = 1.5) {
+  spec::Body b;
+  b.count = count;
+  b.levels = levels;
+  b.bitmap.assign((count + 7) / 8, 0);
+  for (std::size_t i = 0; i < kept; ++i) b.bitmap[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+  const auto bits = std::bit_cast<std::uint64_t>(coefficient);
+  b.e_max = bits >> 52 & 0x7FF;
+  for (std::size_t i = 0; i < kept; ++i) {
+    b.coefficients.push_back({bits >> 63, {0, false}, bits & ((std::uint64_t{1} << 52) - 1)});
+  }
+  b.block_params.assign((count + 15) / 16, 0);
+  b.residuals.assign(count, spec::Code{});
+  return b;
 }
 
 bool decodes(const std::vector<std::uint8_t>& buf) {
@@ -428,48 +591,77 @@ bool decodes(const std::vector<std::uint8_t>& buf) {
   return decode_values(r, out) && r.remaining() == 0;
 }
 
+std::vector<std::uint8_t> without_last(std::vector<std::uint8_t> buf, std::size_t bytes) {
+  buf.resize(buf.size() - bytes);
+  return buf;
+}
+
 TEST(ValueCoding, HostileWaveletBodiesAreMalformedNotOverreads) {
-  // The well-formed baseline the mutations start from.
-  ASSERT_TRUE(decodes(wavelet_vector(512, 5, wavelet_tail(512, 3, 1.5, 512))));
-  ASSERT_TRUE(decodes(wavelet_vector(12, 2, wavelet_tail(12, 12, 1.5, 12))));
+  // The well-formed baselines the mutations start from.
+  const auto base = hand_body(512, 5, 3);
+  ASSERT_TRUE(decodes(spec::write(base)));
+  ASSERT_TRUE(decodes(spec::write(hand_body(12, 2, 12))));
+  ASSERT_TRUE(decodes(spec::write(hand_body(16, 2, 0))));  // No coefficient header.
 
   // Levels: zero, or deeper than the count admits (512 admits 8; 12
   // admits 2, and 12 is no multiple of 2^3).
-  EXPECT_FALSE(decodes(wavelet_vector(512, 0, wavelet_tail(512, 3, 1.5, 512))));
-  EXPECT_FALSE(decodes(wavelet_vector(512, 9, wavelet_tail(512, 3, 1.5, 512))));
-  EXPECT_FALSE(decodes(wavelet_vector(12, 3, wavelet_tail(12, 3, 1.5, 12))));
-  EXPECT_FALSE(decodes(wavelet_vector(6, 2, wavelet_tail(6, 1, 1.5, 6))));
-  EXPECT_FALSE(decodes(wavelet_vector(0, 1, {})));
+  EXPECT_FALSE(decodes(spec::write(hand_body(512, 0, 3))));
+  EXPECT_FALSE(decodes(spec::write(hand_body(512, 9, 3))));
+  EXPECT_FALSE(decodes(spec::write(hand_body(12, 3, 3))));
+  EXPECT_FALSE(decodes(spec::write(hand_body(6, 2, 1))));
+  EXPECT_FALSE(decodes(spec::write(hand_body(0, 1, 0))));
   // Count beyond the window-shape limit.
-  EXPECT_FALSE(decodes(wavelet_vector(2 * kMaxWindowSamples, 5,
-                                      wavelet_tail(2 * kMaxWindowSamples, 0, 0.0,
-                                                   2 * kMaxWindowSamples))));
-  // Truncated bitmap.
-  EXPECT_FALSE(decodes(wavelet_vector(512, 5, std::vector<std::uint8_t>(10, 0))));
+  EXPECT_FALSE(decodes(spec::write(hand_body(2 * kMaxWindowSamples, 5, 0))));
+  // Truncated bitmap: coding, count (2 bytes), levels, then 10 of 64.
+  EXPECT_FALSE(decodes(without_last(spec::write(base), spec::write(base).size() - 14)));
   // Set padding bits past `count` in the last bitmap byte.
-  auto padded = wavelet_tail(12, 1, 1.5, 12);
-  padded[1] |= 0x80;
-  EXPECT_FALSE(decodes(wavelet_vector(12, 2, padded)));
-  // 8 x popcount beyond the remaining bytes.
-  auto dense = wavelet_tail(512, 512, 1.5, 0);
-  dense.resize(64 + 8 * 100);
-  EXPECT_FALSE(decodes(wavelet_vector(512, 5, dense)));
-  // Non-finite coefficients, and finite ones whose inverse DWT overflows.
-  EXPECT_FALSE(decodes(wavelet_vector(16, 2, wavelet_tail(16, 1, std::nan(""), 16))));
-  EXPECT_FALSE(decodes(wavelet_vector(
-      16, 2, wavelet_tail(16, 16, std::numeric_limits<double>::max(), 16))));
-  // Missing residuals: one short.
-  EXPECT_FALSE(decodes(wavelet_vector(512, 5, wavelet_tail(512, 3, 1.5, 511))));
-  // Overlong residual: nine continuation bytes, then a tenth byte above 1.
-  auto overlong = wavelet_tail(16, 0, 0.0, 0);
-  overlong.insert(overlong.end(), 9, 0xFF);
-  overlong.push_back(0x7F);
-  overlong.insert(overlong.end(), 15, 0);
-  EXPECT_FALSE(decodes(wavelet_vector(16, 2, overlong)));
-  // A residual varint that runs off the end.
-  auto unterminated = wavelet_tail(16, 0, 0.0, 15);
-  unterminated.push_back(0x80);
-  EXPECT_FALSE(decodes(wavelet_vector(16, 2, unterminated)));
+  auto padded = hand_body(12, 2, 1);
+  padded.bitmap[1] |= 0x80;
+  EXPECT_FALSE(decodes(spec::write(padded)));
+
+  // The stream: truncated by a byte, or padded with a set bit.
+  EXPECT_FALSE(decodes(without_last(spec::write(base), 1)));
+  auto pad = base;
+  pad.pad = 1;
+  EXPECT_FALSE(decodes(spec::write(pad)));
+  // A residual parameter above 56, an exponent parameter above 10.
+  for (const std::uint64_t k : {57u, 63u}) {
+    auto bad = base;
+    bad.block_params[3] = k;
+    EXPECT_FALSE(decodes(spec::write(bad))) << k;
+  }
+  auto accept = base;
+  accept.block_params[3] = 56;
+  accept.exponent_param = 10;
+  EXPECT_TRUE(decodes(spec::write(accept)));
+  for (const std::uint64_t k : {11u, 15u}) {
+    auto bad = base;
+    bad.exponent_param = k;
+    EXPECT_FALSE(decodes(spec::write(bad))) << k;
+  }
+  // An escape whose 64 raw bits run past the end (the last residual
+  // escapes; cut inside its raw bits).
+  auto escape = base;
+  escape.residuals.back() = {5, true};
+  ASSERT_TRUE(decodes(spec::write(escape)));
+  EXPECT_FALSE(decodes(without_last(spec::write(escape), 2)));
+  // A run of zeros that ends with the data, short of the escape.
+  auto run = base;
+  run.residuals.back() = {31, false};
+  EXPECT_FALSE(decodes(without_last(spec::write(run), 1)));
+  // An exponent offset past e_max (a negative exponent).
+  auto below = base;
+  below.coefficients[1].offset.value = below.e_max + 1;
+  EXPECT_FALSE(decodes(spec::write(below)));
+  // e_max 2047: the coefficient it puts at offset 0 would be non-finite.
+  auto non_finite = base;
+  non_finite.e_max = 2047;
+  non_finite.coefficients[0].offset.value = 0;
+  non_finite.coefficients[1].offset.value = 1000;
+  non_finite.coefficients[2].offset.value = 1000;
+  EXPECT_FALSE(decodes(spec::write(non_finite)));
+  // Finite coefficients whose inverse DWT overflows.
+  EXPECT_FALSE(decodes(spec::write(hand_body(16, 2, 16, std::numeric_limits<double>::max()))));
 
   // Every strict prefix of a real body is malformed, and a trailing byte
   // after the signal breaks the RESULT_BATCH it rides in.
@@ -489,6 +681,37 @@ TEST(ValueCoding, HostileWaveletBodiesAreMalformedNotOverreads) {
   const auto frame = encode_one([&](auto& b) { encode_result_batch(b, bodies, 1); });
   std::vector<host::WindowResult> decoded;
   EXPECT_FALSE(decode_result_batch(must_peek(frame).payload, decoded, nullptr));
+}
+
+TEST(ValueCoding, WideRiceCodesNearTheStreamEndMatchTheSpecDecoder) {
+  // A 64-bit Rice code (k in [32, 56], quotient 63 - k) that opens the
+  // last block, one more code after it.  Once it starts on a byte
+  // boundary within the stream's last 15 bytes, the bit reader holds
+  // exactly its 64 bits and must consume them all in one step.  The first
+  // block's unary codes slide it through every alignment.
+  const std::uint64_t low = 0xAB'CDEF'0123'4567ull;
+  for (std::uint64_t lead = 0; lead < 8; ++lead) {
+    for (unsigned k = 32; k <= 56; ++k) {
+      const std::uint64_t remainder_mask = (std::uint64_t{1} << k) - 1;
+      for (std::uint64_t last = 0; last < 3; ++last) {
+        auto body = hand_body(18, 1, 0);  // Blocks of 16 and 2 samples.
+        body.residuals[0].value = lead;
+        body.block_params[1] = k;
+        body.residuals[16].value = std::uint64_t{63 - k} << k | (low & remainder_mask);
+        body.residuals[17].value = last << k | (~low & remainder_mask);
+        const auto buf = spec::write(body);
+        WireReader r(buf);
+        std::vector<double> decoded;
+        ASSERT_TRUE(decode_values(r, decoded)) << lead << " " << k << " " << last;
+        EXPECT_EQ(r.remaining(), 0u);
+        spec::Reader sr{buf};
+        sr.u8();
+        std::vector<double> expected;
+        ASSERT_TRUE(spec::decode_wavelet_residual(sr, expected));
+        EXPECT_TRUE(same_bits(decoded, expected)) << lead << " " << k << " " << last;
+      }
+    }
+  }
 }
 
 TEST(Frames, SubmitWindowRoundTripsBitExactly) {
@@ -1282,97 +1505,6 @@ TEST(Golden, CommittedSubmitWindowDecodesIndependently) {
             0);
 }
 
-// A second decoder for the RESULT_BATCH signal, written from
-// docs/WIRE_FORMAT.md (§1, §3, §3.1, §6) without the reference codec: its
-// own reader, the Db4 synthesis taps as the spec prints them, the pairwise
-// tree and the periodized cascade.  This file is compiled with
-// -ffp-contract=off (tests/CMakeLists.txt), as §3.1 requires of the
-// synthesis arithmetic.
-namespace spec {
-
-struct Reader {
-  std::span<const std::uint8_t> data;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  std::uint8_t u8() {
-    if (pos >= data.size()) {
-      ok = false;
-      return 0;
-    }
-    return data[pos++];
-  }
-  std::uint64_t varint() {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 10; ++i) {
-      const std::uint8_t byte = u8();
-      v |= static_cast<std::uint64_t>(byte & 0x7F) << (7 * i);
-      if ((byte & 0x80) == 0) {
-        if (i == 9 && byte > 1) ok = false;  // Overlong.
-        return v;
-      }
-    }
-    ok = false;
-    return 0;
-  }
-  double f64() {
-    std::uint64_t bits = 0;
-    for (int i = 0; i < 8; ++i) bits |= static_cast<std::uint64_t>(u8()) << (8 * i);
-    return std::bit_cast<double>(bits);
-  }
-};
-
-constexpr double kH[4] = {0x1.ee8dd4748bf15p-2, 0x1.ac4bdd6e3fd71p-1, 0x1.cb0bf0b6b7109p-3,
-                          -0x1.0907dc193069p-3};
-constexpr double kG[4] = {-0x1.0907dc193069p-3, -0x1.cb0bf0b6b7109p-3, 0x1.ac4bdd6e3fd71p-1,
-                          -0x1.ee8dd4748bf15p-2};
-
-/// One synthesis step: 2h outputs from h approximation and h detail
-/// coefficients, k' = (k - 1) mod h.
-std::vector<double> synthesize(const std::vector<double>& a, const std::vector<double>& d) {
-  const std::size_t h = a.size();
-  std::vector<double> x(2 * h);
-  for (std::size_t k = 0; k < h; ++k) {
-    const std::size_t kp = (k + h - 1) % h;
-    x[2 * k] = (kH[0] * a[k] + kG[0] * d[k]) + (kH[2] * a[kp] + kG[2] * d[kp]);
-    x[2 * k + 1] = (kH[1] * a[k] + kG[1] * d[k]) + (kH[3] * a[kp] + kG[3] * d[kp]);
-  }
-  return x;
-}
-
-/// Body of a coding-4 vector (after the coding byte).
-bool decode_wavelet_residual(Reader& r, std::vector<double>& out) {
-  const std::uint64_t count = r.varint();
-  const unsigned levels = r.u8();
-  if (!r.ok || levels < 1 || count > 4096) return false;
-  for (std::uint64_t len = count, l = 0; l < levels; ++l, len /= 2) {
-    if (len < 4 || len % 2 != 0) return false;
-  }
-  std::vector<std::uint8_t> bitmap((count + 7) / 8);
-  for (auto& byte : bitmap) byte = r.u8();
-  std::vector<double> c(count, 0.0);
-  for (std::size_t i = 0; i < count; ++i) {
-    if ((bitmap[i / 8] >> (i % 8)) & 1) c[i] = r.f64();
-  }
-  // The cascade: [approx_L | detail_L | detail_L-1 | ... | detail_1].
-  std::size_t h = count >> levels;
-  std::vector<double> p(c.begin(), c.begin() + static_cast<long>(h));
-  for (unsigned l = 0; l < levels; ++l, h *= 2) {
-    const std::vector<double> d(c.begin() + static_cast<long>(h),
-                                c.begin() + static_cast<long>(2 * h));
-    p = synthesize(p, d);
-  }
-  out.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t z = r.varint();
-    const std::uint64_t residual = (z >> 1) ^ (std::uint64_t{0} - (z & 1));
-    out[i] = std::bit_cast<double>(std::bit_cast<std::uint64_t>(p[i]) + residual);
-  }
-  return r.ok;
-}
-
-}  // namespace spec
-
 TEST(Golden, CommittedWaveletResultDecodesIndependently) {
   std::ifstream in(golden_dir() + "/result_batch_wavelet.bin", std::ios::binary);
   ASSERT_TRUE(in.good());
@@ -1394,11 +1526,17 @@ TEST(Golden, CommittedWaveletResultDecodesIndependently) {
   EXPECT_EQ(r.varint(), static_cast<std::uint64_t>(expect.iterations));
   EXPECT_EQ(r.f64(), expect.latency_ms);
   EXPECT_EQ(r.f64(), expect.e2e_ms);
+  const std::size_t vector_at = r.pos;
   ASSERT_EQ(r.u8(), 4u);  // WAVELET_RESIDUAL
   std::vector<double> signal;
-  ASSERT_TRUE(spec::decode_wavelet_residual(r, signal));
+  spec::Body body;
+  ASSERT_TRUE(spec::decode_wavelet_residual(r, signal, &body));
   EXPECT_EQ(r.pos, view.payload.size());
   EXPECT_TRUE(same_bits(signal, expect.signal));
+  // The spec writer rebuilds the committed bytes from the parsed fields.
+  EXPECT_EQ(spec::write(body),
+            std::vector<std::uint8_t>(view.payload.begin() + static_cast<long>(vector_at),
+                                      view.payload.end()));
 
   // The reference decoder agrees.
   std::vector<host::WindowResult> decoded;

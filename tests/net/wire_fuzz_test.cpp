@@ -14,18 +14,28 @@
 // runs this suite under ASan/UBSan, which turns an overread into a
 // failure.  A decoder that accepts a mutant must also leave its output
 // inside the limits the payload can carry.
+//
+// A second, structure-aware case works below the byte level, where a
+// WAVELET_RESIDUAL bitstream's fields sit: it parses encoder output into
+// fields with the spec codec (wavelet_spec.hpp), rewrites Rice parameters,
+// escapes, padding, exponent fields and 64-bit residual codes, and
+// requires the reference decoder to agree with the spec decoder on every
+// result.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <random>
 #include <vector>
 
+#include "dsp/wavelet.hpp"
 #include "host/payload_pool.hpp"
 #include "net/crc32c.hpp"
 #include "net/wire_format.hpp"
+#include "wavelet_spec.hpp"
 
 namespace wbsn::net {
 namespace {
@@ -221,6 +231,129 @@ TEST(Fuzz, MutatedGoldenFramesNeverCrashTheDecoders) {
   EXPECT_GE(tally.reached, kIterations / 2);
   EXPECT_GT(tally.accepted, kIterations / 20);
   EXPECT_GT(tally.long_signals, 0);
+}
+
+constexpr int kStructuredIterations = 4000;
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// Both decoders on one coded vector: the same verdict, and when both
+/// accept, the same bits.  Returns the reference decoder's verdict.
+bool decode_both(const Bytes& vector, std::vector<double>& out) {
+  WireReader r(vector);
+  const bool reference = decode_values(r, out) && r.remaining() == 0;
+  spec::Reader sr{vector};
+  std::vector<double> spec_out;
+  const bool spec_ok = sr.u8() == 4 && spec::decode_wavelet_residual(sr, spec_out) &&
+                       sr.pos == vector.size();
+  EXPECT_EQ(reference, spec_ok);
+  if (reference && spec_ok) {
+    EXPECT_TRUE(same_bits(out, spec_out));
+  }
+  return reference;
+}
+
+TEST(Fuzz, StructuredWaveletBodiesMatchTheSpecDecoder) {
+  std::mt19937_64 rng(kSeed);
+  // Valid bodies: sparse wavelet signals of several lengths, through the
+  // reference encoder, parsed into their fields.
+  struct Sample {
+    std::vector<double> signal;
+    spec::Body body;
+  };
+  std::vector<Sample> corpus;
+  for (const std::size_t n : {16u, 18u, 40u, 128u, 512u}) {
+    for (int seed = 0; seed < 4; ++seed) {
+      const int levels = std::min(5, dsp::dwt_max_levels(n));
+      std::vector<double> c(n, 0.0);
+      std::uniform_real_distribution<double> uniform(-1.0, 1.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (i < (n >> levels) || rng() % 5 == 0) c[i] = uniform(rng);
+      }
+      Sample sample{dsp::dwt_inverse(c, levels), {}};
+      Bytes vector;
+      ASSERT_EQ(encode_signal_values(vector, sample.signal), ValueCoding::kWaveletResidual);
+      spec::Reader r{vector};
+      r.u8();
+      ASSERT_TRUE(spec::parse(r, sample.body));
+      corpus.push_back(std::move(sample));
+    }
+  }
+
+  enum class Expect { kSame, kReject, kEither };
+  int accepted = 0;
+  for (int i = 0; i < kStructuredIterations; ++i) {
+    const Sample& sample = corpus[rng() % corpus.size()];
+    spec::Body body = sample.body;
+    Expect expect = Expect::kSame;
+    std::size_t flip_bit = 0;  // 0: none; else 1 + the bit to flip.
+    switch (rng() % 7) {
+      case 0: {  // Any residual block parameter the 6-bit field holds.
+        const std::uint64_t k = rng() % 64;
+        body.block_params[rng() % body.block_params.size()] = k;
+        if (k > spec::kMaxResidualParam) expect = Expect::kReject;
+        break;
+      }
+      case 1:  // Any exponent parameter the 4-bit field holds.
+        body.exponent_param = rng() % 16;
+        if (!body.coefficients.empty() && body.exponent_param > spec::kMaxExponentParam) {
+          expect = Expect::kReject;
+        }
+        break;
+      case 2:  // Escapes where a short code would do: still the same values.
+        for (std::uint64_t e = 1 + rng() % 4; e > 0; --e) {
+          if (rng() % 2 == 0 && !body.coefficients.empty()) {
+            body.coefficients[rng() % body.coefficients.size()].offset.escaped = true;
+          } else {
+            body.residuals[rng() % body.residuals.size()].escaped = true;
+          }
+        }
+        break;
+      case 3:  // Padding bits: any set one is malformed.
+        body.pad = rng() % 256;
+        if (spec::write(body) != spec::write(sample.body)) expect = Expect::kReject;
+        break;
+      case 4:  // Another e_max: other coefficients, or a rejected body.
+        body.e_max = rng() % 2048;
+        expect = Expect::kEither;
+        break;
+      case 5: {  // A code that fills the 64-bit buffer: k >= 32, quotient 63 - k.
+        const std::size_t block = rng() % body.block_params.size();
+        const auto k = static_cast<unsigned>(32 + rng() % (spec::kMaxResidualParam - 31));
+        const std::size_t first = block * spec::kBlock;
+        const std::size_t len = std::min(spec::kBlock, body.residuals.size() - first);
+        body.block_params[block] = k;
+        body.residuals[first + rng() % len] = {std::uint64_t{63 - k} << k | rng() >> (64 - k),
+                                               false};
+        expect = Expect::kEither;  // Another sample value.
+        break;
+      }
+      default:  // One flipped bit anywhere in the stream.
+        flip_bit = 1 + rng();
+        expect = Expect::kEither;
+        break;
+    }
+    Bytes vector = spec::write(body);
+    if (flip_bit != 0) {
+      // Coding byte, count (1 or 2 bytes up to 4096), levels, bitmap.
+      const std::size_t header = 1 + (body.count < 128 ? 1 : 2) + 1 + body.bitmap.size();
+      const std::size_t bit = 8 * header + (flip_bit - 1) % (8 * (vector.size() - header));
+      vector[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    }
+    std::vector<double> out;
+    const bool ok = decode_both(vector, out);
+    accepted += ok;
+    if (expect == Expect::kSame) {
+      ASSERT_TRUE(ok) << "iteration " << i;
+      EXPECT_TRUE(same_bits(out, sample.signal)) << "iteration " << i;
+    } else if (expect == Expect::kReject) {
+      EXPECT_FALSE(ok) << "iteration " << i;
+    }
+  }
+  EXPECT_GT(accepted, kStructuredIterations / 3);
 }
 
 }  // namespace
