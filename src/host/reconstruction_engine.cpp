@@ -74,6 +74,7 @@ void ReconstructionEngine::recycle_item(WorkItem* item) {
   item->phi.reset();
   item->patient_slo.reset();
   item->charged_cost_us = 0;
+  item->held = false;
   item->result = WindowResult{};
   item->next = nullptr;
   item_pool_.recycle(item);
@@ -187,6 +188,7 @@ std::vector<PatientSlo> ReconstructionEngine::patient_slo_snapshots() const {
 }
 
 void ReconstructionEngine::process_one(WorkItem* item) {
+  if (item->held) held_.fetch_sub(1, std::memory_order_relaxed);
   // Per-worker FISTA arena, reused across windows.  thread_local (not
   // per-call) is what makes the steady-state solve allocation-free — and
   // sharing one arena across engines on the same thread (serial mode,
@@ -392,6 +394,7 @@ bool ReconstructionEngine::shed_predicted_miss(cs::WindowPriority arrival_priori
   if (item->charged_cost_us > 0) {
     pending_cost_us_.fetch_sub(item->charged_cost_us, std::memory_order_relaxed);
   }
+  if (item->held) held_.fetch_sub(1, std::memory_order_relaxed);
   slo_.on_shed(urgent);
   lane_slo_[lane_index(item->window.priority)].on_shed(urgent);
   if (item->patient_slo != nullptr) item->patient_slo->on_shed(urgent);
@@ -407,9 +410,10 @@ bool ReconstructionEngine::shed_predicted_miss(cs::WindowPriority arrival_priori
   return true;  // The victim's in-flight reservation passes to the arrival.
 }
 
-std::optional<std::uint64_t> ReconstructionEngine::try_submit(CompressedWindow&& window) {
+std::optional<std::uint64_t> ReconstructionEngine::try_submit(CompressedWindow&& window,
+                                                              Solver solver) {
   const std::size_t lane = lane_index(window.priority);
-  if (auto ticket = try_submit_impl(std::move(window), cfg_.deadline_shedding)) {
+  if (auto ticket = try_submit_impl(std::move(window), cfg_.deadline_shedding, solver)) {
     return ticket;
   }
   slo_.on_reject();
@@ -417,15 +421,17 @@ std::optional<std::uint64_t> ReconstructionEngine::try_submit(CompressedWindow&&
   return std::nullopt;
 }
 
-std::optional<std::uint64_t> ReconstructionEngine::try_submit_step(CompressedWindow&& window) {
+std::optional<std::uint64_t> ReconstructionEngine::try_submit_step(CompressedWindow&& window,
+                                                                   Solver solver) {
   // Blocking-submit semantics, one step at a time: no shedding (a waiter
   // must not drop queued work) and no reject accounting (a failed step is
   // backpressure the caller waits out, not a bounced window).
-  return try_submit_impl(std::move(window), /*allow_shedding=*/false);
+  return try_submit_impl(std::move(window), /*allow_shedding=*/false, solver);
 }
 
 std::optional<std::uint64_t> ReconstructionEngine::try_submit_impl(CompressedWindow&& window,
-                                                                   bool allow_shedding) {
+                                                                   bool allow_shedding,
+                                                                   Solver solver) {
   // Reserve an in-flight slot first; this is the only admission gate.  At
   // capacity, deadline-aware shedding may instead free a slot by dropping
   // the queued window predicted to miss its deadline — the arrival then
@@ -455,6 +461,17 @@ std::optional<std::uint64_t> ReconstructionEngine::try_submit_impl(CompressedWin
   }
   const std::uint64_t ticket = item->ticket;
   const bool urgent = item->window.priority == cs::WindowPriority::kUrgent;
+  if (solver == Solver::kCallerIfCheap && !workers_.empty()) {
+    // Only a per-shape (or pinned) estimate qualifies: the shape-blind
+    // global EWMA would let a new, possibly expensive shape ride a cheap
+    // shape's history onto the caller's thread.
+    std::uint64_t estimate_us = item->charged_cost_us;  // The pinned cost, if any.
+    if (cost_model_.override_ms <= 0.0) {
+      const auto m = static_cast<std::uint32_t>(item->window.measurements.size());
+      estimate_us = cost_model_.measured_us(m, item->window.window_samples);
+    }
+    item->held = estimate_us > 0 && estimate_us < kWorkerHandoffUs;
+  }
 
   slo_.on_submit();
   lane_slo_[lane_index(item->window.priority)].on_submit();
@@ -465,9 +482,13 @@ std::optional<std::uint64_t> ReconstructionEngine::try_submit_impl(CompressedWin
     std::lock_guard<std::mutex> lk(pending_mutex_);
     ++patient_pending_[item->window.patient_id];
   }
+  const bool held = item->held;
+  // Counted before the push: solve_held() must never see a held window
+  // queued while held_ reads 0.
+  if (held) held_.fetch_add(1, std::memory_order_relaxed);
   queue_.push(item, urgent);
 
-  if (!workers_.empty()) {
+  if (!held && !workers_.empty()) {
     {
       std::lock_guard<std::mutex> lk(work_mutex_);
     }
@@ -481,9 +502,7 @@ std::uint64_t ReconstructionEngine::submit(CompressedWindow window) {
     // A blocking submitter can afford to wait, so it never sheds queued
     // work to jump in — and its retries are backpressure, not rejections,
     // so they stay out of the reject counters.
-    if (auto ticket = try_submit_impl(std::move(window), /*allow_shedding=*/false)) {
-      return *ticket;
-    }
+    if (auto ticket = try_submit_step(std::move(window))) return *ticket;
     // At capacity.  Serial mode: make room by solving pending windows
     // inline.  Threaded mode: wait for a worker to complete one (wait_for
     // rather than wait so a slot freed between the failed try_submit and
@@ -501,6 +520,12 @@ bool ReconstructionEngine::help_some() {
   if (!queue_.try_pop(item)) return false;
   process_one(item);
   return true;
+}
+
+std::size_t ReconstructionEngine::solve_held() {
+  std::size_t solved = 0;
+  while (held_.load(std::memory_order_relaxed) > 0 && help_some()) ++solved;
+  return solved;
 }
 
 std::optional<WindowResult> ReconstructionEngine::poll() {

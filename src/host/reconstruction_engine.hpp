@@ -19,6 +19,10 @@
 //     pool of worker threads drains it persistently — there is no
 //     per-batch barrier, a worker pops one window, solves it
 //     (cs::fista_solve_into) and starts the next the moment it finishes.
+//     An event loop that admits on its own thread may instead keep
+//     windows cheaper than a worker handoff (kWorkerHandoffUs) and solve
+//     them itself through solve_held() — same pop order, same solve and
+//     completion code (Solver::kCallerIfCheap).
 //   * Under overload, admission is deadline-aware when deadline_shedding
 //     is on: instead of bouncing the newest arrival, try_submit sheds the
 //     queued window whose predicted completion (backlog position x the
@@ -144,6 +148,29 @@ BatchResult reconstruct_batch(
     const std::function<std::uint64_t(const CompressedWindow&)>& submit,
     const std::function<std::vector<WindowResult>()>& drain);
 
+/// The measured cost of handing one window to a sleeping worker, in µs:
+/// the wake itself, the worker publishing the result and going back to
+/// sleep.  Measured at about 15-20 µs of worker CPU per window on a shared
+/// 4-core x86 host (per-thread ticks at 2,500 windows/s).  A window whose
+/// predicted solve is cheaper than this costs less solved by the thread
+/// that admitted it, which is what Solver::kCallerIfCheap asks for.  Not a
+/// knob: today's solves sit far on either side (a 1-iteration 128-sample
+/// solve about 4 µs, a production 512-sample one 300-500 µs).
+inline constexpr std::uint64_t kWorkerHandoffUs = 20;
+
+/// Who solves a window admitted by try_submit()/try_submit_step().
+enum class Solver : std::uint8_t {
+  /// Wake a worker for it: every in-process caller.
+  kWorker,
+  /// An event loop that admits windows on its own thread: a window whose
+  /// per-shape (or pinned) solve estimate is non-zero and below
+  /// kWorkerHandoffUs is queued *held* — without waking a worker — and the
+  /// caller must run solve_held() before it next sleeps.  Every other
+  /// window, and every window of an engine without workers, goes as
+  /// kWorker.
+  kCallerIfCheap,
+};
+
 struct EngineConfig {
   /// Worker threads.  0 = solve in the calling thread during poll()/
   /// drain() (serial reference mode); N >= 1 spawns N persistent workers.
@@ -163,7 +190,8 @@ struct EngineConfig {
   /// Per-window solve-time estimate feeding the shed predictor, in ms.
   /// 0 (default) uses the engine's measured EWMA of completed solves.
   double shed_solve_estimate_ms = 0.0;
-  /// Invoked (from a worker thread) every time the engine makes progress a
+  /// Invoked (on the thread that made it: a worker, or a caller solving
+  /// inline) every time the engine makes progress a
   /// blocked producer could be waiting on: a result was published and its
   /// in-flight slot released, or a queued window was shed.  Fires AFTER
   /// the slot is released, so a hook-driven retry of try_submit_step()
@@ -221,7 +249,8 @@ class ReconstructionEngine {
   /// a queued window is already predicted to miss its deadline: that
   /// window is dropped instead (see SloSnapshot::shed_*).  Thread-safe;
   /// `window` is untouched on rejection.
-  std::optional<std::uint64_t> try_submit(CompressedWindow&& window);
+  std::optional<std::uint64_t> try_submit(CompressedWindow&& window,
+                                          Solver solver = Solver::kWorker);
 
   /// Blocking submit: waits out backpressure (workers draining the
   /// backlog; with threads == 0 it solves pending windows inline to make
@@ -236,7 +265,16 @@ class ReconstructionEngine {
   /// Unlike try_submit(), a failure is NOT counted as a rejection — the
   /// caller is backpressure-waiting (typically re-armed by progress_hook),
   /// not bouncing the window.  `window` is untouched on failure.
-  std::optional<std::uint64_t> try_submit_step(CompressedWindow&& window);
+  std::optional<std::uint64_t> try_submit_step(CompressedWindow&& window,
+                                               Solver solver = Solver::kWorker);
+
+  /// Solves queued windows on the calling thread, urgent lane first, while
+  /// any window admitted held (Solver::kCallerIfCheap) is still queued;
+  /// returns how many it solved.  Afterwards no held window is queued: a
+  /// worker that was awake anyway may have taken some, and the pops may
+  /// include a worker-bound window queued ahead of a held one.  The
+  /// progress hook runs for these completions on the calling thread.
+  std::size_t solve_held();
 
   /// Returns one completed window in completion order, or std::nullopt if
   /// none is ready.  With threads == 0 this runs the solver inline on the
@@ -361,6 +399,9 @@ class ReconstructionEngine {
     /// pending_cost_us_ — remembered so completion/shed releases exactly
     /// what was charged.
     std::uint64_t charged_cost_us = 0;
+    /// Admitted held (Solver::kCallerIfCheap): counted in held_ until
+    /// popped for its solve or shed.
+    bool held = false;
     std::chrono::steady_clock::time_point enqueue_time{};
     WindowResult result;
     WorkItem* next = nullptr;  ///< Intrusive completion-list link.
@@ -379,7 +420,8 @@ class ReconstructionEngine {
   /// counted by the caller) and the blocking paths (submit()/
   /// reconstruct(): never shed — a waiter must not drop queued work —
   /// and retries are backpressure, not rejections).
-  std::optional<std::uint64_t> try_submit_impl(CompressedWindow&& window, bool allow_shedding);
+  std::optional<std::uint64_t> try_submit_impl(CompressedWindow&& window, bool allow_shedding,
+                                               Solver solver);
   /// Deadline-aware shedding: drops the queued window with the worst
   /// predicted deadline overshoot and returns true, transferring its
   /// in-flight reservation to the caller's arrival.  False when no queued
@@ -429,6 +471,8 @@ class ReconstructionEngine {
   /// completion/shed.  Feeds backlog_wait_ms() and the CR-hint pressure
   /// signal; counters never affect values.
   std::atomic<std::uint64_t> pending_cost_us_{0};
+  /// Held windows still queued: solve_held() pops while this is non-zero.
+  std::atomic<std::size_t> held_{0};
 
   // Bounded LRU cache of seeded sensing operators, keyed by
   // (seed, m, n, d).  lru_ orders keys most-recent-first; each map value

@@ -12,7 +12,12 @@ namespace wbsn::net {
 
 namespace {
 constexpr std::size_t kRecvChunk = 64 * 1024;
-}
+
+/// The server whose event loop runs on this thread, if any.  The progress
+/// hook writes no wake byte for a completion or shed made on the loop's
+/// own thread: the loop re-checks its waiting verbs before it sleeps.
+thread_local const ShardServer* tl_loop_server = nullptr;
+}  // namespace
 
 ShardServer::ShardServer(ShardServerConfig cfg) : cfg_(std::move(cfg)) {}
 
@@ -36,6 +41,10 @@ bool ShardServer::start() {
   // engine joins its workers before destruction returns.
   const int wake_fd = wake_wr_.get();
   cfg_.engine.progress_hook = [this, wake_fd] {
+    if (tl_loop_server == this) {
+      ++self_progress_;  // Only ever touched on the loop's own thread.
+      return;
+    }
     if (!wake_armed_.exchange(false)) return;
     const char byte = 1;
     (void)!::write(wake_fd, &byte, 1);
@@ -54,10 +63,12 @@ void ShardServer::stop() {
 }
 
 void ShardServer::run() {
+  tl_loop_server = this;
   std::vector<pollfd> pfds;
   // pfds layout: [0] wake pipe, [1] listener, [2] optional stop_fd, then
   // one slot per connection starting at `base`.
   const std::size_t base = cfg_.stop_fd >= 0 ? 3 : 2;
+  int timeout_ms = -1;
   while (!stopping_.load(std::memory_order_acquire)) {
     pfds.clear();
     pfds.push_back({wake_rd_.get(), POLLIN, 0});
@@ -68,7 +79,7 @@ void ShardServer::run() {
       if (conn->tx_sent < conn->tx.size()) events |= POLLOUT;
       pfds.push_back({conn->fd.get(), events, 0});
     }
-    const int rc = ::poll(pfds.data(), pfds.size(), -1);
+    const int rc = ::poll(pfds.data(), pfds.size(), timeout_ms);
     if (rc < 0) {
       if (errno == EINTR) continue;
       break;
@@ -138,6 +149,7 @@ void ShardServer::run() {
     // progress hook — or any socket event — woke us).  When one finishes,
     // frames queued behind it on the same connection may now proceed.
     // Then answer parked polls that now have a result to carry.
+    const std::uint64_t progress_at_checks = self_progress_;
     for (auto& c : conns_) {
       if (!c->fd.valid()) continue;
       if (c->deferred != Connection::Deferred::kNone) {
@@ -151,10 +163,22 @@ void ShardServer::run() {
       if (c->parked_poll != 0 && engine_->ready_results() > 0) answer_poll(*c);
       flush(*c);
     }
+    // A solve or shed made on this thread during those checks (a deferred
+    // submit admitting held windows, say) wrote no wake byte, and a verb
+    // checked before it may now be able to proceed: check again at once
+    // instead of sleeping.
+    timeout_ms = self_progress_ != progress_at_checks ? 0 : -1;
     std::erase_if(conns_, [](const std::unique_ptr<Connection>& c) { return !c->fd.valid(); });
   }
   conns_.clear();
   listener_.close();
+  tl_loop_server = nullptr;
+}
+
+std::size_t ShardServer::solve_held() {
+  const std::size_t solved = engine_->solve_held();
+  if (solved > 0) loop_solves_.fetch_add(solved, std::memory_order_relaxed);
+  return solved;
 }
 
 bool ShardServer::process_rx(Connection& conn) {
@@ -181,6 +205,9 @@ bool ShardServer::process_rx(Connection& conn) {
     }
     if (status != FrameStatus::kOk) return false;  // Desync/corrupt/oversized.
     handle_frame(conn, frame);
+    // Windows the frame admitted held are solved before the next frame,
+    // so a POLL_MANY queued behind this SUBMIT_BATCH carries their results.
+    solve_held();
     consumed += frame.frame_bytes;
     if (conn.close_after_flush) break;
   }
@@ -235,7 +262,7 @@ void ShardServer::handle_frame(Connection& conn, const FrameView& frame) {
         }
       } else {
         for (auto& window : windows) {
-          if (auto ticket = engine_->try_submit(std::move(window))) {
+          if (auto ticket = engine_->try_submit(std::move(window), host::Solver::kCallerIfCheap)) {
             acks.push_back({true, *ticket});
           } else {
             acks.push_back({false, 0});
@@ -382,12 +409,19 @@ void ShardServer::advance_deferred(Connection& conn) {
       return;
     case Connection::Deferred::kSubmit:
       while (conn.deferred_next < conn.deferred_windows.size()) {
-        auto ticket =
-            engine_->try_submit_step(std::move(conn.deferred_windows[conn.deferred_next]));
-        if (!ticket) return;  // Full again; the next slot release wakes us.
+        auto& window = conn.deferred_windows[conn.deferred_next];
+        auto ticket = engine_->try_submit_step(std::move(window), host::Solver::kCallerIfCheap);
+        if (!ticket) {
+          // Full.  Solving the windows held for this loop frees their
+          // slots; a backlog of worker-bound windows wakes the loop through
+          // the hook at its next slot release instead.
+          if (solve_held() > 0) continue;
+          return;
+        }
         conn.deferred_acks.push_back({true, *ticket});
         ++conn.deferred_next;
       }
+      solve_held();
       encode_submit_batch_ack(conn.tx, conn.deferred_acks);
       conn.deferred = Connection::Deferred::kNone;
       conn.deferred_windows.clear();

@@ -29,6 +29,23 @@
 // serial engine (threads == 0) the calling thread IS the solver, so those
 // verbs run inline exactly as before.
 //
+// Which thread solves: waking a sleeping worker for one window costs
+// more CPU (host::kWorkerHandoffUs, about 15-20 µs) than a cheap solve
+// (a 1-iteration 128-sample window, about 4 µs).  So the loop admits with
+// host::Solver::kCallerIfCheap: a window whose per-shape (or pinned)
+// solve estimate is non-zero and below that constant is queued *held*,
+// with no worker wake, and the loop solves it itself right after the
+// frame that admitted it (and inside a deferred submit before it gives
+// up on a full engine), urgent first, through the engine's own
+// solve/complete path.  A POLL_MANY behind that SUBMIT_BATCH then leaves
+// with its results in the same flush.  Unmeasured shapes and dearer
+// windows go to the workers, which is all of them at production shapes,
+// so `threads` sizes the pool for expensive windows only.  The loop
+// never sleeps in poll(2) with a held window queued, and the progress
+// hook stays silent for progress made on the loop's own thread: the
+// loop re-checks its waiting verbs instead, at once when that progress
+// came during those checks.
+//
 // POLL_MANY is a long-poll on a threaded engine: with nothing ready it
 // parks, and the loop answers it with one RESULT_BATCH as soon as a
 // completion's progress-hook wake finds a result ready — or, if the next
@@ -113,6 +130,10 @@ class ShardServer {
   /// one per wake of a waiting verb, none while no verb waits.
   std::uint64_t wake_writes() const { return wake_writes_.load(std::memory_order_relaxed); }
 
+  /// Windows the event loop solved itself (held admissions, see the
+  /// concurrency model above) instead of handing them to a worker.
+  std::uint64_t loop_solves() const { return loop_solves_.load(std::memory_order_relaxed); }
+
  private:
   struct Connection {
     Fd fd;
@@ -147,6 +168,10 @@ class ShardServer {
   /// Parks a blocking SUBMIT_BATCH for deferred admission, or answers
   /// immediately when every window fits right now.
   void submit_blocking(Connection& conn, std::vector<host::CompressedWindow>&& windows);
+  /// Solves, on the loop's thread, every window the loop admitted held;
+  /// returns how many it solved.  Runs after each frame and inside a
+  /// deferred submit, so the loop never sleeps with a held window queued.
+  std::size_t solve_held();
   /// Answers the connection's parked POLL_MANY with one RESULT_BATCH of
   /// whatever is ready now (possibly nothing) and clears it.
   void answer_poll(Connection& conn);
@@ -167,6 +192,11 @@ class ShardServer {
   /// when its exchange(false) finds it set.
   std::atomic<bool> wake_armed_{false};
   std::atomic<std::uint64_t> wake_writes_{0};
+  std::atomic<std::uint64_t> loop_solves_{0};
+  /// Completions and sheds made on the loop's own thread (the hook's
+  /// silent branch); loop thread only.  run() compares it across its
+  /// checks to decide whether it may sleep.
+  std::uint64_t self_progress_ = 0;
   std::unique_ptr<host::ReconstructionEngine> engine_;
   std::vector<std::unique_ptr<Connection>> conns_;
   /// Staging buffer for RESULT_BATCH bodies (single-threaded loop).

@@ -103,6 +103,15 @@ std::uint64_t WireReader::varint() {
   return 0;
 }
 
+std::uint32_t WireReader::varint_u32() {
+  const std::uint64_t v = varint();
+  if (v > std::numeric_limits<std::uint32_t>::max()) {
+    ok_ = false;
+    return 0;
+  }
+  return static_cast<std::uint32_t>(v);
+}
+
 std::span<const std::uint8_t> WireReader::bytes(std::size_t n) {
   if (!take(n)) return {};
   auto view = data_.subspan(pos_, n);
@@ -810,8 +819,8 @@ void encode_window_body(std::vector<std::uint8_t>& out, const host::CompressedWi
 }
 
 bool decode_window_body(WireReader& r, host::CompressedWindow& out, host::PayloadPool* pool) {
-  out.patient_id = static_cast<std::uint32_t>(r.varint());
-  out.window_index = static_cast<std::uint32_t>(r.varint());
+  out.patient_id = r.varint_u32();
+  out.window_index = r.varint_u32();
   out.matrix_seed = r.varint();
   // The shape is checked at full width, before narrowing to the window's
   // u32 fields, so an oversized varint cannot wrap into a valid shape.
@@ -820,7 +829,7 @@ bool decode_window_body(WireReader& r, host::CompressedWindow& out, host::Payloa
   out.window_samples = static_cast<std::uint32_t>(n);
   out.ones_per_column = static_cast<std::uint32_t>(d);
   out.priority = static_cast<cs::WindowPriority>(r.u8());
-  out.route_tag = static_cast<std::uint32_t>(r.varint());
+  out.route_tag = r.varint_u32();
   if (!decode_values(r, out.measurements, pool)) return false;
   // ABSENT is the only coding that is a single byte; a coded vector
   // carries at least a count after its coding byte.
@@ -863,10 +872,10 @@ ValueCoding encode_result_entry(std::vector<std::uint8_t>& staging,
 }
 
 bool decode_result_entry(WireReader& r, host::WindowResult& out, host::PayloadPool* pool) {
-  out.patient_id = static_cast<std::uint32_t>(r.varint());
-  out.window_index = static_cast<std::uint32_t>(r.varint());
+  out.patient_id = r.varint_u32();
+  out.window_index = r.varint_u32();
   out.priority = static_cast<cs::WindowPriority>(r.u8());
-  out.route_tag = static_cast<std::uint32_t>(r.varint());
+  out.route_tag = r.varint_u32();
   out.ticket = r.varint();
   out.snr_db = r.f64le();
   out.iterations = static_cast<int>(r.varint());
@@ -885,7 +894,7 @@ void encode_patient_frame(std::vector<std::uint8_t>& out, FrameType type,
 
 bool decode_patient_frame(std::span<const std::uint8_t> payload, std::uint32_t& patient_id) {
   WireReader r(payload);
-  patient_id = static_cast<std::uint32_t>(r.varint());
+  patient_id = r.varint_u32();
   return r.ok() && r.remaining() == 0;
 }
 
@@ -922,7 +931,7 @@ void encode_slo_state(std::vector<std::uint8_t>& out, FrameType type,
 
 bool decode_slo_state(std::span<const std::uint8_t> payload, SloStatePayload& out) {
   WireReader r(payload);
-  out.patient_id = static_cast<std::uint32_t>(r.varint());
+  out.patient_id = r.varint_u32();
   const std::uint8_t present = r.u8();
   if (!r.ok() || present > 1) return false;
   out.present = present == 1;
@@ -1115,7 +1124,7 @@ void encode_poll_many(std::vector<std::uint8_t>& out, std::uint32_t max_results)
 
 bool decode_poll_many(std::span<const std::uint8_t> payload, std::uint32_t& max_results) {
   WireReader r(payload);
-  max_results = static_cast<std::uint32_t>(r.varint());
+  max_results = r.varint_u32();
   return r.ok() && r.remaining() == 0;
 }
 
@@ -1164,7 +1173,7 @@ bool decode_cr_hint(std::span<const std::uint8_t> payload, std::uint64_t& epoch,
                     std::uint32_t& max_entries) {
   WireReader r(payload);
   epoch = r.varint();
-  max_entries = static_cast<std::uint32_t>(r.varint());
+  max_entries = r.varint_u32();
   return r.ok() && r.remaining() == 0;
 }
 
@@ -1183,15 +1192,15 @@ void encode_cr_hint_ack(std::vector<std::uint8_t>& out, const CrHintAckPayload& 
 bool decode_cr_hint_ack(std::span<const std::uint8_t> payload, CrHintAckPayload& out) {
   WireReader r(payload);
   out.epoch = r.varint();
-  out.advisory_cr_centi = static_cast<std::uint32_t>(r.varint());
+  out.advisory_cr_centi = r.varint_u32();
   const std::uint64_t count = r.varint();
   if (!r.ok() || count > r.remaining() / 2) return false;  // >= 2 bytes per entry.
   out.entries.clear();
   out.entries.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     CrHintEntry entry;
-    entry.patient_id = static_cast<std::uint32_t>(r.varint());
-    entry.cr_centi = static_cast<std::uint32_t>(r.varint());
+    entry.patient_id = r.varint_u32();
+    entry.cr_centi = r.varint_u32();
     out.entries.push_back(entry);
   }
   return r.ok() && r.remaining() == 0;

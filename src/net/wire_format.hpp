@@ -154,6 +154,9 @@ class WireReader {
   std::int32_t i32le();
   double f64le();
   std::uint64_t varint();
+  /// A varint for a 32-bit field: a value above UINT32_MAX marks the
+  /// reader malformed (and reads 0) instead of wrapping.
+  std::uint32_t varint_u32();
   /// Raw view of the next `n` bytes (for bulk sample copies).
   std::span<const std::uint8_t> bytes(std::size_t n);
   /// Every unread byte, not consumed: a bit-level decoder reads from it,

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <map>
 #include <set>
+#include <thread>
 #include <utility>
 
 #include "cs/sensing_matrix.hpp"
@@ -225,6 +227,42 @@ TEST(StreamingEngine, SerialModePollSolvesInline) {
   }
   EXPECT_EQ(engine.in_flight(), 0u);
   EXPECT_FALSE(engine.poll().has_value());
+}
+
+TEST(StreamingEngine, CallerSolvesOnlyTheWindowsItHeld) {
+  // Solver::kCallerIfCheap holds a window only on a threaded engine and
+  // only below the handoff cost; the estimate is pinned so the verdict
+  // does not depend on how fast this build solves.
+  const auto batch = two_patient_batch();
+  ASSERT_GE(batch.size(), 4u);
+  const auto admit = [&](ReconstructionEngine& engine) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      CompressedWindow copy = batch[i];
+      ASSERT_TRUE(engine.try_submit(std::move(copy), Solver::kCallerIfCheap).has_value());
+    }
+  };
+  auto cheap = fast_engine(1);
+  cheap.shed_solve_estimate_ms = 0.002;
+  ReconstructionEngine held(cheap);
+  // An awake worker takes held windows too: let the new one go to sleep.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  admit(held);
+  EXPECT_EQ(held.solve_held(), 4u) << "no worker was woken for them";
+  EXPECT_EQ(held.ready_results(), 4u);
+  EXPECT_EQ(held.solve_held(), 0u);
+
+  auto dear = fast_engine(1);
+  dear.shed_solve_estimate_ms = 1.0;
+  ReconstructionEngine worker_bound(dear);
+  admit(worker_bound);
+  EXPECT_EQ(worker_bound.solve_held(), 0u);
+  EXPECT_EQ(worker_bound.drain().size(), 4u);
+
+  cheap.threads = 0;
+  ReconstructionEngine serial(cheap);
+  admit(serial);
+  EXPECT_EQ(serial.solve_held(), 0u) << "serial mode keeps solving in poll()";
+  EXPECT_EQ(serial.drain().size(), 4u);
 }
 
 TEST(StreamingEngine, TrySubmitAppliesBackpressureAtCapacity) {

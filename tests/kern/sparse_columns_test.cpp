@@ -322,7 +322,7 @@ void expect_near_naive(const SparseColumns& a, sig::Rng& rng) {
   }
 }
 
-TEST(SpmvPlan, MatchesNaiveReferenceOnOddShapes) {
+TEST(SparseColumns, RaggedAndFourPerColumnOperatorsMatchNaiveOnOddShapes) {
   sig::Rng rng(1);
   for (const std::size_t outputs : {1u, 2u, 3u, 4u, 5u, 7u, 33u, 64u}) {
     SCOPED_TRACE("outputs=" + std::to_string(outputs));
@@ -358,7 +358,7 @@ TEST(SpmvPlan, MatchesNaiveReferenceOnOddShapes) {
   }
 }
 
-TEST(SpmvPlan, EmptyPlanIsHarmless) {
+TEST(SparseColumns, ZeroRowOperatorIsHarmless) {
   // No outputs: apply must not touch y; the adjoint is all +0.0.
   EntryList empty(0, 4, {});
   const SparseColumns a = empty.view(/*is_signed=*/false);

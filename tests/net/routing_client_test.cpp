@@ -6,9 +6,10 @@
 // migration across a live reshard, counter conservation across retired
 // shards, the POLL_MANY long-poll (park, release by completion or by the
 // next frame), the gated progress hook (no wake while no verb waits, none
-// lost while one does), and the protocol-level rejection paths (unknown
-// version, talking before HELLO, retired frame types, hostile window
-// shapes).
+// lost while one does), windows solved on the shard's own event loop
+// (cheap ones only, urgent first, no stranding, no self-wake), and the
+// protocol-level rejection paths (unknown version, talking before HELLO,
+// retired frame types, hostile window shapes).
 
 #include "net/routing_client.hpp"
 
@@ -1004,6 +1005,192 @@ TEST(WakeGate, ParkedPollIsReleasedByEveryCompletion) {
   }
   // The hook runs once per completion, so it writes at most that often.
   EXPECT_LE(shard.server->wake_writes(), static_cast<std::uint64_t>(kRounds));
+}
+
+// --- Loop solves: a window predicted cheaper than a worker handoff
+// (host::kWorkerHandoffUs) is solved by the shard's event loop right after
+// the frame that admitted it; every other window goes to a worker.  The
+// solve estimate is pinned through shed_solve_estimate_ms so the path taken
+// does not depend on how fast this build solves.
+
+/// A 1-worker shard whose every window is predicted to cost `estimate_ms`.
+ShardServerConfig pinned_config(double estimate_ms, std::size_t queue_capacity = 1024) {
+  ShardServerConfig cfg;
+  cfg.engine = fast_engine(1);
+  cfg.engine.shed_solve_estimate_ms = estimate_ms;
+  cfg.engine.queue_capacity = queue_capacity;
+  return cfg;
+}
+
+/// Gives a new shard's worker time to start and go to sleep.  A worker
+/// that is awake takes whatever is queued, held windows included, so the
+/// exact loop-solve counts below hold only once it sleeps.
+void let_workers_park() { std::this_thread::sleep_for(std::chrono::milliseconds(50)); }
+
+constexpr double kCheapMs = 0.002;    // 2 µs: below the handoff cost.
+constexpr double kExpensiveMs = 1.0;  // 1 ms: far above it.
+static_assert(kCheapMs * 1000.0 < static_cast<double>(host::kWorkerHandoffUs));
+
+/// Polls `fd` until `count` results have arrived (or a poll comes back
+/// empty).
+std::vector<WindowResult> poll_results(Fd& fd, std::vector<std::uint8_t>& rx, std::size_t count) {
+  std::vector<WindowResult> all;
+  while (all.size() < count) {
+    std::vector<std::uint8_t> buf;
+    encode_poll_many(buf, 0);
+    EXPECT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
+    std::vector<WindowResult> results;
+    next_result_batch(fd, rx, results);
+    if (results.empty()) break;
+    all.insert(all.end(), std::make_move_iterator(results.begin()),
+               std::make_move_iterator(results.end()));
+  }
+  return all;
+}
+
+void expect_matches_reference(const std::vector<WindowResult>& results,
+                              const std::vector<CompressedWindow>& windows) {
+  const auto reference = serial_reference(windows);
+  ASSERT_EQ(results.size(), windows.size());
+  for (const auto& r : results) {
+    const auto ref = reference.find({r.patient_id, r.window_index});
+    ASSERT_NE(ref, reference.end());
+    EXPECT_TRUE(bit_identical(r.signal, ref->second.signal)) << r.window_index;
+  }
+}
+
+TEST(LoopSolve, CheapWindowsSolveOnTheLoopWithNoWorkerWake) {
+  LocalShard shard(pinned_config(kCheapMs));
+  let_workers_park();
+  Fd fd = negotiated_connection(shard);
+  std::vector<std::uint8_t> rx;
+  const auto windows = first_windows(48);
+  // Warm-up: the first batch builds the sensing matrices.
+  const std::vector<CompressedWindow> warm(windows.begin(), windows.begin() + 16);
+  ASSERT_EQ(submit_and_ack(fd, rx, warm).size(), warm.size());
+  ASSERT_EQ(poll_results(fd, rx, warm.size()).size(), warm.size());
+  const std::uint64_t solved_before = shard.server->loop_solves();
+  EXPECT_EQ(solved_before, warm.size());
+
+  const std::vector<CompressedWindow> rest(windows.begin() + 16, windows.end());
+  const auto acks = submit_and_ack(fd, rx, rest);
+  ASSERT_EQ(acks.size(), rest.size());
+  for (const auto& ack : acks) EXPECT_TRUE(ack.accepted);
+  // Solved before the ack left: the results are already waiting.
+  EXPECT_EQ(shard.server->engine().ready_results(), rest.size());
+  EXPECT_EQ(shard.server->loop_solves() - solved_before, rest.size());
+  expect_matches_reference(poll_results(fd, rx, rest.size()), rest);
+  EXPECT_EQ(shard.server->wake_writes(), 0u);
+}
+
+TEST(LoopSolve, UnmeasuredShapeGoesToTheWorker) {
+  // No pin and no completed solve yet: the window has no per-shape
+  // estimate, so a worker solves it.
+  LocalShard shard(1);
+  Fd fd = negotiated_connection(shard);
+  std::vector<std::uint8_t> rx;
+  const auto windows = first_windows(1);
+  ASSERT_EQ(submit_and_ack(fd, rx, windows).size(), 1u);
+  expect_matches_reference(poll_results(fd, rx, 1), windows);
+  EXPECT_EQ(shard.server->loop_solves(), 0u);
+}
+
+TEST(LoopSolve, PinnedExpensiveWindowsGoToTheWorker) {
+  LocalShard shard(pinned_config(kExpensiveMs));
+  Fd fd = negotiated_connection(shard);
+  std::vector<std::uint8_t> rx;
+  const auto windows = first_windows(32);
+  ASSERT_EQ(submit_and_ack(fd, rx, windows).size(), windows.size());
+  expect_matches_reference(poll_results(fd, rx, windows.size()), windows);
+  EXPECT_EQ(shard.server->loop_solves(), 0u);
+}
+
+TEST(LoopSolve, BlockingSubmitAgainstAFullEngineOfCheapWindowsCompletes) {
+  // 64 cheap windows against 2 slots.  No worker is ever woken for them,
+  // so no slot release would wake a parked submit: the loop must make its
+  // own room by solving what it holds.  A stranded submit trips the 2-s
+  // receive timeout of negotiated_connection.
+  LocalShard shard(pinned_config(kCheapMs, /*queue_capacity=*/2));
+  let_workers_park();
+  Fd fd = negotiated_connection(shard);
+  std::vector<std::uint8_t> rx;
+  const auto windows = first_windows(64);
+  const auto acks = submit_and_ack(fd, rx, windows);
+  ASSERT_EQ(acks.size(), windows.size());
+  for (std::size_t i = 0; i < acks.size(); ++i) {
+    EXPECT_TRUE(acks[i].accepted) << i;
+    if (i > 0) {
+      EXPECT_GT(acks[i].local_ticket, acks[i - 1].local_ticket) << i;
+    }
+  }
+  EXPECT_EQ(shard.server->loop_solves(), windows.size());
+  expect_matches_reference(poll_results(fd, rx, windows.size()), windows);
+}
+
+TEST(LoopSolve, UrgentWindowsSolveBeforeRoutine) {
+  LocalShard shard(pinned_config(kCheapMs));
+  let_workers_park();
+  Fd fd = negotiated_connection(shard);
+  std::vector<std::uint8_t> rx;
+  // Routine windows first on the wire, urgent ones behind them.
+  auto windows = first_windows(24);
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    windows[i].priority = i < 16 ? cs::WindowPriority::kRoutine : cs::WindowPriority::kUrgent;
+  }
+  ASSERT_EQ(submit_and_ack(fd, rx, windows).size(), windows.size());
+  const auto results = poll_results(fd, rx, windows.size());
+  ASSERT_EQ(results.size(), windows.size());
+  // Completion order is solve order: all 8 urgent windows first.
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const auto expected = i < 8 ? cs::WindowPriority::kUrgent : cs::WindowPriority::kRoutine;
+    EXPECT_EQ(results[i].priority, expected) << i;
+  }
+  EXPECT_EQ(shard.server->loop_solves(), windows.size());
+}
+
+TEST(LoopSolve, PollBehindTheBatchCarriesItsResults) {
+  // SUBMIT_BATCH and POLL_MANY in one write: the loop solves the batch
+  // before it reads the poll, which answers with every result at once.
+  // Both admission modes: blocking (deferred path) and non-blocking.
+  for (const std::uint8_t flags : {kSubmitFlagBlocking, std::uint8_t{0}}) {
+    SCOPED_TRACE("flags " + std::to_string(flags));
+    LocalShard shard(pinned_config(kCheapMs));
+    let_workers_park();
+    Fd fd = negotiated_connection(shard);
+    const auto windows = first_windows(16);
+    std::vector<std::uint8_t> buf, rx, frame;
+    encode_submit_batch(buf, windows, flags, WireEncodeOptions{});
+    encode_poll_many(buf, 0);
+    ASSERT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
+    FrameView view;
+    next_frame(fd, rx, frame, view);
+    ASSERT_EQ(view.type, FrameType::kSubmitBatchAck);
+    std::vector<WindowResult> results;
+    next_result_batch(fd, rx, results);
+    expect_matches_reference(results, windows);
+    EXPECT_EQ(shard.server->wake_writes(), 0u);
+  }
+}
+
+TEST(LoopSolve, LoopSolvesReleaseAParkedPollWithoutAWakeByte) {
+  // A poll parked on one connection arms the hook; the windows another
+  // connection submits are solved by the loop itself, which answers the
+  // poll on its own pass — no self-pipe byte for its own completions.
+  LocalShard shard(pinned_config(kCheapMs));
+  let_workers_park();
+  Fd poller = negotiated_connection(shard);
+  Fd submitter = negotiated_connection(shard);
+  std::vector<std::uint8_t> buf, poll_rx, submit_rx;
+  encode_poll_many(buf, 0);
+  ASSERT_TRUE(send_all(poller.get(), buf.data(), buf.size()));
+  EXPECT_FALSE(readable_within(poller, 50)) << "an idle shard must hold the poll";
+  const auto windows = first_windows(8);
+  ASSERT_EQ(submit_and_ack(submitter, submit_rx, windows).size(), windows.size());
+  std::vector<WindowResult> results;
+  next_result_batch(poller, poll_rx, results);
+  expect_matches_reference(results, windows);
+  EXPECT_EQ(shard.server->wake_writes(), 0u);
+  EXPECT_EQ(shard.server->loop_solves(), windows.size());
 }
 
 TEST(Protocol, HealthEchoesNonce) {

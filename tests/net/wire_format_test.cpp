@@ -817,19 +817,22 @@ TEST(Frames, MaxSizeVarintFieldsRoundTrip) {
 /// so a test can put shapes on the wire that the engine must never see.
 std::vector<std::uint8_t> raw_batch_payload(std::uint64_t n, std::uint64_t d,
                                             std::span<const double> measurements,
-                                            const std::vector<double>* reference) {
+                                            const std::vector<double>* reference,
+                                            std::uint64_t patient_id = 42,
+                                            std::uint64_t window_index = 7,
+                                            std::uint64_t route_tag = 0) {
   std::vector<std::uint8_t> payload;
   // flags, count, then patient_id, window_index, matrix_seed, n, d,
   // priority and route_tag.
   put_u8(payload, kSubmitFlagBlocking);
   put_varint(payload, 1);
-  put_varint(payload, 42);
-  put_varint(payload, 7);
+  put_varint(payload, patient_id);
+  put_varint(payload, window_index);
   put_varint(payload, 0xC0FFEE);
   put_varint(payload, n);
   put_varint(payload, d);
   put_u8(payload, static_cast<std::uint8_t>(cs::WindowPriority::kRoutine));
-  put_varint(payload, 0);
+  put_varint(payload, route_tag);
   encode_values(payload, measurements, WireEncodeOptions{});
   if (reference == nullptr) {
     encode_values_absent(payload);
@@ -888,6 +891,125 @@ TEST(Frames, HostileWindowShapesAreMalformed) {
   std::uint8_t flags = 0;
   std::uint64_t count = 0;
   EXPECT_FALSE(decode_submit_batch_header(r, flags, count));
+}
+
+// --- 32-bit fields: a varint above UINT32_MAX is malformed, never wrapped
+// (an entry with patient id 2^32 + 7 must not decode as patient 7).
+
+constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kPastU32 = (std::uint64_t{1} << 32) + 7;
+
+TEST(U32Fields, SubmitBatchRejectsWideIds) {
+  const auto decodes = [](const std::vector<std::uint8_t>& payload) {
+    std::uint8_t flags = 0;
+    std::vector<host::CompressedWindow> out;
+    return decode_submit_batch(payload, flags, out, nullptr);
+  };
+  const std::vector<double> m8(8, 0.5);
+  EXPECT_TRUE(decodes(raw_batch_payload(16, 4, m8, nullptr, kU32Max, kU32Max, kU32Max)));
+  EXPECT_FALSE(decodes(raw_batch_payload(16, 4, m8, nullptr, kPastU32, 7, 0)));
+  EXPECT_FALSE(decodes(raw_batch_payload(16, 4, m8, nullptr, 42, kPastU32, 0)));
+  EXPECT_FALSE(decodes(raw_batch_payload(16, 4, m8, nullptr, 42, 7, kPastU32)));
+}
+
+TEST(U32Fields, ResultBatchRejectsWideIds) {
+  // One RESULT_BATCH entry written field by field: patient_id,
+  // window_index, priority, route_tag, ticket, snr, iterations, latency,
+  // e2e, signal.
+  const auto payload = [](std::uint64_t patient_id, std::uint64_t window_index,
+                          std::uint64_t route_tag) {
+    std::vector<std::uint8_t> out;
+    put_varint(out, 1);
+    put_varint(out, patient_id);
+    put_varint(out, window_index);
+    put_u8(out, static_cast<std::uint8_t>(cs::WindowPriority::kRoutine));
+    put_varint(out, route_tag);
+    put_varint(out, 12345);
+    put_f64le(out, 21.7);
+    put_varint(out, 3);
+    put_f64le(out, 1.25);
+    put_f64le(out, 4.5);
+    const std::vector<double> signal{0.25, -0.5};
+    encode_values(out, signal, WireEncodeOptions{});
+    return out;
+  };
+  std::vector<host::WindowResult> results;
+  ASSERT_TRUE(decode_result_batch(payload(kU32Max, kU32Max, kU32Max), results, nullptr));
+  EXPECT_EQ(results.at(0).patient_id, kU32Max);
+  EXPECT_FALSE(decode_result_batch(payload(kPastU32, 7, 0), results, nullptr));
+  EXPECT_FALSE(decode_result_batch(payload(42, kPastU32, 0), results, nullptr));
+  EXPECT_FALSE(decode_result_batch(payload(42, 7, kPastU32), results, nullptr));
+}
+
+TEST(U32Fields, PatientFramesRejectWideIds) {
+  // DRAIN_PATIENT, DRAIN_DONE and EXTRACT_SLO share this payload.
+  std::vector<std::uint8_t> payload;
+  std::uint32_t patient_id = 0;
+  put_varint(payload, kU32Max);
+  ASSERT_TRUE(decode_patient_frame(payload, patient_id));
+  EXPECT_EQ(patient_id, kU32Max);
+  payload.clear();
+  put_varint(payload, kPastU32);
+  EXPECT_FALSE(decode_patient_frame(payload, patient_id));
+}
+
+TEST(U32Fields, SloStateRejectsWideIds) {
+  // SLO_STATE and ADOPT_SLO: patient_id then present = 0.
+  const auto payload = [](std::uint64_t patient_id) {
+    std::vector<std::uint8_t> out;
+    put_varint(out, patient_id);
+    put_u8(out, 0);
+    return out;
+  };
+  SloStatePayload slo;
+  ASSERT_TRUE(decode_slo_state(payload(kU32Max), slo));
+  EXPECT_EQ(slo.patient_id, kU32Max);
+  EXPECT_FALSE(decode_slo_state(payload(kPastU32), slo));
+}
+
+TEST(U32Fields, PollManyRejectsWideMaxResults) {
+  std::vector<std::uint8_t> payload;
+  std::uint32_t max_results = 0;
+  put_varint(payload, kU32Max);
+  ASSERT_TRUE(decode_poll_many(payload, max_results));
+  EXPECT_EQ(max_results, kU32Max);
+  payload.clear();
+  put_varint(payload, kPastU32);
+  EXPECT_FALSE(decode_poll_many(payload, max_results));
+}
+
+TEST(U32Fields, CrHintRejectsWideMaxEntries) {
+  const auto payload = [](std::uint64_t max_entries) {
+    std::vector<std::uint8_t> out;
+    put_varint(out, 1);
+    put_varint(out, max_entries);
+    return out;
+  };
+  std::uint64_t epoch = 0;
+  std::uint32_t max_entries = 0;
+  ASSERT_TRUE(decode_cr_hint(payload(kU32Max), epoch, max_entries));
+  EXPECT_EQ(max_entries, kU32Max);
+  EXPECT_FALSE(decode_cr_hint(payload(kPastU32), epoch, max_entries));
+}
+
+TEST(U32Fields, CrHintAckRejectsWideFields) {
+  // epoch, advisory, count = 1, then one (patient_id, cr_centi) entry.
+  const auto payload = [](std::uint64_t advisory, std::uint64_t patient_id,
+                          std::uint64_t cr_centi) {
+    std::vector<std::uint8_t> out;
+    put_varint(out, 1);
+    put_varint(out, advisory);
+    put_varint(out, 1);
+    put_varint(out, patient_id);
+    put_varint(out, cr_centi);
+    return out;
+  };
+  CrHintAckPayload ack;
+  ASSERT_TRUE(decode_cr_hint_ack(payload(kU32Max, kU32Max, kU32Max), ack));
+  EXPECT_EQ(ack.advisory_cr_centi, kU32Max);
+  EXPECT_FALSE(decode_cr_hint_ack(payload(kPastU32, 1, 7000), ack));
+  EXPECT_FALSE(decode_cr_hint_ack(payload(7000, kPastU32, 7000), ack));
+  EXPECT_FALSE(decode_cr_hint_ack(payload(7000, 1, kPastU32), ack));
 }
 
 TEST(Frames, ControlFramesRoundTrip) {
