@@ -188,31 +188,23 @@ void BM_KernApplyAdjoint(benchmark::State& state) {
 }
 BENCHMARK(BM_KernApplyAdjoint)->ArgName("avx2")->Arg(0)->Arg(1);
 
-/// Operators off the d = 4 path (the same row gather for apply, the
-/// entry-list loop for the adjoint): a row-truncated operator (the CR-50
-/// matrix cut to the CR-70 row count, ragged columns)
-/// and the dense ±1 Bernoulli ablation operator.
-enum class GenericOperator { kTruncated, kBernoulli };
-
-cs::SensingMatrix generic_operator(GenericOperator which) {
-  if (which == GenericOperator::kTruncated) {
-    return bench_matrix().truncated(cs::rows_for_cr(70.0, kWindow));
-  }
+/// Sparse binary operators of another column weight d (the sparsity
+/// ablation sweeps d): the same row gather for apply, the entry-list loop
+/// for the adjoint.
+cs::SensingMatrix weight_d_matrix(std::size_t d) {
   sig::Rng rng(8);
-  return cs::SensingMatrix::make_bernoulli(kRowsCr50, kWindow, rng);
+  return cs::SensingMatrix::make_sparse_binary(kRowsCr50, kWindow, d, rng);
 }
 
-void BM_KernApplyGeneric(benchmark::State& state, GenericOperator which) {
-  run_apply(state, generic_operator(which));
+void BM_KernApplyGeneric(benchmark::State& state, std::size_t d) {
+  run_apply(state, weight_d_matrix(d));
 }
-BENCHMARK_CAPTURE(BM_KernApplyGeneric, truncated, GenericOperator::kTruncated);
-BENCHMARK_CAPTURE(BM_KernApplyGeneric, bernoulli, GenericOperator::kBernoulli);
+BENCHMARK_CAPTURE(BM_KernApplyGeneric, d8, 8);
 
-void BM_KernApplyAdjointGeneric(benchmark::State& state, GenericOperator which) {
-  run_apply_adjoint(state, generic_operator(which));
+void BM_KernApplyAdjointGeneric(benchmark::State& state, std::size_t d) {
+  run_apply_adjoint(state, weight_d_matrix(d));
 }
-BENCHMARK_CAPTURE(BM_KernApplyAdjointGeneric, truncated, GenericOperator::kTruncated);
-BENCHMARK_CAPTURE(BM_KernApplyAdjointGeneric, bernoulli, GenericOperator::kBernoulli);
+BENCHMARK_CAPTURE(BM_KernApplyAdjointGeneric, d8, 8);
 
 void BM_KernDwtForward(benchmark::State& state) {
   BackendPin pin(state, backend_of(state));

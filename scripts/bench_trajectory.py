@@ -31,7 +31,9 @@ regresses, even while the fabric keeps up with the offered rate:
 Throughput is recorded but not gated: at an offered rate the fabric keeps
 up with, it equals the offered rate.  The micro-kernel rates gate at the
 looser --micro-tolerance because nanosecond-scale benches jitter 10-20%
-run-to-run on shared runners even as medians of repetitions.  Latency
+run-to-run on shared runners even as medians of repetitions.  The run and
+the baseline must list the same micro benches: one missing from either
+side fails, so a new or renamed capture cannot run ungated.  Latency
 and allocation metrics ride along informationally.
 
 The net_loopback wire bytes gate exact-or-lower, like the iteration
@@ -204,7 +206,11 @@ def compare(results, baseline, tolerance, micro_tolerance):
         else:
             print(f"  ok    {line}")
 
-    for name, base_entry in sorted(baseline.get("micro", {}).items()):
+    base_micro = baseline.get("micro", {})
+    for name in sorted(set(results["micro"]) - set(base_micro)):
+        failures.append(f"{name}: present in run, missing from baseline "
+                        "(record it with --write-baseline)")
+    for name, base_entry in sorted(base_micro.items()):
         new_entry = results["micro"].get(name)
         if new_entry is None:
             failures.append(f"{name}: present in baseline, missing from run")

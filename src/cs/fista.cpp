@@ -10,10 +10,6 @@
 namespace wbsn::cs {
 namespace {
 
-double norm2(std::span<const double> v) {
-  return std::sqrt(kern::ops().nrm2_sq(v.data(), v.size()));
-}
-
 /// The composed operator A = Φ Ψᵀ as the solver runs it.  Whenever the
 /// DWT has a level to split, time-domain vectors are in split order (even
 /// samples, then odd ones): the finest DWT level runs the shuffle-free
@@ -299,94 +295,6 @@ GroupFistaResult group_fista_reconstruct_multi(std::span<const SensingMatrix> ph
     result.signals.push_back(dsp::dwt_inverse(a[l], levels));
   }
   return result;
-}
-
-std::vector<double> omp_reconstruct(const SensingMatrix& phi, std::span<const double> y,
-                                    const OmpConfig& cfg) {
-  const std::size_t n = phi.cols();
-  const std::size_t m = phi.rows();
-  const int levels = std::min(cfg.dwt_levels, dsp::dwt_max_levels(n));
-  const auto& kn = kern::ops();
-
-  // Column of A = Phi * (inverse DWT of the i-th unit coefficient).
-  const auto column_of = [&](std::size_t i) {
-    std::vector<double> e(n, 0.0);
-    e[i] = 1.0;
-    return phi.apply(dsp::dwt_inverse(e, levels));
-  };
-
-  std::vector<double> residual(y.begin(), y.end());
-  const double y_norm = std::max(norm2(y), 1e-12);
-  std::vector<std::size_t> support;
-  std::vector<std::vector<double>> atoms;  // Selected columns.
-  std::vector<double> coef;
-
-  while (support.size() < cfg.max_atoms && norm2(residual) / y_norm > cfg.residual_tolerance) {
-    // Correlation of the residual with every atom: A' r via the adjoint.
-    const auto corr = dsp::dwt_forward(phi.apply_adjoint(residual), levels);
-    std::size_t best = 0;
-    double best_mag = -1.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double mag = std::abs(corr[i]);
-      if (mag > best_mag &&
-          std::find(support.begin(), support.end(), i) == support.end()) {
-        best_mag = mag;
-        best = i;
-      }
-    }
-    support.push_back(best);
-    atoms.push_back(column_of(best));
-
-    // Least squares on the support: solve (G) c = b with G the Gram
-    // matrix of the selected atoms (small and SPD -> plain Cholesky).
-    const std::size_t k = atoms.size();
-    std::vector<double> gram(k * k, 0.0);
-    std::vector<double> b(k, 0.0);
-    for (std::size_t i = 0; i < k; ++i) {
-      for (std::size_t j = 0; j <= i; ++j) {
-        const double acc = kn.dot(atoms[i].data(), atoms[j].data(), m);
-        gram[i * k + j] = acc;
-        gram[j * k + i] = acc;
-      }
-      b[i] = kn.dot(atoms[i].data(), y.data(), m);
-    }
-    // Cholesky G = L L'.
-    std::vector<double> chol(k * k, 0.0);
-    for (std::size_t i = 0; i < k; ++i) {
-      for (std::size_t j = 0; j <= i; ++j) {
-        double acc = gram[i * k + j];
-        for (std::size_t p = 0; p < j; ++p) acc -= chol[i * k + p] * chol[j * k + p];
-        if (i == j) {
-          chol[i * k + i] = std::sqrt(std::max(acc, 1e-12));
-        } else {
-          chol[i * k + j] = acc / chol[j * k + j];
-        }
-      }
-    }
-    coef.assign(k, 0.0);
-    // Forward substitution L w = b, then backward L' c = w.
-    std::vector<double> w(k, 0.0);
-    for (std::size_t i = 0; i < k; ++i) {
-      double acc = b[i];
-      for (std::size_t p = 0; p < i; ++p) acc -= chol[i * k + p] * w[p];
-      w[i] = acc / chol[i * k + i];
-    }
-    for (std::size_t i = k; i-- > 0;) {
-      double acc = w[i];
-      for (std::size_t p = i + 1; p < k; ++p) acc -= chol[p * k + i] * coef[p];
-      coef[i] = acc / chol[i * k + i];
-    }
-
-    // Residual update.
-    residual.assign(y.begin(), y.end());
-    for (std::size_t i = 0; i < k; ++i) {
-      kn.axpy(-coef[i], atoms[i].data(), residual.data(), m);
-    }
-  }
-
-  std::vector<double> a(n, 0.0);
-  for (std::size_t i = 0; i < support.size(); ++i) a[support[i]] = coef[i];
-  return dsp::dwt_inverse(a, levels);
 }
 
 double reconstruction_snr_db(std::span<const double> reference,

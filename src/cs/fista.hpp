@@ -147,16 +147,6 @@ GroupFistaResult group_fista_reconstruct_multi(std::span<const SensingMatrix> ph
                                                std::span<const std::vector<double>> ys,
                                                const FistaConfig& cfg = {});
 
-/// Orthogonal matching pursuit baseline (greedy; for ablations).
-struct OmpConfig {
-  std::size_t max_atoms = 64;
-  double residual_tolerance = 1e-3;  ///< Stop when ||r||/||y|| drops below.
-  int dwt_levels = 5;
-};
-
-std::vector<double> omp_reconstruct(const SensingMatrix& phi, std::span<const double> y,
-                                    const OmpConfig& cfg = {});
-
 /// Reconstruction quality: SNR in dB = 10 log10(||x||^2 / ||x - xhat||^2),
 /// the metric of Figure 5.
 double reconstruction_snr_db(std::span<const double> reference,

@@ -23,7 +23,7 @@ SensingMatrix SensingMatrix::make_sparse_binary(std::size_t m, std::size_t n,
                                                 std::size_t ones_per_column, sig::Rng& rng) {
   assert(ones_per_column >= 1 && ones_per_column <= m);
   check_shape(m, n);
-  SensingMatrix mat(m, n);
+  SensingMatrix mat(m, n, ones_per_column);
   mat.rows_.reserve(n * ones_per_column);
   mat.cols_.reserve(n * ones_per_column);
   std::vector<std::uint16_t> rows(ones_per_column);
@@ -47,48 +47,7 @@ SensingMatrix SensingMatrix::make_sparse_binary(std::size_t m, std::size_t n,
   return mat;
 }
 
-SensingMatrix SensingMatrix::make_bernoulli(std::size_t m, std::size_t n, sig::Rng& rng) {
-  check_shape(m, n);
-  SensingMatrix mat(m, n);
-  mat.rows_.reserve(n * m);
-  mat.cols_.reserve(n * m);
-  mat.signs_.reserve(n * m);
-  for (std::size_t c = 0; c < n; ++c) {
-    for (std::size_t r = 0; r < m; ++r) {
-      mat.rows_.push_back(static_cast<std::uint16_t>(r));
-      mat.cols_.push_back(static_cast<std::uint16_t>(c));
-      mat.signs_.push_back(rng.bernoulli(0.5) ? std::int8_t{1} : std::int8_t{-1});
-    }
-  }
-  mat.finish();
-  return mat;
-}
-
-SensingMatrix SensingMatrix::truncated(std::size_t m_eff) const {
-  assert(m_eff >= 1 && m_eff <= m_);
-  SensingMatrix mat(m_eff, n_);
-  mat.rows_.reserve(rows_.size());
-  mat.cols_.reserve(cols_.size());
-  mat.signs_.reserve(signs_.size());
-  for (std::size_t e = 0; e < rows_.size(); ++e) {
-    if (rows_[e] >= m_eff) continue;
-    mat.rows_.push_back(rows_[e]);
-    mat.cols_.push_back(cols_[e]);
-    if (!signs_.empty()) mat.signs_.push_back(signs_[e]);
-  }
-  // Recomputes the Lipschitz constant: dropping rows shrinks the
-  // operator's largest singular value, and a solve stepping with the
-  // full-operator constant would converge needlessly slowly.
-  mat.finish();
-  return mat;
-}
-
 void SensingMatrix::finish() {
-  // Uniform iff every column holds nonzeros() / n_ entries.
-  ones_per_column_ = n_ > 0 && rows_.size() % n_ == 0 ? rows_.size() / n_ : 0;
-  for (std::size_t e = 0; e < cols_.size() && ones_per_column_ > 0; ++e) {
-    if (cols_[e] != e / ones_per_column_) ones_per_column_ = 0;
-  }
   gather_ = kern::build_row_gather(view(false));
 
   // Power iteration for the Lipschitz constant, cached so solves never
@@ -119,7 +78,6 @@ kern::SparseColumns SensingMatrix::view(bool split) const {
   a.entries = rows_.size();
   a.row = rows_.data();
   a.col = cols_.data();
-  a.sign = signs_.empty() ? nullptr : signs_.data();
   a.ones_per_column = ones_per_column_;
   gather_.attach(a, split);
   return a;
@@ -137,12 +95,7 @@ std::vector<std::int64_t> SensingMatrix::encode(std::span<const std::int32_t> x,
   assert(x.size() == n_);
   std::vector<std::int64_t> y(m_, 0);
   for (std::size_t e = 0; e < rows_.size(); ++e) {
-    const auto v = static_cast<std::int64_t>(x[cols_[e]]);
-    if (signs_.empty() || signs_[e] > 0) {
-      y[rows_[e]] += v;
-    } else {
-      y[rows_[e]] -= v;
-    }
+    y[rows_[e]] += static_cast<std::int64_t>(x[cols_[e]]);
   }
   if (ops != nullptr) {
     // One sample load per column; per entry one add and the
@@ -178,12 +131,7 @@ void SensingMatrix::apply_adjoint_into(std::span<const double> y, std::span<doub
   kern::sparse_apply_adjoint(columns(), y.data(), x.data());
 }
 
-std::size_t SensingMatrix::storage_bytes() const {
-  // 16-bit row index per non-zero; +1 bit per entry for signs if any.
-  std::size_t bytes = rows_.size() * 2;
-  if (!signs_.empty()) bytes += (signs_.size() + 7) / 8;
-  return bytes;
-}
+std::size_t SensingMatrix::storage_bytes() const { return rows_.size() * 2; }
 
 double compression_ratio_percent(std::size_t m, std::size_t n) {
   return 100.0 * (1.0 - static_cast<double>(m) / static_cast<double>(n));

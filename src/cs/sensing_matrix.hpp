@@ -5,7 +5,8 @@
 // column) achieve near-optimal reconstruction quality while reducing the
 // node-side encoding cost to d additions per input sample and shrinking
 // the matrix storage to d row-indices per column.  This module provides
-// that family plus the dense Bernoulli +/-1 baseline used in ablations.
+// that family, the one operator the node encodes with: d ones per
+// column, additions only, 2 bytes of ROM per one.
 #pragma once
 
 #include <cstdint>
@@ -24,10 +25,9 @@ namespace wbsn::cs {
 inline constexpr std::size_t kMaxSensingRows = 65536;
 inline constexpr std::size_t kMaxSensingCols = 65536;
 
-/// m x n sensing operator, stored as its ones in column-major order: the
-/// row and column of each entry, plus an optional +/-1 sign per entry
-/// (sparse binary matrices store no signs).  finish() adds the row lists
-/// the host-side apply gathers from (kern::RowGather).
+/// m x n sparse binary sensing operator, stored as its ones in
+/// column-major order: the row and column of each entry.  finish() adds
+/// the row lists the host-side apply gathers from (kern::RowGather).
 class SensingMatrix {
  public:
   /// Sparse binary: exactly `ones_per_column` ones in random rows of each
@@ -35,24 +35,11 @@ class SensingMatrix {
   static SensingMatrix make_sparse_binary(std::size_t m, std::size_t n,
                                           std::size_t ones_per_column, sig::Rng& rng);
 
-  /// Dense Bernoulli +/-1.
-  static SensingMatrix make_bernoulli(std::size_t m, std::size_t n, sig::Rng& rng);
-
-  /// The operator restricted to its first `m_eff` rows: column entries
-  /// with row >= m_eff are dropped (so columns may carry fewer than d
-  /// ones) and the Lipschitz constant is recomputed for the truncated
-  /// shape.  Solving the first m_eff measurements against the truncated
-  /// operator is exactly the problem a shorter measurement vector (a
-  /// higher compression ratio) would have posed.  Pure
-  /// function of (this, m_eff), so a cache rebuild is bit-identical.
-  /// `m_eff` must be in [1, rows()].
-  SensingMatrix truncated(std::size_t m_eff) const;
-
   std::size_t rows() const { return m_; }
   std::size_t cols() const { return n_; }
   std::size_t nonzeros() const { return rows_.size(); }
 
-  /// Node-side encode: y = Phi x over integers (adds/subs only).
+  /// Node-side encode: y = Phi x over integers (adds only).
   std::vector<std::int64_t> encode(std::span<const std::int32_t> x,
                                    dsp::OpCount* ops = nullptr) const;
 
@@ -82,16 +69,17 @@ class SensingMatrix {
   /// historical per-solve power iteration: same sums, same order.
   double lipschitz() const { return lipschitz_; }
 
-  /// Bytes of node ROM needed to store the matrix (row indices, 16-bit,
-  /// plus a sign bit-plane when any entry is negative).
+  /// Bytes of node ROM needed to store the matrix (one 16-bit row index
+  /// per one).
   std::size_t storage_bytes() const;
 
  private:
-  SensingMatrix(std::size_t m, std::size_t n) : m_(m), n_(n) {}
+  SensingMatrix(std::size_t m, std::size_t n, std::size_t d)
+      : m_(m), n_(n), ones_per_column_(d) {}
 
-  /// Records the uniform column weight, builds the row lists and caches
-  /// the Lipschitz constant; called once by each factory so the matrix is
-  /// immutable — and safely shared across solver threads — from then on.
+  /// Builds the row lists and caches the Lipschitz constant; called once
+  /// by the factory so the matrix is immutable — and safely shared across
+  /// solver threads — from then on.
   void finish();
 
   kern::SparseColumns view(bool split) const;
@@ -100,8 +88,7 @@ class SensingMatrix {
   std::size_t n_ = 0;
   std::vector<std::uint16_t> rows_;  ///< Row of each entry.
   std::vector<std::uint16_t> cols_;  ///< Column of each entry (non-decreasing).
-  std::vector<std::int8_t> signs_;   ///< ±1 per entry; empty if all +1.
-  std::size_t ones_per_column_ = 0;  ///< Uniform column weight, else 0.
+  std::size_t ones_per_column_ = 0;  ///< d: every column's weight.
   kern::RowGather gather_;           ///< Row lists for apply, by finish().
   double lipschitz_ = 1.0;           ///< Cached by finish().
 };

@@ -12,63 +12,37 @@ constexpr std::size_t kD = 4;
 /// Rows per gather group: 8 independent sums per slot.
 constexpr std::size_t kGroup = 8;
 
-bool is_d4(const SparseColumns& a) { return a.sign == nullptr && a.ones_per_column == kD; }
+bool is_d4(const SparseColumns& a) { return a.ones_per_column == kD; }
 
 /// Position of column c in split order (evens, then odds).
 std::size_t split_position(std::size_t c, std::size_t n) { return (c & 1) * (n / 2) + c / 2; }
 
-template <bool kSigned>
-double term(const double* x, const std::uint16_t* col, const std::int8_t* sign,
-            std::size_t i) {
-  if constexpr (kSigned) {
-    return static_cast<double>(sign[i]) * x[col[i]];
-  } else {
-    return x[col[i]];
-  }
-}
-
 /// One group of `kLanes` rows (kLanes = kGroup, or 0 for a short last
-/// group of `lanes` rows); advances col/sign past the group's entries.
-template <bool kSigned, std::size_t kLanes>
+/// group of `lanes` rows); advances col past the group's entries.
+template <std::size_t kLanes>
 void gather_group(const SparseColumns& a, std::size_t first, std::size_t lanes,
-                  const double* x, const std::uint16_t*& col, const std::int8_t*& sign,
-                  double* y) {
+                  const double* x, const std::uint16_t*& col, double* y) {
   const std::size_t width = kLanes != 0 ? kLanes : lanes;
   const std::uint32_t* len = a.gather_len + first;
   const std::size_t common = len[0];  // Ascending lengths: the shortest row.
   double acc[kGroup] = {};
   for (std::size_t s = 0; s < common; ++s) {
-    for (std::size_t l = 0; l < width; ++l) acc[l] += term<kSigned>(x, col, sign, l);
+    for (std::size_t l = 0; l < width; ++l) acc[l] += x[col[l]];
     col += width;
-    if constexpr (kSigned) sign += width;
   }
   for (std::size_t l = 0; l < width; ++l) {
-    for (std::size_t t = common; t < len[l]; ++t) {
-      acc[l] += term<kSigned>(x, col, sign, 0);
-      ++col;
-      if constexpr (kSigned) ++sign;
-    }
+    for (std::size_t t = common; t < len[l]; ++t) acc[l] += x[*col++];
     y[a.gather_row[first + l]] = acc[l];
   }
 }
 
-template <bool kSigned>
-void apply_rows(const SparseColumns& a, const double* x, double* y) {
-  const std::uint16_t* col = a.gather_col;
-  const std::int8_t* sign = a.gather_sign;
-  std::size_t first = 0;
-  for (; first + kGroup <= a.rows; first += kGroup) {
-    gather_group<kSigned, kGroup>(a, first, kGroup, x, col, sign, y);
-  }
-  if (first < a.rows) gather_group<kSigned, 0>(a, first, a.rows - first, x, col, sign, y);
-}
-
-template <bool kSigned, bool kSplit>
+/// Every column sums its taps in stored entry order, from +0.0.
+template <bool kSplit>
 void adjoint_entries(const SparseColumns& a, const double* y, double* x) {
+  std::fill_n(x, a.cols, 0.0);
   for (std::size_t e = 0; e < a.entries; ++e) {
-    const double v = y[a.row[e]];
     const std::size_t c = kSplit ? split_position(a.col[e], a.cols) : a.col[e];
-    x[c] += kSigned ? static_cast<double>(a.sign[e]) * v : v;
+    x[c] += y[a.row[e]];
   }
 }
 
@@ -93,23 +67,12 @@ void adjoint_d4_split(const SparseColumns& a, const double* y, double* x) {
   }
 }
 
-template <bool kSplit>
-void adjoint_generic(const SparseColumns& a, const double* y, double* x) {
-  std::fill_n(x, a.cols, 0.0);
-  if (a.sign != nullptr) {
-    adjoint_entries<true, kSplit>(a, y, x);
-  } else {
-    adjoint_entries<false, kSplit>(a, y, x);
-  }
-}
-
 }  // namespace
 
 void RowGather::attach(SparseColumns& a, bool split) const {
   a.gather_row = row.data();
   a.gather_len = len.data();
   a.gather_col = split ? col_split.data() : col.data();
-  a.gather_sign = sign.empty() ? nullptr : sign.data();
   a.split = split;
 }
 
@@ -135,12 +98,10 @@ RowGather build_row_gather(const SparseColumns& a) {
   const bool even = a.cols % 2 == 0;
   g.col.reserve(a.entries);
   if (even) g.col_split.reserve(a.entries);
-  if (a.sign != nullptr) g.sign.reserve(a.entries);
   const auto push = [&](std::uint16_t r, std::size_t slot) {
     const std::size_t e = by_row[start[r] + slot];
     g.col.push_back(a.col[e]);
     if (even) g.col_split.push_back(static_cast<std::uint16_t>(split_position(a.col[e], a.cols)));
-    if (a.sign != nullptr) g.sign.push_back(a.sign[e]);
   };
   for (std::size_t first = 0; first < a.rows; first += kGroup) {
     const std::size_t lanes = std::min(kGroup, a.rows - first);
@@ -156,11 +117,12 @@ RowGather build_row_gather(const SparseColumns& a) {
 }
 
 void sparse_apply(const SparseColumns& a, const double* x, double* y) {
-  if (a.gather_sign != nullptr) {
-    apply_rows<true>(a, x, y);
-  } else {
-    apply_rows<false>(a, x, y);
+  const std::uint16_t* col = a.gather_col;
+  std::size_t first = 0;
+  for (; first + kGroup <= a.rows; first += kGroup) {
+    gather_group<kGroup>(a, first, kGroup, x, col, y);
   }
+  if (first < a.rows) gather_group<0>(a, first, a.rows - first, x, col, y);
 }
 
 void sparse_apply_adjoint(const SparseColumns& a, const double* y, double* x) {
@@ -168,12 +130,12 @@ void sparse_apply_adjoint(const SparseColumns& a, const double* y, double* x) {
     if (is_d4(a)) {
       adjoint_d4_split(a, y, x);
     } else {
-      adjoint_generic<true>(a, y, x);
+      adjoint_entries<true>(a, y, x);
     }
   } else if (is_d4(a)) {
     adjoint_d4(a, y, x);
   } else {
-    adjoint_generic<false>(a, y, x);
+    adjoint_entries<false>(a, y, x);
   }
 }
 

@@ -1,7 +1,7 @@
-// Sensing-operator kernels over two layouts of the same sparse ±1 entries:
-// the column list the node itself stores (the row index of every one,
-// column after column, plus an optional ±1 sign per entry) and a row-list
-// form built from it once per operator (build_row_gather).
+// Sensing-operator kernels over two layouts of the same sparse binary
+// entries: the column list the node itself stores (the row index of every
+// one, column after column) and a row-list form built from it once per
+// operator (build_row_gather).
 //
 // One implementation serves every backend: the kernels are plain scalar
 // loops compiled without FMA, so the Ops table does not carry them.
@@ -10,25 +10,22 @@
 //     and stores once, so no output is read-modify-written.  Rows are
 //     sorted by length and cut into groups of 8; a group's entries run
 //     slot-major up to its shortest row (8 independent sums per slot),
-//     then each lane's tail.  There is no padding, so ragged
-//     (row-truncated) and signed (Bernoulli) operators run
-//     the same loop as the d = 4 production operator.
+//     then each lane's tail.  There is no padding: the rows of a random
+//     sparse binary operator differ in length, and all of them run the
+//     same loop.
 //   * adjoint, x = Φᵀy, walks the column list: a d = 4 loop fixed at
-//     compile time for the unsigned production operator, and one
-//     entry-list loop for every other operator.
+//     compile time for the production operator, and one entry-list loop
+//     for every other column weight (wire windows may carry any d).
 //
 // Canonical accumulation order, the bit-exact definition of both maps
 // (unchanged by the gather: it is the order the column-major scatter
 // produced):
 //
-//   * apply: every row starts at +0.0 and adds sign · x[col] over its
-//     entries in ascending column order (stored order among equal
-//     columns); a row without entries stays +0.0;
-//   * adjoint: x starts at +0.0 and every entry adds sign · y[row] to its
-//     column — so every column sums its taps in stored entry order.
-//
-// The ±1.0 sign multiply is exact, so an operator gives the same bits
-// with or without a sign array when every sign is +1.
+//   * apply: every row starts at +0.0 and adds x[col] over its entries in
+//     ascending column order (stored order among equal columns); a row
+//     without entries stays +0.0;
+//   * adjoint: x starts at +0.0 and every entry adds y[row] to its column
+//     — so every column sums its taps in stored entry order.
 //
 // Split order.  A view may take x in split order — the even samples, then
 // the odd ones, so sample c sits at (c & 1)·n/2 + c/2 — which is how the
@@ -44,7 +41,7 @@
 
 namespace wbsn::kern {
 
-/// Read-only view of an m x n sparse ±1 operator: its entries in
+/// Read-only view of an m x n sparse binary operator: its entries in
 /// column-major order (ascending column; any row order within a column)
 /// for the adjoint, and the row lists of the same entries for apply.
 struct SparseColumns {
@@ -53,17 +50,15 @@ struct SparseColumns {
   std::size_t entries = 0;             ///< Number of stored ones.
   const std::uint16_t* row = nullptr;  ///< Row of each entry.
   const std::uint16_t* col = nullptr;  ///< Column of each entry (non-decreasing).
-  const std::int8_t* sign = nullptr;   ///< ±1 per entry; null when all are +1.
   /// d when every column holds exactly d entries, 0 when columns differ.
   std::size_t ones_per_column = 0;
 
   // Row lists (RowGather): rows in ascending length order, their lengths,
-  // and every entry's column (split positions when `split`) and sign in
-  // group order.
+  // and every entry's column (split positions when `split`) in group
+  // order.
   const std::uint16_t* gather_row = nullptr;
   const std::uint32_t* gather_len = nullptr;
   const std::uint16_t* gather_col = nullptr;
-  const std::int8_t* gather_sign = nullptr;  ///< Null when all are +1.
   /// x in split order (evens, then odds); cols must be even.
   bool split = false;
 };
@@ -76,7 +71,6 @@ struct RowGather {
   std::vector<std::uint32_t> len;
   std::vector<std::uint16_t> col;
   std::vector<std::uint16_t> col_split;
-  std::vector<std::int8_t> sign;  ///< Empty when the operator is unsigned.
 
   /// Points `a`'s gather fields at these lists (natural or split columns)
   /// and sets a.split.

@@ -878,7 +878,9 @@ bool decode_result_entry(WireReader& r, host::WindowResult& out, host::PayloadPo
   out.route_tag = r.varint_u32();
   out.ticket = r.varint();
   out.snr_db = r.f64le();
-  out.iterations = static_cast<int>(r.varint());
+  const std::uint32_t iterations = r.varint_u32();
+  if (iterations > static_cast<std::uint32_t>(std::numeric_limits<int>::max())) return false;
+  out.iterations = static_cast<int>(iterations);
   out.latency_ms = r.f64le();
   out.e2e_ms = r.f64le();
   if (!decode_values(r, out.signal, pool)) return false;

@@ -245,19 +245,6 @@ TEST(GroupFista, JointBeatsIndependentAtHighCr) {
   EXPECT_GT(joint.mean_snr_db, indep.mean_snr_db + 1.0);
 }
 
-TEST(Omp, RecoversVerySparseSignal) {
-  sig::Rng rng(6);
-  const std::size_t n = 128;
-  const auto x = sparse_signal(n, 3, 5, rng);
-  const auto phi = SensingMatrix::make_sparse_binary(64, n, 4, rng);
-  const auto y = phi.apply(x);
-  OmpConfig cfg;
-  cfg.dwt_levels = 3;
-  cfg.max_atoms = 16;
-  const auto xhat = omp_reconstruct(phi, y, cfg);
-  EXPECT_GT(reconstruction_snr_db(x, xhat), 40.0);
-}
-
 TEST(Metrics, SnrOfExactCopyIsHuge) {
   const std::vector<double> x = {1.0, -2.0, 3.0};
   EXPECT_GE(reconstruction_snr_db(x, x), 140.0);

@@ -226,11 +226,11 @@ TEST(DispatchParity, SensingMatrixApplyAdjoint) {
   BackendGuard guard;
   sig::Rng mrng(6);
   sig::Rng xrng(7);
-  // Sparse binary (the fixed d = 4 loop) and Bernoulli (the signed
-  // entry-list loop): the operator's bits must not depend on the backend.
-  const auto sparse = cs::SensingMatrix::make_sparse_binary(100, 256, 4, mrng);
-  const auto dense = cs::SensingMatrix::make_bernoulli(24, 64, mrng);
-  for (const auto* phi : {&sparse, &dense}) {
+  // d = 4 (the fixed-weight adjoint loop) and d = 8 (the entry-list
+  // loop): the operator's bits must not depend on the backend.
+  const auto d4 = cs::SensingMatrix::make_sparse_binary(100, 256, 4, mrng);
+  const auto d8 = cs::SensingMatrix::make_sparse_binary(24, 64, 8, mrng);
+  for (const auto* phi : {&d4, &d8}) {
     const auto x = random_vector(phi->cols(), xrng);
     const auto y = random_vector(phi->rows(), xrng);
 

@@ -2,12 +2,11 @@
 // and the adjoint must equal, bit for bit, a naive double loop that spells
 // out the canonical accumulation order (each row sums its terms in
 // ascending column order; each column sums its taps in stored entry
-// order; both start at +0.0 and weight every term by a ±1.0 multiply).
-// Covers the gather for every operator and both adjoint loops (d = 4 and
-// the entry list): sparse-binary operators of every small d, m = 1, odd
-// m, odd n, n not a multiple of 4, an empty operator, row-truncated
-// (ragged) operators down to one row, signed Bernoulli operators, ±0.0
-// and NaN inputs, and the split-order views the solver runs.
+// order; both start at +0.0).  Covers the gather for every operator and
+// both adjoint loops (d = 4 and the entry list): sparse-binary operators
+// of every small d, m = 1, odd m, odd n, n not a multiple of 4, an empty
+// operator, hand-built ragged entry lists, ±0.0 and NaN inputs, and the
+// split-order views the solver runs.
 #include "kern/sparse_columns.hpp"
 
 #include <gtest/gtest.h>
@@ -25,34 +24,27 @@
 namespace wbsn::kern {
 namespace {
 
-/// The entry's ±1.0 weight, converted from the stored sign as the kernels
-/// do: a select between ±1.0 constants would let the compiler turn the
-/// multiply into a negation, which flips a NaN's sign bit.
-double sign_of(const SparseColumns& a, std::size_t e) {
-  return a.sign != nullptr ? static_cast<double>(a.sign[e]) : 1.0;
-}
-
-/// Row r sums sign · x[col] over its entries, columns ascending (the
-/// entry list is column-major; expect_canonical checks that).
+/// Row r sums x[col] over its entries, columns ascending (the entry list
+/// is column-major; expect_canonical checks that).
 std::vector<double> naive_apply(const SparseColumns& a, const std::vector<double>& x) {
   std::vector<double> y(a.rows);
   for (std::size_t r = 0; r < a.rows; ++r) {
     double acc = 0.0;
     for (std::size_t e = 0; e < a.entries; ++e) {
-      if (a.row[e] == r) acc += sign_of(a, e) * x[a.col[e]];
+      if (a.row[e] == r) acc += x[a.col[e]];
     }
     y[r] = acc;
   }
   return y;
 }
 
-/// Column c sums sign · y[row] over its entries in stored order.
+/// Column c sums y[row] over its entries in stored order.
 std::vector<double> naive_adjoint(const SparseColumns& a, const std::vector<double>& y) {
   std::vector<double> x(a.cols);
   for (std::size_t c = 0; c < a.cols; ++c) {
     double acc = 0.0;
     for (std::size_t e = 0; e < a.entries; ++e) {
-      if (a.col[e] == c) acc += sign_of(a, e) * y[a.row[e]];
+      if (a.col[e] == c) acc += y[a.row[e]];
     }
     x[c] = acc;
   }
@@ -153,23 +145,6 @@ void expect_canonical(const cs::SensingMatrix& phi, const std::string& label, si
   EXPECT_TRUE(same_bits_or_both_nan(ax, naive_apply(a, x_nan)));
 }
 
-/// A truncated operator is the full one restricted to its first rows:
-/// its apply is the head of the full apply, and its adjoint equals the
-/// full adjoint of the measurements padded with +0.0 — bit for bit.
-void expect_truncation_of(const cs::SensingMatrix& full, const cs::SensingMatrix& cut,
-                          const std::string& label, sig::Rng& rng) {
-  SCOPED_TRACE(label);
-  const auto x = random_input(full.cols(), rng);
-  const auto full_ax = full.apply(x);
-  const std::vector<double> head(full_ax.begin(), full_ax.begin() + static_cast<long>(cut.rows()));
-  EXPECT_TRUE(bit_identical(cut.apply(x), head));
-
-  const auto y = random_input(cut.rows(), rng);
-  std::vector<double> padded(full.rows(), 0.0);
-  std::copy(y.begin(), y.end(), padded.begin());
-  EXPECT_TRUE(bit_identical(cut.apply_adjoint(y), full.apply_adjoint(padded)));
-}
-
 TEST(SparseColumns, ApplyAndAdjointMatchCanonicalNaiveLoops) {
   sig::Rng mrng(21);
   sig::Rng xrng(22);
@@ -186,42 +161,22 @@ TEST(SparseColumns, ApplyAndAdjointMatchCanonicalNaiveLoops) {
       const std::string label = "sparse d=" + std::to_string(d) + " m=" + std::to_string(s.m) +
                                 " n=" + std::to_string(s.n);
       expect_canonical(phi, label, xrng);
-      // Row-truncated: columns lose the ones past m_eff (ragged, some
-      // possibly empty).
-      for (const std::size_t m_eff : {std::size_t{1}, (s.m + 1) / 2, s.m * 3 / 5}) {
-        if (m_eff < 1) continue;
-        const auto cut = phi.truncated(m_eff);
-        const std::string cut_label = label + " truncated to " + std::to_string(m_eff);
-        expect_canonical(cut, cut_label, xrng);
-        expect_truncation_of(phi, cut, cut_label, xrng);
-      }
     }
-  }
-  for (const Shape s : {Shape{1, 5}, Shape{13, 30}, Shape{24, 64}}) {
-    const auto phi = cs::SensingMatrix::make_bernoulli(s.m, s.n, mrng);
-    const std::string label = "bernoulli m=" + std::to_string(s.m) + " n=" + std::to_string(s.n);
-    expect_canonical(phi, label, xrng);
-    const auto cut = phi.truncated((s.m + 1) / 2);
-    expect_canonical(cut, label + " truncated", xrng);
-    expect_truncation_of(phi, cut, label + " truncated", xrng);
   }
 }
 
 TEST(SparseColumns, EmptyRowsGatherPositiveZero) {
   // More rows than entries: most rows are empty and must come out +0.0,
-  // as the scatter's zero fill left them — also for all -0.0 inputs, and
-  // for a one-row truncation whose row may be empty.
+  // as the scatter's zero fill left them — also for all -0.0 inputs.
   sig::Rng mrng(23);
   const auto phi = cs::SensingMatrix::make_sparse_binary(64, 7, 1, mrng);
-  for (const auto& op : {phi, phi.truncated(1), phi.truncated(5)}) {
-    const std::vector<double> x(op.cols(), -0.0);
-    std::vector<double> y(op.rows(), 123.0);
-    op.apply_into(x, y);
-    EXPECT_TRUE(bit_identical(y, naive_apply(op.columns(), x)));
-    for (const double v : y) {
-      EXPECT_EQ(v, 0.0);
-      EXPECT_FALSE(std::signbit(v));
-    }
+  const std::vector<double> x(phi.cols(), -0.0);
+  std::vector<double> y(phi.rows(), 123.0);
+  phi.apply_into(x, y);
+  EXPECT_TRUE(bit_identical(y, naive_apply(phi.columns(), x)));
+  for (const double v : y) {
+    EXPECT_EQ(v, 0.0);
+    EXPECT_FALSE(std::signbit(v));
   }
 }
 
@@ -230,7 +185,7 @@ TEST(SparseColumns, RowListsCoverEveryEntryOnceInGroupOrder) {
   // length, every row's columns ascending, and each group of 8 rows
   // slot-major up to its shortest row, then lane by lane.
   sig::Rng mrng(24);
-  const auto phi = cs::SensingMatrix::make_sparse_binary(37, 90, 4, mrng).truncated(29);
+  const auto phi = cs::SensingMatrix::make_sparse_binary(37, 90, 4, mrng);
   const SparseColumns a = phi.columns();
   std::size_t total = 0;
   for (std::size_t i = 0; i < a.rows; ++i) {
@@ -258,14 +213,12 @@ TEST(SparseColumns, RowListsCoverEveryEntryOnceInGroupOrder) {
 }
 
 // --- Random entry lists ------------------------------------------------------
-// The two suites below keep the name of the sparse mat-vec plan that these
-// kernels replaced; they drive kern::sparse_apply / sparse_apply_adjoint
+// The two tests below drive kern::sparse_apply / sparse_apply_adjoint
 // directly on hand-built entry lists rather than through SensingMatrix.
 
 struct Entry {
   std::uint16_t row;
   std::uint16_t col;
-  std::int8_t sign;
 };
 
 /// Owns an entry list and exposes it as a column-major SparseColumns view
@@ -274,7 +227,6 @@ struct EntryList {
   std::size_t rows = 0;
   std::size_t cols = 0;
   std::vector<std::uint16_t> row, col;
-  std::vector<std::int8_t> sign;
   RowGather gather;  ///< Of the latest view (valid until the next).
 
   EntryList(std::size_t m, std::size_t n, std::vector<Entry> entries) : rows(m), cols(n) {
@@ -283,18 +235,16 @@ struct EntryList {
     for (const Entry& e : entries) {
       row.push_back(e.row);
       col.push_back(e.col);
-      sign.push_back(e.sign);
     }
   }
 
-  SparseColumns view(bool is_signed, std::size_t ones_per_column = 0) {
+  SparseColumns view(std::size_t ones_per_column = 0) {
     SparseColumns a;
     a.rows = rows;
     a.cols = cols;
     a.entries = row.size();
     a.row = row.data();
     a.col = col.data();
-    a.sign = is_signed ? sign.data() : nullptr;
     a.ones_per_column = ones_per_column;
     gather = build_row_gather(a);
     gather.attach(a, /*split=*/false);
@@ -327,41 +277,39 @@ TEST(SparseColumns, RaggedAndFourPerColumnOperatorsMatchNaiveOnOddShapes) {
   for (const std::size_t outputs : {1u, 2u, 3u, 4u, 5u, 7u, 33u, 64u}) {
     SCOPED_TRACE("outputs=" + std::to_string(outputs));
     const std::size_t inputs = 1 + outputs * 2;
-    // Up to 9 terms per output at random columns (repeats allowed), with
-    // random signs: ragged columns, some empty.
+    // Up to 9 terms per output at random columns (repeats allowed):
+    // ragged columns, some empty.
     std::vector<Entry> entries;
     for (std::size_t r = 0; r < outputs; ++r) {
       const auto count = static_cast<std::size_t>(rng.uniform_int(0, 9));
       for (std::size_t i = 0; i < count; ++i) {
         entries.push_back(
             {static_cast<std::uint16_t>(r),
-             static_cast<std::uint16_t>(rng.uniform_int(0, static_cast<std::int64_t>(inputs) - 1)),
-             static_cast<std::int8_t>(rng.bernoulli(0.5) ? 1 : -1)});
+             static_cast<std::uint16_t>(rng.uniform_int(0, static_cast<std::int64_t>(inputs) - 1))});
       }
     }
     EntryList ragged(outputs, inputs, entries);
-    expect_near_naive(ragged.view(/*is_signed=*/true), rng);
-    expect_near_naive(ragged.view(/*is_signed=*/false), rng);
+    expect_near_naive(ragged.view(), rng);
 
-    // Exactly 4 ones per column, unsigned: the fixed-weight loop.
+    // Exactly 4 ones per column: the fixed-weight loop.
     if (outputs < 4) continue;
     std::vector<Entry> regular;
     for (std::size_t c = 0; c < inputs; ++c) {
       for (std::size_t t = 0; t < 4; ++t) {
         regular.push_back(
             {static_cast<std::uint16_t>(rng.uniform_int(0, static_cast<std::int64_t>(outputs) - 1)),
-             static_cast<std::uint16_t>(c), 1});
+             static_cast<std::uint16_t>(c)});
       }
     }
     EntryList d4(outputs, inputs, regular);
-    expect_near_naive(d4.view(/*is_signed=*/false, /*ones_per_column=*/4), rng);
+    expect_near_naive(d4.view(/*ones_per_column=*/4), rng);
   }
 }
 
 TEST(SparseColumns, ZeroRowOperatorIsHarmless) {
   // No outputs: apply must not touch y; the adjoint is all +0.0.
   EntryList empty(0, 4, {});
-  const SparseColumns a = empty.view(/*is_signed=*/false);
+  const SparseColumns a = empty.view();
   double y = 123.0;
   std::vector<double> x(4, 1.0);
   sparse_apply(a, x.data(), &y);

@@ -915,9 +915,9 @@ TEST(U32Fields, SubmitBatchRejectsWideIds) {
 TEST(U32Fields, ResultBatchRejectsWideIds) {
   // One RESULT_BATCH entry written field by field: patient_id,
   // window_index, priority, route_tag, ticket, snr, iterations, latency,
-  // e2e, signal.
+  // e2e, signal.  iterations is an int: past INT_MAX is refused too.
   const auto payload = [](std::uint64_t patient_id, std::uint64_t window_index,
-                          std::uint64_t route_tag) {
+                          std::uint64_t route_tag, std::uint64_t iterations = 3) {
     std::vector<std::uint8_t> out;
     put_varint(out, 1);
     put_varint(out, patient_id);
@@ -926,7 +926,7 @@ TEST(U32Fields, ResultBatchRejectsWideIds) {
     put_varint(out, route_tag);
     put_varint(out, 12345);
     put_f64le(out, 21.7);
-    put_varint(out, 3);
+    put_varint(out, iterations);
     put_f64le(out, 1.25);
     put_f64le(out, 4.5);
     const std::vector<double> signal{0.25, -0.5};
@@ -934,11 +934,14 @@ TEST(U32Fields, ResultBatchRejectsWideIds) {
     return out;
   };
   std::vector<host::WindowResult> results;
-  ASSERT_TRUE(decode_result_batch(payload(kU32Max, kU32Max, kU32Max), results, nullptr));
+  constexpr auto kIntMax = static_cast<std::uint64_t>(std::numeric_limits<int>::max());
+  ASSERT_TRUE(decode_result_batch(payload(kU32Max, kU32Max, kU32Max, kIntMax), results, nullptr));
   EXPECT_EQ(results.at(0).patient_id, kU32Max);
+  EXPECT_EQ(results.at(0).iterations, std::numeric_limits<int>::max());
   EXPECT_FALSE(decode_result_batch(payload(kPastU32, 7, 0), results, nullptr));
   EXPECT_FALSE(decode_result_batch(payload(42, kPastU32, 0), results, nullptr));
   EXPECT_FALSE(decode_result_batch(payload(42, 7, kPastU32), results, nullptr));
+  EXPECT_FALSE(decode_result_batch(payload(42, 7, 0, kIntMax + 6), results, nullptr));
 }
 
 TEST(U32Fields, PatientFramesRejectWideIds) {
