@@ -83,7 +83,7 @@ void ReconstructionEngine::recycle_item(WorkItem* item) {
 void ReconstructionEngine::worker_loop() {
   for (;;) {
     WorkItem* item = nullptr;
-    if (queue_.try_pop(item)) {
+    if (pop_work(item)) {
       process_one(item);
       continue;
     }
@@ -188,7 +188,6 @@ std::vector<PatientSlo> ReconstructionEngine::patient_slo_snapshots() const {
 }
 
 void ReconstructionEngine::process_one(WorkItem* item) {
-  if (item->held) held_.fetch_sub(1, std::memory_order_relaxed);
   // Per-worker FISTA arena, reused across windows.  thread_local (not
   // per-call) is what makes the steady-state solve allocation-free — and
   // sharing one arena across engines on the same thread (serial mode,
@@ -462,15 +461,17 @@ std::optional<std::uint64_t> ReconstructionEngine::try_submit_impl(CompressedWin
   const std::uint64_t ticket = item->ticket;
   const bool urgent = item->window.priority == cs::WindowPriority::kUrgent;
   if (solver == Solver::kCallerIfCheap && !workers_.empty()) {
-    // Only a per-shape (or pinned) estimate qualifies: the shape-blind
-    // global EWMA would let a new, possibly expensive shape ride a cheap
-    // shape's history onto the caller's thread.
+    // Only a per-shape (or pinned) estimate makes a window cheap: the
+    // shape-blind global EWMA would let a new, possibly expensive shape
+    // ride a cheap shape's history onto the caller's thread.
     std::uint64_t estimate_us = item->charged_cost_us;  // The pinned cost, if any.
     if (cost_model_.override_ms <= 0.0) {
       const auto m = static_cast<std::uint32_t>(item->window.measurements.size());
       estimate_us = cost_model_.measured_us(m, item->window.window_samples);
     }
-    item->held = estimate_us > 0 && estimate_us < kWorkerHandoffUs;
+    // An idle engine (nothing queued) holds any window: a worker could add
+    // no parallelism to a lone window, only its wake and the wake back.
+    item->held = (estimate_us > 0 && estimate_us < kWorkerHandoffUs) || queue_.empty();
   }
 
   slo_.on_submit();
@@ -489,6 +490,7 @@ std::optional<std::uint64_t> ReconstructionEngine::try_submit_impl(CompressedWin
   queue_.push(item, urgent);
 
   if (!held && !workers_.empty()) {
+    worker_handoffs_.fetch_add(1, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lk(work_mutex_);
     }
@@ -515,9 +517,17 @@ std::uint64_t ReconstructionEngine::submit(CompressedWindow window) {
   }
 }
 
+bool ReconstructionEngine::pop_work(WorkItem*& item) {
+  // held_ drops under the queue's lock: it never counts a window a worker
+  // has already taken, so solve_held() cannot pop on a stale count.
+  return queue_.try_pop(item, [this](const WorkItem* taken) {
+    if (taken->held) held_.fetch_sub(1, std::memory_order_relaxed);
+  });
+}
+
 bool ReconstructionEngine::help_some() {
   WorkItem* item = nullptr;
-  if (!queue_.try_pop(item)) return false;
+  if (!pop_work(item)) return false;
   process_one(item);
   return true;
 }

@@ -19,10 +19,12 @@
 //     pool of worker threads drains it persistently — there is no
 //     per-batch barrier, a worker pops one window, solves it
 //     (cs::fista_solve_into) and starts the next the moment it finishes.
-//     An event loop that admits on its own thread may instead keep
-//     windows cheaper than a worker handoff (kWorkerHandoffUs) and solve
-//     them itself through solve_held() — same pop order, same solve and
-//     completion code (Solver::kCallerIfCheap).
+//     An event loop that admits on its own thread may instead keep a
+//     window and solve it itself through solve_held() — same pop order,
+//     same solve and completion code (Solver::kCallerIfCheap): a window
+//     cheaper than a worker handoff (kWorkerHandoffUs), and any window
+//     that reaches an idle engine (nothing queued).  The second and later
+//     windows of a burst still go to the workers.
 //   * Under overload, admission is deadline-aware when deadline_shedding
 //     is on: instead of bouncing the newest arrival, try_submit sheds the
 //     queued window whose predicted completion (backlog position x the
@@ -148,26 +150,34 @@ BatchResult reconstruct_batch(
     const std::function<std::uint64_t(const CompressedWindow&)>& submit,
     const std::function<std::vector<WindowResult>()>& drain);
 
-/// The measured cost of handing one window to a sleeping worker, in µs:
-/// the wake itself, the worker publishing the result and going back to
-/// sleep.  Measured at about 15-20 µs of worker CPU per window on a shared
-/// 4-core x86 host (per-thread ticks at 2,500 windows/s).  A window whose
-/// predicted solve is cheaper than this costs less solved by the thread
-/// that admitted it, which is what Solver::kCallerIfCheap asks for.  Not a
-/// knob: today's solves sit far on either side (a 1-iteration 128-sample
-/// solve about 4 µs, a production 512-sample one 300-500 µs).
+/// The cost of handing one window to a sleeping worker, in µs: the wake
+/// itself, the worker publishing the result and going back to sleep.
+/// Measured at about 15-20 µs of worker CPU per window on a shared 4-core
+/// x86 KVM host (per-thread ticks at 2,500 windows/s, where the worker
+/// sleeps for well under a millisecond).  A wake costs more the longer
+/// the thread slept: a two-thread pipe ping-pong on the same host costs
+/// about 17 µs of CPU per wake after 1 ms idle and about 43 µs after 5 ms,
+/// and at 100 windows/s per shard a worker sleeps 7-14 ms between windows.
+/// So this is a floor.  A window whose predicted solve is cheaper costs
+/// less solved by the thread that admitted it, which is what
+/// Solver::kCallerIfCheap asks for.  Not a knob: today's solves sit far on
+/// either side (a 1-iteration 128-sample solve about 4 µs, a production
+/// 512-sample one 300-500 µs).
 inline constexpr std::uint64_t kWorkerHandoffUs = 20;
 
 /// Who solves a window admitted by try_submit()/try_submit_step().
 enum class Solver : std::uint8_t {
   /// Wake a worker for it: every in-process caller.
   kWorker,
-  /// An event loop that admits windows on its own thread: a window whose
-  /// per-shape (or pinned) solve estimate is non-zero and below
-  /// kWorkerHandoffUs is queued *held* — without waking a worker — and the
-  /// caller must run solve_held() before it next sleeps.  Every other
-  /// window, and every window of an engine without workers, goes as
-  /// kWorker.
+  /// An event loop that admits windows on its own thread.  A window is
+  /// queued *held* — without waking a worker — when its per-shape (or
+  /// pinned) solve estimate is non-zero and below kWorkerHandoffUs, or
+  /// when the engine is idle at its admission (no unsolved window queued,
+  /// held or not).  The caller must run solve_held() before it next
+  /// sleeps.  Work-first: the thread that has a lone window solves it,
+  /// which saves the worker's wake and the wake back; a window behind a
+  /// queued one goes to a worker, so bursts still spread across the pool.
+  /// Every window of an engine without workers goes as kWorker.
   kCallerIfCheap,
 };
 
@@ -275,6 +285,12 @@ class ReconstructionEngine {
   /// include a worker-bound window queued ahead of a held one.  The
   /// progress hook runs for these completions on the calling thread.
   std::size_t solve_held();
+
+  /// Windows admitted for a worker: every admission of an engine with
+  /// workers that was not held, each one a worker wake.
+  std::uint64_t worker_handoffs() const {
+    return worker_handoffs_.load(std::memory_order_relaxed);
+  }
 
   /// Returns one completed window in completion order, or std::nullopt if
   /// none is ready.  With threads == 0 this runs the solver inline on the
@@ -400,7 +416,7 @@ class ReconstructionEngine {
     /// what was charged.
     std::uint64_t charged_cost_us = 0;
     /// Admitted held (Solver::kCallerIfCheap): counted in held_ until
-    /// popped for its solve or shed.
+    /// popped (pop_work) or shed.
     bool held = false;
     std::chrono::steady_clock::time_point enqueue_time{};
     WindowResult result;
@@ -412,6 +428,8 @@ class ReconstructionEngine {
   }
 
   void worker_loop();
+  /// Pops the next pending window (urgent first); false when none is.
+  bool pop_work(WorkItem*& item);
   /// Pops one pending window and solves it; false when none was pending.
   bool help_some();
   /// Reserves one in-flight slot; false when at capacity.
@@ -473,6 +491,8 @@ class ReconstructionEngine {
   std::atomic<std::uint64_t> pending_cost_us_{0};
   /// Held windows still queued: solve_held() pops while this is non-zero.
   std::atomic<std::size_t> held_{0};
+  /// Windows admitted with a worker wake; see worker_handoffs().
+  std::atomic<std::uint64_t> worker_handoffs_{0};
 
   // Bounded LRU cache of seeded sensing operators, keyed by
   // (seed, m, n, d).  lru_ orders keys most-recent-first; each map value

@@ -105,11 +105,19 @@ class TwoLaneWorkQueue {
   }
 
   bool try_pop(T& out) {
+    return try_pop(out, [](const T&) {});
+  }
+
+  /// try_pop() that also runs `taken(out)` under the lock, so a count the
+  /// caller keeps of some queued items never lags the queue itself.
+  template <typename TakenFn>
+  bool try_pop(T& out, TakenFn&& taken) {
     std::lock_guard<std::mutex> lk(mutex_);
     for (auto* q : {&urgent_, &routine_}) {
       if (!q->empty()) {
         out = std::move(q->front());
         q->pop_front();
+        taken(out);
         return true;
       }
     }

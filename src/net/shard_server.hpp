@@ -29,22 +29,23 @@
 // serial engine (threads == 0) the calling thread IS the solver, so those
 // verbs run inline exactly as before.
 //
-// Which thread solves: waking a sleeping worker for one window costs
-// more CPU (host::kWorkerHandoffUs, about 15-20 µs) than a cheap solve
-// (a 1-iteration 128-sample window, about 4 µs).  So the loop admits with
-// host::Solver::kCallerIfCheap: a window whose per-shape (or pinned)
-// solve estimate is non-zero and below that constant is queued *held*,
-// with no worker wake, and the loop solves it itself right after the
-// frame that admitted it (and inside a deferred submit before it gives
+// Which thread solves: handing a window to a sleeping worker costs three
+// thread wakes (the loop's futex wake of the worker, the worker's own
+// wake, and its self-pipe wake back to the loop when a verb waits), at
+// least host::kWorkerHandoffUs and more the longer the worker slept.  So
+// the loop admits with host::Solver::kCallerIfCheap, which queues a window
+// *held*, with no worker wake, when its per-shape (or pinned) solve
+// estimate is non-zero and below that constant, or when the engine is idle
+// (nothing queued).  The loop solves held windows itself right after the
+// frame that admitted them (and inside a deferred submit before it gives
 // up on a full engine), urgent first, through the engine's own
-// solve/complete path.  A POLL_MANY behind that SUBMIT_BATCH then leaves
-// with its results in the same flush.  Unmeasured shapes and dearer
-// windows go to the workers, which is all of them at production shapes,
-// so `threads` sizes the pool for expensive windows only.  The loop
-// never sleeps in poll(2) with a held window queued, and the progress
-// hook stays silent for progress made on the loop's own thread: the
-// loop re-checks its waiting verbs instead, at once when that progress
-// came during those checks.
+// solve/complete path, and the ack leaves in the same flush.  A POLL_MANY
+// behind that SUBMIT_BATCH then leaves with their results.  A dear window
+// that arrives behind a queued one goes to a worker, so `threads` serves
+// bursts of expensive windows.  The loop never sleeps in poll(2) with a
+// held window queued, and the progress hook stays silent for progress made
+// on the loop's own thread: the loop re-checks its waiting verbs instead,
+// at once when that progress came during those checks.
 //
 // POLL_MANY is a long-poll on a threaded engine: with nothing ready it
 // parks, and the loop answers it with one RESULT_BATCH as soon as a
@@ -133,6 +134,9 @@ class ShardServer {
   /// Windows the event loop solved itself (held admissions, see the
   /// concurrency model above) instead of handing them to a worker.
   std::uint64_t loop_solves() const { return loop_solves_.load(std::memory_order_relaxed); }
+
+  /// Windows the loop admitted for a worker, each with a worker wake.
+  std::uint64_t worker_handoffs() const { return engine_->worker_handoffs(); }
 
  private:
   struct Connection {

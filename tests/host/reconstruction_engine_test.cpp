@@ -230,9 +230,10 @@ TEST(StreamingEngine, SerialModePollSolvesInline) {
 }
 
 TEST(StreamingEngine, CallerSolvesOnlyTheWindowsItHeld) {
-  // Solver::kCallerIfCheap holds a window only on a threaded engine and
-  // only below the handoff cost; the estimate is pinned so the verdict
-  // does not depend on how fast this build solves.
+  // Solver::kCallerIfCheap holds a window only on a threaded engine, and
+  // there only below the handoff cost or when nothing is queued; the
+  // estimate is pinned so the verdict does not depend on how fast this
+  // build solves.
   const auto batch = two_patient_batch();
   ASSERT_GE(batch.size(), 4u);
   const auto admit = [&](ReconstructionEngine& engine) {
@@ -241,27 +242,39 @@ TEST(StreamingEngine, CallerSolvesOnlyTheWindowsItHeld) {
       ASSERT_TRUE(engine.try_submit(std::move(copy), Solver::kCallerIfCheap).has_value());
     }
   };
+  // An awake worker takes held windows too: let a new one go to sleep.
+  const auto let_worker_park = [] { std::this_thread::sleep_for(std::chrono::milliseconds(50)); };
   auto cheap = fast_engine(1);
   cheap.shed_solve_estimate_ms = 0.002;
   ReconstructionEngine held(cheap);
-  // An awake worker takes held windows too: let the new one go to sleep.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  let_worker_park();
   admit(held);
   EXPECT_EQ(held.solve_held(), 4u) << "no worker was woken for them";
+  EXPECT_EQ(held.worker_handoffs(), 0u);
   EXPECT_EQ(held.ready_results(), 4u);
   EXPECT_EQ(held.solve_held(), 0u);
 
+  // Expensive: the first window reaches an idle engine and is held; the
+  // second, queued behind it while the worker sleeps, goes to the worker.
+  // The woken worker may empty the queue before a later admission, which
+  // then holds its window too.  At most one held window is queued at a
+  // time, first in pop order, so the caller solves at most one.
   auto dear = fast_engine(1);
   dear.shed_solve_estimate_ms = 1.0;
   ReconstructionEngine worker_bound(dear);
+  let_worker_park();
   admit(worker_bound);
-  EXPECT_EQ(worker_bound.solve_held(), 0u);
+  EXPECT_GE(worker_bound.worker_handoffs(), 1u);
+  EXPECT_LE(worker_bound.worker_handoffs(), 3u);
+  EXPECT_LE(worker_bound.solve_held(), 1u);
   EXPECT_EQ(worker_bound.drain().size(), 4u);
+  EXPECT_EQ(worker_bound.solve_held(), 0u);
 
   cheap.threads = 0;
   ReconstructionEngine serial(cheap);
   admit(serial);
   EXPECT_EQ(serial.solve_held(), 0u) << "serial mode keeps solving in poll()";
+  EXPECT_EQ(serial.worker_handoffs(), 0u);
   EXPECT_EQ(serial.drain().size(), 4u);
 }
 
