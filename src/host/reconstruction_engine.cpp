@@ -469,9 +469,13 @@ std::optional<std::uint64_t> ReconstructionEngine::try_submit_impl(CompressedWin
       const auto m = static_cast<std::uint32_t>(item->window.measurements.size());
       estimate_us = cost_model_.measured_us(m, item->window.window_samples);
     }
-    // An idle engine (nothing queued) holds any window: a worker could add
-    // no parallelism to a lone window, only its wake and the wake back.
-    item->held = (estimate_us > 0 && estimate_us < kWorkerHandoffUs) || queue_.empty();
+    // An idle engine holds any window: a worker could add no parallelism
+    // to a lone window, only its wake and the wake back.  Idle means this
+    // window's slot is the only one in flight, so nothing is queued and no
+    // worker is solving; a loop that held windows while the workers were
+    // busy would stop reading frames and starve them.
+    item->held = (estimate_us > 0 && estimate_us < kWorkerHandoffUs) ||
+                 in_flight_.load(std::memory_order_acquire) == 1;
   }
 
   slo_.on_submit();

@@ -23,8 +23,9 @@
 //     window and solve it itself through solve_held() — same pop order,
 //     same solve and completion code (Solver::kCallerIfCheap): a window
 //     cheaper than a worker handoff (kWorkerHandoffUs), and any window
-//     that reaches an idle engine (nothing queued).  The second and later
-//     windows of a burst still go to the workers.
+//     that reaches an idle engine (no other window queued or solving).
+//     The second and later windows of a burst, and every window that
+//     arrives while a worker solves, still go to the workers.
 //   * Under overload, admission is deadline-aware when deadline_shedding
 //     is on: instead of bouncing the newest arrival, try_submit sheds the
 //     queued window whose predicted completion (backlog position x the
@@ -172,12 +173,14 @@ enum class Solver : std::uint8_t {
   /// An event loop that admits windows on its own thread.  A window is
   /// queued *held* — without waking a worker — when its per-shape (or
   /// pinned) solve estimate is non-zero and below kWorkerHandoffUs, or
-  /// when the engine is idle at its admission (no unsolved window queued,
-  /// held or not).  The caller must run solve_held() before it next
-  /// sleeps.  Work-first: the thread that has a lone window solves it,
-  /// which saves the worker's wake and the wake back; a window behind a
-  /// queued one goes to a worker, so bursts still spread across the pool.
-  /// Every window of an engine without workers goes as kWorker.
+  /// when the engine is idle at its admission (no other window in flight:
+  /// none queued, held or not, and none being solved).  The caller must
+  /// run solve_held() before it next sleeps.  Work-first: the thread that
+  /// has a lone window solves it, which saves the worker's wake and the
+  /// wake back; a window behind a queued one, or one that arrives while a
+  /// worker solves, goes to a worker, so bursts and saturation still
+  /// spread across the pool.  Every window of an engine without workers
+  /// goes as kWorker.
   kCallerIfCheap,
 };
 
@@ -287,7 +290,9 @@ class ReconstructionEngine {
   std::size_t solve_held();
 
   /// Windows admitted for a worker: every admission of an engine with
-  /// workers that was not held, each one a worker wake.
+  /// workers that was not held.  Each notifies the pool, which is a
+  /// thread wake only when a worker was asleep, so under load this
+  /// counts more handoffs than wakes.
   std::uint64_t worker_handoffs() const {
     return worker_handoffs_.load(std::memory_order_relaxed);
   }
@@ -491,7 +496,7 @@ class ReconstructionEngine {
   std::atomic<std::uint64_t> pending_cost_us_{0};
   /// Held windows still queued: solve_held() pops while this is non-zero.
   std::atomic<std::size_t> held_{0};
-  /// Windows admitted with a worker wake; see worker_handoffs().
+  /// Windows admitted for a worker; see worker_handoffs().
   std::atomic<std::uint64_t> worker_handoffs_{0};
 
   // Bounded LRU cache of seeded sensing operators, keyed by

@@ -36,16 +36,18 @@
 // the loop admits with host::Solver::kCallerIfCheap, which queues a window
 // *held*, with no worker wake, when its per-shape (or pinned) solve
 // estimate is non-zero and below that constant, or when the engine is idle
-// (nothing queued).  The loop solves held windows itself right after the
-// frame that admitted them (and inside a deferred submit before it gives
-// up on a full engine), urgent first, through the engine's own
-// solve/complete path, and the ack leaves in the same flush.  A POLL_MANY
-// behind that SUBMIT_BATCH then leaves with their results.  A dear window
-// that arrives behind a queued one goes to a worker, so `threads` serves
-// bursts of expensive windows.  The loop never sleeps in poll(2) with a
-// held window queued, and the progress hook stays silent for progress made
-// on the loop's own thread: the loop re-checks its waiting verbs instead,
-// at once when that progress came during those checks.
+// (no other window queued or being solved).  The loop solves held windows
+// itself right after the frame that admitted them (and inside a deferred
+// submit before it gives up on a full engine), urgent first, through the
+// engine's own solve/complete path, and the ack leaves in the same flush.
+// A POLL_MANY behind that SUBMIT_BATCH then leaves with their results.  A
+// dear window that arrives behind a queued one, or while a worker solves,
+// goes to a worker, so `threads` serves bursts and saturation: a loop
+// busy solving reads no frames and would starve an already-awake pool.
+// The loop never sleeps in poll(2) with a held window queued, and the
+// progress hook stays silent for progress made on the loop's own thread:
+// the loop re-checks its waiting verbs instead, at once when that
+// progress came during those checks.
 //
 // POLL_MANY is a long-poll on a threaded engine: with nothing ready it
 // parks, and the loop answers it with one RESULT_BATCH as soon as a
@@ -135,7 +137,8 @@ class ShardServer {
   /// concurrency model above) instead of handing them to a worker.
   std::uint64_t loop_solves() const { return loop_solves_.load(std::memory_order_relaxed); }
 
-  /// Windows the loop admitted for a worker, each with a worker wake.
+  /// Windows the loop admitted for a worker (a thread wake only when the
+  /// worker was asleep).
   std::uint64_t worker_handoffs() const { return engine_->worker_handoffs(); }
 
  private:

@@ -231,9 +231,9 @@ TEST(StreamingEngine, SerialModePollSolvesInline) {
 
 TEST(StreamingEngine, CallerSolvesOnlyTheWindowsItHeld) {
   // Solver::kCallerIfCheap holds a window only on a threaded engine, and
-  // there only below the handoff cost or when nothing is queued; the
-  // estimate is pinned so the verdict does not depend on how fast this
-  // build solves.
+  // there only below the handoff cost or when no other window is in
+  // flight; the estimate is pinned so the verdict does not depend on how
+  // fast this build solves.
   const auto batch = two_patient_batch();
   ASSERT_GE(batch.size(), 4u);
   const auto admit = [&](ReconstructionEngine& engine) {
@@ -256,9 +256,10 @@ TEST(StreamingEngine, CallerSolvesOnlyTheWindowsItHeld) {
 
   // Expensive: the first window reaches an idle engine and is held; the
   // second, queued behind it while the worker sleeps, goes to the worker.
-  // The woken worker may empty the queue before a later admission, which
-  // then holds its window too.  At most one held window is queued at a
-  // time, first in pop order, so the caller solves at most one.
+  // The woken worker may finish both before a later admission, which then
+  // holds its window too.  A held window is the only one in flight when
+  // admitted, so at most one is queued at a time, first in pop order, and
+  // the caller solves at most one.
   auto dear = fast_engine(1);
   dear.shed_solve_estimate_ms = 1.0;
   ReconstructionEngine worker_bound(dear);
@@ -276,6 +277,31 @@ TEST(StreamingEngine, CallerSolvesOnlyTheWindowsItHeld) {
   EXPECT_EQ(serial.solve_held(), 0u) << "serial mode keeps solving in poll()";
   EXPECT_EQ(serial.worker_handoffs(), 0u);
   EXPECT_EQ(serial.drain().size(), 4u);
+}
+
+TEST(StreamingEngine, CallerHandsAWindowToABusyWorker) {
+  // Idle means no other window in flight, not an empty queue: a window
+  // admitted while the worker solves goes to that worker, so a caller at
+  // saturation keeps admitting instead of solving.  The first solve runs
+  // thousands of iterations, so it is still running at the second
+  // admission.
+  auto cfg = fast_engine(1);
+  cfg.shed_solve_estimate_ms = 1.0;
+  cfg.fista.max_iterations = 8000;
+  cfg.fista.tolerance = 0.0;
+  ReconstructionEngine engine(cfg);
+  const auto batch = two_patient_batch();
+  CompressedWindow first = batch[0];
+  ASSERT_TRUE(engine.try_submit(std::move(first)).has_value());
+  while (engine.backlog(cs::WindowPriority::kUrgent) + engine.backlog(cs::WindowPriority::kRoutine) >
+         0) {
+    std::this_thread::yield();  // Until the worker has taken it.
+  }
+  CompressedWindow second = batch[1];
+  ASSERT_TRUE(engine.try_submit(std::move(second), Solver::kCallerIfCheap).has_value());
+  EXPECT_EQ(engine.solve_held(), 0u);
+  EXPECT_EQ(engine.worker_handoffs(), 2u);
+  EXPECT_EQ(engine.drain().size(), 2u);
 }
 
 TEST(StreamingEngine, TrySubmitAppliesBackpressureAtCapacity) {

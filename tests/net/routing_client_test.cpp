@@ -920,14 +920,16 @@ TEST(WakeGate, BlockingSubmitWithNothingParkedWritesNoWake) {
 }
 
 TEST(WakeGate, DeferredSubmitIsAckedInFullAndInOrder) {
-  // 64 windows against 2 slots.  A slot frees either by the loop's own
-  // solve of a window it held (one that found the engine idle) or by a
-  // worker's completion, which wakes a parked submit through the hook.
-  // Which of the two admits each window is a race, so neither count is
-  // asserted; a lost wakeup trips the 2-s receive timeout.
+  // 64 windows against 2 slots: the submit parks, and only slot releases
+  // (the hook's wakes) let it admit the rest.  The estimate is pinned
+  // expensive, so no window is held as cheap however fast this build
+  // solves.  The loop still holds a window that finds no other in flight,
+  // but the one admitted behind it goes to the worker, and once the loop
+  // has solved its own the submit parks until that worker completes.
   ShardServerConfig cfg;
   cfg.engine = fast_engine(1);
   cfg.engine.queue_capacity = 2;
+  cfg.engine.shed_solve_estimate_ms = 1.0;
   LocalShard shard(std::move(cfg));
   Fd fd = negotiated_connection(shard);
   std::vector<std::uint8_t> rx;
@@ -940,6 +942,9 @@ TEST(WakeGate, DeferredSubmitIsAckedInFullAndInOrder) {
       EXPECT_GT(acks[i].local_ticket, acks[i - 1].local_ticket) << i;
     }
   }
+  EXPECT_GE(shard.server->wake_writes(), 1u)
+      << "only a hook wake admits past the 2 slots; loop solves " << shard.server->loop_solves()
+      << ", worker handoffs " << shard.server->worker_handoffs();
 
   std::set<WindowKey> seen;
   while (seen.size() < windows.size()) {
@@ -1026,9 +1031,9 @@ TEST(WakeGate, ParkedPollIsReleasedByEveryCompletion) {
 }
 
 // --- Loop solves: a window predicted cheaper than a worker handoff
-// (host::kWorkerHandoffUs), or one that reaches an idle engine, is solved
-// by the shard's event loop right after the frame that admitted it; every
-// other window goes to a worker.  The solve estimate is pinned through
+// (host::kWorkerHandoffUs), or one that reaches an idle engine (no other
+// window queued or solving), is solved by the shard's event loop right
+// after the frame that admitted it; every other window goes to a worker.  The solve estimate is pinned through
 // shed_solve_estimate_ms so the path taken does not depend on how fast
 // this build solves.
 
@@ -1120,8 +1125,8 @@ TEST(LoopSolve, UnmeasuredShapeGoesToTheWorker) {
 TEST(LoopSolve, PinnedExpensiveWindowsGoToTheWorker) {
   // The worker may still be awake from its start and take any window,
   // held or not, so only what holds under every interleaving is asserted:
-  // every result is bit-exact, and the first window reaches an empty
-  // queue and is held, so at most the other 31 go to the worker.
+  // every result is bit-exact, and the first window finds no other in
+  // flight and is held, so at most the other 31 go to the worker.
   LocalShard shard(pinned_config(kExpensiveMs));
   Fd fd = negotiated_connection(shard);
   std::vector<std::uint8_t> rx;
@@ -1154,10 +1159,10 @@ TEST(LoopSolve, LoneExpensiveWindowsSolveOnTheLoopWithNoWake) {
 TEST(LoopSolve, BurstOfExpensiveWindowsSpreadsToTheWorker) {
   // A frame of 8 expensive windows into an idle engine: the first is
   // held, and the second, queued behind it while the worker sleeps, goes
-  // to the worker.  Once that worker is awake it may empty the queue
-  // before a later admission, which then holds its window too, so the
-  // handoff count is bounded, not exact.  An expensive window is held only
-  // into an empty queue, so in one lane at most one held window is queued
+  // to the worker.  Once that worker is awake it may finish every earlier
+  // window before a later admission, which then holds its window too, so
+  // the handoff count is bounded, not exact.  An expensive window is held
+  // only when no other is in flight, so at most one held window is queued
   // at a time and it is first in pop order: the loop, which pops only
   // while a held window is queued, solves at most one.
   LocalShard shard(pinned_config(kExpensiveMs));
