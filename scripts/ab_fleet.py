@@ -13,7 +13,10 @@ a traced run (--trace 1) writes its spans under --out too.
 For each metric both sides report, in BENCHMARK.json order, it prints the
 parent's median with its quartiles, the change's median with its quartiles,
 the ratio of the medians, and in how many pairs the change was better (the
-direction comes from BENCHMARK.json; "=" counts exact ties).
+direction comes from BENCHMARK.json; "=" counts exact ties).  It then prints
+each side's median generator-lag p99 of the untraced pass, read from the
+kept stderr line "# untraced pass: gen_lag p99 ... ms", so a run refused for
+generator lag (host load) can be told apart from a program fault.
 
 Exits 1 and prints the FAIL: lines from the kept stderr when any run is not
 "correct", has failed windows, exits non-zero or prints no JSON line;
@@ -22,12 +25,14 @@ exits 2 on a usage error.  Stdlib only.
 import argparse
 import json
 import pathlib
+import re
 import statistics
 import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 300
+GEN_LAG_RE = re.compile(r"^# untraced pass: gen_lag p99 ([0-9.]+) ms", re.MULTILINE)
 
 
 def directions():
@@ -45,8 +50,15 @@ def quartiles(values):
     return q1, med, q3
 
 
+def gen_lag_ms(stderr_text):
+    """The untraced pass's generator-lag p99 from a run's stderr, or None."""
+    match = GEN_LAG_RE.search(stderr_text)
+    return float(match.group(1)) if match else None
+
+
 def run_one(binary, args, out, stem):
-    """Runs one fleetbench; returns (result dict or None, list of problems)."""
+    """Runs one fleetbench; returns (result dict or None, list of problems,
+    untraced generator-lag p99 in ms or None)."""
     cmd = [str(binary), "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", str(args.trace),
            "--out-dir", str(out / (stem + "-trace"))]
@@ -56,7 +68,9 @@ def run_one(binary, args, out, stem):
             proc = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=err,
                                   timeout=RUN_TIMEOUT_S, check=False)
         except subprocess.TimeoutExpired:
-            return None, [f"{stem}: ran past {RUN_TIMEOUT_S} s"]
+            return None, [f"{stem}: ran past {RUN_TIMEOUT_S} s"], None
+    text = stderr_path.read_text(errors="replace")
+    lag = gen_lag_ms(text)
     stdout = proc.stdout.decode(errors="replace")
     (out / (stem + ".json")).write_text(stdout)
     problems = []
@@ -68,16 +82,28 @@ def run_one(binary, args, out, stem):
     except json.JSONDecodeError:
         result = None
     if result is None:
-        return None, problems + [f"{stem}: no JSON result line"]
+        return None, problems + [f"{stem}: no JSON result line"], lag
     if result.get("correct") is not True:
         problems.append(f"{stem}: correct = {result.get('correct')}")
     if result.get("failed", 0) != 0:
         problems.append(f"{stem}: {result.get('failed')} failed windows")
     if problems:
-        text = stderr_path.read_text(errors="replace")
         problems += [f"{stem}: {line[len('FAIL:'):].strip()}"
                      for line in text.splitlines() if line.startswith("FAIL:")]
-    return result, problems
+    return result, problems, lag
+
+
+def report_lag(lags):
+    """Prints each side's median untraced generator-lag p99 over its runs."""
+    cols = []
+    for label in ("parent", "change"):
+        values = [v for v in lags[label] if v is not None]
+        if values:
+            q1, med, q3 = quartiles(values)
+            cols.append(f"{label} {med:.6g} [{q1:.6g}, {q3:.6g}] ms ({len(values)} runs)")
+        else:
+            cols.append(f"{label} -")
+    print("# gen_lag p99, untraced pass (stderr): " + "; ".join(cols))
 
 
 def report(pairs, better):
@@ -128,14 +154,16 @@ def main():
     better = directions()
 
     pairs, problems = [], []
+    lags = {"parent": [], "change": []}
     for i in range(args.pairs):
         sides = [("parent", args.parent), ("change", args.change)]
         if i % 2 == 1:
             sides.reverse()
         results = {}
         for label, binary in sides:
-            result, bad = run_one(binary.resolve(), args, args.out, f"pair{i:02d}-{label}")
+            result, bad, lag = run_one(binary.resolve(), args, args.out, f"pair{i:02d}-{label}")
             problems += bad
+            lags[label].append(lag)
             results[label] = result
             print(f"pair {i}: {label} done" + (f" ({'; '.join(bad)})" if bad else ""),
                   file=sys.stderr, flush=True)
@@ -146,6 +174,7 @@ def main():
           f"{args.trace}, {len(pairs)} pairs (alternating order); runs kept in {args.out}")
     if pairs:
         report(pairs, better)
+    report_lag(lags)
     for line in problems:
         print(f"FAIL: {line}")
     return 1 if problems else 0

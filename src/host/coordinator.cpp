@@ -291,6 +291,10 @@ bool Coordinator::fail_shard(std::size_t shard, FailoverReport* report) {
   // may have admitted them.
   take_acks(slot);
   fail_unacked(slot);
+  // Results the link already received are delivered, not lost.
+  const std::size_t before = pending_.size();
+  slot.link->take_results(pending_);
+  adopt_results(&slot, before);
   // Every acknowledged window is accounted once: retrieved in time ->
   // completed, destroyed with the shard -> lost (windows it shed before
   // dying are indistinguishable from lost ones out here).

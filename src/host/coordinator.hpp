@@ -92,6 +92,11 @@ class ShardLink {
     out.insert(out.end(), acks_.begin(), acks_.end());
     acks_.clear();
   }
+  /// Moves the results the link has received but not handed over (a wire
+  /// link's SUBMIT_BATCH_ACKs carry them) into `out`.  No I/O.
+  void take_results(RingDeque<WindowResult>& out) {
+    for (; !results_.empty(); results_.pop_front()) out.push_back(std::move(results_.front()));
+  }
   /// Appends finished results without waiting on the shard.  `owed`
   /// counts acknowledged windows not yet retrieved (a wire link keeps a
   /// long-poll armed only while some are).  A serial in-process shard
@@ -113,7 +118,8 @@ class ShardLink {
   virtual void close(bool bye) = 0;
 
  protected:
-  std::vector<SubmitAck> acks_;  ///< Delivered, not yet taken.
+  std::vector<SubmitAck> acks_;      ///< Delivered, not yet taken.
+  RingDeque<WindowResult> results_;  ///< Delivered, not yet taken.
 };
 
 /// What a resize() did.

@@ -33,8 +33,11 @@ bool SocketLink::ensure_connected() { return fd_.valid() || reconnect(); }
 
 bool SocketLink::reconnect() {
   fd_.reset();
+  // Answers already received are delivered: the shard counted them
+  // retrieved.  The rest died with the old connection.
+  (void)absorb_received_answers();
   rx_.clear();
-  polls_owed_ = 0;  // Their answers died with the old connection.
+  polls_owed_ = 0;
   // Windows whose ACK was outstanding on the dead connection are lost,
   // never retried (a retry could double-submit).
   fail_pipeline();
@@ -87,22 +90,30 @@ bool SocketLink::round_trip(const std::vector<std::uint8_t>& buf, bool may_retry
   return send_request(buf, may_retry) && read_frame() && view_.type == expect;
 }
 
+bool SocketLink::absorb_received_answers() {
+  for (;;) {
+    FrameView peek;
+    if (polls_owed_ == 0 || peek_frame(rx_, peek) != FrameStatus::kOk ||
+        peek.type != FrameType::kResultBatch) {
+      return true;
+    }
+    const bool ok = absorb_results(peek);
+    rx_.erase(rx_.begin(), rx_.begin() + peek.frame_bytes);
+    if (!ok) return false;
+  }
+}
+
 bool SocketLink::read_frame() {
   if (!fd_.valid()) return false;
   for (;;) {
+    // Armed polls' answers precede whatever this read waits for.
+    if (!absorb_received_answers()) {
+      fd_.reset();
+      return false;
+    }
     FrameView peek;
     const auto status = peek_frame(rx_, peek);
     if (status == FrameStatus::kOk) {
-      if (peek.type == FrameType::kResultBatch && polls_owed_ > 0) {
-        // An armed poll's answer precedes whatever this read waits for.
-        const bool ok = absorb_results(peek);
-        rx_.erase(rx_.begin(), rx_.begin() + peek.frame_bytes);
-        if (!ok) {
-          fd_.reset();
-          return false;
-        }
-        continue;
-      }
       frame_.assign(rx_.begin(), rx_.begin() + peek.frame_bytes);
       rx_.erase(rx_.begin(), rx_.begin() + peek.frame_bytes);
       // Point the view at the stable copy so it outlives rx_.  The peek
@@ -126,20 +137,20 @@ bool SocketLink::read_frame() {
   }
 }
 
+namespace {
+/// Decode scratch for result lists (the link is single-owner).
+std::vector<host::WindowResult>& result_scratch() {
+  static thread_local std::vector<host::WindowResult> results;
+  return results;
+}
+}  // namespace
+
 bool SocketLink::absorb_results(const FrameView& view) {
   --polls_owed_;
-  static thread_local std::vector<host::WindowResult> results;
-  results.clear();
+  auto& results = result_scratch();
   if (!decode_result_batch(view.payload, results, cfg_.payload_pool.get())) return false;
-  for (auto& result : results) inbox_.push_back(std::move(result));
+  for (auto& result : results) results_.push_back(std::move(result));
   return true;
-}
-
-void SocketLink::hand_over(host::RingDeque<host::WindowResult>& out) {
-  while (!inbox_.empty()) {
-    out.push_back(std::move(inbox_.front()));
-    inbox_.pop_front();
-  }
 }
 
 void SocketLink::fail_pipeline() {
@@ -153,9 +164,10 @@ void SocketLink::fail_pipeline() {
 
 bool SocketLink::harvest_ack() {
   if (outstanding_counts_.empty()) return true;
-  std::vector<SubmitBatchAckEntry> entries;
+  static thread_local std::vector<SubmitBatchAckEntry> entries;
+  auto& results = result_scratch();
   if (!read_frame() || view_.type != FrameType::kSubmitBatchAck ||
-      !decode_submit_batch_ack(view_.payload, entries) ||
+      !decode_submit_batch_ack(view_.payload, entries, results, cfg_.payload_pool.get()) ||
       entries.size() != outstanding_counts_.front()) {
     fd_.reset();
     fail_pipeline();
@@ -167,6 +179,9 @@ bool SocketLink::harvest_ack() {
                                     : host::SubmitAck::Status::kRejected,
                      entry.local_ticket});
   }
+  // Results that rode in the ACK are the shard's answer as much as a
+  // RESULT_BATCH is: they are retrieved there, so they are delivered here.
+  for (auto& result : results) results_.push_back(std::move(result));
   return true;
 }
 
@@ -264,8 +279,9 @@ bool SocketLink::poll_many(host::RingDeque<host::WindowResult>& out, std::uint64
     rx_.erase(rx_.begin(), rx_.begin() + view.frame_bytes);
   }
   // Arm only while the shard holds windows not yet retrieved, and only one.
-  const bool arm = ok && owed > inbox_.size() && !(fd_.valid() && polls_owed_ > 0);
-  hand_over(out);
+  // Results that rode in an ACK are retrieved already: no poll for them.
+  const bool arm = ok && owed > results_.size() && !(fd_.valid() && polls_owed_ > 0);
+  take_results(out);
   if (!arm) return ok;
   if (!send_request(poll_frame(), /*may_retry=*/true)) return false;
   ++polls_owed_;
@@ -279,11 +295,12 @@ bool SocketLink::snapshot(host::ShardCounters& counters,
   const bool arm = sweep != nullptr && (!fd_.valid() || polls_owed_ == 0);
   if (arm) tx_ = poll_frame();
   encode_snapshot_request(tx_);
-  if (!send_request(tx_, /*may_retry=*/true)) return false;
-  if (arm) ++polls_owed_;
-  const bool ok = read_frame() && view_.type == FrameType::kSnapshot &&
+  const bool sent = send_request(tx_, /*may_retry=*/true);
+  if (sent && arm) ++polls_owed_;
+  const bool ok = sent && read_frame() && view_.type == FrameType::kSnapshot &&
                   decode_snapshot(view_.payload, counters);
-  if (sweep != nullptr) hand_over(*sweep);
+  // Hand over what was received even when the shard stopped answering.
+  if (sweep != nullptr) take_results(*sweep);
   return ok;
 }
 

@@ -1,6 +1,6 @@
 // RoutingClient — the cross-machine face of the coordinator.
 //
-// Speaks wbsn-wire v6 to a fleet of ShardServer processes and presents
+// Speaks wbsn-wire v7 to a fleet of ShardServer processes and presents
 // the same submit/poll/drain surface as host::ReconstructionFabric.  Both
 // are façades over one host::Coordinator (coordinator.hpp), which owns the
 // ring per epoch, composite tickets, the resize migration order
@@ -19,7 +19,10 @@
 //     unacknowledged frames ride the wire, and acks surface in submission
 //     order when the SUBMIT_BATCH_ACK arrives.  Any other verb syncs the
 //     pipeline first (responses are per-connection ordered).
-//   * Results come back by long-poll.  While the shard holds windows the
+//   * Each SUBMIT_BATCH_ACK carries the results the shard had ready when
+//     it sent it (every window its event loop solved before acking), and
+//     the next poll_many() hands them over with no request at all.
+//   * The rest come back by long-poll.  While the shard holds windows the
 //     coordinator has not retrieved, the link keeps one POLL_MANY armed
 //     there; the shard answers it as soon as a result is ready, and
 //     poll_many() picks the answer up with a non-blocking read.  Any later
@@ -148,18 +151,20 @@ class SocketLink final : public host::ShardLink {
   /// answers owed to armed polls are absorbed on the way.
   bool read_frame();
   /// Decodes one RESULT_BATCH (the answer to the oldest owed poll) into
-  /// inbox_.
+  /// results_.
   bool absorb_results(const FrameView& view);
+  /// Absorbs the complete RESULT_BATCH frames owed to armed polls at the
+  /// front of rx_; false when one does not decode.
+  bool absorb_received_answers();
   /// Seals the staged bodies into one SUBMIT_BATCH on the wire and
   /// enforces the pipeline depth by harvesting acks.
   bool seal_batch();
-  /// Blocks for one SUBMIT_BATCH_ACK and records its windows' acks.
+  /// Blocks for one SUBMIT_BATCH_ACK and records its windows' acks and
+  /// the results it carries.
   bool harvest_ack();
   /// Resolves every staged or unacknowledged window as lost (the
   /// connection died with them outstanding).
   void fail_pipeline();
-  /// Moves inbox_ into `out`.
-  void hand_over(host::RingDeque<host::WindowResult>& out);
 
   ShardEndpoint endpoint_;
   std::size_t index_ = 0;
@@ -173,7 +178,7 @@ class SocketLink final : public host::ShardLink {
   /// SUBMIT_BATCH shares its send.
   std::uint64_t frames_sent_ = 0;
   /// POLL_MANY answers not yet read.  Meaningful only while fd_ is valid:
-  /// reconnect() clears it with rx_.
+  /// reconnect() absorbs those already in rx_, then clears both.
   std::uint32_t polls_owed_ = 0;
   std::uint64_t health_nonce_ = 0;
   /// Encoded window bodies not yet sealed into a frame.
@@ -182,7 +187,6 @@ class SocketLink final : public host::ShardLink {
   std::uint8_t staged_flags_ = kSubmitFlagBlocking;  ///< Admission mode of the staged frame.
   /// Window count of each unacknowledged SUBMIT_BATCH on the wire.
   std::deque<std::size_t> outstanding_counts_;
-  host::RingDeque<host::WindowResult> inbox_;  ///< Absorbed, not yet handed over.
 };
 
 class RoutingClient {

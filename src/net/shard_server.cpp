@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <optional>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -205,9 +206,6 @@ bool ShardServer::process_rx(Connection& conn) {
     }
     if (status != FrameStatus::kOk) return false;  // Desync/corrupt/oversized.
     handle_frame(conn, frame);
-    // Windows the frame admitted held are solved before the next frame,
-    // so a POLL_MANY queued behind this SUBMIT_BATCH carries their results.
-    solve_held();
     consumed += frame.frame_bytes;
     if (conn.close_after_flush) break;
   }
@@ -247,29 +245,24 @@ void ShardServer::handle_frame(Connection& conn, const FrameView& frame) {
         send_error(conn, ErrorCode::kBadPayload, "malformed SUBMIT_BATCH", true);
         return;
       }
+      if ((flags & kSubmitFlagBlocking) && engine_->thread_count() > 0) {
+        submit_blocking(conn, std::move(windows));
+        return;
+      }
       std::vector<SubmitBatchAckEntry> acks;
       acks.reserve(windows.size());
-      if (flags & kSubmitFlagBlocking) {
-        if (engine_->thread_count() == 0) {
+      for (auto& window : windows) {
+        std::optional<std::uint64_t> ticket;
+        if (flags & kSubmitFlagBlocking) {
           // Serial engine: the calling thread is the solver, so a blocking
           // submit makes its own room — deferring would stall forever.
-          for (auto& window : windows) {
-            acks.push_back({true, engine_->submit(std::move(window))});
-          }
-          encode_submit_batch_ack(tx, acks);
+          ticket = engine_->submit(std::move(window));
         } else {
-          submit_blocking(conn, std::move(windows));
+          ticket = engine_->try_submit(std::move(window), host::Solver::kCallerIfCheap);
         }
-      } else {
-        for (auto& window : windows) {
-          if (auto ticket = engine_->try_submit(std::move(window), host::Solver::kCallerIfCheap)) {
-            acks.push_back({true, *ticket});
-          } else {
-            acks.push_back({false, 0});
-          }
-        }
-        encode_submit_batch_ack(tx, acks);
+        acks.push_back({ticket.has_value(), ticket.value_or(0)});
       }
+      acknowledge(conn, acks);
       return;
     }
     case FrameType::kPollMany: {
@@ -421,8 +414,7 @@ void ShardServer::advance_deferred(Connection& conn) {
         conn.deferred_acks.push_back({true, *ticket});
         ++conn.deferred_next;
       }
-      solve_held();
-      encode_submit_batch_ack(conn.tx, conn.deferred_acks);
+      acknowledge(conn, conn.deferred_acks);
       conn.deferred = Connection::Deferred::kNone;
       conn.deferred_windows.clear();
       return;
@@ -437,16 +429,14 @@ void ShardServer::advance_deferred(Connection& conn) {
   }
 }
 
-void ShardServer::answer_poll(Connection& conn) {
-  // One POLL_MANY answers with exactly one RESULT_BATCH, capped by count
-  // AND by bytes: a deep completion list of large windows must not
-  // assemble a frame past kMaxPayloadBytes.  The client just polls again.
+std::uint64_t ShardServer::stage_ready_results(std::uint32_t max_results, std::size_t frame_bytes) {
+  // Capped by count AND by bytes: a deep completion list of large windows
+  // must not assemble a frame past kMaxPayloadBytes.  The client just
+  // polls again for the rest.
   constexpr std::size_t kBatchByteBudget = 4 * 1024 * 1024;
-  const std::uint32_t max_results = conn.parked_poll;
-  conn.parked_poll = 0;
   batch_staging_.clear();
   std::uint64_t count = 0;
-  while (count < max_results && batch_staging_.size() < kBatchByteBudget) {
+  while (count < max_results && frame_bytes + batch_staging_.size() < kBatchByteBudget) {
     auto result = engine_->poll();
     if (!result) break;
     encode_result_entry(batch_staging_, *result, cfg_.wire);
@@ -455,7 +445,26 @@ void ShardServer::answer_poll(Connection& conn) {
     }
     ++count;
   }
+  return count;
+}
+
+void ShardServer::acknowledge(Connection& conn, std::span<const SubmitBatchAckEntry> acks) {
+  solve_held();
+  // A serial engine solves inside engine.poll(): its ACK carries nothing,
+  // or every submit would solve the whole queue.  An entry is at most 11
+  // bytes (flag and a 10-byte varint).
+  const std::uint32_t max_results = engine_->thread_count() > 0 ? kMaxPollResults : 0;
+  const std::uint64_t count = stage_ready_results(max_results, acks.size() * 11);
+  encode_submit_batch_ack(conn.tx, acks, batch_staging_, count);
+  ack_results_.fetch_add(count, std::memory_order_relaxed);
+}
+
+void ShardServer::answer_poll(Connection& conn) {
+  // One POLL_MANY answers with exactly one RESULT_BATCH.
+  const std::uint64_t count = stage_ready_results(conn.parked_poll, 0);
+  conn.parked_poll = 0;
   encode_result_batch(conn.tx, batch_staging_, count);
+  poll_answers_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ShardServer::send_error(Connection& conn, ErrorCode code, const std::string& detail,

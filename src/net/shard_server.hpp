@@ -5,7 +5,7 @@
 // deployment now runs N ShardServer processes (see shard_serverd_main.cpp)
 // and one RoutingClient that routes patients across them with the same
 // consistent-hash ring.  The server itself is deliberately dumb: it speaks
-// wbsn-wire v6 (wire_format.hpp), maps each request frame onto the
+// wbsn-wire v7 (wire_format.hpp), maps each request frame onto the
 // corresponding ReconstructionEngine verb, and knows nothing about rings,
 // epochs, or topology — all placement intelligence lives client-side, so
 // growing the fleet never requires touching a running shard.
@@ -37,13 +37,14 @@
 // *held*, with no worker wake, when its per-shape (or pinned) solve
 // estimate is non-zero and below that constant, or when the engine is idle
 // (no other window queued or being solved).  The loop solves held windows
-// itself right after the frame that admitted them (and inside a deferred
-// submit before it gives up on a full engine), urgent first, through the
-// engine's own solve/complete path, and the ack leaves in the same flush.
-// A POLL_MANY behind that SUBMIT_BATCH then leaves with their results.  A
-// dear window that arrives behind a queued one, or while a worker solves,
-// goes to a worker, so `threads` serves bursts and saturation: a loop
-// busy solving reads no frames and would starve an already-awake pool.
+// itself before it acknowledges the frame that admitted them (and inside a
+// deferred submit before it gives up on a full engine), urgent first,
+// through the engine's own solve/complete path.  The SUBMIT_BATCH_ACK then
+// carries their results, and every other result ready by then, so the
+// client needs no POLL_MANY round trip for them.  A dear window that
+// arrives behind a queued one, or while a worker solves, goes to a worker,
+// so `threads` serves bursts and saturation: a loop busy solving reads no
+// frames and would starve an already-awake pool.
 // The loop never sleeps in poll(2) with a held window queued, and the
 // progress hook stays silent for progress made on the loop's own thread:
 // the loop re-checks its waiting verbs instead, at once when that
@@ -54,7 +55,8 @@
 // completion's progress-hook wake finds a result ready — or, if the next
 // frame on that connection arrives first, just before handling that frame
 // (possibly with zero results), so responses stay in request order.  A
-// serial engine answers at once: its solve runs inside engine.poll().
+// serial engine answers at once: its solve runs inside engine.poll(), which
+// is also why its SUBMIT_BATCH_ACKs carry no results.
 //
 // Shutdown: stop() from any thread (self-pipe wakes the loop), or a BYE
 // frame when cfg.stop_on_bye is set — the daemon's orderly-exit path.
@@ -63,6 +65,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,8 +76,8 @@
 namespace wbsn::net {
 
 /// Upper bound on results returned per POLL_MANY, whatever the client
-/// asked (0 asks for this many): it caps what one hostile request can make
-/// the server encode.
+/// asked (0 asks for this many), and per SUBMIT_BATCH_ACK: it caps what one
+/// hostile request can make the server encode.
 inline constexpr std::uint32_t kMaxPollResults = 4096;
 
 struct ShardServerConfig {
@@ -141,6 +144,12 @@ class ShardServer {
   /// worker was asleep).
   std::uint64_t worker_handoffs() const { return engine_->worker_handoffs(); }
 
+  /// Results sent inside SUBMIT_BATCH_ACKs.
+  std::uint64_t ack_results() const { return ack_results_.load(std::memory_order_relaxed); }
+
+  /// RESULT_BATCH frames sent: one per POLL_MANY answered.
+  std::uint64_t poll_answers() const { return poll_answers_.load(std::memory_order_relaxed); }
+
  private:
   struct Connection {
     Fd fd;
@@ -176,9 +185,17 @@ class ShardServer {
   /// immediately when every window fits right now.
   void submit_blocking(Connection& conn, std::vector<host::CompressedWindow>&& windows);
   /// Solves, on the loop's thread, every window the loop admitted held;
-  /// returns how many it solved.  Runs after each frame and inside a
-  /// deferred submit, so the loop never sleeps with a held window queued.
+  /// returns how many it solved.  Runs before every SUBMIT_BATCH_ACK and
+  /// inside a deferred submit, so the loop never sleeps with a held window
+  /// queued.
   std::size_t solve_held();
+  /// Encodes up to `max_results` ready results into batch_staging_,
+  /// stopping once they and the `frame_bytes` the frame already holds pass
+  /// the byte budget; returns how many.
+  std::uint64_t stage_ready_results(std::uint32_t max_results, std::size_t frame_bytes);
+  /// Solves the held windows, then appends the SUBMIT_BATCH_ACK for `acks`
+  /// carrying every result ready by then (none on a serial engine).
+  void acknowledge(Connection& conn, std::span<const SubmitBatchAckEntry> acks);
   /// Answers the connection's parked POLL_MANY with one RESULT_BATCH of
   /// whatever is ready now (possibly nothing) and clears it.
   void answer_poll(Connection& conn);
@@ -200,13 +217,15 @@ class ShardServer {
   std::atomic<bool> wake_armed_{false};
   std::atomic<std::uint64_t> wake_writes_{0};
   std::atomic<std::uint64_t> loop_solves_{0};
+  std::atomic<std::uint64_t> ack_results_{0};
+  std::atomic<std::uint64_t> poll_answers_{0};
   /// Completions and sheds made on the loop's own thread (the hook's
   /// silent branch); loop thread only.  run() compares it across its
   /// checks to decide whether it may sleep.
   std::uint64_t self_progress_ = 0;
   std::unique_ptr<host::ReconstructionEngine> engine_;
   std::vector<std::unique_ptr<Connection>> conns_;
-  /// Staging buffer for RESULT_BATCH bodies (single-threaded loop).
+  /// Staging buffer for result bodies (single-threaded loop).
   std::vector<std::uint8_t> batch_staging_;
   std::atomic<bool> stopping_{false};
 };

@@ -1090,18 +1090,43 @@ bool decode_submit_batch(std::span<const std::uint8_t> payload, std::uint8_t& fl
 }
 
 void encode_submit_batch_ack(std::vector<std::uint8_t>& out,
-                             std::span<const SubmitBatchAckEntry> entries) {
+                             std::span<const SubmitBatchAckEntry> entries,
+                             std::span<const std::uint8_t> result_bodies,
+                             std::uint64_t result_count) {
   const std::size_t p = frame_begin(out, FrameType::kSubmitBatchAck);
   put_varint(out, entries.size());
   for (const auto& entry : entries) {
     put_u8(out, entry.accepted ? 1 : 0);
     if (entry.accepted) put_varint(out, entry.local_ticket);
   }
+  put_varint(out, result_count);
+  out.insert(out.end(), result_bodies.begin(), result_bodies.end());
   frame_end(out, p);
 }
 
+namespace {
+
+/// `count` result bodies off `r` into `out`: RESULT_BATCH's list, and the
+/// tail of a SUBMIT_BATCH_ACK.
+bool decode_result_list(WireReader& r, std::vector<host::WindowResult>& out,
+                        host::PayloadPool* pool) {
+  std::uint64_t count = 0;
+  if (!decode_result_batch_header(r, count)) return false;
+  out.clear();
+  out.reserve(static_cast<std::size_t>(count));
+  for (std::uint64_t i = 0; i < count; ++i) {
+    host::WindowResult result;
+    if (!decode_result_entry(r, result, pool)) return false;
+    out.push_back(std::move(result));
+  }
+  return r.ok() && r.remaining() == 0;
+}
+
+}  // namespace
+
 bool decode_submit_batch_ack(std::span<const std::uint8_t> payload,
-                             std::vector<SubmitBatchAckEntry>& out) {
+                             std::vector<SubmitBatchAckEntry>& out,
+                             std::vector<host::WindowResult>& results, host::PayloadPool* pool) {
   WireReader r(payload);
   const std::uint64_t count = r.varint();
   if (!r.ok() || count > r.remaining()) return false;  // >= 1 byte per entry.
@@ -1115,7 +1140,7 @@ bool decode_submit_batch_ack(std::span<const std::uint8_t> payload,
     if (entry.accepted) entry.local_ticket = r.varint();
     out.push_back(entry);
   }
-  return r.ok() && r.remaining() == 0;
+  return decode_result_list(r, results, pool);
 }
 
 void encode_poll_many(std::vector<std::uint8_t>& out, std::uint32_t max_results) {
@@ -1149,16 +1174,7 @@ bool decode_result_batch_header(WireReader& r, std::uint64_t& count) {
 bool decode_result_batch(std::span<const std::uint8_t> payload,
                          std::vector<host::WindowResult>& out, host::PayloadPool* pool) {
   WireReader r(payload);
-  std::uint64_t count = 0;
-  if (!decode_result_batch_header(r, count)) return false;
-  out.clear();
-  out.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    host::WindowResult result;
-    if (!decode_result_entry(r, result, pool)) return false;
-    out.push_back(std::move(result));
-  }
-  return r.ok() && r.remaining() == 0;
+  return decode_result_list(r, out, pool);
 }
 
 // --- CR-hint frames ----------------------------------------------------------

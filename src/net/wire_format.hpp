@@ -1,8 +1,9 @@
 // wbsn-wire — the compact binary serialization that puts a socket (or a
 // radio) under the reconstruction fabric.  This implementation speaks one
-// version, 6, whose only data path is batched: SUBMIT_BATCH carries K
-// windows in, POLL_MANY/RESULT_BATCH carry up to N results out (a long-poll:
-// a threaded shard answers when a result is ready), and HEALTH is the
+// version, 7, whose only data path is batched: SUBMIT_BATCH carries K
+// windows in, and its SUBMIT_BATCH_ACK carries the results ready by then;
+// POLL_MANY/RESULT_BATCH carry up to N results out (a long-poll: a
+// threaded shard answers when a result is ready), and HEALTH is the
 // liveness probe.
 //
 // The normative specification lives in docs/WIRE_FORMAT.md and is written
@@ -63,7 +64,7 @@ inline constexpr std::uint8_t kMagic0 = 0x57;  ///< 'W'
 inline constexpr std::uint8_t kMagic1 = 0x42;  ///< 'B'
 /// The only protocol version this implementation speaks; every frame's
 /// header byte carries it.
-inline constexpr std::uint8_t kWireVersion = 6;
+inline constexpr std::uint8_t kWireVersion = 7;
 inline constexpr std::size_t kFrameHeaderBytes = 8;
 inline constexpr std::size_t kFrameTrailerBytes = 4;
 /// Frames longer than this are rejected before buffering the payload — a
@@ -294,10 +295,13 @@ void encode_bye_ack(std::vector<std::uint8_t>& out);
 // --- Batched data frames -----------------------------------------------------
 // SUBMIT_BATCH payload := flags(u8) count(varint) count × window-body.
 // SUBMIT_BATCH_ACK carries count × (accepted(u8) [local_ticket(varint)
-// when accepted]) in submit order.  POLL_MANY(max) is answered by exactly
-// one RESULT_BATCH of count(varint) count × result-body.  A threaded shard
-// holds the answer until a result is ready or the next frame on the
-// connection arrives; in the latter case count may be zero.
+// when accepted]) in submit order, then result_count(varint)
+// result_count × result-body: the results the shard had ready when it
+// sent the ACK, delivered exactly as a RESULT_BATCH's.  POLL_MANY(max) is
+// answered by exactly one RESULT_BATCH of count(varint) count ×
+// result-body.  A threaded shard holds the answer until a result is ready
+// or the next frame on the connection arrives; in the latter case count
+// may be zero.
 //
 // The client pipeline stages window bodies incrementally
 // (encode_submit_batch_entry into a reused buffer) and seals the frame
@@ -359,10 +363,18 @@ bool decode_submit_batch_entry(WireReader& r, host::CompressedWindow& out,
 bool decode_submit_batch(std::span<const std::uint8_t> payload, std::uint8_t& flags,
                          std::vector<host::CompressedWindow>& out, host::PayloadPool* pool);
 
+/// Appends a SUBMIT_BATCH_ACK: the per-window entries, then
+/// `result_count` staged result bodies (encode_result_entry, as for a
+/// RESULT_BATCH) — the results the shard had ready when it acknowledged.
 void encode_submit_batch_ack(std::vector<std::uint8_t>& out,
-                             std::span<const SubmitBatchAckEntry> entries);
+                             std::span<const SubmitBatchAckEntry> entries,
+                             std::span<const std::uint8_t> result_bodies = {},
+                             std::uint64_t result_count = 0);
+/// Decodes the entries into `out` and the carried results into `results`
+/// (signals drawn from `pool` when set).
 bool decode_submit_batch_ack(std::span<const std::uint8_t> payload,
-                             std::vector<SubmitBatchAckEntry>& out);
+                             std::vector<SubmitBatchAckEntry>& out,
+                             std::vector<host::WindowResult>& results, host::PayloadPool* pool);
 
 void encode_poll_many(std::vector<std::uint8_t>& out, std::uint32_t max_results);
 bool decode_poll_many(std::span<const std::uint8_t> payload, std::uint32_t& max_results);
@@ -391,7 +403,7 @@ bool decode_result_batch(std::span<const std::uint8_t> payload,
 // advisory_cr_centi(varint; 0 = no pressure, else advisory CR% × 100)
 // count(varint) count × (patient_id(varint) cr_centi(varint)) answers
 // with a shard-wide advisory plus up to max_entries per-patient hints
-// (v6 allows them; this repo's server sends none and its client asks for
+// (v7 allows them; this repo's server sends none and its client asks for
 // none, since each would repeat the shard-wide advisory).
 // The epoch is the requester's topology epoch, echoed verbatim, so a hint
 // that raced a reshard can be recognized as stale and discarded instead

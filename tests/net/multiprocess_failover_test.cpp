@@ -211,20 +211,21 @@ TEST(MultiProcessFailover, Kill9MidStreamRecoversWithConservationAndBitIdentical
   for (auto&& r : client.drain()) keep(std::move(r));
   ASSERT_EQ(results.size(), half);
 
-  // Phase 2: load the fleet and kill d1 while its backlog is in flight.
-  // Every phase-2 window acknowledged by d1 is destroyed with it; the
-  // epoch-0 ring tells us exactly which ones those are.
-  std::uint64_t lost_expected = 0;
+  // Phase 2: load the fleet in one pipelined flush and kill d1 while its
+  // backlog is in flight.  The epoch-0 ring tells us which windows d1
+  // acknowledged.  Each frame's first window reached an idle engine, so d1
+  // solved it before acking and its result rode in the ack; the windows
+  // queued behind it for d1's worker die with d1.
   std::set<WindowKey> lost_keys;
   for (std::size_t i = half; i < traffic.size(); ++i) {
     CompressedWindow copy = traffic[i];
-    ASSERT_TRUE(client.submit(std::move(copy)).has_value());
     if (client.owner(copy.patient_id) == 1) {
-      ++lost_expected;
       lost_keys.insert({traffic[i].patient_id, traffic[i].window_index});
     }
+    ASSERT_TRUE(client.submit_pipelined(std::move(copy)));
   }
-  ASSERT_GT(lost_expected, 0u) << "the test needs patients on the daemon that dies";
+  ASSERT_GT(lost_keys.size(), 1u) << "the test needs patients on the daemon that dies";
+  for (const auto& ticket : client.flush_submits()) ASSERT_TRUE(ticket.has_value());
   d1.kill9();
 
   // Detection: the health sweep finds the corpse and (auto_failover) opens
@@ -238,6 +239,15 @@ TEST(MultiProcessFailover, Kill9MidStreamRecoversWithConservationAndBitIdentical
   for (const auto& window : traffic) {
     EXPECT_NE(client.owner(window.patient_id), 1u) << "a corpse must own no patients";
   }
+
+  // What d1 delivered before dying (the results in its acks, which the
+  // failover handed over) is not lost; the rest is.
+  for (auto&& r : client.drain()) {
+    lost_keys.erase({r.patient_id, r.window_index});
+    keep(std::move(r));
+  }
+  const std::uint64_t lost_expected = lost_keys.size();
+  ASSERT_GT(lost_expected, 0u) << "d1 must die holding windows it had not solved";
 
   // The fleet keeps serving: re-home the lost windows' patients by
   // resubmitting their windows — the ring now routes them to survivors.
@@ -268,7 +278,7 @@ TEST(MultiProcessFailover, Kill9MidStreamRecoversWithConservationAndBitIdentical
 
   // Crash-proof conservation: the client's mirrors account every window
   // the dead daemon acknowledged, split exactly into retrieved-in-time
-  // (phase 1) and lost (phase 2).
+  // (phase 1 and the phase-2 results its acks carried) and lost.
   const auto agg = client.aggregate_snapshot();
   EXPECT_EQ(agg.lost, lost_expected);
   // phase 1 + phase 2 + the lost windows' resubmissions.
@@ -311,15 +321,17 @@ TEST(MultiProcessFailover, Kill9WithAParkedPollKeepsConservationExact) {
   ASSERT_GT(owned_by_d1, 0u) << "the test needs patients on the daemon that dies";
   for (const auto& ticket : client.flush_submits()) ASSERT_TRUE(ticket.has_value());
 
-  // This poll() only arms one POLL_MANY per daemon — nothing can have been
-  // answered yet — and d1 dies with its poll parked or just answered.
-  EXPECT_FALSE(client.poll().has_value());
+  // This poll() returns a result that rode in an ACK, if any, and arms one
+  // POLL_MANY per daemon still owed results; d1 dies with its poll parked
+  // or just answered.
+  std::vector<WindowResult> results;
+  if (auto first = client.poll()) results.push_back(std::move(*first));
   d1.kill9();
   ASSERT_EQ(client.check_health(), std::vector<std::size_t>{1});
 
   // Results d1 pushed before dying still arrive; the rest are lost.
   std::uint64_t returned_by_d1 = 0;
-  const auto results = client.drain();
+  for (auto&& result : client.drain()) results.push_back(std::move(result));
   for (const auto& result : results) {
     returned_by_d1 += host::Coordinator::ticket_shard(result.ticket) == 1;
     const auto ref = reference.find({result.patient_id, result.window_index});

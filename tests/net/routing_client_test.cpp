@@ -7,7 +7,9 @@
 // shards, the POLL_MANY long-poll (park, release by completion or by the
 // next frame), the gated progress hook (no wake while no verb waits, none
 // lost while one does), windows solved on the shard's own event loop
-// (cheap ones only, urgent first, no stranding, no self-wake), and the
+// (cheap or lone ones, urgent first, no stranding, no self-wake), the
+// results that ride in a SUBMIT_BATCH_ACK (no POLL_MANY for them, each
+// delivered once across a reshard, a failover or a reconnect), and the
 // protocol-level rejection paths (unknown version, talking before HELLO,
 // retired frame types, hostile window shapes).
 
@@ -519,7 +521,10 @@ TEST(Failover, MidStreamDisconnectResolvesTicketsOnceAndNeverDoubleSubmits) {
 TEST(Failover, FailShardOpensFailoverEpochAndConservesWithLost) {
   const auto traffic = fleet_traffic(/*patients=*/6, /*beats_per_patient=*/3);
 
-  LocalShard a(1), b(1);
+  // Shard 0 is serial: it solves only when polled, so no result rides in
+  // its acks and every window it acknowledged is still unsolved when it
+  // dies.
+  LocalShard a(0), b(1);
   auto cfg = client_config();
   cfg.reconnect_attempts = 0;  // A dead port fails fast, not after backoff.
   cfg.health_probe_timeout_ms = 500;
@@ -589,7 +594,8 @@ TEST(Failover, AutoFailoverReroutesAndKeepsServing) {
   const auto traffic = fleet_traffic(/*patients=*/6, /*beats_per_patient=*/2);
   const auto reference = serial_reference(traffic);
 
-  LocalShard a(1), b(1);
+  // Shard 0 is serial, so its acks carry no results (see above).
+  LocalShard a(0), b(1);
   auto cfg = client_config();
   cfg.auto_failover = true;
   cfg.reconnect_attempts = 0;
@@ -738,36 +744,126 @@ void next_result_batch(Fd& fd, std::vector<std::uint8_t>& rx,
   ASSERT_TRUE(decode_result_batch(view.payload, results, nullptr));
 }
 
+/// A SUBMIT_BATCH_ACK read off a raw socket: its per-window entries and
+/// the results that rode in it.
+struct Ack {
+  std::vector<SubmitBatchAckEntry> entries;
+  std::vector<WindowResult> results;
+};
+
+/// Reads the next frame off `fd`, which must be a SUBMIT_BATCH_ACK.
+Ack next_ack(Fd& fd, std::vector<std::uint8_t>& rx) {
+  std::vector<std::uint8_t> frame;
+  FrameView view;
+  next_frame(fd, rx, frame, view);
+  Ack ack;
+  EXPECT_EQ(view.type, FrameType::kSubmitBatchAck);
+  EXPECT_TRUE(decode_submit_batch_ack(view.payload, ack.entries, ack.results, nullptr));
+  return ack;
+}
+
+/// Sends one SUBMIT_BATCH of `windows` on `fd` and reads its ack.
+Ack submit_and_ack(Fd& fd, std::vector<std::uint8_t>& rx,
+                   const std::vector<CompressedWindow>& windows,
+                   std::uint8_t flags = kSubmitFlagBlocking) {
+  std::vector<std::uint8_t> buf;
+  encode_submit_batch(buf, windows, flags, WireEncodeOptions{});
+  EXPECT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
+  return next_ack(fd, rx);
+}
+
+/// Sends a HEALTH frame behind the POLL_MANY parked on `fd`: the shard
+/// answers the poll first.  Returns what that answer carried.
+std::vector<WindowResult> release_parked_poll(Fd& fd, std::vector<std::uint8_t>& rx) {
+  std::vector<std::uint8_t> buf, frame;
+  encode_health(buf, /*nonce=*/1);
+  EXPECT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
+  std::vector<WindowResult> results;
+  next_result_batch(fd, rx, results);
+  FrameView view;
+  next_frame(fd, rx, frame, view);
+  EXPECT_EQ(view.type, FrameType::kHealthAck);
+  return results;
+}
+
 /// True when any byte arrives on `fd` within `ms` milliseconds.
 bool readable_within(const Fd& fd, int ms) {
   pollfd pfd{fd.get(), POLLIN, 0};
   return ::poll(&pfd, 1, ms) > 0;
 }
 
+/// Gives a new shard's worker time to start and go to sleep.  A worker
+/// that is awake takes whatever is queued, held windows included, so the
+/// exact loop-solve counts below hold only once it sleeps.
+void let_workers_park() { std::this_thread::sleep_for(std::chrono::milliseconds(50)); }
+
+/// The first window of `patient`'s record cut `samples` long (fleet_traffic
+/// cuts 128): its solve costs about samples / 128 times as much.
+CompressedWindow long_window(std::uint32_t patient, std::size_t samples) {
+  sig::SynthConfig synth;
+  synth.num_leads = 1;
+  synth.episodes = {{sig::RhythmEpisode::Kind::kSinus, 16}};
+  sig::Rng rng(0x10C6ULL + patient);
+  const auto record = synthesize_ecg(synth, rng);
+  host::RecordCompressionConfig compression;
+  compression.window_samples = samples;
+  compression.cr_percent = 50.0;
+  auto windows = host::compress_record(record, patient, compression);
+  EXPECT_FALSE(windows.empty());
+  CompressedWindow window = std::move(windows.front());
+  // Clear of fleet_traffic's indices.
+  window.window_index = 1000;
+  window.priority = cs::WindowPriority::kRoutine;
+  return window;
+}
+
+/// A 1-worker shard whose windows are pinned expensive and run a fixed
+/// 1000 iterations.  In a frame of a 128-sample window and a 2048-sample
+/// long_window(), the loop holds the first (the engine is idle; the worker
+/// woken for the second may still take it first) and the second goes to
+/// the worker, which is still solving it long after the ack has left.
+ShardServerConfig slow_worker_config() {
+  ShardServerConfig cfg;
+  cfg.engine = fast_engine(1);
+  cfg.engine.fista.max_iterations = 1000;
+  cfg.engine.fista.tolerance = 0.0;
+  cfg.engine.shed_solve_estimate_ms = 1.0;
+  return cfg;
+}
+
+/// The patient key of a window or result.
+template <typename T>
+WindowKey key_of(const T& w) {
+  return {w.patient_id, w.window_index};
+}
+
 TEST(LongPoll, IdleThreadedShardAnswersOnlyWhenAWindowCompletes) {
-  LocalShard shard(1);
+  LocalShard shard(slow_worker_config());
+  let_workers_park();
   Fd poller = negotiated_connection(shard);
-  std::vector<std::uint8_t> buf, rx, frame;
-  FrameView view;
+  std::vector<std::uint8_t> buf, rx;
   encode_poll_many(buf, 8);
   ASSERT_TRUE(send_all(poller.get(), buf.data(), buf.size()));
   EXPECT_FALSE(readable_within(poller, 200)) << "an idle shard must hold the poll";
 
-  // A window submitted on another connection completes and releases it.
+  // Another connection submits a short window, which the loop holds, and
+  // a long one, which goes to the worker and completes long after the ack.
+  // The ack carries the short one's result, unless the woken worker took
+  // the held window before the loop got to it; either way the first
+  // completion after the ack releases the poll.
   Fd submitter = negotiated_connection(shard);
-  CompressedWindow window = fleet_traffic(/*patients=*/1, /*beats_per_patient=*/1).front();
-  const WindowKey key{window.patient_id, window.window_index};
-  buf.clear();
-  encode_submit_batch(buf, {&window, 1}, kSubmitFlagBlocking, WireEncodeOptions{});
-  ASSERT_TRUE(send_all(submitter.get(), buf.data(), buf.size()));
+  const CompressedWindow short_window = fleet_traffic(/*patients=*/1, 1).front();
+  const CompressedWindow long_one = long_window(short_window.patient_id, 2048);
   std::vector<std::uint8_t> submitter_rx;
-  next_frame(submitter, submitter_rx, frame, view);
-  ASSERT_EQ(view.type, FrameType::kSubmitBatchAck);
+  const Ack ack = submit_and_ack(submitter, submitter_rx, {short_window, long_one});
+  ASSERT_EQ(ack.entries.size(), 2u);
+  ASSERT_LE(ack.results.size(), 1u) << "the long window must still be solving";
 
   std::vector<WindowResult> results;
   next_result_batch(poller, rx, results);
   ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ((WindowKey{results[0].patient_id, results[0].window_index}), key);
+  const WindowKey expected = ack.results.empty() ? key_of(short_window) : key_of(long_one);
+  EXPECT_EQ(key_of(results[0]), expected);
   EXPECT_TRUE(rx.empty());
   EXPECT_FALSE(readable_within(poller, 100)) << "one POLL_MANY, one RESULT_BATCH";
 }
@@ -819,7 +915,8 @@ TEST(LongPoll, SerialShardAnswersAtOnce) {
 TEST(LongPoll, IdlePollsSendAtMostOnePollManyPerShard) {
   // Frames are counted on the fault hook's clock, so nothing here depends
   // on timing.
-  LocalShard a(1), b(1);
+  LocalShard a(slow_worker_config()), b(slow_worker_config());
+  let_workers_park();
   const std::array<const LocalShard*, 2> shards{&a, &b};
   std::array<std::uint64_t, 2> sent{};
   auto cfg = client_config();
@@ -841,26 +938,40 @@ TEST(LongPoll, IdlePollsSendAtMostOnePollManyPerShard) {
   for (int i = 0; i < 100; ++i) EXPECT_FALSE(client.poll().has_value());
   EXPECT_EQ(sent, before);
 
-  // One window per shard that the client never gets back: a raw
-  // connection takes its result.  The client still waits on both shards,
-  // and both are idle.
+  // One frame per shard of a short window, whose result usually rides in
+  // the ack, and a long one, which goes to the worker and completes long
+  // after it.  Once both are solved, a raw connection takes every result
+  // the ack did not carry, the long one's included, so the client still
+  // waits on both shards, and both are idle.
+  std::size_t carried = 0;
   for (std::size_t s = 0; s < shards.size(); ++s) {
     const auto owned = std::find_if(traffic.begin(), traffic.end(), [&](const auto& w) {
       return client.owner(w.patient_id) == s;
     });
     ASSERT_NE(owned, traffic.end());
-    CompressedWindow copy = *owned;
-    ASSERT_TRUE(client.submit(std::move(copy)).has_value());
+    const std::uint64_t acked_before = shards[s]->server->ack_results();
+    ASSERT_TRUE(client.submit_pipelined(CompressedWindow(*owned)));
+    ASSERT_TRUE(client.submit_pipelined(long_window(owned->patient_id, 2048)));
+    for (const auto& ticket : client.flush_submits()) ASSERT_TRUE(ticket.has_value());
+    const std::uint64_t in_ack = shards[s]->server->ack_results() - acked_before;
+    ASSERT_LE(in_ack, 1u) << "the long window must still be solving";
+    carried += in_ack;
+    auto& engine = shards[s]->server->engine();
+    for (int waited_ms = 0; engine.in_flight() > 0 && waited_ms < 5000; ++waited_ms) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     Fd thief = negotiated_connection(*shards[s]);
     std::vector<std::uint8_t> buf, rx;
     encode_poll_many(buf, 8);
     ASSERT_TRUE(send_all(thief.get(), buf.data(), buf.size()));
     std::vector<WindowResult> results;
     next_result_batch(thief, rx, results);
-    ASSERT_EQ(results.size(), 1u);
+    ASSERT_EQ(results.size(), 2 - in_ack);
   }
   before = sent;
-  for (int i = 0; i < 100; ++i) EXPECT_FALSE(client.poll().has_value());
+  std::size_t returned = 0;
+  for (int i = 0; i < 100; ++i) returned += client.poll().has_value();
+  EXPECT_EQ(returned, carried) << "the results the acks carried, and no other";
   for (std::size_t s = 0; s < shards.size(); ++s) {
     EXPECT_EQ(sent[s] - before[s], 1u) << "shard " << s << ": one armed POLL_MANY in total";
   }
@@ -869,20 +980,6 @@ TEST(LongPoll, IdlePollsSendAtMostOnePollManyPerShard) {
 
 // --- The gated progress hook: the shard's loop is woken only while a verb
 // waits for engine progress, and every waiting verb still gets its wake.
-
-/// Sends one blocking SUBMIT_BATCH of `windows` on `fd` and reads its ack.
-std::vector<SubmitBatchAckEntry> submit_and_ack(Fd& fd, std::vector<std::uint8_t>& rx,
-                                                const std::vector<CompressedWindow>& windows) {
-  std::vector<std::uint8_t> buf, frame;
-  encode_submit_batch(buf, windows, kSubmitFlagBlocking, WireEncodeOptions{});
-  EXPECT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
-  FrameView view;
-  next_frame(fd, rx, frame, view);
-  std::vector<SubmitBatchAckEntry> acks;
-  EXPECT_EQ(view.type, FrameType::kSubmitBatchAck);
-  EXPECT_TRUE(decode_submit_batch_ack(view.payload, acks));
-  return acks;
-}
 
 /// The first `count` windows of a fleet big enough to supply them.
 std::vector<CompressedWindow> first_windows(std::size_t count) {
@@ -897,25 +994,27 @@ TEST(WakeGate, BlockingSubmitWithNothingParkedWritesNoWake) {
   Fd fd = negotiated_connection(shard);
   std::vector<std::uint8_t> rx;
   const auto windows = first_windows(32);
-  const auto acks = submit_and_ack(fd, rx, windows);
-  ASSERT_EQ(acks.size(), windows.size());
-  for (const auto& ack : acks) EXPECT_TRUE(ack.accepted);
+  const Ack ack = submit_and_ack(fd, rx, windows);
+  ASSERT_EQ(ack.entries.size(), windows.size());
+  for (const auto& entry : ack.entries) EXPECT_TRUE(entry.accepted);
   // Every window solves with no verb waiting: no completion may wake the
-  // loop.
+  // loop.  Those solved before the ack rode in it.
   auto& engine = shard.server->engine();
-  for (int waited_ms = 0; engine.ready_results() < windows.size() && waited_ms < 5000;
-       ++waited_ms) {
+  const std::size_t left = windows.size() - ack.results.size();
+  for (int waited_ms = 0; engine.ready_results() < left && waited_ms < 5000; ++waited_ms) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_EQ(engine.ready_results(), windows.size());
+  ASSERT_EQ(engine.ready_results(), left);
   EXPECT_EQ(shard.server->wake_writes(), 0u);
 
-  std::vector<std::uint8_t> buf;
-  encode_poll_many(buf, 0);
-  ASSERT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
-  std::vector<WindowResult> results;
-  next_result_batch(fd, rx, results);
-  EXPECT_EQ(results.size(), windows.size());
+  if (left > 0) {
+    std::vector<std::uint8_t> buf;
+    encode_poll_many(buf, 0);
+    ASSERT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
+    std::vector<WindowResult> results;
+    next_result_batch(fd, rx, results);
+    EXPECT_EQ(results.size(), left);
+  }
   EXPECT_EQ(shard.server->wake_writes(), 0u);
 }
 
@@ -934,12 +1033,12 @@ TEST(WakeGate, DeferredSubmitIsAckedInFullAndInOrder) {
   Fd fd = negotiated_connection(shard);
   std::vector<std::uint8_t> rx;
   const auto windows = first_windows(64);
-  const auto acks = submit_and_ack(fd, rx, windows);
-  ASSERT_EQ(acks.size(), windows.size());
-  for (std::size_t i = 0; i < acks.size(); ++i) {
-    EXPECT_TRUE(acks[i].accepted) << i;
+  const Ack ack = submit_and_ack(fd, rx, windows);
+  ASSERT_EQ(ack.entries.size(), windows.size());
+  for (std::size_t i = 0; i < ack.entries.size(); ++i) {
+    EXPECT_TRUE(ack.entries[i].accepted) << i;
     if (i > 0) {
-      EXPECT_GT(acks[i].local_ticket, acks[i - 1].local_ticket) << i;
+      EXPECT_GT(ack.entries[i].local_ticket, ack.entries[i - 1].local_ticket) << i;
     }
   }
   EXPECT_GE(shard.server->wake_writes(), 1u)
@@ -947,6 +1046,7 @@ TEST(WakeGate, DeferredSubmitIsAckedInFullAndInOrder) {
       << ", worker handoffs " << shard.server->worker_handoffs();
 
   std::set<WindowKey> seen;
+  for (const auto& r : ack.results) seen.insert(key_of(r));
   while (seen.size() < windows.size()) {
     std::vector<std::uint8_t> buf;
     encode_poll_many(buf, 0);
@@ -954,9 +1054,9 @@ TEST(WakeGate, DeferredSubmitIsAckedInFullAndInOrder) {
     std::vector<WindowResult> results;
     next_result_batch(fd, rx, results);
     ASSERT_FALSE(results.empty());
-    for (const auto& r : results) seen.insert({r.patient_id, r.window_index});
+    for (const auto& r : results) seen.insert(key_of(r));
   }
-  for (const auto& w : windows) EXPECT_TRUE(seen.count({w.patient_id, w.window_index}));
+  for (const auto& w : windows) EXPECT_TRUE(seen.count(key_of(w)));
 }
 
 TEST(WakeGate, DrainPatientWithQueuedWindowsAnswersDrainDone) {
@@ -974,16 +1074,16 @@ TEST(WakeGate, DrainPatientWithQueuedWindowsAnswersDrainDone) {
   encode_submit_batch(buf, windows, kSubmitFlagBlocking, WireEncodeOptions{});
   encode_patient_frame(buf, FrameType::kDrainPatient, patient);
   ASSERT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
+  const Ack ack = next_ack(fd, rx);
   FrameView view;
-  next_frame(fd, rx, frame, view);
-  ASSERT_EQ(view.type, FrameType::kSubmitBatchAck);
   next_frame(fd, rx, frame, view);
   ASSERT_EQ(view.type, FrameType::kDrainDone);
   std::uint32_t echoed = 0;
   ASSERT_TRUE(decode_patient_frame(view.payload, echoed));
   EXPECT_EQ(echoed, patient);
   EXPECT_EQ(shard.server->engine().patient_pending(patient), 0u);
-  EXPECT_EQ(shard.server->engine().ready_results(), windows.size());
+  // Results ready when the ack left rode in it; the rest wait.
+  EXPECT_EQ(ack.results.size() + shard.server->engine().ready_results(), windows.size());
 }
 
 TEST(WakeGate, ParkedPollIsReleasedByEveryCompletion) {
@@ -991,9 +1091,11 @@ TEST(WakeGate, ParkedPollIsReleasedByEveryCompletion) {
   // receive timeout of negotiated_connection turns that into a failure.
   // Each round submits two windows, pinned expensive: the loop solves the
   // first (it finds the engine idle) and a worker the second, whose
-  // completion usually lands while the round's second poll is parked.
-  // The pause before each submit varies, so the completions land before,
-  // during and after the loop arms the hook.
+  // completion usually lands after the ack has left, while the round's
+  // poll is parked.  The pause before each submit varies, so the
+  // completions land before, during and after the loop arms the hook.  A
+  // completion that beats the ack rides in it, and the poll, with nothing
+  // left to wait for, is released by the next frame instead.
   ShardServerConfig cfg;
   cfg.engine = fast_engine(1);
   cfg.engine.shed_solve_estimate_ms = 1.0;
@@ -1003,6 +1105,7 @@ TEST(WakeGate, ParkedPollIsReleasedByEveryCompletion) {
   const auto windows = fleet_traffic(/*patients=*/1, /*beats_per_patient=*/4);
   std::vector<std::uint8_t> poll_rx, submit_rx;
   constexpr int kRounds = 200;
+  int released_by_completion = 0;
   for (int round = 0; round < kRounds; ++round) {
     SCOPED_TRACE(round);
     std::vector<std::uint8_t> buf;
@@ -1011,9 +1114,14 @@ TEST(WakeGate, ParkedPollIsReleasedByEveryCompletion) {
     std::this_thread::sleep_for(std::chrono::microseconds((round * 37) % 500));
     const std::vector<CompressedWindow> two{windows[round % windows.size()],
                                             windows[(round + 1) % windows.size()]};
-    const auto acks = submit_and_ack(submitter, submit_rx, two);
-    ASSERT_EQ(acks.size(), two.size());
-    std::size_t received = 0;
+    const Ack ack = submit_and_ack(submitter, submit_rx, two);
+    ASSERT_EQ(ack.entries.size(), two.size());
+    std::size_t received = ack.results.size();
+    if (received == two.size()) {
+      const auto released = release_parked_poll(poller, poll_rx);
+      EXPECT_TRUE(released.empty());
+      continue;
+    }
     for (;;) {
       std::vector<WindowResult> results;
       next_result_batch(poller, poll_rx, results);
@@ -1025,17 +1133,20 @@ TEST(WakeGate, ParkedPollIsReleasedByEveryCompletion) {
       ASSERT_TRUE(send_all(poller.get(), buf.data(), buf.size()));
     }
     ASSERT_EQ(received, two.size());
+    ++released_by_completion;
   }
   // The hook runs once per completion, so it writes at most that often.
   EXPECT_LE(shard.server->wake_writes(), static_cast<std::uint64_t>(2 * kRounds));
+  EXPECT_GT(released_by_completion, 0) << "no round left a completion for the parked poll";
 }
 
 // --- Loop solves: a window predicted cheaper than a worker handoff
 // (host::kWorkerHandoffUs), or one that reaches an idle engine (no other
-// window queued or solving), is solved by the shard's event loop right
-// after the frame that admitted it; every other window goes to a worker.  The solve estimate is pinned through
-// shed_solve_estimate_ms so the path taken does not depend on how fast
-// this build solves.
+// window queued or solving), is solved by the shard's event loop before
+// it acknowledges the frame that admitted it, and its result rides in that
+// SUBMIT_BATCH_ACK; every other window goes to a worker.  The solve
+// estimate is pinned through shed_solve_estimate_ms so the path taken
+// does not depend on how fast this build solves.
 
 /// A 1-worker shard whose every window is predicted to cost `estimate_ms`.
 ShardServerConfig pinned_config(double estimate_ms, std::size_t queue_capacity = 1024) {
@@ -1045,11 +1156,6 @@ ShardServerConfig pinned_config(double estimate_ms, std::size_t queue_capacity =
   cfg.engine.queue_capacity = queue_capacity;
   return cfg;
 }
-
-/// Gives a new shard's worker time to start and go to sleep.  A worker
-/// that is awake takes whatever is queued, held windows included, so the
-/// exact loop-solve counts below hold only once it sleeps.
-void let_workers_park() { std::this_thread::sleep_for(std::chrono::milliseconds(50)); }
 
 constexpr double kCheapMs = 0.002;    // 2 µs: below the handoff cost.
 constexpr double kExpensiveMs = 1.0;  // 1 ms: far above it.
@@ -1072,12 +1178,22 @@ std::vector<WindowResult> poll_results(Fd& fd, std::vector<std::uint8_t>& rx, st
   return all;
 }
 
+/// The results of `ack`'s `count` windows: those that rode in it, then the
+/// rest, polled for.
+std::vector<WindowResult> ack_then_poll(Fd& fd, std::vector<std::uint8_t>& rx, Ack ack,
+                                        std::size_t count) {
+  auto all = std::move(ack.results);
+  auto rest = poll_results(fd, rx, count - std::min(count, all.size()));
+  all.insert(all.end(), std::make_move_iterator(rest.begin()), std::make_move_iterator(rest.end()));
+  return all;
+}
+
 void expect_matches_reference(const std::vector<WindowResult>& results,
                               const std::vector<CompressedWindow>& windows) {
   const auto reference = serial_reference(windows);
   ASSERT_EQ(results.size(), windows.size());
   for (const auto& r : results) {
-    const auto ref = reference.find({r.patient_id, r.window_index});
+    const auto ref = reference.find(key_of(r));
     ASSERT_NE(ref, reference.end());
     EXPECT_TRUE(bit_identical(r.signal, ref->second.signal)) << r.window_index;
   }
@@ -1091,19 +1207,22 @@ TEST(LoopSolve, CheapWindowsSolveOnTheLoopWithNoWorkerWake) {
   const auto windows = first_windows(48);
   // Warm-up: the first batch builds the sensing matrices.
   const std::vector<CompressedWindow> warm(windows.begin(), windows.begin() + 16);
-  ASSERT_EQ(submit_and_ack(fd, rx, warm).size(), warm.size());
-  ASSERT_EQ(poll_results(fd, rx, warm.size()).size(), warm.size());
+  const Ack warm_ack = submit_and_ack(fd, rx, warm);
+  ASSERT_EQ(warm_ack.entries.size(), warm.size());
+  EXPECT_EQ(warm_ack.results.size(), warm.size());
   const std::uint64_t solved_before = shard.server->loop_solves();
   EXPECT_EQ(solved_before, warm.size());
 
   const std::vector<CompressedWindow> rest(windows.begin() + 16, windows.end());
-  const auto acks = submit_and_ack(fd, rx, rest);
-  ASSERT_EQ(acks.size(), rest.size());
-  for (const auto& ack : acks) EXPECT_TRUE(ack.accepted);
-  // Solved before the ack left: the results are already waiting.
-  EXPECT_EQ(shard.server->engine().ready_results(), rest.size());
+  const Ack ack = submit_and_ack(fd, rx, rest);
+  ASSERT_EQ(ack.entries.size(), rest.size());
+  for (const auto& entry : ack.entries) EXPECT_TRUE(entry.accepted);
+  // Solved before the ack left: the results ride in it.
+  EXPECT_EQ(shard.server->engine().ready_results(), 0u);
   EXPECT_EQ(shard.server->loop_solves() - solved_before, rest.size());
-  expect_matches_reference(poll_results(fd, rx, rest.size()), rest);
+  expect_matches_reference(ack.results, rest);
+  EXPECT_EQ(shard.server->ack_results(), windows.size());
+  EXPECT_EQ(shard.server->poll_answers(), 0u);
   EXPECT_EQ(shard.server->wake_writes(), 0u);
 }
 
@@ -1116,8 +1235,9 @@ TEST(LoopSolve, UnmeasuredShapeGoesToTheWorker) {
   Fd fd = negotiated_connection(shard);
   std::vector<std::uint8_t> rx;
   const auto windows = first_windows(2);
-  ASSERT_EQ(submit_and_ack(fd, rx, windows).size(), windows.size());
-  expect_matches_reference(poll_results(fd, rx, windows.size()), windows);
+  Ack ack = submit_and_ack(fd, rx, windows);
+  ASSERT_EQ(ack.entries.size(), windows.size());
+  expect_matches_reference(ack_then_poll(fd, rx, std::move(ack), windows.size()), windows);
   EXPECT_EQ(shard.server->worker_handoffs(), 1u);
   EXPECT_LE(shard.server->loop_solves(), 1u);
 }
@@ -1131,14 +1251,16 @@ TEST(LoopSolve, PinnedExpensiveWindowsGoToTheWorker) {
   Fd fd = negotiated_connection(shard);
   std::vector<std::uint8_t> rx;
   const auto windows = first_windows(32);
-  ASSERT_EQ(submit_and_ack(fd, rx, windows).size(), windows.size());
-  expect_matches_reference(poll_results(fd, rx, windows.size()), windows);
+  Ack ack = submit_and_ack(fd, rx, windows);
+  ASSERT_EQ(ack.entries.size(), windows.size());
+  expect_matches_reference(ack_then_poll(fd, rx, std::move(ack), windows.size()), windows);
   EXPECT_LT(shard.server->worker_handoffs(), windows.size());
 }
 
 TEST(LoopSolve, LoneExpensiveWindowsSolveOnTheLoopWithNoWake) {
   // One window per frame into an idle engine: the loop solves each before
-  // the ack leaves, so no worker is woken and no wake byte is written.
+  // the ack leaves, so no worker is woken, no wake byte is written, and
+  // each result rides in its own ack.
   LocalShard shard(pinned_config(kExpensiveMs));
   let_workers_park();
   Fd fd = negotiated_connection(shard);
@@ -1147,12 +1269,15 @@ TEST(LoopSolve, LoneExpensiveWindowsSolveOnTheLoopWithNoWake) {
   for (std::size_t i = 0; i < windows.size(); ++i) {
     SCOPED_TRACE(i);
     const std::vector<CompressedWindow> one{windows[i]};
-    ASSERT_EQ(submit_and_ack(fd, rx, one).size(), 1u);
+    const Ack ack = submit_and_ack(fd, rx, one);
+    ASSERT_EQ(ack.entries.size(), 1u);
     EXPECT_EQ(shard.server->loop_solves(), i + 1);
-    expect_matches_reference(poll_results(fd, rx, 1), one);
+    expect_matches_reference(ack.results, one);
   }
   EXPECT_EQ(shard.server->worker_handoffs(), 0u);
   EXPECT_EQ(shard.server->loop_solves() + shard.server->worker_handoffs(), windows.size());
+  EXPECT_EQ(shard.server->ack_results(), windows.size());
+  EXPECT_EQ(shard.server->poll_answers(), 0u);
   EXPECT_EQ(shard.server->wake_writes(), 0u);
 }
 
@@ -1171,8 +1296,9 @@ TEST(LoopSolve, BurstOfExpensiveWindowsSpreadsToTheWorker) {
   std::vector<std::uint8_t> rx;
   auto windows = first_windows(8);
   for (auto& w : windows) w.priority = cs::WindowPriority::kRoutine;
-  ASSERT_EQ(submit_and_ack(fd, rx, windows).size(), windows.size());
-  expect_matches_reference(poll_results(fd, rx, windows.size()), windows);
+  Ack ack = submit_and_ack(fd, rx, windows);
+  ASSERT_EQ(ack.entries.size(), windows.size());
+  expect_matches_reference(ack_then_poll(fd, rx, std::move(ack), windows.size()), windows);
   EXPECT_GE(shard.server->worker_handoffs(), 1u);
   EXPECT_LE(shard.server->worker_handoffs(), windows.size() - 1);
   EXPECT_LE(shard.server->loop_solves(), 1u);
@@ -1188,16 +1314,16 @@ TEST(LoopSolve, BlockingSubmitAgainstAFullEngineOfCheapWindowsCompletes) {
   Fd fd = negotiated_connection(shard);
   std::vector<std::uint8_t> rx;
   const auto windows = first_windows(64);
-  const auto acks = submit_and_ack(fd, rx, windows);
-  ASSERT_EQ(acks.size(), windows.size());
-  for (std::size_t i = 0; i < acks.size(); ++i) {
-    EXPECT_TRUE(acks[i].accepted) << i;
+  const Ack ack = submit_and_ack(fd, rx, windows);
+  ASSERT_EQ(ack.entries.size(), windows.size());
+  for (std::size_t i = 0; i < ack.entries.size(); ++i) {
+    EXPECT_TRUE(ack.entries[i].accepted) << i;
     if (i > 0) {
-      EXPECT_GT(acks[i].local_ticket, acks[i - 1].local_ticket) << i;
+      EXPECT_GT(ack.entries[i].local_ticket, ack.entries[i - 1].local_ticket) << i;
     }
   }
   EXPECT_EQ(shard.server->loop_solves(), windows.size());
-  expect_matches_reference(poll_results(fd, rx, windows.size()), windows);
+  expect_matches_reference(ack.results, windows);
 }
 
 TEST(LoopSolve, UrgentWindowsSolveBeforeRoutine) {
@@ -1210,45 +1336,45 @@ TEST(LoopSolve, UrgentWindowsSolveBeforeRoutine) {
   for (std::size_t i = 0; i < windows.size(); ++i) {
     windows[i].priority = i < 16 ? cs::WindowPriority::kRoutine : cs::WindowPriority::kUrgent;
   }
-  ASSERT_EQ(submit_and_ack(fd, rx, windows).size(), windows.size());
-  const auto results = poll_results(fd, rx, windows.size());
-  ASSERT_EQ(results.size(), windows.size());
+  const Ack ack = submit_and_ack(fd, rx, windows);
+  ASSERT_EQ(ack.entries.size(), windows.size());
+  ASSERT_EQ(ack.results.size(), windows.size());
   // Completion order is solve order: all 8 urgent windows first.
-  for (std::size_t i = 0; i < results.size(); ++i) {
+  for (std::size_t i = 0; i < ack.results.size(); ++i) {
     const auto expected = i < 8 ? cs::WindowPriority::kUrgent : cs::WindowPriority::kRoutine;
-    EXPECT_EQ(results[i].priority, expected) << i;
+    EXPECT_EQ(ack.results[i].priority, expected) << i;
   }
   EXPECT_EQ(shard.server->loop_solves(), windows.size());
 }
 
-TEST(LoopSolve, PollBehindTheBatchCarriesItsResults) {
+TEST(LoopSolve, AckCarriesTheBatchResultsAndThePollBehindItParks) {
   // SUBMIT_BATCH and POLL_MANY in one write: the loop solves the batch
-  // before it reads the poll, which answers with every result at once.
-  // Both admission modes: blocking (deferred path) and non-blocking.
+  // before it acknowledges it, so the ack carries every result and the
+  // poll behind it finds nothing ready and parks.  Both admission modes:
+  // blocking (deferred path) and non-blocking.
   for (const std::uint8_t flags : {kSubmitFlagBlocking, std::uint8_t{0}}) {
     SCOPED_TRACE("flags " + std::to_string(flags));
     LocalShard shard(pinned_config(kCheapMs));
     let_workers_park();
     Fd fd = negotiated_connection(shard);
     const auto windows = first_windows(16);
-    std::vector<std::uint8_t> buf, rx, frame;
+    std::vector<std::uint8_t> buf, rx;
     encode_submit_batch(buf, windows, flags, WireEncodeOptions{});
     encode_poll_many(buf, 0);
     ASSERT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
-    FrameView view;
-    next_frame(fd, rx, frame, view);
-    ASSERT_EQ(view.type, FrameType::kSubmitBatchAck);
-    std::vector<WindowResult> results;
-    next_result_batch(fd, rx, results);
-    expect_matches_reference(results, windows);
+    const Ack ack = next_ack(fd, rx);
+    expect_matches_reference(ack.results, windows);
+    EXPECT_FALSE(readable_within(fd, 50)) << "nothing is left for the poll";
+    EXPECT_TRUE(release_parked_poll(fd, rx).empty());
     EXPECT_EQ(shard.server->wake_writes(), 0u);
   }
 }
 
-TEST(LoopSolve, LoopSolvesReleaseAParkedPollWithoutAWakeByte) {
+TEST(LoopSolve, LoopSolvesRideTheAckPastAParkedPollWithoutAWakeByte) {
   // A poll parked on one connection arms the hook; the windows another
-  // connection submits are solved by the loop itself, which answers the
-  // poll on its own pass — no self-pipe byte for its own completions.
+  // connection submits are solved by the loop itself, which writes no
+  // self-pipe byte for its own completions, and ride in that connection's
+  // ack.  The parked poll keeps waiting until its next frame releases it.
   LocalShard shard(pinned_config(kCheapMs));
   let_workers_park();
   Fd poller = negotiated_connection(shard);
@@ -1258,12 +1384,223 @@ TEST(LoopSolve, LoopSolvesReleaseAParkedPollWithoutAWakeByte) {
   ASSERT_TRUE(send_all(poller.get(), buf.data(), buf.size()));
   EXPECT_FALSE(readable_within(poller, 50)) << "an idle shard must hold the poll";
   const auto windows = first_windows(8);
-  ASSERT_EQ(submit_and_ack(submitter, submit_rx, windows).size(), windows.size());
-  std::vector<WindowResult> results;
-  next_result_batch(poller, poll_rx, results);
-  expect_matches_reference(results, windows);
+  const Ack ack = submit_and_ack(submitter, submit_rx, windows);
+  ASSERT_EQ(ack.entries.size(), windows.size());
+  expect_matches_reference(ack.results, windows);
+  EXPECT_FALSE(readable_within(poller, 50)) << "the ack took every result";
+  EXPECT_TRUE(release_parked_poll(poller, poll_rx).empty());
   EXPECT_EQ(shard.server->wake_writes(), 0u);
   EXPECT_EQ(shard.server->loop_solves(), windows.size());
+}
+
+// --- Results in the SUBMIT_BATCH_ACK: every result a shard has ready when
+// it acknowledges a frame rides in that ack, so the client needs no
+// POLL_MANY round trip for it.
+
+TEST(AckResults, LoneWindowResultRidesItsAckAndNoPollManyIsSent) {
+  // One window per SUBMIT_BATCH into an idle shard: the loop solves it
+  // before acking, and poll() hands the result over without a request.
+  // Frames are counted on the fault hook's clock, as in
+  // LongPoll.IdlePollsSendAtMostOnePollManyPerShard.
+  LocalShard shard(pinned_config(kExpensiveMs));
+  let_workers_park();
+  std::uint64_t sent = 0;
+  auto cfg = client_config();
+  cfg.fault_inject = [&sent](std::size_t, std::uint64_t frame) {
+    sent = frame + 1;
+    return false;
+  };
+  RoutingClient client(cfg);
+  ASSERT_TRUE(client.connect({shard.endpoint()}));
+  const auto windows = first_windows(8);
+  std::vector<WindowResult> results;
+  for (const auto& window : windows) {
+    ASSERT_TRUE(client.submit(CompressedWindow(window)).has_value());
+    auto result = client.poll();
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(key_of(*result), key_of(window));
+    results.push_back(std::move(*result));
+  }
+  for (int i = 0; i < 100; ++i) EXPECT_FALSE(client.poll().has_value());
+  expect_matches_reference(results, windows);
+  EXPECT_EQ(sent, windows.size()) << "one SUBMIT_BATCH per window and no POLL_MANY";
+  EXPECT_EQ(shard.server->ack_results(), windows.size());
+  EXPECT_EQ(shard.server->poll_answers(), 0u);
+  EXPECT_EQ(shard.server->loop_solves(), windows.size());
+  client.shutdown(/*send_bye=*/false);
+}
+
+TEST(AckResults, HeldResultRidesTheAckAndTheWorkersComeByPollMany) {
+  // One frame of 8 pinned-expensive windows into an idle shard: the loop
+  // holds the first and the worker takes the rest, each far slower than
+  // the ack.  Every result the loop solved rides in the ack (a worker
+  // still waking may take the held window itself, so the count is a
+  // bound); the worker's come through POLL_MANY; each arrives once.
+  LocalShard shard(slow_worker_config());
+  let_workers_park();
+  RoutingClient client(client_config());
+  ASSERT_TRUE(client.connect({shard.endpoint()}));
+  auto windows = first_windows(8);
+  for (auto& w : windows) w.priority = cs::WindowPriority::kRoutine;
+  for (const auto& window : windows) {
+    ASSERT_TRUE(client.submit_pipelined(CompressedWindow(window)));
+  }
+  for (const auto& ticket : client.flush_submits()) ASSERT_TRUE(ticket.has_value());
+  EXPECT_GE(shard.server->ack_results(), shard.server->loop_solves());
+  EXPECT_LT(shard.server->ack_results(), windows.size());
+
+  std::vector<WindowResult> results;
+  std::set<WindowKey> seen;
+  for (int waited_ms = 0; results.size() < windows.size() && waited_ms < 5000; ++waited_ms) {
+    while (auto result = client.poll()) {
+      EXPECT_TRUE(seen.insert(key_of(*result)).second) << "delivered twice";
+      results.push_back(std::move(*result));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(results.size(), windows.size());
+  for (const auto& w : windows) EXPECT_TRUE(seen.count(key_of(w))) << w.window_index;
+  EXPECT_GE(shard.server->poll_answers(), 1u);
+  const auto agg = client.aggregate_snapshot();
+  EXPECT_EQ(agg.retrieved, windows.size());
+  EXPECT_EQ(agg.ready, 0u);
+  client.shutdown(/*send_bye=*/false);
+}
+
+TEST(AckResults, SerialShardAckCarriesNone) {
+  // A serial engine solves inside engine.poll(): an ack that carried its
+  // results would solve the whole queue at every submit.  Its windows stay
+  // queued until polled (CrHints.PressureGateOpensUnderBacklogAndClosesAfterDrain
+  // prices exactly that backlog).
+  LocalShard shard(0);
+  RoutingClient client(client_config());
+  ASSERT_TRUE(client.connect({shard.endpoint()}));
+  const auto windows = first_windows(3);
+  for (const auto& window : windows) {
+    ASSERT_TRUE(client.submit(CompressedWindow(window)).has_value());
+  }
+  EXPECT_EQ(shard.server->ack_results(), 0u);
+  EXPECT_EQ(shard.server->engine().in_flight(), windows.size());
+  expect_matches_reference(client.drain(), windows);
+  EXPECT_EQ(shard.server->ack_results(), 0u);
+  EXPECT_GE(shard.server->poll_answers(), 1u);
+  client.shutdown(/*send_bye=*/false);
+}
+
+TEST(AckResults, DeferredBlockingSubmitAckCarriesTheResultsReadyByThen) {
+  // 64 pinned-expensive windows against 2 slots: the blocking submit parks
+  // until worker completions (hook wakes) admit the rest.  Nothing takes a
+  // result meanwhile, and at most 2 windows are in flight when the last is
+  // admitted, so the deferred ack carries at least 62 results.
+  LocalShard shard(pinned_config(kExpensiveMs, /*queue_capacity=*/2));
+  Fd fd = negotiated_connection(shard);
+  std::vector<std::uint8_t> rx;
+  const auto windows = first_windows(64);
+  Ack ack = submit_and_ack(fd, rx, windows);
+  ASSERT_EQ(ack.entries.size(), windows.size());
+  EXPECT_GE(shard.server->wake_writes(), 1u) << "the submit must have been deferred";
+  EXPECT_GE(ack.results.size(), windows.size() - 2);
+  EXPECT_EQ(shard.server->ack_results(), ack.results.size());
+  expect_matches_reference(ack_then_poll(fd, rx, std::move(ack), windows.size()), windows);
+}
+
+TEST(AckResults, SetTopologyRightAfterAFlushDeliversEveryResultOnce) {
+  // Both shards solve every window on their loops (pinned cheap), so every
+  // result rides in the flush's acks and sits in the client's links when
+  // the reshard retires b and adds c.  Each is delivered exactly once.
+  LocalShard a(pinned_config(kCheapMs)), b(pinned_config(kCheapMs)), c(1);
+  let_workers_park();
+  RoutingClient client(client_config());
+  ASSERT_TRUE(client.connect({a.endpoint(), b.endpoint()}));
+  const auto traffic = fleet_traffic(/*patients=*/6, /*beats_per_patient=*/3);
+  for (const auto& window : traffic) {
+    ASSERT_TRUE(client.submit_pipelined(CompressedWindow(window)));
+  }
+  for (const auto& ticket : client.flush_submits()) ASSERT_TRUE(ticket.has_value());
+  ASSERT_GT(b.server->ack_results(), 0u);
+  EXPECT_EQ(a.server->ack_results() + b.server->ack_results(), traffic.size());
+
+  ASSERT_TRUE(client.set_topology({a.endpoint(), c.endpoint()}));
+  std::vector<WindowResult> results;
+  std::set<WindowKey> seen;
+  for (auto&& r : client.drain()) {
+    EXPECT_TRUE(seen.insert(key_of(r)).second) << "delivered twice";
+    results.push_back(std::move(r));
+  }
+  expect_matches_reference(results, traffic);
+  const auto agg = client.aggregate_snapshot();
+  EXPECT_EQ(agg.submitted, traffic.size());
+  EXPECT_EQ(agg.retrieved, traffic.size());
+  EXPECT_EQ(agg.lost, 0u);
+  client.shutdown(/*send_bye=*/false);
+}
+
+TEST(AckResults, FailoverDeliversTheResultsTheAcksCarried) {
+  // Shard 0 solves every lone window on its loop, so each result rides in
+  // its ack and waits in the client's link.  When shard 0 dies, the
+  // failover hands those results over: none of its windows is lost.
+  LocalShard a(pinned_config(kExpensiveMs)), b(1);
+  let_workers_park();
+  auto cfg = client_config();
+  cfg.reconnect_attempts = 0;
+  RoutingClient client(cfg);
+  ASSERT_TRUE(client.connect({a.endpoint(), b.endpoint()}));
+  const auto traffic = fleet_traffic(/*patients=*/6, /*beats_per_patient=*/2);
+  std::uint64_t acked_to_dead = 0;
+  for (const auto& window : traffic) {
+    ASSERT_TRUE(client.submit(CompressedWindow(window)).has_value());
+    acked_to_dead += client.owner(window.patient_id) == 0;
+  }
+  ASSERT_GT(acked_to_dead, 0u);
+  ASSERT_EQ(a.server->ack_results(), acked_to_dead);
+  a.kill();
+  ASSERT_TRUE(client.fail_shard(0));
+
+  std::vector<WindowResult> results;
+  std::set<WindowKey> seen;
+  for (auto&& r : client.drain()) {
+    EXPECT_TRUE(seen.insert(key_of(r)).second) << "delivered twice";
+    results.push_back(std::move(r));
+  }
+  expect_matches_reference(results, traffic);
+  const auto agg = client.aggregate_snapshot();
+  EXPECT_EQ(agg.lost, 0u);
+  EXPECT_EQ(agg.submitted, traffic.size());
+  EXPECT_EQ(agg.completed, traffic.size());
+  client.shutdown(/*send_bye=*/false);
+}
+
+TEST(Failover, ReconnectDeliversAnAnswerAlreadyReceived) {
+  // A serial shard answers a POLL_MANY at once.  The second submit
+  // releases the poll armed by poll() and carries a fresh one behind it in
+  // the same write, so its SUBMIT_BATCH_ACK and that poll's RESULT_BATCH
+  // leave the shard in one send and arrive in one read: the ack is
+  // consumed and the RESULT_BATCH stays buffered.  The third submit dies
+  // at its send (fault hook), and the reconnect that follows must deliver
+  // the buffered result, which the shard counted as retrieved when it
+  // sent it.
+  LocalShard shard(0);
+  auto cfg = client_config();
+  cfg.fault_inject = [](std::size_t, std::uint64_t frame) { return frame == 3; };
+  RoutingClient client(cfg);
+  ASSERT_TRUE(client.connect({shard.endpoint()}));
+  const auto windows = first_windows(3);
+  // Frame 0: a submit.  Frame 1: poll() arms a POLL_MANY.
+  ASSERT_TRUE(client.submit(CompressedWindow(windows[0])).has_value());
+  EXPECT_FALSE(client.poll().has_value());
+  // Frame 2: a submit with a fresh POLL_MANY behind it.
+  ASSERT_TRUE(client.submit(CompressedWindow(windows[1])).has_value());
+  // Frame 3 dies before the wire: its window is lost, never retried.
+  EXPECT_FALSE(client.submit(CompressedWindow(windows[2])).has_value());
+
+  const auto results = client.drain();
+  std::set<WindowKey> seen;
+  for (const auto& r : results) EXPECT_TRUE(seen.insert(key_of(r)).second);
+  EXPECT_EQ(seen, (std::set<WindowKey>{key_of(windows[0]), key_of(windows[1])}));
+  const auto agg = client.aggregate_snapshot();
+  EXPECT_EQ(agg.submitted, 2u);
+  EXPECT_EQ(agg.retrieved, 2u);
+  client.shutdown(/*send_bye=*/false);
 }
 
 TEST(Protocol, HealthEchoesNonce) {
@@ -1298,7 +1635,8 @@ TEST(Protocol, UnknownVersionGetsErrorNotGuesswork) {
   // A well-formed frame (CRC valid) stamped with an earlier version or a
   // future one.
   LocalShard shard(0);
-  for (const std::uint8_t version : {std::uint8_t{2}, std::uint8_t{3}, std::uint8_t{7}}) {
+  constexpr std::uint8_t kVersions[] = {2, kWireVersion - 1, kWireVersion + 1};
+  for (const std::uint8_t version : kVersions) {
     SCOPED_TRACE("header version " + std::to_string(version));
     Fd fd = tcp_connect("127.0.0.1", shard.server->port(), 2000, 2000);
     ASSERT_TRUE(fd.valid());

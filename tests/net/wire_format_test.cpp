@@ -1,4 +1,4 @@
-// wbsn-wire v6 codec tests: CRC vectors, varint properties, value-coding
+// wbsn-wire v7 codec tests: CRC vectors, varint properties, value-coding
 // round trips (including the bit-exactness edge cases the fixed-point
 // fallback exists for), whole-frame round trips for every payload,
 // malformed-input and hostile-shape rejection, and byte-for-byte replay of the committed
@@ -808,7 +808,9 @@ TEST(Frames, MaxSizeVarintFieldsRoundTrip) {
   encode_submit_batch_ack(
       ack, std::vector<SubmitBatchAckEntry>{{true, std::numeric_limits<std::uint64_t>::max()}});
   std::vector<SubmitBatchAckEntry> entries;
-  ASSERT_TRUE(decode_submit_batch_ack(must_peek(ack).payload, entries));
+  std::vector<host::WindowResult> results;
+  ASSERT_TRUE(decode_submit_batch_ack(must_peek(ack).payload, entries, results, nullptr));
+  EXPECT_TRUE(results.empty());
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].local_ticket, std::numeric_limits<std::uint64_t>::max());
 }
@@ -1171,25 +1173,105 @@ TEST(BatchFrames, ScatterGatherSealMatchesTheContiguousEncoder) {
   EXPECT_EQ(peek_frame(sealed, view), FrameStatus::kOk) << "CRC must cover prefix and bodies";
 }
 
+/// Two staged result bodies: sample_result() and a 512-sample
+/// WAVELET_RESIDUAL one.
+std::vector<host::WindowResult> ack_results() {
+  auto second = sample_result();
+  second.window_index = 8;
+  second.ticket = 12346;
+  second.signal = fista_signal(512, 50.0, 11);
+  return {sample_result(), second};
+}
+
 TEST(BatchFrames, SubmitBatchAckRoundTrips) {
   const std::vector<SubmitBatchAckEntry> entries{
       {true, 0},
       {false, 0},
       {true, std::numeric_limits<std::uint64_t>::max()},
   };
-  const auto buf = encode_one([&](auto& b) { encode_submit_batch_ack(b, entries); });
-  const auto view = must_peek(buf);
-  EXPECT_EQ(view.type, FrameType::kSubmitBatchAck);
-  EXPECT_EQ(view.version, kWireVersion);
-  std::vector<SubmitBatchAckEntry> decoded;
-  ASSERT_TRUE(decode_submit_batch_ack(view.payload, decoded));
-  ASSERT_EQ(decoded.size(), entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_EQ(decoded[i].accepted, entries[i].accepted) << "entry " << i;
-    if (entries[i].accepted) {
-      EXPECT_EQ(decoded[i].local_ticket, entries[i].local_ticket) << "entry " << i;
+  const auto carried = ack_results();
+  std::vector<std::uint8_t> none, bodies;
+  for (const auto& r : carried) encode_result_entry(bodies, r, WireEncodeOptions{});
+  // With no results, and with the two riding behind the entries.
+  for (const std::size_t count : {std::size_t{0}, carried.size()}) {
+    SCOPED_TRACE(count);
+    std::vector<std::uint8_t> buf;
+    encode_submit_batch_ack(buf, entries, count == 0 ? none : bodies, count);
+    const auto view = must_peek(buf);
+    EXPECT_EQ(view.type, FrameType::kSubmitBatchAck);
+    EXPECT_EQ(view.version, kWireVersion);
+    std::vector<SubmitBatchAckEntry> decoded;
+    std::vector<host::WindowResult> results;
+    host::PayloadPool pool;
+    ASSERT_TRUE(decode_submit_batch_ack(view.payload, decoded, results, &pool));
+    ASSERT_EQ(decoded.size(), entries.size());
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      EXPECT_EQ(decoded[i].accepted, entries[i].accepted) << "entry " << i;
+      if (entries[i].accepted) {
+        EXPECT_EQ(decoded[i].local_ticket, entries[i].local_ticket) << "entry " << i;
+      }
     }
+    ASSERT_EQ(results.size(), count);
+    for (std::size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(results[i].window_index, carried[i].window_index);
+      EXPECT_EQ(results[i].ticket, carried[i].ticket);
+      EXPECT_EQ(results[i].iterations, carried[i].iterations);
+      EXPECT_TRUE(same_bits(results[i].signal, carried[i].signal)) << "result " << i;
+    }
+    // The signals were decoded into pool buffers.
+    EXPECT_EQ(pool.stats().misses, count);
   }
+}
+
+TEST(BatchFrames, MalformedAckResultsAreRejected) {
+  const std::vector<SubmitBatchAckEntry> entries{{true, 100}, {false, 0}};
+  const auto carried = ack_results();
+  std::vector<std::uint8_t> first, second;
+  encode_result_entry(first, carried[0], WireEncodeOptions{});
+  encode_result_entry(second, carried[1], WireEncodeOptions{});
+  // entries: count(1) accepted(1) ticket(1) accepted(1); then the result count.
+  constexpr std::size_t kResultCountAt = 4;
+  const auto payload_with = [&](std::uint64_t count, std::span<const std::uint8_t> bodies) {
+    std::vector<std::uint8_t> buf;
+    encode_submit_batch_ack(buf, entries, bodies, count);
+    const auto view = must_peek(buf);
+    return std::vector<std::uint8_t>(view.payload.begin(), view.payload.end());
+  };
+  std::vector<SubmitBatchAckEntry> decoded;
+  std::vector<host::WindowResult> results;
+  std::vector<std::uint8_t> both = first;
+  both.insert(both.end(), second.begin(), second.end());
+  ASSERT_TRUE(decode_submit_batch_ack(payload_with(2, both), decoded, results, nullptr));
+  ASSERT_EQ(payload_with(2, both)[kResultCountAt], 2u);
+
+  // A result count the bytes do not back: one body short, and a count far
+  // past the payload (bounded before any reserve()).
+  EXPECT_FALSE(decode_submit_batch_ack(payload_with(2, first), decoded, results, nullptr));
+  EXPECT_FALSE(decode_submit_batch_ack(payload_with(1u << 30, both), decoded, results, nullptr));
+  // Fewer results declared than carried: trailing bytes.
+  EXPECT_FALSE(decode_submit_batch_ack(payload_with(1, both), decoded, results, nullptr));
+  // A missing result count.
+  auto truncated = payload_with(0, {});
+  truncated.pop_back();
+  EXPECT_FALSE(decode_submit_batch_ack(truncated, decoded, results, nullptr));
+
+  // A bad entry: the second body's signal coding byte names no coding.
+  auto bad = payload_with(2, both);
+  std::vector<std::uint8_t> signal;
+  encode_signal_values(signal, carried[1].signal);
+  const std::size_t coding_at = bad.size() - signal.size();
+  ASSERT_EQ(bad[coding_at], static_cast<std::uint8_t>(ValueCoding::kWaveletResidual));
+  bad[coding_at] = 9;
+  EXPECT_FALSE(decode_submit_batch_ack(bad, decoded, results, nullptr));
+  // And one whose iterations field is past INT_MAX.
+  std::vector<std::uint8_t> wide_body = first;
+  // patient 42, window 7, priority, route 3, ticket 12345 (2 bytes), snr f64.
+  constexpr std::size_t kIterationsAt = 1 + 1 + 1 + 1 + 2 + 8;
+  ASSERT_EQ(wide_body[kIterationsAt], 83u);
+  std::vector<std::uint8_t> widened(wide_body.begin(), wide_body.begin() + kIterationsAt);
+  put_varint(widened, std::uint64_t{1} << 31);
+  widened.insert(widened.end(), wide_body.begin() + kIterationsAt + 1, wide_body.end());
+  EXPECT_FALSE(decode_submit_batch_ack(payload_with(1, widened), decoded, results, nullptr));
 }
 
 TEST(BatchFrames, PollManyAndResultBatchRoundTrip) {
@@ -1541,8 +1623,10 @@ std::vector<Golden> golden_set() {
                                        WireEncodeOptions{0.0048828125});
                  })});
   set.push_back({"submit_batch_ack.bin", encode_one([](auto& b) {
-                   encode_submit_batch_ack(
-                       b, std::vector<SubmitBatchAckEntry>{{true, 100}, {false, 0}, {true, 101}});
+                   const SubmitBatchAckEntry entries[] = {{true, 100}, {false, 0}, {true, 101}};
+                   std::vector<std::uint8_t> bodies;
+                   encode_result_entry(bodies, sample_result(), WireEncodeOptions{});
+                   encode_submit_batch_ack(b, entries, bodies, 1);
                  })});
   set.push_back({"poll_many.bin", encode_one([](auto& b) { encode_poll_many(b, 64); })});
   set.push_back({"result_batch.bin", encode_one([](auto& b) {

@@ -15,7 +15,11 @@
 // failure.  A decoder that accepts a mutant must also leave its output
 // inside the limits the payload can carry.
 //
-// A second, structure-aware case works below the byte level, where a
+// A structure-aware case rebuilds SUBMIT_BATCH_ACK payloads field by field
+// (entries, result count, result bodies) with one field broken, and checks
+// the verdict each break must get.
+//
+// Another structure-aware case works below the byte level, where a
 // WAVELET_RESIDUAL bitstream's fields sit: it parses encoder output into
 // fields with the spec codec (wavelet_spec.hpp), rewrites Rice parameters,
 // escapes, padding, exponent fields and 64-bit residual codes, and
@@ -179,17 +183,24 @@ void run_decoders(std::span<const std::uint8_t> payload, host::PayloadPool* pool
       EXPECT_LE(w.window_samples, kMaxWindowSamples);
     }
   }
-  std::vector<SubmitBatchAckEntry> acks;
-  accepted += decode_submit_batch_ack(payload, acks);
-  std::uint32_t max_results = 0;
-  accepted += decode_poll_many(payload, max_results);
-  std::vector<host::WindowResult> results;
-  if (decode_result_batch(payload, results, pool)) {
-    ++accepted;
+  const auto check_results = [&](const std::vector<host::WindowResult>& results) {
     for (const auto& r : results) {
       EXPECT_LE(r.signal.size(), std::max<std::size_t>(kMaxWindowSamples, payload.size() / 8));
       tally.long_signals += r.signal.size() == 512;
     }
+  };
+  std::vector<SubmitBatchAckEntry> acks;
+  std::vector<host::WindowResult> results;
+  if (decode_submit_batch_ack(payload, acks, results, pool)) {
+    ++accepted;
+    EXPECT_LE(acks.size() + results.size(), payload.size());
+    check_results(results);
+  }
+  std::uint32_t max_results = 0;
+  accepted += decode_poll_many(payload, max_results);
+  if (decode_result_batch(payload, results, pool)) {
+    ++accepted;
+    check_results(results);
   }
   std::uint64_t epoch = 0;
   std::uint32_t max_entries = 0;
@@ -238,6 +249,146 @@ constexpr int kStructuredIterations = 4000;
 bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
          (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// A SUBMIT_BATCH_ACK payload built field by field, so one field at a time
+/// can be broken.
+struct AckFields {
+  std::vector<SubmitBatchAckEntry> entries;
+  std::vector<std::uint8_t> accepted_bytes;  ///< Per entry; 0 or 1 unless broken.
+  std::uint64_t entry_count = 0;             ///< As written; entries.size() unless broken.
+  std::vector<host::WindowResult> results;
+  std::vector<Bytes> bodies;                 ///< encode_result_entry of each result.
+  std::uint64_t result_count = 0;            ///< As written; results.size() unless broken.
+
+  Bytes write() const {
+    Bytes out;
+    put_varint(out, entry_count);
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      put_u8(out, accepted_bytes[i]);
+      if (accepted_bytes[i] == 1) put_varint(out, entries[i].local_ticket);
+    }
+    put_varint(out, result_count);
+    for (const auto& body : bodies) out.insert(out.end(), body.begin(), body.end());
+    return out;
+  }
+};
+
+TEST(Fuzz, StructuredAckBodiesGetTheVerdictTheirBreakDeserves) {
+  std::mt19937_64 rng(kSeed ^ 0xACC);
+  host::PayloadPool pool;
+  enum class Expect { kSame, kReject, kEither };
+  int accepted = 0;
+  for (int i = 0; i < kStructuredIterations; ++i) {
+    AckFields ack;
+    const std::size_t entries = rng() % 20;
+    for (std::size_t e = 0; e < entries; ++e) {
+      const bool ok = rng() % 4 != 0;
+      // Tickets of every varint width, 1 to 10 bytes.
+      ack.entries.push_back({ok, ok ? rng() >> (rng() % 64) : 0});
+      ack.accepted_bytes.push_back(ok ? 1 : 0);
+    }
+    ack.entry_count = entries;
+    const std::size_t results = rng() % 4;
+    for (std::size_t k = 0; k < results; ++k) {
+      host::WindowResult r;
+      r.patient_id = static_cast<std::uint32_t>(rng());
+      r.window_index = static_cast<std::uint32_t>(rng() % 100000);
+      r.ticket = rng() >> (rng() % 64);
+      r.iterations = static_cast<int>(rng() % 1000);
+      r.snr_db = static_cast<double>(rng() % 4000) / 100.0;
+      const std::size_t n = 16 * (1 + rng() % 8);
+      std::uniform_real_distribution<double> uniform(-1.0, 1.0);
+      if (rng() % 2 == 0) {
+        // Sparse in Db4: ships WAVELET_RESIDUAL.
+        std::vector<double> c(n, 0.0);
+        for (std::size_t s = 0; s < n; s += 1 + rng() % 6) c[s] = uniform(rng);
+        r.signal = dsp::dwt_inverse(c, std::min(3, dsp::dwt_max_levels(n)));
+      } else {
+        for (std::size_t s = 0; s < n; ++s) r.signal.push_back(uniform(rng));
+      }
+      Bytes body;
+      encode_result_entry(body, r, WireEncodeOptions{});
+      ack.bodies.push_back(std::move(body));
+      ack.results.push_back(std::move(r));
+    }
+    ack.result_count = results;
+
+    Expect expect = Expect::kSame;
+    Bytes payload;
+    switch (rng() % 8) {
+      case 0:  // Unbroken.
+        payload = ack.write();
+        break;
+      case 1:  // A result count the bytes do not back.
+        ack.result_count += 1 + (rng() % 2 == 0 ? rng() % 3 : rng() >> 8);
+        payload = ack.write();
+        expect = Expect::kReject;
+        break;
+      case 2:  // Fewer results declared than carried: trailing bodies.
+        if (results == 0) continue;
+        ack.result_count -= 1 + rng() % results;
+        payload = ack.write();
+        expect = Expect::kReject;
+        break;
+      case 3:  // An accepted flag that is neither 0 nor 1.
+        if (entries == 0) continue;
+        ack.accepted_bytes[rng() % entries] = static_cast<std::uint8_t>(2 + rng() % 254);
+        payload = ack.write();
+        expect = Expect::kReject;
+        break;
+      case 4: {  // A bad entry: a body's signal coding byte names no coding.
+        if (results == 0) continue;
+        const std::size_t k = rng() % results;
+        Bytes signal;
+        encode_signal_values(signal, ack.results[k].signal);
+        const std::size_t coding_at = ack.bodies[k].size() - signal.size();
+        ack.bodies[k][coding_at] = static_cast<std::uint8_t>(5 + rng() % 251);
+        payload = ack.write();
+        expect = Expect::kReject;
+        break;
+      }
+      case 5:  // Truncated anywhere: every strict prefix is malformed.
+        payload = ack.write();
+        payload.resize(rng() % payload.size());
+        expect = Expect::kReject;
+        break;
+      case 6:  // Trailing garbage.
+        payload = ack.write();
+        payload.push_back(static_cast<std::uint8_t>(rng()));
+        expect = Expect::kReject;
+        break;
+      default:  // A miscounted entry list: misaligned, any verdict.
+        ack.entry_count = entries + 1 - 2 * (rng() % 2);
+        payload = ack.write();
+        expect = Expect::kEither;
+        break;
+    }
+    std::vector<SubmitBatchAckEntry> decoded;
+    std::vector<host::WindowResult> decoded_results;
+    host::PayloadPool* into = i % 2 == 0 ? &pool : nullptr;
+    const bool ok = decode_submit_batch_ack(payload, decoded, decoded_results, into);
+    accepted += ok;
+    if (expect == Expect::kReject) {
+      EXPECT_FALSE(ok) << "iteration " << i;
+      continue;
+    }
+    if (expect == Expect::kEither) continue;
+    ASSERT_TRUE(ok) << "iteration " << i;
+    ASSERT_EQ(decoded.size(), ack.entries.size());
+    for (std::size_t e = 0; e < decoded.size(); ++e) {
+      EXPECT_EQ(decoded[e].accepted, ack.entries[e].accepted);
+      EXPECT_EQ(decoded[e].local_ticket, ack.entries[e].local_ticket);
+    }
+    ASSERT_EQ(decoded_results.size(), ack.results.size());
+    for (std::size_t k = 0; k < decoded_results.size(); ++k) {
+      EXPECT_EQ(decoded_results[k].ticket, ack.results[k].ticket);
+      EXPECT_EQ(decoded_results[k].patient_id, ack.results[k].patient_id);
+      EXPECT_TRUE(same_bits(decoded_results[k].signal, ack.results[k].signal))
+          << "iteration " << i << " result " << k;
+    }
+  }
+  EXPECT_GT(accepted, kStructuredIterations / 10);
 }
 
 /// Both decoders on one coded vector: the same verdict, and when both
