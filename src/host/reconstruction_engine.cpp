@@ -45,13 +45,16 @@ ReconstructionEngine::~ReconstructionEngine() {
   }
   work_cv_.notify_all();
   for (auto& worker : workers_) worker.join();
-  // Unsolved items still queued and unretrieved completions are abandoned
-  // with the engine (workers are gone; deleting bypasses item_pool_, whose
-  // destructor frees only its own freelist).  Their payload buffers die
-  // with them rather than returning to a shared pool — by design: the pool
-  // replenishes through misses, it never double-frees.
+  // Unsolved items, queued or held, and unretrieved completions are
+  // abandoned with the engine (workers are gone; deleting bypasses
+  // item_pool_, whose destructor frees only its own freelist).  Their
+  // payload buffers die with them rather than returning to a shared pool —
+  // by design: the pool replenishes through misses, it never double-frees.
   WorkItem* item = nullptr;
   while (queue_.try_pop(item)) delete item;
+  for (auto& lane : caller_lanes_) {
+    for (; !lane.empty(); lane.pop_front()) delete lane.front();
+  }
   WorkItem* node = done_head_;
   while (node != nullptr) {
     WorkItem* next = node->next;
@@ -74,7 +77,6 @@ void ReconstructionEngine::recycle_item(WorkItem* item) {
   item->phi.reset();
   item->patient_slo.reset();
   item->charged_cost_us = 0;
-  item->held = false;
   item->result = WindowResult{};
   item->next = nullptr;
   item_pool_.recycle(item);
@@ -82,11 +84,7 @@ void ReconstructionEngine::recycle_item(WorkItem* item) {
 
 void ReconstructionEngine::worker_loop() {
   for (;;) {
-    WorkItem* item = nullptr;
-    if (pop_work(item)) {
-      process_one(item);
-      continue;
-    }
+    if (help_some()) continue;
     std::unique_lock<std::mutex> lk(work_mutex_);
     work_cv_.wait(lk, [this] {
       return stop_.load(std::memory_order_acquire) || !queue_.empty();
@@ -382,6 +380,7 @@ bool ReconstructionEngine::shed_predicted_miss(cs::WindowPriority arrival_priori
   // Routine victims first (urgent windows still contribute queue-wait cost
   // but are never eligible); the urgent lane becomes eligible only when no
   // routine window is predicted to miss AND the arrival itself is urgent.
+  // Held windows never enter queue_, so they are never victims.
   auto victim = queue_.extract_best(make_score(false));
   if (!victim.has_value() && arrival_priority == cs::WindowPriority::kUrgent) {
     cum_wait_ms = 0.0;  // Fresh scan, fresh cumulative cost.
@@ -393,7 +392,6 @@ bool ReconstructionEngine::shed_predicted_miss(cs::WindowPriority arrival_priori
   if (item->charged_cost_us > 0) {
     pending_cost_us_.fetch_sub(item->charged_cost_us, std::memory_order_relaxed);
   }
-  if (item->held) held_.fetch_sub(1, std::memory_order_relaxed);
   slo_.on_shed(urgent);
   lane_slo_[lane_index(item->window.priority)].on_shed(urgent);
   if (item->patient_slo != nullptr) item->patient_slo->on_shed(urgent);
@@ -459,7 +457,7 @@ std::optional<std::uint64_t> ReconstructionEngine::try_submit_impl(CompressedWin
     pending_cost_us_.fetch_add(item->charged_cost_us, std::memory_order_relaxed);
   }
   const std::uint64_t ticket = item->ticket;
-  const bool urgent = item->window.priority == cs::WindowPriority::kUrgent;
+  bool held = false;
   if (solver == Solver::kCallerIfCheap && !workers_.empty()) {
     // Only a per-shape (or pinned) estimate makes a window cheap: the
     // shape-blind global EWMA would let a new, possibly expensive shape
@@ -471,11 +469,11 @@ std::optional<std::uint64_t> ReconstructionEngine::try_submit_impl(CompressedWin
     }
     // An idle engine holds any window: a worker could add no parallelism
     // to a lone window, only its wake and the wake back.  Idle means this
-    // window's slot is the only one in flight, so nothing is queued and no
-    // worker is solving; a loop that held windows while the workers were
-    // busy would stop reading frames and starve them.
-    item->held = (estimate_us > 0 && estimate_us < kWorkerHandoffUs) ||
-                 in_flight_.load(std::memory_order_acquire) == 1;
+    // window's slot is the only one in flight, so nothing is queued or
+    // held and no worker is solving; a loop that held windows while the
+    // workers were busy would stop reading frames and starve them.
+    held = (estimate_us > 0 && estimate_us < kWorkerHandoffUs) ||
+           in_flight_.load(std::memory_order_acquire) == 1;
   }
 
   slo_.on_submit();
@@ -487,13 +485,12 @@ std::optional<std::uint64_t> ReconstructionEngine::try_submit_impl(CompressedWin
     std::lock_guard<std::mutex> lk(pending_mutex_);
     ++patient_pending_[item->window.patient_id];
   }
-  const bool held = item->held;
-  // Counted before the push: solve_held() must never see a held window
-  // queued while held_ reads 0.
-  if (held) held_.fetch_add(1, std::memory_order_relaxed);
-  queue_.push(item, urgent);
-
-  if (!held && !workers_.empty()) {
+  if (held) {
+    caller_lanes_[lane_index(item->window.priority)].push_back(item);
+    return ticket;
+  }
+  queue_.push(item, item->window.priority == cs::WindowPriority::kUrgent);
+  if (!workers_.empty()) {
     worker_handoffs_.fetch_add(1, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lk(work_mutex_);
@@ -521,24 +518,22 @@ std::uint64_t ReconstructionEngine::submit(CompressedWindow window) {
   }
 }
 
-bool ReconstructionEngine::pop_work(WorkItem*& item) {
-  // held_ drops under the queue's lock: it never counts a window a worker
-  // has already taken, so solve_held() cannot pop on a stale count.
-  return queue_.try_pop(item, [this](const WorkItem* taken) {
-    if (taken->held) held_.fetch_sub(1, std::memory_order_relaxed);
-  });
-}
-
 bool ReconstructionEngine::help_some() {
   WorkItem* item = nullptr;
-  if (!pop_work(item)) return false;
+  if (!queue_.try_pop(item)) return false;
   process_one(item);
   return true;
 }
 
 std::size_t ReconstructionEngine::solve_held() {
   std::size_t solved = 0;
-  while (held_.load(std::memory_order_relaxed) > 0 && help_some()) ++solved;
+  for (const auto lane : {cs::WindowPriority::kUrgent, cs::WindowPriority::kRoutine}) {
+    for (auto& held = caller_lanes_[lane_index(lane)]; !held.empty(); ++solved) {
+      WorkItem* item = held.front();
+      held.pop_front();
+      process_one(item);
+    }
+  }
   return solved;
 }
 

@@ -19,20 +19,20 @@
 //     pool of worker threads drains it persistently — there is no
 //     per-batch barrier, a worker pops one window, solves it
 //     (cs::fista_solve_into) and starts the next the moment it finishes.
-//     An event loop that admits on its own thread may instead keep a
-//     window and solve it itself through solve_held() — same pop order,
-//     same solve and completion code (Solver::kCallerIfCheap): a window
-//     cheaper than a worker handoff (kWorkerHandoffUs), and any window
-//     that reaches an idle engine (no other window queued or solving).
-//     The second and later windows of a burst, and every window that
-//     arrives while a worker solves, still go to the workers.
+//     An event loop that admits on its own thread may instead hold a
+//     window — a private list no worker sees — and solve it itself through
+//     solve_held(), same solve and completion code (Solver::kCallerIfCheap):
+//     a window cheaper than a worker handoff (kWorkerHandoffUs), and any
+//     window that reaches an idle engine (no other window in flight).  The
+//     second and later windows of a burst, and every window that arrives
+//     while a worker solves, still go to the workers.
 //   * Under overload, admission is deadline-aware when deadline_shedding
 //     is on: instead of bouncing the newest arrival, try_submit sheds the
 //     queued window whose predicted completion (backlog position x the
 //     measured per-window solve EWMA) overshoots its deadline the most,
 //     and admits the arrival into the freed slot.  Routine windows are
-//     shed before urgent ones; sheds and rejects land in the SLO trackers
-//     per lane.
+//     shed before urgent ones, held windows never; sheds and rejects land
+//     in the SLO trackers per lane.
 //   * poll() returns one completed window (completion order); drain()
 //     blocks until everything in flight has completed and returns the
 //     rest.  With threads == 0 both run the solver inline in the calling
@@ -54,7 +54,6 @@
 // nondeterministic output, and the batch wrapper sorts it away.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -171,16 +170,17 @@ enum class Solver : std::uint8_t {
   /// Wake a worker for it: every in-process caller.
   kWorker,
   /// An event loop that admits windows on its own thread.  A window is
-  /// queued *held* — without waking a worker — when its per-shape (or
-  /// pinned) solve estimate is non-zero and below kWorkerHandoffUs, or
-  /// when the engine is idle at its admission (no other window in flight:
-  /// none queued, held or not, and none being solved).  The caller must
-  /// run solve_held() before it next sleeps.  Work-first: the thread that
-  /// has a lone window solves it, which saves the worker's wake and the
-  /// wake back; a window behind a queued one, or one that arrives while a
-  /// worker solves, goes to a worker, so bursts and saturation still
-  /// spread across the pool.  Every window of an engine without workers
-  /// goes as kWorker.
+  /// *held* — kept on a private list, with no worker wake — when its
+  /// per-shape (or pinned) solve estimate is non-zero and below
+  /// kWorkerHandoffUs, or when the engine is idle at its admission (no
+  /// other window queued, held or being solved).  Work-first: the thread
+  /// that has a lone window solves it, saving the worker's wake and the
+  /// wake back; bursts and saturation still spread across the pool.  One
+  /// thread admits this way, and it runs solve_held() before it blocks,
+  /// drains or sleeps: no worker solves a held window, so drain() and
+  /// drain_patient() would wait forever on one.  A held window counts as
+  /// in flight from its admission and is never a shed victim.  Every
+  /// window of an engine without workers goes as kWorker.
   kCallerIfCheap,
 };
 
@@ -281,12 +281,11 @@ class ReconstructionEngine {
   std::optional<std::uint64_t> try_submit_step(CompressedWindow&& window,
                                                Solver solver = Solver::kWorker);
 
-  /// Solves queued windows on the calling thread, urgent lane first, while
-  /// any window admitted held (Solver::kCallerIfCheap) is still queued;
-  /// returns how many it solved.  Afterwards no held window is queued: a
-  /// worker that was awake anyway may have taken some, and the pops may
-  /// include a worker-bound window queued ahead of a held one.  The
-  /// progress hook runs for these completions on the calling thread.
+  /// Solves every window admitted held (Solver::kCallerIfCheap) on the
+  /// calling thread, urgent lane first and FIFO within each lane, and
+  /// returns how many: exactly the held windows, never a worker-bound
+  /// one.  Call it only from the thread that admits with kCallerIfCheap.
+  /// The progress hook runs for these completions on the calling thread.
   std::size_t solve_held();
 
   /// Windows admitted for a worker: every admission of an engine with
@@ -331,7 +330,8 @@ class ReconstructionEngine {
   /// Admission bound actually in force.
   std::size_t in_flight_capacity() const { return capacity_; }
 
-  /// Pending (unsolved) windows in the given priority lane.
+  /// Windows queued for a worker in the given priority lane (held windows
+  /// and windows being solved are not counted).
   std::size_t backlog(cs::WindowPriority priority) const {
     return queue_.lane_size(priority == cs::WindowPriority::kUrgent);
   }
@@ -420,9 +420,6 @@ class ReconstructionEngine {
     /// pending_cost_us_ — remembered so completion/shed releases exactly
     /// what was charged.
     std::uint64_t charged_cost_us = 0;
-    /// Admitted held (Solver::kCallerIfCheap): counted in held_ until
-    /// popped (pop_work) or shed.
-    bool held = false;
     std::chrono::steady_clock::time_point enqueue_time{};
     WindowResult result;
     WorkItem* next = nullptr;  ///< Intrusive completion-list link.
@@ -433,9 +430,8 @@ class ReconstructionEngine {
   }
 
   void worker_loop();
-  /// Pops the next pending window (urgent first); false when none is.
-  bool pop_work(WorkItem*& item);
-  /// Pops one pending window and solves it; false when none was pending.
+  /// Pops one queued window (urgent first) and solves it; false when none
+  /// was queued.
   bool help_some();
   /// Reserves one in-flight slot; false when at capacity.
   bool reserve_slot();
@@ -494,8 +490,9 @@ class ReconstructionEngine {
   /// completion/shed.  Feeds backlog_wait_ms() and the CR-hint pressure
   /// signal; counters never affect values.
   std::atomic<std::uint64_t> pending_cost_us_{0};
-  /// Held windows still queued: solve_held() pops while this is non-zero.
-  std::atomic<std::size_t> held_{0};
+  /// Held windows, [0]=routine, [1]=urgent.  No lock: the admitting
+  /// thread alone pushes, and pops in solve_held().
+  RingDeque<WorkItem*> caller_lanes_[cs::kPriorityLanes];
   /// Windows admitted for a worker; see worker_handoffs().
   std::atomic<std::uint64_t> worker_handoffs_{0};
 

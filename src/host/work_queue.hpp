@@ -29,7 +29,7 @@ namespace wbsn::host {
 /// at the front, random access and removal in pop order).  Capacity is a
 /// power of two that doubles when full and never shrinks, so steady-state
 /// cycling at any depth below the high-water mark allocates nothing.
-/// Not thread-safe — callers lock (TwoLaneWorkQueue wraps it in a mutex).
+/// Not thread-safe: callers lock (as TwoLaneWorkQueue does) or stay on one thread.
 template <typename T>
 class RingDeque {
  public:
@@ -105,19 +105,11 @@ class TwoLaneWorkQueue {
   }
 
   bool try_pop(T& out) {
-    return try_pop(out, [](const T&) {});
-  }
-
-  /// try_pop() that also runs `taken(out)` under the lock, so a count the
-  /// caller keeps of some queued items never lags the queue itself.
-  template <typename TakenFn>
-  bool try_pop(T& out, TakenFn&& taken) {
     std::lock_guard<std::mutex> lk(mutex_);
     for (auto* q : {&urgent_, &routine_}) {
       if (!q->empty()) {
         out = std::move(q->front());
         q->pop_front();
-        taken(out);
         return true;
       }
     }

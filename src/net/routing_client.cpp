@@ -33,14 +33,12 @@ bool SocketLink::ensure_connected() { return fd_.valid() || reconnect(); }
 
 bool SocketLink::reconnect() {
   fd_.reset();
-  // Answers already received are delivered: the shard counted them
-  // retrieved.  The rest died with the old connection.
-  (void)absorb_received_answers();
+  // Windows whose ACK was outstanding on the dead connection are lost,
+  // never retried (a retry could double-submit).  What the old connection
+  // did deliver is kept; the rest died with it.
+  fail_pipeline();
   rx_.clear();
   polls_owed_ = 0;
-  // Windows whose ACK was outstanding on the dead connection are lost,
-  // never retried (a retry could double-submit).
-  fail_pipeline();
   // Jitter seed: stable per (shard slot, endpoint), distinct across a
   // fleet of clients pointed at different shards.
   const std::uint64_t seed =
@@ -154,6 +152,13 @@ bool SocketLink::absorb_results(const FrameView& view) {
 }
 
 void SocketLink::fail_pipeline() {
+  // Answers and ACKs already received are delivered: the shard counted
+  // their results retrieved.
+  FrameView peek;
+  while (absorb_received_answers() && !outstanding_counts_.empty() &&
+         peek_frame(rx_, peek) == FrameStatus::kOk && take_ack(peek)) {
+    rx_.erase(rx_.begin(), rx_.begin() + peek.frame_bytes);
+  }
   std::uint64_t lost = staged_count_;
   for (const std::size_t count : outstanding_counts_) lost += count;
   for (; lost > 0; --lost) acks_.push_back({host::SubmitAck::Status::kLost, 0});
@@ -164,13 +169,18 @@ void SocketLink::fail_pipeline() {
 
 bool SocketLink::harvest_ack() {
   if (outstanding_counts_.empty()) return true;
+  if (read_frame() && take_ack(view_)) return true;
+  fd_.reset();
+  fail_pipeline();
+  return false;
+}
+
+bool SocketLink::take_ack(const FrameView& view) {
   static thread_local std::vector<SubmitBatchAckEntry> entries;
   auto& results = result_scratch();
-  if (!read_frame() || view_.type != FrameType::kSubmitBatchAck ||
-      !decode_submit_batch_ack(view_.payload, entries, results, cfg_.payload_pool.get()) ||
+  if (view.type != FrameType::kSubmitBatchAck ||
+      !decode_submit_batch_ack(view.payload, entries, results, cfg_.payload_pool.get()) ||
       entries.size() != outstanding_counts_.front()) {
-    fd_.reset();
-    fail_pipeline();
     return false;
   }
   outstanding_counts_.pop_front();

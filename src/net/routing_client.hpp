@@ -159,11 +159,13 @@ class SocketLink final : public host::ShardLink {
   /// Seals the staged bodies into one SUBMIT_BATCH on the wire and
   /// enforces the pipeline depth by harvesting acks.
   bool seal_batch();
-  /// Blocks for one SUBMIT_BATCH_ACK and records its windows' acks and
-  /// the results it carries.
+  /// Blocks for one SUBMIT_BATCH_ACK and takes it.
   bool harvest_ack();
-  /// Resolves every staged or unacknowledged window as lost (the
-  /// connection died with them outstanding).
+  /// Records the oldest outstanding frame's ACK `view`, with the results
+  /// it carries; false when `view` is not that ACK.
+  bool take_ack(const FrameView& view);
+  /// The connection died: takes what rx_ holds complete, then resolves
+  /// every other staged or unacknowledged window as lost.
   void fail_pipeline();
 
   ShardEndpoint endpoint_;
@@ -178,7 +180,8 @@ class SocketLink final : public host::ShardLink {
   /// SUBMIT_BATCH shares its send.
   std::uint64_t frames_sent_ = 0;
   /// POLL_MANY answers not yet read.  Meaningful only while fd_ is valid:
-  /// reconnect() absorbs those already in rx_, then clears both.
+  /// fail_pipeline() absorbs those already in rx_, then reconnect() clears
+  /// both.
   std::uint32_t polls_owed_ = 0;
   std::uint64_t health_nonce_ = 0;
   /// Encoded window bodies not yet sealed into a frame.

@@ -33,19 +33,21 @@
 // thread wakes (the loop's futex wake of the worker, the worker's own
 // wake, and its self-pipe wake back to the loop when a verb waits), at
 // least host::kWorkerHandoffUs and more the longer the worker slept.  So
-// the loop admits with host::Solver::kCallerIfCheap, which queues a window
+// the loop admits with host::Solver::kCallerIfCheap, which keeps a window
 // *held*, with no worker wake, when its per-shape (or pinned) solve
 // estimate is non-zero and below that constant, or when the engine is idle
-// (no other window queued or being solved).  The loop solves held windows
-// itself before it acknowledges the frame that admitted them (and inside a
-// deferred submit before it gives up on a full engine), urgent first,
-// through the engine's own solve/complete path.  The SUBMIT_BATCH_ACK then
-// carries their results, and every other result ready by then, so the
-// client needs no POLL_MANY round trip for them.  A dear window that
-// arrives behind a queued one, or while a worker solves, goes to a worker,
-// so `threads` serves bursts and saturation: a loop busy solving reads no
-// frames and would starve an already-awake pool.
-// The loop never sleeps in poll(2) with a held window queued, and the
+// (no other window queued, held or being solved).  No worker sees a held
+// window, and the loop solves exactly those before it acknowledges the
+// frame that admitted them (and inside a deferred submit before it gives
+// up on a full engine), urgent first, through the engine's own
+// solve/complete path.  The SUBMIT_BATCH_ACK then carries their results,
+// and every other result ready by then, so the client needs no POLL_MANY
+// round trip for them.  A dear window that arrives behind a queued one, or
+// while a worker solves, goes to a worker, so `threads` serves bursts and
+// saturation: a loop busy solving reads no frames and would starve an
+// already-awake pool.
+// So no held window is left between frames (the engine's contract): the
+// loop never sleeps in poll(2) or parks a DRAIN_PATIENT on one.  The
 // progress hook stays silent for progress made on the loop's own thread:
 // the loop re-checks its waiting verbs instead, at once when that
 // progress came during those checks.
@@ -187,7 +189,7 @@ class ShardServer {
   /// Solves, on the loop's thread, every window the loop admitted held;
   /// returns how many it solved.  Runs before every SUBMIT_BATCH_ACK and
   /// inside a deferred submit, so the loop never sleeps with a held window
-  /// queued.
+  /// unsolved.
   std::size_t solve_held();
   /// Encodes up to `max_results` ready results into batch_staging_,
   /// stopping once they and the `frame_bytes` the frame already holds pass

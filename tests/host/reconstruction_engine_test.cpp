@@ -242,32 +242,28 @@ TEST(StreamingEngine, CallerSolvesOnlyTheWindowsItHeld) {
       ASSERT_TRUE(engine.try_submit(std::move(copy), Solver::kCallerIfCheap).has_value());
     }
   };
-  // An awake worker takes held windows too: let a new one go to sleep.
-  const auto let_worker_park = [] { std::this_thread::sleep_for(std::chrono::milliseconds(50)); };
   auto cheap = fast_engine(1);
   cheap.shed_solve_estimate_ms = 0.002;
   ReconstructionEngine held(cheap);
-  let_worker_park();
   admit(held);
+  EXPECT_EQ(held.backlog(cs::WindowPriority::kUrgent) + held.backlog(cs::WindowPriority::kRoutine),
+            0u)
+      << "held windows never enter the workers' queue";
   EXPECT_EQ(held.solve_held(), 4u) << "no worker was woken for them";
   EXPECT_EQ(held.worker_handoffs(), 0u);
   EXPECT_EQ(held.ready_results(), 4u);
   EXPECT_EQ(held.solve_held(), 0u);
 
-  // Expensive: the first window reaches an idle engine and is held; the
-  // second, queued behind it while the worker sleeps, goes to the worker.
-  // The woken worker may finish both before a later admission, which then
-  // holds its window too.  A held window is the only one in flight when
-  // admitted, so at most one is queued at a time, first in pop order, and
-  // the caller solves at most one.
+  // Expensive: the first window reaches an idle engine and is held.  It
+  // stays in flight until solve_held(), so the other three all find
+  // another window in flight and go to the worker, which never sees the
+  // held one.
   auto dear = fast_engine(1);
   dear.shed_solve_estimate_ms = 1.0;
   ReconstructionEngine worker_bound(dear);
-  let_worker_park();
   admit(worker_bound);
-  EXPECT_GE(worker_bound.worker_handoffs(), 1u);
-  EXPECT_LE(worker_bound.worker_handoffs(), 3u);
-  EXPECT_LE(worker_bound.solve_held(), 1u);
+  EXPECT_EQ(worker_bound.worker_handoffs(), 3u);
+  EXPECT_EQ(worker_bound.solve_held(), 1u);
   EXPECT_EQ(worker_bound.drain().size(), 4u);
   EXPECT_EQ(worker_bound.solve_held(), 0u);
 
@@ -277,6 +273,97 @@ TEST(StreamingEngine, CallerSolvesOnlyTheWindowsItHeld) {
   EXPECT_EQ(serial.solve_held(), 0u) << "serial mode keeps solving in poll()";
   EXPECT_EQ(serial.worker_handoffs(), 0u);
   EXPECT_EQ(serial.drain().size(), 4u);
+}
+
+TEST(StreamingEngine, CallerSolvesItsHeldWindowBesideAnAwakeWorker) {
+  // Each round holds one window (it reaches an idle engine) and hands the
+  // next to the worker, and the caller solves only once the awake worker
+  // has emptied its queue.  The worker pops only that queue, so the held
+  // window is still there for the caller in every round.
+  auto cfg = fast_engine(1);
+  cfg.shed_solve_estimate_ms = 1.0;
+  ReconstructionEngine engine(cfg);
+  const auto batch = two_patient_batch();
+  for (int round = 0; round < 200; ++round) {
+    SCOPED_TRACE(round);
+    for (std::size_t i = 0; i < 2; ++i) {
+      CompressedWindow copy = batch[i];
+      ASSERT_TRUE(engine.try_submit(std::move(copy), Solver::kCallerIfCheap).has_value());
+    }
+    while (engine.backlog(cs::WindowPriority::kUrgent) +
+               engine.backlog(cs::WindowPriority::kRoutine) >
+           0) {
+      std::this_thread::yield();
+    }
+    ASSERT_EQ(engine.solve_held(), 1u);
+    ASSERT_EQ(engine.drain().size(), 2u);
+  }
+  EXPECT_EQ(engine.worker_handoffs(), 200u);
+}
+
+TEST(StreamingEngine, SheddingNeverPicksAHeldWindow) {
+  // Every queued window is predicted to miss the deadline, so an arrival
+  // at capacity sheds whenever a victim is queued for a worker.  Held
+  // windows are not candidates: the caller solves them before it next
+  // reads.
+  auto cfg = fast_engine(1);
+  cfg.deadline_shedding = true;
+  cfg.slo.deadline_ms = 1e-6;
+  const auto batch = two_patient_batch();
+  ASSERT_GE(batch.size(), 4u);
+  const auto submit = [&](ReconstructionEngine& engine, std::size_t i) {
+    CompressedWindow copy = batch[i];
+    return engine.try_submit(std::move(copy), Solver::kCallerIfCheap).has_value();
+  };
+
+  // Only held windows in flight: nothing to shed, so the arrival bounces.
+  auto cheap = cfg;
+  cheap.queue_capacity = 2;
+  cheap.shed_solve_estimate_ms = 0.002;
+  ReconstructionEngine held_only(cheap);
+  ASSERT_TRUE(submit(held_only, 0));
+  ASSERT_TRUE(submit(held_only, 1));
+  EXPECT_FALSE(submit(held_only, 2));
+  EXPECT_EQ(held_only.slo().snapshot().shed_routine, 0u);
+  EXPECT_EQ(held_only.slo().snapshot().rejected, 1u);
+  EXPECT_EQ(held_only.solve_held(), 2u);
+  EXPECT_EQ(held_only.drain().size(), 2u);
+
+  // A held window and two worker-bound ones behind it, the worker pinned
+  // slow on the first of them: the arrival sheds a worker-bound window
+  // and, taking over its slot, goes to the worker itself.
+  auto dear = cfg;
+  dear.queue_capacity = 3;
+  dear.shed_solve_estimate_ms = 1.0;
+  dear.fista.max_iterations = 8000;
+  dear.fista.tolerance = 0.0;
+  ReconstructionEngine mixed(dear);
+  for (std::size_t i = 0; i < 3; ++i) ASSERT_TRUE(submit(mixed, i));
+  ASSERT_EQ(mixed.worker_handoffs(), 2u);
+  EXPECT_TRUE(submit(mixed, 3));
+  EXPECT_EQ(mixed.slo().snapshot().shed_routine, 1u);
+  EXPECT_EQ(mixed.solve_held(), 1u);
+  const auto results = mixed.drain();
+  ASSERT_EQ(results.size(), 3u);
+  std::set<std::uint32_t> indices;
+  for (const auto& r : results) indices.insert(r.window_index);
+  EXPECT_TRUE(indices.count(batch[0].window_index)) << "the held window was solved";
+}
+
+TEST(StreamingEngine, EngineDestroyedWithHeldWindowsFreesThem) {
+  // Held windows never solved are freed with the engine, like queued
+  // ones; the sanitizer build's leak check is what fails otherwise.
+  auto cfg = fast_engine(1);
+  cfg.shed_solve_estimate_ms = 0.002;
+  cfg.payload_pool = std::make_shared<PayloadPool>();
+  ReconstructionEngine engine(cfg);
+  const auto batch = two_patient_batch();
+  for (std::size_t i = 0; i < 3; ++i) {
+    CompressedWindow copy = batch[i];
+    ASSERT_TRUE(engine.try_submit(std::move(copy), Solver::kCallerIfCheap).has_value());
+  }
+  EXPECT_EQ(engine.in_flight(), 3u);
+  EXPECT_EQ(engine.worker_handoffs(), 0u);
 }
 
 TEST(StreamingEngine, CallerHandsAWindowToABusyWorker) {

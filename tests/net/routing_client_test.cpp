@@ -792,9 +792,9 @@ bool readable_within(const Fd& fd, int ms) {
   return ::poll(&pfd, 1, ms) > 0;
 }
 
-/// Gives a new shard's worker time to start and go to sleep.  A worker
-/// that is awake takes whatever is queued, held windows included, so the
-/// exact loop-solve counts below hold only once it sleeps.
+/// Gives a new shard's worker time to start and go to sleep, so that the
+/// first window of a test finds the engine idle and the worker's wake is
+/// part of what the test measures.
 void let_workers_park() { std::this_thread::sleep_for(std::chrono::milliseconds(50)); }
 
 /// The first window of `patient`'s record cut `samples` long (fleet_traffic
@@ -819,9 +819,9 @@ CompressedWindow long_window(std::uint32_t patient, std::size_t samples) {
 
 /// A 1-worker shard whose windows are pinned expensive and run a fixed
 /// 1000 iterations.  In a frame of a 128-sample window and a 2048-sample
-/// long_window(), the loop holds the first (the engine is idle; the worker
-/// woken for the second may still take it first) and the second goes to
-/// the worker, which is still solving it long after the ack has left.
+/// long_window(), the loop holds the first (the engine is idle) and the
+/// second goes to the worker, which is still solving it long after the ack
+/// has left.
 ShardServerConfig slow_worker_config() {
   ShardServerConfig cfg;
   cfg.engine = fast_engine(1);
@@ -848,22 +848,21 @@ TEST(LongPoll, IdleThreadedShardAnswersOnlyWhenAWindowCompletes) {
 
   // Another connection submits a short window, which the loop holds, and
   // a long one, which goes to the worker and completes long after the ack.
-  // The ack carries the short one's result, unless the woken worker took
-  // the held window before the loop got to it; either way the first
-  // completion after the ack releases the poll.
+  // The ack carries the short one's result; the long one's completion
+  // releases the poll.
   Fd submitter = negotiated_connection(shard);
   const CompressedWindow short_window = fleet_traffic(/*patients=*/1, 1).front();
   const CompressedWindow long_one = long_window(short_window.patient_id, 2048);
   std::vector<std::uint8_t> submitter_rx;
   const Ack ack = submit_and_ack(submitter, submitter_rx, {short_window, long_one});
   ASSERT_EQ(ack.entries.size(), 2u);
-  ASSERT_LE(ack.results.size(), 1u) << "the long window must still be solving";
+  ASSERT_EQ(ack.results.size(), 1u) << "the held window, and the long one still solving";
+  EXPECT_EQ(key_of(ack.results[0]), key_of(short_window));
 
   std::vector<WindowResult> results;
   next_result_batch(poller, rx, results);
   ASSERT_EQ(results.size(), 1u);
-  const WindowKey expected = ack.results.empty() ? key_of(short_window) : key_of(long_one);
-  EXPECT_EQ(key_of(results[0]), expected);
+  EXPECT_EQ(key_of(results[0]), key_of(long_one));
   EXPECT_TRUE(rx.empty());
   EXPECT_FALSE(readable_within(poller, 100)) << "one POLL_MANY, one RESULT_BATCH";
 }
@@ -938,11 +937,11 @@ TEST(LongPoll, IdlePollsSendAtMostOnePollManyPerShard) {
   for (int i = 0; i < 100; ++i) EXPECT_FALSE(client.poll().has_value());
   EXPECT_EQ(sent, before);
 
-  // One frame per shard of a short window, whose result usually rides in
-  // the ack, and a long one, which goes to the worker and completes long
-  // after it.  Once both are solved, a raw connection takes every result
-  // the ack did not carry, the long one's included, so the client still
-  // waits on both shards, and both are idle.
+  // One frame per shard of a short window, which the loop holds and whose
+  // result rides in the ack, and a long one, which goes to the worker and
+  // completes long after it.  Once both are solved, a raw connection takes
+  // the long one's result, so the client still waits on both shards, and
+  // both are idle.
   std::size_t carried = 0;
   for (std::size_t s = 0; s < shards.size(); ++s) {
     const auto owned = std::find_if(traffic.begin(), traffic.end(), [&](const auto& w) {
@@ -954,7 +953,7 @@ TEST(LongPoll, IdlePollsSendAtMostOnePollManyPerShard) {
     ASSERT_TRUE(client.submit_pipelined(long_window(owned->patient_id, 2048)));
     for (const auto& ticket : client.flush_submits()) ASSERT_TRUE(ticket.has_value());
     const std::uint64_t in_ack = shards[s]->server->ack_results() - acked_before;
-    ASSERT_LE(in_ack, 1u) << "the long window must still be solving";
+    ASSERT_EQ(in_ack, 1u) << "the held window, and the long one still solving";
     carried += in_ack;
     auto& engine = shards[s]->server->engine();
     for (int waited_ms = 0; engine.in_flight() > 0 && waited_ms < 5000; ++waited_ms) {
@@ -966,7 +965,7 @@ TEST(LongPoll, IdlePollsSendAtMostOnePollManyPerShard) {
     ASSERT_TRUE(send_all(thief.get(), buf.data(), buf.size()));
     std::vector<WindowResult> results;
     next_result_batch(thief, rx, results);
-    ASSERT_EQ(results.size(), 2 - in_ack);
+    ASSERT_EQ(results.size(), 1u);
   }
   before = sent;
   std::size_t returned = 0;
@@ -1229,7 +1228,8 @@ TEST(LoopSolve, CheapWindowsSolveOnTheLoopWithNoWorkerWake) {
 TEST(LoopSolve, UnmeasuredShapeGoesToTheWorker) {
   // No pin and no completed solve yet: neither window has a per-shape
   // estimate, so neither is held as cheap.  The first reaches an idle
-  // engine and is held; the second, queued behind it, goes to the worker.
+  // engine and is held; the second finds it in flight and goes to the
+  // worker.
   LocalShard shard(1);
   let_workers_park();
   Fd fd = negotiated_connection(shard);
@@ -1239,14 +1239,13 @@ TEST(LoopSolve, UnmeasuredShapeGoesToTheWorker) {
   ASSERT_EQ(ack.entries.size(), windows.size());
   expect_matches_reference(ack_then_poll(fd, rx, std::move(ack), windows.size()), windows);
   EXPECT_EQ(shard.server->worker_handoffs(), 1u);
-  EXPECT_LE(shard.server->loop_solves(), 1u);
+  EXPECT_EQ(shard.server->loop_solves(), 1u);
 }
 
 TEST(LoopSolve, PinnedExpensiveWindowsGoToTheWorker) {
-  // The worker may still be awake from its start and take any window,
-  // held or not, so only what holds under every interleaving is asserted:
-  // every result is bit-exact, and the first window finds no other in
-  // flight and is held, so at most the other 31 go to the worker.
+  // The first window finds no other in flight and is held.  It stays in
+  // flight until the loop solves it before the ack, so the other 31 all
+  // go to the worker, whether or not it is still awake from its start.
   LocalShard shard(pinned_config(kExpensiveMs));
   Fd fd = negotiated_connection(shard);
   std::vector<std::uint8_t> rx;
@@ -1254,7 +1253,8 @@ TEST(LoopSolve, PinnedExpensiveWindowsGoToTheWorker) {
   Ack ack = submit_and_ack(fd, rx, windows);
   ASSERT_EQ(ack.entries.size(), windows.size());
   expect_matches_reference(ack_then_poll(fd, rx, std::move(ack), windows.size()), windows);
-  EXPECT_LT(shard.server->worker_handoffs(), windows.size());
+  EXPECT_EQ(shard.server->worker_handoffs(), windows.size() - 1);
+  EXPECT_EQ(shard.server->loop_solves(), 1u);
 }
 
 TEST(LoopSolve, LoneExpensiveWindowsSolveOnTheLoopWithNoWake) {
@@ -1283,13 +1283,8 @@ TEST(LoopSolve, LoneExpensiveWindowsSolveOnTheLoopWithNoWake) {
 
 TEST(LoopSolve, BurstOfExpensiveWindowsSpreadsToTheWorker) {
   // A frame of 8 expensive windows into an idle engine: the first is
-  // held, and the second, queued behind it while the worker sleeps, goes
-  // to the worker.  Once that worker is awake it may finish every earlier
-  // window before a later admission, which then holds its window too, so
-  // the handoff count is bounded, not exact.  An expensive window is held
-  // only when no other is in flight, so at most one held window is queued
-  // at a time and it is first in pop order: the loop, which pops only
-  // while a held window is queued, solves at most one.
+  // held, and it stays in flight until the loop solves it before the ack,
+  // so each later window finds another in flight and goes to the worker.
   LocalShard shard(pinned_config(kExpensiveMs));
   let_workers_park();
   Fd fd = negotiated_connection(shard);
@@ -1299,9 +1294,8 @@ TEST(LoopSolve, BurstOfExpensiveWindowsSpreadsToTheWorker) {
   Ack ack = submit_and_ack(fd, rx, windows);
   ASSERT_EQ(ack.entries.size(), windows.size());
   expect_matches_reference(ack_then_poll(fd, rx, std::move(ack), windows.size()), windows);
-  EXPECT_GE(shard.server->worker_handoffs(), 1u);
-  EXPECT_LE(shard.server->worker_handoffs(), windows.size() - 1);
-  EXPECT_LE(shard.server->loop_solves(), 1u);
+  EXPECT_EQ(shard.server->worker_handoffs(), windows.size() - 1);
+  EXPECT_EQ(shard.server->loop_solves(), 1u);
 }
 
 TEST(LoopSolve, BlockingSubmitAgainstAFullEngineOfCheapWindowsCompletes) {
@@ -1433,9 +1427,8 @@ TEST(AckResults, LoneWindowResultRidesItsAckAndNoPollManyIsSent) {
 TEST(AckResults, HeldResultRidesTheAckAndTheWorkersComeByPollMany) {
   // One frame of 8 pinned-expensive windows into an idle shard: the loop
   // holds the first and the worker takes the rest, each far slower than
-  // the ack.  Every result the loop solved rides in the ack (a worker
-  // still waking may take the held window itself, so the count is a
-  // bound); the worker's come through POLL_MANY; each arrives once.
+  // the ack.  The held window's result rides in the ack; the worker's come
+  // through POLL_MANY; each arrives once.
   LocalShard shard(slow_worker_config());
   let_workers_park();
   RoutingClient client(client_config());
@@ -1446,7 +1439,8 @@ TEST(AckResults, HeldResultRidesTheAckAndTheWorkersComeByPollMany) {
     ASSERT_TRUE(client.submit_pipelined(CompressedWindow(window)));
   }
   for (const auto& ticket : client.flush_submits()) ASSERT_TRUE(ticket.has_value());
-  EXPECT_GE(shard.server->ack_results(), shard.server->loop_solves());
+  EXPECT_EQ(shard.server->loop_solves(), 1u);
+  EXPECT_GE(shard.server->ack_results(), 1u);
   EXPECT_LT(shard.server->ack_results(), windows.size());
 
   std::vector<WindowResult> results;
