@@ -279,9 +279,10 @@ std::size_t submit_wire_bytes(const std::vector<host::CompressedWindow>& batch,
 // over real sockets.  Every shard is configured with an unconditional CR
 // advisory (hint_cr_percent = base CR + 20); node-side AdaptiveEncoders
 // encode the first half of each patient's windows at the base CR, the
-// client pulls CR_HINT_ACKs from the fleet, and the second half is
-// re-encoded at the hinted CR — fewer measurements on the wire, solved
-// host-side against the same seeded operator rebuilt at the hinted m.
+// client reads each shard's advisory off one SNAPSHOT per shard, and the
+// second half is re-encoded at the hinted CR — fewer measurements on the
+// wire, solved host-side against the same seeded operator rebuilt at the
+// hinted m.
 // Gates: every patient receives the hint, hinted windows carry exactly
 // rows_for_cr(hint_cr, n) measurements, everything completed is
 // bit-exact against a serial reference of the identical submitted
@@ -373,7 +374,8 @@ int run_hint_loop(int patients, int beats, double cr, int shards, int threads,
     }
   }
 
-  // The closed loop: pull the fleet's advisory back to the node side.
+  // The closed loop: pull the fleet's advisory back to the node side, one
+  // SNAPSHOT per shard.
   const bool refresh_ok = client.refresh_cr_hints();
   std::size_t hinted_patients = 0;
   for (std::size_t p = 0; p < nodes.size(); ++p) {

@@ -300,15 +300,38 @@ bool SocketLink::poll_many(host::RingDeque<host::WindowResult>& out, std::uint64
 
 bool SocketLink::snapshot(host::ShardCounters& counters,
                           host::RingDeque<host::WindowResult>* sweep) {
+  return exchange_snapshot(counters, sweep, /*recv_timeout_ms=*/0);
+}
+
+bool SocketLink::probe() {
+  // io_timeout_ms is sized for verbs that legitimately wait (drains);
+  // "dead or deadlined" must be decidable much faster.
+  host::ShardCounters counters;
+  return exchange_snapshot(counters, nullptr, cfg_.health_probe_timeout_ms);
+}
+
+bool SocketLink::exchange_snapshot(host::ShardCounters& counters,
+                                   host::RingDeque<host::WindowResult>* sweep,
+                                   int recv_timeout_ms) {
   (void)flush();
   tx_.clear();
   const bool arm = sweep != nullptr && (!fd_.valid() || polls_owed_ == 0);
   if (arm) tx_ = poll_frame();
-  encode_snapshot_request(tx_);
+  const std::uint64_t nonce = ++snapshot_nonce_;
+  encode_snapshot_request(tx_, nonce);
   const bool sent = send_request(tx_, /*may_retry=*/true);
   if (sent && arm) ++polls_owed_;
-  const bool ok = sent && read_frame() && view_.type == FrameType::kSnapshot &&
-                  decode_snapshot(view_.payload, counters);
+  const bool tighten = sent && recv_timeout_ms > 0;
+  if (tighten) (void)set_recv_timeout(fd_.get(), recv_timeout_ms);
+  bool ok = sent && read_frame();
+  if (tighten && fd_.valid()) (void)set_recv_timeout(fd_.get(), cfg_.io_timeout_ms);
+  std::uint64_t echoed = 0;
+  if (ok && (view_.type != FrameType::kSnapshot ||
+             !decode_snapshot(view_.payload, echoed, counters, advisory_cr_centi_) ||
+             echoed != nonce)) {
+    fd_.reset();  // Wrong answer or a stale echo: desynchronized.
+    ok = false;
+  }
   // Hand over what was received even when the shard stopped answering.
   if (sweep != nullptr) take_results(*sweep);
   return ok;
@@ -341,40 +364,6 @@ bool SocketLink::adopt_slo(std::uint32_t patient_id, const host::SloTrackerState
   encode_slo_state(tx_, FrameType::kAdoptSlo, SloStatePayload{patient_id, true, state});
   return round_trip(tx_, /*may_retry=*/false, FrameType::kAdoptAck) &&
          decode_adopt_ack(view_.payload, adopted);
-}
-
-bool SocketLink::health() {
-  tx_.clear();
-  const std::uint64_t nonce = ++health_nonce_;
-  encode_health(tx_, nonce);
-  (void)flush();
-  if (!send_request(tx_, /*may_retry=*/true)) return false;
-  // Tighten the receive deadline for the probe itself: io_timeout_ms is
-  // sized for verbs that legitimately wait (drains); "dead or deadlined"
-  // must be decidable much faster.
-  const bool tighten = cfg_.health_probe_timeout_ms > 0;
-  if (tighten) (void)set_recv_timeout(fd_.get(), cfg_.health_probe_timeout_ms);
-  const bool got_frame = read_frame();
-  if (tighten && fd_.valid()) (void)set_recv_timeout(fd_.get(), cfg_.io_timeout_ms);
-  if (!got_frame) return false;
-  HealthAckPayload ack;
-  if (view_.type != FrameType::kHealthAck || !decode_health_ack(view_.payload, ack) ||
-      ack.nonce != nonce) {
-    fd_.reset();  // Wrong answer or a stale echo: desynchronized.
-    return false;
-  }
-  return true;
-}
-
-bool SocketLink::cr_hint(std::uint64_t epoch, CrHintAckPayload& ack) {
-  tx_.clear();
-  encode_cr_hint(tx_, epoch, /*max_entries=*/0);
-  if (!round_trip(tx_, /*may_retry=*/true, FrameType::kCrHintAck) ||
-      !decode_cr_hint_ack(view_.payload, ack)) {
-    fd_.reset();
-    return false;
-  }
-  return true;
 }
 
 void SocketLink::close(bool bye) {
@@ -441,14 +430,12 @@ bool RoutingClient::refresh_cr_hints() {
   for (std::size_t shard = 0; shard < shard_count(); ++shard) {
     SocketLink* l = link(shard);
     if (l == nullptr) continue;
-    CrHintAckPayload ack;
-    if (!l->cr_hint(epoch(), ack) || ack.epoch != epoch()) {
-      // Unreachable, or answered for an epoch we no longer route by: drop
-      // it rather than risk steering a node through the wrong owner.
+    host::ShardCounters counters;
+    if (!l->snapshot(counters, nullptr)) {
       ok = false;
       continue;
     }
-    shard_advisory_[shard] = ack.advisory_cr_centi / 100.0;
+    shard_advisory_[shard] = l->advisory_cr_centi() / 100.0;
   }
   return ok;
 }

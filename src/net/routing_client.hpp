@@ -1,6 +1,6 @@
 // RoutingClient — the cross-machine face of the coordinator.
 //
-// Speaks wbsn-wire v7 to a fleet of ShardServer processes and presents
+// Speaks wbsn-wire v8 to a fleet of ShardServer processes and presents
 // the same submit/poll/drain surface as host::ReconstructionFabric.  Both
 // are façades over one host::Coordinator (coordinator.hpp), which owns the
 // ring per epoch, composite tickets, the resize migration order
@@ -9,8 +9,9 @@
 // the `lost` fold, and the conservation books.  What the client adds is
 // what only the wire has: SocketLink (below), endpoint-keyed topology
 // (set_topology matches endpoints by host:port, so surviving shards keep
-// their connections and backlogs even when their index shifts), HEALTH
-// probes, CR hints, and the reconnect schedule.
+// their connections and backlogs even when their index shifts), liveness
+// probes and CR hints (both SNAPSHOT round trips), and the reconnect
+// schedule.
 //
 // SocketLink, the transport to one shard:
 //   * Every window travels in a SUBMIT_BATCH.  Windows stage into one
@@ -30,6 +31,9 @@
 //     empty), so every read absorbs RESULT_BATCH frames owed to armed
 //     polls before the frame it is waiting for.  A SUBMIT_BATCH sealed
 //     while a poll is armed carries a fresh POLL_MANY in the same write.
+//   * Every SNAPSHOT_REQUEST carries a fresh nonce and the answer must echo
+//     it: a wrong or stale echo means the stream is desynchronized, and
+//     the link resets the connection.
 //   * Sockets are blocking with I/O timeouts; a failed connection is
 //     retried with capped, jittered exponential backoff.  Verbs that carry
 //     no server-side state transition are retried across a reconnect;
@@ -72,7 +76,7 @@ struct RoutingClientConfig {
   /// First reconnect backoff.  Doubles per attempt up to a fixed 2 s
   /// ceiling, plus deterministic jitter up to +25% (see backoff_delay_ms).
   int reconnect_backoff_ms = 10;
-  /// Socket receive deadline for a HEALTH probe response, separate from
+  /// Socket receive deadline for a liveness probe's SNAPSHOT, separate from
   /// io_timeout_ms (which is sized for verbs that legitimately wait, like
   /// DRAIN_PATIENT).  A shard that cannot echo a nonce within this window
   /// is treated as dead by check_health().  <= 0: use io_timeout_ms.
@@ -117,16 +121,12 @@ class SocketLink final : public host::ShardLink {
   /// Connects (with the reconnect schedule) unless already connected.
   bool ensure_connected();
 
-  /// One CR_HINT round trip for routing epoch `epoch`, asking for no
-  /// per-patient entries: only the shard-wide advisory.
-  bool cr_hint(std::uint64_t epoch, CrHintAckPayload& ack);
-
   bool submit(host::CompressedWindow& window, bool blocking) override;
   bool flush() override;
   bool poll_many(host::RingDeque<host::WindowResult>& out, std::uint64_t owed) override;
-  /// SNAPSHOT; a sweep rides a POLL_MANY in the same write (unless one is
-  /// armed already), which the snapshot releases, so its results are
-  /// absorbed first and the counters count what is left.
+  /// SNAPSHOT, its nonce echoed; a sweep rides a POLL_MANY in the same
+  /// write (unless one is armed already), which the snapshot releases, so
+  /// its results are absorbed first and the counters count what is left.
   bool snapshot(host::ShardCounters& counters,
                 host::RingDeque<host::WindowResult>* sweep) override;
   bool drain_patient(std::uint32_t patient_id) override;
@@ -134,9 +134,11 @@ class SocketLink final : public host::ShardLink {
                    std::optional<host::SloTrackerState>& state) override;
   bool adopt_slo(std::uint32_t patient_id, const host::SloTrackerState& state,
                  bool& adopted) override;
-  /// One liveness round trip: HEALTH, its nonce echoed within
-  /// health_probe_timeout_ms.
-  bool health();
+  /// One liveness round trip: a SNAPSHOT with no sweep, its nonce echoed
+  /// within health_probe_timeout_ms.
+  bool probe();
+  /// The CR advisory of the last SNAPSHOT decoded, % × 100; 0 = none.
+  std::uint32_t advisory_cr_centi() const { return advisory_cr_centi_; }
   void close(bool bye) override;
 
  private:
@@ -146,6 +148,11 @@ class SocketLink final : public host::ShardLink {
   /// One request/response round trip (the pipeline synced first); the
   /// response must be of type `expect`.
   bool round_trip(const std::vector<std::uint8_t>& buf, bool may_retry, FrameType expect);
+  /// One SNAPSHOT exchange (the pipeline synced first); the answer is read
+  /// under `recv_timeout_ms` when that is > 0.  A wrong answer or echo
+  /// resets the connection.
+  bool exchange_snapshot(host::ShardCounters& counters,
+                         host::RingDeque<host::WindowResult>* sweep, int recv_timeout_ms);
   /// Blocks until one complete frame is buffered; copies it into frame_
   /// (stable against further reads) and points view_ into the copy.  RESULT_BATCH
   /// answers owed to armed polls are absorbed on the way.
@@ -183,7 +190,8 @@ class SocketLink final : public host::ShardLink {
   /// fail_pipeline() absorbs those already in rx_, then reconnect() clears
   /// both.
   std::uint32_t polls_owed_ = 0;
-  std::uint64_t health_nonce_ = 0;
+  std::uint64_t snapshot_nonce_ = 0;
+  std::uint32_t advisory_cr_centi_ = 0;
   /// Encoded window bodies not yet sealed into a frame.
   std::vector<std::uint8_t> staged_bodies_;
   std::uint64_t staged_count_ = 0;
@@ -242,11 +250,10 @@ class RoutingClient {
     return coord_.patient_slo_state(patient_id);
   }
 
-  /// Polls every live shard with CR_HINT and caches each shard's advisory
+  /// Sends every live shard one SNAPSHOT and caches each shard's advisory
   /// CR, tagged with the current routing epoch (a reshard invalidates them
   /// — stale hints must never steer a node via the wrong owner).  False
-  /// when any shard was unreachable or answered for a different epoch; the
-  /// hints that did land are kept.
+  /// when any shard was unreachable; the hints that did land are kept.
   bool refresh_cr_hints();
 
   /// The advisory CR (percent) the fleet wants `patient_id`'s node to
@@ -257,10 +264,10 @@ class RoutingClient {
   /// under overload.
   std::optional<double> cr_hint(std::uint32_t patient_id) const;
 
-  /// One liveness round trip to shard `shard`: HEALTH, its nonce echoed
-  /// within health_probe_timeout_ms.  False means dead-or-deadlined — the
-  /// caller's (or check_health's) cue to fail over.
-  bool probe_health(std::size_t shard) { return link(shard) != nullptr && link(shard)->health(); }
+  /// One liveness round trip to shard `shard`: a SNAPSHOT, its nonce
+  /// echoed within health_probe_timeout_ms.  False means dead-or-deadlined
+  /// — the caller's (or check_health's) cue to fail over.
+  bool probe_health(std::size_t shard) { return link(shard) != nullptr && link(shard)->probe(); }
 
   /// Probes every live shard; with cfg.auto_failover, dead ones are
   /// failed over on the spot.  Returns the indices that failed the probe.

@@ -322,20 +322,14 @@ void ShardServer::handle_frame(Connection& conn, const FrameView& frame) {
       encode_adopt_ack(tx, adopted);
       return;
     }
-    case FrameType::kSnapshotRequest:
-      encode_snapshot(tx, host::engine_counters(*engine_));
-      return;
-    case FrameType::kCrHint: {
-      std::uint64_t epoch = 0;
-      std::uint32_t max_entries = 0;
-      if (!decode_cr_hint(frame.payload, epoch, max_entries)) {
-        send_error(conn, ErrorCode::kBadPayload, "malformed CR_HINT", true);
+    case FrameType::kSnapshotRequest: {
+      std::uint64_t nonce = 0;
+      if (!decode_snapshot_request(frame.payload, nonce)) {
+        send_error(conn, ErrorCode::kBadPayload, "malformed SNAPSHOT_REQUEST", true);
         return;
       }
-      CrHintAckPayload ack;
-      ack.epoch = epoch;
-      // The advisory is pressure-gated: active only while the backlog is
-      // deep enough that newly queued routine windows would miss their
+      // The CR advisory is pressure-gated: active only while the backlog
+      // is deep enough that newly queued routine windows would miss their
       // deadline anyway.  A threshold <= 0 makes it unconditional — the
       // deterministic setting tests use.
       const double deadline_ms = cfg_.engine.slo.deadline_ms;
@@ -343,28 +337,15 @@ void ShardServer::handle_frame(Connection& conn, const FrameView& frame) {
           cfg_.hint_backlog_deadlines <= 0.0 ||
           (deadline_ms > 0.0 &&
            engine_->backlog_wait_ms() > cfg_.hint_backlog_deadlines * deadline_ms);
-      if (cfg_.hint_cr_percent > 0.0 && under_pressure) {
-        ack.advisory_cr_centi =
-            static_cast<std::uint32_t>(cfg_.hint_cr_percent * 100.0 + 0.5);
-      }
-      // No per-patient entries (`max_entries` is unused): each would repeat the advisory.
-      encode_cr_hint_ack(tx, ack);
-      return;
-    }
-    case FrameType::kHealth: {
-      std::uint64_t nonce = 0;
-      if (!decode_health(frame.payload, nonce)) {
-        send_error(conn, ErrorCode::kBadPayload, "malformed HEALTH", true);
-        return;
-      }
-      // Answered from two atomic counters — the probe must stay cheap and
-      // prompt even when the solve path is saturated, or a loaded shard
-      // would look dead exactly when failing it over hurts most.
-      HealthAckPayload ack;
-      ack.nonce = nonce;
-      ack.unsolved = engine_->in_flight();
-      ack.ready = engine_->ready_results();
-      encode_health_ack(tx, ack);
+      const std::uint32_t advisory_cr_centi =
+          cfg_.hint_cr_percent > 0.0 && under_pressure
+              ? static_cast<std::uint32_t>(cfg_.hint_cr_percent * 100.0 + 0.5)
+              : 0;
+      // Answered from relaxed atomic loads, never the solve path: this is
+      // also the liveness probe, which must stay prompt on a saturated
+      // shard, or a loaded shard would look dead exactly when failing it
+      // over hurts most.
+      encode_snapshot(tx, nonce, host::engine_counters(*engine_), advisory_cr_centi);
       return;
     }
     case FrameType::kBye: {
@@ -378,7 +359,7 @@ void ShardServer::handle_frame(Connection& conn, const FrameView& frame) {
       return;
     }
     default:
-      // Includes the retired per-window types 4-9.
+      // Includes the retired types 4-9 and 24-27.
       send_error(conn, ErrorCode::kUnknownFrameType, "unknown frame type", true);
       return;
   }

@@ -5,7 +5,7 @@
 // deployment now runs N ShardServer processes (see shard_serverd_main.cpp)
 // and one RoutingClient that routes patients across them with the same
 // consistent-hash ring.  The server itself is deliberately dumb: it speaks
-// wbsn-wire v7 (wire_format.hpp), maps each request frame onto the
+// wbsn-wire v8 (wire_format.hpp), maps each request frame onto the
 // corresponding ReconstructionEngine verb, and knows nothing about rings,
 // epochs, or topology — all placement intelligence lives client-side, so
 // growing the fleet never requires touching a running shard.
@@ -90,9 +90,9 @@ struct ShardServerConfig {
   WireEncodeOptions wire{};
   /// Exit the run() loop after answering a BYE frame (daemon mode).
   bool stop_on_bye = false;
-  /// CR advisory this shard answers CR_HINT with while under backlog
+  /// CR advisory every SNAPSHOT carries while the shard is under backlog
   /// pressure, percent (e.g. 70 steers nodes to encode at CR 70 until the
-  /// pressure clears).  0 (default) disables the advisory: CR_HINT_ACK
+  /// pressure clears).  0 (default) disables the advisory: SNAPSHOT
   /// always answers "no pressure".
   double hint_cr_percent = 0.0;
   /// Pressure threshold for the advisory: active while the engine's

@@ -62,7 +62,7 @@ std::optional<ShardServerConfig> parse_shard_serverd_args(std::span<const char* 
     } else if (flag == "--fixed-scale") {
       ok = real(cfg.wire.fixed_scale);
     } else if (flag == "--hint-cr") {
-      // CR advisory (percent) answered to CR_HINT sweeps under pressure.
+      // CR advisory (percent) each SNAPSHOT carries under pressure.
       ok = real(cfg.hint_cr_percent, 100.0);
     } else if (flag == "--hint-backlog-deadlines") {
       ok = real(cfg.hint_backlog_deadlines);

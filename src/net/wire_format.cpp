@@ -977,12 +977,22 @@ bool decode_adopt_ack(std::span<const std::uint8_t> payload, bool& adopted) {
   return r.ok() && v <= 1 && r.remaining() == 0;
 }
 
-void encode_snapshot_request(std::vector<std::uint8_t>& out) {
-  frame_end(out, frame_begin(out, FrameType::kSnapshotRequest));
+void encode_snapshot_request(std::vector<std::uint8_t>& out, std::uint64_t nonce) {
+  const std::size_t p = frame_begin(out, FrameType::kSnapshotRequest);
+  put_varint(out, nonce);
+  frame_end(out, p);
 }
 
-void encode_snapshot(std::vector<std::uint8_t>& out, const SnapshotPayload& snap) {
+bool decode_snapshot_request(std::span<const std::uint8_t> payload, std::uint64_t& nonce) {
+  WireReader r(payload);
+  nonce = r.varint();
+  return r.ok() && r.remaining() == 0;
+}
+
+void encode_snapshot(std::vector<std::uint8_t>& out, std::uint64_t nonce,
+                     const SnapshotPayload& snap, std::uint32_t advisory_cr_centi) {
   const std::size_t p = frame_begin(out, FrameType::kSnapshot);
+  put_varint(out, nonce);
   put_varint(out, snap.submitted);
   put_varint(out, snap.completed);
   put_varint(out, snap.retrieved);
@@ -992,11 +1002,14 @@ void encode_snapshot(std::vector<std::uint8_t>& out, const SnapshotPayload& snap
   put_varint(out, snap.deadline_violations);
   put_varint(out, snap.unsolved);
   put_varint(out, snap.ready);
+  put_varint(out, advisory_cr_centi);
   frame_end(out, p);
 }
 
-bool decode_snapshot(std::span<const std::uint8_t> payload, SnapshotPayload& out) {
+bool decode_snapshot(std::span<const std::uint8_t> payload, std::uint64_t& nonce,
+                     SnapshotPayload& out, std::uint32_t& advisory_cr_centi) {
   WireReader r(payload);
+  nonce = r.varint();
   out.submitted = r.varint();
   out.completed = r.varint();
   out.retrieved = r.varint();
@@ -1006,6 +1019,7 @@ bool decode_snapshot(std::span<const std::uint8_t> payload, SnapshotPayload& out
   out.deadline_violations = r.varint();
   out.unsolved = r.varint();
   out.ready = r.varint();
+  advisory_cr_centi = r.varint_u32();
   return r.ok() && r.remaining() == 0;
 }
 
@@ -1175,83 +1189,6 @@ bool decode_result_batch(std::span<const std::uint8_t> payload,
                          std::vector<host::WindowResult>& out, host::PayloadPool* pool) {
   WireReader r(payload);
   return decode_result_list(r, out, pool);
-}
-
-// --- CR-hint frames ----------------------------------------------------------
-
-void encode_cr_hint(std::vector<std::uint8_t>& out, std::uint64_t epoch,
-                    std::uint32_t max_entries) {
-  const std::size_t p = frame_begin(out, FrameType::kCrHint);
-  put_varint(out, epoch);
-  put_varint(out, max_entries);
-  frame_end(out, p);
-}
-
-bool decode_cr_hint(std::span<const std::uint8_t> payload, std::uint64_t& epoch,
-                    std::uint32_t& max_entries) {
-  WireReader r(payload);
-  epoch = r.varint();
-  max_entries = r.varint_u32();
-  return r.ok() && r.remaining() == 0;
-}
-
-void encode_cr_hint_ack(std::vector<std::uint8_t>& out, const CrHintAckPayload& ack) {
-  const std::size_t p = frame_begin(out, FrameType::kCrHintAck);
-  put_varint(out, ack.epoch);
-  put_varint(out, ack.advisory_cr_centi);
-  put_varint(out, ack.entries.size());
-  for (const auto& entry : ack.entries) {
-    put_varint(out, entry.patient_id);
-    put_varint(out, entry.cr_centi);
-  }
-  frame_end(out, p);
-}
-
-bool decode_cr_hint_ack(std::span<const std::uint8_t> payload, CrHintAckPayload& out) {
-  WireReader r(payload);
-  out.epoch = r.varint();
-  out.advisory_cr_centi = r.varint_u32();
-  const std::uint64_t count = r.varint();
-  if (!r.ok() || count > r.remaining() / 2) return false;  // >= 2 bytes per entry.
-  out.entries.clear();
-  out.entries.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    CrHintEntry entry;
-    entry.patient_id = r.varint_u32();
-    entry.cr_centi = r.varint_u32();
-    out.entries.push_back(entry);
-  }
-  return r.ok() && r.remaining() == 0;
-}
-
-// --- Health probe ------------------------------------------------------------
-
-void encode_health(std::vector<std::uint8_t>& out, std::uint64_t nonce) {
-  const std::size_t p = frame_begin(out, FrameType::kHealth);
-  put_varint(out, nonce);
-  frame_end(out, p);
-}
-
-bool decode_health(std::span<const std::uint8_t> payload, std::uint64_t& nonce) {
-  WireReader r(payload);
-  nonce = r.varint();
-  return r.ok() && r.remaining() == 0;
-}
-
-void encode_health_ack(std::vector<std::uint8_t>& out, const HealthAckPayload& ack) {
-  const std::size_t p = frame_begin(out, FrameType::kHealthAck);
-  put_varint(out, ack.nonce);
-  put_varint(out, ack.unsolved);
-  put_varint(out, ack.ready);
-  frame_end(out, p);
-}
-
-bool decode_health_ack(std::span<const std::uint8_t> payload, HealthAckPayload& out) {
-  WireReader r(payload);
-  out.nonce = r.varint();
-  out.unsolved = r.varint();
-  out.ready = r.varint();
-  return r.ok() && r.remaining() == 0;
 }
 
 }  // namespace wbsn::net

@@ -1,10 +1,10 @@
 // wbsn-wire — the compact binary serialization that puts a socket (or a
 // radio) under the reconstruction fabric.  This implementation speaks one
-// version, 7, whose only data path is batched: SUBMIT_BATCH carries K
+// version, 8, whose only data path is batched: SUBMIT_BATCH carries K
 // windows in, and its SUBMIT_BATCH_ACK carries the results ready by then;
 // POLL_MANY/RESULT_BATCH carry up to N results out (a long-poll: a
-// threaded shard answers when a result is ready), and HEALTH is the
-// liveness probe.
+// threaded shard answers when a result is ready), and SNAPSHOT answers
+// the audit, the liveness probe and the CR advisory in one frame.
 //
 // The normative specification lives in docs/WIRE_FORMAT.md and is written
 // to be implementable without reading this file; this header is the
@@ -64,7 +64,7 @@ inline constexpr std::uint8_t kMagic0 = 0x57;  ///< 'W'
 inline constexpr std::uint8_t kMagic1 = 0x42;  ///< 'B'
 /// The only protocol version this implementation speaks; every frame's
 /// header byte carries it.
-inline constexpr std::uint8_t kWireVersion = 7;
+inline constexpr std::uint8_t kWireVersion = 8;
 inline constexpr std::size_t kFrameHeaderBytes = 8;
 inline constexpr std::size_t kFrameTrailerBytes = 4;
 /// Frames longer than this are rejected before buffering the payload — a
@@ -72,8 +72,9 @@ inline constexpr std::size_t kFrameTrailerBytes = 4;
 inline constexpr std::uint32_t kMaxPayloadBytes = 8u << 20;
 
 /// Type numbers 4-9 belonged to the retired per-window verbs (SUBMIT_WINDOW,
-/// SUBMIT_ACK, SUBMIT_REJECT, POLL, RESULT, POLL_END).  They are never
-/// reused: a frame carrying one is answered ERROR(UNKNOWN_FRAME_TYPE).
+/// SUBMIT_ACK, SUBMIT_REJECT, POLL, RESULT, POLL_END) and 24-27 to CR_HINT,
+/// CR_HINT_ACK, HEALTH and HEALTH_ACK, which SNAPSHOT absorbed.  They are
+/// never reused: a frame carrying one is answered ERROR(UNKNOWN_FRAME_TYPE).
 enum class FrameType : std::uint8_t {
   kHello = 1,            ///< client → server: version range offer
   kHelloAck = 2,         ///< server → client: chosen version
@@ -84,18 +85,14 @@ enum class FrameType : std::uint8_t {
   kSloState = 13,        ///< server → client: extracted tracker state
   kAdoptSlo = 14,        ///< client → server: hand tracker state to shard
   kAdoptAck = 15,        ///< server → client: adoption outcome
-  kSnapshotRequest = 16, ///< client → server: engine counter snapshot
-  kSnapshot = 17,        ///< server → client: the counters
+  kSnapshotRequest = 16, ///< client → server: counters, liveness (nonce)
+  kSnapshot = 17,        ///< server → client: nonce echo, counters, advisory
   kBye = 18,             ///< client → server: orderly goodbye
   kByeAck = 19,          ///< server → client: goodbye acknowledged
   kSubmitBatch = 20,     ///< client → server: K windows in one frame
   kSubmitBatchAck = 21,  ///< server → client: K per-window outcomes
   kPollMany = 22,        ///< client → server: request up to N results
   kResultBatch = 23,     ///< server → client: up to N results, one frame
-  kCrHint = 24,          ///< client → server: request compression advisory
-  kCrHintAck = 25,       ///< server → client: advisory CR + per-patient hints
-  kHealth = 26,          ///< client → server: liveness probe (nonce)
-  kHealthAck = 27,       ///< server → client: nonce echo + queue depths
 };
 
 enum class ErrorCode : std::uint8_t {
@@ -253,7 +250,9 @@ struct ErrorPayload {
 /// Engine counter snapshot — the conservation-audit payload: the shard's
 /// host::ShardCounters.  `lost` is coordinator-side bookkeeping only (a
 /// dead shard cannot report its own losses), so it is NOT part of the
-/// SNAPSHOT wire layout: encode/decode ignore it.
+/// SNAPSHOT wire layout: encode/decode ignore it.  The frame's nonce and
+/// CR advisory travel beside the counters, not in them: the counters sum
+/// across shards, those two do not.
 using SnapshotPayload = host::ShardCounters;
 
 struct SloStatePayload {
@@ -285,9 +284,18 @@ bool decode_slo_state(std::span<const std::uint8_t> payload, SloStatePayload& ou
 void encode_adopt_ack(std::vector<std::uint8_t>& out, bool adopted);
 bool decode_adopt_ack(std::span<const std::uint8_t> payload, bool& adopted);
 
-void encode_snapshot_request(std::vector<std::uint8_t>& out);
-void encode_snapshot(std::vector<std::uint8_t>& out, const SnapshotPayload& snap);
-bool decode_snapshot(std::span<const std::uint8_t> payload, SnapshotPayload& out);
+/// SNAPSHOT_REQUEST := nonce(varint).  SNAPSHOT := nonce(varint, echoed)
+/// the nine counters (varints), then advisory_cr_centi(varint; 0 = no
+/// advisory, else the CR% × 100 the shard asks its nodes to encode at).
+/// One request serves the conservation audit, the liveness probe (a
+/// stale answer cannot pass for a fresh one, since its nonce differs) and
+/// the closed compression loop (docs/WIRE_FORMAT.md §4.3).
+void encode_snapshot_request(std::vector<std::uint8_t>& out, std::uint64_t nonce);
+bool decode_snapshot_request(std::span<const std::uint8_t> payload, std::uint64_t& nonce);
+void encode_snapshot(std::vector<std::uint8_t>& out, std::uint64_t nonce,
+                     const SnapshotPayload& snap, std::uint32_t advisory_cr_centi);
+bool decode_snapshot(std::span<const std::uint8_t> payload, std::uint64_t& nonce,
+                     SnapshotPayload& out, std::uint32_t& advisory_cr_centi);
 
 void encode_bye(std::vector<std::uint8_t>& out);
 void encode_bye_ack(std::vector<std::uint8_t>& out);
@@ -395,60 +403,5 @@ bool decode_result_batch_header(WireReader& r, std::uint64_t& count);
 bool decode_result_entry(WireReader& r, host::WindowResult& out, host::PayloadPool* pool);
 bool decode_result_batch(std::span<const std::uint8_t> payload,
                          std::vector<host::WindowResult>& out, host::PayloadPool* pool);
-
-// --- CR-hint frames ----------------------------------------------------------
-// The back-channel of the closed compression loop (docs/WIRE_FORMAT.md
-// §10).  CR_HINT := epoch(varint) max_entries(varint) asks the shard how
-// much solve pressure it is under; CR_HINT_ACK := epoch(varint, echoed)
-// advisory_cr_centi(varint; 0 = no pressure, else advisory CR% × 100)
-// count(varint) count × (patient_id(varint) cr_centi(varint)) answers
-// with a shard-wide advisory plus up to max_entries per-patient hints
-// (v7 allows them; this repo's server sends none and its client asks for
-// none, since each would repeat the shard-wide advisory).
-// The epoch is the requester's topology epoch, echoed verbatim, so a hint
-// that raced a reshard can be recognized as stale and discarded instead
-// of steering a patient now owned by a different shard.  Advisory only —
-// a node that ignores it keeps full fidelity and simply keeps paying the
-// host-side queueing delay (and shed rate, where the shard sheds).
-
-struct CrHintEntry {
-  std::uint32_t patient_id = 0;
-  std::uint32_t cr_centi = 0;  ///< Advisory CR for this patient, % × 100.
-};
-
-struct CrHintAckPayload {
-  std::uint64_t epoch = 0;              ///< Echo of the request's epoch tag.
-  std::uint32_t advisory_cr_centi = 0;  ///< Shard-wide advisory; 0 = none.
-  std::vector<CrHintEntry> entries;     ///< Per-patient overrides.
-};
-
-void encode_cr_hint(std::vector<std::uint8_t>& out, std::uint64_t epoch,
-                    std::uint32_t max_entries);
-bool decode_cr_hint(std::span<const std::uint8_t> payload, std::uint64_t& epoch,
-                    std::uint32_t& max_entries);
-
-void encode_cr_hint_ack(std::vector<std::uint8_t>& out, const CrHintAckPayload& ack);
-bool decode_cr_hint_ack(std::span<const std::uint8_t> payload, CrHintAckPayload& out);
-
-// --- Health probe (WIRE_FORMAT.md §11) ---------------------------------------
-// HEALTH := nonce(varint); HEALTH_ACK := nonce(varint, echoed)
-// unsolved(varint) ready(varint).  A deliberately tiny request/response
-// pair so the coordinator can distinguish "shard is dead" from "shard is
-// slow" without paying for a full snapshot: the server answers from two
-// atomic engine counters, never touching the solve path.  The nonce is
-// echoed verbatim so a probe answer cannot be confused with a stale one
-// left in the receive buffer by an earlier timed-out probe.
-
-struct HealthAckPayload {
-  std::uint64_t nonce = 0;     ///< Echo of the probe's nonce.
-  std::uint64_t unsolved = 0;  ///< Engine in_flight(): admitted, not solved.
-  std::uint64_t ready = 0;     ///< Completed results awaiting poll.
-};
-
-void encode_health(std::vector<std::uint8_t>& out, std::uint64_t nonce);
-bool decode_health(std::span<const std::uint8_t> payload, std::uint64_t& nonce);
-
-void encode_health_ack(std::vector<std::uint8_t>& out, const HealthAckPayload& ack);
-bool decode_health_ack(std::span<const std::uint8_t> payload, HealthAckPayload& out);
 
 }  // namespace wbsn::net

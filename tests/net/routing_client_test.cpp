@@ -11,7 +11,7 @@
 // results that ride in a SUBMIT_BATCH_ACK (no POLL_MANY for them, each
 // delivered once across a reshard, a failover or a reconnect), and the
 // protocol-level rejection paths (unknown version, talking before HELLO,
-// retired frame types, hostile window shapes).
+// retired frame types, hostile window shapes, malformed SNAPSHOT_REQUESTs).
 
 #include "net/routing_client.hpp"
 
@@ -699,6 +699,22 @@ Fd negotiated_connection(const LocalShard& shard) {
   return fd;
 }
 
+/// Sends SNAPSHOT_REQUEST(`nonce`) on `fd` and reads its SNAPSHOT: the
+/// nonce must come back, and the counters land in `counters`.
+void expect_snapshot_echo(Fd& fd, std::uint64_t nonce, SnapshotPayload& counters) {
+  std::vector<std::uint8_t> buf, acc;
+  encode_snapshot_request(buf, nonce);
+  ASSERT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
+  FrameView view;
+  read_one(fd, acc, view);
+  ASSERT_EQ(view.type, FrameType::kSnapshot);
+  std::uint64_t echoed = 0;
+  std::uint32_t advisory = 1;
+  ASSERT_TRUE(decode_snapshot(view.payload, echoed, counters, advisory));
+  EXPECT_EQ(echoed, nonce);
+  EXPECT_EQ(advisory, 0u) << "this shard advertises no CR";
+}
+
 /// Asserts the next frame on `fd` is ERROR(`code`) and that the server
 /// then closes the connection.
 void expect_error_then_close(Fd& fd, ErrorCode code) {
@@ -772,17 +788,17 @@ Ack submit_and_ack(Fd& fd, std::vector<std::uint8_t>& rx,
   return next_ack(fd, rx);
 }
 
-/// Sends a HEALTH frame behind the POLL_MANY parked on `fd`: the shard
+/// Sends a SNAPSHOT_REQUEST behind the POLL_MANY parked on `fd`: the shard
 /// answers the poll first.  Returns what that answer carried.
 std::vector<WindowResult> release_parked_poll(Fd& fd, std::vector<std::uint8_t>& rx) {
   std::vector<std::uint8_t> buf, frame;
-  encode_health(buf, /*nonce=*/1);
+  encode_snapshot_request(buf, /*nonce=*/1);
   EXPECT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
   std::vector<WindowResult> results;
   next_result_batch(fd, rx, results);
   FrameView view;
   next_frame(fd, rx, frame, view);
-  EXPECT_EQ(view.type, FrameType::kHealthAck);
+  EXPECT_EQ(view.type, FrameType::kSnapshot);
   return results;
 }
 
@@ -876,15 +892,13 @@ TEST(LongPoll, NextFrameReleasesTheParkedPollBeforeItsOwnReply) {
   CompressedWindow window = fleet_traffic(/*patients=*/1, /*beats_per_patient=*/1).front();
   const std::vector<std::pair<std::string, FrameType>> verbs{
       {"SNAPSHOT_REQUEST", FrameType::kSnapshot},
-      {"HEALTH", FrameType::kHealthAck},
       {"SUBMIT_BATCH", FrameType::kSubmitBatchAck}};
   for (const auto& [name, reply] : verbs) {
     SCOPED_TRACE(name);
     Fd fd = negotiated_connection(shard);
     std::vector<std::uint8_t> buf, rx, frame;
     encode_poll_many(buf, 8);
-    if (reply == FrameType::kSnapshot) encode_snapshot_request(buf);
-    if (reply == FrameType::kHealthAck) encode_health(buf, /*nonce=*/7);
+    if (reply == FrameType::kSnapshot) encode_snapshot_request(buf, /*nonce=*/7);
     if (reply == FrameType::kSubmitBatchAck) {
       encode_submit_batch(buf, {&window, 1}, kSubmitFlagBlocking, WireEncodeOptions{});
     }
@@ -1598,21 +1612,14 @@ TEST(Failover, ReconnectDeliversAnAnswerAlreadyReceived) {
 }
 
 TEST(Protocol, HealthEchoesNonce) {
-  // HEALTH answers HEALTH_ACK with the nonce echoed and the engine's live
-  // queue depths (an idle shard reports 0/0).
+  // The liveness probe is a SNAPSHOT: the nonce comes back echoed, with
+  // the engine's live queue depths (an idle shard reports 0/0).
   LocalShard shard(0);
   Fd fd = negotiated_connection(shard);
-  std::vector<std::uint8_t> buf, acc;
-  FrameView view;
-  encode_health(buf, /*nonce=*/0xFACE5EED);
-  ASSERT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
-  read_one(fd, acc, view);
-  ASSERT_EQ(view.type, FrameType::kHealthAck);
-  HealthAckPayload ack;
-  ASSERT_TRUE(decode_health_ack(view.payload, ack));
-  EXPECT_EQ(ack.nonce, 0xFACE5EEDu);
-  EXPECT_EQ(ack.unsolved, 0u);
-  EXPECT_EQ(ack.ready, 0u);
+  SnapshotPayload counters;
+  expect_snapshot_echo(fd, /*nonce=*/0xFACE5EED, counters);
+  EXPECT_EQ(counters.unsolved, 0u);
+  EXPECT_EQ(counters.ready, 0u);
 }
 
 TEST(Protocol, TalkingBeforeHelloIsRefused) {
@@ -1681,11 +1688,12 @@ TEST(Protocol, VersionNegotiationPicksMutualVersion) {
 }
 
 TEST(Protocol, RetiredFrameTypesAreRefused) {
-  // Types 4-9 were the per-window verbs.  Their numbers are never reused:
-  // a well-formed frame carrying one (here SUBMIT_WINDOW = 4 and POLL = 7)
-  // is an unknown type, refused and closed.
+  // Types 4-9 were the per-window verbs, 24-27 CR_HINT, CR_HINT_ACK,
+  // HEALTH and HEALTH_ACK.  Their numbers are never reused: a well-formed
+  // frame carrying one is an unknown type, refused and closed, and the
+  // shard keeps serving other connections.
   LocalShard shard(0);
-  for (const std::uint8_t type : {std::uint8_t{4}, std::uint8_t{7}}) {
+  for (const int type : {4, 7, 24, 25, 26, 27}) {
     SCOPED_TRACE("frame type " + std::to_string(type));
     Fd fd = negotiated_connection(shard);
     std::vector<std::uint8_t> buf;
@@ -1694,21 +1702,35 @@ TEST(Protocol, RetiredFrameTypesAreRefused) {
     frame_end(buf, p);
     ASSERT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
     expect_error_then_close(fd, ErrorCode::kUnknownFrameType);
+    Fd other = negotiated_connection(shard);
+    SnapshotPayload counters;
+    expect_snapshot_echo(other, static_cast<std::uint64_t>(type), counters);
   }
 }
 
 TEST(Protocol, HostileWindowShapeIsRefusedAndTheShardStaysLive) {
   // A window whose column density exceeds its measurement count would make
   // the sensing-matrix build spin forever on the server's event loop.  The
-  // decoder must refuse it, and the shard must keep answering others.
+  // decoder must refuse it, and the shard must keep answering others.  A
+  // SNAPSHOT_REQUEST whose nonce is missing, cut short or followed by
+  // stray bytes is refused the same way.
   LocalShard shard(1);
-  Fd fd = negotiated_connection(shard);
   CompressedWindow hostile = fleet_traffic(/*patients=*/1, /*beats_per_patient=*/1).front();
   hostile.ones_per_column = static_cast<std::uint32_t>(hostile.measurements.size()) + 1;
-  std::vector<std::uint8_t> buf;
-  encode_submit_batch(buf, {&hostile, 1}, /*flags=*/0, WireEncodeOptions{});
-  ASSERT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
-  expect_error_then_close(fd, ErrorCode::kBadPayload);
+  const auto snapshot_request = [](std::vector<std::uint8_t> payload) {
+    std::vector<std::uint8_t> buf;
+    const std::size_t p = frame_begin(buf, FrameType::kSnapshotRequest);
+    buf.insert(buf.end(), payload.begin(), payload.end());
+    frame_end(buf, p);
+    return buf;
+  };
+  std::vector<std::uint8_t> window_frame;
+  encode_submit_batch(window_frame, {&hostile, 1}, /*flags=*/0, WireEncodeOptions{});
+  const std::vector<std::pair<std::string, std::vector<std::uint8_t>>> frames{
+      {"hostile window shape", window_frame},
+      {"SNAPSHOT_REQUEST without a nonce", snapshot_request({})},
+      {"SNAPSHOT_REQUEST with a truncated nonce", snapshot_request({0x80})},
+      {"SNAPSHOT_REQUEST with trailing bytes", snapshot_request({0x07, 0xAA})}};
 
   auto cfg = client_config();
   cfg.reconnect_attempts = 0;
@@ -1716,7 +1738,13 @@ TEST(Protocol, HostileWindowShapeIsRefusedAndTheShardStaysLive) {
   cfg.io_timeout_ms = cfg.health_probe_timeout_ms;
   RoutingClient client(cfg);
   ASSERT_TRUE(client.connect({shard.endpoint()}));
-  EXPECT_TRUE(client.probe_health(0)) << "one hostile frame must not wedge the shard";
+  for (const auto& [name, buf] : frames) {
+    SCOPED_TRACE(name);
+    Fd fd = negotiated_connection(shard);
+    ASSERT_TRUE(send_all(fd.get(), buf.data(), buf.size()));
+    expect_error_then_close(fd, ErrorCode::kBadPayload);
+    EXPECT_TRUE(client.probe_health(0)) << "one hostile frame must not wedge the shard";
+  }
   client.shutdown(/*send_bye=*/false);
 }
 

@@ -1,4 +1,4 @@
-// wbsn-wire v7 codec tests: CRC vectors, varint properties, value-coding
+// wbsn-wire v8 codec tests: CRC vectors, varint properties, value-coding
 // round trips (including the bit-exactness edge cases the fixed-point
 // fallback exists for), whole-frame round trips for every payload,
 // malformed-input and hostile-shape rejection, and byte-for-byte replay of the committed
@@ -983,38 +983,20 @@ TEST(U32Fields, PollManyRejectsWideMaxResults) {
   EXPECT_FALSE(decode_poll_many(payload, max_results));
 }
 
-TEST(U32Fields, CrHintRejectsWideMaxEntries) {
-  const auto payload = [](std::uint64_t max_entries) {
+TEST(U32Fields, SnapshotRejectsAWideAdvisory) {
+  // nonce, the nine counters, then the advisory: a 32-bit field.
+  const auto payload = [](std::uint64_t advisory) {
     std::vector<std::uint8_t> out;
-    put_varint(out, 1);
-    put_varint(out, max_entries);
-    return out;
-  };
-  std::uint64_t epoch = 0;
-  std::uint32_t max_entries = 0;
-  ASSERT_TRUE(decode_cr_hint(payload(kU32Max), epoch, max_entries));
-  EXPECT_EQ(max_entries, kU32Max);
-  EXPECT_FALSE(decode_cr_hint(payload(kPastU32), epoch, max_entries));
-}
-
-TEST(U32Fields, CrHintAckRejectsWideFields) {
-  // epoch, advisory, count = 1, then one (patient_id, cr_centi) entry.
-  const auto payload = [](std::uint64_t advisory, std::uint64_t patient_id,
-                          std::uint64_t cr_centi) {
-    std::vector<std::uint8_t> out;
-    put_varint(out, 1);
+    for (int field = 0; field < 10; ++field) put_varint(out, 1);
     put_varint(out, advisory);
-    put_varint(out, 1);
-    put_varint(out, patient_id);
-    put_varint(out, cr_centi);
     return out;
   };
-  CrHintAckPayload ack;
-  ASSERT_TRUE(decode_cr_hint_ack(payload(kU32Max, kU32Max, kU32Max), ack));
-  EXPECT_EQ(ack.advisory_cr_centi, kU32Max);
-  EXPECT_FALSE(decode_cr_hint_ack(payload(kPastU32, 1, 7000), ack));
-  EXPECT_FALSE(decode_cr_hint_ack(payload(7000, kPastU32, 7000), ack));
-  EXPECT_FALSE(decode_cr_hint_ack(payload(7000, 1, kPastU32), ack));
+  std::uint64_t nonce = 0;
+  SnapshotPayload snap;
+  std::uint32_t advisory = 0;
+  ASSERT_TRUE(decode_snapshot(payload(kU32Max), nonce, snap, advisory));
+  EXPECT_EQ(advisory, kU32Max);
+  EXPECT_FALSE(decode_snapshot(payload(kPastU32), nonce, snap, advisory));
 }
 
 TEST(Frames, ControlFramesRoundTrip) {
@@ -1052,11 +1034,15 @@ TEST(Frames, ControlFramesRoundTrip) {
     s.deadline_violations = 2;
     s.unsolved = 4;
     s.ready = 10;
-    const auto buf = encode_one([&](auto& b) { encode_snapshot(b, s); });
+    const auto buf = encode_one([&](auto& b) { encode_snapshot(b, 5, s, 0); });
+    std::uint64_t nonce = 0;
     SnapshotPayload d;
-    ASSERT_TRUE(decode_snapshot(must_peek(buf).payload, d));
+    std::uint32_t advisory = 1;
+    ASSERT_TRUE(decode_snapshot(must_peek(buf).payload, nonce, d, advisory));
+    EXPECT_EQ(nonce, 5u);
     EXPECT_EQ(d.submitted, 100u);
     EXPECT_EQ(d.ready, 10u);
+    EXPECT_EQ(advisory, 0u) << "no pressure";
   }
   {
     SloStatePayload slo;
@@ -1341,110 +1327,68 @@ TEST(BatchFrames, RecycledWindowBufferServesTheNextDecodedSignal) {
   EXPECT_EQ(after.misses, before.misses);
 }
 
-TEST(BatchFrames, CrHintRoundTripsBitExactly) {
+TEST(BatchFrames, SnapshotRequestRoundTripsBitExactly) {
   const auto buf =
-      encode_one([](auto& b) { encode_cr_hint(b, /*epoch=*/7, /*max_entries=*/64); });
+      encode_one([](auto& b) { encode_snapshot_request(b, /*nonce=*/0xFEEDFACE12ull); });
   const auto view = must_peek(buf);
-  EXPECT_EQ(view.type, FrameType::kCrHint);
-  EXPECT_EQ(view.version, kWireVersion);
-  std::uint64_t epoch = 0;
-  std::uint32_t max_entries = 0;
-  ASSERT_TRUE(decode_cr_hint(view.payload, epoch, max_entries));
-  EXPECT_EQ(epoch, 7u);
-  EXPECT_EQ(max_entries, 64u);
-}
-
-TEST(BatchFrames, CrHintAckRoundTripsBitExactly) {
-  {
-    // Pressure case: shard-wide advisory plus per-patient entries.
-    CrHintAckPayload ack;
-    ack.epoch = 3;
-    ack.advisory_cr_centi = 7000;  // CR 70.00%.
-    ack.entries = {{11, 7000}, {42, 7000}, {1000001, 6500}};
-    const auto buf = encode_one([&](auto& b) { encode_cr_hint_ack(b, ack); });
-    const auto view = must_peek(buf);
-    EXPECT_EQ(view.type, FrameType::kCrHintAck);
-    EXPECT_EQ(view.version, kWireVersion);
-    CrHintAckPayload decoded;
-    ASSERT_TRUE(decode_cr_hint_ack(view.payload, decoded));
-    EXPECT_EQ(decoded.epoch, ack.epoch);
-    EXPECT_EQ(decoded.advisory_cr_centi, ack.advisory_cr_centi);
-    ASSERT_EQ(decoded.entries.size(), ack.entries.size());
-    for (std::size_t i = 0; i < ack.entries.size(); ++i) {
-      EXPECT_EQ(decoded.entries[i].patient_id, ack.entries[i].patient_id);
-      EXPECT_EQ(decoded.entries[i].cr_centi, ack.entries[i].cr_centi);
-    }
-  }
-  {
-    // No-pressure case: advisory 0, no entries — the steady-state answer.
-    CrHintAckPayload ack;
-    ack.epoch = 0;
-    const auto buf = encode_one([&](auto& b) { encode_cr_hint_ack(b, ack); });
-    CrHintAckPayload decoded;
-    ASSERT_TRUE(decode_cr_hint_ack(must_peek(buf).payload, decoded));
-    EXPECT_EQ(decoded.advisory_cr_centi, 0u);
-    EXPECT_TRUE(decoded.entries.empty());
-  }
-}
-
-TEST(BatchFrames, HealthRoundTripsBitExactly) {
-  const auto buf =
-      encode_one([](auto& b) { encode_health(b, /*nonce=*/0xFEEDFACE12ull); });
-  const auto view = must_peek(buf);
-  EXPECT_EQ(view.type, FrameType::kHealth);
+  EXPECT_EQ(view.type, FrameType::kSnapshotRequest);
   EXPECT_EQ(view.version, kWireVersion);
   std::uint64_t nonce = 0;
-  ASSERT_TRUE(decode_health(view.payload, nonce));
+  ASSERT_TRUE(decode_snapshot_request(view.payload, nonce));
   EXPECT_EQ(nonce, 0xFEEDFACE12ull);
+
+  // No nonce, a nonce cut short, or bytes after it: malformed.
+  std::vector<std::uint8_t> payload;
+  EXPECT_FALSE(decode_snapshot_request(payload, nonce));
+  payload.push_back(0x80);
+  EXPECT_FALSE(decode_snapshot_request(payload, nonce));
+  payload.assign(view.payload.begin(), view.payload.end());
+  payload.push_back(0xAA);
+  EXPECT_FALSE(decode_snapshot_request(payload, nonce));
 }
 
-TEST(BatchFrames, HealthAckRoundTripsBitExactly) {
-  HealthAckPayload ack;
-  ack.nonce = 0xFEEDFACE12ull;
-  ack.unsolved = 17;
-  ack.ready = 5;
-  const auto buf = encode_one([&](auto& b) { encode_health_ack(b, ack); });
+TEST(BatchFrames, SnapshotRoundTripsBitExactly) {
+  SnapshotPayload snap;
+  snap.submitted = 1000;
+  snap.completed = 990;
+  snap.retrieved = ~std::uint64_t{0};  // A 10-byte varint.
+  snap.shed_routine = 7;
+  snap.shed_urgent = 3;
+  snap.rejected = 11;
+  snap.deadline_violations = 5;
+  snap.unsolved = 17;
+  snap.ready = 5;
+  snap.lost = 99;  // Coordinator-side: never on the wire.
+  const auto buf = encode_one(
+      [&](auto& b) { encode_snapshot(b, /*nonce=*/0xFEEDFACE12ull, snap, /*CR 70.00%*/ 7000); });
   const auto view = must_peek(buf);
-  EXPECT_EQ(view.type, FrameType::kHealthAck);
+  EXPECT_EQ(view.type, FrameType::kSnapshot);
   EXPECT_EQ(view.version, kWireVersion);
-  HealthAckPayload decoded;
-  ASSERT_TRUE(decode_health_ack(view.payload, decoded));
-  EXPECT_EQ(decoded.nonce, ack.nonce);
-  EXPECT_EQ(decoded.unsolved, ack.unsolved);
-  EXPECT_EQ(decoded.ready, ack.ready);
+  std::uint64_t nonce = 0;
+  SnapshotPayload decoded;
+  std::uint32_t advisory = 0;
+  ASSERT_TRUE(decode_snapshot(view.payload, nonce, decoded, advisory));
+  EXPECT_EQ(nonce, 0xFEEDFACE12ull);
+  EXPECT_EQ(advisory, 7000u);
+  EXPECT_EQ(decoded.submitted, snap.submitted);
+  EXPECT_EQ(decoded.completed, snap.completed);
+  EXPECT_EQ(decoded.retrieved, snap.retrieved);
+  EXPECT_EQ(decoded.shed_routine, snap.shed_routine);
+  EXPECT_EQ(decoded.shed_urgent, snap.shed_urgent);
+  EXPECT_EQ(decoded.rejected, snap.rejected);
+  EXPECT_EQ(decoded.deadline_violations, snap.deadline_violations);
+  EXPECT_EQ(decoded.unsolved, snap.unsolved);
+  EXPECT_EQ(decoded.ready, snap.ready);
+  EXPECT_EQ(decoded.lost, 0u);
 
-  // Trailing garbage after the declared fields is malformed, not ignored —
-  // a liveness probe must never "succeed" on a corrupt ack.
+  // Trailing garbage after the advisory is malformed, not ignored — a
+  // liveness probe must never "succeed" on a corrupt answer.
   std::vector<std::uint8_t> payload(view.payload.begin(), view.payload.end());
   payload.push_back(0xAA);
-  EXPECT_FALSE(decode_health_ack(payload, decoded));
-
-  // And a truncated ack (nonce only) is malformed too.
-  std::vector<std::uint8_t> short_payload(view.payload.begin(),
-                                          view.payload.begin() + 1);
-  EXPECT_FALSE(decode_health_ack(short_payload, decoded));
-}
-
-TEST(BatchFrames, CrHintAckHostileCountIsMalformedNotOverread) {
-  // An entry count claiming more pairs than the payload could possibly
-  // hold must fail the decode cleanly before any allocation or overread.
-  CrHintAckPayload ack;
-  ack.epoch = 1;
-  ack.advisory_cr_centi = 7000;
-  ack.entries = {{1, 7000}};
-  const auto buf = encode_one([&](auto& b) { encode_cr_hint_ack(b, ack); });
-  const auto view = must_peek(buf);
-  std::vector<std::uint8_t> payload(view.payload.begin(), view.payload.end());
-  // Layout: epoch(varint=1B) advisory(varint=2B) count(varint=1B) ...
-  ASSERT_EQ(payload[3], 1u);
-  payload[3] = 0x7F;  // Claims 127 entries; only one follows.
-  CrHintAckPayload decoded;
-  EXPECT_FALSE(decode_cr_hint_ack(payload, decoded));
-
-  // Trailing garbage after the declared entries is malformed too.
-  payload[3] = 1;
-  payload.push_back(0xAA);
-  EXPECT_FALSE(decode_cr_hint_ack(payload, decoded));
+  EXPECT_FALSE(decode_snapshot(payload, nonce, decoded, advisory));
+  // And an answer cut before its advisory is malformed too.
+  payload.resize(view.payload.size() - 2);
+  EXPECT_FALSE(decode_snapshot(payload, nonce, decoded, advisory));
 }
 
 TEST(BatchFrames, OverstatedCountsAreMalformedNotOverreads) {
@@ -1481,15 +1425,8 @@ TEST(Framing, TruncatedFramesWantMoreBytes) {
         encode_submit_batch(b, sample_batch(), kSubmitFlagBlocking,
                             WireEncodeOptions{0.0048828125});
       }),
-      encode_one([](auto& b) {
-        CrHintAckPayload ack;
-        ack.epoch = 5;
-        ack.advisory_cr_centi = 7000;
-        ack.entries = {{11, 7000}, {42, 6500}};
-        encode_cr_hint_ack(b, ack);
-      }),
-      encode_one([](auto& b) { encode_health(b, 0xA5A5A5A5ull); }),
-      encode_one([](auto& b) { encode_health_ack(b, HealthAckPayload{1, 2, 3}); }),
+      encode_one([](auto& b) { encode_snapshot_request(b, 0xA5A5A5A5ull); }),
+      encode_one([](auto& b) { encode_snapshot(b, 1, SnapshotPayload{}, 7000); }),
   };
   for (const auto& buf : frames) {
     for (std::size_t len = 0; len < buf.size(); ++len) {
@@ -1508,9 +1445,8 @@ TEST(Framing, EveryFlippedBitIsRejected) {
       encode_one([](auto& b) {
         encode_submit_batch_ack(b, std::vector<SubmitBatchAckEntry>{{true, 7}, {false, 0}});
       }),
-      encode_one([](auto& b) { encode_cr_hint(b, 9, 64); }),
-      encode_one([](auto& b) { encode_health(b, 0xDEAD); }),
-      encode_one([](auto& b) { encode_health_ack(b, HealthAckPayload{7, 0, 1}); }),
+      encode_one([](auto& b) { encode_snapshot_request(b, 0xDEAD); }),
+      encode_one([](auto& b) { encode_snapshot(b, 7, SnapshotPayload{}, 6500); }),
   };
   for (const auto& buf : frames) {
     for (std::size_t byte = 0; byte < buf.size(); ++byte) {
@@ -1615,7 +1551,7 @@ std::vector<Golden> golden_set() {
                    s.deadline_violations = 5;
                    s.unsolved = 0;
                    s.ready = 10;
-                   encode_snapshot(b, s);
+                   encode_snapshot(b, /*nonce=*/7, s, /*advisory_cr_centi=*/7000);
                  })});
   set.push_back({"bye.bin", encode_one([](auto& b) { encode_bye(b); })});
   set.push_back({"submit_batch.bin", encode_one([](auto& b) {
@@ -1638,18 +1574,6 @@ std::vector<Golden> golden_set() {
                    encode_result_entry(bodies, first, WireEncodeOptions{});
                    encode_result_entry(bodies, second, WireEncodeOptions{});
                    encode_result_batch(b, bodies, 2);
-                 })});
-  set.push_back({"cr_hint.bin", encode_one([](auto& b) { encode_cr_hint(b, 1, 64); })});
-  set.push_back({"cr_hint_ack.bin", encode_one([](auto& b) {
-                   CrHintAckPayload ack;
-                   ack.epoch = 1;
-                   ack.advisory_cr_centi = 7000;
-                   ack.entries = {{7, 7000}, {21, 7000}};
-                   encode_cr_hint_ack(b, ack);
-                 })});
-  set.push_back({"health.bin", encode_one([](auto& b) { encode_health(b, 7); })});
-  set.push_back({"health_ack.bin", encode_one([](auto& b) {
-                   encode_health_ack(b, HealthAckPayload{7, 12, 3});
                  })});
   set.push_back({"result_batch_wavelet.bin", encode_one([](auto& b) {
                    std::vector<std::uint8_t> bodies;

@@ -15,9 +15,10 @@
 // failure.  A decoder that accepts a mutant must also leave its output
 // inside the limits the payload can carry.
 //
-// A structure-aware case rebuilds SUBMIT_BATCH_ACK payloads field by field
-// (entries, result count, result bodies) with one field broken, and checks
-// the verdict each break must get.
+// Structure-aware cases rebuild SUBMIT_BATCH_ACK payloads field by field
+// (entries, result count, result bodies), and SNAPSHOT_REQUEST and
+// SNAPSHOT payloads (nonce, counters, advisory), with one field broken,
+// and check the verdict each break must get.
 //
 // Another structure-aware case works below the byte level, where a
 // WAVELET_RESIDUAL bitstream's fields sit: it parses encoder output into
@@ -29,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -171,8 +173,11 @@ void run_decoders(std::span<const std::uint8_t> payload, host::PayloadPool* pool
   accepted += decode_slo_state(payload, slo);
   bool adopted = false;
   accepted += decode_adopt_ack(payload, adopted);
+  std::uint64_t nonce = 0;
+  accepted += decode_snapshot_request(payload, nonce);
   SnapshotPayload snapshot;
-  accepted += decode_snapshot(payload, snapshot);
+  std::uint32_t advisory = 0;
+  accepted += decode_snapshot(payload, nonce, snapshot, advisory);
 
   std::uint8_t flags = 0;
   std::vector<host::CompressedWindow> windows;
@@ -202,15 +207,6 @@ void run_decoders(std::span<const std::uint8_t> payload, host::PayloadPool* pool
     ++accepted;
     check_results(results);
   }
-  std::uint64_t epoch = 0;
-  std::uint32_t max_entries = 0;
-  accepted += decode_cr_hint(payload, epoch, max_entries);
-  CrHintAckPayload hint_ack;
-  accepted += decode_cr_hint_ack(payload, hint_ack);
-  std::uint64_t nonce = 0;
-  accepted += decode_health(payload, nonce);
-  HealthAckPayload health_ack;
-  accepted += decode_health_ack(payload, health_ack);
   WireReader r(payload);
   std::vector<double> values;
   accepted += decode_values(r, values);
@@ -218,7 +214,7 @@ void run_decoders(std::span<const std::uint8_t> payload, host::PayloadPool* pool
 
 TEST(Fuzz, MutatedGoldenFramesNeverCrashTheDecoders) {
   const auto corpus = load_corpus();
-  ASSERT_GE(corpus.size(), 15u) << "golden corpus missing from " << WBSN_GOLDEN_FRAME_DIR;
+  ASSERT_EQ(corpus.size(), 11u) << "golden corpus missing from " << WBSN_GOLDEN_FRAME_DIR;
   Mutator mutator(kSeed, corpus);
   host::PayloadPool pool;
   Tally tally;
@@ -389,6 +385,54 @@ TEST(Fuzz, StructuredAckBodiesGetTheVerdictTheirBreakDeserves) {
     }
   }
   EXPECT_GT(accepted, kStructuredIterations / 10);
+}
+
+/// SNAPSHOT_REQUEST and SNAPSHOT payloads built field by field, with at
+/// most one break each.
+TEST(Fuzz, StructuredSnapshotBodiesGetTheVerdictTheirBreakDeserves) {
+  std::mt19937_64 rng(kSeed ^ 0x5A4);
+  enum class Break { kNone, kTruncated, kTrailing, kWideAdvisory };
+  int accepted = 0;
+  for (int i = 0; i < kStructuredIterations; ++i) {
+    // Every field of every varint width, 1 to 10 bytes.
+    const std::uint64_t nonce = rng() >> (rng() % 64);
+    std::array<std::uint64_t, 9> counters{};
+    for (auto& c : counters) c = rng() >> (rng() % 64);
+    const std::uint64_t advisory = rng() % 4 == 0 ? 0 : rng() >> (32 + rng() % 32);
+    const bool request = rng() % 2 == 0;
+    const auto brk = static_cast<Break>(rng() % (request ? 3 : 4));
+
+    Bytes payload;
+    put_varint(payload, nonce);
+    if (!request) {
+      for (const auto c : counters) put_varint(payload, c);
+      put_varint(payload, brk == Break::kWideAdvisory ? advisory | (std::uint64_t{1} << 32)
+                                                      : advisory);
+    }
+    if (brk == Break::kTruncated) payload.resize(rng() % payload.size());
+    if (brk == Break::kTrailing) payload.push_back(static_cast<std::uint8_t>(rng()));
+
+    std::uint64_t got_nonce = 0;
+    SnapshotPayload snap;
+    std::uint32_t got_advisory = 0;
+    const bool ok = request ? decode_snapshot_request(payload, got_nonce)
+                            : decode_snapshot(payload, got_nonce, snap, got_advisory);
+    accepted += ok;
+    if (brk != Break::kNone) {
+      EXPECT_FALSE(ok) << "iteration " << i;
+      continue;
+    }
+    ASSERT_TRUE(ok) << "iteration " << i;
+    EXPECT_EQ(got_nonce, nonce);
+    if (request) continue;
+    EXPECT_EQ(got_advisory, advisory);
+    const std::array<std::uint64_t, 9> decoded{
+        snap.submitted,    snap.completed, snap.retrieved,
+        snap.shed_routine, snap.shed_urgent, snap.rejected,
+        snap.deadline_violations, snap.unsolved, snap.ready};
+    EXPECT_EQ(decoded, counters) << "iteration " << i;
+  }
+  EXPECT_GT(accepted, kStructuredIterations / 5);
 }
 
 /// Both decoders on one coded vector: the same verdict, and when both
