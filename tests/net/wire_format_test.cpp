@@ -1327,7 +1327,10 @@ TEST(BatchFrames, RecycledWindowBufferServesTheNextDecodedSignal) {
   EXPECT_EQ(after.misses, before.misses);
 }
 
-TEST(BatchFrames, SnapshotRequestRoundTripsBitExactly) {
+// The liveness probe is a SNAPSHOT_REQUEST: its nonce round-trips
+// bit-exactly, and a request with no nonce, a nonce cut short or bytes
+// after it is malformed.
+TEST(BatchFrames, HealthRoundTripsBitExactly) {
   const auto buf =
       encode_one([](auto& b) { encode_snapshot_request(b, /*nonce=*/0xFEEDFACE12ull); });
   const auto view = must_peek(buf);
@@ -1337,7 +1340,6 @@ TEST(BatchFrames, SnapshotRequestRoundTripsBitExactly) {
   ASSERT_TRUE(decode_snapshot_request(view.payload, nonce));
   EXPECT_EQ(nonce, 0xFEEDFACE12ull);
 
-  // No nonce, a nonce cut short, or bytes after it: malformed.
   std::vector<std::uint8_t> payload;
   EXPECT_FALSE(decode_snapshot_request(payload, nonce));
   payload.push_back(0x80);
@@ -1347,7 +1349,28 @@ TEST(BatchFrames, SnapshotRequestRoundTripsBitExactly) {
   EXPECT_FALSE(decode_snapshot_request(payload, nonce));
 }
 
-TEST(BatchFrames, SnapshotRoundTripsBitExactly) {
+// The CR advisory is asked for by the same SNAPSHOT_REQUEST: the request
+// carries the nonce and nothing else (no epoch, no entry limit), at every
+// varint width the client's counter can reach.
+TEST(BatchFrames, CrHintRoundTripsBitExactly) {
+  const struct {
+    std::uint64_t nonce;
+    std::size_t bytes;
+  } cases[] = {{0, 1}, {127, 1}, {128, 2}, {std::uint64_t{1} << 63, 10}, {~std::uint64_t{0}, 10}};
+  for (const auto& c : cases) {
+    const auto buf = encode_one([&](auto& b) { encode_snapshot_request(b, c.nonce); });
+    const auto view = must_peek(buf);
+    EXPECT_EQ(view.type, FrameType::kSnapshotRequest);
+    EXPECT_EQ(view.payload.size(), c.bytes) << c.nonce;
+    std::uint64_t nonce = c.nonce + 1;
+    ASSERT_TRUE(decode_snapshot_request(view.payload, nonce)) << c.nonce;
+    EXPECT_EQ(nonce, c.nonce);
+  }
+}
+
+// The probe's answer is a SNAPSHOT: the nonce echo, the queue depths
+// (unsolved, ready) and every other counter round-trip bit-exactly.
+TEST(BatchFrames, HealthAckRoundTripsBitExactly) {
   SnapshotPayload snap;
   snap.submitted = 1000;
   snap.completed = 990;
@@ -1369,7 +1392,6 @@ TEST(BatchFrames, SnapshotRoundTripsBitExactly) {
   std::uint32_t advisory = 0;
   ASSERT_TRUE(decode_snapshot(view.payload, nonce, decoded, advisory));
   EXPECT_EQ(nonce, 0xFEEDFACE12ull);
-  EXPECT_EQ(advisory, 7000u);
   EXPECT_EQ(decoded.submitted, snap.submitted);
   EXPECT_EQ(decoded.completed, snap.completed);
   EXPECT_EQ(decoded.retrieved, snap.retrieved);
@@ -1389,6 +1411,30 @@ TEST(BatchFrames, SnapshotRoundTripsBitExactly) {
   // And an answer cut before its advisory is malformed too.
   payload.resize(view.payload.size() - 2);
   EXPECT_FALSE(decode_snapshot(payload, nonce, decoded, advisory));
+}
+
+// The shard-wide CR advisory rides at the end of SNAPSHOT: the pressure
+// answer and the no-pressure 0 both round-trip, and neither disturbs the
+// counters beside it.
+TEST(BatchFrames, CrHintAckRoundTripsBitExactly) {
+  SnapshotPayload snap;
+  snap.submitted = 42;
+  snap.completed = 40;
+  snap.unsolved = 2;
+  for (const std::uint32_t sent : {7000u /* CR 70.00% */, 0u /* no pressure */}) {
+    const auto buf = encode_one([&](auto& b) { encode_snapshot(b, /*nonce=*/3, snap, sent); });
+    const auto view = must_peek(buf);
+    EXPECT_EQ(view.type, FrameType::kSnapshot);
+    std::uint64_t nonce = 0;
+    SnapshotPayload decoded;
+    std::uint32_t advisory = sent + 1;
+    ASSERT_TRUE(decode_snapshot(view.payload, nonce, decoded, advisory)) << sent;
+    EXPECT_EQ(advisory, sent);
+    EXPECT_EQ(nonce, 3u);
+    EXPECT_EQ(decoded.submitted, snap.submitted);
+    EXPECT_EQ(decoded.completed, snap.completed);
+    EXPECT_EQ(decoded.unsolved, snap.unsolved);
+  }
 }
 
 TEST(BatchFrames, OverstatedCountsAreMalformedNotOverreads) {
